@@ -67,6 +67,9 @@ class BrickedArray:
         #: opt-in flag: kernels gather this field through the
         #: precomputed flat-index plan instead of the per-direction loop
         self.planned_gather = False
+        #: ``(stacked field, block, view)`` once :meth:`bind_stacked`
+        #: made ``data`` a block of a stacked field's storage
+        self._stacked: tuple | None = None
         if r > 0:
             if data is not None:
                 raise ValueError(
@@ -115,6 +118,32 @@ class BrickedArray:
         ``ext_data``) — rebinding ``data`` to a scratch array, as the CG
         bottom solver does, drops a field back to the gather path."""
         return self.ext_data is not None and self.data.base is self.ext_data
+
+    # ------------------------------------------------------------------
+    # stacked storage
+    # ------------------------------------------------------------------
+    def bind_stacked(self, stacked: "BrickedArray", block: int) -> None:
+        """Rebind ``data`` to block ``block`` of ``stacked``'s storage.
+
+        ``stacked`` lives on a :class:`~repro.bricks.batch.BatchedGrid`
+        of grids congruent to this one.  Contents are not copied; the
+        field remembers where it lives so consumers that can work on
+        the whole stack (the compiled halo exchange) find it through
+        :meth:`stacked_block`.
+        """
+        view = stacked.data[stacked.grid.rank_slice(block)]
+        self.data = view
+        self._stacked = (stacked, block, view)
+
+    def stacked_block(self) -> "tuple[BrickedArray, int] | None":
+        """``(stacked field, block)`` while ``data`` is still the view
+        :meth:`bind_stacked` bound — ``None`` for a free-standing field
+        or while ``data`` is rebound elsewhere (the CG bottom solver
+        swaps scratch buffers in and restores the view afterwards)."""
+        ref = self._stacked
+        if ref is None or self.data is not ref[2]:
+            return None
+        return ref[0], ref[1]
 
     # ------------------------------------------------------------------
     # construction / conversion
@@ -177,7 +206,7 @@ class BrickedArray:
 
         Correct only when this rank owns the entire periodic domain
         (single-rank runs); distributed runs use
-        :class:`repro.comm.exchange.BrickExchanger` instead.
+        :class:`repro.comm.exchange.HaloExchange` instead.
         """
         ghost, src = self.grid.periodic_wrap_pairs
         if self.has_resident_halo:

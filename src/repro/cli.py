@@ -141,6 +141,7 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
     from repro.gmg import GMGSolver
     from repro.harness.ascii_plot import ascii_matrix, ascii_plot
     from repro.obs import Tracer, write_chrome_trace
+    from repro.obs.profile import exchange_path_line
     from repro.obs.rank import (
         critical_paths,
         fit_message_model,
@@ -167,6 +168,7 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
         f"communication view: {args.size}^3 over {config.num_ranks} ranks "
         f"({args.ranks}), {args.levels} levels, status={result.status}"
     )
+    print(exchange_path_line(solver))
     traffic = traffic_matrix(tracer, size=config.num_ranks)
     print()
     print(ascii_matrix(traffic.messages, title="messages (src -> dst)"))

@@ -9,10 +9,15 @@ single-process SPMD simulator that preserves MPI's semantics:
 * :class:`~repro.comm.simmpi.SimComm` — non-blocking
   ``Isend``/``Irecv``/``Waitall``-style message passing between rank
   mailboxes, with tag matching and per-rank statistics;
+* :class:`~repro.comm.plan.ExchangePlan` — the static structure of one
+  level's ghost exchange: which brick of which rank fills which ghost
+  slot, and the table of messages that would carry them;
 * :class:`~repro.comm.exchange.HaloExchange` — the V-cycle's
   ``exchange()``: ghost-brick exchange with all 26 neighbours, message
   aggregation across fields, and pack/unpack segment accounting driven
-  by the brick storage ordering;
+  by the brick storage ordering — the plan executed as one index copy,
+  or as per-message envelopes when something needs individual
+  messages;
 * :mod:`~repro.comm.protocols` — eager/rendezvous message protocol
   selection mirroring the CXI environment variables of Table I;
 * :mod:`~repro.comm.mapping` — CPU–GPU–NIC binding models.
@@ -30,6 +35,7 @@ from repro.comm.exchange import (
     payload_checksum,
 )
 from repro.comm.mapping import NicBinding, binding_hop_penalty
+from repro.comm.plan import ExchangePlan, exchange_plan_for
 from repro.comm.protocols import CxiSettings, Protocol, select_protocol
 from repro.comm.simmpi import (
     RecvRequest,
@@ -48,6 +54,8 @@ __all__ = [
     "RecvRequest",
     "UnmatchedReceiveError",
     "HaloExchange",
+    "ExchangePlan",
+    "exchange_plan_for",
     "LocalPeriodicExchange",
     "ResilientChannel",
     "ExchangeFaultError",

@@ -6,6 +6,11 @@ matching region into its own ghost bricks.  Because the ghost shell is
 a full brick deep, one exchange validates ``brick_dim`` cells of halo —
 the basis of communication-avoiding smoothing.
 
+The mapping is static, so :class:`HaloExchange` executes a precomputed
+:class:`~repro.comm.plan.ExchangePlan` — as one index copy per field,
+or message by message over ``SimComm`` when faults, tracing or a dead
+rank call for individual envelopes.
+
 Two cost-relevant properties are recorded per message:
 
 * *aggregation*: multiple fields (``x`` and ``b``) destined for the
@@ -30,14 +35,13 @@ import numpy as np
 from repro.bricks.brick_grid import (
     NEIGHBOR_DIRECTIONS,
     BrickGrid,
-    direction_index,
     direction_kind,
 )
 from repro.bricks.bricked_array import BrickedArray
-from repro.bricks.orderings import contiguous_segments
+from repro.comm.plan import exchange_plan_for
 from repro.comm.simmpi import SimComm, UnmatchedReceiveError
 from repro.comm.topology import CartTopology
-from repro.instrument import Recorder
+from repro.instrument import MessageEvent, Recorder
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -77,7 +81,7 @@ class ExchangeFaultError(RuntimeError):
 
 def payload_checksum(payload: np.ndarray) -> int:
     """CRC32 of a message payload (the sender-side integrity header)."""
-    return zlib.crc32(np.ascontiguousarray(payload).tobytes())
+    return zlib.crc32(np.ascontiguousarray(payload))
 
 
 class LocalPeriodicExchange:
@@ -170,8 +174,6 @@ class LocalPeriodicExchange:
         key = (level, itemsize, nfields)
         events = self._message_events.get(key)
         if events is None:
-            from repro.instrument import MessageEvent
-
             events = [
                 MessageEvent(
                     level,
@@ -423,10 +425,22 @@ class ResilientChannel:
 class HaloExchange(ResilientChannel):
     """Collective 26-neighbour ghost-brick exchange over ``SimComm``.
 
-    The driver runs ranks in lockstep: all sends for all ranks are
-    posted first, then all receives complete (``Isend``/``Irecv``/
-    ``Waitall`` order within one phase).  Fields are aggregated per
-    neighbour into a single message.
+    Two executions of one :class:`~repro.comm.plan.ExchangePlan`:
+
+    * the **planned** path copies every ghost brick by index — one
+      take and one indexed assign per field over the rank-stacked
+      storage, or one indexed copy per ``(src_rank, dst_rank)`` pair
+      when the rank fields are separate arrays — and derives message
+      events and communicator counters from the plan's table;
+    * the **envelope** path is the priced reference: the driver runs
+      ranks in lockstep, all sends for all ranks are posted first, then
+      all receives complete (``Isend``/``Irecv``/``Waitall`` order
+      within one phase), fields aggregated per neighbour into a single
+      checksummed, sequenced, fault-injectable message.
+
+    Both fill byte-identical ghosts and leave identical accounting.
+    :meth:`envelope_reason` picks per exchange, from exchanger state
+    alone; ``path_counts`` tallies the choices.
     """
 
     def __init__(
@@ -463,24 +477,39 @@ class HaloExchange(ResilientChannel):
                 BoundaryFill(grid, topology.boundary_sides(rank), self.boundary)
                 for rank in range(topology.size)
             ]
-        # Precompute per-direction slot sets and segment counts once.
-        self._send_slots = {
-            d: grid.send_region_slots(d) for d in NEIGHBOR_DIRECTIONS
-        }
-        self._ghost_slots = {
-            d: grid.ghost_region_slots(d) for d in NEIGHBOR_DIRECTIONS
-        }
-        self._send_segments = {
-            d: len(contiguous_segments(s)) for d, s in self._send_slots.items()
-        }
-        self._recv_segments = {
-            d: len(contiguous_segments(s)) for d, s in self._ghost_slots.items()
-        }
+        self.plan = exchange_plan_for(grid, topology)
+        #: exchanges executed per path
+        self.path_counts = {"planned": 0, "envelope": 0}
+        #: what one planned exchange adds to the recorder and the
+        #: communicator, per (level, itemsize, nfields)
+        self._derived: dict[tuple[int, int, int], tuple[list, list]] = {}
 
     @property
     def recv_is_unpack_free(self) -> bool:
         """True when every receive lands in one contiguous segment."""
-        return all(n == 1 for n in self._recv_segments.values())
+        return all(n == 1 for n in self.plan.recv_segments.values())
+
+    def envelope_reason(self) -> str | None:
+        """What makes the next exchange move per-message envelopes.
+
+        ``None`` selects the planned copy.  Each answer names something
+        only envelopes provide: an armed injector strikes individual
+        transmissions (and the receives validate checksums and sequence
+        numbers); an enabled tracer is owed per-rank ``isend``/
+        ``irecv``/``unpack`` spans; a dead endpoint makes the collective
+        partial, message by message; and traffic already in flight may
+        sit on this exchange's envelopes, where FIFO matching must see
+        it.
+        """
+        if self.injector is not None:
+            return "a fault injector"
+        if self.tracer.enabled or self._root_comm().tracer.enabled:
+            return "tracing"
+        if self.comm.dead_ranks():
+            return "a dead endpoint"
+        if self.comm.pending:
+            return "messages in flight"
+        return None
 
     def exchange(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
@@ -502,61 +531,65 @@ class HaloExchange(ResilientChannel):
         """
         nfields = len(fields_by_rank[0]) if fields_by_rank else 0
         with self.tracer.span("exchange", l=level, nfields=nfields):
-            self._exchange(level, fields_by_rank)
+            self._finish(self._begin(level, fields_by_rank))
 
-    def begin(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> tuple[int, Sequence[Sequence[BrickedArray]]]:
-        """Split-phase entry: post every rank's Isends and return.
+    def begin(self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]):
+        """Split-phase entry: snapshot (or post) every send and return.
 
-        Validation, crash polling and the send loop are byte-for-byte
-        the synchronous :meth:`exchange`'s first phase, so envelope
-        sequencing, checksums and fault injection see an identical
-        stream; the receives, boundary fills and exchange accounting
-        are deferred to :meth:`finish`.  The caller runs interior
-        compute between the two calls.  Returns the pending token that
-        :meth:`finish` consumes.
+        Validation and crash polling are the synchronous
+        :meth:`exchange`'s; the planned path then takes the snapshot of
+        every send region, the envelope path posts every rank's Isends
+        (an identical stream to the synchronous path's, so sequencing,
+        checksums and fault injection agree).  Ghost writes, boundary
+        fills and exchange accounting are deferred to :meth:`finish`.
+        The caller runs interior compute between the two calls.
+        Returns the pending token that :meth:`finish` consumes.
         """
         with self.tracer.span(
             "exchange.begin",
             l=level,
             nfields=len(fields_by_rank[0]) if fields_by_rank else 0,
         ):
-            self._validate(level, fields_by_rank)
-            self.poll_crashes(level)
-            self._post_sends(level, fields_by_rank)
-        return (level, fields_by_rank)
+            return self._begin(level, fields_by_rank)
 
-    def finish(
-        self, pending: tuple[int, Sequence[Sequence[BrickedArray]]]
-    ) -> None:
-        """Split-phase completion: receives, boundary fills, accounting.
+    def finish(self, pending) -> None:
+        """Split-phase completion: ghost writes, boundary fills, accounting.
 
         Polls level-pinned crashes again (a spec that fired at
         :meth:`begin` is already consumed, so this is a no-op re-poll —
         but it keeps the crash-detection contract at both ends of the
-        in-flight window) and then completes the collective exactly as
-        the synchronous path's receive/fill phases would.
+        in-flight window) and then completes the collective on the path
+        :meth:`begin` chose: the snapshot is assigned to the ghost
+        slots, or the receives complete exactly as the synchronous
+        path's would.
         """
-        level, fields_by_rank = pending
+        level, fields_by_rank, _ = pending
         with self.tracer.span(
             "exchange.finish",
             l=level,
             nfields=len(fields_by_rank[0]) if fields_by_rank else 0,
         ):
-            self.poll_crashes(level)
-            self._complete_receives(level, fields_by_rank)
-            self._apply_fills(fields_by_rank)
-        if self.recorder is not None:
-            self.recorder.exchange(level)
+            self._finish(pending)
 
-    def _exchange(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> None:
+    def _begin(self, level, fields_by_rank):
         self._validate(level, fields_by_rank)
         self.poll_crashes(level)
-        self._post_sends(level, fields_by_rank)
-        self._complete_receives(level, fields_by_rank)
+        if self.envelope_reason() is None:
+            self.path_counts["planned"] += 1
+            snapshot = self._snapshot(level, fields_by_rank)
+        else:
+            self.path_counts["envelope"] += 1
+            self._post_sends(level, fields_by_rank)
+            snapshot = None
+        return (level, fields_by_rank, snapshot)
+
+    def _finish(self, pending) -> None:
+        level, fields_by_rank, snapshot = pending
+        self.poll_crashes(level)
+        if snapshot is None:
+            self._complete_receives(level, fields_by_rank)
+        else:
+            self._assign(fields_by_rank, snapshot)
         self._apply_fills(fields_by_rank)
         if self.recorder is not None:
             self.recorder.exchange(level)
@@ -580,80 +613,147 @@ class HaloExchange(ResilientChannel):
                 ):
                     raise ValueError("field grid incompatible with exchanger grid")
 
+    # ------------------------------------------------------------------
+    # planned path
+    # ------------------------------------------------------------------
+    def _stacked_window(
+        self, fields_by_rank: Sequence[Sequence[BrickedArray]], f: int
+    ) -> np.ndarray | None:
+        """Field ``f``'s rank-stacked storage, when the ranks' fields
+        are the consecutive blocks of one stacked array (asked of the
+        fields themselves: see ``BrickedArray.stacked_block``)."""
+        first = fields_by_rank[0][f].stacked_block()
+        if first is None:
+            return None
+        stacked, k0 = first
+        for r in range(1, len(fields_by_rank)):
+            if fields_by_rank[r][f].stacked_block() != (stacked, k0 + r):
+                return None
+        S = self.plan.num_slots
+        return stacked.data[k0 * S : (k0 + len(fields_by_rank)) * S]
+
+    def _snapshot(self, level, fields_by_rank) -> list:
+        """Copy out every send region and account the exchange.
+
+        Per field: ``(window, bricks)`` over stacked storage, or
+        ``(None, [bricks per pair])`` for per-rank arrays.
+        """
+        plan = self.plan
+        snapshot = []
+        for f in range(len(fields_by_rank[0])):
+            window = self._stacked_window(fields_by_rank, f)
+            if window is not None:
+                snapshot.append((window, window.take(plan.src, axis=0)))
+            else:
+                snapshot.append((None, [
+                    fields_by_rank[p.src_rank][f].data[p.src_slots]
+                    for p in plan.pairs
+                ]))
+        self._account(level, fields_by_rank)
+        return snapshot
+
+    def _assign(self, fields_by_rank, snapshot) -> None:
+        plan = self.plan
+        for f, (window, bricks) in enumerate(snapshot):
+            if window is not None:
+                window[plan.dst] = bricks
+            else:
+                for p, part in zip(plan.pairs, bricks):
+                    fields_by_rank[p.dst_rank][f].data[p.dst_slots] = part
+
+    def _account(self, level, fields_by_rank) -> None:
+        """Add what the envelope path's sends would have recorded."""
+        nfields = len(fields_by_rank[0])
+        itemsize = fields_by_rank[0][0].data.dtype.itemsize
+        key = (level, itemsize, nfields)
+        derived = self._derived.get(key)
+        if derived is None:
+            brick_bytes = self.plan.cells_per_brick * itemsize * nfields
+            events = [
+                MessageEvent(
+                    level, m.bricks * brick_bytes, m.kind,
+                    m.send_segments * nfields, m.dst_rank == m.src_rank,
+                )
+                for m in self.plan.messages
+            ]
+            pair_bytes = [
+                ((p.src_rank, p.dst_rank), len(p.src_slots) * brick_bytes)
+                for p in self.plan.pairs
+            ]
+            derived = self._derived[key] = (events, pair_bytes)
+        events, pair_bytes = derived
+        if self.recorder is not None:
+            self.recorder.messages.extend(events)
+        self.comm.account_sends(len(events), pair_bytes)
+
+    # ------------------------------------------------------------------
+    # envelope path
+    # ------------------------------------------------------------------
+    def _dead_ranks(self) -> frozenset[int]:
+        """Communicator-local dead endpoints (fixed for one phase:
+        crashes fire only at the polls that precede it)."""
+        return frozenset(
+            r for r in range(self.topology.size) if self._is_dead(r)
+        )
+
     def _post_sends(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
     ) -> None:
-        size = self.topology.size
         nfields = len(fields_by_rank[0])
+        send_slots = self.plan.send_slots
+        dead = self._dead_ranks()
         # Phase 1: every rank posts one aggregated send per direction.
-        for rank in range(size):
-            if self._is_dead(rank):
-                continue  # a dead endpoint posts nothing
-            fields = fields_by_rank[rank]
-            for d in NEIGHBOR_DIRECTIONS:
-                dst = self.topology.neighbor(rank, d)
-                if dst is None:
-                    continue  # domain boundary: nothing to send
-                if self._is_dead(dst):
-                    continue  # no endpoint to deliver to
-                payload = np.stack(
-                    [f.data[self._send_slots[d]] for f in fields]
+        for m in self.plan.messages:
+            rank, dst = m.src_rank, m.dst_rank
+            if rank in dead or dst in dead:
+                continue  # a dead endpoint posts nothing, receives nothing
+            payload = np.stack(
+                [f.data[send_slots[m.direction]] for f in fields_by_rank[rank]]
+            )
+            checksum = action = None
+            if self.injector is not None:
+                checksum = payload_checksum(payload)
+                action = self.injector.message_action(
+                    level, self._gr(rank), self._gr(dst), m.tag, m.direction,
+                    payload.nbytes,
                 )
-                tag = direction_index(d)
-                checksum = action = None
-                if self.injector is not None:
-                    checksum = payload_checksum(payload)
-                    action = self.injector.message_action(
-                        level, self._gr(rank), self._gr(dst), tag, d,
-                        payload.nbytes,
-                    )
-                self.comm.isend(
-                    rank, dst, tag, payload, checksum=checksum, fault=action,
-                    level=level,
+            self.comm.isend(
+                rank, dst, m.tag, payload, checksum=checksum, fault=action,
+                level=level,
+            )
+            if self.recorder is not None:
+                self.recorder.message(
+                    level,
+                    payload.nbytes,
+                    m.kind,
+                    segments=m.send_segments * nfields,
+                    self_message=(dst == rank),
                 )
-                if self.recorder is not None:
-                    self.recorder.message(
-                        level,
-                        payload.nbytes,
-                        direction_kind(d),
-                        segments=self._send_segments[d] * nfields,
-                        self_message=(dst == rank),
-                    )
 
     def _complete_receives(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
     ) -> None:
-        size = self.topology.size
         nfields = len(fields_by_rank[0])
-        # Phase 2: every rank completes its 26 receives.  Data arriving
-        # from the neighbour along d was sent with tag direction(d)
-        # (the sender's direction towards us is -(-d) = d as the tag of
-        # its send region towards direction d... the send loop tags by
-        # the *sender's* direction, which from our neighbour at -d
-        # pointing back to us is d's opposite); see the matching rule
-        # in BrickGrid.send_region_slots.
-        for rank in range(size):
-            if self._is_dead(rank):
-                continue  # a dead endpoint receives nothing
-            fields = fields_by_rank[rank]
-            for d in NEIGHBOR_DIRECTIONS:
-                src = self.topology.neighbor(rank, d)
-                if src is None:
-                    continue  # filled by the boundary condition below
-                if self._is_dead(src):
-                    continue  # sender died: ghost stays stale until recovery
-                # Our ghost region in direction d is the neighbour's
-                # send region in direction -d, tagged with -d's index.
-                tag = direction_index(tuple(-c for c in d))
-                ghost = self._ghost_slots[d]
-                expected = (nfields, len(ghost)) + (self.grid.brick_dim,) * 3
-                payload = self._receive(level, rank, src, tag, d, expected)
-                with self.tracer.child(self._gr(rank)).span(
-                    "unpack", l=level, src=self._gr(src), dst=self._gr(rank),
-                    tag=tag, bytes=int(payload.nbytes),
-                ):
-                    for f_idx, field in enumerate(fields):
-                        field.data[ghost] = payload[f_idx]
+        ghost_slots = self.plan.ghost_slots
+        dead = self._dead_ranks()
+        brick = (self.grid.brick_dim,) * 3
+        # Phase 2: every rank completes its receives.  A message carries
+        # tag = index(-d) of the receiver's ghost direction d.
+        for m in self.plan.receives:
+            rank, src = m.dst_rank, m.src_rank
+            if rank in dead or src in dead:
+                continue  # a dead sender leaves the ghost stale until recovery
+            d = m.ghost_direction
+            ghost = ghost_slots[d]
+            payload = self._receive(
+                level, rank, src, m.tag, d, (nfields, m.bricks) + brick
+            )
+            with self.tracer.child(self._gr(rank)).span(
+                "unpack", l=level, src=self._gr(src), dst=self._gr(rank),
+                tag=m.tag, bytes=int(payload.nbytes),
+            ):
+                for f_idx, field in enumerate(fields_by_rank[rank]):
+                    field.data[ghost] = payload[f_idx]
 
     def _apply_fills(
         self, fields_by_rank: Sequence[Sequence[BrickedArray]]

@@ -1,0 +1,169 @@
+"""Compiled halo exchange: one static index copy per level.
+
+The paper's ghost *bricks* make an exchange a fixed brick-to-brick
+mapping (§III, Fig 6): which interior brick of which rank lands in
+which ghost slot of which neighbour depends only on the brick grid and
+the rank grid, never on the data.  An :class:`ExchangePlan` resolves
+that mapping once per ``(grid.geometry_key, topology dims, periodic)``
+into
+
+* the **per-message table** — one :class:`PlannedMessage` per send the
+  26-neighbour protocol would post, in the protocol's ``(rank,
+  direction)`` order — from which the envelope path reads its
+  neighbours, tags and expected shapes and the planned path derives
+  ``MessageEvent``s and communicator counters without posting anything;
+* **flat ``src``/``dst`` slot tables** over the rank-stacked storage
+  (rank ``r``'s slot ``s`` is ``r * num_slots + s``), so a whole
+  exchange of one field is ``data[dst] = data[src]``;
+* the same copy **split by ``(src_rank, dst_rank)`` pair** for fields
+  that are separate per-rank arrays.
+
+Every ``dst`` slot is a ghost slot written exactly once and every
+``src`` slot is an interior slot, so the copy has no read-after-write
+hazard and needs no staging order.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.bricks.brick_grid import (
+    NEIGHBOR_DIRECTIONS,
+    BrickGrid,
+    direction_index,
+    direction_kind,
+)
+from repro.bricks.orderings import contiguous_segments
+from repro.bricks.plan_cache import PlanLRUCache
+from repro.comm.topology import CartTopology
+
+
+@dataclass(frozen=True)
+class PlannedMessage:
+    """One send of the 26-neighbour protocol, resolved ahead of time.
+
+    ``direction`` is the sender's direction towards ``dst_rank`` and
+    ``tag`` its index; the receiver fills its ghost region along
+    ``ghost_direction == -direction`` from it.
+    """
+
+    src_rank: int
+    dst_rank: int
+    direction: tuple[int, int, int]
+    ghost_direction: tuple[int, int, int]
+    tag: int
+    kind: str  # 'face' | 'edge' | 'corner'
+    bricks: int
+    send_segments: int
+
+
+@dataclass(frozen=True)
+class PairCopy:
+    """Every brick ``src_rank`` sends ``dst_rank``, as rank-local slots."""
+
+    src_rank: int
+    dst_rank: int
+    src_slots: np.ndarray
+    dst_slots: np.ndarray
+
+
+class ExchangePlan:
+    """The static structure of one level's ghost exchange."""
+
+    def __init__(self, grid: BrickGrid, topology: CartTopology) -> None:
+        self.num_slots = grid.num_slots
+        self.num_ranks = topology.size
+        self.cells_per_brick = grid.cells_per_brick
+        #: rank-local slots per direction, in lexicographic region order
+        #: (a send region and the ghost region it fills list matching
+        #: bricks at matching positions)
+        self.send_slots = {
+            d: grid.send_region_slots(d) for d in NEIGHBOR_DIRECTIONS
+        }
+        self.ghost_slots = {
+            d: grid.ghost_region_slots(d) for d in NEIGHBOR_DIRECTIONS
+        }
+        #: contiguous storage ranges a receive lands in, per ghost
+        #: direction — 1 everywhere is the pack-free property
+        self.recv_segments = {
+            d: len(contiguous_segments(s)) for d, s in self.ghost_slots.items()
+        }
+        send_segments = {
+            d: len(contiguous_segments(s)) for d, s in self.send_slots.items()
+        }
+        #: sends in posting order: rank-major, then direction
+        self.messages: tuple[PlannedMessage, ...] = tuple(
+            PlannedMessage(
+                rank, dst, d, (-d[0], -d[1], -d[2]), direction_index(d),
+                direction_kind(d), len(self.send_slots[d]), send_segments[d],
+            )
+            for rank in range(topology.size)
+            for d in NEIGHBOR_DIRECTIONS
+            if (dst := topology.neighbor(rank, d)) is not None
+        )
+        #: the same messages in completion order: receiver-major, then
+        #: the receiver's ghost direction
+        self.receives: tuple[PlannedMessage, ...] = tuple(
+            sorted(
+                self.messages,
+                key=lambda m: (m.dst_rank, direction_index(m.ghost_direction)),
+            )
+        )
+        S = self.num_slots
+        #: flat tables in completion order; receive ``i`` owns
+        #: ``[offsets[i], offsets[i + 1])``
+        self.src = np.concatenate(
+            [m.src_rank * S + self.send_slots[m.direction] for m in self.receives]
+        )
+        self.dst = np.concatenate(
+            [
+                m.dst_rank * S + self.ghost_slots[m.ghost_direction]
+                for m in self.receives
+            ]
+        )
+        self.offsets = np.cumsum([0] + [m.bricks for m in self.receives])
+        by_pair: dict[tuple[int, int], list[PlannedMessage]] = {}
+        for m in self.receives:
+            by_pair.setdefault((m.src_rank, m.dst_rank), []).append(m)
+        self.pairs: tuple[PairCopy, ...] = tuple(
+            PairCopy(
+                src, dst,
+                np.concatenate([self.send_slots[m.direction] for m in msgs]),
+                np.concatenate([self.ghost_slots[m.ghost_direction] for m in msgs]),
+            )
+            for (src, dst), msgs in by_pair.items()
+        )
+
+    @property
+    def num_messages(self) -> int:
+        return len(self.messages)
+
+    @property
+    def num_bricks(self) -> int:
+        """Bricks one field moves per exchange."""
+        return len(self.src)
+
+    def nbytes(self, itemsize: int, nfields: int = 1) -> int:
+        """Payload bytes of one exchange of ``nfields`` fields."""
+        return self.num_bricks * self.cells_per_brick * itemsize * nfields
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"ExchangePlan(ranks={self.num_ranks}, "
+            f"messages={self.num_messages}, bricks={self.num_bricks})"
+        )
+
+
+_PLANS = PlanLRUCache("exchange_plan")
+
+
+def exchange_plan_for(grid: BrickGrid, topology: CartTopology) -> ExchangePlan:
+    """The (cached) plan for ``grid`` decomposed over ``topology``."""
+    key = (grid.geometry_key, topology.dims, topology.periodic)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = ExchangePlan(grid, topology)
+        _PLANS.put(key, plan)
+    return plan

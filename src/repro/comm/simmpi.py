@@ -133,6 +133,9 @@ class SimComm:
         # Last pristine transmission per envelope (send-buffer analogue).
         self._send_log: dict[tuple[int, int, int], _Message] = {}
         self._send_seq: dict[tuple[int, int, int], int] = defaultdict(int)
+        #: undelivered transmissions across all mailboxes and delay
+        #: queues, maintained at every push/pop so ``pending`` is O(1)
+        self._pending = 0
         self.sent_messages = 0
         self.sent_bytes = 0
         self.retransmissions = 0
@@ -242,6 +245,7 @@ class SimComm:
         """Put one transmission on the wire, applying any fault action."""
         if fault is None:
             self._mailboxes[key].append(msg)
+            self._pending += 1
             return
         if fault.kind == "drop":
             return  # vanishes on the wire
@@ -252,13 +256,16 @@ class SimComm:
                 1 << (fault.corrupt_bit % 8)
             )
             self._mailboxes[key].append(_Message(corrupted, msg.checksum, msg.seq))
+            self._pending += 1
             return
         if fault.kind == "duplicate":
             self._mailboxes[key].append(msg)
             self._mailboxes[key].append(_Message(msg.payload, msg.checksum, msg.seq))
+            self._pending += 2
             return
         if fault.kind == "delay":
             self._delayed[key].append(msg)
+            self._pending += 1
             return
         raise ValueError(f"unknown fault action {fault.kind!r}")
 
@@ -286,6 +293,7 @@ class SimComm:
                 f"tag {tag} that was never sent"
             )
         msg = box.popleft()
+        self._pending -= 1
         self._record_recv(dst, src, tag, level, msg)
         return msg
 
@@ -305,6 +313,7 @@ class SimComm:
         if not box:
             return None
         msg = box.popleft()
+        self._pending -= 1
         self._record_recv(dst, src, tag, level, msg)
         return msg
 
@@ -355,6 +364,19 @@ class SimComm:
             self._transmit(key, msg, fault)
         return int(msg.payload.nbytes)
 
+    def account_sends(self, messages: int, pair_bytes) -> None:
+        """Count sends that moved without envelopes.
+
+        The compiled halo exchange copies ghost bricks by index and
+        derives its traffic from the plan: ``messages`` sends whose
+        payloads total ``pair_bytes`` — ``((src, dst), nbytes)`` rows in
+        first-send order — land in the same counters ``isend`` feeds.
+        """
+        self.sent_messages += messages
+        for pair, nbytes in pair_bytes:
+            self.sent_bytes += nbytes
+            self.bytes_by_pair[pair] += nbytes
+
     def logged_nbytes(self, dst: int, src: int, tag: int) -> int:
         """Payload size of the last transmission on an envelope (0 if none)."""
         logged = self._send_log.get((dst, src, tag))
@@ -372,6 +394,7 @@ class SimComm:
         while box and box[0].seq < below_seq:
             box.popleft()
             n += 1
+        self._pending -= n
         return n
 
     def waitall(self, requests: list) -> list:
@@ -424,6 +447,11 @@ class SimComm:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
+    @property
+    def pending(self) -> int:
+        """Undelivered transmissions, delayed included (O(1))."""
+        return self._pending
+
     def in_flight(self) -> dict[tuple[int, int, int], int]:
         """``{(dst, src, tag): pending message count}``, delayed included."""
         out: dict[tuple[int, int, int], int] = {}
@@ -444,10 +472,10 @@ class SimComm:
         cycle cannot be mistaken for fresh data.  Returns the number of
         messages discarded.
         """
-        n = sum(len(b) for b in self._mailboxes.values())
-        n += sum(len(p) for p in self._delayed.values())
+        n = self._pending
         self._mailboxes.clear()
         self._delayed.clear()
+        self._pending = 0
         return n
 
     def assert_drained(self) -> None:
@@ -552,6 +580,19 @@ class SubComm:
             tag + self.tag_offset,
         )
 
+    def account_sends(self, messages, pair_bytes):
+        gr = self.global_ranks
+        self.parent.account_sends(
+            messages,
+            [((gr[src], gr[dst]), nbytes) for (src, dst), nbytes in pair_bytes],
+        )
+
+    @property
+    def pending(self) -> int:
+        """The parent's undelivered count: a view cannot tell its own
+        band apart in O(1), and any traffic is reason for caution."""
+        return self.parent.pending
+
     def discard_stale(self, dst, src, tag, below_seq):
         return self.parent.discard_stale(
             self.global_rank(dst), self.global_rank(src),
@@ -591,7 +632,9 @@ class SubComm:
                 f"allreduce needs one value per active rank: got "
                 f"{len(values)}, size {self.size}"
             )
-        return float(np.sum(values))
+        # Python's left-to-right sum, as SimComm.allreduce_sum: np.sum
+        # adds pairwise from 8 values up and rounds differently
+        return float(sum(values))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -24,9 +24,11 @@ single floating-point operation*:
   ``num_ranks * num_slots`` bricks instead of a Python rank loop.
 
 Adoption rebinds each per-rank field's ``data`` to a view of the
-stacked storage, so ghost exchanges, checkpoints, fault injection and
-solution assembly — all of which address per-rank fields — alias the
-stacked arrays automatically and need no changes.  Every configuration
+stacked storage (``BrickedArray.bind_stacked``), so ghost exchanges,
+checkpoints, fault injection and solution assembly — all of which
+address per-rank fields — alias the stacked arrays automatically and
+need no changes; the field remembers its block, which lets the halo
+exchange copy ghosts over the whole stack at once.  Every configuration
 is bit-identical to the seed path (asserted by the identity suite):
 identical expression trees and identical NumPy evaluation order
 produce byte-equal floats.
@@ -235,7 +237,7 @@ class ExecutionEngine:
                     for name, stacked_field in st.fields().items():
                         per_rank = getattr(lv, name)
                         stacked_field.data[sl] = per_rank.data
-                        per_rank.data = stacked_field.data[sl]
+                        per_rank.bind_stacked(stacked_field, k)
         self._seed_child_maps()
 
     def _seed_child_maps(self) -> None:

@@ -442,6 +442,14 @@ class GMGSolver:
             tracer=self.tracer,
         )
 
+    def halo_exchangers(self) -> list[tuple[int, HaloExchange]]:
+        """``(level, exchanger)`` of every multi-rank ghost exchange:
+        the full-grid ones, then the agglomerator's active-rank ones."""
+        out = list(enumerate(self.exchangers))
+        if self.agglomerator is not None:
+            out.extend(enumerate(self.agglomerator.exchangers))
+        return [(lev, ex) for lev, ex in out if isinstance(ex, HaloExchange)]
+
     def _init_rhs(self) -> None:
         from repro.gmg.problem import rhs_field_dirichlet
 

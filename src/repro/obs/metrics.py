@@ -119,6 +119,25 @@ class MetricsRegistry:
                     f"cache.{cache_name}.{stat}", value, owner="plan_caches"
                 )
 
+    def observe_exchange_paths(self, exchangers) -> None:
+        """Snapshot which execution each multi-rank ghost exchange took.
+
+        ``exchangers`` is :meth:`GMGSolver.halo_exchangers`' ``(level,
+        exchanger)`` list.  ``exchanges.planned`` counts index copies
+        off the exchange plan, ``exchanges.envelope`` per-message
+        reference executions (with per-level detail); the plan cache's
+        own hit/miss sits under ``cache.exchange_plan.*``
+        (:meth:`observe_plan_caches`).  Gauges, for the same reason as
+        there: the tallies are cumulative per exchanger.
+        """
+        totals: dict[str, int] = {}
+        for lev, ex in exchangers:
+            for path, n in ex.path_counts.items():
+                for name in (f"exchanges.{path}", f"exchanges.level{lev}.{path}"):
+                    totals[name] = totals.get(name, 0) + n
+        for name, n in totals.items():
+            self.gauge(name, n, owner="exchange_paths")
+
     def observe_recovery(self, result) -> None:
         """Record a solve's rank-crash recovery SLO metrics.
 
@@ -180,19 +199,22 @@ class MetricsRegistry:
 
 
 def solve_metrics(
-    recorder: Recorder, tracer=None, agglomerator=None, result=None
+    recorder: Recorder, tracer=None, agglomerator=None, result=None,
+    exchangers=(),
 ) -> MetricsRegistry:
     """Registry for one finished solve.
 
     Bridges the recorder and, when a recording tracer is supplied, adds
     trace-derived gauges (span counts and total traced wall-clock); an
-    agglomerated solve additionally reports its active-rank shape, and
-    a :class:`~repro.gmg.solver.SolveResult` adds the rank-crash
-    recovery gauges.
+    agglomerated solve additionally reports its active-rank shape, a
+    :class:`~repro.gmg.solver.SolveResult` adds the rank-crash
+    recovery gauges, and ``exchangers``
+    (:meth:`GMGSolver.halo_exchangers`) the exchange-path tallies.
     """
     registry = MetricsRegistry()
     registry.observe_recorder(recorder)
     registry.observe_plan_caches()
+    registry.observe_exchange_paths(exchangers)
     if tracer is not None and getattr(tracer, "enabled", False):
         registry.gauge("trace.spans", len(tracer.spans))
         registry.gauge("trace.instants", len(tracer.instants))

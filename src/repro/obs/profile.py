@@ -48,6 +48,34 @@ def wait_fraction(tracer: Tracer) -> tuple[float, float]:
     return wait, wait / total
 
 
+def exchange_path_line(solver) -> str | None:
+    """One line on how a traced solve's multi-rank ghost exchanges ran.
+
+    Tracing (or a fault plan) moves per-message envelopes where the
+    plain solve copies by index off the exchange plan; saying so — with
+    what the plan moves per exchange — keeps a profile from passing for
+    the run it explains.  ``None`` for a single-rank solve.
+    """
+    exchangers = solver.halo_exchangers()
+    if not exchangers:
+        return None
+    envelope, planned = (
+        sum(ex.path_counts[path] for _, ex in exchangers)
+        for path in ("envelope", "planned")
+    )
+    itemsize = 4 if solver.config.precision == "fp32" else 8
+    plans = ", ".join(
+        f"l{lev}: {ex.plan.num_messages} msg / {ex.plan.nbytes(itemsize)} B"
+        for lev, ex in exchangers
+    )
+    return (
+        f"halo exchange: {exchangers[0][1].envelope_reason()} selected the "
+        f"per-message reference exchange ({envelope} exchanges as envelopes, "
+        f"{planned} as plan copies); a plain solve runs each as one index "
+        f"copy per field; plan per exchange and field: {plans}"
+    )
+
+
 @dataclass
 class ProfileReport:
     """Everything one profiled solve produced."""
@@ -66,6 +94,8 @@ class ProfileReport:
     wait_s: float = 0.0
     #: ``wait_s`` as a share of total ``vcycle`` wall time
     wait_fraction: float = 0.0
+    #: :func:`exchange_path_line` of the profiled solver
+    exchange_paths: str | None = None
 
     def render(self) -> str:
         """The full human-readable profile report."""
@@ -81,6 +111,7 @@ class ProfileReport:
             f"  wait fraction: {self.wait_fraction:.1%} of V-cycle time "
             f"blocked on halo completion ({self.wait_s:.6g}s in "
             f"exchange/exchange.finish)",
+            *([f"  {self.exchange_paths}"] if self.exchange_paths else []),
             "",
             render_measured_vs_model(self.rows, self.machine_name),
             "",
@@ -167,10 +198,12 @@ def profile_solve(
         rows=rows,
         machine_name=machine_name,
         metrics=solve_metrics(
-            result.recorder, tracer, agglomerator=solver.agglomerator
+            result.recorder, tracer, agglomerator=solver.agglomerator,
+            exchangers=solver.halo_exchangers(),
         ).snapshot(),
         wait_s=wait_s,
         wait_fraction=wait_frac,
+        exchange_paths=exchange_path_line(solver),
     )
     if trace_path is not None:
         write_chrome_trace(

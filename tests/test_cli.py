@@ -68,6 +68,17 @@ class TestProfileCommand:
         assert "sigma:" in out and "| model " in out
         assert "reductions.total" in out
 
+    def test_multirank_profile_names_the_exchange_path(self, capsys):
+        """A traced run moves envelopes where the untraced one copies by
+        index; the report must say so."""
+        rc = main(["profile", "-s", "16", "-l", "2", "--smooths", "6",
+                   "--bottom", "20", "--ranks", "2,1,1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "tracing selected the per-message reference exchange" in out
+        assert "as envelopes, 0 as plan copies" in out
+        assert "l0: 52 msg / 114688 B" in out
+
     def test_profile_machine_none(self, capsys):
         rc = main(["profile", "-s", "16", "-l", "2", "--smooths", "6",
                    "--bottom", "20", "--machine", "none"])
@@ -119,6 +130,8 @@ class TestCommvizCommand:
         assert "critical path" in out
         assert "model" in out  # network-model column present
         assert "per-level traffic: l0:" in out
+        assert "tracing selected the per-message reference exchange" in out
+        assert "l0: 208 msg / " in out
 
     def test_machine_none_skips_model_column(self, capsys):
         rc = main(["commviz", "-s", "16", "-l", "2", "--smooths", "6",

@@ -39,6 +39,22 @@ def check_ghosts_against_global(topology, grid, fields, global_dense):
             assert np.array_equal(field.data[slot], expected), (rank, tuple(lg))
 
 
+class TestPayloadChecksum:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_crc_is_of_the_c_order_bytes(self, rng, dtype):
+        """Hashing the buffer in place changes no checksum on the wire."""
+        import zlib
+
+        from repro.comm import payload_checksum
+
+        payload = rng.random((2, 5, 4, 4, 4)).astype(dtype)
+        assert payload_checksum(payload) == zlib.crc32(payload.tobytes())
+        strided = payload[:, ::2, :, 1:3]
+        assert not strided.flags.c_contiguous
+        assert payload_checksum(strided) == zlib.crc32(strided.tobytes())
+        assert payload_checksum(strided) != payload_checksum(payload)
+
+
 class TestLocalPeriodicExchange:
     def test_fills_ghosts(self, rng):
         grid = BrickGrid((2, 2, 2), 4)

@@ -1,0 +1,387 @@
+"""The compiled halo exchange against the per-message reference.
+
+``HaloExchange`` executes one ``ExchangePlan`` two ways; the planned
+index copy must leave every ghost brick, every recorded message and
+every communicator counter exactly as the envelope path does.  The
+reference is forced the way a user would meet it: an enabled tracer.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.bricks import BrickGrid, BrickedArray
+from repro.bricks.batch import BatchedGrid
+from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS, direction_index
+from repro.bricks.orderings import contiguous_segments
+from repro.comm import CartTopology, HaloExchange, SimComm, SubComm
+from repro.comm.plan import exchange_plan_for
+from repro.gmg import GMGSolver, SolverConfig
+from repro.gmg.boundary import BoundaryCondition
+from repro.instrument import Recorder
+from repro.obs.tracer import Tracer
+
+RANK_DIMS = [(2, 1, 1), (2, 2, 2), (3, 2, 1)]
+BOUNDARIES = ["periodic", "dirichlet", "neumann"]
+
+
+def build(
+    dims, boundary="periodic", ordering="surface-major", nfields=1,
+    stacked=True, dtype=np.float64, reference=False, seed=7,
+):
+    """An exchanger and ``fields_by_rank`` with random content everywhere
+    (ghosts included, so a ghost the exchange must not touch shows)."""
+    grid = BrickGrid((2, 2, 2), 4, ordering=ordering)
+    condition = BoundaryCondition(boundary)
+    topo = CartTopology(dims, periodic=condition is BoundaryCondition.PERIODIC)
+    comm = SimComm(topo.size)
+    recorder = Recorder()
+    ex = HaloExchange(
+        grid, topo, comm, recorder, condition,
+        tracer=Tracer() if reference else None,
+    )
+    rng = np.random.default_rng(seed)
+    fields_by_rank = [[] for _ in range(topo.size)]
+    for _ in range(nfields):
+        content = rng.random((topo.size * grid.num_slots, 4, 4, 4)).astype(dtype)
+        if stacked:
+            whole = BrickedArray(BatchedGrid(grid, topo.size), content, dtype=dtype)
+        for rank in range(topo.size):
+            field = BrickedArray.zeros(grid, dtype=dtype)
+            if stacked:
+                field.bind_stacked(whole, rank)
+            else:
+                field.data[...] = content[
+                    rank * grid.num_slots : (rank + 1) * grid.num_slots
+                ]
+            fields_by_rank[rank].append(field)
+    return ex, fields_by_rank
+
+
+def observable(ex, fields_by_rank):
+    """Everything an exchange leaves behind."""
+    comm, recorder = ex._root_comm(), ex.recorder
+    return {
+        "data": [[f.data.copy() for f in fields] for fields in fields_by_rank],
+        "messages": list(recorder.messages),
+        "exchange_counts": recorder.exchange_counts(),
+        "sent_messages": comm.sent_messages,
+        "sent_bytes": comm.sent_bytes,
+        "bytes_by_pair": dict(comm.bytes_by_pair),
+    }
+
+
+def assert_same(planned, reference):
+    for fp, fr in zip(planned.pop("data"), reference.pop("data")):
+        for a, b in zip(fp, fr):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert planned == reference
+
+
+class TestPlanEqualsReference:
+    @pytest.mark.parametrize("dims", RANK_DIMS)
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("nfields", [1, 2])
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-rank"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
+    def test_byte_identity(self, dims, boundary, ordering, nfields, stacked, dtype):
+        results = []
+        for reference in (False, True):
+            ex, fields = build(
+                dims, boundary, ordering, nfields, stacked, dtype, reference
+            )
+            ex.exchange(0, fields)
+            ex.exchange(2, fields)
+            expect = "envelope" if reference else "planned"
+            assert ex.path_counts[expect] == 2 and sum(ex.path_counts.values()) == 2
+            ex.comm.assert_drained()
+            results.append(observable(ex, fields))
+        assert len(results[0]["messages"]) == 2 * ex.plan.num_messages
+        assert_same(*results)
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-rank"])
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_split_phase_snapshots_at_begin(self, boundary, stacked):
+        """``begin`` reads, ``finish`` writes: interior values changed in
+        between must not travel, exactly as with posted sends."""
+        results = []
+        for reference in (False, True):
+            ex, fields = build((2, 2, 2), boundary, stacked=stacked,
+                               reference=reference)
+            before = [f.data[ex.grid.ghost_slots].copy() for f, in fields]
+            pending = ex.begin(1, fields)
+            for (f,), ghosts in zip(fields, before):
+                assert np.array_equal(f.data[ex.grid.ghost_slots], ghosts)
+                f.data[ex.grid.interior_slots] += 1.0
+            assert ex.recorder.exchange_counts() == {}
+            ex.finish(pending)
+            ex.comm.assert_drained()
+            results.append(observable(ex, fields))
+        assert_same(*results)
+
+    def test_subcomm_accounts_global_ranks(self):
+        """Active-rank exchangers (agglomerated levels) run over a
+        ``SubComm``: counters keep global rank ids on the parent."""
+        results = []
+        for reference in (False, True):
+            grid = BrickGrid((2, 2, 2), 4)
+            topo = CartTopology((2, 1, 1))
+            parent = SimComm(8)
+            ex = HaloExchange(
+                grid, topo, SubComm(parent, (0, 4), tag_offset=100), Recorder(),
+                tracer=Tracer() if reference else None,
+            )
+            rng = np.random.default_rng(3)
+            fields = [[BrickedArray(grid, rng.random((grid.num_slots, 4, 4, 4)))]
+                      for _ in range(2)]
+            ex.exchange(1, fields)
+            results.append(observable(ex, fields))
+        # unit rank dims wrap onto the sender itself
+        assert set(results[0]["bytes_by_pair"]) == {(0, 0), (0, 4), (4, 0), (4, 4)}
+        assert_same(*results)
+
+    def test_rebound_data_leaves_the_stack(self):
+        """A field whose ``data`` was swapped (CG's scratch buffers) is
+        exchanged where it now lives, not in its old stacked block."""
+        ex, fields = build((2, 1, 1))
+        ref_ex, ref_fields = build((2, 1, 1), reference=True)
+        for fs in (fields, ref_fields):
+            scratch = fs[1][0].data.copy() + 5.0
+            fs[1][0].data = scratch
+            assert fs[1][0].stacked_block() is None
+        ex.exchange(0, fields)
+        ref_ex.exchange(0, ref_fields)
+        assert ex.path_counts["planned"] == 1
+        assert_same(observable(ex, fields), observable(ref_ex, ref_fields))
+
+
+class TestPlanStructure:
+    @pytest.mark.parametrize("dims", RANK_DIMS)
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_ghosts_written_once_from_interiors(self, dims, periodic, ordering):
+        grid = BrickGrid((3, 2, 2), 4, ordering=ordering)
+        topo = CartTopology(dims, periodic=periodic)
+        plan = exchange_plan_for(grid, topo)
+        S = grid.num_slots
+        assert len(np.unique(plan.dst)) == len(plan.dst)
+        assert np.isin(plan.dst % S, grid.ghost_slots).all()
+        assert np.isin(plan.src % S, grid.interior_slots).all()
+        if periodic:
+            # every rank's whole ghost shell is filled by exchange
+            for rank in range(topo.size):
+                mine = plan.dst[plan.dst // S == rank] % S
+                assert np.array_equal(np.sort(mine), grid.ghost_slots)
+        # the per-pair split is the same copy
+        pair_dst = np.concatenate([p.dst_rank * S + p.dst_slots for p in plan.pairs])
+        pair_src = np.concatenate([p.src_rank * S + p.src_slots for p in plan.pairs])
+        order, pair_order = np.argsort(plan.dst), np.argsort(pair_dst)
+        assert np.array_equal(plan.dst[order], pair_dst[pair_order])
+        assert np.array_equal(plan.src[order], pair_src[pair_order])
+
+    def test_message_table_follows_the_protocol(self):
+        grid = BrickGrid((2, 2, 2), 4)
+        topo = CartTopology((3, 2, 1), periodic=False)
+        plan = exchange_plan_for(grid, topo)
+        sends = [
+            (rank, topo.neighbor(rank, d), d)
+            for rank in range(topo.size)
+            for d in NEIGHBOR_DIRECTIONS
+            if topo.neighbor(rank, d) is not None
+        ]
+        assert [(m.src_rank, m.dst_rank, m.direction) for m in plan.messages] == sends
+        receives = [
+            (rank, topo.neighbor(rank, d), d)
+            for rank in range(topo.size)
+            for d in NEIGHBOR_DIRECTIONS
+            if topo.neighbor(rank, d) is not None
+        ]
+        assert [
+            (m.dst_rank, m.src_rank, m.ghost_direction) for m in plan.receives
+        ] == receives
+        for m in plan.messages:
+            assert m.tag == direction_index(m.direction)
+            assert m.bricks == grid.region_num_bricks(m.direction)
+        assert plan.num_bricks == sum(m.bricks for m in plan.messages)
+
+    @pytest.mark.parametrize("dims", RANK_DIMS)
+    def test_surface_major_receives_are_one_segment(self, dims):
+        """The pack-free claim, on the plan: under surface-major every
+        receive is one contiguous range of the stacked storage."""
+        topo = CartTopology(dims)
+        sm = exchange_plan_for(BrickGrid((3, 3, 3), 4), topo)
+        for i in range(len(sm.receives)):
+            dst = sm.dst[sm.offsets[i] : sm.offsets[i + 1]]
+            assert len(contiguous_segments(dst)) == 1
+        lex = exchange_plan_for(
+            BrickGrid((3, 3, 3), 4, ordering="lexicographic"), topo
+        )
+        assert any(
+            len(contiguous_segments(lex.dst[lex.offsets[i] : lex.offsets[i + 1]])) > 1
+            for i in range(len(lex.receives))
+        )
+
+    def test_plans_are_shared_by_geometry(self):
+        topo = CartTopology((2, 2, 1))
+        a = exchange_plan_for(BrickGrid((2, 2, 2), 4), topo)
+        assert exchange_plan_for(BrickGrid((2, 2, 2), 4), CartTopology((2, 2, 1))) is a
+        assert exchange_plan_for(BrickGrid((2, 2, 2), 4), CartTopology((2, 1, 2))) is not a
+        assert exchange_plan_for(
+            BrickGrid((2, 2, 2), 4), CartTopology((2, 2, 1), periodic=False)
+        ) is not a
+
+
+class TestPathSelection:
+    def exchanger(self, **kwargs):
+        grid = BrickGrid((2, 2, 2), 4)
+        topo = CartTopology((2, 1, 1))
+        comm = kwargs.pop("comm", None) or SimComm(2)
+        ex = HaloExchange(grid, topo, comm, **kwargs)
+        fields = [[BrickedArray.zeros(grid)] for _ in range(2)]
+        return ex, fields
+
+    def test_default_is_planned(self):
+        ex, fields = self.exchanger()
+        assert ex.envelope_reason() is None
+        ex.exchange(0, fields)
+        assert ex.path_counts == {"planned": 1, "envelope": 0}
+
+    def test_armed_injector_takes_envelopes(self):
+        from repro.faults import FaultInjector, FaultPlan
+
+        recorder = Recorder()
+        injector = FaultInjector(FaultPlan.random(1, 1, num_ranks=2), recorder)
+        ex, fields = self.exchanger(recorder=recorder, injector=injector)
+        assert "injector" in ex.envelope_reason()
+        ex.exchange(0, fields)
+        assert ex.path_counts == {"planned": 0, "envelope": 1}
+
+    @pytest.mark.parametrize(
+        "where, owed", [("exchanger", "unpack"), ("comm", "isend")]
+    )
+    def test_enabled_tracer_takes_envelopes(self, where, owed):
+        tracer = Tracer()
+        if where == "exchanger":
+            ex, fields = self.exchanger(tracer=tracer)
+        else:
+            ex, fields = self.exchanger(comm=SimComm(2, tracer=tracer))
+        assert ex.envelope_reason() == "tracing"
+        ex.exchange(0, fields)
+        assert ex.path_counts == {"planned": 0, "envelope": 1}
+        assert len(tracer.child(0).find(owed)) == 26
+
+    def test_killed_rank_takes_envelopes(self):
+        ex, fields = self.exchanger()
+        ex.exchange(0, fields)
+        ex.comm.kill(1)
+        assert "dead" in ex.envelope_reason()
+        for (f,) in fields:
+            f.data[ex.grid.interior_slots] = 1.0
+        ex.exchange(0, fields)
+        assert ex.path_counts == {"planned": 1, "envelope": 1}
+        # the survivor's own wrap completes; nothing reaches or leaves
+        # the dead endpoint
+        survivor, victim = fields[0][0].data, fields[1][0].data
+        assert survivor[ex.grid.ghost_region_slots((0, 1, 0))].all()
+        assert not survivor[ex.grid.ghost_region_slots((1, 0, 0))].any()
+        assert not victim[ex.grid.ghost_slots].any()
+
+    def test_stray_envelope_takes_envelopes(self):
+        ex, fields = self.exchanger()
+        ex.comm.isend(0, 1, 999, np.zeros(1))
+        assert ex.comm.pending == 1
+        assert "in flight" in ex.envelope_reason()
+        ex.exchange(0, fields)
+        assert ex.path_counts == {"planned": 0, "envelope": 1}
+        assert ex.comm.pending == 1  # the stray is still there to be found
+
+    def test_finish_completes_on_the_path_begin_chose(self):
+        """Posted sends are themselves in flight at ``finish``."""
+        ex, fields = self.exchanger(tracer=Tracer())
+        pending = ex.begin(0, fields)
+        assert ex.comm.pending == 52
+        ex.finish(pending)
+        ex.comm.assert_drained()
+        assert ex.path_counts == {"planned": 0, "envelope": 1}
+
+    def test_pending_counts_every_queue(self):
+        from repro.faults.injector import FaultAction
+
+        comm = SimComm(2)
+        comm.isend(0, 1, 0, np.zeros(2))
+        comm.isend(0, 1, 1, np.zeros(2), fault=FaultAction("duplicate"))
+        comm.isend(0, 1, 2, np.zeros(2), fault=FaultAction("delay"))
+        comm.isend(0, 1, 3, np.zeros(2), fault=FaultAction("drop"))
+        assert comm.pending == 4 == sum(comm.in_flight().values())
+        comm.irecv(1, 0, 0).wait()
+        assert comm.try_match(1, 0, 1).seq == 0
+        assert comm.discard_stale(1, 0, 1, below_seq=1) == 1
+        assert comm.release_delayed(1, 0, 2) == 1
+        assert comm.pending == 1 == sum(comm.in_flight().values())
+        assert comm.reset_in_flight() == 1
+        assert comm.pending == 0
+
+
+class TestSolverLevel:
+    CONFIG = SolverConfig(
+        global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2),
+        halo_resident=True, fuse_kernels=True, batch_ranks=True,
+    )
+
+    def solve(self, config, **kwargs):
+        solver = GMGSolver(config, **kwargs)
+        result = solver.solve()
+        counts = {"planned": 0, "envelope": 0}
+        for _, ex in solver.halo_exchangers():
+            for path, n in ex.path_counts.items():
+                counts[path] += n
+        return solver, result, counts
+
+    def test_plan_equals_traced_reference_equals_one_rank(self):
+        planned, p_res, p_counts = self.solve(self.CONFIG)
+        traced, t_res, t_counts = self.solve(self.CONFIG, tracer=Tracer())
+        assert p_counts["envelope"] == 0 and p_counts["planned"] > 0
+        assert t_counts["planned"] == 0 and t_counts["envelope"] == p_counts["planned"]
+        assert p_res.residual_history == t_res.residual_history
+        assert np.array_equal(planned.solution(), traced.solution())
+        assert p_res.recorder.messages == t_res.recorder.messages
+        assert p_res.recorder.exchange_counts() == t_res.recorder.exchange_counts()
+        assert planned.comm.sent_messages == traced.comm.sent_messages
+        assert planned.comm.sent_bytes == traced.comm.sent_bytes
+        assert planned.comm.bytes_by_pair == traced.comm.bytes_by_pair
+        default = SolverConfig(global_cells=32, num_levels=3, brick_dim=4)
+        _, d_res, _ = self.solve(default)
+        assert d_res.residual_history == p_res.residual_history
+
+    #: 16 ranks whose level 2 runs on a 2x1x1 active set over a SubComm
+    AGGLOMERATED = {
+        "rank_dims": (4, 2, 2), "brick_dim": 2, "agglomerate_threshold": 32,
+    }
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            AGGLOMERATED,
+            {"overlap": True},
+            {**AGGLOMERATED, "overlap": True, "boundary": "dirichlet"},
+            {"halo_resident": False, "fuse_kernels": False, "batch_ranks": False},
+            {"bottom_solver": "cg"},
+            {"precision": "fp32", "tol": 1e-4},
+        ],
+        ids=["agglomerated", "overlap", "agglomerated-overlap-dirichlet",
+             "per-rank-arrays", "cg-bottom", "fp32"],
+    )
+    def test_variants_equal_their_traced_reference(self, extra):
+        config = dataclasses.replace(self.CONFIG, global_cells=16, **extra)
+        planned, p_res, p_counts = self.solve(config)
+        traced, t_res, t_counts = self.solve(config, tracer=Tracer())
+        assert p_counts["envelope"] == 0
+        assert t_counts == {"planned": 0, "envelope": p_counts["planned"]}
+        assert p_res.residual_history == t_res.residual_history
+        assert np.array_equal(planned.solution(), traced.solution())
+        assert p_res.recorder.messages == t_res.recorder.messages
+        assert planned.comm.bytes_by_pair == traced.comm.bytes_by_pair
+        if "agglomerate_threshold" in extra:
+            assert any(
+                isinstance(ex.comm, SubComm) for _, ex in planned.halo_exchangers()
+            )

@@ -84,6 +84,31 @@ class TestSolveMetricsBridge:
         assert counters["messages.level0.count"] > 0
         assert counters["messages.level1.count"] > 0
 
+    def test_exchange_paths_and_plan_cache_join_snapshot(self):
+        from repro.obs import Tracer
+
+        config = SolverConfig(
+            global_cells=16, num_levels=2, brick_dim=4, max_smooths=6,
+            bottom_smooths=20, max_vcycles=2, rank_dims=(2, 1, 1),
+        )
+        for tracer, ran, idle in (
+            (None, "planned", "envelope"), (Tracer(), "envelope", "planned")
+        ):
+            solver = GMGSolver(config, tracer=tracer)
+            result = solver.solve()
+            gauges = solve_metrics(
+                result.recorder, exchangers=solver.halo_exchangers()
+            ).snapshot()["gauges"]
+            exchanges = sum(result.recorder.exchange_counts().values())
+            assert gauges[f"exchanges.{ran}"] == exchanges
+            assert gauges[f"exchanges.{idle}"] == 0
+            assert (
+                gauges[f"exchanges.level0.{ran}"]
+                + gauges[f"exchanges.level1.{ran}"]
+            ) == exchanges
+            assert gauges["cache.exchange_plan.hits"] >= 1
+            assert gauges["cache.exchange_plan.size"] >= 2
+
     def test_tracer_gauges_join_snapshot(self, multirank_result):
         from repro.obs import Tracer
 

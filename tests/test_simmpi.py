@@ -205,6 +205,24 @@ class TestCollectives:
         with pytest.raises(ValueError):
             comm.allreduce_max([1.0, 2.0])
 
+    @pytest.mark.parametrize("n", [8, 27])
+    def test_subcomm_sum_associates_like_the_parent(self, n):
+        """A reduction over the active ranks must round exactly as the
+        full communicator's: ``np.sum`` adds pairwise from 8 values up
+        and differs from the left-to-right sum in the last bit."""
+        from repro.comm import SubComm
+
+        rng = np.random.default_rng(n)
+        full, active = SimComm(n), SubComm(SimComm(n + 1), range(n), 100)
+        differs_from_pairwise = 0
+        for _ in range(200):
+            values = list(rng.random(n))
+            assert active.allreduce_sum(values) == full.allreduce_sum(values)
+            differs_from_pairwise += (
+                full.allreduce_sum(values) != float(np.sum(values))
+            )
+        assert differs_from_pairwise  # the test can tell the two apart
+
     def test_bad_size(self):
         with pytest.raises(ValueError):
             SimComm(0)
