@@ -86,6 +86,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"{span_coverage(tracer):.1%}; open in chrome://tracing or "
             f"https://ui.perfetto.dev)"
         )
+        from repro.dsl import native
+
+        print(native.describe())
     if args.verify:
         from repro.gmg import discrete_solution
         from repro.gmg.problem import discrete_solution_dirichlet

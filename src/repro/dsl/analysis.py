@@ -170,6 +170,12 @@ class StencilAnalysis:
     def points_per_flop_denominator(self) -> int:  # pragma: no cover - alias
         return self.flops_per_point
 
+    def bytes_per_point_at(self, itemsize: int) -> int:
+        """Compulsory traffic per point for fields of ``itemsize`` bytes
+        per value; ``bytes_per_point`` is the double-precision figure
+        (every grid read streams in once, every grid written out once)."""
+        return itemsize * (len(self.input_grids) + len(self.output_grids))
+
 
 def analyze(stencil: Stencil) -> StencilAnalysis:
     """Run all analyses over a stencil."""

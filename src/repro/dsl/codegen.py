@@ -1,4 +1,4 @@
-"""NumPy vector code generation for DSL stencils.
+"""Code generation for DSL stencils: NumPy vector kernels, native dispatch.
 
 ``generate_source`` turns a :class:`~repro.dsl.ast.Stencil` into the
 source of a Python function that evaluates the stencil over *all*
@@ -17,6 +17,12 @@ mirrors BrickLib's vector code generator:
 Statements are compute-then-store: every right-hand side is fully
 evaluated before any output grid is written, so fused kernels such as
 ``smooth+residual`` see consistent pre-update values.
+
+:meth:`CompiledKernel.apply` runs the stencil's native C kernel
+(:mod:`repro.dsl.native`, the second emission target of the same AST)
+whenever one can be had and the fields are packed arrays of one dtype;
+the NumPy kernels generated here run everywhere else, produce the same
+bytes, and are the oracle the native kernels are tested against.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro.bricks.halo_plan import (
     plan_for,
     refresh_shell,
 )
+from repro.dsl import native
 from repro.dsl.analysis import StencilAnalysis, analyze, common_subexpressions
 from repro.dsl.ast import BinOp, Const, ConstRef, Expr, GridRef, Stencil
 
@@ -166,9 +173,10 @@ class CompiledKernel:
     """A DSL stencil compiled to a vectorised NumPy kernel.
 
     Instances carry the generated source (``.source``), the static
-    analysis (``.analysis``), and an :meth:`apply` method that
-    orchestrates the halo gather and runs the kernel over all bricks of
-    the supplied fields.
+    analysis (``.analysis``), and an :meth:`apply` method that runs the
+    stencil over all bricks of the supplied fields — through the native
+    C kernel when the fields qualify (see :meth:`_apply_native`), else
+    by orchestrating the halo gather and the NumPy kernel.
     """
 
     def __init__(self, stencil: Stencil, brick_dim: int) -> None:
@@ -200,9 +208,10 @@ class CompiledKernel:
                 tuple(offset_buf_name(g, o) for o in planned),
             )
         #: every grid apply() must be handed (hot-path validation list)
-        self._needed_grids = tuple(
-            dict.fromkeys(self.analysis.input_grids + self.analysis.output_grids)
-        )
+        self._needed_grids = native.field_order(self.analysis)
+        #: dtype char -> (backend, native kernel or the reason there is
+        #: none); built or loaded the first time such fields are applied
+        self._native: dict[str, tuple] = {}
 
     def _compile(self, source: str):
         namespace: dict = {"np": np}
@@ -230,6 +239,8 @@ class CompiledKernel:
         """
         consts = consts or {}
         grid = self._validate(fields, consts)
+        if self._apply_native(fields, consts, workspace, grid):
+            return
 
         r = self.analysis.radius
         halo = self.analysis.halo_grids
@@ -272,6 +283,48 @@ class CompiledKernel:
         else:
             self._fn(bufs, consts, outs)
 
+    def native_kernel(self, backend, dtype: np.dtype):
+        """This stencil's native kernel for ``dtype`` fields under
+        ``backend`` — or the reason there is none (a string)."""
+        entry = self._native.get(dtype.char)
+        if entry is None or entry[0] is not backend:
+            entry = (backend, native.load_kernel(backend, self, dtype))
+            self._native[dtype.char] = entry
+        return entry[1]
+
+    def _apply_native(
+        self, fields: dict[str, BrickedArray], consts: dict, workspace, grid
+    ) -> bool:
+        """Run the native kernel if these fields qualify; ``False`` (with
+        the reason noted once) sends the caller down the NumPy path.
+
+        The choice reads observable state only: a usable backend
+        (compiler, cffi, cache directory), Python-float constants, and
+        fields that are packed C-contiguous arrays of one dtype whose
+        outputs alias nothing.  A binding is kept in ``workspace`` and
+        reused while the fields still hold the same arrays.
+        """
+        backend = native.resolve_backend()
+        if backend.reason is not None:
+            native.note_fallback(backend.reason)
+            return False
+        values = [consts[name] for name in self.analysis.const_names]
+        for value in values:
+            if type(value) is not float:
+                native.note_fallback("NumPy-scalar or non-float constants")
+                return False
+        arrays = [fields[g].data for g in self._needed_grids]
+        call = workspace.get(self) if workspace is not None else None
+        if call is None or not call.matches(backend, grid, arrays):
+            call = native.bind(backend, self, grid, arrays, workspace)
+            if isinstance(call, str):
+                native.note_fallback(call)
+                return False
+            if workspace is not None:
+                workspace[self] = call
+        call.run(values)
+        return True
+
     def apply_split(
         self,
         fields: dict[str, BrickedArray],
@@ -302,6 +355,7 @@ class CompiledKernel:
         """
         consts = consts or {}
         grid = self._validate(fields, consts)
+        native.note_fallback("split-phase (overlap) applies")
         if partition.num_slots != grid.num_slots:
             raise ValueError(
                 f"partition covers {partition.num_slots} slots, grid has "

@@ -1,0 +1,624 @@
+"""Native C emission target for DSL stencils, loaded through cffi.
+
+The NumPy generator (:mod:`repro.dsl.codegen`) evaluates a stencil as a
+chain of whole-array operations: one temporary per binary operation and
+a gathered copy of every halo operand.  This module emits, from the same
+:class:`~repro.dsl.ast.Stencil` and
+:class:`~repro.dsl.analysis.StencilAnalysis`, one C function per
+``(stencil, brick_dim, dtype)`` that walks the storage **a brick at a
+time**:
+
+* the brick's ``(B + 2r)^3`` halo block is assembled in a stack buffer
+  straight from the ``grid.adjacency`` neighbours (constant-size row
+  ``memcpy``\\ s, only the directions the stencil reads), so the halo
+  lives in L1 and is never written to memory — the paper's fine-grain
+  blocking argument applied to the host;
+* the expression tree is evaluated per cell with the generator's CSE
+  temporaries as scalar locals, in exactly the DSL's association order;
+* statements stay compute-then-store: every right-hand side of a cell is
+  evaluated before its stores, and an output that is also read through
+  the halo (``x`` in the fused smoothers) goes to a staging array that
+  is copied back after the last brick.
+
+Identity with the NumPy kernels, bit for bit: ``+ - * /`` are correctly
+rounded in both; the C is fully parenthesised and compiled without any
+fast-math option, so nothing is re-associated; ``-ffp-contract=off``
+forbids fusing a multiply into an add; and Python-float constants are
+cast to the field dtype before they meet a field value, as NumPy's weak
+scalars are (constant-with-constant arithmetic stays in double, as
+Python evaluates it).
+
+Nothing here runs at import: the compiler is probed, cffi imported and a
+kernel compiled the first time a kernel is applied.  Shared objects are
+cached in-process and on disk (``$XDG_CACHE_HOME/repro/kernels``, else
+``~/.cache/repro/kernels``, else a private directory under
+``tempfile.gettempdir()``), named by a hash of source, flags and
+compiler version, and installed with ``os.replace`` — so only the first
+process on a host compiles, and racing processes both succeed.  Delete
+the directory to clear the cache.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+import math
+import os
+import re
+import shutil
+import stat
+import subprocess
+import tempfile
+import time
+
+import numpy as np
+
+from repro.bricks.brick_grid import DIRECTIONS
+from repro.dsl.analysis import StencilAnalysis, common_subexpressions
+from repro.dsl.ast import BinOp, Const, ConstRef, Expr, GridRef, Stencil
+
+log = logging.getLogger(__name__)
+
+#: compilers tried, in order
+COMPILERS = ("cc", "gcc", "clang")
+
+#: the flags that decide what a kernel computes: ``-ffp-contract=off``
+#: and the absence of any fast-math option are what the bit-identity
+#: rests on
+FP_FLAGS = ("-O3", "-ffp-contract=off")
+
+#: the flags every kernel is built with
+CFLAGS = FP_FLAGS + ("-fPIC", "-shared")
+
+#: the one signature every kernel exports (so one ``cdef`` serves all)
+ENTRY_POINT = "repro_kernel"
+_CDEF = (
+    f"void {ENTRY_POINT}(int64_t, const int64_t *, void *const *, "
+    "const double *);"
+)
+
+#: per-brick halo blocks live on the C stack; kernels needing more than
+#: this run through NumPy instead
+STACK_BUDGET_BYTES = 1 << 20
+
+_C_TYPES = {"d": "double", "f": "float"}
+
+
+# ----------------------------------------------------------------------
+# C emission
+# ----------------------------------------------------------------------
+def _c_double(value: float) -> str:
+    """``value`` as an exact C double expression."""
+    if math.isnan(value):
+        return "((double)NAN)"
+    if math.isinf(value):
+        return "((double)INFINITY)" if value > 0 else "(-(double)INFINITY)"
+    return f"({value.hex()})"
+
+
+class _CEmitter:
+    """Expression tree to C, mirroring ``codegen._Emitter``'s CSE.
+
+    Every fragment carries whether it is a *scalar* (a Python float in
+    the NumPy kernel: double arithmetic) or a field value (the field
+    dtype ``T``); a scalar meeting a field value is cast to ``T`` first,
+    which is NumPy's weak-scalar promotion.
+    """
+
+    def __init__(self, halo_grids, hoisted: set[tuple], lines: list[str]) -> None:
+        self.halo_grids = halo_grids
+        self.hoisted = hoisted
+        self.lines = lines
+        self.defined: dict[tuple, tuple[str, bool]] = {}
+
+    def emit(self, node: Expr) -> tuple[str, bool]:
+        """``(C fragment, is_scalar)`` for ``node``."""
+        key = node.key()
+        done = self.defined.get(key)
+        if done is not None:
+            return done
+        text, scalar = self._render(node)
+        if key in self.hoisted:
+            name = f"t{len(self.defined)}"
+            ctype = "double" if scalar else "T"
+            self.lines.append(f"const {ctype} {name} = {text};")
+            self.defined[key] = (name, scalar)
+            return name, scalar
+        return text, scalar
+
+    def _render(self, node: Expr) -> tuple[str, bool]:
+        if isinstance(node, Const):
+            return _c_double(node.value), True
+        if isinstance(node, ConstRef):
+            return f"c_{node.name}", True
+        if isinstance(node, GridRef):
+            if node.grid in self.halo_grids:
+                a, b, c = node.offsets
+                return f"H_{node.grid}({a}, {b}, {c})", False
+            return f"g_{node.grid}[cell]", False
+        if isinstance(node, BinOp):
+            lhs, lhs_scalar = self.emit(node.lhs)
+            rhs, rhs_scalar = self.emit(node.rhs)
+            if lhs_scalar and rhs_scalar:
+                return f"({lhs} {node.op} {rhs})", True
+            if lhs_scalar:
+                lhs = f"(T){lhs}"
+            if rhs_scalar:
+                rhs = f"(T){rhs}"
+            return f"({lhs} {node.op} {rhs})", False
+        raise TypeError(f"cannot generate code for {type(node).__name__}")
+
+
+def halo_directions(offsets) -> tuple[int, ...]:
+    """Indices into ``DIRECTIONS`` of the neighbours a brick must read
+    for ``offsets``: a read shifted along an axis reaches the brick
+    itself and the neighbour on that side, never the opposite one."""
+    needed = set()
+    for off in offsets:
+        reach = [(0,) if o == 0 else (0, 1 if o > 0 else -1) for o in off]
+        needed.update(
+            (a, b, c) for a in reach[0] for b in reach[1] for c in reach[2]
+        )
+    return tuple(i for i, d in enumerate(DIRECTIONS) if d in needed)
+
+
+def _assemble_block(grid_name: str, offsets, B: int, r: int) -> list[str]:
+    """C statements filling ``h_<grid>`` from the adjacency neighbours:
+    per direction, constant-size row copies of the region that direction
+    contributes to the ``(B + 2r)^3`` block."""
+    E = B + 2 * r
+    # per axis component: (block start, source start, extent)
+    span = {-1: (0, B - r, r), 0: (r, 0, B), 1: (r + B, 0, r)}
+    lines = []
+    for di in halo_directions(offsets):
+        (d0, s0, n0), (d1, s1, n1), (d2, s2, n2) = (span[c] for c in DIRECTIONS[di])
+        lines.append(
+            f"{{ const T *src = g_{grid_name} + nb[{di}] * B3; "
+            f"for (int i = 0; i < {n0}; ++i) for (int j = 0; j < {n1}; ++j) "
+            f"memcpy(h_{grid_name} + (({d0} + i) * {E} + ({d1} + j)) * {E} + {d2}, "
+            f"src + (({s0} + i) * {B} + ({s1} + j)) * {B} + {s2}, "
+            f"{n2} * sizeof(T)); }}"
+        )
+    return lines
+
+
+def field_order(analysis: StencilAnalysis) -> tuple[str, ...]:
+    """Grid names in the order a kernel's pointer table lists them."""
+    return tuple(dict.fromkeys(analysis.input_grids + analysis.output_grids))
+
+
+def staged_outputs(analysis: StencilAnalysis) -> tuple[str, ...]:
+    """Outputs also read through the halo: another brick still needs
+    their old values, so they are written to a staging array."""
+    return tuple(g for g in analysis.output_grids if g in analysis.halo_grids)
+
+
+def generate_c_source(
+    stencil: Stencil, analysis: StencilAnalysis, brick_dim: int, dtype
+) -> str:
+    """The C translation unit for ``stencil`` on ``brick_dim`` bricks of
+    ``dtype`` fields.
+
+    Exports ``void repro_kernel(nslots, adjacency, fields, consts)``:
+    ``fields`` lists the storage pointers in :func:`field_order` followed
+    by one staging pointer per :func:`staged_outputs` grid; ``consts``
+    lists ``analysis.const_names`` as doubles.
+    """
+    B, r = int(brick_dim), analysis.radius
+    E = B + 2 * r
+    order = field_order(analysis)
+    staged = staged_outputs(analysis)
+    outputs = set(analysis.output_grids)
+
+    body: list[str] = []
+    emitter = _CEmitter(
+        frozenset(analysis.halo_grids), set(common_subexpressions(stencil)), body
+    )
+    stores = []
+    for idx, a in enumerate(stencil.assignments):
+        text, scalar = emitter.emit(a.expr)
+        body.append(f"const T rhs{idx} = {'(T)' if scalar else ''}{text};")
+        target = a.target.grid
+        dest = f"s_{target}" if target in staged else f"g_{target}"
+        stores.append(f"{dest}[cell] = rhs{idx};")
+
+    out = [
+        f"/* Generated from stencil {stencil.name!r} "
+        f"(brick_dim={B}, {np.dtype(dtype).name}); do not edit. */",
+        "#include <float.h>",
+        "#include <math.h>",
+        "#include <stdint.h>",
+        "#include <string.h>",
+        "#if defined(FLT_EVAL_METHOD) && FLT_EVAL_METHOD != 0",
+        '#error "excess floating-point precision: results would differ from NumPy"',
+        "#endif",
+        f"typedef {_C_TYPES[np.dtype(dtype).char]} T;",
+        f"enum {{ B = {B}, R = {r}, E = {E}, B3 = {B ** 3} }};",
+    ]
+    for g in analysis.halo_grids:
+        out.append(
+            f"#define H_{g}(a, b, c) "
+            f"h_{g}[((i + R + (a)) * E + (j + R + (b))) * E + (k + R + (c))]"
+        )
+    out += [
+        f"void {ENTRY_POINT}(int64_t nslots, const int64_t *restrict adj,",
+        "                  void *const *fields, const double *consts)",
+        "{",
+    ]
+    for idx, g in enumerate(order):
+        const = "" if g in outputs else "const "
+        out.append(f"    {const}T *restrict g_{g} = fields[{idx}];")
+    for idx, g in enumerate(staged):
+        out.append(f"    T *restrict s_{g} = fields[{len(order) + idx}];")
+    for idx, name in enumerate(analysis.const_names):
+        out.append(f"    const double c_{name} = consts[{idx}];")
+    out.append("    for (int64_t s = 0; s < nslots; ++s) {")
+    if analysis.halo_grids:
+        out.append("        const int64_t *nb = adj + 27 * s;")
+    for g in analysis.halo_grids:
+        out.append(f"        T h_{g}[E * E * E];")
+        out += [
+            "        " + line
+            for line in _assemble_block(g, analysis.offsets[g], B, r)
+        ]
+    out += [
+        "        for (int i = 0; i < B; ++i)",
+        "        for (int j = 0; j < B; ++j)",
+        "        for (int k = 0; k < B; ++k) {",
+        "            const int64_t cell = s * B3 + (i * B + j) * B + k;",
+    ]
+    out += ["            " + line for line in body + stores]
+    out += ["        }", "    }"]
+    for g in staged:
+        out.append(f"    memcpy(g_{g}, s_{g}, (size_t)nslots * B3 * sizeof(T));")
+    out += ["}", ""]
+    return "\n".join(out)
+
+
+# ----------------------------------------------------------------------
+# the backend: compiler, cache directory, loaded kernels
+# ----------------------------------------------------------------------
+class NativeKernel:
+    """One loaded shared object: the entry point and the library handle
+    that keeps it mapped."""
+
+    __slots__ = ("fn", "lib")
+
+    def __init__(self, fn, lib) -> None:
+        self.fn = fn
+        self.lib = lib
+
+
+def _cache_dir_candidates() -> list[str]:
+    """Where shared objects may be cached, most preferred first."""
+    out = []
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    if xdg:
+        out.append(os.path.join(xdg, "repro", "kernels"))
+    home = os.path.expanduser("~")
+    if home and home != "~":
+        out.append(os.path.join(home, ".cache", "repro", "kernels"))
+    uid = os.getuid() if hasattr(os, "getuid") else "user"
+    out.append(os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}"))
+    return out
+
+
+def _usable_cache_dir(path: str) -> bool:
+    """Create ``path`` if need be; true when it is ours to load code
+    from: writable, owned by this user, not writable by anyone else."""
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        info = os.stat(path)
+    except OSError:
+        return False
+    if hasattr(os, "getuid") and info.st_uid != os.getuid():
+        return False
+    if info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        return False
+    return os.access(path, os.W_OK | os.X_OK)
+
+
+class Backend:
+    """The process's native backend — or, with ``reason`` set, why there
+    is none and every kernel runs through NumPy.
+
+    Holds what is shared by all kernels: the compiler and its version,
+    the cache directory, the one cffi ``FFI``, the kernels loaded so far
+    (keyed by their shared object's name) and the hit/miss tallies that
+    ``repro profile`` and :class:`~repro.obs.metrics.MetricsRegistry`
+    report.
+    """
+
+    def __init__(
+        self,
+        reason: str | None = None,
+        cc: str | None = None,
+        version: str = "",
+        cache_dir: str | None = None,
+        ffi=None,
+    ) -> None:
+        self.reason = reason
+        self.cc = cc
+        self.version = version
+        self.cache_dir = cache_dir
+        self._ffi = ffi
+        #: shared-object file name -> kernel, or the reason it is unusable
+        self._kernels: dict[str, NativeKernel | str] = {}
+        #: kernels compiled by this process / loaded from the directory
+        self.compiled = 0
+        self.loaded = 0
+        self.compile_ms = 0.0
+
+    @classmethod
+    def probe(cls, cache_dir: str | None = None) -> "Backend":
+        """Look for a compiler, cffi and a cache directory.
+
+        ``cache_dir`` replaces the standard candidates (tests build
+        throw-away kernels in a scratch directory).
+        """
+        cc = next(filter(None, map(shutil.which, COMPILERS)), None)
+        if cc is None:
+            return cls(f"no C compiler on PATH (tried {', '.join(COMPILERS)})")
+        try:
+            import cffi
+        except ImportError:
+            return cls("cffi is not installed")
+        try:
+            version = subprocess.run(
+                [cc, "--version"], capture_output=True, text=True, check=True,
+                timeout=60,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError) as exc:
+            return cls(f"C compiler {cc} does not run: {exc}")
+        candidates = [cache_dir] if cache_dir else _cache_dir_candidates()
+        usable = next(filter(_usable_cache_dir, candidates), None)
+        if usable is None:
+            return cls(
+                "no writable kernel cache directory (tried "
+                f"{', '.join(candidates)})"
+            )
+        ffi = cffi.FFI()
+        ffi.cdef(_CDEF)
+        return cls(None, cc, version, usable, ffi)
+
+    # ------------------------------------------------------------------
+    def kernel(self, name: str, source: str) -> NativeKernel | str:
+        """The loaded kernel for ``source``, compiling it only when no
+        process has before; a reason string when it cannot be had."""
+        digest = hashlib.sha256(
+            "\0".join((source, " ".join(CFLAGS), self.version)).encode()
+        ).hexdigest()[:20]
+        stem = re.sub(r"\W+", "_", name).strip("_") or "kernel"
+        filename = f"{stem}-{digest}.so"
+        found = self._kernels.get(filename)
+        if found is None:
+            found = self._kernels[filename] = self._load(filename, source)
+        return found
+
+    def _load(self, filename: str, source: str) -> NativeKernel | str:
+        path = os.path.join(self.cache_dir, filename)
+        if not os.path.exists(path):
+            failure = self._compile(path, source)
+            if failure is not None:
+                return failure
+            self.compiled += 1
+        else:
+            self.loaded += 1
+        try:
+            lib = self._ffi.dlopen(path)
+            fn = getattr(lib, ENTRY_POINT)
+        except (OSError, AttributeError) as exc:
+            return f"cannot load {path}: {exc}"
+        return NativeKernel(fn, lib)
+
+    def _compile(self, path: str, source: str) -> str | None:
+        """Build ``path`` under a temporary name and move it into place;
+        ``None`` on success, else the reason."""
+        start = time.perf_counter()
+        try:
+            with tempfile.TemporaryDirectory(dir=self.cache_dir) as work:
+                c_file = os.path.join(work, "kernel.c")
+                so_file = os.path.join(work, "kernel.so")
+                with open(c_file, "w") as fh:
+                    fh.write(source)
+                done = subprocess.run(
+                    [self.cc, *CFLAGS, "-o", so_file, c_file],
+                    capture_output=True, text=True, timeout=600,
+                )
+                if done.returncode != 0:
+                    detail = (done.stderr.strip().splitlines() or ["no output"])[0]
+                    return f"compile error ({self.cc}): {detail}"
+                os.replace(c_file, path[: -len(".so")] + ".c")
+                os.replace(so_file, path)
+        except (OSError, subprocess.SubprocessError) as exc:
+            return f"cannot build in {self.cache_dir}: {exc}"
+        finally:
+            self.compile_ms += (time.perf_counter() - start) * 1e3
+        return None
+
+    def describe(self) -> str:
+        """What this backend is, for ``repro profile`` and ``--trace``."""
+        if self.reason is not None:
+            return f"NumPy ({self.reason})"
+        return (
+            f"native C ({self.version.splitlines()[0]}, {' '.join(FP_FLAGS)}), "
+            f"{self.compiled} compiled, {self.loaded} loaded from "
+            f"{self.cache_dir}"
+        )
+
+
+_backend: Backend | None = None
+
+#: every distinct reason a kernel application ran through NumPy
+_fallback_reasons: list[str] = []
+
+
+def resolve_backend() -> Backend:
+    """The process's backend, probed on first use.
+
+    The one place the native/NumPy choice is made: tests substitute it
+    (``monkeypatch.setattr(native, "resolve_backend", ...)``) to reach
+    the NumPy kernels or a scratch cache directory.
+    """
+    global _backend
+    if _backend is None:
+        _backend = Backend.probe()
+    return _backend
+
+
+def note_fallback(reason: str) -> None:
+    """Record (and log) ``reason`` the first time it sends a kernel
+    application through NumPy."""
+    if reason not in _fallback_reasons:
+        _fallback_reasons.append(reason)
+        log.info("stencil kernels run through NumPy: %s", reason)
+
+
+def fallback_reasons() -> tuple[str, ...]:
+    """The distinct fallback reasons noted so far, oldest first."""
+    return tuple(_fallback_reasons)
+
+
+def stats() -> dict:
+    """``{"hits", "misses", "compile_ms"}`` of the kernel cache: shared
+    objects loaded from the directory, compiled by this process, and the
+    milliseconds that took.  Zeros before any kernel was applied (never
+    probes the compiler itself)."""
+    b = _backend
+    if b is None:
+        return {"hits": 0, "misses": 0, "compile_ms": 0.0}
+    return {"hits": b.loaded, "misses": b.compiled, "compile_ms": b.compile_ms}
+
+
+def describe() -> str:
+    """One line saying which backend produced this process's numbers."""
+    backend = resolve_backend()
+    line = f"kernels: {backend.describe()}"
+    partial = [r for r in _fallback_reasons if r != backend.reason]
+    if partial:
+        line += f"; NumPy where: {'; '.join(partial)}"
+    return line
+
+
+# ----------------------------------------------------------------------
+# binding a kernel to field storage
+# ----------------------------------------------------------------------
+class BoundCall:
+    """A native kernel bound to one set of field arrays.
+
+    Eligibility is checked and the pointer table built once; while the
+    fields keep the very same arrays (``matches``) a call costs only the
+    constants and the foreign call.  Every array a pointer was taken
+    from is referenced here, so none can be freed under the kernel.
+    """
+
+    __slots__ = (
+        "backend", "grid", "arrays", "_fn", "_nslots", "_adj", "_ptrs",
+        "_consts", "_keep",
+    )
+
+    def __init__(
+        self, backend, kernel, grid, arrays, staging, adjacency, num_consts
+    ) -> None:
+        ffi = backend._ffi
+        self.backend = backend
+        self.grid = grid
+        self.arrays = tuple(arrays)
+        self._fn = kernel.fn
+        self._nslots = int(grid.num_slots)
+        buffers = [ffi.from_buffer(a) for a in (*arrays, *staging)]
+        self._ptrs = ffi.new("void *[]", [ffi.cast("void *", b) for b in buffers])
+        adj = ffi.from_buffer(adjacency)
+        self._adj = ffi.cast("const int64_t *", adj)
+        self._consts = ffi.new("double[]", max(num_consts, 1))
+        self._keep = (kernel, buffers, adj, staging, adjacency)
+
+    def matches(self, backend, grid, arrays) -> bool:
+        """Whether this binding is for exactly these objects."""
+        if self.backend is not backend or self.grid is not grid:
+            return False
+        for mine, theirs in zip(self.arrays, arrays):
+            if mine is not theirs:
+                return False
+        return True
+
+    def run(self, consts: list[float]) -> None:
+        """Apply the kernel with ``consts`` (``analysis.const_names``
+        order) to the bound arrays."""
+        buf = self._consts
+        for i, value in enumerate(consts):
+            buf[i] = value
+        self._fn(self._nslots, self._adj, self._ptrs, buf)
+
+
+def _overlap(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two C-contiguous arrays share any byte."""
+    pa, pb = a.ctypes.data, b.ctypes.data
+    return pa < pb + b.nbytes and pb < pa + a.nbytes
+
+
+def load_kernel(backend: Backend, compiled, dtype: np.dtype) -> NativeKernel | str:
+    """The native kernel of a :class:`~repro.dsl.codegen.CompiledKernel`
+    for ``dtype`` fields (built or loaded on first need), or why not."""
+    if dtype.char not in _C_TYPES:
+        return f"no C type for field dtype {dtype}"
+    an = compiled.analysis
+    block = (compiled.brick_dim + 2 * an.radius) ** 3 * dtype.itemsize
+    if block * len(an.halo_grids) > STACK_BUDGET_BYTES:
+        return (
+            f"halo blocks of {compiled.stencil.name} exceed the "
+            f"{STACK_BUDGET_BYTES}-byte stack budget"
+        )
+    source = generate_c_source(compiled.stencil, an, compiled.brick_dim, dtype)
+    return backend.kernel(compiled.stencil.name, source)
+
+
+def bind(backend: Backend, compiled, grid, arrays, workspace) -> BoundCall | str:
+    """Bind ``compiled``'s native kernel to ``arrays`` (the storage of
+    :func:`field_order`'s grids), or say why these fields must run
+    through NumPy.
+
+    Everything a C pointer relies on is checked here: one dtype, packed
+    C-contiguous ``(num_slots, B, B, B)`` storage, outputs that overlap
+    no other field, and an in-range ``int64`` adjacency table.
+    """
+    B = compiled.brick_dim
+    shape = (grid.num_slots, B, B, B)
+    dtype = arrays[0].dtype
+    for a in arrays:
+        if a.dtype != dtype:
+            return "mixed field dtypes"
+        if a.shape != shape or not a.flags.c_contiguous:
+            return "halo-resident or strided field storage"
+    an = compiled.analysis
+    order = field_order(an)
+    for g in an.output_grids:
+        i = order.index(g)
+        if any(j != i and _overlap(arrays[i], a) for j, a in enumerate(arrays)):
+            return "an output field shares storage with another field"
+    adjacency = grid.adjacency
+    if not (
+        isinstance(adjacency, np.ndarray)
+        and adjacency.dtype == np.int64
+        and adjacency.shape == (grid.num_slots, 27)
+        and adjacency.flags.c_contiguous
+        and adjacency.size
+        and 0 <= int(adjacency.min())
+        and int(adjacency.max()) < grid.num_slots
+    ):
+        return "adjacency is not an in-range C-contiguous int64 table"
+    kernel = compiled.native_kernel(backend, dtype)
+    if isinstance(kernel, str):
+        return kernel
+    staging = []
+    for g in staged_outputs(an):
+        key = ("native-stage", g, shape, dtype.char)
+        buf = workspace.get(key) if workspace is not None else None
+        if buf is None:
+            buf = np.empty(shape, dtype=dtype)
+            if workspace is not None:
+                workspace[key] = buf
+        staging.append(buf)
+    return BoundCall(
+        backend, kernel, grid, arrays, staging, adjacency, len(an.const_names)
+    )

@@ -141,17 +141,35 @@ def model_level_times(config, machine, num_vcycles: int) -> list[dict]:
     return TimedSolve(machine, workload).solve_level_times()
 
 
+def kernel_bytes_per_point(itemsize: int) -> dict[str, int]:
+    """Compulsory bytes per point of every library stencil, by span
+    name, for fields of ``itemsize`` bytes per value."""
+    from repro.dsl import library
+    from repro.dsl.analysis import analyze
+
+    stencils = (
+        library.APPLY_OP, library.SMOOTH, library.SMOOTH_RESIDUAL,
+        library.RESIDUAL, *library.FUSED_STENCILS.values(),
+    )
+    return {s.name: analyze(s).bytes_per_point_at(itemsize) for s in stencils}
+
+
 def measured_vs_model_rows(
-    tracer: Tracer, config, machine, num_vcycles: int
+    tracer: Tracer, config, machine, num_vcycles: int, recorder=None
 ) -> list[dict]:
     """One dict per measured (level, op) row, model column attached.
 
     ``model_s`` is the machine model's prediction for the same
     operation totals (None for operations outside the model's
-    breakdown, e.g. the convergence check's ``residual``).
+    breakdown, e.g. the convergence check's ``residual``).  With the
+    solve's ``recorder``, stencil rows also carry ``gbps``: the
+    compulsory traffic of the points they processed (at the
+    configuration's precision) over their measured time.
     """
     stats = aggregate_by_level_op(tracer)
     totals = total_by_level_op(tracer)
+    points = recorder.kernel_points() if recorder is not None else {}
+    per_point = kernel_bytes_per_point(4 if config.precision == "fp32" else 8)
     model = (
         model_level_times(config, machine, num_vcycles)
         if machine is not None
@@ -171,6 +189,13 @@ def measured_vs_model_rows(
                 "stat": stats[(lev, op)],
                 "measured_total_s": totals[(lev, op)],
                 "model_s": model_s,
+                "gbps": (
+                    per_point[op] * points[(lev, op)] / totals[(lev, op)] / 1e9
+                    if op in per_point
+                    and (lev, op) in points
+                    and totals[(lev, op)] > 0
+                    else None
+                ),
             }
         )
     return rows
@@ -195,6 +220,8 @@ def render_measured_vs_model(
     for row in rows:
         line = "  " + format_level_timing(row["level"], row["op"], row["stat"])
         line += f" total {row['measured_total_s']:.6g}s"
+        if row.get("gbps") is not None:
+            line += f" ({row['gbps']:.3g} GB/s compulsory)"
         if row["model_s"] is not None:
             line += f" | model {row['model_s']:.6g}s"
         lines.append(line)

@@ -119,6 +119,20 @@ class MetricsRegistry:
                     f"cache.{cache_name}.{stat}", value, owner="plan_caches"
                 )
 
+    def observe_native_kernels(self) -> None:
+        """Snapshot the native kernel cache: ``cache.native_kernel.hits``
+        (shared objects loaded from the cache directory), ``.misses``
+        (compiled by this process) and ``.compile_ms``.  All zero when
+        the kernels ran through NumPy.  Gauges, as in
+        :meth:`observe_plan_caches`: the totals are process-cumulative.
+        """
+        from repro.dsl import native
+
+        for stat, value in native.stats().items():
+            self.gauge(
+                f"cache.native_kernel.{stat}", value, owner="native_kernels"
+            )
+
     def observe_exchange_paths(self, exchangers) -> None:
         """Snapshot which execution each multi-rank ghost exchange took.
 
@@ -214,6 +228,7 @@ def solve_metrics(
     registry = MetricsRegistry()
     registry.observe_recorder(recorder)
     registry.observe_plan_caches()
+    registry.observe_native_kernels()
     registry.observe_exchange_paths(exchangers)
     if tracer is not None and getattr(tracer, "enabled", False):
         registry.gauge("trace.spans", len(tracer.spans))

@@ -96,6 +96,8 @@ class ProfileReport:
     wait_fraction: float = 0.0
     #: :func:`exchange_path_line` of the profiled solver
     exchange_paths: str | None = None
+    #: :func:`repro.dsl.native.describe`: which backend ran the kernels
+    kernels: str | None = None
 
     def render(self) -> str:
         """The full human-readable profile report."""
@@ -112,6 +114,7 @@ class ProfileReport:
             f"blocked on halo completion ({self.wait_s:.6g}s in "
             f"exchange/exchange.finish)",
             *([f"  {self.exchange_paths}"] if self.exchange_paths else []),
+            *([f"  {self.kernels}"] if self.kernels else []),
             "",
             render_measured_vs_model(self.rows, self.machine_name),
             "",
@@ -150,6 +153,7 @@ class ProfileReport:
                     "count": r["stat"].count,
                     "measured_total_s": r["measured_total_s"],
                     "model_s": r["model_s"],
+                    "gbps": r["gbps"],
                 }
                 for r in self.rows
             ],
@@ -170,6 +174,7 @@ def profile_solve(
     harness does not model); ``trace_path`` additionally writes the
     Chrome trace-event file.
     """
+    from repro.dsl import native
     from repro.gmg.solver import GMGSolver
 
     tracer = Tracer()
@@ -186,7 +191,8 @@ def profile_solve(
     else:
         machine_name = None
     rows = measured_vs_model_rows(
-        tracer, config, machine, max(result.num_vcycles, 1)
+        tracer, config, machine, max(result.num_vcycles, 1),
+        recorder=result.recorder,
     )
     wait_s, wait_frac = wait_fraction(tracer)
     report = ProfileReport(
@@ -204,6 +210,7 @@ def profile_solve(
         wait_s=wait_s,
         wait_fraction=wait_frac,
         exchange_paths=exchange_path_line(solver),
+        kernels=native.describe(),
     )
     if trace_path is not None:
         write_chrome_trace(

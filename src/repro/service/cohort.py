@@ -330,6 +330,13 @@ class CohortCycle(VCycle):
             ]
 
 
+#: most recent occupancy samples a cohort keeps.  The list is trimmed to
+#: this length once it reaches twice it, so it stays bounded however
+#: long the service lives; :meth:`CohortSolver.occupancy` reads running
+#: totals, not the list.
+OCCUPANCY_WINDOW = 4096
+
+
 @dataclass
 class _ActiveRequest:
     """Book-keeping for one request occupying a cohort slot."""
@@ -481,8 +488,13 @@ class CohortSolver:
         #: slot -> _ActiveRequest
         self._active: dict[int, _ActiveRequest] = {}
         self._free: list[int] = list(range(self.capacity))
-        #: (cycle, active_count) samples for batch-occupancy reporting
+        #: the latest (cycle, active_count) samples, for consumers that
+        #: mark ``len()`` before a pass and slice after it; bounded by
+        #: :data:`OCCUPANCY_WINDOW`
         self.occupancy_samples: list[tuple[int, int]] = []
+        #: cycles sampled and active slots summed over them, ever
+        self._occupancy_cycles = 0
+        self._occupancy_active = 0
         self.requests_retired = 0
         # construction initialised every member's RHS (amplitude 1);
         # slots must start empty — idle slots hold exact zeros
@@ -581,6 +593,7 @@ class CohortSolver:
         if not self._free:
             raise RuntimeError("cohort is full")
         slot = self._free.pop(0)
+        self._forget_history(slot)
         apply_rhs(self.members[slot], request.amplitude)
         self._active[slot] = _ActiveRequest(
             request=request,
@@ -592,6 +605,23 @@ class CohortSolver:
             "service:admit", slot=slot, request=request.request_id
         )
         return slot
+
+    def _forget_history(self, slot: int) -> None:
+        """Drop what the slot's previous occupants left in per-event
+        logs, so a long-lived cohort's memory does not grow with the
+        requests it has served.
+
+        Each member's recorder logs that member's messages, and member
+        0's doubles as the driver's and logs every kernel; nothing reads
+        a cohort's recorders, so a slot's log restarts with its next
+        request.  Slot 0 is the first to be refilled and no request
+        outlives ``max_vcycles`` cycles, which bounds the driver's log
+        too.
+        """
+        self.members[slot].recorder.clear()
+        samples = self.occupancy_samples
+        if len(samples) >= 2 * OCCUPANCY_WINDOW:
+            del samples[:-OCCUPANCY_WINDOW]
 
     def seed(self, slots) -> list[RequestResult]:
         """Record joiners' initial residuals (``history[0]``).
@@ -628,6 +658,8 @@ class CohortSolver:
         self.occupancy_samples.append(
             (self.vcycle.cycles_run, len(self._active))
         )
+        self._occupancy_cycles += 1
+        self._occupancy_active += len(self._active)
         self.vcycle.run()
         residuals = self.vcycle.member_residuals()
         retired = []
@@ -731,13 +763,16 @@ class CohortSolver:
                 member.comm.assert_drained()
         return results
 
+    def occupancy_totals(self) -> tuple[int, int]:
+        """``(cycles sampled, active slots summed over them)`` since
+        construction — difference two readings for one pass's mean."""
+        return self._occupancy_cycles, self._occupancy_active
+
     def occupancy(self) -> float:
         """Mean active-slot fraction over the cycles run so far."""
-        if not self.occupancy_samples:
+        if not self._occupancy_cycles:
             return 0.0
-        return float(
-            np.mean([n for _, n in self.occupancy_samples])
-        ) / self.capacity
+        return self._occupancy_active / self._occupancy_cycles / self.capacity
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -141,7 +141,7 @@ def run_loadgen(
         service.submit([warm])
         standalone_solve(warm)
     cohort = service.cohort_for(requests[0])
-    occ_start = len(cohort.occupancy_samples)
+    occ_cycles, occ_active = cohort.occupancy_totals()
     cycles_start = cohort.cycles_run
     service_wall = float("inf")
     results: list = []
@@ -158,12 +158,9 @@ def run_loadgen(
             service_wall = wall
             results = rep_results
     latencies_ms = sorted(1e3 * r.latency_s for r in results)
-    occ_samples = cohort.occupancy_samples[occ_start:]
-    occupancy = (
-        float(np.mean([n for _, n in occ_samples])) / cohort.capacity
-        if occ_samples
-        else 0.0
-    )
+    cycles, active = cohort.occupancy_totals()
+    cycles, active = cycles - occ_cycles, active - occ_active
+    occupancy = active / cycles / cohort.capacity if cycles else 0.0
 
     seq_wall = float("nan")
     if baseline:

@@ -130,6 +130,7 @@ class SolveService:
             "service.cohort.occupancy", cohort.occupancy(), owner="service"
         )
         reg.observe_plan_caches()
+        reg.observe_native_kernels()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -5,7 +5,46 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from unittest import mock
+
 from repro.bricks import BrickGrid, BrickedArray
+from repro.dsl import native
+
+#: a backend that offers no native kernels, for reaching the oracle
+NUMPY_BACKEND = native.Backend("NumPy kernels requested by the test")
+
+
+def numpy_path():
+    """Context manager: every kernel application inside takes the NumPy
+    kernels (usable where a function-scoped fixture is not, e.g. under
+    hypothesis)."""
+    return mock.patch.object(native, "resolve_backend", lambda: NUMPY_BACKEND)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_kernel_cache(tmp_path_factory):
+    """Native kernels the suite builds go to a per-session directory
+    (inherited by the CLI subprocesses), never the user's cache."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
+@pytest.fixture
+def native_backend() -> native.Backend:
+    """The process's native backend; skips when there is none."""
+    backend = native.resolve_backend()
+    if backend.reason is not None:
+        pytest.skip(f"no native kernels: {backend.reason}")
+    return backend
+
+
+@pytest.fixture
+def numpy_kernels():
+    """Send every kernel application of the test down the NumPy path."""
+    with numpy_path():
+        yield
 
 
 @pytest.fixture

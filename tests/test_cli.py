@@ -53,6 +53,7 @@ class TestSolveCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert f"wrote trace to {trace}" in out
+        assert "\nkernels: " in out  # which backend produced the numbers
         counts = validate_chrome_trace_file(trace)
         assert counts["spans"] > 0
 

@@ -6,6 +6,10 @@ bricked data, then checked against a dense ``np.roll`` oracle built
 from the same structure.  This is the broadest correctness net over the
 code generator: any mis-translated slice, botched CSE hoist, or halo
 mix-up shows up as a numeric mismatch.
+
+Every random stencil runs through both emission targets — the native C
+kernel (where one can be built) and the NumPy kernel — which must agree
+byte for byte before either is compared with the oracle.
 """
 
 import numpy as np
@@ -14,6 +18,23 @@ from hypothesis import strategies as st
 
 from repro.bricks import BrickGrid, BrickedArray
 from repro.dsl import Grid, Stencil, compile_stencil, indices
+from tests.conftest import numpy_path
+
+
+def apply_on_both_backends(stencil, brick_dim, fields, consts):
+    """Apply ``stencil`` to ``fields`` through the backend ``apply``
+    picks, and to a copy through the NumPy kernels; the two must leave
+    identical bytes in every field."""
+    twin = {
+        g: BrickedArray(f.grid, f.data.copy(), dtype=f.dtype)
+        for g, f in fields.items()
+    }
+    kernel = compile_stencil(stencil, brick_dim)
+    kernel.apply(fields, consts)
+    with numpy_path():
+        kernel.apply(twin, consts)
+    for g, f in fields.items():
+        assert f.data.tobytes() == twin[g].data.tobytes(), g
 
 N = 8
 B = 4
@@ -63,7 +84,7 @@ def test_random_stencil_matches_oracle(offsets, coeffs, seed):
     x = BrickedArray.from_ijk(grid, dense)
     x.fill_ghost_periodic()
     out = BrickedArray.zeros(grid)
-    compile_stencil(stencil, B).apply({"x": x, "out": out}, {})
+    apply_on_both_backends(stencil, B, {"x": x, "out": out}, {})
     oracle = dense_oracle(dense, offsets, coeffs)
     np.testing.assert_allclose(out.to_ijk(), oracle, rtol=1e-11, atol=1e-12)
 
@@ -101,7 +122,7 @@ def test_random_fused_statements_are_simultaneous(offsets, coeffs, gamma, seed):
         "out": BrickedArray.zeros(grid),
     }
     fields["x"].fill_ghost_periodic()
-    compile_stencil(stencil, B).apply(fields, {})
+    apply_on_both_backends(stencil, B, fields, {})
     np.testing.assert_allclose(
         fields["out"].to_ijk(), dense_oracle(dense_x, offsets, coeffs),
         rtol=1e-11, atol=1e-12,
@@ -132,8 +153,8 @@ def test_seven_point_invariant_under_layout(seed, ordering, dims):
     x = BrickedArray.from_ijk(grid, dense)
     x.fill_ghost_periodic()
     out = BrickedArray.zeros(grid)
-    compile_stencil(APPLY_OP, 4).apply(
-        {"x": x, "Ax": out}, {"alpha": -6.0, "beta": 1.0}
+    apply_on_both_backends(
+        APPLY_OP, 4, {"x": x, "Ax": out}, {"alpha": -6.0, "beta": 1.0}
     )
     oracle = -6.0 * dense + sum(
         np.roll(dense, s, a) for a in range(3) for s in (1, -1)

@@ -87,6 +87,11 @@ class TestTraffic:
     def test_residual_bytes(self):
         assert bytes_per_point(RESIDUAL) == 24
 
+    def test_bytes_follow_the_itemsize(self):
+        an = analyze(SMOOTH_RESIDUAL)
+        assert an.bytes_per_point == an.bytes_per_point_at(8) == 40
+        assert an.bytes_per_point_at(4) == 20  # fp32 fields move half
+
     def test_ai_values(self):
         assert arithmetic_intensity(APPLY_OP) == pytest.approx(0.5)
         assert arithmetic_intensity(SMOOTH) == pytest.approx(0.125)

@@ -89,6 +89,19 @@ class TestMeasuredVsModel:
         assert "level 0 " in text and "level 1 " in text
         text.encode("ascii")
 
+    def test_kernel_rows_carry_achieved_bandwidth(self, profiled):
+        """Stencil rows report compulsory GB/s at the run's precision;
+        non-stencil rows (exchange, inter-grid) do not."""
+        from repro.obs.aggregate import kernel_bytes_per_point
+
+        by_op = {r["op"]: r for r in profiled.rows if r["level"] == 0}
+        assert by_op["applyOp"]["gbps"] > 0
+        assert by_op["exchange"]["gbps"] is None
+        assert "GB/s compulsory" in render_measured_vs_model(profiled.rows)
+        fp64, fp32 = kernel_bytes_per_point(8), kernel_bytes_per_point(4)
+        assert fp64["smooth+residual"] == 40
+        assert all(fp32[op] * 2 == fp64[op] for op in fp64)
+
     def test_model_column_optional(self, profiled):
         rows = measured_vs_model_rows(
             profiled.tracer, profiled.config, None,
@@ -104,6 +117,12 @@ class TestProfileReport:
         assert "coverage" in text
         assert "metrics snapshot:" in text
         assert "kernels.total" in text
+        # which backend ran the kernels, next to the exchange-path line
+        assert f"  {profiled.kernels}\n" in text
+        assert profiled.kernels.startswith(("kernels: native C (", "kernels: NumPy ("))
+        gauges = profiled.metrics["gauges"]
+        assert {"cache.native_kernel.hits", "cache.native_kernel.misses",
+                "cache.native_kernel.compile_ms"} <= set(gauges)
 
     def test_reductions_bridged_from_recorder(self, profiled):
         counters = profiled.metrics["counters"]

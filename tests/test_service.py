@@ -211,6 +211,54 @@ def test_loadgen_open_loop_arrivals_are_monotone():
     assert len(set(ids)) == 6
 
 
+def test_long_lived_cohort_state_is_bounded(monkeypatch):
+    """A cohort's event logs restart with each slot assignment: after
+    many bursts they are no longer than after a few, and what a burst
+    returns and what the cohort reports do not change."""
+    from repro.service import cohort as cohort_module
+
+    monkeypatch.setattr(cohort_module, "OCCUPANCY_WINDOW", 32)
+    cfg = tiny_config(fuse_kernels=True, batch_ranks=True)
+
+    def burst(k):
+        return [
+            SolveRequest(config=cfg, amplitude=1.0 + 0.25 * i, request_id=f"{k}-{i}")
+            for i in range(6)
+        ]
+
+    service = SolveService(capacity=4)
+    first = service.submit(burst(0))
+    cohort = service.cohort_for(first[0].request)
+    cycles_per_burst = cohort.cycles_run
+    occupancy = cohort.occupancy()
+    assert 0.0 < occupancy <= 1.0
+
+    def log_sizes():
+        return (
+            max(len(m.recorder.messages) for m in cohort.members),
+            max(len(m.recorder.kernels) for m in cohort.members),
+            len(cohort.occupancy_samples),
+        )
+
+    sizes = []
+    for k in range(1, 21):
+        results = service.submit(burst(k))
+        for result, reference in zip(results, first):
+            assert_identical(result, reference)
+        sizes.append(log_sizes())
+    early, late = sizes[:10], sizes[10:]
+    for column in range(3):
+        assert max(s[column] for s in late) <= max(s[column] for s in early)
+    assert len(cohort.occupancy_samples) < 2 * 32
+    assert cohort.occupancy_samples[-1][0] == cohort.cycles_run - 1
+    # the reported figures still cover every cycle ever run
+    assert cohort.cycles_run == 21 * cycles_per_burst
+    assert cohort.occupancy_totals()[0] == cohort.cycles_run
+    assert cohort.occupancy() == pytest.approx(occupancy)
+    assert service.registry.get("service.cohort.occupancy") == cohort.occupancy()
+    assert cohort.requests_retired == 21 * 6
+
+
 # ---------------------------------------------------------------------------
 # satellite 1: geometry-keyed bounded plan caches
 # ---------------------------------------------------------------------------
@@ -230,7 +278,16 @@ def test_plan_lru_cache_eviction_and_stats():
         cache.unregister()
 
 
-def test_congruent_solvers_share_halo_plans():
+def test_congruent_solvers_share_native_kernels(native_backend):
+    cfg = tiny_config(fuse_kernels=True, batch_ranks=True)
+    GMGSolver(cfg).solve()
+    built = (native_backend.compiled, native_backend.loaded)
+    assert sum(built) > 0
+    GMGSolver(cfg).solve()  # congruent: no second compile, no second load
+    assert (native_backend.compiled, native_backend.loaded) == built
+
+
+def test_congruent_solvers_share_halo_plans(numpy_kernels):
     from repro.bricks.halo_plan import _OFFSET_PLAN_CACHE
 
     cfg = tiny_config(fuse_kernels=True, batch_ranks=True)
