@@ -223,6 +223,7 @@ class CompiledKernel:
         fields: dict[str, BrickedArray],
         consts: dict[str, float] | None = None,
         workspace: dict | None = None,
+        sweeps: int = 1,
     ) -> None:
         """Evaluate the stencil over every brick (interior and ghost).
 
@@ -236,12 +237,26 @@ class CompiledKernel:
         workspace:
             Optional dict (owned by the caller) reused across calls to
             avoid reallocating extended halo buffers.
+        sweeps:
+            Apply the stencil this many times in succession; every
+            field ends exactly as after that many single applies.  The
+            native kernel runs the whole window in one call (and moves
+            only the bytes that survive it, see
+            :func:`repro.dsl.native.generate_c_source`).
         """
+        if sweeps < 1:
+            raise ValueError(f"sweeps must be at least 1: {sweeps}")
         consts = consts or {}
         grid = self._validate(fields, consts)
-        if self._apply_native(fields, consts, workspace, grid):
+        if self._apply_native(fields, consts, workspace, grid, sweeps):
             return
+        for _ in range(sweeps):
+            self._apply_numpy(fields, consts, workspace, grid)
 
+    def _apply_numpy(
+        self, fields: dict[str, BrickedArray], consts: dict, workspace, grid
+    ) -> None:
+        """One application through the halo gather and the NumPy kernel."""
         r = self.analysis.radius
         halo = self.analysis.halo_grids
         use_offsets = bool(halo) and all(
@@ -293,16 +308,19 @@ class CompiledKernel:
         return entry[1]
 
     def _apply_native(
-        self, fields: dict[str, BrickedArray], consts: dict, workspace, grid
+        self, fields: dict[str, BrickedArray], consts: dict, workspace, grid,
+        sweeps: int,
     ) -> bool:
-        """Run the native kernel if these fields qualify; ``False`` (with
-        the reason noted once) sends the caller down the NumPy path.
+        """Run ``sweeps`` applications in one call of the native kernel
+        if these fields qualify; ``False`` (with the reason noted once)
+        sends the caller down the NumPy path.
 
         The choice reads observable state only: a usable backend
         (compiler, cffi, cache directory), Python-float constants, and
         fields that are packed C-contiguous arrays of one dtype whose
-        outputs alias nothing.  A binding is kept in ``workspace`` and
-        reused while the fields still hold the same arrays.
+        outputs alias nothing.  The binding — or the refusal — is kept
+        in ``workspace`` and reused while the fields still hold the same
+        arrays.
         """
         backend = native.resolve_backend()
         if backend.reason is not None:
@@ -317,12 +335,12 @@ class CompiledKernel:
         call = workspace.get(self) if workspace is not None else None
         if call is None or not call.matches(backend, grid, arrays):
             call = native.bind(backend, self, grid, arrays, workspace)
-            if isinstance(call, str):
-                native.note_fallback(call)
-                return False
             if workspace is not None:
                 workspace[self] = call
-        call.run(values)
+        if call.reason is not None:
+            native.note_fallback(call.reason)
+            return False
+        call.run(values, sweeps)
         return True
 
     def apply_split(

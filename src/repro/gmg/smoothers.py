@@ -51,14 +51,18 @@ from repro.instrument import Recorder
 from repro.obs.tracer import NULL_TRACER
 
 
-def _run_kernel(level: Level, stencil, consts: dict, tracer) -> None:
-    """Apply one compiled stencil, honouring a pending overlap context.
+def _run_kernel(
+    level: Level, stencil, consts: dict, tracer, sweeps: int = 1
+) -> None:
+    """Apply one compiled stencil ``sweeps`` times, honouring a pending
+    overlap context.
 
     In overlap mode the V-cycle driver arms ``level.overlap_ctx`` after
     posting a split-phase exchange; the *first* halo-reading kernel of
     the iterate consumes it (interior pass → ``finish()`` → shell
-    pass).  Pointwise kernels and later kernels of the same iterate run
-    whole-grid as usual — by then the halo is complete.
+    pass) for its first sweep.  Pointwise kernels, the window's other
+    sweeps and later kernels of the same iterate run whole-grid as
+    usual — by then the halo is complete.
     """
     kernel = compile_stencil(stencil, level.grid.brick_dim)
     ctx = getattr(level, "overlap_ctx", None)
@@ -69,8 +73,10 @@ def _run_kernel(level: Level, stencil, consts: dict, tracer) -> None:
             partition=ctx.partition, barrier=ctx.finish,
             tracer=tracer, level=level.index,
         )
-        return
-    kernel.apply(level.fields(), consts, level.workspace)
+        sweeps -= 1
+        if not sweeps:
+            return
+    kernel.apply(level.fields(), consts, level.workspace, sweeps)
 
 
 def _apply_op(level: Level, recorder: Recorder | None, tracer=NULL_TRACER) -> None:
@@ -121,10 +127,13 @@ def _scratch(level: Level, name: str) -> np.ndarray:
 
 
 class Smoother:
-    """Interface: one smoothing iteration over a level's bricked fields.
+    """Interface: smoothing iterations over a level's bricked fields.
 
-    ``iterate`` assumes the ghost shell of ``x`` (and ``b``) holds at
-    least ``ghost_cells_per_iteration`` cells of valid halo.
+    Subclasses implement :meth:`sweep`, one iteration.  The V-cycle
+    driver calls :meth:`iterate` once per exchange window with the
+    number of iterations the window holds; it assumes the ghost shell
+    of ``x`` (and ``b``) holds at least ``sweeps *
+    ghost_cells_per_iteration`` cells of valid halo.
     """
 
     name: str = "abstract"
@@ -139,8 +148,21 @@ class Smoother:
     supports_overlap = False
 
     def iterate(
+        self,
+        level: Level,
+        with_residual: bool,
+        recorder: Recorder | None,
+        sweeps: int = 1,
+    ) -> None:
+        """``sweeps`` successive iterations.  Override only to run a
+        whole window in fewer kernel calls, with the same result."""
+        for _ in range(sweeps):
+            self.sweep(level, with_residual, recorder)
+
+    def sweep(
         self, level: Level, with_residual: bool, recorder: Recorder | None
     ) -> None:
+        """One smoothing iteration."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -173,18 +195,32 @@ class JacobiSmoother(Smoother):
         return consts
 
     def iterate(
+        self,
+        level: Level,
+        with_residual: bool,
+        recorder: Recorder | None,
+        sweeps: int = 1,
+    ) -> None:
+        if not level.fused_kernels:
+            # the staged applyOp/smooth pair alternates: single sweeps
+            super().iterate(level, with_residual, recorder, sweeps)
+            return
+        # one kernel, one halo gather/refresh: the applyOp subtree is
+        # substituted into the update (and residual) expressions and
+        # CSE-hoisted, so the float sequence matches the staged path —
+        # and one kernel call for the whole window
+        stencil = FUSED_SMOOTH_RESIDUAL if with_residual else FUSED_SMOOTH
+        with self.tracer.span(stencil.name, l=level.index, sweeps=sweeps):
+            _run_kernel(
+                level, stencil, self._constants(level), self.tracer, sweeps
+            )
+        if recorder is not None:
+            for _ in range(sweeps):
+                recorder.kernel(level.index, stencil.name, level.num_points)
+
+    def sweep(
         self, level: Level, with_residual: bool, recorder: Recorder | None
     ) -> None:
-        if level.fused_kernels:
-            # one kernel, one halo gather/refresh: the applyOp subtree is
-            # substituted into the update (and residual) expressions and
-            # CSE-hoisted, so the float sequence matches the staged path
-            stencil = FUSED_SMOOTH_RESIDUAL if with_residual else FUSED_SMOOTH
-            with self.tracer.span(stencil.name, l=level.index):
-                _run_kernel(level, stencil, self._constants(level), self.tracer)
-            if recorder is not None:
-                recorder.kernel(level.index, stencil.name, level.num_points)
-            return
         _apply_op(level, recorder, self.tracer)
         stencil = SMOOTH_RESIDUAL if with_residual else SMOOTH
         with self.tracer.span(stencil.name, l=level.index):
@@ -266,7 +302,7 @@ class _ColoredSmoother(Smoother):
         np.multiply(update, self.omega, out=update)
         np.add(x, update, out=x, where=mask)
 
-    def iterate(
+    def sweep(
         self, level: Level, with_residual: bool, recorder: Recorder | None
     ) -> None:
         red, black = self._color_masks(level)
@@ -343,7 +379,7 @@ class ChebyshevSmoother(Smoother):
         delta = 0.5 * (lmax - lmin)
         return theta, delta, []
 
-    def iterate(
+    def sweep(
         self, level: Level, with_residual: bool, recorder: Recorder | None
     ) -> None:
         theta, delta, _ = self._coefficients

@@ -118,7 +118,7 @@ class VariableCoefficientJacobi(Smoother):
             raise ValueError(f"Jacobi damping must be in (0, 1]: {omega}")
         self.omega = omega
 
-    def iterate(
+    def sweep(
         self, level: Level, with_residual: bool, recorder: Recorder | None
     ) -> None:
         kernel = compile_stencil(VARIABLE_APPLY_OP, level.grid.brick_dim)

@@ -254,46 +254,45 @@ class VCycle:
         every execution mode; with the engine's cross-rank batching the
         per-rank smoother loop collapses into one vectorised iterate
         over the stacked level (exchanges still address the per-rank
-        fields, whose storage views the stacked arrays).
+        fields, whose storage views the stacked arrays).  Each exchange
+        opens a *window* of as many iterations as its halo stays valid
+        for (one without communication avoiding), handed to the
+        smoother in a single ``iterate(..., sweeps=window)``.
 
         In overlap mode an exchange iteration posts its sends via
         ``begin()`` and arms the compute levels' overlap context: the
         iterate's first halo-reading kernel runs its interior pass
         while envelopes are in flight and only its shell pass waits on
-        ``finish()``.  Iterations living off banked CA halo are
-        unchanged — there is nothing in flight to hide.
+        ``finish()``.  The window's other iterations, living off banked
+        CA halo, are unchanged — there is nothing in flight to hide.
         """
         levels = self.levels_at(lev)
         stacked = (
             self.engine.stacked_level(lev) if self.engine is not None else None
         )
+        targets = levels if stacked is None else [stacked]
         split_ok = getattr(self.smoother, "supports_overlap", False)
-        per_iter = self.smoother.ghost_cells_per_iteration
-        budget = self.iterations_per_exchange(lev) * per_iter
-        ghost_valid = 0
-        b_exchanged = False
+        per_window = self.iterations_per_exchange(lev)
+        fields = [[lv.x, lv.b] for lv in levels]
         with self.tracer.span("smooth-visit", l=lev, n=iterations):
-            for _ in range(iterations):
-                ctx = None
-                if ghost_valid < per_iter:
-                    if b_exchanged:
-                        fields = [[lv.x] for lv in levels]
-                    else:
-                        fields = [[lv.x, lv.b] for lv in levels]
-                        b_exchanged = True
-                    ctx = self._exchange_levels(
-                        lev, fields, levels, stacked, split_ok
-                    )
-                    ghost_valid = budget
+            while iterations > 0:
+                ctx = self._exchange_levels(
+                    lev, fields, levels, stacked, split_ok
+                )
+                # b's ghost stays valid for the rest of the visit
+                fields = [[lv.x] for lv in levels]
+                # every iteration this exchange's halo covers, in one
+                # smoother call (the ranks are independent until the
+                # next exchange)
+                window = min(iterations, per_window)
                 try:
-                    if stacked is not None:
-                        self.smoother.iterate(stacked, with_residual, self.recorder)
-                    else:
-                        for lv in levels:
-                            self.smoother.iterate(lv, with_residual, self.recorder)
+                    for target in targets:
+                        self.smoother.iterate(
+                            target, with_residual, self.recorder, sweeps=window
+                        )
                 finally:
                     self._end_overlap(ctx, levels, stacked)
-                ghost_valid -= per_iter
+                iterations -= window
             if self.fault_injector is not None:
                 # Silent-data-corruption model: the smoother "wrote" a bad
                 # value into its output field on whichever ranks the plan

@@ -53,11 +53,17 @@ def aggregate_by_level_op(tracer: Tracer) -> dict[tuple[int, str], TimingStat]:
 
     The level comes from each span's ``l`` attribute; spans without one
     (none are emitted by the instrumented solve path) aggregate under
-    level ``-1``.
+    level ``-1``.  A span carrying ``sweeps=w`` is one kernel call that
+    ran an exchange window of ``w`` applications: it counts as ``w``
+    samples of a ``w``-th of its duration, so counts and averages stay
+    per application.
     """
     samples: dict[tuple[int, str], list[float]] = defaultdict(list)
     for s in op_spans(tracer):
-        samples[(int(s.attrs.get("l", -1)), s.name)].append(s.duration)
+        sweeps = int(s.attrs.get("sweeps", 1))
+        samples[(int(s.attrs.get("l", -1)), s.name)].extend(
+            [s.duration / sweeps] * sweeps
+        )
     return {key: TimingStat.from_samples(v) for key, v in samples.items()}
 
 

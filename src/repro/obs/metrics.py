@@ -122,9 +122,13 @@ class MetricsRegistry:
     def observe_native_kernels(self) -> None:
         """Snapshot the native kernel cache: ``cache.native_kernel.hits``
         (shared objects loaded from the cache directory), ``.misses``
-        (compiled by this process) and ``.compile_ms``.  All zero when
-        the kernels ran through NumPy.  Gauges, as in
-        :meth:`observe_plan_caches`: the totals are process-cumulative.
+        (compiled by this process) and ``.compile_ms``; and what the
+        kernels were asked for: ``kernels.native.calls`` (foreign calls)
+        and ``kernels.native.sweeps`` (stencil sweeps those calls ran —
+        more than the calls where a smoother handed over whole exchange
+        windows).  All zero when the kernels ran through NumPy.  Gauges,
+        as in :meth:`observe_plan_caches`: the totals are
+        process-cumulative.
         """
         from repro.dsl import native
 
@@ -132,6 +136,8 @@ class MetricsRegistry:
             self.gauge(
                 f"cache.native_kernel.{stat}", value, owner="native_kernels"
             )
+        for stat, value in native.call_counts().items():
+            self.gauge(f"kernels.native.{stat}", value, owner="native_kernels")
 
     def observe_exchange_paths(self, exchangers) -> None:
         """Snapshot which execution each multi-rank ghost exchange took.

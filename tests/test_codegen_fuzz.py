@@ -9,7 +9,8 @@ mix-up shows up as a numeric mismatch.
 
 Every random stencil runs through both emission targets — the native C
 kernel (where one can be built) and the NumPy kernel — which must agree
-byte for byte before either is compared with the oracle.
+byte for byte before either is compared with the oracle, for one
+application and for windows of two and three.
 """
 
 import numpy as np
@@ -19,22 +20,32 @@ from hypothesis import strategies as st
 from repro.bricks import BrickGrid, BrickedArray
 from repro.dsl import Grid, Stencil, compile_stencil, indices
 from tests.conftest import numpy_path
+from tests.test_native_kernels import assert_same_bytes, clone
 
 
 def apply_on_both_backends(stencil, brick_dim, fields, consts):
     """Apply ``stencil`` to ``fields`` through the backend ``apply``
     picks, and to a copy through the NumPy kernels; the two must leave
-    identical bytes in every field."""
-    twin = {
-        g: BrickedArray(f.grid, f.data.copy(), dtype=f.dtype)
-        for g, f in fields.items()
-    }
+    identical bytes in every field.  Copies of the starting fields then
+    run windows of 2 and 3 sweeps on both backends, each against that
+    many single NumPy applies."""
+    start = clone(fields)
+    twin = clone(fields)
     kernel = compile_stencil(stencil, brick_dim)
     kernel.apply(fields, consts)
     with numpy_path():
         kernel.apply(twin, consts)
-    for g, f in fields.items():
-        assert f.data.tobytes() == twin[g].data.tobytes(), g
+    assert_same_bytes(fields, twin)
+    for sweeps in (2, 3):
+        singles, window, numpy_window = clone(start), clone(start), clone(start)
+        kernel.apply(window, consts, sweeps=sweeps)
+        with numpy_path():
+            for _ in range(sweeps):
+                kernel.apply(singles, consts)
+            kernel.apply(numpy_window, consts, sweeps=sweeps)
+        assert_same_bytes(window, singles)
+        assert_same_bytes(numpy_window, singles)
+
 
 N = 8
 B = 4
@@ -133,6 +144,43 @@ def test_random_fused_statements_are_simultaneous(offsets, coeffs, gamma, seed):
     np.testing.assert_allclose(
         fields["y"].to_ijk(), dense_y + gamma * dense_y, rtol=1e-12
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    offsets=offsets_strategy,
+    coeffs=coeffs_strategy,
+    gamma=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**31),
+    dtype=st.sampled_from([np.float64, np.float32]),
+)
+def test_random_read_write_stencil_windows(offsets, coeffs, gamma, seed, dtype):
+    """A stencil that overwrites the grid it reads through the halo
+    (ping-ponged inside a window), updates another in place and writes
+    a third it never reads (stored by the last sweep only): windows
+    agree with single applies on both backends, whatever the shape."""
+    coeffs = (coeffs * len(offsets))[: len(offsets)]
+    i, j, k = indices()
+    x, out, y = Grid("x"), Grid("out"), Grid("y")
+    expr = None
+    for (dx, dy, dz), c in zip(offsets, coeffs):
+        term = c * x(i + dx, j + dy, k + dz)
+        expr = term if expr is None else expr + term
+    stencil = Stencil(
+        "fuzz3",
+        [
+            x(i, j, k).assign(expr * 0.125 + gamma * y(i, j, k)),
+            y(i, j, k).assign(y(i, j, k) - gamma * x(i, j, k)),
+            out(i, j, k).assign(expr - y(i, j, k)),
+        ],
+    )
+    grid = BrickGrid((N // B,) * 3, B)
+    rng = np.random.default_rng(seed)
+    fields = {}
+    for g in ("x", "y", "out"):
+        fields[g] = BrickedArray.zeros(grid, dtype=dtype)
+        fields[g].data[...] = rng.standard_normal(fields[g].data.shape)
+    apply_on_both_backends(stencil, B, fields, {})
 
 
 @settings(max_examples=20, deadline=None)

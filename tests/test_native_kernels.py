@@ -238,7 +238,7 @@ def assert_fell_back(kernel, fields, oracle, reasons, caplog, needle, consts=Non
     caplog.clear()
     workspace: dict = {}
     kernel.apply(fields, consts, workspace)
-    assert kernel not in workspace
+    assert not isinstance(workspace.get(kernel), native.BoundCall)
     assert_same_bytes(fields, oracle)
     for _ in range(2):
         kernel.apply(fields, consts, workspace)
@@ -346,6 +346,30 @@ def test_fallback_aliased_output(reasons, caplog):
     with numpy_path():
         kernel.apply(oracle, consts_for(kernel), {})
     assert_fell_back(kernel, fields, oracle, reasons, caplog, "shares storage")
+
+
+def test_refusal_is_remembered_until_the_arrays_change(monkeypatch):
+    """A field set that does not qualify is scanned once, not per apply
+    — and again, successfully, once the offending array is replaced."""
+    kernel, fields, _ = apply_op_case()
+    fields["Ax"] = BrickedArray.zeros(fields["x"].grid, dtype=np.float32)
+    scans = []
+    scan = native._ineligible
+    monkeypatch.setattr(
+        native, "_ineligible", lambda *args: scans.append(1) or scan(*args)
+    )
+    workspace: dict = {}
+    for _ in range(4):
+        kernel.apply(fields, consts_for(kernel), workspace)
+    refusal = workspace[kernel]
+    assert isinstance(refusal, native.Refusal)
+    assert refusal.reason == "mixed field dtypes"
+    assert len(scans) == 1
+    fields["Ax"] = BrickedArray.zeros(fields["x"].grid, dtype=np.float64)
+    for _ in range(2):
+        kernel.apply(fields, consts_for(kernel), workspace)
+    assert isinstance(workspace[kernel], native.BoundCall)
+    assert len(scans) == 2
 
 
 def test_fallback_stack_budget(reasons, caplog):
@@ -478,6 +502,63 @@ def test_fresh_process_loads_without_compiling(tmp_path):
     assert warm["solution"] == cold["solution"]
     after = sorted(p.name for p in (tmp_path / "repro" / "kernels").iterdir())
     assert after == built
+
+
+def corrupt_cached_objects(cache_home) -> int:
+    """Swap every cached shared object for bytes that will not load (a
+    truncated copy, another architecture's build); how many."""
+    objects = list((cache_home / "repro" / "kernels").glob("*.so"))
+    for so in objects:
+        garbage = so.with_suffix(".garbage")
+        garbage.write_bytes(b"\x7fELF, but not for long")
+        os.replace(garbage, so)
+    return len(objects)
+
+
+def test_unloadable_cached_object_is_rebuilt_in_place(tmp_path):
+    cold = child_report(spawn_child(tmp_path))
+    corrupted = corrupt_cached_objects(tmp_path)
+    assert corrupted == cold["stats"]["misses"] > 0
+    repaired = child_report(spawn_child(tmp_path))
+    assert repaired["reasons"] == []
+    assert repaired["stats"]["misses"] == corrupted  # rebuilt: compiled
+    assert repaired["stats"]["hits"] == 0
+    assert repaired["history"] == cold["history"]
+    assert repaired["solution"] == cold["solution"]
+    warm = child_report(spawn_child(tmp_path))
+    assert warm["stats"]["hits"] == corrupted and warm["stats"]["misses"] == 0
+
+
+def test_racing_processes_repair_an_unloadable_cache(tmp_path):
+    cold = child_report(spawn_child(tmp_path))
+    assert corrupt_cached_objects(tmp_path)
+    racers = [spawn_child(tmp_path) for _ in range(3)]
+    reports = [child_report(child) for child in racers]
+    assert all(r["reasons"] == [] for r in reports)
+    assert {r["solution"] for r in reports} == {cold["solution"]}
+    leftovers = [
+        p.name for p in (tmp_path / "repro" / "kernels").iterdir()
+        if not p.name.endswith((".so", ".c"))
+    ]
+    assert leftovers == []
+
+
+def test_unloadable_object_that_cannot_be_rebuilt_falls_back(
+    monkeypatch, tmp_path, reasons, caplog
+):
+    builder = native.Backend.probe(cache_dir=str(tmp_path / "built"))
+    with_backend(monkeypatch, builder)
+    kernel, fields, _ = apply_op_case()
+    kernel.apply(fields, consts_for(kernel), {})
+    (so,) = (tmp_path / "built").glob("*.so")
+    # a truncated copy under another path: this process has ``so`` open,
+    # and dlopen answers an already-loaded path without reading it
+    backend = native.Backend.probe(cache_dir=str(tmp_path / "copied"))
+    (tmp_path / "copied" / so.name).write_bytes(so.read_bytes()[:100])
+    backend.cc = str(tmp_path / "no-such-compiler")
+    with_backend(monkeypatch, backend)
+    assert_fell_back(*apply_op_case(), reasons, caplog, "cannot build")
+    assert (backend.compiled, backend.loaded) == (0, 0)
 
 
 def test_racing_processes_both_succeed(tmp_path):
