@@ -39,7 +39,6 @@ BASE = dict(
     num_levels=3,
     rank_dims=(2, 2, 2),
     max_vcycles=4,
-    batch_ranks=True,
 )
 BRICK_DIMS = (2, 4, 8)
 

@@ -31,7 +31,6 @@ from repro.bricks.brick_grid import (
 )
 from repro.bricks.bricked_array import BrickedArray
 from repro.bricks.halo import gather_extended
-from repro.bricks.halo_plan import HaloPlan, gather_planned, plan_for, refresh_shell
 from repro.bricks.plan_cache import PlanLRUCache, cache_stats
 from repro.bricks.orderings import (
     ORDERINGS,
@@ -50,10 +49,6 @@ __all__ = [
     "direction_index",
     "opposite_index",
     "gather_extended",
-    "HaloPlan",
-    "gather_planned",
-    "plan_for",
-    "refresh_shell",
     "PlanLRUCache",
     "cache_stats",
     "ORDERINGS",

@@ -5,14 +5,6 @@ with a ``(num_slots, B, B, B)`` storage array.  All cells of one brick
 are contiguous — the defining property of fine-grain data blocking —
 and the brick order within storage follows the grid's ordering
 strategy.
-
-Halo-resident layout: with ``halo_radius = r > 0`` each brick's slot is
-allocated at the *extended* size ``(B + 2r)^3`` and ``data`` becomes the
-interior view of that storage.  Stencil kernels then read the extended
-storage directly and a halo refresh copies only the 26 shell regions
-through the adjacency (:func:`repro.bricks.halo_plan.refresh_shell`)
-instead of re-gathering the whole field into a scratch buffer on every
-kernel invocation — the dominant memory traffic of the gather path.
 """
 
 from __future__ import annotations
@@ -36,11 +28,6 @@ class BrickedArray:
         Floating-point precision of the field — ``float64`` (the
         paper's experiments) or ``float32`` (the mixed-precision
         extension motivated by the paper's reference [28]).
-    halo_radius:
-        When positive, allocate the halo-resident extended layout: the
-        backing storage is ``(num_slots, B + 2r, B + 2r, B + 2r)``
-        (exposed as ``ext_data``) and ``data`` is its interior view.
-        Mutually exclusive with passing an explicit ``data`` array.
     """
 
     SUPPORTED_DTYPES = (np.float64, np.float32)
@@ -50,50 +37,15 @@ class BrickedArray:
         grid: BrickGrid,
         data: np.ndarray | None = None,
         dtype: np.dtype | type = np.float64,
-        halo_radius: int = 0,
-        ext_data: np.ndarray | None = None,
     ) -> None:
         B = grid.brick_dim
         dtype = np.dtype(dtype)
         if dtype not in [np.dtype(d) for d in self.SUPPORTED_DTYPES]:
             raise ValueError(f"unsupported field dtype: {dtype}")
-        r = int(halo_radius)
-        if r < 0:
-            raise ValueError(f"halo_radius must be non-negative: {halo_radius}")
-        if r > B:
-            raise ValueError(f"halo_radius {r} exceeds brick dimension {B}")
-        self.halo_radius = r
-        self.ext_data: np.ndarray | None = None
-        #: opt-in flag: kernels gather this field through the
-        #: precomputed flat-index plan instead of the per-direction loop
-        self.planned_gather = False
         #: ``(stacked field, block, view)`` once :meth:`bind_stacked`
         #: made ``data`` a block of a stacked field's storage
         self._stacked: tuple | None = None
-        if r > 0:
-            if data is not None:
-                raise ValueError(
-                    "pass ext_data (not data) for a halo-resident field"
-                )
-            E = B + 2 * r
-            expected_ext = (grid.num_slots, E, E, E)
-            if ext_data is None:
-                ext_data = np.zeros(expected_ext, dtype=dtype)
-            else:
-                if ext_data.shape != expected_ext:
-                    raise ValueError(
-                        f"extended array has shape {ext_data.shape}, "
-                        f"expected {expected_ext}"
-                    )
-                if ext_data.dtype != dtype:
-                    raise ValueError(
-                        f"extended array must be {dtype}, got {ext_data.dtype}"
-                    )
-            self.ext_data = ext_data
-            data = ext_data[:, r : r + B, r : r + B, r : r + B]
-        elif ext_data is not None:
-            raise ValueError("ext_data requires a positive halo_radius")
-        elif data is None:
+        if data is None:
             data = np.zeros((grid.num_slots, B, B, B), dtype=dtype)
         else:
             expected = (grid.num_slots, B, B, B)
@@ -111,13 +63,6 @@ class BrickedArray:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    @property
-    def has_resident_halo(self) -> bool:
-        """True while the extended layout is intact (``data`` still views
-        ``ext_data``) — rebinding ``data`` to a scratch array, as the CG
-        bottom solver does, drops a field back to the gather path."""
-        return self.ext_data is not None and self.data.base is self.ext_data
 
     # ------------------------------------------------------------------
     # stacked storage
@@ -150,13 +95,10 @@ class BrickedArray:
     # ------------------------------------------------------------------
     @classmethod
     def zeros(
-        cls,
-        grid: BrickGrid,
-        dtype: np.dtype | type = np.float64,
-        halo_radius: int = 0,
+        cls, grid: BrickGrid, dtype: np.dtype | type = np.float64
     ) -> "BrickedArray":
         """A zero-filled field on ``grid``."""
-        return cls(grid, dtype=dtype, halo_radius=halo_radius)
+        return cls(grid, dtype=dtype)
 
     @classmethod
     def from_ijk(
@@ -209,15 +151,7 @@ class BrickedArray:
         :class:`repro.comm.exchange.HaloExchange` instead.
         """
         ghost, src = self.grid.periodic_wrap_pairs
-        if self.has_resident_halo:
-            # whole-slot copy on the extended storage: contiguous per
-            # slot, unlike the strided interior view.  The source shell
-            # that rides along is dead data — every shell cell is
-            # rewritten by refresh_shell (or bypassed by the per-offset
-            # gather plans) before any kernel reads it.
-            self.ext_data[ghost] = self.ext_data[src]
-        else:
-            self.data[ghost] = self.data[src]
+        self.data[ghost] = self.data[src]
 
     def zero_ghost(self) -> None:
         """Zero the ghost shell (used to prove exchanges actually run)."""
@@ -227,14 +161,7 @@ class BrickedArray:
     # whole-field operations
     # ------------------------------------------------------------------
     def copy(self) -> "BrickedArray":
-        """Deep copy sharing the grid (and the storage layout)."""
-        if self.has_resident_halo:
-            return BrickedArray(
-                self.grid,
-                dtype=self.dtype,
-                halo_radius=self.halo_radius,
-                ext_data=self.ext_data.copy(),
-            )
+        """Deep copy sharing the grid."""
         return BrickedArray(self.grid, self.data.copy(), dtype=self.dtype)
 
     def fill(self, value: float) -> None:

@@ -1,260 +1,66 @@
-"""Precomputed flat-index halo plans: one fancy index per refresh.
+"""Contiguous per-offset gather — the ``bricks.gather`` benchmark rung.
 
-:func:`repro.bricks.halo.gather_extended` assembles each brick's
-extended block with a Python loop over the 26 neighbour directions —
-simple, but 27 separate strided copies per invocation, re-copying the
-*entire* field (centre included) every time.  A :class:`HaloPlan`
-flattens that into index arrays computed once per (grid, radius):
-
-* every extended-block cell position is classified by the direction of
-  the neighbour it reads from and by its source cell within that
-  neighbour, so a *full gather* is a single NumPy fancy-index
-  expression over ``(num_slots, ext^3)``;
-* for halo-resident fields (:class:`~repro.bricks.bricked_array
-  .BrickedArray` with ``halo_radius > 0``) the interior never moves, so
-  a *shell refresh* touches only the ``ext^3 - B^3`` shell cells —
-  the pack-free surface-exchange argument of the paper applied to the
-  on-rank halo: copy the 26 shell regions, never the payload.
-
-Plans are cached by ``grid.geometry_key`` (value identity) in bounded
-LRU caches (:mod:`repro.bricks.plan_cache`), so congruent grids —
-fresh hierarchies per solve, or the many concurrent requests of a
-solve service — share one set of index tables instead of rebuilding
-them per grid object.  Duck-typed grids without a geometry key fall
-back to a ``WeakKeyDictionary`` keyed by the grid itself (deliberately
-*not* an ``id()``-keyed cache, which could alias a recycled id onto a
-new grid).
+Nothing in the solver calls this module: kernels read their operands
+through the native C adjacency walk or through
+:func:`repro.bricks.halo.gather_extended`.  It stays because the
+benchmark ladder (``benchmarks/ladder``, which this package may not
+break) times :class:`OffsetGatherPlan` as its ``bricks.gather.l<k>.us``
+and ``bricks.plan_build_ms`` rungs — one ``np.take`` over a precomputed
+flat-index table, the contiguous reference the other gathers are read
+against.  Delete it together with those rungs (ROADMAP item 3).
 """
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
-from repro.bricks.brick_grid import direction_index
-from repro.bricks.bricked_array import BrickedArray
-from repro.bricks.plan_cache import PlanLRUCache
 
-#: per-(brick_dim, radius) coordinate maps, shared across all grids
-_COORD_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-#: per-(brick_dim, offset, halo_radius) single-offset maps
-_OFFSET_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-#: weak per-grid fallback for duck-typed grids without a geometry key
-_PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-#: geometry-keyed HaloPlans, one entry per (geometry, radius)
-_HALO_PLAN_CACHE = PlanLRUCache("halo_plan.halo")
-
-
-def _coordinate_maps(
-    brick_dim: int, radius: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Direction / source-cell classification of every extended cell.
-
-    Returns ``(dirs, src, cell)`` of shape ``(ext**3,)`` each, in the
-    row-major order of the extended block: ``dirs[p]`` is the
-    :data:`~repro.bricks.brick_grid.DIRECTIONS` index of the neighbour
-    cell ``p`` reads from, ``src[p]`` the flat source-cell index within
-    that neighbour's *extended* block (interior position), and
-    ``cell[p]`` the flat source-cell index within the neighbour's
-    *packed* ``B^3`` brick.
-    """
-    key = (int(brick_dim), int(radius))
-    cached = _COORD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    B, r = key
-    ext = B + 2 * r
-    axis = np.arange(ext)
-    # per-axis neighbour step (-1/0/+1) and local source coordinate
-    comp = np.where(axis < r, -1, np.where(axis < r + B, 0, 1))
-    local = np.where(axis < r, B - r + axis, np.where(axis < r + B, axis - r, axis - r - B))
-    cx, cy, cz = np.meshgrid(comp, comp, comp, indexing="ij")
-    lx, ly, lz = np.meshgrid(local, local, local, indexing="ij")
-    dirs = ((cx + 1) * 9 + (cy + 1) * 3 + (cz + 1)).reshape(-1)
-    cell = ((lx * B + ly) * B + lz).reshape(-1)
-    src = (((lx + r) * ext + (ly + r)) * ext + (lz + r)).reshape(-1)
-    _COORD_CACHE[key] = (dirs, src, cell)
-    return _COORD_CACHE[key]
-
-
-class HaloPlan:
-    """Flat-index gather/refresh tables for one grid at one radius.
-
-    ``nbr_all``/``cell_all`` drive the full gather (every extended
-    cell); ``shell_pos``/``nbr_shell``/``src_shell`` drive the
-    shell-only refresh of halo-resident storage.
-    """
-
-    def __init__(self, grid, radius: int) -> None:
-        B = grid.brick_dim
-        r = int(radius)
-        if r < 0:
-            raise ValueError(f"radius must be non-negative: {radius}")
-        if r > B:
-            raise ValueError(f"radius {r} exceeds brick dimension {B}")
-        self.grid = grid
-        self.radius = r
-        self.brick_dim = B
-        self.ext = B + 2 * r
-        dirs, src, cell = _coordinate_maps(B, r)
-        adj = np.ascontiguousarray(grid.adjacency)
-        #: (num_slots, ext^3) neighbour slot of every extended cell
-        self.nbr_all = np.ascontiguousarray(adj[:, dirs])
-        #: (ext^3,) flat packed-brick source cell of every extended cell
-        self.cell_all = cell
-        #: (num_slots, ext^3) flat index into packed (num_slots*B^3,) storage
-        self._gather_flat = self.nbr_all * (B**3) + cell
-        shell = dirs != direction_index((0, 0, 0))
-        #: (n_shell,) flat extended positions of the shell cells
-        self.shell_pos = np.flatnonzero(shell)
-        #: (num_slots, n_shell) neighbour slot of every shell cell
-        self.nbr_shell = np.ascontiguousarray(adj[:, dirs[shell]])
-        #: (n_shell,) flat extended-block source position (interior)
-        self.src_shell = src[shell]
-        #: (num_slots, n_shell) flat index into extended (num_slots*ext^3,)
-        self._shell_flat = self.nbr_shell * (self.ext**3) + self.src_shell
-
-    # ------------------------------------------------------------------
-    def gather(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Full gather of ``data`` (``(num_slots, B, B, B)``) into the
-        extended blocks — one fancy index, bit-identical to
-        :func:`repro.bricks.halo.gather_extended`."""
-        S = self.nbr_all.shape[0]
-        E = self.ext
-        if data.shape != (S, self.brick_dim, self.brick_dim, self.brick_dim):
-            raise ValueError(
-                f"data has shape {data.shape}, expected "
-                f"{(S, self.brick_dim, self.brick_dim, self.brick_dim)}"
-            )
-        shape = (S, E, E, E)
-        if out is None:
-            out = np.empty(shape, dtype=data.dtype)
-        elif out.shape != shape or out.dtype != data.dtype:
-            raise ValueError(
-                f"out has shape {out.shape}/{out.dtype}, expected "
-                f"{shape}/{data.dtype}"
-            )
-        if data.flags.c_contiguous:
-            np.take(data.reshape(-1), self._gather_flat, out=out.reshape(S, -1))
-        else:
-            # strided view (e.g. a per-rank slice of stacked storage):
-            # multi-dimensional fancy index, no intermediate copy
-            out.reshape(S, -1)[...] = data.reshape(S, -1)[
-                self.nbr_all, self.cell_all
-            ]
-        return out
-
-    def refresh_shell(self, field: BrickedArray) -> None:
-        """Refill the shell of a halo-resident field from its bricks'
-        current interiors, through the adjacency.
-
-        After the refresh, ``field.ext_data`` is bit-identical to what
-        a full :func:`~repro.bricks.halo.gather_extended` of
-        ``field.data`` would produce — the centre is already in place
-        by construction, so only the 26 shell regions move.
-        """
-        if not field.has_resident_halo or field.halo_radius != self.radius:
-            raise ValueError(
-                "refresh_shell needs a halo-resident field of radius "
-                f"{self.radius}"
-            )
-        ext = field.ext_data
-        S = ext.shape[0]
-        flat = ext.reshape(S, -1)
-        flat[:, self.shell_pos] = np.take(flat.reshape(-1), self._shell_flat)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HaloPlan(brick_dim={self.brick_dim}, radius={self.radius})"
-
-
-def _offset_maps(
-    brick_dim: int, offset: tuple[int, int, int], halo_radius: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direction / source-cell maps of every brick cell for one read offset.
-
-    Returns ``(dirs, cell)`` of shape ``(B**3,)``: for brick cell ``c``
-    (row-major), ``dirs[c]`` is the neighbour direction the shifted read
-    ``c + offset`` falls into, and ``cell[c]`` the flat source index
-    within that neighbour — into its packed ``B^3`` brick when
-    ``halo_radius == 0``, or into the *interior* of its extended
-    ``(B+2r)^3`` slot when the field is halo-resident.
-    """
-    key = (int(brick_dim), tuple(int(d) for d in offset), int(halo_radius))
-    cached = _OFFSET_CACHE.get(key)
-    if cached is not None:
-        return cached
-    B, off, r = key
-    if any(abs(d) > B for d in off):
-        raise ValueError(f"offset {off} exceeds brick dimension {B}")
-    axis = np.arange(B)
+def _offset_maps(brick_dim: int, offset) -> tuple[np.ndarray, np.ndarray]:
+    """``(dirs, cell)`` of shape ``(B**3,)``: for brick cell ``c``
+    (row-major), the neighbour direction index the shifted read
+    ``c + offset`` falls into and the flat source cell within it."""
+    B = int(brick_dim)
+    if any(abs(int(d)) > B for d in offset):
+        raise ValueError(f"offset {tuple(offset)} exceeds brick dimension {B}")
     comps, locals_ = [], []
-    for d in off:
-        coord = axis + d
+    for d in offset:
+        coord = np.arange(B) + int(d)
         comp = np.where(coord < 0, -1, np.where(coord >= B, 1, 0))
         comps.append(comp)
         locals_.append(coord - comp * B)
     cx, cy, cz = np.meshgrid(*comps, indexing="ij")
     lx, ly, lz = np.meshgrid(*locals_, indexing="ij")
     dirs = ((cx + 1) * 9 + (cy + 1) * 3 + (cz + 1)).reshape(-1)
-    if r > 0:
-        E = B + 2 * r
-        cell = (((lx + r) * E + (ly + r)) * E + (lz + r)).reshape(-1)
-    else:
-        cell = ((lx * B + ly) * B + lz).reshape(-1)
-    _OFFSET_CACHE[key] = (dirs, cell)
-    return _OFFSET_CACHE[key]
+    return dirs, ((lx * B + ly) * B + lz).reshape(-1)
 
 
 class OffsetGatherPlan:
-    """Contiguous per-offset gather: one ``np.take`` per kernel call.
-
-    Extended-block slicing keeps every kernel operand strided, which
-    NumPy executes several times slower than contiguous work at small
-    brick dimensions.  This plan instead materialises, for each stencil
-    read offset, a contiguous ``(num_slots, B, B, B)`` block — all
-    ``K`` offsets in a single ``np.take`` over a precomputed
-    ``(K, num_slots, B^3)`` flat-index table — so the generated kernel
-    runs entirely on contiguous arrays.  Values are bit-identical to
-    slicing the gathered extended block: same adjacency, same source
-    cells, only the layout changes.
-
-    ``halo_radius == 0`` sources the packed ``(S, B, B, B)`` storage;
-    ``halo_radius == r > 0`` sources a halo-resident field's extended
-    storage directly, reading *neighbour interiors* through the
-    adjacency — no shell refresh is needed at all on this path.
-    """
+    """For each read offset, a contiguous ``(num_slots, B, B, B)`` copy
+    of the field shifted by that offset through the adjacency — all
+    ``K`` offsets in one ``np.take``.  ``gather(data)[k]`` equals the
+    slice of :func:`~repro.bricks.halo.gather_extended`'s block at
+    ``offsets[k]``.  ``halo_radius`` must be 0 (packed storage, the
+    only storage there is)."""
 
     def __init__(self, grid, offsets, halo_radius: int = 0) -> None:
+        if halo_radius != 0:
+            raise ValueError(f"halo_radius must be 0: {halo_radius}")
         B = grid.brick_dim
-        r = int(halo_radius)
-        if r < 0:
-            raise ValueError(f"halo_radius must be non-negative: {halo_radius}")
         self.brick_dim = B
-        self.halo_radius = r
         self.offsets = tuple(tuple(int(d) for d in o) for o in offsets)
         if not self.offsets:
             raise ValueError("need at least one read offset")
-        stride = (B + 2 * r) ** 3 if r > 0 else B**3
         adj = np.ascontiguousarray(grid.adjacency)
         blocks = []
         for off in self.offsets:
-            dirs, cell = _offset_maps(B, off, r)
-            blocks.append(adj[:, dirs] * stride + cell)
+            dirs, cell = _offset_maps(B, off)
+            blocks.append(adj[:, dirs] * B**3 + cell)
         #: (K, num_slots, B^3) flat source index of every gathered cell
         self.flat = np.ascontiguousarray(np.stack(blocks))
 
     def gather(self, source: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Gather all offsets of ``source`` into one contiguous block.
-
-        ``source`` is the (C-contiguous) packed storage — or the
-        extended storage for ``halo_radius > 0`` plans.  Returns a
-        ``(K, num_slots, B, B, B)`` array; ``out[k]`` holds the shifted
-        field for ``self.offsets[k]``.
-        """
+        """All offsets of the packed storage ``source`` as one
+        ``(K, num_slots, B, B, B)`` array (into ``out`` when given)."""
         K, S, _ = self.flat.shape
         B = self.brick_dim
         shape = (K, S, B, B, B)
@@ -265,102 +71,11 @@ class OffsetGatherPlan:
                 f"out has shape {out.shape}/{out.dtype}, expected "
                 f"{shape}/{source.dtype}"
             )
-        # mode='raise' with out= takes a slow bounds-checked store path;
-        # the table's indices are in-bounds by construction, so 'clip'
-        # is a pure fast-path switch with identical results — and a
-        # reused out buffer keeps its pages warm for the kernel, which
-        # a fresh allocation (minor page faults every call) does not
-        np.take(
-            source.reshape(-1), self.flat, out=out.reshape(K, S, -1), mode="clip"
-        )
+        # the indices are in bounds by construction; 'clip' only skips
+        # the slow bounds-checked store that mode='raise' takes with out=
+        np.take(source.reshape(-1), self.flat, out=out.reshape(K, S, -1), mode="clip")
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"OffsetGatherPlan({len(self.offsets)} offsets, "
-            f"brick_dim={self.brick_dim}, halo_radius={self.halo_radius})"
-        )
 
-
-#: offset plans keyed by grid *geometry* (value identity), so congruent
-#: grids across solver instances — fresh hierarchies per solve, or the
-#: concurrent requests of a solve service — share the index tables
-#: instead of rebuilding them; LRU-bounded (see module docstring)
-_OFFSET_PLAN_CACHE = PlanLRUCache("halo_plan.offset")
-
-
-def offset_plan_for(grid, offsets, halo_radius: int = 0) -> OffsetGatherPlan:
-    """The (cached) :class:`OffsetGatherPlan` of ``grid`` for ``offsets``."""
-    geometry = getattr(grid, "geometry_key", None)
-    key = (geometry, tuple(offsets), int(halo_radius))
-    if geometry is not None:
-        plan = _OFFSET_PLAN_CACHE.get(key)
-        if plan is None:
-            plan = OffsetGatherPlan(grid, offsets, halo_radius)
-            _OFFSET_PLAN_CACHE.put(key, plan)
-        return plan
-    # duck-typed grid without a geometry key: cache per grid object
-    per_grid = _PLAN_CACHE.get(grid)
-    if per_grid is None:
-        per_grid = {}
-        _PLAN_CACHE[grid] = per_grid
-    plan = per_grid.get(key)
-    if plan is None:
-        plan = OffsetGatherPlan(grid, offsets, halo_radius)
-        per_grid[key] = plan
-    return plan
-
-
-def clear_offset_plan_cache() -> int:
-    """Drop every cached :class:`OffsetGatherPlan` and :class:`HaloPlan`.
-
-    Communicator repair rebuilds the exchange machinery from scratch;
-    clearing the shared plan caches forces the index tables to
-    re-derive from the (unchanged) grid geometry, proving the rebuilt
-    path does not depend on any pre-crash cached state.  Plans are pure
-    functions of geometry, so re-derivation is bit-identical.  Returns
-    the number of offset plans dropped.
-    """
-    n = _OFFSET_PLAN_CACHE.clear()
-    _HALO_PLAN_CACHE.clear()
-    return n
-
-
-def plan_for(grid, radius: int) -> HaloPlan:
-    """The (cached) :class:`HaloPlan` of ``grid`` at ``radius``.
-
-    Keyed by ``grid.geometry_key`` when the grid has one, so congruent
-    grids from separate solver instances (or separate service requests)
-    share one plan; the gather/refresh tables read only adjacency-
-    derived indices, which are equal across congruent grids by
-    construction.
-    """
-    geometry = getattr(grid, "geometry_key", None)
-    if geometry is not None:
-        key = (geometry, int(radius))
-        plan = _HALO_PLAN_CACHE.get(key)
-        if plan is None:
-            plan = HaloPlan(grid, radius)
-            _HALO_PLAN_CACHE.put(key, plan)
-        return plan
-    per_grid = _PLAN_CACHE.get(grid)
-    if per_grid is None:
-        per_grid = {}
-        _PLAN_CACHE[grid] = per_grid
-    plan = per_grid.get(radius)
-    if plan is None:
-        plan = HaloPlan(grid, radius)
-        per_grid[radius] = plan
-    return plan
-
-
-def gather_planned(
-    field: BrickedArray, radius: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Planned full gather (drop-in for ``gather_extended``)."""
-    return plan_for(field.grid, radius).gather(field.data, out=out)
-
-
-def refresh_shell(field: BrickedArray) -> None:
-    """Refresh the shell of a halo-resident field in place."""
-    plan_for(field.grid, field.halo_radius).refresh_shell(field)
+#: the name the ladder builds its plans through
+offset_plan_for = OffsetGatherPlan

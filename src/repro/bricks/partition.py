@@ -24,11 +24,10 @@ exactly rounded per element regardless of how the slot axis is chunked,
 so splitting reorders no floating-point operation — overlap mode is
 bit-identical to the synchronous reference.
 
-Partitions (and the subset gather tables they cache) are keyed by
-``geometry_key`` like the offset-plan cache, with a weak per-grid
-fallback for duck-typed grids; :func:`clear_partition_cache` mirrors
-:func:`repro.bricks.halo_plan.clear_offset_plan_cache` so communicator
-repair can prove the rebuilt path re-derives everything from geometry.
+Partitions are keyed by ``geometry_key`` like the exchange plans, with
+a weak per-grid fallback for duck-typed grids;
+:func:`clear_partition_cache` lets communicator repair prove the
+rebuilt path re-derives everything from geometry.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ import numpy as np
 from repro.bricks.plan_cache import PlanLRUCache
 
 #: partitions keyed by grid geometry (value identity), shared across
-#: solver instances like the offset-plan cache; LRU-bounded so a
-#: long-lived service walking many geometries cannot pin unbounded
-#: subset tables
+#: solver instances; LRU-bounded so a long-lived service walking many
+#: geometries cannot pin unbounded slot tables
 _PARTITION_CACHE = PlanLRUCache("partition")
 
 #: per-grid fallback for duck-typed grids without a geometry key
@@ -50,7 +48,7 @@ _GRID_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class BrickPartition:
-    """Interior/shell slot split of one grid, plus subset gather tables.
+    """Interior/shell slot split of one grid.
 
     Works for both :class:`~repro.bricks.brick_grid.BrickGrid` and the
     batched :class:`~repro.bricks.batch.BatchedGrid` — the latter's
@@ -71,8 +69,6 @@ class BrickPartition:
         #: (n_shell,) ascending slots: owned boundary + all ghost bricks
         self.shell = np.ascontiguousarray(np.flatnonzero(~deep))
         self.num_slots = int(coords.shape[0])
-        #: subset gather tables, keyed by (kind, plan identity, pass)
-        self._subsets: dict[tuple, object] = {}
 
     def select(self, which: str) -> np.ndarray:
         """The slot subset of pass ``which`` (``interior``/``shell``)."""
@@ -81,39 +77,6 @@ class BrickPartition:
         if which == "shell":
             return self.shell
         raise ValueError(f"unknown pass {which!r}")
-
-    # ------------------------------------------------------------------
-    def offset_subset(self, plan, which: str) -> np.ndarray:
-        """Contiguous ``(K, n_sel, B^3)`` rows of ``plan.flat`` for one pass.
-
-        ``plan`` is an :class:`~repro.bricks.halo_plan.OffsetGatherPlan`
-        of this grid; the subset table feeds the same single-``np.take``
-        gather as the full plan, restricted to the pass's slots.
-        """
-        key = ("offset", plan.offsets, plan.halo_radius, which)
-        table = self._subsets.get(key)
-        if table is None:
-            sel = self.select(which)
-            table = np.ascontiguousarray(plan.flat[:, sel, :])
-            self._subsets[key] = table
-        return table
-
-    def halo_subset(self, plan, which: str) -> tuple[np.ndarray, np.ndarray]:
-        """``(flat, nbr)`` rows of a :class:`HaloPlan` for one pass.
-
-        ``flat`` indexes packed C-contiguous storage (``np.take`` path);
-        ``nbr`` pairs with ``plan.cell_all`` for strided sources.
-        """
-        key = ("halo", plan.radius, which)
-        cached = self._subsets.get(key)
-        if cached is None:
-            sel = self.select(which)
-            cached = (
-                np.ascontiguousarray(plan._gather_flat[sel]),
-                np.ascontiguousarray(plan.nbr_all[sel]),
-            )
-            self._subsets[key] = cached
-        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -31,9 +31,6 @@ def _solver_config(args: argparse.Namespace):
         cycle=args.cycle,
         boundary=args.boundary,
         communication_avoiding=not args.no_ca,
-        halo_resident=args.engine in ("halo", "full"),
-        fuse_kernels=args.engine in ("fuse", "full"),
-        batch_ranks=args.engine in ("batch", "full"),
         agglomerate_threshold=getattr(args, "agglomerate_threshold", None),
         overlap=getattr(args, "overlap", False),
     )
@@ -53,8 +50,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"solving {args.size}^3 over {config.num_ranks} rank(s), "
         f"{args.levels} levels, {args.brick}^3 bricks, "
         f"smoother={args.smoother}, bottom={args.bottom_solver}, "
-        f"cycle={args.cycle}, boundary={args.boundary}, "
-        f"engine={args.engine}"
+        f"cycle={args.cycle}, boundary={args.boundary}"
     )
     if solver.agglomerator is not None:
         print("agglomeration plan:")
@@ -728,9 +724,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import dataclasses
     import json
     import sys as _sys
 
+    from repro.gmg import SolverConfig
     from repro.service import SolveRequest, SolveService
     from repro.service.loadgen import smoke_config
 
@@ -741,7 +739,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             payload = json.load(fh)
     if isinstance(payload, list):
         payload = {"requests": payload}
-    base = smoke_config(**payload.get("config", {}))
+    overrides = payload.get("config", {})
+    valid = sorted(f.name for f in dataclasses.fields(SolverConfig))
+    unknown = sorted(set(overrides) - set(valid))
+    if unknown:
+        print(
+            f"unknown config key {unknown[0]!r}; valid fields: "
+            f"{', '.join(valid)}",
+            file=_sys.stderr,
+        )
+        return 2
+    base = smoke_config(**overrides)
     requests = [
         SolveRequest(
             config=base,
@@ -816,11 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cycle", default="V", choices=["V", "W", "F"])
         p.add_argument("--boundary", default="periodic",
                        choices=["periodic", "dirichlet", "neumann"])
-        p.add_argument("--engine", default="off",
-                       choices=["off", "halo", "fuse", "batch", "full"],
-                       help="execution engine: halo-resident storage, "
-                            "fused kernels, cross-rank batching, or all "
-                            "three (bit-identical to 'off', faster)")
         p.add_argument("--no-ca", action="store_true",
                        help="disable communication-avoiding smoothing")
         p.add_argument("--overlap", action="store_true",
@@ -983,8 +986,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="expand a declarative config matrix (brick x engine x "
-             "overlap x agglomeration x machine x scenario), run every "
+        help="expand a declarative config matrix (brick x overlap x "
+             "agglomeration x machine x scenario), run every "
              "cell with warmup + interleaved rounds, and report "
              "variance-aware statistics with per-axis delta attribution",
     )

@@ -133,20 +133,23 @@ def common_subexpressions(stencil: Stencil) -> list[tuple]:
     ``smooth+residual``) and repeated compound terms are returned in
     deterministic first-appearance order; the code generator hoists
     each into a buffer, mirroring BrickLib's array-common-subexpression
-    reuse.
+    reuse.  A repeated term counts at its root only: what it is built
+    from is evaluated once inside its buffer and needs none of its own
+    (a name on every intermediate would also keep NumPy from reusing a
+    temporary for the next operation of a chain).
     """
     counts: Counter[tuple] = Counter()
-    order: dict[tuple, int] = {}
     for a in stencil.assignments:
-        for node in _walk(a.expr):
+        stack = [a.expr]
+        while stack:
+            node = stack.pop()
             if isinstance(node, (Const, ConstRef)):
                 continue  # scalars are free; no buffer needed
             k = node.key()
             counts[k] += 1
-            order.setdefault(k, len(order))
-    repeated = [k for k, c in counts.items() if c > 1]
-    repeated.sort(key=order.__getitem__)
-    return repeated
+            if counts[k] == 1 and isinstance(node, BinOp):
+                stack += (node.rhs, node.lhs)
+    return [k for k, c in counts.items() if c > 1]
 
 
 @dataclass(frozen=True)

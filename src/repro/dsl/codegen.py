@@ -34,12 +34,6 @@ import numpy as np
 
 from repro.bricks.bricked_array import BrickedArray
 from repro.bricks.halo import gather_extended
-from repro.bricks.halo_plan import (
-    gather_planned,
-    offset_plan_for,
-    plan_for,
-    refresh_shell,
-)
 from repro.dsl import native
 from repro.dsl.analysis import StencilAnalysis, analyze, common_subexpressions
 from repro.dsl.ast import BinOp, Const, ConstRef, Expr, GridRef, Stencil
@@ -60,14 +54,12 @@ class _Emitter:
         brick_dim: int,
         hoisted: set[tuple],
         lines: list[str],
-        offset_reads: bool = False,
     ) -> None:
         self.halo_grids = halo_grids
         self.radius = radius
         self.brick_dim = brick_dim
         self.hoisted = hoisted
         self.lines = lines
-        self.offset_reads = offset_reads
         self.defined: dict[tuple, str] = {}
         self._counter = 0
 
@@ -78,8 +70,6 @@ class _Emitter:
 
     def _grid_slice(self, ref: GridRef) -> str:
         if ref.grid in self.halo_grids:
-            if self.offset_reads:
-                return f"bufs[{offset_buf_name(ref.grid, ref.offsets)!r}]"
             r, B = self.radius, self.brick_dim
             parts = ", ".join(
                 f"{r + o}:{r + o + B}" for o in ref.offsets
@@ -118,14 +108,7 @@ class _Emitter:
         raise TypeError(f"cannot generate code for {type(node).__name__}")
 
 
-def offset_buf_name(grid: str, offsets: tuple[int, int, int]) -> str:
-    """``bufs`` key of one grid's contiguous per-offset block."""
-    return f"{grid}@{offsets[0]},{offsets[1]},{offsets[2]}"
-
-
-def generate_source(
-    stencil: Stencil, brick_dim: int, offset_reads: bool = False
-) -> str:
+def generate_source(stencil: Stencil, brick_dim: int) -> str:
     """Generate the kernel source for ``stencil`` on ``brick_dim`` bricks.
 
     The generated function has signature ``kernel(bufs, consts, outs)``
@@ -133,11 +116,6 @@ def generate_source(
     grids) or raw brick storage (pointwise grids), ``consts`` maps
     ``ConstRef`` names to scalars, and ``outs`` maps output grid names
     to raw brick storage written in place.
-
-    With ``offset_reads`` each halo-grid read instead targets a
-    contiguous per-offset block (key :func:`offset_buf_name`) supplied
-    by an :class:`~repro.bricks.halo_plan.OffsetGatherPlan` — same
-    values, same operation order, contiguous operands.
     """
     an = analyze(stencil)
     hoisted = set(common_subexpressions(stencil))
@@ -154,7 +132,6 @@ def generate_source(
         brick_dim=brick_dim,
         hoisted=hoisted,
         lines=lines,
-        offset_reads=offset_reads,
     )
     rhs_fragments = []
     for idx, a in enumerate(stencil.assignments):
@@ -167,6 +144,17 @@ def generate_source(
     for idx, a in enumerate(stencil.assignments):
         buf.write(f"    outs[{a.target.grid!r}][...] = _rhs{idx}\n")
     return buf.getvalue()
+
+
+def _scratch(workspace: dict | None, key, shape, dtype) -> np.ndarray:
+    """The buffer kept under ``key`` in the caller's workspace (made on
+    first use; a fresh one when there is no workspace)."""
+    buf = workspace.get(key) if workspace is not None else None
+    if buf is None:
+        buf = np.empty(shape, dtype=dtype)
+        if workspace is not None:
+            workspace[key] = buf
+    return buf
 
 
 class CompiledKernel:
@@ -190,23 +178,6 @@ class CompiledKernel:
             )
         self.source = generate_source(stencil, brick_dim)
         self._fn = self._compile(self.source)
-        #: offset-read variant for planned fields: every halo operand is
-        #: a contiguous per-offset block instead of an extended slice
-        self.offset_source = generate_source(stencil, brick_dim, offset_reads=True)
-        self._offset_fn = self._compile(self.offset_source)
-        #: deterministic per-grid read offsets driving the gather plans,
-        #: with their bufs keys precomputed ((offset, key) rows; the
-        #: centre read, if any, is split out — it may alias storage)
-        self._offset_rows = {}
-        for g in self.analysis.halo_grids:
-            offs = tuple(sorted(self.analysis.offsets[g]))
-            planned = tuple(o for o in offs if o != (0, 0, 0))
-            self._offset_rows[g] = (
-                (0, 0, 0) in offs,
-                offset_buf_name(g, (0, 0, 0)),
-                planned,
-                tuple(offset_buf_name(g, o) for o in planned),
-            )
         #: every grid apply() must be handed (hot-path validation list)
         self._needed_grids = native.field_order(self.analysis)
         #: dtype char -> (backend, native kernel or the reason there is
@@ -258,45 +229,18 @@ class CompiledKernel:
     ) -> None:
         """One application through the halo gather and the NumPy kernel."""
         r = self.analysis.radius
-        halo = self.analysis.halo_grids
-        use_offsets = bool(halo) and all(
-            fields[g].planned_gather and self._offset_ready(fields[g])
-            for g in halo
-        )
         bufs: dict[str, np.ndarray] = {}
         for g in self.analysis.input_grids:
             f = fields[g]
-            if g in halo:
-                if use_offsets:
-                    self._offset_bufs(g, f, grid, workspace, bufs)
-                    continue
-                if f.has_resident_halo and f.halo_radius == r:
-                    # halo-resident layout: the extended storage IS the
-                    # kernel buffer — copy only the 26 shell regions
-                    refresh_shell(f)
-                    bufs[g] = f.ext_data
-                    continue
-                ext = grid.brick_dim + 2 * r
-                shape = (grid.num_slots, ext, ext, ext)
-                dtype = f.data.dtype
-                buf = None
-                if workspace is not None:
-                    key = (g, shape, dtype)
-                    buf = workspace.get(key)
-                    if buf is None:
-                        buf = np.empty(shape, dtype=dtype)
-                        workspace[key] = buf
-                if f.planned_gather:
-                    bufs[g] = gather_planned(f, r, out=buf)
-                else:
-                    bufs[g] = gather_extended(f, r, out=buf)
-            else:
+            if g not in self.analysis.halo_grids:
                 bufs[g] = f.data
+                continue
+            ext = grid.brick_dim + 2 * r
+            shape = (grid.num_slots, ext, ext, ext)
+            buf = _scratch(workspace, (g, shape, f.data.dtype), shape, f.data.dtype)
+            bufs[g] = gather_extended(f, r, out=buf)
         outs = {g: fields[g].data for g in self.analysis.output_grids}
-        if use_offsets:
-            self._offset_fn(bufs, consts, outs)
-        else:
-            self._fn(bufs, consts, outs)
+        self._fn(bufs, consts, outs)
 
     def native_kernel(self, backend, dtype: np.dtype):
         """This stencil's native kernel for ``dtype`` fields under
@@ -411,128 +355,34 @@ class CompiledKernel:
     ) -> dict[str, np.ndarray]:
         """Run the kernel over one pass's slots into scratch outputs.
 
-        Operand gathers are restricted to the subset through the
-        partition's cached index tables; values per slot are identical
-        to the full-grid gathers, so the pass computes exactly the
-        full kernel's results for its slots.
+        Halo operands are gathered for the pass's slot list only;
+        values per slot are identical to the full-grid gather, so the
+        pass computes exactly the full kernel's results for its slots.
         """
         sel = partition.select(which)
         n = int(sel.size)
         r = self.analysis.radius
-        halo = self.analysis.halo_grids
-        use_offsets = bool(halo) and all(
-            fields[g].planned_gather and self._offset_ready(fields[g])
-            for g in halo
-        )
+        B = self.brick_dim
+
+        def scratch(g: str, role: str, edge: int, dtype) -> np.ndarray:
+            key = (g, role, which, n, dtype)
+            return _scratch(workspace, key, (n, edge, edge, edge), dtype)
+
         bufs: dict[str, np.ndarray] = {}
         for g in self.analysis.input_grids:
             f = fields[g]
-            if g in halo:
-                if use_offsets:
-                    self._offset_bufs_subset(g, f, workspace, bufs, partition, which)
-                else:
-                    bufs[g] = self._gather_subset(g, f, r, workspace, partition, which)
+            if g in self.analysis.halo_grids:
+                out = scratch(g, "split-ext", B + 2 * r, f.data.dtype)
+                bufs[g] = gather_extended(f, r, out=out, slots=sel)
             else:
                 bufs[g] = f.data[sel]
-        B = self.brick_dim
-        outs: dict[str, np.ndarray] = {}
-        for g in self.analysis.output_grids:
-            dtype = fields[g].data.dtype
-            buf = None
-            if workspace is not None:
-                key = (g, "split-out", which, n, dtype)
-                buf = workspace.get(key)
-            if buf is None:
-                buf = np.empty((n, B, B, B), dtype=dtype)
-                if workspace is not None:
-                    workspace[key] = buf
-            outs[g] = buf
+        outs = {
+            g: scratch(g, "split-out", B, fields[g].data.dtype)
+            for g in self.analysis.output_grids
+        }
         if n:
-            if use_offsets:
-                self._offset_fn(bufs, consts, outs)
-            else:
-                self._fn(bufs, consts, outs)
+            self._fn(bufs, consts, outs)
         return outs
-
-    def _offset_bufs_subset(
-        self,
-        g: str,
-        f: BrickedArray,
-        workspace: dict | None,
-        bufs: dict[str, np.ndarray],
-        partition,
-        which: str,
-    ) -> None:
-        """Subset variant of :meth:`_offset_bufs`: per-offset blocks
-        restricted to one pass's slots, one ``np.take`` per grid."""
-        has_center, center_key, planned, planned_keys = self._offset_rows[g]
-        sel = partition.select(which)
-        source = self._packed_source(g, f, workspace)
-        if has_center:
-            bufs[center_key] = source[sel]
-        if not planned:
-            return
-        plan = offset_plan_for(f.grid, planned, 0)
-        table = partition.offset_subset(plan, which)
-        n = int(sel.size)
-        block = None
-        if workspace is not None:
-            bkey = (g, "split-offsets", which, len(planned), n, f.dtype)
-            block = workspace.get(bkey)
-        if block is None:
-            block = np.empty(
-                (len(planned), n) + (self.brick_dim,) * 3, dtype=f.dtype
-            )
-            if workspace is not None:
-                workspace[bkey] = block
-        if n:
-            np.take(
-                source.reshape(-1),
-                table,
-                out=block.reshape(len(planned), n, -1),
-                mode="clip",
-            )
-        for k, key in enumerate(planned_keys):
-            bufs[key] = block[k]
-
-    def _gather_subset(
-        self,
-        g: str,
-        f: BrickedArray,
-        r: int,
-        workspace: dict | None,
-        partition,
-        which: str,
-    ) -> np.ndarray:
-        """Extended-block gather restricted to one pass's slots.
-
-        Sources the packed interior view (never the resident shell), so
-        the values match a full :class:`HaloPlan` gather row-for-row —
-        which is itself bit-identical to ``gather_extended``.
-        """
-        plan = plan_for(f.grid, r)
-        sel = partition.select(which)
-        n = int(sel.size)
-        E = plan.ext
-        data = f.data
-        buf = None
-        if workspace is not None:
-            key = (g, "split-ext", which, n, E, data.dtype)
-            buf = workspace.get(key)
-        if buf is None:
-            buf = np.empty((n, E, E, E), dtype=data.dtype)
-            if workspace is not None:
-                workspace[key] = buf
-        if n == 0:
-            return buf
-        flat, nbr = partition.halo_subset(plan, which)
-        if data.flags.c_contiguous:
-            np.take(data.reshape(-1), flat, out=buf.reshape(n, -1))
-        else:
-            buf.reshape(n, -1)[...] = data.reshape(data.shape[0], -1)[
-                nbr, plan.cell_all
-            ]
-        return buf
 
     def _validate(self, fields: dict[str, BrickedArray], consts: dict):
         """Shared apply/apply_split argument checks; returns the grid."""
@@ -554,69 +404,6 @@ class CompiledKernel:
                 f"{grid.brick_dim}"
             )
         return grid
-
-    @staticmethod
-    def _offset_ready(f: BrickedArray) -> bool:
-        """Planned per-offset gathers need a flat (contiguous) source."""
-        if f.has_resident_halo:
-            return f.ext_data.flags.c_contiguous
-        return f.data.flags.c_contiguous
-
-    def _offset_bufs(
-        self,
-        g: str,
-        f: BrickedArray,
-        grid,
-        workspace: dict | None,
-        bufs: dict[str, np.ndarray],
-    ) -> None:
-        """Materialise contiguous per-offset blocks for one halo grid.
-
-        One ``np.take`` per grid; for halo-resident fields the take
-        sources neighbour *interiors* of the extended storage directly,
-        so the shell never needs refreshing on this path.  For packed
-        fields the centre block is the field's own storage — no copy.
-        """
-        has_center, center_key, planned, planned_keys = self._offset_rows[g]
-        source = self._packed_source(g, f, workspace)
-        if has_center:
-            bufs[center_key] = source
-        if not planned:
-            return
-        plan = offset_plan_for(f.grid, planned, 0)
-        block = None
-        if workspace is not None:
-            bkey = (g, "offsets", len(planned), f.data.shape, f.dtype)
-            block = workspace.get(bkey)
-            if block is None:
-                block = np.empty((len(planned),) + f.data.shape, dtype=f.dtype)
-                workspace[bkey] = block
-        block = plan.gather(source, out=block)
-        for k, key in enumerate(planned_keys):
-            bufs[key] = block[k]
-
-    @staticmethod
-    def _packed_source(g: str, f: BrickedArray, workspace: dict | None):
-        """Contiguous packed source for per-offset gathers.
-
-        Halo-resident fields re-pack the (strided) interior once: the
-        per-offset take then streams from a compact contiguous source,
-        which beats both extended-slice operands and an ext-sourced
-        take.  Packed fields are their own source — no copy.
-        """
-        if not f.has_resident_halo:
-            return f.data
-        source = None
-        if workspace is not None:
-            key = (g, "packed", f.data.shape, f.dtype)
-            source = workspace.get(key)
-            if source is None:
-                source = np.empty(f.data.shape, dtype=f.dtype)
-                workspace[key] = source
-        else:
-            source = np.empty(f.data.shape, dtype=f.dtype)
-        np.copyto(source, f.data)
-        return source
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CompiledKernel({self.stencil.name!r}, brick_dim={self.brick_dim})"

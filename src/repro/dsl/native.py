@@ -715,7 +715,7 @@ def _ineligible(compiled, grid, arrays) -> str | None:
         if a.dtype != dtype:
             return "mixed field dtypes"
         if a.shape != shape or not a.flags.c_contiguous:
-            return "halo-resident or strided field storage"
+            return "strided field storage"
     an = compiled.analysis
     order = field_order(an)
     for g in an.output_grids:

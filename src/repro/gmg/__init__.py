@@ -25,7 +25,7 @@ from repro.gmg.bottom import (
     RelaxationBottomSolver,
     make_bottom_solver,
 )
-from repro.gmg.engine import EngineConfig, ExecutionEngine
+from repro.gmg.engine import ExecutionEngine
 from repro.gmg.level import Level, level_brick_dim, make_level
 from repro.gmg.problem import (
     CONVERGENCE_TOL,
@@ -46,11 +46,12 @@ from repro.gmg.smoothers import (
     SORSmoother,
     make_smoother,
 )
-from repro.gmg.solver import GMGSolver, SolveResult, SolverConfig
+from repro.gmg.solver import GMGSolver, Hierarchy, SolveResult, SolverConfig
 from repro.gmg.vcycle import VCycle
 
 __all__ = [
     "GMGSolver",
+    "Hierarchy",
     "BoundaryCondition",
     "BoundaryFill",
     "VariableCoefficientSolver",
@@ -72,7 +73,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "VCycle",
-    "EngineConfig",
     "ExecutionEngine",
     "Level",
     "level_brick_dim",

@@ -563,15 +563,6 @@ class Agglomerator:
         """The gather/scatter transfer entering ``lev`` (transitions)."""
         return self.transfers[lev]
 
-    def level_groups(self, rank_levels) -> list[list[Level]]:
-        """Per depth: the levels that actually compute (for the engine)."""
-        return [
-            list(self.merged_levels[lev])
-            if self.merged_levels[lev] is not None
-            else [levels[lev] for levels in rank_levels]
-            for lev in range(self.config.num_levels)
-        ]
-
     def channels(self) -> list[ResilientChannel]:
         """Every resilient channel this agglomerator opened (for the
         end-of-solve stale drain)."""

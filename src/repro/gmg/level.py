@@ -59,10 +59,6 @@ def make_level(
 class Level:
     """State of one multigrid level on one rank."""
 
-    #: set by the execution engine: smoothers compile the fused pipeline
-    #: stencils (one kernel, one halo gather) instead of staged kernels
-    fused_kernels = False
-
     #: armed by the V-cycle driver in overlap mode: the in-flight
     #: split-phase exchange context that the level's *first*
     #: halo-reading kernel consumes (interior pass, then finish(), then

@@ -42,9 +42,6 @@ from repro.dsl.library import (
     FUSED_APPLY_RESIDUAL,
     FUSED_SMOOTH,
     FUSED_SMOOTH_RESIDUAL,
-    RESIDUAL,
-    SMOOTH,
-    SMOOTH_RESIDUAL,
 )
 from repro.gmg.level import Level
 from repro.instrument import Recorder
@@ -86,28 +83,16 @@ def _apply_op(level: Level, recorder: Recorder | None, tracer=NULL_TRACER) -> No
         recorder.kernel(level.index, "applyOp", level.num_points)
 
 
-def _residual(level: Level, recorder: Recorder | None, tracer=NULL_TRACER) -> None:
-    with tracer.span("residual", l=level.index):
-        _run_kernel(level, RESIDUAL, {}, tracer)
-    if recorder is not None:
-        recorder.kernel(level.index, "residual", level.num_points)
-
-
 def _apply_op_residual(
     level: Level, recorder: Recorder | None, tracer=NULL_TRACER
 ) -> None:
-    """``Ax = A x`` and ``r = b - Ax`` — one fused kernel when the level
-    runs under the engine's fused mode, the staged pair otherwise."""
-    if level.fused_kernels:
-        with tracer.span(FUSED_APPLY_RESIDUAL.name, l=level.index):
-            _run_kernel(
-                level, FUSED_APPLY_RESIDUAL, level.constants.as_dict(), tracer
-            )
-        if recorder is not None:
-            recorder.kernel(level.index, FUSED_APPLY_RESIDUAL.name, level.num_points)
-        return
-    _apply_op(level, recorder, tracer)
-    _residual(level, recorder, tracer)
+    """``Ax = A x`` and ``r = b - Ax`` in one fused kernel."""
+    with tracer.span(FUSED_APPLY_RESIDUAL.name, l=level.index):
+        _run_kernel(
+            level, FUSED_APPLY_RESIDUAL, level.constants.as_dict(), tracer
+        )
+    if recorder is not None:
+        recorder.kernel(level.index, FUSED_APPLY_RESIDUAL.name, level.num_points)
 
 
 def _scratch(level: Level, name: str) -> np.ndarray:
@@ -173,8 +158,12 @@ class JacobiSmoother(Smoother):
     """Damped point Jacobi — the paper's smoother.
 
     ``omega = 0.5`` gives the paper's ``gamma = h^2/12`` exactly and is
-    the default; kernels fuse the update with the residual when one is
-    requested, exactly as in Algorithm 2.
+    the default.  Algorithm 2's ``applyOp`` then ``smooth`` (or
+    ``smooth+residual``) run as one fused stencil: the applyOp subtree
+    is substituted into the update (and residual) expressions and
+    CSE-hoisted, so the float sequence matches the staged pair — which
+    ``tests/oracle.py`` keeps as the reference — with one halo read and
+    one kernel call for a whole exchange window.
     """
 
     name = "jacobi"
@@ -201,14 +190,6 @@ class JacobiSmoother(Smoother):
         recorder: Recorder | None,
         sweeps: int = 1,
     ) -> None:
-        if not level.fused_kernels:
-            # the staged applyOp/smooth pair alternates: single sweeps
-            super().iterate(level, with_residual, recorder, sweeps)
-            return
-        # one kernel, one halo gather/refresh: the applyOp subtree is
-        # substituted into the update (and residual) expressions and
-        # CSE-hoisted, so the float sequence matches the staged path —
-        # and one kernel call for the whole window
         stencil = FUSED_SMOOTH_RESIDUAL if with_residual else FUSED_SMOOTH
         with self.tracer.span(stencil.name, l=level.index, sweeps=sweeps):
             _run_kernel(
@@ -221,12 +202,7 @@ class JacobiSmoother(Smoother):
     def sweep(
         self, level: Level, with_residual: bool, recorder: Recorder | None
     ) -> None:
-        _apply_op(level, recorder, self.tracer)
-        stencil = SMOOTH_RESIDUAL if with_residual else SMOOTH
-        with self.tracer.span(stencil.name, l=level.index):
-            _run_kernel(level, stencil, self._constants(level), self.tracer)
-        if recorder is not None:
-            recorder.kernel(level.index, stencil.name, level.num_points)
+        self.iterate(level, with_residual, recorder)
 
 
 class _ColoredSmoother(Smoother):

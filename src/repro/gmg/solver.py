@@ -1,9 +1,12 @@
 """Public solver API: configure, solve, inspect.
 
-:class:`GMGSolver` assembles the whole stack — domain decomposition,
-per-rank level hierarchies, ghost exchangers, simulated MPI — from a
-declarative :class:`SolverConfig`, runs Algorithm 1, and exposes the
-assembled global solution plus the instrumentation record.
+A :class:`Hierarchy` assembles what a solve stands on — domain
+decomposition, per-rank level hierarchies, ghost exchangers, simulated
+MPI, the right-hand side — from a declarative :class:`SolverConfig`;
+:class:`GMGSolver` is a hierarchy adopted into the stacked execution
+layout (:mod:`repro.gmg.engine`) under a V-cycle driver: it runs
+Algorithm 1 and exposes the assembled global solution plus the
+instrumentation record.
 
 Example
 -------
@@ -25,7 +28,7 @@ import numpy as np
 from repro.comm.exchange import HaloExchange, LocalPeriodicExchange
 from repro.comm.simmpi import SimComm
 from repro.comm.topology import CartTopology
-from repro.gmg.engine import EngineConfig, ExecutionEngine
+from repro.gmg.engine import ExecutionEngine
 from repro.gmg.level import Level, level_brick_dim
 from repro.gmg.problem import CONVERGENCE_TOL, rhs_field
 from repro.gmg.vcycle import VCycle
@@ -68,11 +71,6 @@ class SolverConfig:
     #: domain boundary condition: "periodic" (paper) / "dirichlet" /
     #: "neumann" (homogeneous, cell-centred mirror ghosts)
     boundary: str = "periodic"
-    #: execution-engine toggles (repro.gmg.engine); every combination
-    #: is bit-identical to the seed path, only wallclock changes
-    halo_resident: bool = False
-    fuse_kernels: bool = False
-    batch_ranks: bool = False
     #: communication–computation overlap (repro.bricks.partition +
     #: split-phase exchange): halo sends post first, interior bricks
     #: compute while envelopes are in flight, and only the shell pass
@@ -81,16 +79,29 @@ class SolverConfig:
     #: coarse-level agglomeration (repro.gmg.agglomerate): when a
     #: level's per-rank subdomain falls below this many points, merge
     #: subdomains onto a factor-of-8-smaller active rank grid.  None
-    #: (default) disables agglomeration — the bit-identical seed
-    #: schedule.  The paper-scale sweet spot is a few thousand points
-    #: (the surface-to-volume knee); tiny thresholds never trigger.
+    #: (default) disables agglomeration.  The paper-scale sweet spot is
+    #: a few thousand points (the surface-to-volume knee); tiny
+    #: thresholds never trigger.
     agglomerate_threshold: int | None = None
 
     def __post_init__(self) -> None:
+        from repro.bricks.orderings import ORDERINGS
         from repro.gmg.bottom import BOTTOM_SOLVERS
         from repro.gmg.smoothers import SMOOTHERS
         from repro.gmg.vcycle import CYCLE_TYPES
 
+        if len(self.rank_dims) != 3 or any(p < 1 for p in self.rank_dims):
+            raise ValueError(
+                f"rank_dims must be three positive integers: {self.rank_dims!r}"
+            )
+        for name in ("brick_dim", "max_smooths", "bottom_smooths"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive: {getattr(self, name)}")
+        if self.ordering not in ORDERINGS:
+            raise ValueError(
+                f"unknown ordering {self.ordering!r}; choose from "
+                f"{sorted(ORDERINGS)}"
+            )
         if self.smoother not in SMOOTHERS:
             raise ValueError(
                 f"unknown smoother {self.smoother!r}; choose from "
@@ -234,8 +245,15 @@ class SolveResult:
         return self.recorder.fault_counts()
 
 
-class GMGSolver:
-    """Brick-based geometric multigrid on the paper's model problem.
+class Hierarchy:
+    """One configuration's problem state, before any execution layout.
+
+    Builds the decomposition, the simulated communicator, every rank's
+    level hierarchy, the per-level ghost exchangers, the agglomerator
+    (when the threshold merges anything) and the finest-level
+    right-hand side.  :class:`GMGSolver` adopts one hierarchy into the
+    stacked layout and drives it; a service cohort builds several and
+    adopts them together under one engine.
 
     Parameters
     ----------
@@ -343,8 +361,6 @@ class GMGSolver:
             )
 
         self._init_rhs()
-        from repro.gmg.bottom import make_bottom_solver
-        from repro.gmg.smoothers import make_smoother
 
         self.agglomerator = None
         if (
@@ -363,66 +379,10 @@ class GMGSolver:
                 max_retries=self._max_retries,
                 tracer=self.tracer,
             )
-            # a threshold too small to merge anything leaves the seed
+            # a threshold too small to merge anything leaves the
             # schedule untouched (and unpoliced levels un-built)
             if agglomerator.active:
                 self.agglomerator = agglomerator
-
-        self.engine = None
-        engine_config = EngineConfig(
-            halo_resident=config.halo_resident,
-            fuse_kernels=config.fuse_kernels,
-            batch_ranks=config.batch_ranks,
-        )
-        if engine_config.enabled:
-            # adopt after _init_rhs so the stacked/extended storage
-            # inherits the initialised right-hand side
-            self.engine = ExecutionEngine(
-                self.rank_levels,
-                engine_config,
-                tracer=self.tracer,
-                level_groups=(
-                    self.agglomerator.level_groups(self.rank_levels)
-                    if self.agglomerator is not None
-                    else None
-                ),
-                group_ranks=(
-                    [
-                        self.agglomerator.ranks_at(lev)
-                        or list(range(self.topology.size))
-                        for lev in range(config.num_levels)
-                    ]
-                    if self.agglomerator is not None
-                    else None
-                ),
-            )
-
-        bottom_kwargs = dict(config.bottom_options)
-        if config.bottom_solver == "relaxation" and "iterations" not in bottom_kwargs:
-            bottom_kwargs["iterations"] = config.bottom_smooths
-        if config.bottom_solver == "cg" and "project_nullspace" not in bottom_kwargs:
-            # the Dirichlet operator is non-singular; periodic/Neumann
-            # have the constant nullspace
-            bottom_kwargs["project_nullspace"] = config.boundary != "dirichlet"
-        self.vcycle = VCycle(
-            self.rank_levels,
-            self.exchangers,
-            max_smooths=config.max_smooths,
-            bottom_smooths=config.bottom_smooths,
-            communication_avoiding=config.communication_avoiding,
-            recorder=self.recorder,
-            smoother=make_smoother(config.smoother, **dict(config.smoother_options)),
-            bottom_solver=make_bottom_solver(config.bottom_solver, **bottom_kwargs),
-            cycle=config.cycle,
-            allreduce_max=self.comm.allreduce_max if self.comm is not None else None,
-            allreduce_sum=self.comm.allreduce_sum if self.comm is not None else None,
-            topology=self.topology,
-            fault_injector=self.injector,
-            engine=self.engine,
-            tracer=self.tracer,
-            agglomerator=self.agglomerator,
-            overlap=config.overlap,
-        )
 
     def _build_exchanger(self, lev: int):
         """A fresh full-grid exchanger for level ``lev``."""
@@ -460,6 +420,104 @@ class GMGSolver:
             origin = self.topology.subdomain_origin(rank, per_rank)
             levels[0].b.set_interior(rhs(per_rank, h, origin))
 
+    def compute_groups(self) -> tuple[list[list[Level]], list[list[int]]]:
+        """Per depth: the levels that compute it and the global rank
+        owning each — one per rank, or the merged levels of the active
+        ranks where the agglomerator took the level over.  What an
+        :class:`~repro.gmg.engine.ExecutionEngine` stacks."""
+        agg = self.agglomerator
+        everyone = list(range(self.topology.size))
+        groups, ranks = [], []
+        for lev in range(self.config.num_levels):
+            merged = agg.levels_at(lev) if agg is not None else None
+            if merged is None:
+                groups.append([levels[lev] for levels in self.rank_levels])
+                ranks.append(everyone)
+            else:
+                groups.append(list(merged))
+                ranks.append(agg.ranks_at(lev))
+        return groups, ranks
+
+    def make_vcycle(self, engine) -> VCycle:
+        """The configured cycle driver over this hierarchy.  ``engine``
+        is the engine that adopted it, or ``None`` for the per-rank
+        schedule."""
+        from repro.gmg.bottom import make_bottom_solver
+        from repro.gmg.smoothers import make_smoother
+
+        config = self.config
+        bottom_kwargs = dict(config.bottom_options)
+        if config.bottom_solver == "relaxation" and "iterations" not in bottom_kwargs:
+            bottom_kwargs["iterations"] = config.bottom_smooths
+        if config.bottom_solver == "cg" and "project_nullspace" not in bottom_kwargs:
+            # the Dirichlet operator is non-singular; periodic/Neumann
+            # have the constant nullspace
+            bottom_kwargs["project_nullspace"] = config.boundary != "dirichlet"
+        return VCycle(
+            self.rank_levels,
+            self.exchangers,
+            max_smooths=config.max_smooths,
+            bottom_smooths=config.bottom_smooths,
+            communication_avoiding=config.communication_avoiding,
+            recorder=self.recorder,
+            smoother=make_smoother(config.smoother, **dict(config.smoother_options)),
+            bottom_solver=make_bottom_solver(config.bottom_solver, **bottom_kwargs),
+            cycle=config.cycle,
+            allreduce_max=self.comm.allreduce_max if self.comm is not None else None,
+            allreduce_sum=self.comm.allreduce_sum if self.comm is not None else None,
+            topology=self.topology,
+            fault_injector=self.injector,
+            engine=engine,
+            tracer=self.tracer,
+            agglomerator=self.agglomerator,
+            overlap=config.overlap,
+        )
+
+    def _assemble(self, name: str) -> np.ndarray:
+        """The global finest-level field ``name`` as a dense array."""
+        N = self.config.global_cells
+        out = np.empty((N, N, N), dtype=np.float64)
+        per_rank = self.config.cells_per_rank
+        for rank, levels in enumerate(self.rank_levels):
+            o = self.topology.subdomain_origin(rank, per_rank)
+            out[
+                o[0] : o[0] + per_rank[0],
+                o[1] : o[1] + per_rank[1],
+                o[2] : o[2] + per_rank[2],
+            ] = getattr(levels[0], name).to_ijk()
+        return out
+
+    def solution(self) -> np.ndarray:
+        """Assemble the global finest-level solution as a dense array."""
+        return self._assemble("x")
+
+    def residual_dense(self) -> np.ndarray:
+        """Assemble the global finest-level residual."""
+        return self._assemble("r")
+
+
+class GMGSolver(Hierarchy):
+    """Brick-based geometric multigrid on the paper's model problem.
+
+    A :class:`Hierarchy` (same parameters) adopted into the stacked
+    layout: every depth's compute levels are blocks of one stacked
+    level, smoothed with the fused stencils through the native kernels
+    where the host has a compiler and the NumPy kernels elsewhere.
+    """
+
+    def __init__(
+        self,
+        config: SolverConfig,
+        resilience=None,
+        fault_plan=None,
+        tracer=None,
+    ) -> None:
+        super().__init__(config, resilience, fault_plan, tracer)
+        # adopt after the right-hand side is in place: the stacked
+        # storage inherits the fields' contents
+        self.engine = ExecutionEngine(*self.compute_groups(), tracer=self.tracer)
+        self.vcycle = self.make_vcycle(self.engine)
+
     # ------------------------------------------------------------------
     # rank-crash recovery hooks (called by the ResilientDriver)
     # ------------------------------------------------------------------
@@ -471,12 +529,11 @@ class GMGSolver:
         (the distributed analogue of re-deriving every ``MPI_Datatype``
         on the repaired communicator), agglomerated channels and the
         buddy checkpointer forget their envelope state in place, and
-        the shared :class:`~repro.bricks.halo_plan.OffsetGatherPlan`
-        cache is dropped so gather plans re-derive from geometry.
-        Every rebuilt piece is a pure function of the unchanged
-        decomposition, so the replayed schedule stays bit-identical.
+        the shared partition cache is dropped so the interior/shell
+        split re-derives from geometry.  Every rebuilt piece is a pure
+        function of the unchanged decomposition, so the replayed
+        schedule stays bit-identical.
         """
-        from repro.bricks.halo_plan import clear_offset_plan_cache
         from repro.bricks.partition import clear_partition_cache
 
         self.exchangers = [
@@ -489,7 +546,6 @@ class GMGSolver:
                 channel.reset_envelopes()
         if self.buddy is not None:
             self.buddy.reset_envelopes()
-        clear_offset_plan_cache()
         clear_partition_cache()
 
     def _restart_state(self) -> None:
@@ -584,34 +640,6 @@ class GMGSolver:
             bytes_restored=outcome.bytes_restored,
             cycles_lost=outcome.cycles_lost,
         )
-
-    def solution(self) -> np.ndarray:
-        """Assemble the global finest-level solution as a dense array."""
-        N = self.config.global_cells
-        out = np.empty((N, N, N), dtype=np.float64)
-        per_rank = self.config.cells_per_rank
-        for rank, levels in enumerate(self.rank_levels):
-            o = self.topology.subdomain_origin(rank, per_rank)
-            out[
-                o[0] : o[0] + per_rank[0],
-                o[1] : o[1] + per_rank[1],
-                o[2] : o[2] + per_rank[2],
-            ] = levels[0].x.to_ijk()
-        return out
-
-    def residual_dense(self) -> np.ndarray:
-        """Assemble the global finest-level residual."""
-        N = self.config.global_cells
-        out = np.empty((N, N, N), dtype=np.float64)
-        per_rank = self.config.cells_per_rank
-        for rank, levels in enumerate(self.rank_levels):
-            o = self.topology.subdomain_origin(rank, per_rank)
-            out[
-                o[0] : o[0] + per_rank[0],
-                o[1] : o[1] + per_rank[1],
-                o[2] : o[2] + per_rank[2],
-            ] = levels[0].r.to_ijk()
-        return out
 
 
 def estimate_solve_time(config: SolverConfig, machine, num_vcycles: int) -> float:

@@ -49,8 +49,8 @@ class Exchanger(Protocol):
     Exchangers may additionally offer the split-phase pair
     ``begin(level, fields_by_rank) -> pending`` / ``finish(pending)``;
     the driver uses it (when ``overlap`` is on) to run interior compute
-    while halo envelopes are in flight, and falls back to the
-    synchronous ``exchange`` otherwise.
+    while halo envelopes are in flight.  An exchanger without the pair
+    has nothing in flight to hide and is driven synchronously.
     """
 
     def exchange(
@@ -120,6 +120,18 @@ class VCycle:
     topology:
         Optional :class:`~repro.comm.topology.CartTopology` (needed by
         the FFT bottom solver to assemble the global coarse grid).
+    engine:
+        The :class:`~repro.gmg.engine.ExecutionEngine` that stacked
+        ``rank_levels``: compute phases then run once over each depth's
+        stacked level.  ``None`` loops over the per-rank levels instead
+        — the schedule of the variable-coefficient solver, whose levels
+        carry coefficient fields the engine does not stack, and of the
+        test oracle.
+    overlap:
+        Split-phase exchanges with interior/shell kernel passes.  Needs
+        a smoother that declares ``supports_overlap`` and the default
+        ``apply_op_fn``; anything else is rejected here rather than run
+        synchronously behind the caller's back.
     """
 
     def __init__(
@@ -169,8 +181,6 @@ class VCycle:
         self.topology = topology
         #: optional FaultInjector poisoning kernel outputs (SDC model)
         self.fault_injector = fault_injector
-        #: optional ExecutionEngine (repro.gmg.engine): batched/fused/
-        #: halo-resident execution, bit-identical to the per-rank path
         self.engine = engine
         #: optional Agglomerator (repro.gmg.agglomerate): below its
         #: threshold, coarse levels compute on merged subdomains owned
@@ -193,6 +203,18 @@ class VCycle:
         self._allreduce_max = allreduce_max or (lambda values: float(np.max(values)))
         self.allreduce_sum = allreduce_sum or (lambda values: sum(values))
         self.apply_op_fn = apply_op_fn or ops.apply_op
+        if self.overlap:
+            # both consume the armed overlap context through the
+            # overlap-aware kernel helpers; code that does not would
+            # read ghosts while the exchange is still in flight
+            if not getattr(self.smoother, "supports_overlap", False):
+                raise ValueError(
+                    "overlap=True needs a smoother that supports overlap; "
+                    f"{self.smoother.name!r} "
+                    f"({type(self.smoother).__name__}) does not"
+                )
+            if self.apply_op_fn is not ops.apply_op:
+                raise ValueError("overlap=True needs the default apply_op_fn")
         self._validate_ca_budget()
 
     def _validate_ca_budget(self) -> None:
@@ -250,11 +272,10 @@ class VCycle:
     def smooth_level(self, lev: int, iterations: int, with_residual: bool) -> None:
         """One smoothing visit: CA-scheduled exchanges + iterations.
 
-        The exchange cadence is part of the numerics and is identical in
-        every execution mode; with the engine's cross-rank batching the
-        per-rank smoother loop collapses into one vectorised iterate
-        over the stacked level (exchanges still address the per-rank
-        fields, whose storage views the stacked arrays).  Each exchange
+        The exchange cadence is part of the numerics; under the engine
+        the per-rank smoother loop collapses into one iterate over the
+        stacked level (exchanges still address the per-rank fields,
+        whose storage views the stacked arrays).  Each exchange
         opens a *window* of as many iterations as its halo stays valid
         for (one without communication avoiding), handed to the
         smoother in a single ``iterate(..., sweeps=window)``.
@@ -271,14 +292,11 @@ class VCycle:
             self.engine.stacked_level(lev) if self.engine is not None else None
         )
         targets = levels if stacked is None else [stacked]
-        split_ok = getattr(self.smoother, "supports_overlap", False)
         per_window = self.iterations_per_exchange(lev)
         fields = [[lv.x, lv.b] for lv in levels]
         with self.tracer.span("smooth-visit", l=lev, n=iterations):
             while iterations > 0:
-                ctx = self._exchange_levels(
-                    lev, fields, levels, stacked, split_ok
-                )
+                ctx = self._exchange_levels(lev, fields, levels, stacked)
                 # b's ghost stays valid for the rest of the visit
                 fields = [[lv.x] for lv in levels]
                 # every iteration this exchange's halo covers, in one
@@ -302,21 +320,17 @@ class VCycle:
                     self.fault_injector.kernel_sdc(lev, rank, lv.x)
 
     # ------------------------------------------------------------------
-    def _exchange_levels(
-        self, lev: int, fields, levels, stacked, split_ok: bool
-    ):
-        """Fill ghost shells, split-phase when overlap applies.
+    def _exchange_levels(self, lev: int, fields, levels, stacked):
+        """Fill ghost shells, split-phase in overlap mode.
 
         Returns the in-flight :class:`_OverlapContext` (armed on the
         compute targets — the stacked level under the engine, the
         per-rank levels otherwise) or ``None`` after a synchronous
-        exchange.  Falls back to synchronous when overlap is off, the
-        consumer does not route kernels through the overlap-aware
-        helpers (``split_ok``), or the exchanger has no ``begin``.
+        exchange (overlap off, or an exchanger with no ``begin``).
         """
         ex = self.exchanger_at(lev)
         begin = getattr(ex, "begin", None)
-        if not (self.overlap and split_ok) or begin is None:
+        if not self.overlap or begin is None:
             ex.exchange(lev, fields)
             return None
         grid = (stacked if stacked is not None else levels[0]).grid
@@ -455,40 +469,36 @@ class VCycle:
             self._cycle(0, self.cycle)
         self.cycles_run += 1
 
+    def _residual_pass(self):
+        """Exchange ``x`` and evaluate ``Ax``, ``r = b - Ax`` on the
+        finest level; returns ``(levels, stacked level or None)``.
+        Call inside a ``residual-check`` span."""
+        levels = self.levels_at(0)
+        stacked = (
+            self.engine.stacked_level(0) if self.engine is not None else None
+        )
+        ctx = self._exchange_levels(
+            0, [[lv.x] for lv in levels], levels, stacked
+        )
+        try:
+            # under the engine one applyOp + residual covers all rank
+            # blocks; per-rank reductions read through the stacked views
+            for target in levels if stacked is None else [stacked]:
+                with self.tracer.span("applyOp", l=0):
+                    if self.apply_op_fn is ops.apply_op:
+                        ops.apply_op(target, self.recorder, tracer=self.tracer)
+                    else:
+                        self.apply_op_fn(target, self.recorder)
+                with self.tracer.span("residual", l=0):
+                    ops.residual(target, self.recorder)
+        finally:
+            self._end_overlap(ctx, levels, stacked)
+        return levels, stacked
+
     def max_norm_residual(self) -> float:
         """Global max-norm of the finest-level residual (Algorithm 1)."""
         with self.tracer.span("residual-check", v=self.cycles_run):
-            levels = self.levels_at(0)
-            stacked = (
-                self.engine.stacked_level(0) if self.engine is not None else None
-            )
-            # split-phase overlap only when the default applyOp runs —
-            # a custom apply_op_fn may not consume the armed context,
-            # and would then read stale ghosts
-            split_ok = self.apply_op_fn is ops.apply_op
-            ctx = self._exchange_levels(
-                0, [[lv.x] for lv in levels], levels, stacked, split_ok
-            )
-            try:
-                if stacked is not None and self.apply_op_fn is ops.apply_op:
-                    # one vectorised applyOp + residual over all rank
-                    # blocks; the per-rank local maxima read through the
-                    # stacked views
-                    with self.tracer.span("applyOp", l=0):
-                        ops.apply_op(stacked, self.recorder, tracer=self.tracer)
-                    with self.tracer.span("residual", l=0):
-                        ops.residual(stacked, self.recorder)
-                else:
-                    for lv in levels:
-                        with self.tracer.span("applyOp", l=0):
-                            if self.apply_op_fn is ops.apply_op:
-                                ops.apply_op(lv, self.recorder, tracer=self.tracer)
-                            else:
-                                self.apply_op_fn(lv, self.recorder)
-                        with self.tracer.span("residual", l=0):
-                            ops.residual(lv, self.recorder)
-            finally:
-                self._end_overlap(ctx, levels, stacked)
+            levels, _ = self._residual_pass()
             local = [lv.r.max_abs_interior() for lv in levels]
             if self.recorder is not None:
                 self.recorder.reduction()

@@ -17,7 +17,7 @@ finest-level cells divided by total solve time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS
@@ -421,11 +421,7 @@ class TimedSolve:
         R = self.topology.size
         for (lev, op), n in counts.items():
             per_rank = n // R
-            if op == "restriction" or op == "interpolation+increment":
-                pts = self.levels[min(lev + 1, W.num_levels - 1)].points
-            else:
-                pts = self.levels[lev].points
-            t = self.kernel_seconds(op, lev, pts)
+            t = self.kernel_seconds(op, lev, self._op_points(lev, op))
             kernel_launch += per_rank * launch
             kernel_stream += per_rank * (t - launch)
 
@@ -464,12 +460,20 @@ class TimedSolve:
     # ------------------------------------------------------------------
     # schedule counts for cross-validation against the functional solver
     # ------------------------------------------------------------------
+    def _op_points(self, lev: int, op: str) -> int:
+        """Points one rank's application of ``op`` at ``lev`` processes
+        (the inter-grid operators are sized by their coarse side)."""
+        if op in ("restriction", "interpolation+increment"):
+            lev = min(lev + 1, self.workload.num_levels - 1)
+        return self.levels[lev].points
+
     def schedule_kernel_counts(self, num_vcycles: int, num_checks: int) -> dict:
-        """Expected ``Recorder.kernel_counts()`` of a functional solve.
+        """Kernel applications of a functional solve, by the paper's
+        operation names, summed over ranks.
 
         ``num_vcycles`` V-cycles plus ``num_checks`` convergence checks
         (Algorithm 1 evaluates the residual once before the first cycle
-        and once after each).  Counts are totals across all ranks.
+        and once after each).
         """
         W = self.workload
         R = self.topology.size
@@ -491,6 +495,22 @@ class TimedSolve:
         add(0, "applyOp", num_checks * R)
         add(0, "residual", num_checks * R)
         return counts
+
+    def schedule_kernel_points(self, num_vcycles: int, num_checks: int) -> dict:
+        """Expected ``Recorder.kernel_points()`` of a functional solve,
+        re-keyed by :func:`repro.obs.aggregate.by_paper_op`.
+
+        Points, not calls: the solver runs one kernel call over all
+        rank blocks and a fused stencil for a staged pair, so its call
+        counts depend on how it executes; the points each paper
+        operation processes do not.
+        """
+        return {
+            (lev, op): n * self._op_points(lev, op)
+            for (lev, op), n in self.schedule_kernel_counts(
+                num_vcycles, num_checks
+            ).items()
+        }
 
     def schedule_exchange_counts(self, num_vcycles: int, num_checks: int) -> dict:
         """Expected ``Recorder.exchange_counts()`` (phases per level)."""

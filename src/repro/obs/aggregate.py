@@ -43,6 +43,18 @@ MODEL_OP_FOR = {
 }
 
 
+def by_paper_op(totals: dict[tuple[int, str], int]) -> dict[tuple[int, str], int]:
+    """Re-key recorded ``{(level, name): n}`` totals
+    (``Recorder.kernel_counts()`` / ``kernel_points()``) by the paper's
+    operation names: a fused stencil counts once for every staged
+    kernel it covers (:data:`MODEL_OP_FOR`)."""
+    out: dict[tuple[int, str], int] = defaultdict(int)
+    for (lev, name), n in totals.items():
+        for op in MODEL_OP_FOR.get(name, (name,)):
+            out[(lev, op)] += n
+    return dict(out)
+
+
 def op_spans(tracer: Tracer) -> list[SpanRecord]:
     """Leaf operation spans (structure spans filtered out)."""
     return [s for s in tracer.ordered_spans() if s.name not in STRUCTURE_SPANS]

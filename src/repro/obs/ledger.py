@@ -439,15 +439,14 @@ def measure_hotpath(
 ) -> LedgerEntry:
     """Measure the tier-1 end-to-end hot path as a gate candidate.
 
-    A trimmed in-process rerun of the end-to-end section of
-    ``benchmarks/bench_kernel_hotpath.py`` — interleaved best-of-
-    ``rounds`` over the seed and full-engine configurations — so
-    ``repro perfgate`` can produce a candidate without the benchmark
-    suite.  Metric names match the bench's (``end_to_end_ms.*``), which
-    is what makes the two comparable in one ledger.  ``overlap`` runs
-    the same configurations under the split-phase exchange schedule
-    (bit-identical numerics), gating the overlap path against the same
-    baseline series — the schedule must not regress the hot path.
+    Best-of-``rounds`` wallclock of constructing and solving the tier-1
+    problem, recorded as ``end_to_end_ms.full`` — the name the
+    committed ``kernel_hotpath`` series has carried since it compared
+    engine modes, kept so the series stays one comparable trajectory
+    (its ``end_to_end_ms.seed`` column simply ends; a metric the
+    candidate lacks never gates).  ``overlap`` runs the split-phase
+    exchange schedule (bit-identical numerics), gating it against the
+    same baseline series — the schedule must not regress the hot path.
     """
     import time
 
@@ -457,22 +456,14 @@ def measure_hotpath(
         quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
     rounds = max(1, rounds if not quick else min(rounds, 2))
     tier1 = dict(global_cells=32, num_levels=3, brick_dim=4, overlap=overlap)
-    modes = {
-        "seed": {},
-        "full": dict(halo_resident=True, fuse_kernels=True, batch_ranks=True),
-    }
-    best = {name: float("inf") for name in modes}
+    best = float("inf")
     for _ in range(rounds):
-        for name, flags in modes.items():
-            t0 = time.perf_counter()
-            GMGSolver(SolverConfig(**tier1, **flags)).solve()
-            best[name] = min(best[name], time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        GMGSolver(SolverConfig(**tier1)).solve()
+        best = min(best, time.perf_counter() - t0)
     return LedgerEntry(
         benchmark="kernel_hotpath",
-        metrics={
-            f"end_to_end_ms.{name}": round(v * 1e3, 2)
-            for name, v in best.items()
-        },
+        metrics={"end_to_end_ms.full": round(best * 1e3, 2)},
         source="perfgate",
         context={"problem": tier1, "rounds": rounds, "quick": quick},
     )

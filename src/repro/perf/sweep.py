@@ -6,8 +6,8 @@ JSON writing and quick-mode flags.  This module replaces that with one
 declarative shape, in the spirit of the paper's own evaluation matrix
 (brick size × kernel × scale):
 
-* a :class:`SweepConfig` declares **axes** (brick size, engine flags,
-  overlap, agglomeration threshold, machine model, scenario) whose
+* a :class:`SweepConfig` declares **axes** (brick size, overlap,
+  agglomeration threshold, machine model, scenario) whose
   cartesian product :func:`expand` turns into :class:`SweepCell`\\ s;
 * :func:`run_sweep` executes every cell through the existing
   :class:`~repro.gmg.solver.GMGSolver` path with **warmup discard**
@@ -57,7 +57,7 @@ SCENARIOS: dict[str, dict] = {
     # the 8-rank tier-1 problem the overlap/commviz benches use
     "tier1-distributed": dict(
         global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2),
-        batch_ranks=True, max_vcycles=4,
+        max_vcycles=4,
     ),
     # small problems for CI smoke matrices
     "smoke": dict(
@@ -75,18 +75,9 @@ SCENARIOS: dict[str, dict] = {
     ),
 }
 
-#: the CLI's ``--engine`` shorthand, reused as a sweep axis
-ENGINE_FLAGS: dict[str, dict] = {
-    "off": {},
-    "halo": dict(halo_resident=True),
-    "fuse": dict(fuse_kernels=True),
-    "batch": dict(batch_ranks=True),
-    "full": dict(halo_resident=True, fuse_kernels=True, batch_ranks=True),
-}
-
 #: axis keys with special resolution rules (everything else must name a
 #: SolverConfig field)
-_SPECIAL_AXES = ("engine", "scenario", "machine")
+_SPECIAL_AXES = ("scenario", "machine")
 
 
 def _solver_field_names() -> set[str]:
@@ -221,13 +212,6 @@ def _apply_setting(kwargs: dict, key: str, value, scenarios) -> str | None:
     """
     if key == "machine":
         return None if value in (None, "none") else str(value)
-    if key == "engine":
-        if value not in ENGINE_FLAGS:
-            raise ValueError(
-                f"unknown engine {value!r}; known: {sorted(ENGINE_FLAGS)}"
-            )
-        kwargs.update(ENGINE_FLAGS[value])
-        return None
     if key == "scenario":
         # scenario fills defaults: explicit base/axis settings win, so
         # apply only keys not already pinned

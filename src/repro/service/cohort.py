@@ -1,17 +1,16 @@
 """Batched multi-request execution: N solves under one V-cycle driver.
 
-A :class:`CohortSolver` owns ``capacity`` *member* solver hierarchies
-of one geometry class and drives them with a single unmodified
+A :class:`CohortSolver` owns ``capacity`` *member* hierarchies of one
+geometry class and drives them with a single unmodified
 :class:`~repro.gmg.vcycle.VCycle` over the concatenated per-rank level
-lists — the request axis rides alongside the rank axis, exactly as
-block-diagonal rank batching (PR 2) rides the engine's stacked index
-space:
+lists — requests and ranks are the same stacking axis of the engine's
+index space:
 
-* **compute** batches across requests: with ``batch_ranks`` the cohort
+* **compute** batches across requests: the cohort
   :class:`~repro.gmg.engine.ExecutionEngine` stacks all members' level
   groups onto one :class:`~repro.bricks.batch.BatchedGrid` of
   ``capacity * num_ranks`` blocks, so a smoothing iteration is one
-  vectorised call over the whole cohort;
+  kernel call over the whole cohort;
 * **communication** stays per member: a :class:`FanoutExchanger`
   splits the driver's ``fields_by_rank`` back into per-member chunks
   and delegates to each member's own exchangers/communicator, so the
@@ -35,13 +34,12 @@ joiner's RHS is written exactly as a fresh solver's constructor would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gmg import operators as ops
-from repro.gmg.engine import EngineConfig, ExecutionEngine
-from repro.gmg.solver import GMGSolver, SolverConfig
+from repro.gmg.engine import ExecutionEngine
+from repro.gmg.solver import Hierarchy, SolverConfig
 from repro.gmg.vcycle import VCycle
 from repro.obs.tracer import NULL_TRACER
 from repro.service.request import RequestResult, SolveRequest, apply_rhs
@@ -56,8 +54,7 @@ class FanoutExchanger:
     (``counts[m]`` compute levels each) and delegates, so each member's
     exchange runs on its own communicator with standalone-identical
     traffic.  The split-phase pair ``begin``/``finish`` is exposed only
-    when every delegate offers it (the driver falls back to synchronous
-    exchanges otherwise, mirroring the standalone overlap fallback).
+    when every delegate offers it.
     """
 
     def __init__(self, delegates, counts) -> None:
@@ -277,50 +274,20 @@ class CohortCycle(VCycle):
     def member_residuals(self) -> list[float]:
         """Finest-level residual max-norm of every member slot.
 
-        Mirrors :meth:`VCycle.max_norm_residual` — same exchange, same
-        (batched) applyOp + residual kernels, same per-level local
-        maxima — but reduces each member's locals separately with
-        ``float(np.max(...))``, which is bit-identical to both the
-        single-rank default reduction and ``SimComm.allreduce_max``.
+        Mirrors :meth:`VCycle.max_norm_residual` — same residual pass,
+        same per-level local maxima — but reduces each member's locals
+        separately with ``float(np.max(...))``, which is bit-identical
+        to both the single-rank default reduction and
+        ``SimComm.allreduce_max``.
         """
         with self.tracer.span("residual-check", v=self.cycles_run):
-            levels = self.levels_at(0)
-            stacked = (
-                self.engine.stacked_level(0) if self.engine is not None else None
-            )
-            split_ok = self.apply_op_fn is ops.apply_op
-            ctx = self._exchange_levels(
-                0, [[lv.x] for lv in levels], levels, stacked, split_ok
-            )
-            try:
-                if stacked is not None and self.apply_op_fn is ops.apply_op:
-                    with self.tracer.span("applyOp", l=0):
-                        ops.apply_op(stacked, self.recorder, tracer=self.tracer)
-                    with self.tracer.span("residual", l=0):
-                        ops.residual(stacked, self.recorder)
-                else:
-                    for lv in levels:
-                        with self.tracer.span("applyOp", l=0):
-                            if self.apply_op_fn is ops.apply_op:
-                                ops.apply_op(
-                                    lv, self.recorder, tracer=self.tracer
-                                )
-                            else:
-                                self.apply_op_fn(lv, self.recorder)
-                        with self.tracer.span("residual", l=0):
-                            ops.residual(lv, self.recorder)
-            finally:
-                self._end_overlap(ctx, levels, stacked)
-            if stacked is not None and self.apply_op_fn is ops.apply_op:
-                # one vectorised reduction over the stacked residual:
-                # each block row is exactly one level's interior element
-                # set, and max is order-independent, so the per-block
-                # maxima match the per-level ``max_abs_interior`` calls
-                # bit-for-bit
-                vals = np.abs(stacked.r.data[stacked.grid.interior_slots])
-                local = vals.reshape(len(levels), -1).max(axis=1)
-            else:
-                local = [lv.r.max_abs_interior() for lv in levels]
+            levels, stacked = self._residual_pass()
+            # one reduction over the stacked residual: each block row is
+            # exactly one level's interior element set, and max is
+            # order-independent, so the per-block maxima match the
+            # per-level ``max_abs_interior`` calls bit-for-bit
+            vals = np.abs(stacked.r.data[stacked.grid.interior_slots])
+            local = vals.reshape(len(levels), -1).max(axis=1)
             if self.recorder is not None:
                 self.recorder.reduction()
             per = len(local) // self.num_members
@@ -380,52 +347,16 @@ class CohortSolver:
         self.capacity = int(capacity)
         self.tracer = tracer or NULL_TRACER
         self.geometry_key = _geometry_key(config)
-        #: members run the seed per-rank layout; the cohort engine owns
-        #: batching/residency/fusion across the whole request axis
-        member_config = replace(
-            config, halo_resident=False, fuse_kernels=False, batch_ranks=False
-        )
+        # members are hierarchies only; the one cohort engine adopts
+        # them all, so requests stack exactly like ranks
         with self.tracer.span("cohort-build", capacity=self.capacity):
             self.members = [
-                GMGSolver(member_config, tracer=self.tracer)
+                Hierarchy(config, tracer=self.tracer)
                 for _ in range(self.capacity)
             ]
         first = self.members[0]
         self.num_ranks = first.topology.size
         num_levels = config.num_levels
-
-        # --- request-axis level groups: concat of member compute groups
-        member_groups: list[list[list]] = []  # [member][lev] -> levels
-        for member in self.members:
-            if member.agglomerator is not None:
-                member_groups.append(
-                    member.agglomerator.level_groups(member.rank_levels)
-                )
-            else:
-                member_groups.append(
-                    [
-                        [levels[lev] for levels in member.rank_levels]
-                        for lev in range(num_levels)
-                    ]
-                )
-        #: compute levels per member at each depth (1 group member per
-        #: active rank; shrinks on agglomerated levels)
-        self._group_sizes = [len(member_groups[0][lev]) for lev in range(num_levels)]
-        level_groups = [
-            [lv for groups in member_groups for lv in groups[lev]]
-            for lev in range(num_levels)
-        ]
-        group_ranks = [
-            [
-                m * self.num_ranks + r
-                for m, member in enumerate(self.members)
-                for r in (
-                    (member.agglomerator.ranks_at(lev) if member.agglomerator else None)
-                    or range(self.num_ranks)
-                )
-            ]
-            for lev in range(num_levels)
-        ]
 
         self.agglomerator = None
         if first.agglomerator is not None:
@@ -433,23 +364,28 @@ class CohortSolver:
                 [m.agglomerator for m in self.members], self.num_ranks
             )
 
-        self.engine = None
-        engine_config = EngineConfig(
-            halo_resident=config.halo_resident,
-            fuse_kernels=config.fuse_kernels,
-            batch_ranks=config.batch_ranks,
+        # request-axis level groups: the members' compute groups
+        # concatenated, member m's rank r owning cohort slot
+        # m * num_ranks + r
+        groups = [member.compute_groups() for member in self.members]
+        self.engine = ExecutionEngine(
+            [
+                [lv for levels, _ in groups for lv in levels[lev]]
+                for lev in range(num_levels)
+            ],
+            [
+                [
+                    m * self.num_ranks + r
+                    for m, (_, ranks) in enumerate(groups)
+                    for r in ranks[lev]
+                ]
+                for lev in range(num_levels)
+            ],
+            tracer=self.tracer,
         )
         rank_levels = [
             levels for member in self.members for levels in member.rank_levels
         ]
-        if engine_config.enabled:
-            self.engine = ExecutionEngine(
-                rank_levels,
-                engine_config,
-                tracer=self.tracer,
-                level_groups=level_groups,
-                group_ranks=group_ranks,
-            )
 
         from repro.gmg.bottom import make_bottom_solver
         from repro.gmg.smoothers import make_smoother
@@ -503,16 +439,14 @@ class CohortSolver:
 
     # ------------------------------------------------------------------
     def _stacked_exchanger(self, lev: int) -> StackedLocalExchanger | None:
-        """The fused single-rank exchanger for depth ``lev``, when the
-        engine stacked it and every member's exchange is a pure periodic
-        wrap (single rank, periodic boundary) — None otherwise."""
+        """The fused single-rank exchanger for depth ``lev``, when
+        every member's exchange is a pure periodic wrap (single rank,
+        periodic boundary) — None otherwise."""
         from repro.comm.exchange import LocalPeriodicExchange
 
-        if self.num_ranks != 1 or self.engine is None:
+        if self.num_ranks != 1:
             return None
         st = self.engine.stacked_level(lev)
-        if st is None:
-            return None
         delegates = [m.exchangers[lev] for m in self.members]
         if not all(
             isinstance(d, LocalPeriodicExchange) and d._fill is None
@@ -555,8 +489,6 @@ class CohortSolver:
             seen.add(id(lv))
             for f in lv.fields().values():
                 f.data[...] = 0.0
-                if f.has_resident_halo:
-                    f.ext_data[...] = 0.0
 
         for levels in member.rank_levels:
             for lv in levels:
@@ -569,14 +501,6 @@ class CohortSolver:
                     _zero(lv)
                 for lv in agg.staging_levels[lev] or ():
                     _zero(lv)
-        if self.engine is not None:
-            # halo-resident stacked x: the member views cover the
-            # interiors, but the shell rows live only in ext storage
-            for lev, st in enumerate(self.engine.stacked):
-                if st is None or not st.x.has_resident_halo:
-                    continue
-                per_member = self._group_sizes[lev] * st.grid.slots_per_rank
-                st.x.ext_data[slot * per_member : (slot + 1) * per_member] = 0.0
 
     # ------------------------------------------------------------------
     def admit(self, request: SolveRequest, arrival_s: float = 0.0) -> int:
@@ -679,7 +603,7 @@ class CohortSolver:
             converged=active.history[-1] <= config.tol,
             num_vcycles=len(active.history) - 1,
             residual_history=list(active.history),
-            solution=self._solution(slot),
+            solution=self.members[slot].solution(),
             slot=slot,
             joined_at_cycle=active.joined_at_cycle,
             arrival_s=active.arrival_s,
@@ -695,22 +619,6 @@ class CohortSolver:
             vcycles=result.num_vcycles,
         )
         return result
-
-    def _solution(self, slot: int) -> np.ndarray:
-        """Assemble the member's global finest-level solution (mirrors
-        :meth:`GMGSolver.solution`, reading through the adopted views)."""
-        member = self.members[slot]
-        N = self.config.global_cells
-        out = np.empty((N, N, N), dtype=np.float64)
-        per_rank = self.config.cells_per_rank
-        for rank, levels in enumerate(member.rank_levels):
-            o = member.topology.subdomain_origin(rank, per_rank)
-            out[
-                o[0] : o[0] + per_rank[0],
-                o[1] : o[1] + per_rank[1],
-                o[2] : o[2] + per_rank[2],
-            ] = levels[0].x.to_ijk()
-        return out
 
     # ------------------------------------------------------------------
     def solve_stream(

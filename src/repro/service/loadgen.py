@@ -194,8 +194,6 @@ def run_loadgen(
             "global_cells": base.global_cells,
             "num_levels": base.num_levels,
             "brick_dim": base.brick_dim,
-            "engine": f"hr={base.halo_resident},fk={base.fuse_kernels},"
-            f"br={base.batch_ranks}",
             "num_requests": num_requests,
             "capacity": capacity,
             "seed": seed,
@@ -229,7 +227,5 @@ def smoke_config(**overrides) -> SolverConfig:
         max_smooths=4,
         bottom_smooths=16,
         max_vcycles=100,
-        batch_ranks=True,
-        fuse_kernels=True,
     )
     return replace(base, **overrides) if overrides else base

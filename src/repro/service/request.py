@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro.gmg.solver import GMGSolver, SolveResult, SolverConfig
+from repro.gmg.solver import GMGSolver, Hierarchy, SolveResult, SolverConfig
 
 #: config fields excluded from the cohort grouping key: per-request
 #: convergence controls that do not change the geometry or schedule
@@ -110,8 +110,8 @@ class RequestResult:
         return self.residual_history[-1]
 
 
-def apply_rhs(solver: GMGSolver, amplitude: float) -> None:
-    """Set the solver's finest-level RHS to ``amplitude * rhs``.
+def apply_rhs(solver: Hierarchy, amplitude: float) -> None:
+    """Set the hierarchy's finest-level RHS to ``amplitude * rhs``.
 
     Evaluates the exact same expression for the standalone and cohort
     paths, so both write byte-equal ``b`` fields; ``set_interior``
@@ -138,7 +138,7 @@ def standalone_solve(request: SolveRequest, tracer=None) -> RequestResult:
     solver = GMGSolver(request.config, tracer=tracer)
     if request.amplitude != 1.0:
         # construction already wrote the amplitude-1 RHS; rewrite the
-        # interior through the (possibly engine-adopted) views
+        # interior through the adopted views
         apply_rhs(solver, request.amplitude)
     result: SolveResult = solver.solve()
     return RequestResult(

@@ -8,6 +8,8 @@ from repro.bricks.batch import BatchedGrid
 from repro.dsl.codegen import compile_stencil
 from repro.dsl.library import APPLY_OP
 
+from tests.conftest import numpy_path
+
 CONSTS = {"alpha": -6.0, "beta": 1.0}
 
 
@@ -68,10 +70,18 @@ class TestBatchedGridStructure:
 
 
 class TestBatchedExecution:
-    @pytest.mark.parametrize("planned", [False, True])
-    def test_one_call_equals_rank_loop(self, base_grid, batched, rng, planned):
-        """One vectorised kernel invocation over the stacked field must
-        reproduce, byte for byte, a Python loop over per-rank fields."""
+    @pytest.mark.parametrize("native_kernels", [False, True])
+    def test_one_call_equals_rank_loop(self, base_grid, batched, rng, native_kernels):
+        """One kernel invocation over the stacked field must reproduce,
+        byte for byte, a Python loop over per-rank fields — through the
+        NumPy kernels and through whatever the host offers natively."""
+        if not native_kernels:
+            with numpy_path():
+                self._check_one_call_equals_rank_loop(base_grid, batched, rng)
+        else:
+            self._check_one_call_equals_rank_loop(base_grid, batched, rng)
+
+    def _check_one_call_equals_rank_loop(self, base_grid, batched, rng):
         per_rank = []
         for _ in range(3):
             f = BrickedArray.from_ijk(base_grid, rng.random(base_grid.shape_cells))
@@ -86,7 +96,6 @@ class TestBatchedExecution:
             "x": stacked_x,
             "Ax": BrickedArray.zeros(batched),
         }
-        stacked_fields["x"].planned_gather = planned
         kernel = compile_stencil(APPLY_OP, base_grid.brick_dim)
         kernel.apply(stacked_fields, CONSTS)
 

@@ -11,6 +11,7 @@ from repro.gmg import (
     discrete_solution,
     make_bottom_solver,
 )
+from repro.obs.aggregate import by_paper_op
 
 BASE = dict(global_cells=32, num_levels=3, brick_dim=4,
             max_smooths=8, bottom_smooths=40)
@@ -89,8 +90,8 @@ class TestCycleTypes:
         w = GMGSolver(SolverConfig(**BASE, cycle="W", max_vcycles=1, tol=0.0))
         v.solve()
         w.solve()
-        cv = v.recorder.kernel_counts()
-        cw = w.recorder.kernel_counts()
+        cv = by_paper_op(v.recorder.kernel_counts())
+        cw = by_paper_op(w.recorder.kernel_counts())
         # level-1 work doubles in a 3-level W-cycle; level-0 unchanged
         assert cw[(1, "applyOp")] == 2 * cv[(1, "applyOp")]
         assert cw[(0, "applyOp")] == cv[(0, "applyOp")]

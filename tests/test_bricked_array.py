@@ -131,9 +131,9 @@ def test_roundtrip_property(n, b, ordering, seed):
     seed=st.integers(0, 2**31),
 )
 def test_deep_shell_periodic_matches_dense_roll(n, b, r, ordering, seed):
-    """Resident-shell periodic fill: every interior brick's extended
+    """Periodic fill then halo gather: every interior brick's extended
     block — faces, edges, AND corners of the shell, at any supported
-    ``halo_radius`` — must equal the dense periodic neighbourhood.
+    radius — must equal the dense periodic neighbourhood.
 
     The reference is a plain ``np.roll``: rolling the dense field by
     ``r - origin`` puts the brick's wrapped ``(B + 2r)³`` neighbourhood
@@ -143,14 +143,14 @@ def test_deep_shell_periodic_matches_dense_roll(n, b, r, ordering, seed):
     on this shell being exact before the first smoothing kernel reads
     it.
     """
-    from repro.bricks.halo_plan import refresh_shell
+    from repro.bricks import gather_extended
 
     grid = BrickGrid((n, n, n), b, ghost_bricks=1, ordering=ordering)
     dense = np.random.default_rng(seed).random(grid.shape_cells)
-    field = BrickedArray.zeros(grid, halo_radius=r)
+    field = BrickedArray.zeros(grid)
     field.set_interior(dense)
     field.fill_ghost_periodic()
-    refresh_shell(field)
+    extended = gather_extended(field, r)
     for bi in range(n):
         for bj in range(n):
             for bk in range(n):
@@ -162,7 +162,7 @@ def test_deep_shell_periodic_matches_dense_roll(n, b, r, ordering, seed):
                 expected = np.tile(rolled, (3, 3, 3))[
                     : b + 2 * r, : b + 2 * r, : b + 2 * r
                 ]
-                got = field.ext_data[grid.slot_of((bi, bj, bk))]
+                got = extended[grid.slot_of((bi, bj, bk))]
                 np.testing.assert_array_equal(
                     got, expected,
                     err_msg=f"brick {(bi, bj, bk)} shell wrong "

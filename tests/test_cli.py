@@ -316,6 +316,24 @@ class TestServeCommand:
         assert obj["results"][0]["request_id"] == "req-0"
         assert obj["results"][0]["converged"]
 
+    def test_unknown_config_key_exits_2_with_one_line(self, capsys, tmp_path):
+        """A batch file written for an older release (or a typo) names
+        a field ``SolverConfig`` does not have."""
+        import json
+
+        key = "warp_speed"
+
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps({
+            "config": {key: True, "num_levels": 2},
+            "requests": [{"amplitude": 1.1}],
+        }))
+        assert main(["serve", str(batch)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert repr(key) in line and "num_levels" in line and "overlap" in line
+
     def test_empty_batch_rejected(self, capsys, tmp_path):
         batch = tmp_path / "batch.json"
         batch.write_text("[]")

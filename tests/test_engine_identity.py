@@ -1,26 +1,22 @@
-"""Engine identity suite: every engine configuration is bit-identical.
+"""Identity suite: the solver against the oracle, byte for byte.
 
-The execution engine (halo-resident storage, kernel fusion, cross-rank
-batching — :mod:`repro.gmg.engine`) only changes *how* kernels execute,
-never *what* they compute: for any solver configuration, the committed
-residual history and the assembled solution must be byte-equal to the
-seed path's.  This suite pins that contract across smoothers, cycle
-types, rank decompositions, bottom solvers and active fault plans.
+:class:`~repro.gmg.GMGSolver` stacks every rank's levels, smooths with
+fused stencils over whole exchange windows and runs native kernels
+where it can — none of which may change a float.  For any
+configuration, status, residual history, assembled solution and the
+stored ``x``/``Ax``/``r`` of every level must equal the seed schedule's
+(``tests/oracle.py``).  This suite pins that across smoothers, cycle
+types, bottom solvers, boundaries, precisions, rank decompositions and
+active fault plans; it runs natively and, with the compiler masked in
+CI, through the NumPy fallback.
 """
 
-import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, ResilienceConfig
 from repro.gmg import GMGSolver, SolverConfig
 
-ENGINE_MODES = {
-    "halo": dict(halo_resident=True),
-    "fuse": dict(fuse_kernels=True),
-    "batch": dict(batch_ranks=True),
-    "halo+fuse": dict(halo_resident=True, fuse_kernels=True),
-    "full": dict(halo_resident=True, fuse_kernels=True, batch_ranks=True),
-}
+from tests.oracle import OracleSolver, assert_matches_oracle
 
 
 def small_config(**overrides) -> SolverConfig:
@@ -36,82 +32,72 @@ def small_config(**overrides) -> SolverConfig:
     return SolverConfig(**base)
 
 
-def run(config: SolverConfig, **solver_kwargs):
-    solver = GMGSolver(config, **solver_kwargs)
-    result = solver.solve()
-    return result, solver.solution()
-
-
-def assert_identical(config_kwargs, engine_flags, **solver_kwargs):
-    ref_result, ref_solution = run(small_config(**config_kwargs), **solver_kwargs)
-    result, solution = run(
-        small_config(**config_kwargs, **engine_flags), **solver_kwargs
-    )
-    assert result.status == ref_result.status
-    assert result.num_vcycles == ref_result.num_vcycles
-    assert result.residual_history == ref_result.residual_history
-    np.testing.assert_array_equal(solution, ref_solution)
-
-
-@pytest.mark.parametrize("mode", ENGINE_MODES)
 class TestEngineModes:
-    def test_default_problem(self, mode):
-        assert_identical({}, ENGINE_MODES[mode])
+    def test_default_problem(self):
+        assert_matches_oracle(small_config())
 
-    def test_multi_rank(self, mode):
-        assert_identical({"rank_dims": (2, 1, 1)}, ENGINE_MODES[mode])
+    def test_multi_rank(self):
+        assert_matches_oracle(small_config(rank_dims=(2, 1, 1)))
+
+    def test_rank_count_does_not_change_the_history(self):
+        """8-rank, 4-rank and 1-rank histories are one history — the
+        oracle's."""
+        cfg = dict(global_cells=32, num_levels=3, max_vcycles=4)
+        expected = OracleSolver(small_config(**cfg)).solve().residual_history
+        for dims in [(1, 1, 1), (2, 2, 1), (2, 2, 2)]:
+            result = GMGSolver(small_config(**cfg, rank_dims=dims)).solve()
+            assert result.residual_history == expected, dims
 
 
 @pytest.mark.parametrize("smoother", ["jacobi", "gsrb", "sor", "chebyshev"])
 @pytest.mark.parametrize("cycle", ["V", "W", "F"])
 class TestFullEngineAcrossAlgorithms:
     def test_smoother_cycle(self, smoother, cycle):
-        assert_identical(
-            {"smoother": smoother, "cycle": cycle}, ENGINE_MODES["full"]
-        )
+        assert_matches_oracle(small_config(smoother=smoother, cycle=cycle))
 
 
 class TestFullEngineVariants:
     @pytest.mark.parametrize("bottom", ["relaxation", "cg", "fft"])
     def test_bottom_solvers(self, bottom):
-        assert_identical({"bottom_solver": bottom}, ENGINE_MODES["full"])
+        assert_matches_oracle(small_config(bottom_solver=bottom))
 
     def test_three_levels(self):
-        assert_identical(
-            {"global_cells": 32, "num_levels": 3}, ENGINE_MODES["full"]
-        )
+        assert_matches_oracle(small_config(global_cells=32, num_levels=3))
 
     def test_fp32(self):
-        assert_identical({"precision": "fp32"}, ENGINE_MODES["full"])
+        assert_matches_oracle(small_config(precision="fp32"))
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
     def test_nonperiodic_boundaries(self, boundary):
-        assert_identical({"boundary": boundary}, ENGINE_MODES["full"])
+        assert_matches_oracle(small_config(boundary=boundary))
 
     def test_two_by_two_ranks(self):
-        assert_identical({"rank_dims": (2, 2, 1)}, ENGINE_MODES["full"])
+        assert_matches_oracle(small_config(rank_dims=(2, 2, 1)))
+
+    def test_eight_ranks(self):
+        assert_matches_oracle(
+            small_config(
+                global_cells=32, num_levels=3, rank_dims=(2, 2, 2), max_vcycles=4
+            )
+        )
+
+    def test_non_default_damping(self):
+        assert_matches_oracle(small_config(smoother_options=(("omega", 0.8),)))
 
 
 class TestEngineUnderFaults:
     """Fault detection, retry and rollback address per-rank fields; the
-    engine's stacked storage must alias them transparently, so a faulty
-    run recovers to the same history with any engine configuration."""
+    stacked storage must alias them transparently, so a faulty run
+    recovers to the oracle's history."""
 
-    @pytest.mark.parametrize("mode", ["halo", "full"])
-    def test_recovery_is_identical(self, mode):
-        plan = FaultPlan.single("drop", vcycle=1, level=0)
-        cfg = {"rank_dims": (2, 1, 1)}
-        ref_result, ref_solution = run(small_config(**cfg), fault_plan=plan)
-        result, solution = run(
-            small_config(**cfg, **ENGINE_MODES[mode]), fault_plan=plan
+    def test_recovery_is_identical(self):
+        result, _ = assert_matches_oracle(
+            small_config(rank_dims=(2, 1, 1)),
+            fault_plan=FaultPlan.single("drop", vcycle=1, level=0),
         )
-        assert result.status == ref_result.status
-        assert result.residual_history == ref_result.residual_history
-        assert result.rollbacks == ref_result.rollbacks
-        np.testing.assert_array_equal(solution, ref_solution)
+        assert result.fault_counts["inject_drop"] == 1
 
     def test_checkpointed_resilience_identical(self):
-        res = ResilienceConfig()
-        assert_identical(
-            {"rank_dims": (2, 1, 1)}, ENGINE_MODES["full"], resilience=res
+        assert_matches_oracle(
+            small_config(rank_dims=(2, 1, 1)), resilience=ResilienceConfig()
         )

@@ -22,6 +22,8 @@ from repro.gmg.boundary import BoundaryCondition
 from repro.instrument import Recorder
 from repro.obs.tracer import Tracer
 
+from tests.oracle import OracleSolver
+
 RANK_DIMS = [(2, 1, 1), (2, 2, 2), (3, 2, 1)]
 BOUNDARIES = ["periodic", "dirichlet", "neumann"]
 
@@ -325,11 +327,10 @@ class TestPathSelection:
 class TestSolverLevel:
     CONFIG = SolverConfig(
         global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2),
-        halo_resident=True, fuse_kernels=True, batch_ranks=True,
     )
 
-    def solve(self, config, **kwargs):
-        solver = GMGSolver(config, **kwargs)
+    def solve(self, config, solver_cls=GMGSolver, **kwargs):
+        solver = solver_cls(config, **kwargs)
         result = solver.solve()
         counts = {"planned": 0, "envelope": 0}
         for _, ex in solver.halo_exchangers():
@@ -364,7 +365,9 @@ class TestSolverLevel:
             AGGLOMERATED,
             {"overlap": True},
             {**AGGLOMERATED, "overlap": True, "boundary": "dirichlet"},
-            {"halo_resident": False, "fuse_kernels": False, "batch_ranks": False},
+            # fields that are not blocks of one stacked array (the
+            # oracle's per-rank levels): one indexed copy per rank pair
+            {"solver_cls": OracleSolver, "max_vcycles": 3},
             {"bottom_solver": "cg"},
             {"precision": "fp32", "tol": 1e-4},
         ],
@@ -372,9 +375,12 @@ class TestSolverLevel:
              "per-rank-arrays", "cg-bottom", "fp32"],
     )
     def test_variants_equal_their_traced_reference(self, extra):
+        extra = dict(extra)
+        solver_cls = extra.pop("solver_cls", GMGSolver)
+        extra.setdefault("max_vcycles", 4)
         config = dataclasses.replace(self.CONFIG, global_cells=16, **extra)
-        planned, p_res, p_counts = self.solve(config)
-        traced, t_res, t_counts = self.solve(config, tracer=Tracer())
+        planned, p_res, p_counts = self.solve(config, solver_cls)
+        traced, t_res, t_counts = self.solve(config, solver_cls, tracer=Tracer())
         assert p_counts["envelope"] == 0
         assert t_counts == {"planned": 0, "envelope": p_counts["planned"]}
         assert p_res.residual_history == t_res.residual_history

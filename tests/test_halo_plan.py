@@ -1,17 +1,11 @@
-"""Halo plans: flat-index gathers must match the direction-loop oracle."""
+"""The ladder's ``bricks.gather`` rung: the flat-index offset gather
+must match the direction-loop gather it is read against."""
 
 import numpy as np
 import pytest
 
-from repro.bricks import BrickGrid, BrickedArray, gather_extended
-from repro.bricks.halo_plan import (
-    HaloPlan,
-    OffsetGatherPlan,
-    gather_planned,
-    offset_plan_for,
-    plan_for,
-    refresh_shell,
-)
+from repro.bricks import BrickedArray, gather_extended
+from repro.bricks.halo_plan import OffsetGatherPlan, offset_plan_for
 
 
 @pytest.fixture
@@ -20,72 +14,6 @@ def halo_field(small_grid, rng):
     f = BrickedArray.from_ijk(small_grid, dense)
     f.fill_ghost_periodic()
     return f
-
-
-class TestHaloPlanGather:
-    @pytest.mark.parametrize("radius", [0, 1, 2])
-    def test_matches_gather_extended(self, halo_field, radius):
-        expected = gather_extended(halo_field, radius)
-        got = gather_planned(halo_field, radius)
-        assert np.array_equal(got, expected)
-
-    def test_strided_source(self, halo_field):
-        """Per-rank views of stacked storage are strided — the plan must
-        take the fancy-index path and still agree with the oracle."""
-        stacked = np.concatenate([halo_field.data, halo_field.data])
-        view = stacked[: halo_field.grid.num_slots]
-        strided = BrickedArray(halo_field.grid, stacked[halo_field.grid.num_slots :])
-        assert not view.flags.c_contiguous or view.base is stacked
-        plan = plan_for(halo_field.grid, 1)
-        assert np.array_equal(
-            plan.gather(strided.data), gather_extended(halo_field, 1)
-        )
-
-    def test_out_buffer_reused(self, halo_field):
-        E = halo_field.grid.brick_dim + 2
-        buf = np.empty((halo_field.grid.num_slots, E, E, E))
-        got = plan_for(halo_field.grid, 1).gather(halo_field.data, out=buf)
-        assert got is buf
-
-    def test_bad_out_shape_rejected(self, halo_field):
-        with pytest.raises(ValueError):
-            plan_for(halo_field.grid, 1).gather(
-                halo_field.data, out=np.empty((2, 6, 6, 6))
-            )
-
-    def test_bad_radius_rejected(self, small_grid):
-        with pytest.raises(ValueError):
-            HaloPlan(small_grid, -1)
-        with pytest.raises(ValueError):
-            HaloPlan(small_grid, small_grid.brick_dim + 1)
-
-    def test_plan_cached_per_grid(self, small_grid):
-        assert plan_for(small_grid, 1) is plan_for(small_grid, 1)
-        assert plan_for(small_grid, 1) is not plan_for(small_grid, 2)
-
-
-class TestRefreshShell:
-    def test_refresh_equals_full_gather(self, small_grid, rng):
-        dense = rng.random(small_grid.shape_cells)
-        f = BrickedArray(small_grid, halo_radius=1)
-        f.set_interior(dense)
-        f.fill_ghost_periodic()
-        refresh_shell(f)
-        packed = BrickedArray.from_ijk(small_grid, dense)
-        packed.fill_ghost_periodic()
-        assert np.array_equal(f.ext_data, gather_extended(packed, 1))
-
-    def test_interior_untouched(self, small_grid, rng):
-        f = BrickedArray(small_grid, halo_radius=1)
-        f.set_interior(rng.random(small_grid.shape_cells))
-        f.fill_ghost_periodic()
-        before = f.data.copy()
-        refresh_shell(f)
-        assert np.array_equal(f.data, before)
-
-    def test_requires_resident_field(self, halo_field, small_grid):
-        with pytest.raises(ValueError):
-            plan_for(small_grid, 1).refresh_shell(halo_field)
 
 
 class TestOffsetGatherPlan:
@@ -101,35 +29,17 @@ class TestOffsetGatherPlan:
     )
 
     def test_matches_extended_slices(self, halo_field):
-        """Each offset block must equal the corresponding slice of the
-        full extended gather — the bit-identity contract of the
-        offset-mode kernels."""
+        """Each offset block equals the corresponding slice of the full
+        extended gather."""
         B = halo_field.grid.brick_dim
         r = 1
         E = gather_extended(halo_field, r)
-        block = OffsetGatherPlan(halo_field.grid, self.OFFSETS).gather(
+        block = offset_plan_for(halo_field.grid, self.OFFSETS, 0).gather(
             halo_field.data
         )
         for k, (dx, dy, dz) in enumerate(self.OFFSETS):
             sl = tuple(slice(r + d, r + d + B) for d in (dx, dy, dz))
             assert np.array_equal(block[k], E[(slice(None),) + sl]), (dx, dy, dz)
-
-    def test_resident_source_matches_packed(self, small_grid, rng):
-        """A halo_radius>0 plan sourcing the extended storage reads the
-        same values the packed plan reads — neighbour interiors are the
-        canonical data either way."""
-        dense = rng.random(small_grid.shape_cells)
-        resident = BrickedArray(small_grid, halo_radius=1)
-        resident.set_interior(dense)
-        resident.fill_ghost_periodic()
-        packed = BrickedArray.from_ijk(small_grid, dense)
-        packed.fill_ghost_periodic()
-        offs = self.OFFSETS[:7]
-        got = OffsetGatherPlan(small_grid, offs, halo_radius=1).gather(
-            resident.ext_data
-        )
-        expected = OffsetGatherPlan(small_grid, offs).gather(packed.data)
-        assert np.array_equal(got, expected)
 
     def test_out_buffer(self, halo_field):
         plan = OffsetGatherPlan(halo_field.grid, ((1, 0, 0), (0, 0, -1)))
@@ -146,26 +56,3 @@ class TestOffsetGatherPlan:
             OffsetGatherPlan(small_grid, ((small_grid.brick_dim + 1, 0, 0),))
         with pytest.raises(ValueError):
             OffsetGatherPlan(small_grid, ((1, 0, 0),), halo_radius=-1)
-
-
-class TestOffsetPlanCache:
-    def test_congruent_grids_share_plans(self):
-        """Plans are keyed by grid *geometry*: two separately built but
-        congruent grids (fresh hierarchies per solve) hit one entry."""
-        a = BrickGrid((2, 2, 2), 4)
-        b = BrickGrid((2, 2, 2), 4)
-        assert a is not b
-        assert a.geometry_key == b.geometry_key
-        offs = ((1, 0, 0), (0, 1, 0))
-        assert offset_plan_for(a, offs) is offset_plan_for(b, offs)
-
-    def test_distinct_geometry_distinct_plans(self):
-        a = BrickGrid((2, 2, 2), 4)
-        b = BrickGrid((2, 2, 2), 4, ordering="lexicographic")
-        offs = ((1, 0, 0),)
-        assert offset_plan_for(a, offs) is not offset_plan_for(b, offs)
-
-    def test_radius_in_key(self):
-        g = BrickGrid((2, 2, 2), 4)
-        offs = ((1, 0, 0),)
-        assert offset_plan_for(g, offs, 0) is not offset_plan_for(g, offs, 1)

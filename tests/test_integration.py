@@ -10,6 +10,7 @@ from repro.gmg import (
     discrete_solution,
 )
 from repro.instrument import Recorder
+from repro.obs.aggregate import by_paper_op
 
 
 class TestEndToEnd:
@@ -64,8 +65,8 @@ class TestEndToEnd:
         msgs = rec.message_counts_by_level()[0]
         assert msgs == 26 * rec.exchange_counts()[0]
         # applyOp points = invocations x level-0 size at level 0
-        counts = rec.kernel_counts()
-        points = rec.kernel_points()
+        counts = by_paper_op(rec.kernel_counts())
+        points = by_paper_op(rec.kernel_points())
         assert points[(0, "applyOp")] == counts[(0, "applyOp")] * 16**3
 
     def test_instrument_clear(self):

@@ -28,6 +28,7 @@ from repro.gmg.varcoef import (
     VARIABLE_SMOOTH_RESIDUAL,
 )
 from tests.conftest import numpy_path
+from tests.oracle import OracleSolver
 
 
 @pytest.fixture(autouse=True)
@@ -167,28 +168,27 @@ def test_wide_and_diagonal_reads():
 # ----------------------------------------------------------------------
 # (c) whole solves
 # ----------------------------------------------------------------------
-PRODUCTION = dict(halo_resident=True, fuse_kernels=True, batch_ranks=True)
 SMALL = dict(global_cells=16, num_levels=2, brick_dim=4, max_vcycles=6)
 
 SOLVES = {
-    "kernel_1rank_64": dict(global_cells=64, num_levels=4, brick_dim=8, **PRODUCTION),
+    "kernel_1rank_64": dict(global_cells=64, num_levels=4, brick_dim=8),
     "exchange_8rank_32": dict(
-        global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2), **PRODUCTION
+        global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2)
     ),
     "default_1rank_32": dict(global_cells=32, num_levels=3, brick_dim=4),
-    "fp32": dict(**SMALL, precision="fp32", **PRODUCTION),
-    "red-black": dict(**SMALL, smoother="gsrb", **PRODUCTION),
-    "chebyshev": dict(**SMALL, smoother="chebyshev", **PRODUCTION),
+    "fp32": dict(**SMALL, precision="fp32"),
+    "red-black": dict(**SMALL, smoother="gsrb"),
+    "chebyshev": dict(**SMALL, smoother="chebyshev"),
     "dirichlet": dict(**SMALL, boundary="dirichlet"),
     "16-rank-agglomerated": dict(
         global_cells=32, num_levels=3, brick_dim=4, rank_dims=(4, 2, 2),
-        agglomerate_threshold=64, max_vcycles=4, **PRODUCTION,
+        agglomerate_threshold=64, max_vcycles=4,
     ),
 }
 
 
-def solve(config_kwargs):
-    solver = GMGSolver(SolverConfig(**config_kwargs))
+def solve(config_kwargs, solver_cls=GMGSolver):
+    solver = solver_cls(SolverConfig(**config_kwargs))
     result = solver.solve()
     levels = solver.rank_levels[0]
     stored = hashlib.sha1(
@@ -201,8 +201,9 @@ def solve(config_kwargs):
 def test_solve_matches_numpy_bytes(name, native_backend):
     applied = native_backend.compiled + native_backend.loaded
     status, history, solution, stored = solve(SOLVES[name])
-    with numpy_path():
-        ref_status, ref_history, ref_solution, ref_stored = solve(SOLVES[name])
+    ref_status, ref_history, ref_solution, ref_stored = solve(
+        SOLVES[name], OracleSolver
+    )
     assert status == ref_status
     assert [h.hex() for h in history] == [h.hex() for h in ref_history]
     assert solution.tobytes() == ref_solution.tobytes()
@@ -309,12 +310,16 @@ def test_cache_directory_candidates(monkeypatch, tmp_path):
     assert native._usable_cache_dir(str(tmp_path / "private"))
 
 
-def test_fallback_halo_resident_field(reasons, caplog):
+def test_fallback_strided_field(reasons, caplog):
+    """A field whose storage is a strided view (here: the interior of a
+    padded array) is never handed to C as a packed pointer."""
     kernel, fields, oracle = apply_op_case()
-    resident = BrickedArray(fields["x"].grid, halo_radius=1)
-    resident.data[...] = fields["x"].data
-    fields["x"] = resident
-    assert_fell_back(kernel, fields, oracle, reasons, caplog, "halo-resident")
+    grid = fields["x"].grid
+    padded = np.zeros((grid.num_slots, 6, 6, 6))
+    view = padded[:, 1:5, 1:5, 1:5]
+    view[...] = fields["x"].data
+    fields["x"] = BrickedArray(grid, view)
+    assert_fell_back(kernel, fields, oracle, reasons, caplog, "strided field storage")
 
 
 def test_fallback_mixed_dtypes(reasons, caplog):
@@ -462,7 +467,7 @@ import hashlib, json
 from repro.dsl import native
 from repro.gmg import GMGSolver, SolverConfig
 solver = GMGSolver(SolverConfig(global_cells=16, num_levels=2, brick_dim=4,
-                                fuse_kernels=True, batch_ranks=True, max_vcycles=3))
+                                max_vcycles=3))
 result = solver.solve()
 print(json.dumps({
     "stats": native.stats(),

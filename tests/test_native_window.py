@@ -150,7 +150,6 @@ def single_sweep_smooth_level(self, lev, iterations, with_residual):
     check and one ``iterate`` per iteration, ranks innermost."""
     levels = self.levels_at(lev)
     stacked = self.engine.stacked_level(lev) if self.engine is not None else None
-    split_ok = getattr(self.smoother, "supports_overlap", False)
     per_iter = self.smoother.ghost_cells_per_iteration
     budget = self.iterations_per_exchange(lev) * per_iter
     ghost_valid = 0
@@ -160,7 +159,7 @@ def single_sweep_smooth_level(self, lev, iterations, with_residual):
         if ghost_valid < per_iter:
             fields = [[lv.x] if b_exchanged else [lv.x, lv.b] for lv in levels]
             b_exchanged = True
-            ctx = self._exchange_levels(lev, fields, levels, stacked, split_ok)
+            ctx = self._exchange_levels(lev, fields, levels, stacked)
             ghost_valid = budget
         try:
             for target in levels if stacked is None else [stacked]:
@@ -173,26 +172,21 @@ def single_sweep_smooth_level(self, lev, iterations, with_residual):
             self.fault_injector.kernel_sdc(lev, rank, lv.x)
 
 
-PRODUCTION = dict(halo_resident=True, fuse_kernels=True, batch_ranks=True)
 EIGHT_RANKS = dict(global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2))
 SMALL = dict(global_cells=16, num_levels=2, brick_dim=4, max_vcycles=6)
 
 SOLVES = {
-    "kernel_1rank_64": dict(global_cells=64, num_levels=4, brick_dim=8, **PRODUCTION),
-    "exchange_8rank_32": dict(**EIGHT_RANKS, **PRODUCTION),
+    "kernel_1rank_64": dict(global_cells=64, num_levels=4, brick_dim=8),
+    "exchange_8rank_32": dict(**EIGHT_RANKS),
     "default_1rank_32": dict(global_cells=32, num_levels=3, brick_dim=4),
-    "windows-of-one": dict(**SMALL, communication_avoiding=False, **PRODUCTION),
-    "overlap": dict(**EIGHT_RANKS, overlap=True, max_vcycles=3, **PRODUCTION),
-    "overlap-per-rank": dict(
-        **SMALL, rank_dims=(2, 1, 1), overlap=True, fuse_kernels=True
-    ),
-    "fused-per-rank": dict(**SMALL, rank_dims=(2, 1, 1), fuse_kernels=True),
-    "gsrb": dict(**SMALL, smoother="gsrb", **PRODUCTION),
-    "chebyshev": dict(**SMALL, smoother="chebyshev", **PRODUCTION),
-    "fp32": dict(**SMALL, precision="fp32", **PRODUCTION),
+    "windows-of-one": dict(**SMALL, communication_avoiding=False),
+    "overlap": dict(**EIGHT_RANKS, overlap=True, max_vcycles=3),
+    "gsrb": dict(**SMALL, smoother="gsrb"),
+    "chebyshev": dict(**SMALL, smoother="chebyshev"),
+    "fp32": dict(**SMALL, precision="fp32"),
     "16-rank-agglomerated": dict(
         global_cells=32, num_levels=3, brick_dim=4, rank_dims=(4, 2, 2),
-        agglomerate_threshold=64, max_vcycles=4, **PRODUCTION,
+        agglomerate_threshold=64, max_vcycles=4,
     ),
 }
 
@@ -212,7 +206,7 @@ def faulted_solver():
             ).specs
         )
     return GMGSolver(
-        SolverConfig(**EIGHT_RANKS, **PRODUCTION),
+        SolverConfig(**EIGHT_RANKS),
         resilience=ResilienceConfig(),
         fault_plan=FaultPlan(specs=tuple(specs)),
     )
@@ -317,7 +311,7 @@ def test_smoother_implementing_only_sweep_is_looped():
 def test_smooth_level_makes_one_native_call_per_window(
     native_backend, iterations, with_residual
 ):
-    solver = GMGSolver(SolverConfig(**SMALL, **PRODUCTION))
+    solver = GMGSolver(SolverConfig(**SMALL))
     vcycle = solver.vcycle
     per_window = vcycle.iterations_per_exchange(0)
     assert per_window == 4
@@ -352,7 +346,7 @@ def test_kernel_1rank_64_solve_call_budget(native_backend):
 # (d) observability: what the windows bought
 # ----------------------------------------------------------------------
 def test_metrics_count_calls_and_sweeps(native_backend):
-    solver = GMGSolver(SolverConfig(**SMALL, **PRODUCTION))
+    solver = GMGSolver(SolverConfig(**SMALL))
     result = solver.solve()
     gauges = solve_metrics(result.recorder).snapshot()["gauges"]
     assert gauges["kernels.native.calls"] == native_backend.calls
@@ -376,7 +370,7 @@ def test_metrics_read_zero_under_numpy(monkeypatch):
 
 def test_traced_window_is_one_span_weighted_by_its_sweeps():
     tracer = Tracer()
-    config = SolverConfig(**SMALL, max_smooths=6, **PRODUCTION)
+    config = SolverConfig(**SMALL, max_smooths=6)
     solver = GMGSolver(config, tracer=tracer)
     result = solver.solve()
     fused = [

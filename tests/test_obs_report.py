@@ -33,12 +33,15 @@ def profiled():
 
 class TestTracedSolve:
     def test_solve_root_covers_everything(self, profiled):
+        """Two roots: adopting the hierarchy into the stacked layout
+        (construction), then the solve, which covers everything else."""
         tracer = profiled.tracer
-        (root,) = tracer.roots()
-        assert root.name == "solve"
+        adopt, root = tracer.roots()
+        assert (adopt.name, root.name) == ("engine-adopt", "solve")
+        assert adopt.end <= root.start
         assert tracer.open_depth == 0
         for s in tracer.spans:
-            if s is not root:
+            if s is not root and s is not adopt:
                 assert root.start <= s.start and s.end <= root.end
 
     def test_span_coverage_meets_acceptance_bar(self, profiled):
@@ -50,7 +53,7 @@ class TestTracedSolve:
         assert levels == {0, 1}
 
     def test_op_totals_fit_inside_the_solve(self, profiled):
-        (root,) = profiled.tracer.roots()
+        (root,) = profiled.tracer.find("solve")
         per_level = {}
         for s in op_spans(profiled.tracer):
             per_level.setdefault(s.attrs["l"], 0.0)
@@ -152,7 +155,11 @@ class TestProfileReport:
         report = profile_solve(_config(), machine_name=None,
                                trace_path=path)
         counts = validate_chrome_trace_file(path)
-        assert counts["spans"] == len(report.tracer.spans)
+        tracer = report.tracer
+        # the root timeline plus rank 0's (its adoption copy-in)
+        assert counts["spans"] == len(tracer.spans) + sum(
+            len(child.spans) for child in tracer.children.values()
+        )
         assert report.machine_name is None
 
     def test_nonperiodic_skips_model(self):

@@ -4,8 +4,9 @@ Acceptance contract (ISSUE 7): the interior/shell partition covers
 every brick slot exactly once for every tier-1 geometry; a split
 kernel application (interior pass, barrier, shell pass) is bit-identical
 to the whole-grid application; an overlap-enabled solve reproduces the
-synchronous residual history AND solution byte-for-byte across engine
-modes, smoothers, rank decompositions and agglomeration; a rank crash
+oracle's synchronous residual history, solution AND stored fields
+byte-for-byte across smoothers, rank decompositions and agglomeration
+(``tests/oracle.py``); a rank crash
 seeded into an in-flight ``begin()`` recovers bit-identically (buddy
 restore and global restart rungs); and the analytic event model prices
 the synchronous and overlapped schedules through one code path.
@@ -23,6 +24,8 @@ from repro.bricks.partition import (
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.gmg import GMGSolver, SolverConfig
+
+from tests.oracle import assert_matches_oracle
 
 
 def small_config(**overrides) -> SolverConfig:
@@ -44,16 +47,10 @@ def run(config: SolverConfig, **solver_kwargs):
     return result, solver.solution()
 
 
-def assert_overlap_identical(config_kwargs, **solver_kwargs):
-    """Overlap on must match overlap off byte-for-byte."""
-    ref_result, ref_solution = run(small_config(**config_kwargs), **solver_kwargs)
-    result, solution = run(
-        small_config(**config_kwargs, overlap=True), **solver_kwargs
-    )
-    assert result.status == ref_result.status
-    assert result.num_vcycles == ref_result.num_vcycles
-    assert result.residual_history == ref_result.residual_history
-    np.testing.assert_array_equal(solution, ref_solution)
+def assert_overlap_identical(config_kwargs):
+    """An overlapped solve must match the oracle's synchronous,
+    per-rank, staged-kernel schedule byte-for-byte."""
+    assert_matches_oracle(small_config(**config_kwargs, overlap=True))
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +140,23 @@ class TestSplitApply:
             f.data[...] = rng.standard_normal(f.data.shape)
         return level
 
-    @pytest.mark.parametrize("stencil_name", ["APPLY_OP", "SMOOTH", "RESIDUAL"])
+    @pytest.mark.parametrize(
+        "stencil_name",
+        ["APPLY_OP", "SMOOTH", "RESIDUAL", "FUSED_SMOOTH_RESIDUAL"],
+    )
     def test_split_matches_whole_grid(self, stencil_name):
+        """Every field on every slot equals the whole-grid apply — the
+        native kernel where the host has one."""
+        self._check_split(stencil_name)
+
+    @pytest.mark.parametrize("stencil_name", ["APPLY_OP", "FUSED_SMOOTH_RESIDUAL"])
+    def test_split_matches_whole_grid_numpy(self, stencil_name, numpy_kernels):
+        """Same, with the whole-grid apply on the NumPy path: both
+        sides then gather through ``gather_extended``, one whole, one by
+        slot list."""
+        self._check_split(stencil_name)
+
+    def _check_split(self, stencil_name):
         from repro.dsl import library
         from repro.dsl.codegen import compile_stencil
 
@@ -163,10 +175,8 @@ class TestSplitApply:
             barrier=lambda: calls.append("barrier"),
         )
         assert calls == ["barrier"]
-        for name in kernel.analysis.output_grids:
-            np.testing.assert_array_equal(
-                split.fields()[name].data, ref.fields()[name].data
-            )
+        for name, field in ref.fields().items():
+            np.testing.assert_array_equal(split.fields()[name].data, field.data)
 
     def test_rejects_mismatched_partition(self):
         from repro.dsl.codegen import compile_stencil
@@ -188,27 +198,14 @@ class TestSplitApply:
 # ----------------------------------------------------------------------
 # end-to-end bit-identity
 # ----------------------------------------------------------------------
-ENGINE_MODES = {
-    "seed": {},
-    "halo": dict(halo_resident=True),
-    "fuse": dict(fuse_kernels=True),
-    "batch": dict(batch_ranks=True),
-    "full": dict(halo_resident=True, fuse_kernels=True, batch_ranks=True),
-}
-
-
 class TestOverlapIdentity:
     def test_single_rank(self):
         assert_overlap_identical({})
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
-    def test_engine_modes_two_ranks(self, mode):
-        assert_overlap_identical(
-            {"rank_dims": (2, 1, 1), **ENGINE_MODES[mode]}
-        )
+    def test_two_ranks(self):
+        assert_overlap_identical({"rank_dims": (2, 1, 1)})
 
-    @pytest.mark.parametrize("mode", ["seed", "batch", "full"])
-    def test_eight_ranks_tier1(self, mode):
+    def test_eight_ranks_tier1(self):
         """The paper's 8-rank tier-1 problem: per-rank 4^3 brick grids
         with a genuinely non-empty deep interior."""
         assert_overlap_identical(
@@ -217,7 +214,6 @@ class TestOverlapIdentity:
                 "num_levels": 3,
                 "rank_dims": (2, 2, 2),
                 "max_vcycles": 4,
-                **ENGINE_MODES[mode],
             }
         )
 
@@ -244,32 +240,51 @@ class TestOverlapIdentity:
             }
         )
 
-    def test_unsupported_smoother_falls_back_to_sync(self):
-        """A smoother without ``supports_overlap`` must get the
-        synchronous schedule even when the solve asks for overlap —
-        a custom ``iterate`` could read ghosts before any halo kernel
-        runs, so arming it would feed it stale data."""
-        from repro.obs.tracer import Tracer
+    def test_unsupported_smoother_is_rejected(self):
+        """A smoother without ``supports_overlap`` could read ghosts
+        before any halo kernel consumed the in-flight exchange; asking
+        for overlap with one is an error at construction, by name — not
+        a synchronous solve the caller did not ask for."""
+        from repro.gmg.smoothers import JacobiSmoother
+        from repro.gmg.vcycle import VCycle
 
-        tracer = Tracer()
-        solver = GMGSolver(
-            small_config(rank_dims=(2, 1, 1), overlap=True), tracer=tracer
-        )
-        solver.vcycle.smoother.supports_overlap = False
-        result = solver.solve()
-        # smoothing exchanges ran the one-shot synchronous path
-        assert any(s.name == "exchange" for s in tracer.spans)
-        ref_result, _ = run(small_config(rank_dims=(2, 1, 1)))
-        assert result.residual_history == ref_result.residual_history
+        class Plain(JacobiSmoother):
+            name = "plain"
+            supports_overlap = False
+
+        solver = GMGSolver(small_config(rank_dims=(2, 1, 1)))
+        with pytest.raises(ValueError, match="'plain'.*Plain"):
+            VCycle(
+                solver.rank_levels, solver.exchangers,
+                smoother=Plain(), overlap=True,
+            )
+        VCycle(solver.rank_levels, solver.exchangers, smoother=Plain())
+
+    def test_custom_apply_op_is_rejected(self):
+        from repro.gmg.vcycle import VCycle
+
+        solver = GMGSolver(small_config())
+        with pytest.raises(ValueError, match="apply_op_fn"):
+            VCycle(
+                solver.rank_levels, solver.exchangers, overlap=True,
+                apply_op_fn=lambda level, recorder: None,
+            )
 
     def test_variable_coefficient_smoother_opts_out(self):
-        """The variable-coefficient smoother inherits the safe default:
-        its custom apply-op path never sees a split-phase exchange."""
+        """The variable-coefficient smoother inherits the safe default,
+        and its solver never asks for overlap."""
         from repro.gmg.smoothers import Smoother
-        from repro.gmg.varcoef import VariableCoefficientJacobi
+        from repro.gmg.varcoef import (
+            VariableCoefficientJacobi,
+            VariableCoefficientSolver,
+        )
 
         assert Smoother.supports_overlap is False
         assert VariableCoefficientJacobi.supports_overlap is False
+        solver = VariableCoefficientSolver(
+            lambda x, y, z: 1.0 + 0 * x, global_cells=8, num_levels=2
+        )
+        assert solver.vcycle.overlap is False
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Tests for the multi-tenant solve service (repro.service).
 
 The load-bearing property is *bit-identity*: a request solved inside a
-cohort of any occupancy, on any engine variant, must reproduce the
-standalone solver's residual history and solution exactly — floats
+cohort of any occupancy — synchronous or overlapped, one rank or
+several, agglomerated or not — must reproduce the standalone solver's
+residual history and solution exactly — floats
 compared with ``==`` and arrays with ``array_equal``, no tolerances.
 Alongside ride the single-solve-lifetime fixes the service forced:
 geometry-keyed plan caches, owner-scoped metric registration, and
@@ -55,17 +56,9 @@ def assert_identical(cohort_result, reference) -> None:
 # ---------------------------------------------------------------------------
 # bit-identity: request-in-cohort == standalone
 # ---------------------------------------------------------------------------
-ENGINE_VARIANTS = {
-    "seed": {},
-    "batched": {"batch_ranks": True},
-    "resident": {"halo_resident": True, "batch_ranks": True},
-    "engine": {
-        "halo_resident": True,
-        "fuse_kernels": True,
-        "batch_ranks": True,
-    },
+VARIANTS = {
+    "production": {},
     "overlap": {"overlap": True},
-    "overlap-batched": {"overlap": True, "batch_ranks": True},
     "multirank": {"rank_dims": (2, 1, 1)},
     "multirank-agg": {
         "global_cells": 16,
@@ -74,22 +67,12 @@ ENGINE_VARIANTS = {
         "rank_dims": (2, 2, 1),
         "agglomerate_threshold": 100,
     },
-    "multirank-agg-engine": {
-        "global_cells": 16,
-        "num_levels": 3,
-        "brick_dim": 4,
-        "rank_dims": (2, 2, 1),
-        "agglomerate_threshold": 100,
-        "halo_resident": True,
-        "fuse_kernels": True,
-        "batch_ranks": True,
-    },
 }
 
 
-@pytest.mark.parametrize("variant", sorted(ENGINE_VARIANTS))
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_cohort_bit_identical_to_standalone(variant):
-    cfg = tiny_config(**ENGINE_VARIANTS[variant])
+    cfg = tiny_config(**VARIANTS[variant])
     cohort = CohortSolver(cfg, capacity=3)
     requests = [SolveRequest(cfg, amplitude=a) for a in (1.0, 0.7, 1.9)]
     results = {r.request.request_id: r for r in cohort.solve_stream(requests)}
@@ -101,7 +84,7 @@ def test_cohort_bit_identical_to_standalone(variant):
 def test_single_request_among_idle_slots():
     """One tenant in an otherwise empty capacity-8 cohort sees exactly
     the standalone floats (idle slots hold zeros and never couple)."""
-    cfg = tiny_config(batch_ranks=True, fuse_kernels=True)
+    cfg = tiny_config()
     cohort = CohortSolver(cfg, capacity=8)
     request = SolveRequest(cfg, amplitude=1.3)
     (result,) = cohort.solve_stream([request])
@@ -112,7 +95,7 @@ def test_retire_and_join_stream_bit_identical():
     """Heterogeneous tolerances through fewer slots than requests:
     retirements free slots, joiners enter at cycle boundaries mid-flight
     of their neighbours — every trajectory stays standalone-exact."""
-    cfg = tiny_config(batch_ranks=True, max_vcycles=12)
+    cfg = tiny_config(max_vcycles=12)
     cohort = CohortSolver(cfg, capacity=3)
     requests = [
         SolveRequest(
@@ -218,7 +201,7 @@ def test_long_lived_cohort_state_is_bounded(monkeypatch):
     from repro.service import cohort as cohort_module
 
     monkeypatch.setattr(cohort_module, "OCCUPANCY_WINDOW", 32)
-    cfg = tiny_config(fuse_kernels=True, batch_ranks=True)
+    cfg = tiny_config()
 
     def burst(k):
         return [
@@ -279,24 +262,12 @@ def test_plan_lru_cache_eviction_and_stats():
 
 
 def test_congruent_solvers_share_native_kernels(native_backend):
-    cfg = tiny_config(fuse_kernels=True, batch_ranks=True)
+    cfg = tiny_config()
     GMGSolver(cfg).solve()
     built = (native_backend.compiled, native_backend.loaded)
     assert sum(built) > 0
     GMGSolver(cfg).solve()  # congruent: no second compile, no second load
     assert (native_backend.compiled, native_backend.loaded) == built
-
-
-def test_congruent_solvers_share_halo_plans(numpy_kernels):
-    from repro.bricks.halo_plan import _OFFSET_PLAN_CACHE
-
-    cfg = tiny_config(fuse_kernels=True, batch_ranks=True)
-    GMGSolver(cfg).solve()
-    misses_before = _OFFSET_PLAN_CACHE.stats()["misses"]
-    hits_before = _OFFSET_PLAN_CACHE.stats()["hits"]
-    GMGSolver(cfg).solve()  # congruent geometry: all plans cached
-    assert _OFFSET_PLAN_CACHE.stats()["misses"] == misses_before
-    assert _OFFSET_PLAN_CACHE.stats()["hits"] > hits_before
 
 
 # ---------------------------------------------------------------------------

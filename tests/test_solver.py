@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gmg import GMGSolver, SolverConfig, discrete_solution
+from repro.obs.aggregate import by_paper_op
 
 
 class TestConfigValidation:
@@ -17,6 +18,31 @@ class TestConfigValidation:
     def test_rank_dims_must_divide(self):
         with pytest.raises(ValueError, match="does not divide"):
             SolverConfig(global_cells=32, rank_dims=(3, 1, 1))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rank_dims", (0, 1, 1)),
+            ("rank_dims", (2, 2)),
+            ("brick_dim", 0),
+            ("max_smooths", 0),
+            ("bottom_smooths", 0),
+            ("ordering", "hilbert"),
+        ],
+    )
+    def test_bad_values_are_rejected_by_name_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_there_is_no_execution_option(self):
+        """How a solve executes is not configurable: 20 fields, and
+        every solver stacks its levels under an engine."""
+        import dataclasses
+
+        assert len(dataclasses.fields(SolverConfig)) == 20
+        solver = GMGSolver(SolverConfig(global_cells=16, num_levels=2))
+        for lev in range(2):
+            assert solver.engine.stacked_level(lev).grid.num_ranks == 1
 
     def test_levels_must_fit(self):
         with pytest.raises(ValueError):
@@ -65,7 +91,7 @@ class TestSerialSolve:
 
     def test_recorder_saw_work(self, result_and_solver):
         result, _ = result_and_solver
-        counts = result.recorder.kernel_counts()
+        counts = by_paper_op(result.recorder.kernel_counts())
         assert counts[(0, "applyOp")] > 0
         assert counts[(2, "smooth")] > 0  # bottom solver
         assert result.recorder.reductions == len(result.residual_history)

@@ -1,9 +1,13 @@
-"""Variable-coefficient multigrid."""
+"""Variable-coefficient stencils through the DSL (Section III: "this
+format is fairly flexible, including ... non-constant coefficients")
+and the multigrid solver built on them."""
 
 import numpy as np
 import pytest
 
-from repro.dsl import analyze
+from repro.bricks import BrickGrid, BrickedArray
+from repro.dsl import analyze, compile_stencil
+from repro.dsl.library import build_variable_coefficient_apply_op
 from repro.gmg.varcoef import (
     VARIABLE_APPLY_OP,
     VARIABLE_SMOOTH,
@@ -163,3 +167,96 @@ class TestSolve:
         s.set_rhs(s.apply_operator(u))
         result = s.solve(tol=1e-8, max_vcycles=80)
         assert result.converged
+
+
+# ----------------------------------------------------------------------
+# the library's variable-coefficient operator on its own
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def stencil():
+    return build_variable_coefficient_apply_op()
+
+
+class TestAnalysis:
+    def test_reads_five_grids(self, stencil):
+        an = analyze(stencil)
+        assert set(an.input_grids) == {"x", "c0", "cx", "cy", "cz"}
+        assert an.output_grids == ("Ax",)
+
+    def test_only_x_needs_halo(self, stencil):
+        an = analyze(stencil)
+        assert an.halo_grids == ("x",)
+
+    def test_traffic_is_six_streams(self, stencil):
+        an = analyze(stencil)
+        assert an.bytes_per_point == 48  # 5 reads + 1 write
+
+    def test_flops(self, stencil):
+        # 4 multiplies + 3 pairwise neighbour adds + 3 axis adds = 10
+        assert analyze(stencil).flops_per_point == 10
+
+    def test_lower_ai_than_constant_coefficient(self, stencil):
+        from repro.dsl import APPLY_OP, arithmetic_intensity
+
+        assert arithmetic_intensity(stencil) < arithmetic_intensity(APPLY_OP)
+
+
+class TestExecution:
+    def test_matches_dense_oracle(self, stencil, rng):
+        grid = BrickGrid((4, 4, 4), 4)
+        n = grid.shape_cells
+        dense = {g: rng.random(n) for g in ("x", "c0", "cx", "cy", "cz")}
+        fields = {}
+        for name, arr in dense.items():
+            f = BrickedArray.from_ijk(grid, arr)
+            f.fill_ghost_periodic()
+            fields[name] = f
+        fields["Ax"] = BrickedArray.zeros(grid)
+
+        compile_stencil(stencil, 4).apply(fields, {})
+
+        x = dense["x"]
+        oracle = (
+            dense["c0"] * x
+            + dense["cx"] * (np.roll(x, -1, 0) + np.roll(x, 1, 0))
+            + dense["cy"] * (np.roll(x, -1, 1) + np.roll(x, 1, 1))
+            + dense["cz"] * (np.roll(x, -1, 2) + np.roll(x, 1, 2))
+        )
+        np.testing.assert_allclose(fields["Ax"].to_ijk(), oracle, rtol=1e-14)
+
+    def test_constant_coefficients_recover_apply_op(self, stencil, rng):
+        """With c0 = alpha and cx = cy = cz = beta the variable kernel
+        must agree with the constant-coefficient applyOp."""
+        from repro.dsl import APPLY_OP
+
+        grid = BrickGrid((4, 4, 4), 4)
+        n = grid.shape_cells
+        x_dense = rng.random(n)
+        alpha, beta = -6.0, 1.0
+
+        fields_var = {
+            "x": BrickedArray.from_ijk(grid, x_dense),
+            "c0": BrickedArray.from_ijk(grid, np.full(n, alpha)),
+            "cx": BrickedArray.from_ijk(grid, np.full(n, beta)),
+            "cy": BrickedArray.from_ijk(grid, np.full(n, beta)),
+            "cz": BrickedArray.from_ijk(grid, np.full(n, beta)),
+            "Ax": BrickedArray.zeros(grid),
+        }
+        for f in fields_var.values():
+            f.fill_ghost_periodic()
+        compile_stencil(stencil, 4).apply(fields_var, {})
+
+        fields_const = {
+            "x": fields_var["x"],
+            "Ax": BrickedArray.zeros(grid),
+        }
+        compile_stencil(APPLY_OP, 4).apply(
+            fields_const, {"alpha": alpha, "beta": beta}
+        )
+        # association order differs between the two kernels -> rounding
+        np.testing.assert_allclose(
+            fields_var["Ax"].to_ijk(),
+            fields_const["Ax"].to_ijk(),
+            rtol=1e-12,
+            atol=1e-13,
+        )
