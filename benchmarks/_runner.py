@@ -1,12 +1,11 @@
 """Shared benchmark-runner plumbing.
 
-Every bench script used to carry its own copy of the same four rituals:
-the ``REPRO_BENCH_QUICK`` round-cutting flag, the interleaved
-best-of-N timing loop, the double-write of ``BENCH_*.json`` artifacts
-(canonical copy under ``benchmarks/results/`` plus a repo-root mirror
-for CI artifact pickup), and the ``REPRO_BENCH_RECORD`` dance that
+Every bench script used to carry its own copy of the same three rituals:
+the ``REPRO_BENCH_QUICK`` round-cutting flag, the double-write of
+``BENCH_*.json`` artifacts (canonical copy under ``benchmarks/results/``
+plus a repo-root mirror for CI artifact pickup), and the ``REPRO_BENCH_RECORD`` dance that
 stamps a ledger entry and appends it to the committed perf history.
-This module is the single home for all four; the bench scripts keep
+This module is the single home for all three; the bench scripts keep
 only what is actually specific to their measurement.
 """
 
@@ -15,8 +14,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import time
-from typing import Callable, TypeVar
+from typing import TypeVar
 
 from benchmarks.conftest import RESULTS_DIR
 
@@ -31,27 +29,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 def pick(full: T, quick: T) -> T:
     """``full`` normally, ``quick`` under ``REPRO_BENCH_QUICK=1``."""
     return quick if QUICK else full
-
-
-def interleaved_best(
-    cases: dict[str, Callable[[], object]], rounds: int, inner: int = 1
-) -> dict[str, float]:
-    """Best wallclock seconds per case over round-robin rounds.
-
-    Interleaving (mode A, B, C, ... then again) cancels the slow drift
-    of shared-machine noise that back-to-back repetition folds into
-    whichever mode runs last; ``inner`` amortises the timer over short
-    microbenchmark bodies.
-    """
-    best = {name: float("inf") for name in cases}
-    for _ in range(rounds):
-        for name, fn in cases.items():
-            t0 = time.perf_counter()
-            for _ in range(inner):
-                fn()
-            dt = (time.perf_counter() - t0) / inner
-            best[name] = min(best[name], dt)
-    return best
 
 
 def write_bench_json(name: str, obj, root: bool = True) -> str:

@@ -1,7 +1,6 @@
 """Bounded, instrumented LRU caches for geometry-keyed plan objects.
 
-The plan caches (:mod:`repro.bricks.partition`,
-:mod:`repro.comm.plan`) key derived index tables by
+The plan caches (:mod:`repro.comm.plan`) key derived index tables by
 ``grid.geometry_key`` so congruent grids — fresh hierarchies per solve,
 or the many requests of a long-lived solve service — share one table
 instead of rebuilding it.  Geometry keys are *values*, so unlike the

@@ -32,7 +32,6 @@ def _solver_config(args: argparse.Namespace):
         boundary=args.boundary,
         communication_avoiding=not args.no_ca,
         agglomerate_threshold=getattr(args, "agglomerate_threshold", None),
-        overlap=getattr(args, "overlap", False),
     )
 
 
@@ -145,9 +144,7 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
         critical_paths,
         fit_message_model,
         message_time_samples,
-        overlap_report,
         rank_time_breakdown,
-        render_overlap_report,
         traffic_matrix,
     )
 
@@ -194,9 +191,6 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
     for rank, by_name in breakdown.items():
         cells = "".join(f"  {by_name.get(n, 0.0) * 1e3:11.3f}" for n in names)
         print(f"  {rank:4d}{cells}  {sum(by_name.values()) * 1e3:11.3f}")
-
-    print()
-    print(render_overlap_report(overlap_report(tracer)))
 
     print()
     print("per-V-cycle critical path (longest send->recv dependency chain):")
@@ -420,12 +414,8 @@ def _cmd_perfgate(args: argparse.Namespace) -> int:
         candidate = load_candidate(args.candidate)
         print(f"candidate: {args.candidate} ({len(candidate.metrics)} metrics)")
     else:
-        schedule = "overlap" if args.overlap else "sync"
-        print(
-            f"measuring hot-path candidate (best of {args.rounds} rounds, "
-            f"{schedule} schedule)..."
-        )
-        candidate = measure_hotpath(rounds=args.rounds, overlap=args.overlap)
+        print(f"measuring hot-path candidate (best of {args.rounds} rounds)...")
+        candidate = measure_hotpath(rounds=args.rounds)
     if args.inject_slowdown:
         factor = 1.0 + args.inject_slowdown / 100.0
         candidate = LedgerEntry(
@@ -826,11 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["periodic", "dirichlet", "neumann"])
         p.add_argument("--no-ca", action="store_true",
                        help="disable communication-avoiding smoothing")
-        p.add_argument("--overlap", action="store_true",
-                       help="split-phase halo exchange: post sends, "
-                            "compute interior bricks while envelopes are "
-                            "in flight, wait only before the shell pass "
-                            "(bit-identical to the synchronous schedule)")
         p.add_argument("--agglomerate-threshold", type=int, default=None,
                        metavar="POINTS",
                        help="merge coarse-level subdomains onto fewer "
@@ -960,11 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale the candidate's metrics by 1+PCT/100 (gate self-test)",
     )
     perfgate.add_argument(
-        "--overlap", action="store_true",
-        help="measure the hot path under the split-phase overlap "
-             "schedule (gated against the same baseline series)",
-    )
-    perfgate.add_argument(
         "--list", action="store_true",
         help="print every ledger series with entry counts, baseline "
              "status, and measured dispersion, then exit (CI inventory)",
@@ -986,8 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="expand a declarative config matrix (brick x overlap x "
-             "agglomeration x machine x scenario), run every "
+        help="expand a declarative config matrix (brick x communication "
+             "avoiding x agglomeration x machine x scenario), run every "
              "cell with warmup + interleaved rounds, and report "
              "variance-aware statistics with per-axis delta attribution",
     )

@@ -123,33 +123,13 @@ class LocalPeriodicExchange:
         """Fill ghost shells; ``fields_by_rank`` is ``[[fields of rank 0]]``."""
         if len(fields_by_rank) != 1:
             raise ValueError("LocalPeriodicExchange serves exactly one rank")
+        if not fields_by_rank[0]:
+            raise ValueError("nothing to exchange: rank 0's field list is empty")
         with self.tracer.span(
             "exchange", l=level, nfields=len(fields_by_rank[0])
         ):
             self._fill_ghosts(fields_by_rank[0])
         self._record(level, fields_by_rank[0])
-
-    def begin(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> int:
-        """Split-phase entry: a single rank has no wire traffic to hide,
-        so the whole periodic wrap (or boundary fill) happens eagerly at
-        ``begin`` — it writes only ghost bricks, which the interior pass
-        never reads.  Returns the pending token for :meth:`finish`."""
-        if len(fields_by_rank) != 1:
-            raise ValueError("LocalPeriodicExchange serves exactly one rank")
-        with self.tracer.span(
-            "exchange.begin", l=level, nfields=len(fields_by_rank[0])
-        ):
-            self._fill_ghosts(fields_by_rank[0])
-        self._record(level, fields_by_rank[0])
-        return level
-
-    def finish(self, pending: int) -> None:
-        """Split-phase completion: everything already happened at
-        ``begin``; the span keeps wait-time accounting uniform."""
-        with self.tracer.span("exchange.finish", l=pending, nfields=0):
-            pass
 
     def _fill_ghosts(self, fields: Sequence[BrickedArray]) -> None:
         for field in fields:
@@ -531,68 +511,19 @@ class HaloExchange(ResilientChannel):
         """
         nfields = len(fields_by_rank[0]) if fields_by_rank else 0
         with self.tracer.span("exchange", l=level, nfields=nfields):
-            self._finish(self._begin(level, fields_by_rank))
-
-    def begin(self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]):
-        """Split-phase entry: snapshot (or post) every send and return.
-
-        Validation and crash polling are the synchronous
-        :meth:`exchange`'s; the planned path then takes the snapshot of
-        every send region, the envelope path posts every rank's Isends
-        (an identical stream to the synchronous path's, so sequencing,
-        checksums and fault injection agree).  Ghost writes, boundary
-        fills and exchange accounting are deferred to :meth:`finish`.
-        The caller runs interior compute between the two calls.
-        Returns the pending token that :meth:`finish` consumes.
-        """
-        with self.tracer.span(
-            "exchange.begin",
-            l=level,
-            nfields=len(fields_by_rank[0]) if fields_by_rank else 0,
-        ):
-            return self._begin(level, fields_by_rank)
-
-    def finish(self, pending) -> None:
-        """Split-phase completion: ghost writes, boundary fills, accounting.
-
-        Polls level-pinned crashes again (a spec that fired at
-        :meth:`begin` is already consumed, so this is a no-op re-poll —
-        but it keeps the crash-detection contract at both ends of the
-        in-flight window) and then completes the collective on the path
-        :meth:`begin` chose: the snapshot is assigned to the ghost
-        slots, or the receives complete exactly as the synchronous
-        path's would.
-        """
-        level, fields_by_rank, _ = pending
-        with self.tracer.span(
-            "exchange.finish",
-            l=level,
-            nfields=len(fields_by_rank[0]) if fields_by_rank else 0,
-        ):
-            self._finish(pending)
-
-    def _begin(self, level, fields_by_rank):
-        self._validate(level, fields_by_rank)
-        self.poll_crashes(level)
-        if self.envelope_reason() is None:
-            self.path_counts["planned"] += 1
-            snapshot = self._snapshot(level, fields_by_rank)
-        else:
-            self.path_counts["envelope"] += 1
-            self._post_sends(level, fields_by_rank)
-            snapshot = None
-        return (level, fields_by_rank, snapshot)
-
-    def _finish(self, pending) -> None:
-        level, fields_by_rank, snapshot = pending
-        self.poll_crashes(level)
-        if snapshot is None:
-            self._complete_receives(level, fields_by_rank)
-        else:
-            self._assign(fields_by_rank, snapshot)
-        self._apply_fills(fields_by_rank)
-        if self.recorder is not None:
-            self.recorder.exchange(level)
+            self._validate(level, fields_by_rank)
+            self.poll_crashes(level)
+            if self.envelope_reason() is None:
+                self.path_counts["planned"] += 1
+                self._copy_planned(fields_by_rank)
+                self._account(level, fields_by_rank)
+            else:
+                self.path_counts["envelope"] += 1
+                self._post_sends(level, fields_by_rank)
+                self._complete_receives(level, fields_by_rank)
+            self._apply_fills(fields_by_rank)
+            if self.recorder is not None:
+                self.recorder.exchange(level)
 
     def _validate(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
@@ -604,6 +535,8 @@ class HaloExchange(ResilientChannel):
             )
         self._last_level = level
         nfields = len(fields_by_rank[0])
+        if nfields == 0:
+            raise ValueError("nothing to exchange: the rank field lists are empty")
         if any(len(f) != nfields for f in fields_by_rank):
             raise ValueError("all ranks must exchange the same fields")
         for fields in fields_by_rank:
@@ -632,34 +565,21 @@ class HaloExchange(ResilientChannel):
         S = self.plan.num_slots
         return stacked.data[k0 * S : (k0 + len(fields_by_rank)) * S]
 
-    def _snapshot(self, level, fields_by_rank) -> list:
-        """Copy out every send region and account the exchange.
-
-        Per field: ``(window, bricks)`` over stacked storage, or
-        ``(None, [bricks per pair])`` for per-rank arrays.
-        """
+    def _copy_planned(self, fields_by_rank) -> None:
+        """Every ghost brick of every field, by index: all send regions
+        are read before any ghost is written."""
         plan = self.plan
-        snapshot = []
         for f in range(len(fields_by_rank[0])):
             window = self._stacked_window(fields_by_rank, f)
             if window is not None:
-                snapshot.append((window, window.take(plan.src, axis=0)))
-            else:
-                snapshot.append((None, [
-                    fields_by_rank[p.src_rank][f].data[p.src_slots]
-                    for p in plan.pairs
-                ]))
-        self._account(level, fields_by_rank)
-        return snapshot
-
-    def _assign(self, fields_by_rank, snapshot) -> None:
-        plan = self.plan
-        for f, (window, bricks) in enumerate(snapshot):
-            if window is not None:
-                window[plan.dst] = bricks
-            else:
-                for p, part in zip(plan.pairs, bricks):
-                    fields_by_rank[p.dst_rank][f].data[p.dst_slots] = part
+                window[plan.dst] = window.take(plan.src, axis=0)
+                continue
+            bricks = [
+                fields_by_rank[p.src_rank][f].data[p.src_slots]
+                for p in plan.pairs
+            ]
+            for p, part in zip(plan.pairs, bricks):
+                fields_by_rank[p.dst_rank][f].data[p.dst_slots] = part
 
     def _account(self, level, fields_by_rank) -> None:
         """Add what the envelope path's sends would have recorded."""

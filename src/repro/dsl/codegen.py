@@ -27,7 +27,6 @@ bytes, and are the oracle the native kernels are tested against.
 
 from __future__ import annotations
 
-import contextlib
 import io
 
 import numpy as np
@@ -39,9 +38,6 @@ from repro.dsl.analysis import StencilAnalysis, analyze, common_subexpressions
 from repro.dsl.ast import BinOp, Const, ConstRef, Expr, GridRef, Stencil
 
 _KERNEL_CACHE: dict[tuple, "CompiledKernel"] = {}
-
-#: reusable no-op context for untraced split applies
-_NULL_CTX = contextlib.nullcontext()
 
 
 class _Emitter:
@@ -287,105 +283,8 @@ class CompiledKernel:
         call.run(values, sweeps)
         return True
 
-    def apply_split(
-        self,
-        fields: dict[str, BrickedArray],
-        consts: dict[str, float] | None = None,
-        workspace: dict | None = None,
-        *,
-        partition,
-        barrier,
-        tracer=None,
-        level: int | None = None,
-    ) -> None:
-        """Evaluate the stencil in two passes around a halo barrier.
-
-        The *interior* pass (``partition.interior`` — bricks whose
-        stencil footprint reads only owned bricks) is computed into
-        scratch buffers while the halo exchange is still in flight;
-        ``barrier()`` (typically ``HaloExchange.finish``) then completes
-        the exchange, and the *shell* pass evaluates the remaining
-        bricks against the fresh ghost values.  Both passes' results are
-        stored only after the shell compute, so read-write grids (e.g.
-        ``x`` in fused smoothers) are never observed half-updated —
-        exactly the compute-then-store discipline of :meth:`apply`,
-        stretched across the barrier.
-
-        Each pass evaluates the same expression tree per element as the
-        full-grid kernel, so the result is bit-identical to
-        ``exchange(); apply()``.
-        """
-        consts = consts or {}
-        grid = self._validate(fields, consts)
-        native.note_fallback("split-phase (overlap) applies")
-        if partition.num_slots != grid.num_slots:
-            raise ValueError(
-                f"partition covers {partition.num_slots} slots, grid has "
-                f"{grid.num_slots}"
-            )
-
-        def span(name: str, n: int):
-            if tracer is None:
-                return _NULL_CTX
-            attrs = {"slots": n}
-            if level is not None:
-                attrs["l"] = level
-            return tracer.span(name, **attrs)
-
-        interior, shell = partition.interior, partition.shell
-        with span("interior", int(interior.size)):
-            pre = self._compute_subset(fields, consts, workspace, partition, "interior")
-        barrier()
-        with span("shell", int(shell.size)):
-            post = self._compute_subset(fields, consts, workspace, partition, "shell")
-            for g in self.analysis.output_grids:
-                out = fields[g].data
-                if shell.size:
-                    out[shell] = post[g]
-                if interior.size:
-                    out[interior] = pre[g]
-
-    def _compute_subset(
-        self,
-        fields: dict[str, BrickedArray],
-        consts: dict[str, float],
-        workspace: dict | None,
-        partition,
-        which: str,
-    ) -> dict[str, np.ndarray]:
-        """Run the kernel over one pass's slots into scratch outputs.
-
-        Halo operands are gathered for the pass's slot list only;
-        values per slot are identical to the full-grid gather, so the
-        pass computes exactly the full kernel's results for its slots.
-        """
-        sel = partition.select(which)
-        n = int(sel.size)
-        r = self.analysis.radius
-        B = self.brick_dim
-
-        def scratch(g: str, role: str, edge: int, dtype) -> np.ndarray:
-            key = (g, role, which, n, dtype)
-            return _scratch(workspace, key, (n, edge, edge, edge), dtype)
-
-        bufs: dict[str, np.ndarray] = {}
-        for g in self.analysis.input_grids:
-            f = fields[g]
-            if g in self.analysis.halo_grids:
-                out = scratch(g, "split-ext", B + 2 * r, f.data.dtype)
-                bufs[g] = gather_extended(f, r, out=out, slots=sel)
-            else:
-                bufs[g] = f.data[sel]
-        outs = {
-            g: scratch(g, "split-out", B, fields[g].data.dtype)
-            for g in self.analysis.output_grids
-        }
-        if n:
-            self._fn(bufs, consts, outs)
-        return outs
-
     def _validate(self, fields: dict[str, BrickedArray], consts: dict):
-        """Shared apply/apply_split argument checks; returns the grid."""
+        """Argument checks of :meth:`apply`; returns the grid."""
         missing = [c for c in self.analysis.const_names if c not in consts]
         if missing:
             raise KeyError(f"missing constants for {self.stencil.name}: {missing}")

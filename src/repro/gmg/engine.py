@@ -45,9 +45,6 @@ class _StackedLevel:
     to the per-rank schedule's.
     """
 
-    #: armed by the V-cycle driver in overlap mode (see Level.overlap_ctx)
-    overlap_ctx = None
-
     def __init__(self, base_levels: Sequence[Level]) -> None:
         first = base_levels[0]
         self.index = first.index

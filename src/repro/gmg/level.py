@@ -59,12 +59,6 @@ def make_level(
 class Level:
     """State of one multigrid level on one rank."""
 
-    #: armed by the V-cycle driver in overlap mode: the in-flight
-    #: split-phase exchange context that the level's *first*
-    #: halo-reading kernel consumes (interior pass, then finish(), then
-    #: shell pass); ``None`` whenever no exchange is in flight
-    overlap_ctx = None
-
     def __init__(
         self,
         index: int,

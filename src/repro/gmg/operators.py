@@ -24,39 +24,16 @@ from repro.gmg.level import Level
 from repro.instrument import Recorder
 
 
-def _run(
-    stencil,
-    level: Level,
-    recorder: Recorder | None,
-    op_name: str,
-    tracer=None,
-) -> None:
+def _run(stencil, level: Level, recorder: Recorder | None, op_name: str) -> None:
     kernel = compile_stencil(stencil, level.grid.brick_dim)
-    ctx = getattr(level, "overlap_ctx", None)
-    if ctx is not None and kernel.analysis.halo_grids:
-        # split-phase overlap: this is the first halo-reading kernel
-        # after a begin() — interior pass, wait on finish(), shell pass
-        level.overlap_ctx = None
-        kernel.apply_split(
-            level.fields(),
-            level.constants.as_dict(),
-            level.workspace,
-            partition=ctx.partition,
-            barrier=ctx.finish,
-            tracer=tracer,
-            level=level.index,
-        )
-    else:
-        kernel.apply(level.fields(), level.constants.as_dict(), level.workspace)
+    kernel.apply(level.fields(), level.constants.as_dict(), level.workspace)
     if recorder is not None:
         recorder.kernel(level.index, op_name, level.num_points)
 
 
-def apply_op(
-    level: Level, recorder: Recorder | None = None, tracer=None
-) -> None:
+def apply_op(level: Level, recorder: Recorder | None = None) -> None:
     """``Ax = A x`` with the 7-point operator (requires valid halo)."""
-    _run(APPLY_OP, level, recorder, "applyOp", tracer=tracer)
+    _run(APPLY_OP, level, recorder, "applyOp")
 
 
 def smooth(level: Level, recorder: Recorder | None = None) -> None:

@@ -48,37 +48,15 @@ from repro.instrument import Recorder
 from repro.obs.tracer import NULL_TRACER
 
 
-def _run_kernel(
-    level: Level, stencil, consts: dict, tracer, sweeps: int = 1
-) -> None:
-    """Apply one compiled stencil ``sweeps`` times, honouring a pending
-    overlap context.
-
-    In overlap mode the V-cycle driver arms ``level.overlap_ctx`` after
-    posting a split-phase exchange; the *first* halo-reading kernel of
-    the iterate consumes it (interior pass → ``finish()`` → shell
-    pass) for its first sweep.  Pointwise kernels, the window's other
-    sweeps and later kernels of the same iterate run whole-grid as
-    usual — by then the halo is complete.
-    """
+def _run_kernel(level: Level, stencil, consts: dict, sweeps: int = 1) -> None:
+    """Apply one compiled stencil ``sweeps`` times over ``level``."""
     kernel = compile_stencil(stencil, level.grid.brick_dim)
-    ctx = getattr(level, "overlap_ctx", None)
-    if ctx is not None and kernel.analysis.halo_grids:
-        level.overlap_ctx = None
-        kernel.apply_split(
-            level.fields(), consts, level.workspace,
-            partition=ctx.partition, barrier=ctx.finish,
-            tracer=tracer, level=level.index,
-        )
-        sweeps -= 1
-        if not sweeps:
-            return
     kernel.apply(level.fields(), consts, level.workspace, sweeps)
 
 
 def _apply_op(level: Level, recorder: Recorder | None, tracer=NULL_TRACER) -> None:
     with tracer.span("applyOp", l=level.index):
-        _run_kernel(level, APPLY_OP, level.constants.as_dict(), tracer)
+        _run_kernel(level, APPLY_OP, level.constants.as_dict())
     if recorder is not None:
         recorder.kernel(level.index, "applyOp", level.num_points)
 
@@ -88,9 +66,7 @@ def _apply_op_residual(
 ) -> None:
     """``Ax = A x`` and ``r = b - Ax`` in one fused kernel."""
     with tracer.span(FUSED_APPLY_RESIDUAL.name, l=level.index):
-        _run_kernel(
-            level, FUSED_APPLY_RESIDUAL, level.constants.as_dict(), tracer
-        )
+        _run_kernel(level, FUSED_APPLY_RESIDUAL, level.constants.as_dict())
     if recorder is not None:
         recorder.kernel(level.index, FUSED_APPLY_RESIDUAL.name, level.num_points)
 
@@ -126,11 +102,6 @@ class Smoother:
     #: span tracer; the V-cycle driver rebinds this when tracing is on,
     #: so the default path pays only the null tracer's no-op calls
     tracer = NULL_TRACER
-    #: whether every iterate routes its first halo-reading kernel
-    #: through :func:`_run_kernel` (the overlap-context consumer); the
-    #: V-cycle driver falls back to synchronous exchanges otherwise, so
-    #: custom smoothers are safe-by-default under ``overlap=True``
-    supports_overlap = False
 
     def iterate(
         self,
@@ -168,7 +139,6 @@ class JacobiSmoother(Smoother):
 
     name = "jacobi"
     ghost_cells_per_iteration = 1
-    supports_overlap = True
 
     def __init__(self, omega: float = 0.5) -> None:
         if not 0.0 < omega <= 1.0:
@@ -192,9 +162,7 @@ class JacobiSmoother(Smoother):
     ) -> None:
         stencil = FUSED_SMOOTH_RESIDUAL if with_residual else FUSED_SMOOTH
         with self.tracer.span(stencil.name, l=level.index, sweeps=sweeps):
-            _run_kernel(
-                level, stencil, self._constants(level), self.tracer, sweeps
-            )
+            _run_kernel(level, stencil, self._constants(level), sweeps)
         if recorder is not None:
             for _ in range(sweeps):
                 recorder.kernel(level.index, stencil.name, level.num_points)
@@ -209,7 +177,6 @@ class _ColoredSmoother(Smoother):
     """Shared machinery for chequerboard (red-black) sweeps."""
 
     ghost_cells_per_iteration = 2  # two operator applications
-    supports_overlap = True
 
     def __init__(self, omega: float = 1.0) -> None:
         if not 0.0 < omega < 2.0:
@@ -333,7 +300,6 @@ class ChebyshevSmoother(Smoother):
     """
 
     name = "chebyshev"
-    supports_overlap = True
 
     def __init__(self, degree: int = 2, eig_upper: float = 1.9,
                  alpha_ratio: float = 8.0) -> None:

@@ -71,11 +71,6 @@ class SolverConfig:
     #: domain boundary condition: "periodic" (paper) / "dirichlet" /
     #: "neumann" (homogeneous, cell-centred mirror ghosts)
     boundary: str = "periodic"
-    #: communication–computation overlap (repro.bricks.partition +
-    #: split-phase exchange): halo sends post first, interior bricks
-    #: compute while envelopes are in flight, and only the shell pass
-    #: waits on completion.  Bit-identical to the synchronous schedule.
-    overlap: bool = False
     #: coarse-level agglomeration (repro.gmg.agglomerate): when a
     #: level's per-rank subdomain falls below this many points, merge
     #: subdomains onto a factor-of-8-smaller active rank grid.  None
@@ -470,7 +465,6 @@ class Hierarchy:
             engine=engine,
             tracer=self.tracer,
             agglomerator=self.agglomerator,
-            overlap=config.overlap,
         )
 
     def _assemble(self, name: str) -> np.ndarray:
@@ -527,15 +521,11 @@ class GMGSolver(Hierarchy):
         Repair clears the communicator's send logs and sequence
         counters; the full-grid exchangers are rebuilt from scratch
         (the distributed analogue of re-deriving every ``MPI_Datatype``
-        on the repaired communicator), agglomerated channels and the
-        buddy checkpointer forget their envelope state in place, and
-        the shared partition cache is dropped so the interior/shell
-        split re-derives from geometry.  Every rebuilt piece is a pure
-        function of the unchanged decomposition, so the replayed
-        schedule stays bit-identical.
+        on the repaired communicator), and agglomerated channels and
+        the buddy checkpointer forget their envelope state in place.
+        Every rebuilt piece is a pure function of the unchanged
+        decomposition, so the replayed schedule stays bit-identical.
         """
-        from repro.bricks.partition import clear_partition_cache
-
         self.exchangers = [
             self._build_exchanger(lev)
             for lev in range(self.config.num_levels)
@@ -546,7 +536,6 @@ class GMGSolver(Hierarchy):
                 channel.reset_envelopes()
         if self.buddy is not None:
             self.buddy.reset_envelopes()
-        clear_partition_cache()
 
     def _restart_state(self) -> None:
         """Deterministically re-initialise the solve for a global restart.

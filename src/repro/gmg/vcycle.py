@@ -31,7 +31,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro.bricks.bricked_array import BrickedArray
-from repro.bricks.partition import partition_for
 from repro.gmg import operators as ops
 from repro.gmg.bottom import BottomSolver, RelaxationBottomSolver
 from repro.gmg.level import Level
@@ -44,43 +43,12 @@ CYCLE_TYPES = ("V", "W", "F")
 
 
 class Exchanger(Protocol):
-    """Anything that can fill ghost shells for all ranks of one level.
-
-    Exchangers may additionally offer the split-phase pair
-    ``begin(level, fields_by_rank) -> pending`` / ``finish(pending)``;
-    the driver uses it (when ``overlap`` is on) to run interior compute
-    while halo envelopes are in flight.  An exchanger without the pair
-    has nothing in flight to hide and is driven synchronously.
-    """
+    """Anything that can fill ghost shells for all ranks of one level:
+    one synchronous ``exchange`` is the whole protocol."""
 
     def exchange(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
     ) -> None: ...
-
-
-class _OverlapContext:
-    """One in-flight split-phase exchange, armed on the compute levels.
-
-    The first halo-reading kernel after ``begin()`` consumes the
-    context (interior pass → :meth:`finish` → shell pass);
-    :meth:`finish` is idempotent so the driver's defensive completion
-    after the iterate — and cleanup after an exchange fault — never
-    double-finishes.
-    """
-
-    __slots__ = ("exchanger", "pending", "partition", "_done")
-
-    def __init__(self, exchanger, pending, partition) -> None:
-        self.exchanger = exchanger
-        self.pending = pending
-        self.partition = partition
-        self._done = False
-
-    def finish(self) -> None:
-        if self._done:
-            return
-        self._done = True
-        self.exchanger.finish(self.pending)
 
 
 class VCycle:
@@ -127,11 +95,6 @@ class VCycle:
         — the schedule of the variable-coefficient solver, whose levels
         carry coefficient fields the engine does not stack, and of the
         test oracle.
-    overlap:
-        Split-phase exchanges with interior/shell kernel passes.  Needs
-        a smoother that declares ``supports_overlap`` and the default
-        ``apply_op_fn``; anything else is rejected here rather than run
-        synchronously behind the caller's back.
     """
 
     def __init__(
@@ -153,7 +116,6 @@ class VCycle:
         engine=None,
         tracer=None,
         agglomerator=None,
-        overlap: bool = False,
     ) -> None:
         if not rank_levels or not rank_levels[0]:
             raise ValueError("need at least one rank with at least one level")
@@ -187,10 +149,6 @@ class VCycle:
         #: by a shrinking active rank grid — bit-identical numerics,
         #: structurally fewer and larger messages
         self.agglomerator = agglomerator
-        #: communication–computation overlap: split-phase exchanges with
-        #: interior/shell kernel passes, bit-identical to the
-        #: synchronous schedule (see DESIGN.md "Overlap execution")
-        self.overlap = bool(overlap)
         #: span tracer (repro.obs); the shared null tracer when tracing
         #: is off, so the hot path never branches on "is tracing on?"
         self.tracer = tracer or NULL_TRACER
@@ -203,18 +161,6 @@ class VCycle:
         self._allreduce_max = allreduce_max or (lambda values: float(np.max(values)))
         self.allreduce_sum = allreduce_sum or (lambda values: sum(values))
         self.apply_op_fn = apply_op_fn or ops.apply_op
-        if self.overlap:
-            # both consume the armed overlap context through the
-            # overlap-aware kernel helpers; code that does not would
-            # read ghosts while the exchange is still in flight
-            if not getattr(self.smoother, "supports_overlap", False):
-                raise ValueError(
-                    "overlap=True needs a smoother that supports overlap; "
-                    f"{self.smoother.name!r} "
-                    f"({type(self.smoother).__name__}) does not"
-                )
-            if self.apply_op_fn is not ops.apply_op:
-                raise ValueError("overlap=True needs the default apply_op_fn")
         self._validate_ca_budget()
 
     def _validate_ca_budget(self) -> None:
@@ -279,37 +225,25 @@ class VCycle:
         opens a *window* of as many iterations as its halo stays valid
         for (one without communication avoiding), handed to the
         smoother in a single ``iterate(..., sweeps=window)``.
-
-        In overlap mode an exchange iteration posts its sends via
-        ``begin()`` and arms the compute levels' overlap context: the
-        iterate's first halo-reading kernel runs its interior pass
-        while envelopes are in flight and only its shell pass waits on
-        ``finish()``.  The window's other iterations, living off banked
-        CA halo, are unchanged — there is nothing in flight to hide.
         """
         levels = self.levels_at(lev)
-        stacked = (
-            self.engine.stacked_level(lev) if self.engine is not None else None
-        )
-        targets = levels if stacked is None else [stacked]
+        targets = self._compute_targets(lev, levels)
+        exchanger = self.exchanger_at(lev)
         per_window = self.iterations_per_exchange(lev)
         fields = [[lv.x, lv.b] for lv in levels]
         with self.tracer.span("smooth-visit", l=lev, n=iterations):
             while iterations > 0:
-                ctx = self._exchange_levels(lev, fields, levels, stacked)
+                exchanger.exchange(lev, fields)
                 # b's ghost stays valid for the rest of the visit
                 fields = [[lv.x] for lv in levels]
                 # every iteration this exchange's halo covers, in one
                 # smoother call (the ranks are independent until the
                 # next exchange)
                 window = min(iterations, per_window)
-                try:
-                    for target in targets:
-                        self.smoother.iterate(
-                            target, with_residual, self.recorder, sweeps=window
-                        )
-                finally:
-                    self._end_overlap(ctx, levels, stacked)
+                for target in targets:
+                    self.smoother.iterate(
+                        target, with_residual, self.recorder, sweeps=window
+                    )
                 iterations -= window
             if self.fault_injector is not None:
                 # Silent-data-corruption model: the smoother "wrote" a bad
@@ -320,43 +254,12 @@ class VCycle:
                     self.fault_injector.kernel_sdc(lev, rank, lv.x)
 
     # ------------------------------------------------------------------
-    def _exchange_levels(self, lev: int, fields, levels, stacked):
-        """Fill ghost shells, split-phase in overlap mode.
-
-        Returns the in-flight :class:`_OverlapContext` (armed on the
-        compute targets — the stacked level under the engine, the
-        per-rank levels otherwise) or ``None`` after a synchronous
-        exchange (overlap off, or an exchanger with no ``begin``).
-        """
-        ex = self.exchanger_at(lev)
-        begin = getattr(ex, "begin", None)
-        if not self.overlap or begin is None:
-            ex.exchange(lev, fields)
-            return None
-        grid = (stacked if stacked is not None else levels[0]).grid
-        partition = partition_for(grid)
-        pending = begin(lev, fields)
-        ctx = _OverlapContext(ex, pending, partition)
-        for target in ([stacked] if stacked is not None else levels):
-            target.overlap_ctx = ctx
-        return ctx
-
-    def _end_overlap(self, ctx, levels, stacked) -> None:
-        """Complete an in-flight exchange and disarm the levels.
-
-        The first halo-reading kernel normally consumed the context
-        already (``finish`` is then a no-op); completing here keeps the
-        collective's envelope accounting correct even if an iterate
-        raised mid-flight, and disarming prevents a stale context from
-        leaking into later iterations or a post-rollback replay.
-        """
-        if ctx is None:
-            return
-        try:
-            ctx.finish()
-        finally:
-            for target in ([stacked] if stacked is not None else levels):
-                target.overlap_ctx = None
+    def _compute_targets(self, lev: int, levels):
+        """What the compute phases of depth ``lev`` iterate over: the
+        engine's one stacked level, or the per-rank ``levels``."""
+        if self.engine is None:
+            return levels
+        return [self.engine.stacked_level(lev)]
 
     def _stacked_pair(self, lev: int):
         if self.engine is None:
@@ -471,34 +374,23 @@ class VCycle:
 
     def _residual_pass(self):
         """Exchange ``x`` and evaluate ``Ax``, ``r = b - Ax`` on the
-        finest level; returns ``(levels, stacked level or None)``.
-        Call inside a ``residual-check`` span."""
+        finest level; returns the per-rank levels.  Call inside a
+        ``residual-check`` span."""
         levels = self.levels_at(0)
-        stacked = (
-            self.engine.stacked_level(0) if self.engine is not None else None
-        )
-        ctx = self._exchange_levels(
-            0, [[lv.x] for lv in levels], levels, stacked
-        )
-        try:
-            # under the engine one applyOp + residual covers all rank
-            # blocks; per-rank reductions read through the stacked views
-            for target in levels if stacked is None else [stacked]:
-                with self.tracer.span("applyOp", l=0):
-                    if self.apply_op_fn is ops.apply_op:
-                        ops.apply_op(target, self.recorder, tracer=self.tracer)
-                    else:
-                        self.apply_op_fn(target, self.recorder)
-                with self.tracer.span("residual", l=0):
-                    ops.residual(target, self.recorder)
-        finally:
-            self._end_overlap(ctx, levels, stacked)
-        return levels, stacked
+        self.exchanger_at(0).exchange(0, [[lv.x] for lv in levels])
+        # under the engine one applyOp + residual covers all rank
+        # blocks; per-rank reductions read through the stacked views
+        for target in self._compute_targets(0, levels):
+            with self.tracer.span("applyOp", l=0):
+                self.apply_op_fn(target, self.recorder)
+            with self.tracer.span("residual", l=0):
+                ops.residual(target, self.recorder)
+        return levels
 
     def max_norm_residual(self) -> float:
         """Global max-norm of the finest-level residual (Algorithm 1)."""
         with self.tracer.span("residual-check", v=self.cycles_run):
-            levels, _ = self._residual_pass()
+            levels = self._residual_pass()
             local = [lv.r.max_abs_interior() for lv in levels]
             if self.recorder is not None:
                 self.recorder.reduction()

@@ -151,9 +151,10 @@ class ExchangeEventSim:
 
         The synchronous and overlap schedules share this one code path:
         the default ``post_time=0.0`` is the classic post-then-wait
-        model, while a split-phase caller shifts the whole phase to the
-        instant its ``begin()`` fires and prices the interior compute
-        separately (see :meth:`overlap`).
+        model, while a modelled split-phase schedule shifts the whole
+        phase to the instant its sends post and prices the interior
+        compute separately (see :meth:`overlap` — a model only: the
+        solver itself always exchanges synchronously).
         """
         outcome = ExchangeOutcome()
         nic_free: dict[tuple[int, int], float] = {}

@@ -434,9 +434,7 @@ def entry_from_profile(report, recorded_at: str = "") -> LedgerEntry:
     )
 
 
-def measure_hotpath(
-    rounds: int = 3, quick: bool | None = None, overlap: bool = False
-) -> LedgerEntry:
+def measure_hotpath(rounds: int = 3, quick: bool | None = None) -> LedgerEntry:
     """Measure the tier-1 end-to-end hot path as a gate candidate.
 
     Best-of-``rounds`` wallclock of constructing and solving the tier-1
@@ -444,9 +442,7 @@ def measure_hotpath(
     committed ``kernel_hotpath`` series has carried since it compared
     engine modes, kept so the series stays one comparable trajectory
     (its ``end_to_end_ms.seed`` column simply ends; a metric the
-    candidate lacks never gates).  ``overlap`` runs the split-phase
-    exchange schedule (bit-identical numerics), gating it against the
-    same baseline series — the schedule must not regress the hot path.
+    candidate lacks never gates).
     """
     import time
 
@@ -455,7 +451,7 @@ def measure_hotpath(
     if quick is None:
         quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
     rounds = max(1, rounds if not quick else min(rounds, 2))
-    tier1 = dict(global_cells=32, num_levels=3, brick_dim=4, overlap=overlap)
+    tier1 = dict(global_cells=32, num_levels=3, brick_dim=4)
     best = float("inf")
     for _ in range(rounds):
         t0 = time.perf_counter()

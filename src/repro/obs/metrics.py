@@ -240,12 +240,6 @@ def solve_metrics(
         registry.gauge("trace.spans", len(tracer.spans))
         registry.gauge("trace.instants", len(tracer.instants))
         registry.gauge("trace.wallclock_s", tracer.total_time())
-        from repro.obs.rank import overlap_efficiency
-
-        eff = overlap_efficiency(tracer)
-        if eff is not None:
-            # only present when the solve ran split-phase exchanges
-            registry.gauge("overlap.efficiency", eff)
     if agglomerator is not None:
         registry.observe_agglomeration(agglomerator)
     if result is not None:

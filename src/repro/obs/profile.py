@@ -22,27 +22,20 @@ from repro.obs.chrome_trace import write_chrome_trace
 from repro.obs.metrics import solve_metrics
 from repro.obs.tracer import Tracer
 
-#: root spans that represent blocking on halo completion: a whole
-#: synchronous exchange, or the split-phase wait of an overlapped one
-_WAIT_SPAN_NAMES = ("exchange", "exchange.finish")
-
 
 def wait_fraction(tracer: Tracer) -> tuple[float, float]:
     """``(wait_s, fraction)`` of V-cycle wall time blocked on halos.
 
-    Sums the durations of :data:`_WAIT_SPAN_NAMES` spans inside the
-    ``vcycle`` windows and divides by total V-cycle time.  In overlap
-    mode the ``exchange.begin`` posting time is deliberately excluded —
-    it runs concurrently with interior compute and is not a wait.
+    Sums the durations of the root ``exchange`` spans inside the
+    ``vcycle`` windows and divides by total V-cycle time.
     """
     windows = tracer.find("vcycle")
     total = sum(w.duration for w in windows)
     if total <= 0.0:
         return 0.0, 0.0
-    waits = [s for s in tracer.spans if s.name in _WAIT_SPAN_NAMES]
     wait = sum(
         s.duration
-        for s in waits
+        for s in tracer.find("exchange")
         if any(w.start <= s.start and s.end <= w.end for w in windows)
     )
     return wait, wait / total
@@ -88,9 +81,7 @@ class ProfileReport:
     rows: list[dict] = field(repr=False)
     machine_name: str | None
     metrics: dict = field(repr=False)
-    #: seconds the V-cycles spent waiting on halo completion — the
-    #: synchronous ``exchange`` spans plus the split-phase
-    #: ``exchange.finish`` waits (the overlap path's residual blocking)
+    #: seconds the V-cycles spent in their ``exchange`` spans
     wait_s: float = 0.0
     #: ``wait_s`` as a share of total ``vcycle`` wall time
     wait_fraction: float = 0.0
@@ -111,8 +102,7 @@ class ProfileReport:
             f"{len(self.tracer.instants)} instants, "
             f"coverage {self.coverage:.1%} of the solve span",
             f"  wait fraction: {self.wait_fraction:.1%} of V-cycle time "
-            f"blocked on halo completion ({self.wait_s:.6g}s in "
-            f"exchange/exchange.finish)",
+            f"blocked on halo completion ({self.wait_s:.6g}s in exchange)",
             *([f"  {self.exchange_paths}"] if self.exchange_paths else []),
             *([f"  {self.kernels}"] if self.kernels else []),
             "",

@@ -293,159 +293,6 @@ def critical_paths(tracer: Tracer, machine=None) -> list[CriticalPath]:
 
 
 # ----------------------------------------------------------------------
-# communication–computation overlap
-# ----------------------------------------------------------------------
-@dataclass
-class OverlapRow:
-    """Exposed-vs-hidden communication accounting for one V-cycle.
-
-    Built from the root timeline's split-phase spans: a synchronous
-    ``exchange`` is fully exposed; an overlapped exchange contributes
-    its ``exchange.begin`` + ``exchange.finish`` machinery time, of
-    which up to the concurrent ``interior`` compute time counts as
-    hidden (the paper's overlap claim: in-flight wire time behind
-    interior work costs nothing).  Because the simulation executes the
-    phases sequentially in one process, ``hidden_s`` is the *model*
-    credit — ``min(interior, begin + finish)`` per exchange — not a
-    second wall clock.
-    """
-
-    vcycle: int
-    sync_exchanges: int
-    overlapped_exchanges: int
-    comm_s: float
-    exposed_s: float
-    hidden_s: float
-    interior_s: float
-
-    #: exposed seconds belonging to overlapped exchanges only (sync
-    #: exchanges are exposed by definition and excluded here)
-    _overlapped_exposed_s: float = 0.0
-
-    @property
-    def efficiency(self) -> float | None:
-        """Hidden fraction of the overlapped machinery time (None when
-        nothing was overlapped this cycle)."""
-        denom = self.hidden_s + self._overlapped_exposed_s
-        if self.overlapped_exchanges == 0 or denom <= 0.0:
-            return None
-        return self.hidden_s / denom
-
-
-def _overlap_scan(spans) -> tuple[int, int, float, float, float, float, float]:
-    """One pass of the begin → interior → finish state machine.
-
-    ``spans`` is a start-sorted iterable of root-timeline spans.
-    Overlap contexts never nest (the driver finishes each exchange
-    before the next begins), so a single pending ``begin`` suffices;
-    ``interior`` spans seen while one is pending are the compute that
-    ran against the in-flight envelopes.
-    """
-    sync = overlapped = 0
-    comm = exposed = hidden = interior_total = ov_exposed = 0.0
-    pending = None
-    interior_acc = 0.0
-    for s in spans:
-        if s.name == "exchange":
-            sync += 1
-            comm += s.duration
-            exposed += s.duration
-        elif s.name == "exchange.begin":
-            pending = s
-            interior_acc = 0.0
-        elif s.name == "interior":
-            # a degenerate partition (fewer than 3 bricks per dim)
-            # emits zero-slot interior passes: span overhead, not
-            # compute — it hides nothing
-            if s.attrs.get("slots", 0):
-                interior_total += s.duration
-                if pending is not None:
-                    interior_acc += s.duration
-        elif s.name == "exchange.finish" and pending is not None:
-            machinery = pending.duration + s.duration
-            hid = min(interior_acc, machinery)
-            overlapped += 1
-            comm += machinery
-            hidden += hid
-            exposed += machinery - hid
-            ov_exposed += machinery - hid
-            pending = None
-    return sync, overlapped, comm, exposed, hidden, interior_total, ov_exposed
-
-
-def overlap_report(tracer: Tracer) -> list[OverlapRow]:
-    """Per-V-cycle exposed-vs-hidden communication rows.
-
-    Scans each ``vcycle`` window's root-timeline spans with
-    :func:`_overlap_scan`; the ``repro commviz`` overlap panel renders
-    the result next to the traffic matrix.
-    """
-    events = sorted(tracer.spans, key=lambda s: s.start)
-    rows: list[OverlapRow] = []
-    for window in tracer.find("vcycle"):
-        inside = [
-            s
-            for s in events
-            if s is not window and window.start <= s.start and s.end <= window.end
-        ]
-        sync, ovl, comm, exp, hid, interior, ov_exp = _overlap_scan(inside)
-        if sync == 0 and ovl == 0:
-            continue
-        row = OverlapRow(
-            vcycle=int(window.attrs.get("v", len(rows))),
-            sync_exchanges=sync,
-            overlapped_exchanges=ovl,
-            comm_s=comm,
-            exposed_s=exp,
-            hidden_s=hid,
-            interior_s=interior,
-        )
-        row._overlapped_exposed_s = ov_exp
-        rows.append(row)
-    return rows
-
-
-def overlap_efficiency(tracer: Tracer) -> float | None:
-    """Hidden fraction of all overlapped exchange machinery time.
-
-    ``sum(min(interior, begin + finish)) / sum(begin + finish)`` over
-    every overlapped exchange on the root timeline (V-cycle bodies and
-    residual checks alike); None when the solve never overlapped.
-    """
-    events = sorted(tracer.spans, key=lambda s: s.start)
-    _, ovl, _, _, hidden, _, ov_exposed = _overlap_scan(events)
-    if ovl == 0:
-        return None
-    denom = hidden + ov_exposed
-    return hidden / denom if denom > 0.0 else 1.0
-
-
-def render_overlap_report(rows: list[OverlapRow]) -> str:
-    """The commviz exposed-vs-hidden table."""
-    if not rows:
-        return "overlap: no exchanges traced"
-    lines = [
-        "communication overlap (exposed vs hidden, per V-cycle):",
-        "  cycle  sync  ovl   comm_s      exposed_s   hidden_s    eff",
-    ]
-    for r in rows:
-        eff = r.efficiency
-        lines.append(
-            f"  {r.vcycle:>5} {r.sync_exchanges:>5} {r.overlapped_exchanges:>4} "
-            f"  {r.comm_s:<11.4g} {r.exposed_s:<11.4g} {r.hidden_s:<11.4g} "
-            f"{'-' if eff is None else format(eff, '.1%')}"
-        )
-    total_comm = sum(r.comm_s for r in rows)
-    total_exp = sum(r.exposed_s for r in rows)
-    total_hid = sum(r.hidden_s for r in rows)
-    lines.append(
-        f"  total comm {total_comm:.4g}s  exposed {total_exp:.4g}s  "
-        f"hidden {total_hid:.4g}s"
-    )
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
 # model fit
 # ----------------------------------------------------------------------
 def message_time_samples(tracer: Tracer) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,8 @@ JSON writing and quick-mode flags.  This module replaces that with one
 declarative shape, in the spirit of the paper's own evaluation matrix
 (brick size × kernel × scale):
 
-* a :class:`SweepConfig` declares **axes** (brick size, overlap,
-  agglomeration threshold, machine model, scenario) whose
+* a :class:`SweepConfig` declares **axes** (brick size, communication
+  avoiding, agglomeration threshold, machine model, scenario) whose
   cartesian product :func:`expand` turns into :class:`SweepCell`\\ s;
 * :func:`run_sweep` executes every cell through the existing
   :class:`~repro.gmg.solver.GMGSolver` path with **warmup discard**
@@ -54,7 +54,7 @@ SWEEP_SCHEMA_VERSION = 1
 SCENARIOS: dict[str, dict] = {
     # the ROADMAP tier-1 model problem
     "tier1": dict(global_cells=32, num_levels=3, brick_dim=4),
-    # the 8-rank tier-1 problem the overlap/commviz benches use
+    # the 8-rank tier-1 problem the commviz bench uses
     "tier1-distributed": dict(
         global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2),
         max_vcycles=4,

@@ -53,8 +53,7 @@ class FanoutExchanger:
     covering the whole cohort; this splits it into per-member chunks
     (``counts[m]`` compute levels each) and delegates, so each member's
     exchange runs on its own communicator with standalone-identical
-    traffic.  The split-phase pair ``begin``/``finish`` is exposed only
-    when every delegate offers it.
+    traffic.
     """
 
     def __init__(self, delegates, counts) -> None:
@@ -62,13 +61,6 @@ class FanoutExchanger:
             raise ValueError("need one field count per delegate")
         self.delegates = list(delegates)
         self.counts = [int(n) for n in counts]
-        if all(
-            getattr(d, "begin", None) is not None
-            and getattr(d, "finish", None) is not None
-            for d in self.delegates
-        ):
-            self.begin = self._begin
-            self.finish = self._finish
 
     def _chunks(self, fields_by_rank):
         if len(fields_by_rank) != sum(self.counts):
@@ -84,16 +76,6 @@ class FanoutExchanger:
     def exchange(self, level: int, fields_by_rank) -> None:
         for delegate, chunk in self._chunks(fields_by_rank):
             delegate.exchange(level, chunk)
-
-    def _begin(self, level: int, fields_by_rank):
-        return [
-            (delegate, delegate.begin(level, chunk))
-            for delegate, chunk in self._chunks(fields_by_rank)
-        ]
-
-    def _finish(self, pending) -> None:
-        for delegate, member_pending in pending:
-            delegate.finish(member_pending)
 
 
 class StackedLocalExchanger:
@@ -112,8 +94,7 @@ class StackedLocalExchanger:
     Per-member message recording is delegated to the members' own
     exchangers unchanged, so operation-count accounting matches the
     fanout path exactly; fields the engine did not stack fall back to
-    the per-member delegates.  Like the local exchange it fuses, the
-    split-phase ``begin`` runs eagerly (no wire traffic to hide).
+    the per-member delegates.
     """
 
     def __init__(self, delegates, stacked_by_id, tracer=None) -> None:
@@ -123,16 +104,6 @@ class StackedLocalExchanger:
         self.tracer = tracer or NULL_TRACER
 
     def exchange(self, level: int, fields_by_rank) -> None:
-        self._fill(level, fields_by_rank)
-
-    def begin(self, level: int, fields_by_rank) -> int:
-        self._fill(level, fields_by_rank)
-        return level
-
-    def finish(self, pending: int) -> None:
-        pass
-
-    def _fill(self, level: int, fields_by_rank) -> None:
         if len(fields_by_rank) != len(self.delegates):
             raise ValueError(
                 f"got {len(fields_by_rank)} rank field lists, expected "
@@ -281,7 +252,8 @@ class CohortCycle(VCycle):
         ``SimComm.allreduce_max``.
         """
         with self.tracer.span("residual-check", v=self.cycles_run):
-            levels, stacked = self._residual_pass()
+            levels = self._residual_pass()
+            stacked = self.engine.stacked_level(0)
             # one reduction over the stacked residual: each block row is
             # exactly one level's interior element set, and max is
             # order-independent, so the per-block maxima match the
@@ -419,7 +391,6 @@ class CohortSolver:
             engine=self.engine,
             tracer=self.tracer,
             agglomerator=self.agglomerator,
-            overlap=config.overlap,
         )
         #: slot -> _ActiveRequest
         self._active: dict[int, _ActiveRequest] = {}

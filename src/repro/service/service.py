@@ -10,7 +10,7 @@ long-lived service process.
 
 Long-lived-process hygiene, exercised here and fixed alongside:
 
-* plan/partition caches key by geometry (bounded LRU), so cohort
+* plan caches key by geometry (bounded LRU), so cohort
   members share index tables instead of rebuilding per grid object;
 * the service's :class:`~repro.obs.metrics.MetricsRegistry` lives for
   the process, with owner-scoped registration so per-cohort observers

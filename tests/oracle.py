@@ -6,17 +6,22 @@ over ranks (``VCycle(engine=None)``), each smoothing iteration as the
 paper's kernel sequence — ``applyOp``, then ``smooth`` or
 ``smooth+residual`` — one kernel launch per stage and per sweep, every
 launch through ``gather_extended`` and the generated NumPy function.
-Nothing in it is stacked, fused, windowed, overlapped or native, so
-agreement with it byte for byte pins all of those at once.
+Nothing in it is stacked, fused, windowed or native, so agreement with
+it byte for byte pins all of those at once.
 
 The oracle shares the hierarchy (levels, exchangers, agglomerator,
 right-hand side) and the resilient driver with the solver under test;
 what it replaces is how kernels execute.
+
+A fault-free, untraced oracle solve is a pure function of its
+:class:`SolverConfig`, so :func:`oracle_solve` keeps one
+:class:`OracleRecord` per config for the test session: identity cases
+that share a config share one reference solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +47,10 @@ class StagedJacobi(JacobiSmoother):
 
 
 class OracleSolver(GMGSolver):
-    """``config``'s hierarchy under the seed schedule (synchronous
-    exchanges whatever ``config.overlap`` says)."""
+    """``config``'s hierarchy under the seed schedule."""
 
     def __init__(self, config: SolverConfig, **kwargs) -> None:
-        Hierarchy.__init__(self, replace(config, overlap=False), **kwargs)
+        Hierarchy.__init__(self, config, **kwargs)
         self.engine = None
         self.vcycle = self.make_vcycle(None)
         # the other smoothers' updates are plain NumPy already
@@ -70,19 +74,66 @@ def stored_fields(solver) -> list[np.ndarray]:
     ]
 
 
+@dataclass(frozen=True)
+class OracleRecord:
+    """What one oracle solve left behind (arrays are read-only copies)."""
+
+    status: str
+    num_vcycles: int
+    rollbacks: int
+    residual_history: tuple[float, ...]
+    solution: np.ndarray
+    stored: tuple[np.ndarray, ...]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
+_RECORDS: dict[SolverConfig, OracleRecord] = {}
+
+
+def _solve(config: SolverConfig, **solver_kwargs) -> OracleRecord:
+    oracle = OracleSolver(config, **solver_kwargs)
+    result = oracle.solve()
+    return OracleRecord(
+        status=result.status,
+        num_vcycles=result.num_vcycles,
+        rollbacks=result.rollbacks,
+        residual_history=tuple(result.residual_history),
+        solution=_frozen(oracle.solution()),
+        stored=tuple(_frozen(a) for a in stored_fields(oracle)),
+    )
+
+
+def oracle_solve(config: SolverConfig, **solver_kwargs) -> OracleRecord:
+    """The oracle's record for ``config``; solved once per session
+    unless a fault plan, resilience or tracer makes the solve its own."""
+    if solver_kwargs:
+        return _solve(config, **solver_kwargs)
+    record = _RECORDS.get(config)
+    if record is None:
+        record = _RECORDS[config] = _solve(config)
+    return record
+
+
 def assert_matches_oracle(config: SolverConfig, **solver_kwargs):
-    """Solve ``config`` with :class:`GMGSolver` and with the oracle and
-    require equal status, residual history, assembled solution and
-    stored fields.  Returns the solver's ``(result, solver)``."""
+    """Solve ``config`` with :class:`GMGSolver` and require the status,
+    residual history, assembled solution and stored fields of
+    :func:`oracle_solve`, byte for byte.  Returns the solver's
+    ``(result, solver)``."""
     solver = GMGSolver(config, **solver_kwargs)
     result = solver.solve()
-    oracle = OracleSolver(config, **solver_kwargs)
-    expected = oracle.solve()
+    expected = oracle_solve(config, **solver_kwargs)
     assert result.status == expected.status
     assert result.num_vcycles == expected.num_vcycles
     assert result.rollbacks == expected.rollbacks
-    assert result.residual_history == expected.residual_history
-    np.testing.assert_array_equal(solver.solution(), oracle.solution())
-    for got, want in zip(stored_fields(solver), stored_fields(oracle), strict=True):
-        np.testing.assert_array_equal(got, want)
+    assert tuple(result.residual_history) == expected.residual_history
+    pairs = [(solver.solution(), expected.solution)]
+    pairs += zip(stored_fields(solver), expected.stored, strict=True)
+    for got, want in pairs:
+        np.testing.assert_array_equal(got, want)  # says where they differ
+        assert got.tobytes() == want.tobytes()  # signed zeros, NaN payloads
     return result, solver

@@ -8,7 +8,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.gmg import AgglomerationPlan, GMGSolver, SolverConfig
 from repro.obs.metrics import solve_metrics
 
-from tests.oracle import OracleSolver, assert_matches_oracle
+from tests.oracle import assert_matches_oracle, oracle_solve
 
 
 def config_8rank(**overrides):
@@ -108,8 +108,8 @@ class TestInSolverIdentity:
         is every stored field, and against the un-agglomerated oracle
         the history."""
         result, _ = assert_matches_oracle(config_8rank(agglomerate_threshold=64))
-        off = OracleSolver(config_8rank()).solve()
-        assert result.residual_history == off.residual_history
+        off = oracle_solve(config_8rank())
+        assert tuple(result.residual_history) == off.residual_history
 
     def test_identity_with_dirichlet_boundary(self):
         off = GMGSolver(config_8rank(boundary="dirichlet"))

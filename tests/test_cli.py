@@ -316,23 +316,39 @@ class TestServeCommand:
         assert obj["results"][0]["request_id"] == "req-0"
         assert obj["results"][0]["converged"]
 
-    def test_unknown_config_key_exits_2_with_one_line(self, capsys, tmp_path):
-        """A batch file written for an older release (or a typo) names
-        a field ``SolverConfig`` does not have."""
+    @pytest.mark.parametrize("surface", ["serve", "constructor", "solve-flag"])
+    def test_retired_overlap_option_fails_by_name(self, surface, capsys, tmp_path):
+        """A batch file, script or command line written for an older
+        release names ``overlap``, which ``SolverConfig`` no longer has:
+        each surface refuses it loudly instead of ignoring it."""
+        import dataclasses
         import json
 
-        key = "warp_speed"
+        from repro.gmg import SolverConfig
 
+        if surface == "constructor":
+            with pytest.raises(TypeError, match="overlap"):
+                SolverConfig(overlap=True)
+            return
+        if surface == "solve-flag":
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "-s", "16", "-l", "2", "--overlap"])
+            assert exc.value.code == 2
+            assert "--overlap" in capsys.readouterr().err
+            return
         batch = tmp_path / "batch.json"
         batch.write_text(json.dumps({
-            "config": {key: True, "num_levels": 2},
+            "config": {"overlap": True, "num_levels": 2},
             "requests": [{"amplitude": 1.1}],
         }))
         assert main(["serve", str(batch)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert repr(key) in line and "num_levels" in line and "overlap" in line
+        assert line.startswith("unknown config key 'overlap'; valid fields: ")
+        listed = line.split("valid fields: ")[1].split(", ")
+        assert listed == sorted(f.name for f in dataclasses.fields(SolverConfig))
+        assert len(listed) == 19 and "num_levels" in listed
 
     def test_empty_batch_rejected(self, capsys, tmp_path):
         batch = tmp_path / "batch.json"

@@ -87,6 +87,21 @@ class TestLocalPeriodicExchange:
             LocalPeriodicExchange(grid).exchange(0, [[f]])
 
 
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1)], ids=["local", "halo"])
+def test_empty_field_lists_are_rejected_by_name(dims):
+    """Accounting reads ``fields[0]``: an exchange of nothing must be
+    refused in validation, not die there with a bare ``IndexError``."""
+    grid = BrickGrid((2, 2, 2), 4)
+    topo = CartTopology(dims)
+    if topo.size == 1:
+        ex = LocalPeriodicExchange(grid, Recorder())
+    else:
+        ex = HaloExchange(grid, topo, SimComm(topo.size), recorder=Recorder())
+    with pytest.raises(ValueError, match="nothing to exchange.*empty"):
+        ex.exchange(0, [[] for _ in range(topo.size)])
+    assert ex.recorder.exchange_counts() == {}
+
+
 class TestHaloExchange:
     @pytest.mark.parametrize("dims", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (1, 3, 1)])
     def test_distributed_ghosts_match_global(self, rng, dims, ordering):

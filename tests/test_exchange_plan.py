@@ -102,26 +102,6 @@ class TestPlanEqualsReference:
         assert len(results[0]["messages"]) == 2 * ex.plan.num_messages
         assert_same(*results)
 
-    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-rank"])
-    @pytest.mark.parametrize("boundary", BOUNDARIES)
-    def test_split_phase_snapshots_at_begin(self, boundary, stacked):
-        """``begin`` reads, ``finish`` writes: interior values changed in
-        between must not travel, exactly as with posted sends."""
-        results = []
-        for reference in (False, True):
-            ex, fields = build((2, 2, 2), boundary, stacked=stacked,
-                               reference=reference)
-            before = [f.data[ex.grid.ghost_slots].copy() for f, in fields]
-            pending = ex.begin(1, fields)
-            for (f,), ghosts in zip(fields, before):
-                assert np.array_equal(f.data[ex.grid.ghost_slots], ghosts)
-                f.data[ex.grid.interior_slots] += 1.0
-            assert ex.recorder.exchange_counts() == {}
-            ex.finish(pending)
-            ex.comm.assert_drained()
-            results.append(observable(ex, fields))
-        assert_same(*results)
-
     def test_subcomm_accounts_global_ranks(self):
         """Active-rank exchangers (agglomerated levels) run over a
         ``SubComm``: counters keep global rank ids on the parent."""
@@ -297,15 +277,6 @@ class TestPathSelection:
         assert ex.path_counts == {"planned": 0, "envelope": 1}
         assert ex.comm.pending == 1  # the stray is still there to be found
 
-    def test_finish_completes_on_the_path_begin_chose(self):
-        """Posted sends are themselves in flight at ``finish``."""
-        ex, fields = self.exchanger(tracer=Tracer())
-        pending = ex.begin(0, fields)
-        assert ex.comm.pending == 52
-        ex.finish(pending)
-        ex.comm.assert_drained()
-        assert ex.path_counts == {"planned": 0, "envelope": 1}
-
     def test_pending_counts_every_queue(self):
         from repro.faults.injector import FaultAction
 
@@ -363,16 +334,15 @@ class TestSolverLevel:
         "extra",
         [
             AGGLOMERATED,
-            {"overlap": True},
-            {**AGGLOMERATED, "overlap": True, "boundary": "dirichlet"},
+            {**AGGLOMERATED, "boundary": "dirichlet"},
             # fields that are not blocks of one stacked array (the
             # oracle's per-rank levels): one indexed copy per rank pair
             {"solver_cls": OracleSolver, "max_vcycles": 3},
             {"bottom_solver": "cg"},
             {"precision": "fp32", "tol": 1e-4},
         ],
-        ids=["agglomerated", "overlap", "agglomerated-overlap-dirichlet",
-             "per-rank-arrays", "cg-bottom", "fp32"],
+        ids=["agglomerated", "agglomerated-dirichlet", "per-rank-arrays",
+             "cg-bottom", "fp32"],
     )
     def test_variants_equal_their_traced_reference(self, extra):
         extra = dict(extra)

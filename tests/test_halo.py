@@ -54,26 +54,6 @@ class TestGatherExtended:
         with pytest.raises(ValueError):
             gather_extended(field, 1, out=np.empty((3, 6, 6, 6)))
 
-    @pytest.mark.parametrize("radius", [0, 1, 3])
-    def test_slot_list_rows_equal_whole_gather(self, random_field, rng, radius):
-        """A slot-list gather (the overlap passes) is the whole gather's
-        rows in list order — any subset, any order, including none."""
-        field, _ = random_field
-        field.fill_ghost_periodic()
-        whole = gather_extended(field, radius)
-        slots = rng.permutation(field.grid.num_slots)[:17]
-        assert np.array_equal(
-            gather_extended(field, radius, slots=slots), whole[slots]
-        )
-        ext = field.grid.brick_dim + 2 * radius
-        buf = np.empty((17, ext, ext, ext))
-        assert gather_extended(field, radius, out=buf, slots=slots) is buf
-        assert np.array_equal(buf, whole[slots])
-        none = gather_extended(field, radius, slots=np.empty(0, dtype=np.int64))
-        assert none.shape == (0, ext, ext, ext)
-        with pytest.raises(ValueError):
-            gather_extended(field, radius, out=whole, slots=slots)
-
     def test_corner_halo_comes_through_corner_neighbor(self, rng):
         """Edges and corners of the extended block must be right — the
         7-point stencil never reads them but restriction-adjacent

@@ -6,7 +6,6 @@ kernel, per whole solve, and on every named fallback — and that the
 shared-object cache behaves across kernels and processes.
 """
 
-import hashlib
 import json
 import logging
 import os
@@ -21,14 +20,14 @@ from repro.bricks import BatchedGrid, BrickGrid, BrickedArray
 from repro.dsl import library, native
 from repro.dsl.ast import ConstRef, Grid, Stencil, indices
 from repro.dsl.codegen import CompiledKernel, compile_stencil
-from repro.gmg import GMGSolver, SolverConfig
+from repro.gmg import SolverConfig
 from repro.gmg.varcoef import (
     VARIABLE_APPLY_OP,
     VARIABLE_SMOOTH,
     VARIABLE_SMOOTH_RESIDUAL,
 )
 from tests.conftest import numpy_path
-from tests.oracle import OracleSolver
+from tests.oracle import assert_matches_oracle
 
 
 @pytest.fixture(autouse=True)
@@ -187,27 +186,10 @@ SOLVES = {
 }
 
 
-def solve(config_kwargs, solver_cls=GMGSolver):
-    solver = solver_cls(SolverConfig(**config_kwargs))
-    result = solver.solve()
-    levels = solver.rank_levels[0]
-    stored = hashlib.sha1(
-        levels[0].Ax.data.tobytes() + levels[0].r.data.tobytes()
-    ).hexdigest()
-    return result.status, result.residual_history, solver.solution(), stored
-
-
 @pytest.mark.parametrize("name", SOLVES)
 def test_solve_matches_numpy_bytes(name, native_backend):
     applied = native_backend.compiled + native_backend.loaded
-    status, history, solution, stored = solve(SOLVES[name])
-    ref_status, ref_history, ref_solution, ref_stored = solve(
-        SOLVES[name], OracleSolver
-    )
-    assert status == ref_status
-    assert [h.hex() for h in history] == [h.hex() for h in ref_history]
-    assert solution.tobytes() == ref_solution.tobytes()
-    assert stored == ref_stored
+    assert_matches_oracle(SolverConfig(**SOLVES[name]))
     assert native_backend.compiled + native_backend.loaded >= applied
     assert native_backend._kernels, "no native kernel was ever loaded"
 
@@ -389,17 +371,6 @@ def test_fallback_stack_budget(reasons, caplog):
     with numpy_path():
         kernel.apply(oracle, {}, {})
     assert_fell_back(kernel, fields, oracle, reasons, caplog, "stack budget")
-
-
-def test_split_applies_are_noted(reasons):
-    """Overlap's two-pass apply still runs the NumPy kernels, and says so."""
-    config = SolverConfig(
-        global_cells=16, num_levels=2, brick_dim=4, rank_dims=(2, 1, 1),
-        overlap=True, max_vcycles=2,
-    )
-    GMGSolver(config).solve()
-    assert any("split-phase" in r for r in reasons)
-    assert "NumPy where:" in native.describe()
 
 
 # ----------------------------------------------------------------------

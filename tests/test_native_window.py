@@ -149,23 +149,19 @@ def single_sweep_smooth_level(self, lev, iterations, with_residual):
     """``VCycle.smooth_level`` as it was before windows: one exchange
     check and one ``iterate`` per iteration, ranks innermost."""
     levels = self.levels_at(lev)
-    stacked = self.engine.stacked_level(lev) if self.engine is not None else None
+    targets = self._compute_targets(lev, levels)
     per_iter = self.smoother.ghost_cells_per_iteration
     budget = self.iterations_per_exchange(lev) * per_iter
     ghost_valid = 0
     b_exchanged = False
     for _ in range(iterations):
-        ctx = None
         if ghost_valid < per_iter:
             fields = [[lv.x] if b_exchanged else [lv.x, lv.b] for lv in levels]
             b_exchanged = True
-            ctx = self._exchange_levels(lev, fields, levels, stacked)
+            self.exchanger_at(lev).exchange(lev, fields)
             ghost_valid = budget
-        try:
-            for target in levels if stacked is None else [stacked]:
-                self.smoother.iterate(target, with_residual, self.recorder)
-        finally:
-            self._end_overlap(ctx, levels, stacked)
+        for target in targets:
+            self.smoother.iterate(target, with_residual, self.recorder)
         ghost_valid -= per_iter
     if self.fault_injector is not None:
         for rank, lv in zip(self.ranks_at(lev), levels):
@@ -180,7 +176,6 @@ SOLVES = {
     "exchange_8rank_32": dict(**EIGHT_RANKS),
     "default_1rank_32": dict(global_cells=32, num_levels=3, brick_dim=4),
     "windows-of-one": dict(**SMALL, communication_avoiding=False),
-    "overlap": dict(**EIGHT_RANKS, overlap=True, max_vcycles=3),
     "gsrb": dict(**SMALL, smoother="gsrb"),
     "chebyshev": dict(**SMALL, smoother="chebyshev"),
     "fp32": dict(**SMALL, precision="fp32"),

@@ -127,6 +127,13 @@ class TestProfileReport:
         assert {"cache.native_kernel.hits", "cache.native_kernel.misses",
                 "cache.native_kernel.compile_ms"} <= set(gauges)
 
+    def test_profile_wait_fraction(self, profiled):
+        """Share of V-cycle time inside ``exchange`` spans."""
+        assert 0.0 < profiled.wait_fraction < 1.0
+        assert profiled.wait_s > 0.0
+        assert "wait fraction" in profiled.render()
+        assert profiled.to_json()["wait_fraction"] == profiled.wait_fraction
+
     def test_reductions_bridged_from_recorder(self, profiled):
         counters = profiled.metrics["counters"]
         assert counters["reductions.total"] == \

@@ -1,8 +1,8 @@
 """Tests for the multi-tenant solve service (repro.service).
 
 The load-bearing property is *bit-identity*: a request solved inside a
-cohort of any occupancy — synchronous or overlapped, one rank or
-several, agglomerated or not — must reproduce the standalone solver's
+cohort of any occupancy — one rank or several, agglomerated or not —
+must reproduce the standalone solver's
 residual history and solution exactly — floats
 compared with ``==`` and arrays with ``array_equal``, no tolerances.
 Alongside ride the single-solve-lifetime fixes the service forced:
@@ -58,7 +58,6 @@ def assert_identical(cohort_result, reference) -> None:
 # ---------------------------------------------------------------------------
 VARIANTS = {
     "production": {},
-    "overlap": {"overlap": True},
     "multirank": {"rank_dims": (2, 1, 1)},
     "multirank-agg": {
         "global_cells": 16,

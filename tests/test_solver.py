@@ -35,11 +35,13 @@ class TestConfigValidation:
             SolverConfig(**{field: value})
 
     def test_there_is_no_execution_option(self):
-        """How a solve executes is not configurable: 20 fields, and
-        every solver stacks its levels under an engine."""
+        """How a solve executes is not configurable: 19 fields, none
+        of them a schedule, and every solver stacks its levels under an
+        engine."""
         import dataclasses
 
-        assert len(dataclasses.fields(SolverConfig)) == 20
+        names = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert len(names) == 19 and "overlap" not in names
         solver = GMGSolver(SolverConfig(global_cells=16, num_levels=2))
         for lev in range(2):
             assert solver.engine.stacked_level(lev).grid.num_ranks == 1

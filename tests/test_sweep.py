@@ -49,7 +49,9 @@ class TestSweepConfig:
     def test_baseline_must_be_on_an_axis(self):
         with pytest.raises(ValueError, match="not a declared axis"):
             SweepConfig(
-                name="s", axes={"brick_dim": [4]}, baseline={"overlap": True}
+                name="s",
+                axes={"brick_dim": [4]},
+                baseline={"communication_avoiding": True},
             )
         with pytest.raises(ValueError, match="not on axis"):
             SweepConfig(
@@ -64,32 +66,39 @@ class TestSweepConfig:
 
     def test_from_file_round_trip(self, tmp_path):
         p = tmp_path / "s.json"
-        p.write_text(json.dumps({"name": "s", "axes": {"overlap": [False]}}))
+        p.write_text(
+            json.dumps({"name": "s", "axes": {"communication_avoiding": [False]}})
+        )
         cfg = SweepConfig.from_file(p)
         assert cfg.name == "s"
 
     def test_baseline_defaults_to_first_values(self):
         cfg = SweepConfig(
-            name="s", axes={"brick_dim": [2, 4], "overlap": [False, True]}
+            name="s",
+            axes={"brick_dim": [2, 4], "communication_avoiding": [False, True]},
         )
-        assert cfg.baseline_axes() == {"brick_dim": 2, "overlap": False}
+        assert cfg.baseline_axes() == {
+            "brick_dim": 2, "communication_avoiding": False,
+        }
 
 
 class TestExpansion:
     def test_cartesian_product(self):
         cfg = SweepConfig(
             name="s",
-            axes={"brick_dim": [2, 4], "overlap": [False, True]},
+            axes={"brick_dim": [2, 4], "communication_avoiding": [False, True]},
         )
         cells = expand(cfg)
         assert len(cells) == 4
         assert [c.label for c in cells] == [
-            "brick_dim-2_overlap-off",
-            "brick_dim-2_overlap-on",
-            "brick_dim-4_overlap-off",
-            "brick_dim-4_overlap-on",
+            "brick_dim-2_communication_avoiding-off",
+            "brick_dim-2_communication_avoiding-on",
+            "brick_dim-4_communication_avoiding-off",
+            "brick_dim-4_communication_avoiding-on",
         ]
-        assert cells[1].solver_kwargs == dict(brick_dim=2, overlap=True)
+        assert cells[1].solver_kwargs == dict(
+            brick_dim=2, communication_avoiding=True
+        )
 
     def test_scenario_fills_only_unpinned_keys(self):
         # tier1 says brick_dim=4; the axis pins 8, and must win
@@ -133,7 +142,7 @@ class TestExpansion:
         assert cell.solver_kwargs["rank_dims"] == (2, 1, 1)
 
     def test_committed_sweep_configs_expand(self):
-        for name in ("smoke", "overlap", "agglomeration"):
+        for name in ("smoke", "agglomeration"):
             cfg = SweepConfig.from_file(f"benchmarks/sweeps/{name}.json")
             cells = expand(cfg)
             assert cells, name
