@@ -24,4 +24,4 @@ experiments:
 all: install test bench validate
 
 clean:
-	rm -rf build *.egg-info src/*.egg-info .pytest_cache benchmarks/results
+	rm -rf build *.egg-info src/*.egg-info .pytest_cache benchmarks/results/json

@@ -48,150 +48,3 @@ def test_agglomeration_strong_scaling(benchmark, machine):
             > result.baseline_efficiency[-1]
         )
 
-
-# ----------------------------------------------------------------------
-# In-solver agglomeration (PR 5): the merge is real, not modelled.
-# The solver gathers coarse levels below ``--agglomerate-threshold``
-# onto a factor-of-8-smaller active rank grid; this bench verifies the
-# bit-identity acceptance property, measures the structural traffic
-# reduction on the merged level, prices the modelled coarse-level
-# visit, and emits ``BENCH_pr5.json`` (ledger-entry form) plus — with
-# ``REPRO_BENCH_RECORD=1`` — an entry in the committed ledger at
-# ``benchmarks/results/ledger/coarse_agglomeration.jsonl``.
-# ----------------------------------------------------------------------
-
-def test_in_solver_agglomeration_identity_and_traffic():
-    import time
-
-    import numpy as np
-
-    from benchmarks._runner import QUICK as quick
-    from benchmarks._runner import pick, publish_entry
-    from repro.gmg import GMGSolver, SolverConfig
-    from repro.harness.agglomeration import AgglomeratedTimedSolve
-    from repro.harness.vcycle_sim import TimedSolve, WorkloadConfig
-    from repro.machines.specs import MACHINES
-    from repro.obs.ledger import LedgerEntry
-    from repro.obs.metrics import solve_metrics
-
-    rounds = pick(5, 2)
-    problem = dict(
-        global_cells=32, num_levels=4, brick_dim=4, max_smooths=6,
-        bottom_smooths=20, max_vcycles=8, rank_dims=(2, 2, 2),
-    )
-    threshold = 64
-
-    def run(threshold_points):
-        cfg = SolverConfig(**problem, agglomerate_threshold=threshold_points)
-        solver = GMGSolver(cfg)
-        return solver, solver.solve()
-
-    # interleaved best-of-N wallclock, identity asserted on every round
-    best = {"seed": float("inf"), "agglomerated": float("inf")}
-    solvers = {}
-    for _ in range(rounds):
-        for label, thr in (("seed", None), ("agglomerated", threshold)):
-            t0 = time.perf_counter()
-            solver, result = run(thr)
-            best[label] = min(best[label], time.perf_counter() - t0)
-            solvers[label] = (solver, result)
-
-    off, r_off = solvers["seed"]
-    on, r_on = solvers["agglomerated"]
-    assert on.agglomerator is not None
-    assert r_on.residual_history == r_off.residual_history
-    assert np.array_equal(on.solution(), off.solution())
-
-    c_off = solve_metrics(off.recorder).snapshot()["counters"]
-    c_on = solve_metrics(
-        on.recorder, agglomerator=on.agglomerator
-    ).snapshot()["counters"]
-    merged_lev = problem["num_levels"] - 1
-
-    # modelled coarse-level cost per V-cycle (Perlmutter pricing): the
-    # same workload shape through the PR-3 performance model, baseline
-    # vs agglomerated schedule
-    machine = MACHINES["Perlmutter"]
-    w = WorkloadConfig(
-        per_rank_cells=(16, 16, 16), num_levels=4, max_smooths=6,
-        bottom_smooths=20, num_vcycles=r_on.num_vcycles,
-        rank_dims=(2, 2, 2), ranks_per_node=4, brick_dim=4,
-    )
-    def coarse_ms(sim):
-        times = sim.vcycle_level_times()
-        return sum(sum(lv.values()) for lv in times[1:]) * 1e3
-
-    model_base = coarse_ms(TimedSolve(machine, w))
-    model_aggl = coarse_ms(AgglomeratedTimedSolve(machine, w, threshold))
-
-    plan = on.agglomerator.plan
-    entry = LedgerEntry(
-        benchmark="coarse_agglomeration",
-        metrics={
-            "end_to_end_ms.seed": round(best["seed"] * 1e3, 2),
-            "end_to_end_ms.agglomerated": round(best["agglomerated"] * 1e3, 2),
-            "model_ms.coarse_levels_baseline": round(model_base, 4),
-            "model_ms.coarse_levels_agglomerated": round(model_aggl, 4),
-        },
-        context={
-            "problem": problem,
-            "threshold_points": threshold,
-            "rounds": rounds,
-            "quick": quick,
-            "bit_identical_history": True,
-            "bit_identical_solution": True,
-            "active_dims": [list(d) for d in plan.active_dims],
-            "merged_level": merged_lev,
-            "traffic": {
-                f"exchanges.level{merged_lev}": {
-                    "seed": c_off[f"exchanges.level{merged_lev}"],
-                    "agglomerated": c_on[f"exchanges.level{merged_lev}"],
-                },
-                f"messages.level{merged_lev}.count": {
-                    "seed": c_off[f"messages.level{merged_lev}.count"],
-                    "agglomerated": c_on[f"messages.level{merged_lev}.count"],
-                },
-                f"messages.level{merged_lev}.bytes": {
-                    "seed": c_off[f"messages.level{merged_lev}.bytes"],
-                    "agglomerated": c_on[f"messages.level{merged_lev}.bytes"],
-                },
-            },
-        },
-    )
-
-    # the structural claims the JSON records must actually hold
-    traffic = entry.context["traffic"]
-    assert traffic[f"exchanges.level{merged_lev}"]["agglomerated"] < (
-        traffic[f"exchanges.level{merged_lev}"]["seed"]
-    )
-    assert traffic[f"messages.level{merged_lev}.count"]["agglomerated"] < (
-        traffic[f"messages.level{merged_lev}.count"]["seed"] / 8
-    )
-    assert model_aggl < model_base
-    for key, val in c_off.items():
-        if key.startswith("kernel_points."):
-            assert c_on[key] == val, key
-
-    lines = [
-        "In-solver coarse-level agglomeration (32^3, 4 levels, "
-        "2x2x2 ranks, threshold 64 points/rank):",
-        f"  plan: {' -> '.join('x'.join(map(str, d)) for d in plan.active_dims)}",
-        "  histories and solutions bit-identical: True",
-        f"  exchanges.level{merged_lev}: "
-        f"{traffic[f'exchanges.level{merged_lev}']['seed']} -> "
-        f"{traffic[f'exchanges.level{merged_lev}']['agglomerated']}",
-        f"  messages.level{merged_lev}.count: "
-        f"{traffic[f'messages.level{merged_lev}.count']['seed']} -> "
-        f"{traffic[f'messages.level{merged_lev}.count']['agglomerated']}",
-        f"  messages.level{merged_lev}.bytes: "
-        f"{traffic[f'messages.level{merged_lev}.bytes']['seed']} -> "
-        f"{traffic[f'messages.level{merged_lev}.bytes']['agglomerated']}",
-        f"  modelled coarse-level ms/V-cycle (Perlmutter): "
-        f"{model_base:.4f} -> {model_aggl:.4f}",
-        f"  end-to-end ms (best of {rounds}): "
-        f"seed {best['seed'] * 1e3:.1f}, "
-        f"agglomerated {best['agglomerated'] * 1e3:.1f}",
-    ]
-    report("agglomeration_in_solver", "\n".join(lines) + "\n")
-
-    publish_entry("BENCH_pr5.json", entry)

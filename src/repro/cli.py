@@ -14,10 +14,29 @@ import sys
 import numpy as np
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse ``type=``: a non-empty comma-separated list of integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _rank_dims(text: str) -> tuple[int, int, int]:
+    """argparse ``type=``: exactly three positive comma-separated integers."""
+    dims = _int_list(text)
+    if len(dims) != 3 or min(dims) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected three positive comma-separated integers, got {text!r}"
+        )
+    return dims
+
+
 def _solver_config(args: argparse.Namespace):
     from repro.gmg import SolverConfig
 
-    dims = tuple(int(v) for v in args.ranks.split(","))
     return SolverConfig(
         global_cells=args.size,
         num_levels=args.levels,
@@ -25,7 +44,7 @@ def _solver_config(args: argparse.Namespace):
         max_smooths=args.smooths,
         bottom_smooths=args.bottom,
         max_vcycles=args.max_cycles,
-        rank_dims=dims,
+        rank_dims=args.ranks,
         smoother=args.smoother,
         bottom_solver=args.bottom_solver,
         cycle=args.cycle,
@@ -162,7 +181,8 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
     result = solver.solve()
     print(
         f"communication view: {args.size}^3 over {config.num_ranks} ranks "
-        f"({args.ranks}), {args.levels} levels, status={result.status}"
+        f"({','.join(map(str, args.ranks))}), {args.levels} levels, "
+        f"status={result.status}"
     )
     print(exchange_path_line(solver))
     traffic = traffic_matrix(tracer, size=config.num_ranks)
@@ -251,226 +271,6 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-    import os
-    import pathlib
-
-    from repro.perf.sweep import SweepConfig, run_sweep
-
-    config = SweepConfig.from_file(args.config)
-    quick = args.quick or bool(os.environ.get("REPRO_BENCH_QUICK"))
-    n_cells = 1
-    for values in config.axes.values():
-        n_cells *= len(values)
-    print(
-        f"sweep '{config.name}': expanding "
-        + " x ".join(f"{k}[{len(v)}]" for k, v in config.axes.items())
-        + f" -> {n_cells} cells"
-        + (" (quick)" if quick else "")
-    )
-    report = run_sweep(
-        config, quick=quick, rounds=args.rounds, progress=print
-    )
-    print()
-    print(report.render())
-
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = f"sweep_{config.name}"
-    txt_path = out / f"{stem}.txt"
-    txt_path.write_text(report.render())
-    json_path = pathlib.Path(args.json) if args.json else out / f"{stem}.json"
-    with open(json_path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=1, sort_keys=True)
-    html_path = pathlib.Path(args.html) if args.html else out / f"{stem}.html"
-    html_path.write_text(report.to_html())
-    print(f"wrote {txt_path}, {json_path}, {html_path}")
-
-    entries = report.ledger_entries()
-    if args.update:
-        for entry in entries:
-            _record_sweep_entry(entry, args.ledger)
-        print(
-            f"gate the matrix with: repro perfgate --ledger {args.ledger} "
-            f"--series 'sweep_{config.name}.*' --noise-scaled"
-        )
-    if not report.ok:
-        bad = [r.cell.label for r in report.cells if not r.ok]
-        print(f"sweep FAILED: cells ended badly: {bad}")
-        return 1
-    return 0
-
-
-def _series_gate(args, ledger) -> int:
-    """Gate the newest entry of every matching series (perfgate --series)."""
-    import fnmatch
-
-    from repro.obs.ledger import (
-        baseline_from_entries,
-        compare_metrics,
-        metric_dispersions,
-        noise_thresholds,
-    )
-
-    patterns = [p.strip() for p in args.series.split(",") if p.strip()]
-    names = sorted(
-        name
-        for name in ledger.benchmarks()
-        if any(fnmatch.fnmatch(name, p) for p in patterns)
-    )
-    if not names:
-        print(f"no ledger series match {patterns}")
-        return 1
-    exit_code = 0
-    for name in names:
-        entries = ledger.entries(name)
-        if len(entries) < args.window + 1:
-            print(
-                f"{name}: {len(entries)} entries < window+1 "
-                f"({args.window + 1}) — not gating"
-            )
-            continue
-        candidate = entries[-1]
-        history = entries[:-1][-args.window:]
-        metrics = dict(candidate.metrics)
-        if args.inject_slowdown:
-            factor = 1.0 + args.inject_slowdown / 100.0
-            metrics = {k: v * factor for k, v in metrics.items()}
-        thresholds = None
-        if args.noise_scaled:
-            thresholds = noise_thresholds(
-                metric_dispersions(history, window=args.window),
-                floor=args.threshold,
-            )
-        result = compare_metrics(
-            baseline_from_entries(history),
-            metrics,
-            name,
-            threshold=args.threshold,
-            thresholds=thresholds,
-        )
-        print(result.render())
-        if not result.ok and not args.warn_only:
-            exit_code = 1
-    if args.inject_slowdown:
-        print(f"(candidates carried a synthetic "
-              f"{args.inject_slowdown:g}% slowdown)")
-    if exit_code == 0 and args.warn_only:
-        print("(warn-only: regressions reported but not gating)")
-    return exit_code
-
-
-def _list_ledger(args, ledger) -> int:
-    """Inventory the ledger for CI logs (perfgate --list)."""
-    from repro.obs.ledger import metric_dispersions
-
-    names = ledger.benchmarks()
-    if not names:
-        print(f"no ledger series under {ledger.root}")
-        return 0
-    print(
-        f"performance ledger at {ledger.root} "
-        f"(min-of-{args.window} baselines):"
-    )
-    print(
-        f"  {'series':<44}{'entries':>8}{'metrics':>8}{'noise':>7}"
-        f"  baseline   last recorded"
-    )
-    for name in names:
-        entries = ledger.entries(name)
-        disp = metric_dispersions(entries, window=args.window)
-        rels = sorted(d.rel_iqr for d in disp.values())
-        median_rel = rels[len(rels) // 2] if rels else 0.0
-        armed = len(entries) >= args.window
-        status = "armed" if armed else f"n<{args.window}"
-        last = entries[-1].recorded_at or "-" if entries else "-"
-        print(
-            f"  {name:<44}{len(entries):>8}{len(disp):>8}"
-            f"{median_rel * 100:>6.1f}%  {status:<9}  {last}"
-        )
-    return 0
-
-
-def _cmd_perfgate(args: argparse.Namespace) -> int:
-    from datetime import datetime, timezone
-
-    from repro.obs.ledger import (
-        LedgerEntry,
-        PerfLedger,
-        compare_metrics,
-        load_candidate,
-        measure_hotpath,
-        metric_dispersions,
-        noise_thresholds,
-    )
-
-    ledger = PerfLedger(args.ledger)
-    if args.list:
-        return _list_ledger(args, ledger)
-    if args.series:
-        return _series_gate(args, ledger)
-    if args.candidate:
-        candidate = load_candidate(args.candidate)
-        print(f"candidate: {args.candidate} ({len(candidate.metrics)} metrics)")
-    else:
-        print(f"measuring hot-path candidate (best of {args.rounds} rounds)...")
-        candidate = measure_hotpath(rounds=args.rounds)
-    if args.inject_slowdown:
-        factor = 1.0 + args.inject_slowdown / 100.0
-        candidate = LedgerEntry(
-            benchmark=candidate.benchmark,
-            metrics={k: v * factor for k, v in candidate.metrics.items()},
-            source=candidate.source,
-            context={**candidate.context,
-                     "injected_slowdown_pct": args.inject_slowdown},
-            recorded_at=candidate.recorded_at,
-        )
-        print(f"injected a synthetic {args.inject_slowdown:g}% slowdown")
-
-    benchmark = candidate.benchmark
-    # Gate only against a full min-of-k window: an empty or
-    # shorter-than-k history (fresh checkout, truncated file, first
-    # runs after a ledger reset) has not absorbed run-to-run noise yet,
-    # so it takes the no-baseline path — record-and-exit-0, never an
-    # error or a gate against a single noisy sample.
-    history = ledger.entries(benchmark)
-    exit_code = 0
-    if len(history) < args.window:
-        print(
-            f"no baseline for {benchmark!r} in {ledger.path(benchmark)} — "
-            f"{len(history)} recorded entries < min-of-{args.window} window, "
-            f"nothing to gate against"
-        )
-    else:
-        baseline = ledger.baseline_metrics(benchmark, window=args.window)
-        thresholds = None
-        if args.noise_scaled:
-            thresholds = noise_thresholds(
-                metric_dispersions(history, window=args.window),
-                floor=args.threshold,
-            )
-        result = compare_metrics(
-            baseline, candidate.metrics, benchmark,
-            threshold=args.threshold, thresholds=thresholds,
-        )
-        print(result.render())
-        if not result.ok:
-            exit_code = 0 if args.warn_only else 1
-            if args.warn_only:
-                print("(warn-only: regressions reported but not gating)")
-    if args.update:
-        if args.inject_slowdown:
-            print("refusing to record a synthetically slowed candidate")
-        else:
-            candidate.recorded_at = datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            )
-            path = ledger.record(candidate)
-            print(f"recorded candidate in {path}")
-    return exit_code
-
-
 def _experiment_commands() -> dict:
     from repro.harness import experiments as E
     from repro.harness import reporting as R
@@ -524,34 +324,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _record_sweep_entry(entry, ledger_dir: str) -> None:
-    """Stamp and append a sweep's ledger entry (shared by both sweeps)."""
-    from datetime import datetime, timezone
-
-    from repro.obs.ledger import PerfLedger
-
-    entry.recorded_at = datetime.now(timezone.utc).isoformat(
-        timespec="seconds"
-    )
-    path = PerfLedger(ledger_dir).record(entry)
-    print(f"recorded sweep in {path}")
-
-
 def _cmd_faultsweep(args: argparse.Namespace) -> int:
-    from repro.faults.sweep import (
-        fault_sweep,
-        render_fault_sweep,
-        sweep_ledger_entry,
-    )
+    from repro.faults.sweep import fault_sweep, render_fault_sweep
 
     machine = None if args.machine == "none" else args.machine
-    dims = tuple(int(v) for v in args.ranks.split(","))
-    rows = fault_sweep(seed=args.seed, machine_name=machine, rank_dims=dims)
+    rows = fault_sweep(
+        seed=args.seed, machine_name=machine, rank_dims=args.ranks
+    )
     print(render_fault_sweep(rows, machine))
-    if args.update:
-        _record_sweep_entry(
-            sweep_ledger_entry(rows, args.seed, dims, machine), args.ledger
-        )
     # Success = every scenario ended in a structured status and the
     # recoverable ones converged back to the reference solution.
     recoverable = [r for r in rows if r.scenario != "drop-storm"]
@@ -562,28 +342,17 @@ def _cmd_faultsweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaossweep(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import (
-        chaos_ledger_entry,
-        chaos_passed,
-        chaos_sweep,
-        render_chaos_sweep,
-    )
+    from repro.faults.chaos import chaos_passed, chaos_sweep, render_chaos_sweep
 
-    dims = tuple(int(v) for v in args.ranks.split(","))
-    cycles = tuple(int(v) for v in args.crash_cycles.split(","))
-    counts = tuple(int(v) for v in args.crash_counts.split(","))
-    intervals = tuple(int(v) for v in args.checkpoint_intervals.split(","))
     rows = chaos_sweep(
         seed=args.seed,
-        rank_dims=dims,
-        crash_cycles=cycles,
-        crash_counts=counts,
-        checkpoint_intervals=intervals,
+        rank_dims=args.ranks,
+        crash_cycles=args.crash_cycles,
+        crash_counts=args.crash_counts,
+        checkpoint_intervals=args.checkpoint_intervals,
         storm=args.storm,
     )
     print(render_chaos_sweep(rows))
-    if args.update:
-        _record_sweep_entry(chaos_ledger_entry(rows, args.seed, dims), args.ledger)
     ok = chaos_passed(rows, storm=args.storm)
     if args.storm:
         storm_rows = [r for r in rows if r.scenario == "crash-storm"]
@@ -606,25 +375,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_autotune(args: argparse.Namespace) -> int:
-    from repro.harness.autotune import autotune, render_tuning, sweep_prior
+    from repro.harness.autotune import autotune, render_tuning
     from repro.machines import MACHINES
 
-    prior = None
-    if args.from_ledger:
-        prior = sweep_prior(args.from_ledger, prefix=args.prior_prefix)
-        if prior:
-            measured = ", ".join(
-                f"B{b}={ms:.1f}ms" for b, ms in sorted(prior.items())
-            )
-            print(f"sweep-ledger prior: {measured}")
-        else:
-            print(
-                f"no {args.prior_prefix}* series under {args.from_ledger} "
-                "pin a brick_dim; running pure-model"
-            )
     machines = list(MACHINES) if args.machine == "all" else [args.machine]
     for name in machines:
-        print(render_tuning(autotune(MACHINES[name], prior=prior)))
+        print(render_tuning(autotune(MACHINES[name])))
     return 0
 
 
@@ -644,7 +400,6 @@ def _loadgen_config(args: argparse.Namespace):
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.ledger import LedgerEntry
     from repro.service.loadgen import run_loadgen
 
     base = _loadgen_config(args)
@@ -690,18 +445,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             tracer, args.trace, metadata={"tool": "repro loadgen"}
         )
         print(f"wrote trace to {args.trace}")
-    if args.update:
-        entry = LedgerEntry(
-            benchmark="service.loadgen",
-            metrics=dict(report.metrics),
-            source="loadgen",
-            context=dict(report.context),
-        )
-        _record_sweep_entry(entry, args.ledger)
-        print(
-            f"gate the series with: repro perfgate --ledger {args.ledger} "
-            f"--series 'service.*' --noise-scaled --warn-only"
-        )
     if args.min_speedup is not None and not args.no_baseline:
         if report.speedup < args.min_speedup:
             print(
@@ -805,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bottom-solver iterations (default 100)")
         p.add_argument("-n", "--max-cycles", type=int, default=100,
                        help="maximum cycles (default 100)")
-        p.add_argument("--ranks", default="1,1,1",
+        p.add_argument("--ranks", type=_rank_dims, default="1,1,1",
                        help="rank grid, e.g. 2,2,2 (default 1,1,1)")
         p.add_argument("--smoother", default="jacobi",
                        choices=["jacobi", "gsrb", "sor", "chebyshev"])
@@ -894,118 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["Perlmutter", "Frontier", "Sunspot", "all"],
     )
-    tune.add_argument(
-        "--from-ledger", metavar="DIR",
-        help="bias the model ranking with measured sweep history from "
-             "this ledger directory (e.g. benchmarks/results/ledger)",
-    )
-    tune.add_argument(
-        "--prior-prefix", default="sweep_", metavar="PREFIX",
-        help="ledger series prefix harvested for the prior (default sweep_)",
-    )
     tune.set_defaults(func=_cmd_autotune)
-
-    perfgate = sub.add_parser(
-        "perfgate",
-        help="compare a benchmark candidate against the committed "
-             "performance ledger; non-zero exit on regression",
-    )
-    perfgate.add_argument(
-        "--ledger", default="benchmarks/results/ledger", metavar="DIR",
-        help="ledger directory (default benchmarks/results/ledger)",
-    )
-    perfgate.add_argument(
-        "--candidate", metavar="FILE",
-        help="gate this JSON file (ledger entry or bench payload) "
-             "instead of measuring the hot path",
-    )
-    perfgate.add_argument(
-        "--rounds", type=int, default=3,
-        help="measurement rounds when no --candidate is given (default 3)",
-    )
-    perfgate.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="relative slowdown tolerated before a metric counts as "
-             "regressed (default 0.15)",
-    )
-    perfgate.add_argument(
-        "--window", type=int, default=3,
-        help="min-of-k baseline window over the last k entries (default 3)",
-    )
-    perfgate.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but always exit 0 (CI advisory mode)",
-    )
-    perfgate.add_argument(
-        "--update", action="store_true",
-        help="append the candidate to the ledger after comparing",
-    )
-    perfgate.add_argument(
-        "--inject-slowdown", type=float, default=0.0, metavar="PCT",
-        help="scale the candidate's metrics by 1+PCT/100 (gate self-test)",
-    )
-    perfgate.add_argument(
-        "--list", action="store_true",
-        help="print every ledger series with entry counts, baseline "
-             "status, and measured dispersion, then exit (CI inventory)",
-    )
-    perfgate.add_argument(
-        "--series", metavar="PATTERNS",
-        help="gate the newest entry of every series matching the comma-"
-             "separated glob patterns (e.g. 'sweep_smoke.*') against "
-             "the window of entries before it, instead of measuring "
-             "the hot path",
-    )
-    perfgate.add_argument(
-        "--noise-scaled", action="store_true",
-        help="scale each metric's threshold by its measured historical "
-             "dispersion: a regression must clear "
-             "max(threshold, 2 x rel-IQR), not a fixed percentage",
-    )
-    perfgate.set_defaults(func=_cmd_perfgate)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="expand a declarative config matrix (brick x communication "
-             "avoiding x agglomeration x machine x scenario), run every "
-             "cell with warmup + interleaved rounds, and report "
-             "variance-aware statistics with per-axis delta attribution",
-    )
-    sweep.add_argument(
-        "--config", required=True, metavar="FILE",
-        help="sweep config (JSON; see benchmarks/sweeps/)",
-    )
-    sweep.add_argument(
-        "--quick", action="store_true",
-        help="use the config's quick_rounds (also via REPRO_BENCH_QUICK=1)",
-    )
-    sweep.add_argument(
-        "--rounds", type=int, default=None,
-        help="override the config's repetition rounds",
-    )
-    sweep.add_argument(
-        "--out", default="benchmarks/results", metavar="DIR",
-        help="directory for the txt/json/html report "
-             "(default benchmarks/results)",
-    )
-    sweep.add_argument(
-        "--json", metavar="FILE",
-        help="write the JSON report here instead of <out>/sweep_<name>.json",
-    )
-    sweep.add_argument(
-        "--html", metavar="FILE",
-        help="write the HTML report here instead of <out>/sweep_<name>.html",
-    )
-    sweep.add_argument(
-        "--ledger", default="benchmarks/results/ledger", metavar="DIR",
-        help="ledger directory for --update (default benchmarks/results/ledger)",
-    )
-    sweep.add_argument(
-        "--update", action="store_true",
-        help="append every cell's entry to its sweep_<name>.<cell> "
-             "ledger series",
-    )
-    sweep.set_defaults(func=_cmd_sweep)
 
     faultsweep = sub.add_parser(
         "faultsweep",
@@ -1013,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faultsweep.add_argument("--seed", type=int, default=2024,
                             help="seed for the random-burst scenario")
-    faultsweep.add_argument("--ranks", default="2,1,1",
+    faultsweep.add_argument("--ranks", type=_rank_dims, default="2,1,1",
                             help="rank grid, e.g. 2,2,1 (default 2,1,1)")
     faultsweep.add_argument(
         "--machine",
@@ -1021,44 +653,27 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["Perlmutter", "Frontier", "Sunspot", "none"],
         help="machine pricing the resilience overhead ('none' to skip)",
     )
-    faultsweep.add_argument(
-        "--ledger", default="benchmarks/results/ledger", metavar="DIR",
-        help="ledger directory for --update (default benchmarks/results/ledger)",
-    )
-    faultsweep.add_argument(
-        "--update", action="store_true",
-        help="append the sweep's metrics to the resilience ledger",
-    )
     faultsweep.set_defaults(func=_cmd_faultsweep)
 
     chaossweep = sub.add_parser(
         "chaossweep",
-        help="seeded rank-crash matrix: buddy restore / communicator "
-             "repair, with recovery-SLO ledger output",
+        help="seeded rank-crash matrix: buddy restore / communicator repair",
     )
     chaossweep.add_argument("--seed", type=int, default=2024,
                             help="seed choosing the crash victims")
-    chaossweep.add_argument("--ranks", default="2,2,2",
+    chaossweep.add_argument("--ranks", type=_rank_dims, default="2,2,2",
                             help="rank grid, e.g. 2,2,2 (default 2,2,2)")
     chaossweep.add_argument(
-        "--crash-cycles", default="1,3", metavar="LIST",
+        "--crash-cycles", type=_int_list, default="1,3", metavar="LIST",
         help="comma list of V-cycle indices to crash at (default 1,3)",
     )
     chaossweep.add_argument(
-        "--crash-counts", default="1,2", metavar="LIST",
+        "--crash-counts", type=_int_list, default="1,2", metavar="LIST",
         help="comma list of simultaneous crash counts (default 1,2)",
     )
     chaossweep.add_argument(
-        "--checkpoint-intervals", default="1,2", metavar="LIST",
+        "--checkpoint-intervals", type=_int_list, default="1,2", metavar="LIST",
         help="comma list of checkpoint intervals to try (default 1,2)",
-    )
-    chaossweep.add_argument(
-        "--ledger", default="benchmarks/results/ledger", metavar="DIR",
-        help="ledger directory for --update (default benchmarks/results/ledger)",
-    )
-    chaossweep.add_argument(
-        "--update", action="store_true",
-        help="append the run's recovery SLOs to the chaos ledger",
     )
     chaossweep.add_argument(
         "--storm", action="store_true",
@@ -1102,16 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the full report as JSON")
     loadgen.add_argument("--trace", metavar="FILE",
                          help="write a Chrome trace of the service pass")
-    loadgen.add_argument(
-        "--ledger", default="benchmarks/results/ledger", metavar="DIR",
-        help="ledger directory for --update (default "
-             "benchmarks/results/ledger)",
-    )
-    loadgen.add_argument(
-        "--update", action="store_true",
-        help="append the run's metrics to the service.loadgen ledger "
-             "series (gate with: repro perfgate --series 'service.*')",
-    )
     loadgen.set_defaults(func=_cmd_loadgen)
 
     serve = sub.add_parser(

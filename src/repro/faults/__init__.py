@@ -26,7 +26,7 @@ resilience claim testable:
 * :mod:`~repro.faults.sweep` — the ``python -m repro faultsweep``
   scenario table demonstrating detection and recovery end to end;
 * :mod:`~repro.faults.chaos` — the ``python -m repro chaossweep``
-  rank-crash matrix with recovery-SLO ledger output.
+  rank-crash recovery matrix.
 """
 
 from repro.faults.buddy import BuddyCheckpointer

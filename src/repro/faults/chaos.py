@@ -10,11 +10,6 @@ must reach the *same* residual tolerance as the fault-free reference
 (and, because recovery replays deterministically from a coordinated
 checkpoint or a deterministic restart, the solution is bit-identical).
 
-Results land in the same schema-versioned JSONL ledger as perf runs
-(:class:`~repro.obs.ledger.PerfLedger`), so resilience regressions —
-MTTR growing, recoveries burning more cycles — gate exactly like perf
-regressions.
-
 Everything is seeded: the crash victims are drawn from
 ``np.random.default_rng(seed)``, so a (seed, matrix) pair fully
 determines every injected crash and the sweep is reproducible
@@ -31,10 +26,6 @@ import numpy as np
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.recovery import ResilienceConfig
 from repro.gmg.solver import GMGSolver, SolverConfig
-from repro.obs.ledger import LedgerEntry
-
-#: ledger benchmark name for chaos runs (``<root>/chaos_sweep.jsonl``)
-CHAOS_BENCHMARK = "chaos_sweep"
 
 
 @dataclass(frozen=True)
@@ -226,49 +217,6 @@ def chaos_passed(rows: list[ChaosRow], storm: bool = False) -> bool:
     if not storm:
         return matrix_ok
     return False  # a storm run always fails the gate, by design
-
-
-def chaos_ledger_entry(
-    rows: list[ChaosRow],
-    seed: int,
-    rank_dims: tuple[int, int, int],
-) -> LedgerEntry:
-    """One schema-versioned ledger entry for a chaos run.
-
-    Metrics are lower-is-better recovery SLOs — per-cell MTTR and
-    cycles lost, plus the count of cells that failed to recover — so
-    the perf-gate machinery can flag resilience regressions unchanged.
-    """
-    metrics: dict[str, float] = {}
-    unrecovered = 0
-    for r in rows:
-        if r.scenario == "crash-storm":
-            continue  # the self-test cell is not an SLO sample
-        metrics[f"{r.scenario}.mttr_ms"] = r.mttr_ms
-        metrics[f"{r.scenario}.cycles_lost"] = float(r.cycles_lost)
-        if not (r.status == "converged" and r.tolerance_met):
-            unrecovered += 1
-    metrics["unrecovered_cells"] = float(unrecovered)
-    context = {
-        "seed": seed,
-        "rank_dims": list(rank_dims),
-        "cells": [
-            {
-                "scenario": r.scenario,
-                "status": r.status,
-                "recovered_ranks": list(r.recovered_ranks),
-                "bytes_restored": r.bytes_restored,
-                "bit_identical": r.bit_identical,
-            }
-            for r in rows
-        ],
-    }
-    return LedgerEntry(
-        benchmark=CHAOS_BENCHMARK,
-        metrics=metrics,
-        source="chaossweep",
-        context=context,
-    )
 
 
 def render_chaos_sweep(rows: list[ChaosRow]) -> str:

@@ -180,45 +180,6 @@ def fault_sweep(
     return rows
 
 
-def sweep_ledger_entry(
-    rows: list[SweepRow],
-    seed: int,
-    rank_dims: tuple[int, int, int],
-    machine_name: str | None = None,
-) -> "LedgerEntry":
-    """One schema-versioned ledger entry for a faultsweep run.
-
-    The same shape as perf-ledger records (flat lower-is-better
-    metrics), so resilience sweeps are tracked — and gated — alongside
-    perf runs in ``benchmarks/results/ledger/``.  Per scenario: the
-    modelled recovery overhead and the V-cycles re-executed after
-    rollbacks; plus the count of scenarios that failed to land on
-    their expected status.
-    """
-    from repro.obs.ledger import LedgerEntry
-
-    metrics: dict[str, float] = {}
-    unexpected = 0
-    for r in rows:
-        metrics[f"{r.scenario}.overhead_ms"] = r.overhead_ms
-        metrics[f"{r.scenario}.extra_vcycles"] = float(r.extra_vcycles)
-        recovered = r.status == "converged" and r.bit_identical
-        if not recovered and r.status != "failed_faults":
-            unexpected += 1
-    metrics["unexpected_outcomes"] = float(unexpected)
-    return LedgerEntry(
-        benchmark="fault_sweep",
-        metrics=metrics,
-        source="faultsweep",
-        context={
-            "seed": seed,
-            "rank_dims": list(rank_dims),
-            "machine": machine_name or "",
-            "statuses": {r.scenario: r.status for r in rows},
-        },
-    )
-
-
 def render_fault_sweep(rows: list[SweepRow], machine_name: str | None = None) -> str:
     """The faultsweep report table."""
     header = (

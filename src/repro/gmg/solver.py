@@ -266,8 +266,8 @@ class Hierarchy:
         Optional :class:`~repro.obs.tracer.Tracer` recording
         wall-clock spans for every solve phase (and fault instants).
         Defaults to the shared null tracer — the untraced path is the
-        production fast path (<2% overhead budget, measured by
-        ``benchmarks/bench_trace_overhead.py``).
+        production fast path (the ladder's ``obs.trace_overhead_ratio``
+        rung measures what an enabled tracer costs).
     """
 
     def __init__(

@@ -13,12 +13,6 @@ volume vs exchange frequency) but not the per-brick kernel-efficiency
 differences the paper's silicon measurements capture, so the tuner's
 brick-size choice can legitimately differ from the paper's — the
 ablation bench documents exactly that.
-
-A **measured prior** closes part of that gap: :func:`sweep_prior`
-harvests per-brick-dimension wallclock medians from committed
-``repro sweep`` ledger series, and :func:`autotune` biases the model
-ranking by the measured-vs-modelled ratio wherever history exists —
-the first half of the ROADMAP's ledger-driven autotuning loop.
 """
 
 from __future__ import annotations
@@ -30,37 +24,6 @@ from repro.harness.vcycle_sim import TimedSolve, WorkloadConfig
 from repro.machines.specs import MachineSpec
 
 
-def sweep_prior(ledger_root, prefix: str = "sweep_") -> dict[int, float]:
-    """Best measured median wallclock (ms) per brick dimension.
-
-    Scans every ``sweep_*`` series in the ledger for entries whose cell
-    axes (or problem context) pin a ``brick_dim``, keeping the fastest
-    median per dimension.  Returns ``{}`` when no sweep history exists
-    — the tuner then runs pure-model, exactly as before.
-    """
-    from repro.obs.ledger import PerfLedger
-
-    ledger = PerfLedger(ledger_root)
-    best: dict[int, float] = {}
-    for name in ledger.benchmarks():
-        if not name.startswith(prefix):
-            continue
-        for entry in ledger.entries(name):
-            context = entry.context
-            brick = context.get("axes", {}).get("brick_dim")
-            if brick is None:
-                brick = context.get("problem", {}).get("brick_dim")
-            median = entry.metrics.get(
-                "wallclock_ms.median", entry.metrics.get("wallclock_ms")
-            )
-            if brick is None or median is None:
-                continue
-            brick = int(brick)
-            if brick not in best or median < best[brick]:
-                best[brick] = float(median)
-    return best
-
-
 @dataclass(frozen=True)
 class TuningChoice:
     """One point of the configuration space with its predicted time."""
@@ -70,12 +33,6 @@ class TuningChoice:
     communication_avoiding: bool
     gpu_aware: bool
     vcycle_seconds: float
-    #: best measured median (ms) for this brick dimension from the
-    #: sweep-ledger prior, when history covers it
-    measured_ms: float | None = None
-    #: model time after the measured-prior bias; equals
-    #: ``vcycle_seconds`` when no prior applies
-    effective_seconds: float = 0.0
 
     def label(self) -> str:
         return (
@@ -91,8 +48,6 @@ class TuningResult:
 
     machine: str
     choices: list[TuningChoice]  # sorted fastest first
-    #: brick dims the measured prior covered (empty: pure-model ranking)
-    prior_bricks: tuple[int, ...] = ()
 
     @property
     def best(self) -> TuningChoice:
@@ -113,22 +68,10 @@ def autotune(
     workload: WorkloadConfig | None = None,
     brick_dims: tuple[int, ...] = (2, 4, 8, 16),
     orderings: tuple[str, ...] = ("surface-major", "lexicographic"),
-    prior: dict[int, float] | None = None,
 ) -> TuningResult:
-    """Exhaustively price the configuration space and rank it.
-
-    ``prior`` (see :func:`sweep_prior`) maps brick dimensions to
-    measured median wallclock.  When it covers at least two of the
-    swept dimensions, each covered dimension's model time is biased by
-    ``measured_rel / model_rel`` — the ratio of its measured standing
-    (vs the fastest measured brick) to its modelled standing — so a
-    brick the model flatters but the machine dislikes sinks in the
-    ranking.  Uncovered dimensions keep their pure model time, and the
-    per-brick internal ordering (CA, mapping, ordering) stays
-    model-driven either way.
-    """
+    """Exhaustively price the configuration space and rank it."""
     workload = workload or WorkloadConfig()
-    raw = []
+    choices = []
     for brick, ordering, ca, aware in itertools.product(
         brick_dims, orderings, (True, False), (True, False)
     ):
@@ -140,66 +83,26 @@ def autotune(
             gpu_aware=aware,
         )
         t = TimedSolve(machine, w).time_per_vcycle()
-        raw.append((brick, ordering, ca, aware, t))
-
-    covered = sorted(
-        b for b in {r[0] for r in raw} if prior and b in prior
-    )
-    bias: dict[int, float] = {}
-    if len(covered) >= 2:
-        model_best = {
-            b: min(t for brick, *_, t in raw if brick == b)
-            for b in {r[0] for r in raw}
-        }
-        model_floor = min(model_best[b] for b in covered)
-        measured_floor = min(prior[b] for b in covered)
-        for b in covered:
-            model_rel = model_best[b] / model_floor
-            measured_rel = prior[b] / measured_floor
-            bias[b] = measured_rel / model_rel
-    else:
-        covered = []
-
-    choices = [
-        TuningChoice(
-            brick_dim=brick,
-            ordering=ordering,
-            communication_avoiding=ca,
-            gpu_aware=aware,
-            vcycle_seconds=t,
-            measured_ms=prior.get(brick) if prior else None,
-            effective_seconds=t * bias.get(brick, 1.0),
+        choices.append(
+            TuningChoice(
+                brick_dim=brick,
+                ordering=ordering,
+                communication_avoiding=ca,
+                gpu_aware=aware,
+                vcycle_seconds=t,
+            )
         )
-        for brick, ordering, ca, aware, t in raw
-    ]
-    choices.sort(key=lambda c: c.effective_seconds)
-    return TuningResult(
-        machine=machine.name, choices=choices, prior_bricks=tuple(covered)
-    )
+    choices.sort(key=lambda c: c.vcycle_seconds)
+    return TuningResult(machine=machine.name, choices=choices)
 
 
 def render_tuning(result: TuningResult, top: int = 8) -> str:
     """Human-readable ranking (fastest ``top`` plus the worst)."""
-    title = f"auto-tuning on {result.machine} "
-    if result.prior_bricks:
-        title += (
-            f"(headroom {result.tuning_headroom:.2f}x; measured prior "
-            f"for bricks {list(result.prior_bricks)}):"
-        )
-    else:
-        title += f"(headroom {result.tuning_headroom:.2f}x):"
-    lines = [title]
-
-    def row(c: TuningChoice) -> str:
-        measured = (
-            f"  [measured {c.measured_ms:.1f} ms]"
-            if c.measured_ms is not None and result.prior_bricks
-            else ""
-        )
-        return f"  {c.vcycle_seconds * 1e3:8.1f} ms  {c.label()}{measured}"
-
+    lines = [f"auto-tuning on {result.machine} "
+             f"(headroom {result.tuning_headroom:.2f}x):"]
     for c in result.choices[:top]:
-        lines.append(row(c))
+        lines.append(f"  {c.vcycle_seconds * 1e3:8.1f} ms  {c.label()}")
     lines.append("  ...")
-    lines.append(row(result.worst) + "  (worst)")
+    c = result.worst
+    lines.append(f"  {c.vcycle_seconds * 1e3:8.1f} ms  {c.label()}  (worst)")
     return "\n".join(lines) + "\n"

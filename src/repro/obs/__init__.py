@@ -11,9 +11,7 @@
 * :mod:`~repro.obs.profile` — the ``python -m repro profile`` core;
 * :mod:`~repro.obs.rank` — rank x rank traffic matrices, per-rank time
   breakdowns, and per-V-cycle critical paths from the per-rank span
-  timelines (the ``python -m repro commviz`` core);
-* :mod:`~repro.obs.ledger` — the persistent performance ledger behind
-  ``python -m repro perfgate`` (imported lazily; see the module).
+  timelines (the ``python -m repro commviz`` core).
 """
 
 from repro.obs.aggregate import (

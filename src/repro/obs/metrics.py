@@ -164,7 +164,7 @@ class MetricsRegistry:
         ``result`` is a :class:`~repro.gmg.solver.SolveResult`; gauges
         cover mean-time-to-repair, bytes adopted from buddy replicas,
         committed cycles discarded, and how many ranks came back — the
-        numbers the chaos ledger gates on.
+        numbers ``repro chaossweep`` tabulates.
         """
         self.gauge("recovery.mttr_ms", result.mttr_s * 1e3)
         self.gauge("recovery.bytes_restored", result.bytes_restored)

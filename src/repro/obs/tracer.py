@@ -13,9 +13,9 @@ when they fired.
 Tracing is strictly opt-in.  Every instrumented call site holds a
 tracer reference that defaults to the shared :data:`NULL_TRACER`, whose
 ``span()`` returns one preallocated no-op context manager — the
-disabled path costs one attribute lookup and one method call per span,
-measured at well under 2% of the tier-1 solve
-(``benchmarks/bench_trace_overhead.py``).
+disabled path costs one attribute lookup and one method call per span.
+What an *enabled* tracer costs is the benchmark ladder's
+``obs.trace_overhead_ratio`` rung (``benchmarks/ladder``).
 """
 
 from __future__ import annotations

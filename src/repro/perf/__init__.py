@@ -10,12 +10,7 @@
   (Tables IV and V);
 * :mod:`~repro.perf.speedup` — potential-speedup iso-curves (Fig. 7);
 * :mod:`~repro.perf.timers` — the paper's cross-rank
-  ``[min, avg, max] (sigma)`` timing statistics format;
-* :mod:`~repro.perf.stats` — variance-aware sample statistics
-  (min/median/IQR, relative dispersion, outlier flagging) for
-  benchmark series and the noise-scaled regression gate;
-* :mod:`~repro.perf.sweep` — the declarative config-matrix sweep
-  orchestrator behind ``repro sweep``.
+  ``[min, avg, max] (sigma)`` timing statistics format.
 """
 
 from repro.perf.ai import achieved_ai, ai_comparison_rows
@@ -31,8 +26,6 @@ from repro.perf.portability import (
     performance_portability,
 )
 from repro.perf.speedup import iso_speedup_curve, potential_speedup
-from repro.perf.stats import SampleStats, mad_outliers, relative_dispersion
-from repro.perf.sweep import SweepConfig, SweepReport, expand, run_sweep
 from repro.perf.timers import TimingStat, format_level_timing
 
 __all__ = [
@@ -49,11 +42,4 @@ __all__ = [
     "iso_speedup_curve",
     "TimingStat",
     "format_level_timing",
-    "SampleStats",
-    "mad_outliers",
-    "relative_dispersion",
-    "SweepConfig",
-    "SweepReport",
-    "expand",
-    "run_sweep",
 ]

@@ -7,9 +7,10 @@ solves/sec, p50/p95 latency, batch occupancy — against the sequential
 per-request baseline that the batched cohort must beat.
 
 The report's ``metrics`` dict is lower-is-better throughout
-(``ms_per_solve`` rather than solves/sec) so it records directly as a
-``service.*`` :class:`~repro.obs.ledger.PerfLedger` series and gates
-with ``repro perfgate --series 'service.*'``.
+(``ms_per_solve`` rather than solves/sec); ``repro loadgen
+--min-speedup`` gates on ``speedup``.  Performance claims about the
+service are argued from the benchmark ladder's ``service_small_8``
+workload (``benchmarks/ladder``), not from this report.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def generate_requests(
 class LoadgenReport:
     """One load-generator run's measurements.
 
-    ``metrics`` is the flat lower-is-better dict recorded to the perf
-    ledger; ``context`` carries the run description; the remaining
-    fields support the CLI's human-readable table.
+    ``metrics`` is the flat lower-is-better dict written by ``--json``;
+    ``context`` carries the run description; the remaining fields
+    support the CLI's human-readable table.
     """
 
     num_requests: int
@@ -117,8 +118,8 @@ def run_loadgen(
 
     Measures the batched service pass with real wall-clock latencies,
     then (``baseline=True``) the same requests solved sequentially one
-    standalone solver at a time — the ≥2x throughput claim the
-    ``service.*`` ledger series tracks is ``speedup`` here.
+    standalone solver at a time — the ≥2x throughput claim
+    ``--min-speedup`` gates is ``speedup`` here.
 
     ``warmup`` first runs one request through each path untimed, so
     both measurements see warm compile/plan caches and a built cohort —

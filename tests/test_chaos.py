@@ -1,26 +1,21 @@
-"""The chaos harness: seeded crash matrix, recovery SLOs, ledger rows.
+"""The chaos harness: seeded crash matrix and recovery SLOs.
 
 Acceptance contract (ISSUE 6): the crash matrix is seed-deterministic,
 every cell recovers to the reference tolerance (bit-identically, since
 recovery replays from a coordinated checkpoint or a deterministic
-restart), the storm cell degrades and fails the gate — the inverted
-self-test — and the sweep folds into the same schema-versioned JSONL
-ledger as perf runs.
+restart), and the storm cell degrades and fails the gate — the
+inverted self-test.
 """
 
 import pytest
 
 from repro.faults.chaos import (
-    CHAOS_BENCHMARK,
-    chaos_ledger_entry,
     chaos_passed,
     chaos_scenarios,
     chaos_sweep,
     render_chaos_sweep,
     storm_scenario,
 )
-from repro.faults.sweep import SweepRow, sweep_ledger_entry
-from repro.obs.ledger import PerfLedger
 
 # the matrix is exercised on 2 ranks with a single cell per axis so the
 # suite stays fast; the CI chaos-smoke job runs the full 8-rank matrix
@@ -115,68 +110,3 @@ class TestSweepOutcomes:
         for r in rows:
             assert r.scenario in text
         assert "mttr" in text
-
-
-class TestChaosLedger:
-    def test_entry_has_slo_metrics_per_cell(self, rows):
-        entry = chaos_ledger_entry(rows, seed=2024, rank_dims=(2, 1, 1))
-        assert entry.benchmark == CHAOS_BENCHMARK
-        assert entry.source == "chaossweep"
-        for r in rows:
-            assert entry.metrics[f"{r.scenario}.mttr_ms"] == r.mttr_ms
-            assert entry.metrics[f"{r.scenario}.cycles_lost"] == float(
-                r.cycles_lost
-            )
-        assert entry.metrics["unrecovered_cells"] == 0.0
-
-    def test_storm_cell_excluded_from_slo_metrics(self):
-        rows = chaos_sweep(seed=2024, storm=True, **SMALL)
-        entry = chaos_ledger_entry(rows, seed=2024, rank_dims=(2, 1, 1))
-        assert "crash-storm.mttr_ms" not in entry.metrics
-        # ...but the per-cell context still records its degradation
-        statuses = {c["scenario"]: c["status"] for c in entry.context["cells"]}
-        assert statuses["crash-storm"] == "failed_faults"
-
-    def test_entry_round_trips_through_the_ledger(self, rows, tmp_path):
-        entry = chaos_ledger_entry(rows, seed=2024, rank_dims=(2, 1, 1))
-        ledger = PerfLedger(tmp_path)
-        ledger.record(entry)
-        (loaded,) = ledger.entries(CHAOS_BENCHMARK)
-        assert loaded.metrics == entry.metrics
-        assert loaded.context["seed"] == 2024
-        assert loaded.schema == entry.schema
-
-
-class TestFaultSweepLedger:
-    """Satellite: ``repro faultsweep`` folds into the same ledger dir."""
-
-    def make_row(self, name, status="converged", identical=True):
-        return SweepRow(
-            scenario=name, status=status, injected=1, detected=1,
-            retries=1, rollbacks=0, clean_vcycles=11, executed_vcycles=11,
-            final_residual=1e-11, bit_identical=identical, overhead_ms=0.5,
-        )
-
-    def test_entry_shape_matches_perf_records(self, tmp_path):
-        rows = [self.make_row("drop-message"), self.make_row("sdc-nan")]
-        entry = sweep_ledger_entry(
-            rows, seed=7, rank_dims=(2, 1, 1), machine_name="Perlmutter"
-        )
-        assert entry.benchmark == "fault_sweep"
-        assert entry.metrics["drop-message.overhead_ms"] == 0.5
-        assert entry.metrics["sdc-nan.extra_vcycles"] == 0.0
-        assert entry.metrics["unexpected_outcomes"] == 0.0
-        PerfLedger(tmp_path).record(entry)
-        (loaded,) = PerfLedger(tmp_path).entries("fault_sweep")
-        assert loaded.source == "faultsweep"
-        assert loaded.context["machine"] == "Perlmutter"
-
-    def test_unexpected_outcomes_counted(self):
-        rows = [
-            self.make_row("ok"),
-            self.make_row("stuck", status="max_vcycles", identical=False),
-            self.make_row("degraded", status="failed_faults", identical=False),
-        ]
-        entry = sweep_ledger_entry(rows, seed=7, rank_dims=(2, 1, 1))
-        # failed_faults is graceful degradation, not an unexpected outcome
-        assert entry.metrics["unexpected_outcomes"] == 1.0

@@ -59,6 +59,15 @@ class TestAutotune:
         times = [c.vcycle_seconds for c in result.choices]
         assert times == sorted(times)
 
+    def test_ranking_is_model_only(self, result):
+        """The ranking key is the modelled V-cycle time and nothing
+        else: host wallclock is reported next to the machine model,
+        never folded into it."""
+        with pytest.raises(TypeError, match="prior"):
+            autotune(PERLMUTTER, prior={4: 1.0, 8: 2.0})
+        assert not hasattr(result.best, "measured_ms")
+        assert not hasattr(result, "prior_bricks")
+
     def test_best_uses_the_paper_optimisations(self, result):
         best = result.best
         assert best.communication_avoiding
@@ -81,7 +90,12 @@ class TestAutotune:
 
     def test_render(self, result):
         text = render_tuning(result)
-        assert "auto-tuning on Perlmutter" in text
+        title = text.splitlines()[0]
+        assert title == (
+            f"auto-tuning on Perlmutter "
+            f"(headroom {result.tuning_headroom:.2f}x):"
+        )
+        assert "measured" not in text
         assert "(worst)" in text
 
     def test_all_machines_tune(self):

@@ -404,6 +404,15 @@ class TestFaultSweep:
             assert r.bit_identical, r.scenario
             assert r.detected >= 1 or r.scenario == "no-faults"
 
+    def test_overhead_ranks_retry_below_rollback(self, rows):
+        by_name = {r.scenario: r for r in rows}
+        drop, sdc = by_name["drop-message"], by_name["sdc-nan-finest"]
+        # retry-only recovery re-executes nothing; a rollback does, and
+        # the re-executed V-cycles dominate the modelled overhead
+        assert drop.extra_vcycles == 0
+        assert sdc.extra_vcycles > 0
+        assert sdc.overhead_ms > drop.overhead_ms
+
     def test_storm_degrades(self, rows):
         storm = next(r for r in rows if r.scenario == "drop-storm")
         assert storm.status == "failed_faults"

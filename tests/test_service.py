@@ -176,7 +176,7 @@ def test_loadgen_smoke_reports_speedup_and_ledger_metrics():
     assert report.occupancy > 0.5
     assert len(report.latencies_ms) == 4
     assert report.metrics["p50_ms"] <= report.metrics["p95_ms"]
-    # lower-is-better keys for the perf ledger
+    # every metric is lower-is-better and positive
     for key in ("ms_per_solve", "p50_ms", "p95_ms", "sequential_ms_per_solve"):
         assert report.metrics[key] > 0
     payload = report.to_json()
