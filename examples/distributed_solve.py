@@ -56,9 +56,8 @@ def main() -> None:
           f"a conventional ghost-width-1 code would need "
           f"{base['max_smooths']}")
 
-    if distributed.comm is not None:
-        print(f"simulated MPI totals: {distributed.comm.sent_messages} sends, "
-              f"{distributed.comm.sent_bytes / 1e6:.1f} MB")
+    print(f"simulated MPI totals: {distributed.comm.sent_messages} sends, "
+          f"{distributed.comm.sent_bytes / 1e6:.1f} MB")
 
 
 if __name__ == "__main__":

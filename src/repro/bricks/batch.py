@@ -107,20 +107,5 @@ class BatchedGrid:
             np.tile(self.base.slot_to_grid, (self.num_ranks, 1))
         )
 
-    @cached_property
-    def periodic_wrap_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ghost_slots, source_slots)`` of a per-block periodic wrap.
-
-        The base pairs offset into every rank block: each block wraps
-        onto itself (the adjacency is block-diagonal), so one
-        ``data[ghost] = data[source]`` over the stacked storage is
-        element-identical to the per-rank wraps it fuses."""
-        ghost, src = self.base.periodic_wrap_pairs
-        off = self._offsets()
-        return (
-            np.ascontiguousarray((ghost[None, :] + off).reshape(-1)),
-            np.ascontiguousarray((src[None, :] + off).reshape(-1)),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BatchedGrid({self.base!r}, num_ranks={self.num_ranks})"

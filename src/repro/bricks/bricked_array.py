@@ -146,9 +146,11 @@ class BrickedArray:
     def fill_ghost_periodic(self) -> None:
         """Fill the ghost shell by periodic wrap within this subdomain.
 
-        Correct only when this rank owns the entire periodic domain
-        (single-rank runs); distributed runs use
-        :class:`repro.comm.exchange.HaloExchange` instead.
+        Correct only when this rank owns the entire periodic domain.
+        Solves do not call it — a one-rank
+        :class:`repro.comm.exchange.HaloExchange` writes the same bytes
+        off its plan's 26 self-messages — it stays as the independent
+        reference that plan is tested against.
         """
         ghost, src = self.grid.periodic_wrap_pairs
         self.data[ghost] = self.data[src]

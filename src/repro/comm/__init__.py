@@ -10,14 +10,17 @@ single-process SPMD simulator that preserves MPI's semantics:
   ``Isend``/``Irecv``/``Waitall``-style message passing between rank
   mailboxes, with tag matching and per-rank statistics;
 * :class:`~repro.comm.plan.ExchangePlan` — the static structure of one
-  level's ghost exchange: which brick of which rank fills which ghost
-  slot, and the table of messages that would carry them;
+  level's ghost exchange, for every topology (one periodic rank is 26
+  self-messages, one walled rank none): which brick of which rank
+  fills which ghost slot, and the table of messages that would carry
+  them;
 * :class:`~repro.comm.exchange.HaloExchange` — the V-cycle's
   ``exchange()``: ghost-brick exchange with all 26 neighbours, message
   aggregation across fields, and pack/unpack segment accounting driven
-  by the brick storage ordering — the plan executed as one index copy,
-  or as per-message envelopes when something needs individual
-  messages;
+  by the brick storage ordering — the plan executed as one index copy
+  over any number of stacked copies of the decomposition, or as
+  per-message envelopes when something needs individual messages; the
+  only exchanger, at any rank count;
 * :mod:`~repro.comm.protocols` — eager/rendezvous message protocol
   selection mirroring the CXI environment variables of Table I;
 * :mod:`~repro.comm.mapping` — CPU–GPU–NIC binding models.
@@ -30,7 +33,6 @@ Message *timing* is priced separately by :mod:`repro.machines.network`.
 from repro.comm.exchange import (
     ExchangeFaultError,
     HaloExchange,
-    LocalPeriodicExchange,
     ResilientChannel,
     payload_checksum,
 )
@@ -56,7 +58,6 @@ __all__ = [
     "HaloExchange",
     "ExchangePlan",
     "exchange_plan_for",
-    "LocalPeriodicExchange",
     "ResilientChannel",
     "ExchangeFaultError",
     "payload_checksum",

@@ -9,7 +9,11 @@ the basis of communication-avoiding smoothing.
 The mapping is static, so :class:`HaloExchange` executes a precomputed
 :class:`~repro.comm.plan.ExchangePlan` — as one index copy per field,
 or message by message over ``SimComm`` when faults, tracing or a dead
-rank call for individual envelopes.
+rank call for individual envelopes.  It is the only exchanger: one
+rank is a plan of self-messages (the periodic wrap) or of none (walls
+all round, every ghost synthesised by the boundary condition), and a
+service cohort's members are further stacked copies of the same
+decomposition, served by one call.
 
 Two cost-relevant properties are recorded per message:
 
@@ -19,10 +23,6 @@ Two cost-relevant properties are recorded per message:
 * *segments*: the number of contiguous storage ranges the payload
   occupies under the grid's ordering — 1 means pack-free/unpack-free,
   which the surface-major ordering guarantees for every receive.
-
-:class:`LocalPeriodicExchange` provides the single-rank equivalent
-(periodic wrap) with the same interface so the V-cycle driver is
-decomposition-agnostic.
 """
 
 from __future__ import annotations
@@ -32,11 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bricks.brick_grid import (
-    NEIGHBOR_DIRECTIONS,
-    BrickGrid,
-    direction_kind,
-)
+from repro.bricks.brick_grid import BrickGrid
 from repro.bricks.bricked_array import BrickedArray
 from repro.comm.plan import exchange_plan_for
 from repro.comm.simmpi import SimComm, UnmatchedReceiveError
@@ -82,90 +78,6 @@ class ExchangeFaultError(RuntimeError):
 def payload_checksum(payload: np.ndarray) -> int:
     """CRC32 of a message payload (the sender-side integrity header)."""
     return zlib.crc32(np.ascontiguousarray(payload))
-
-
-class LocalPeriodicExchange:
-    """Single-rank 'exchange': periodic wrap within the one subdomain.
-
-    Records the same message events a real 26-neighbour exchange would
-    (marked ``self_message``) so operation-count validation works
-    uniformly.  With a non-periodic ``boundary``, ghost bricks are
-    synthesised by the boundary condition instead (no messages at all —
-    a single rank owns the whole domain).
-    """
-
-    def __init__(
-        self,
-        grid: BrickGrid,
-        recorder: Recorder | None = None,
-        boundary=None,
-        tracer=None,
-    ) -> None:
-        from repro.gmg.boundary import BoundaryCondition, BoundaryFill
-
-        self.grid = grid
-        self.recorder = recorder
-        self.tracer = tracer or NULL_TRACER
-        self.boundary = boundary or BoundaryCondition.PERIODIC
-        self._fill = None
-        if self.boundary is not BoundaryCondition.PERIODIC:
-            self._fill = BoundaryFill(
-                grid, ((True, True),) * 3, self.boundary
-            )
-        #: fully-constructed event rows of the 26 recorded messages per
-        #: (level, itemsize, nfields) — static per grid, so the per-
-        #: exchange record is one bulk extend of shared frozen events
-        self._message_events: dict[tuple[int, int, int], list] = {}
-
-    def exchange(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> None:
-        """Fill ghost shells; ``fields_by_rank`` is ``[[fields of rank 0]]``."""
-        if len(fields_by_rank) != 1:
-            raise ValueError("LocalPeriodicExchange serves exactly one rank")
-        if not fields_by_rank[0]:
-            raise ValueError("nothing to exchange: rank 0's field list is empty")
-        with self.tracer.span(
-            "exchange", l=level, nfields=len(fields_by_rank[0])
-        ):
-            self._fill_ghosts(fields_by_rank[0])
-        self._record(level, fields_by_rank[0])
-
-    def _fill_ghosts(self, fields: Sequence[BrickedArray]) -> None:
-        for field in fields:
-            if field.grid is not self.grid:
-                raise ValueError(
-                    "field grid does not match the exchanger's grid"
-                )
-            if self._fill is None:
-                field.fill_ghost_periodic()
-            else:
-                field.zero_ghost()
-                self._fill.apply(field)
-
-    def _record(self, level: int, fields: Sequence[BrickedArray]) -> None:
-        if self.recorder is None:
-            return
-        self.recorder.exchange(level)
-        if self._fill is not None:
-            return
-        nfields = len(fields)
-        itemsize = fields[0].data.dtype.itemsize
-        key = (level, itemsize, nfields)
-        events = self._message_events.get(key)
-        if events is None:
-            events = [
-                MessageEvent(
-                    level,
-                    self.grid.region_num_bytes(d, itemsize) * nfields,
-                    direction_kind(d),
-                    1,
-                    True,
-                )
-                for d in NEIGHBOR_DIRECTIONS
-            ]
-            self._message_events[key] = events
-        self.recorder.messages.extend(events)
 
 
 class ResilientChannel:
@@ -405,18 +317,22 @@ class ResilientChannel:
 class HaloExchange(ResilientChannel):
     """Collective 26-neighbour ghost-brick exchange over ``SimComm``.
 
-    Two executions of one :class:`~repro.comm.plan.ExchangePlan`:
+    One call serves ``k >= 1`` whole copies of the decomposition —
+    ``fields_by_rank`` lists copy 0's ranks, then copy 1's, … — so the
+    members of a service cohort exchange through one member's
+    exchanger.  Two executions of one
+    :class:`~repro.comm.plan.ExchangePlan`:
 
     * the **planned** path copies every ghost brick by index — one
-      take and one indexed assign per field over the rank-stacked
-      storage, or one indexed copy per ``(src_rank, dst_rank)`` pair
-      when the rank fields are separate arrays — and derives message
-      events and communicator counters from the plan's table;
+      take and one indexed assign per field over the stacked storage
+      of all copies, or one indexed copy per ``(src_rank, dst_rank)``
+      pair and copy when the fields are separate arrays — and derives
+      message events and communicator counters from the plan's table;
     * the **envelope** path is the priced reference: the driver runs
       ranks in lockstep, all sends for all ranks are posted first, then
       all receives complete (``Isend``/``Irecv``/``Waitall`` order
       within one phase), fields aggregated per neighbour into a single
-      checksummed, sequenced, fault-injectable message.
+      checksummed, sequenced, fault-injectable message — copy by copy.
 
     Both fill byte-identical ghosts and leave identical accounting.
     :meth:`envelope_reason` picks per exchange, from exchanger state
@@ -461,8 +377,8 @@ class HaloExchange(ResilientChannel):
         #: exchanges executed per path
         self.path_counts = {"planned": 0, "envelope": 0}
         #: what one planned exchange adds to the recorder and the
-        #: communicator, per (level, itemsize, nfields)
-        self._derived: dict[tuple[int, int, int], tuple[list, list]] = {}
+        #: communicator, per (level, itemsize, nfields, copies)
+        self._derived: dict[tuple[int, int, int, int], tuple[list, list]] = {}
 
     @property
     def recv_is_unpack_free(self) -> bool:
@@ -472,15 +388,19 @@ class HaloExchange(ResilientChannel):
     def envelope_reason(self) -> str | None:
         """What makes the next exchange move per-message envelopes.
 
-        ``None`` selects the planned copy.  Each answer names something
-        only envelopes provide: an armed injector strikes individual
-        transmissions (and the receives validate checksums and sequence
-        numbers); an enabled tracer is owed per-rank ``isend``/
-        ``irecv``/``unpack`` spans; a dead endpoint makes the collective
-        partial, message by message; and traffic already in flight may
-        sit on this exchange's envelopes, where FIFO matching must see
-        it.
+        ``None`` selects the planned copy — always on a communicator of
+        one, where every message is a copy within the rank: no wire to
+        strike, no second timeline to trace, no peer to lose.  Otherwise
+        each answer names something only envelopes provide: an armed
+        injector strikes individual transmissions (and the receives
+        validate checksums and sequence numbers); an enabled tracer is
+        owed per-rank ``isend``/``irecv``/``unpack`` spans; a dead
+        endpoint makes the collective partial, message by message; and
+        traffic already in flight may sit on this exchange's envelopes,
+        where FIFO matching must see it.
         """
+        if self.comm.size == 1:
+            return None
         if self.injector is not None:
             return "a fault injector"
         if self.tracer.enabled or self._root_comm().tracer.enabled:
@@ -497,7 +417,9 @@ class HaloExchange(ResilientChannel):
         """Exchange ghost bricks for every rank's listed fields.
 
         ``fields_by_rank`` is the (ordered) list of fields to
-        aggregate per rank; all ranks must pass the same number of
+        aggregate per rank, for one or more whole copies of the
+        decomposition (``len(fields_by_rank)`` a positive multiple of
+        ``topology.size``); all ranks must pass the same number of
         fields.  The whole collective phase (sends, receives including
         any fault retries, boundary fills) runs inside one ``exchange``
         span, so fault instants fired during receives land inside it.
@@ -510,28 +432,36 @@ class HaloExchange(ResilientChannel):
         detection point.
         """
         nfields = len(fields_by_rank[0]) if fields_by_rank else 0
+        size = self.topology.size
         with self.tracer.span("exchange", l=level, nfields=nfields):
-            self._validate(level, fields_by_rank)
+            copies = self._validate(level, fields_by_rank)
             self.poll_crashes(level)
             if self.envelope_reason() is None:
                 self.path_counts["planned"] += 1
-                self._copy_planned(fields_by_rank)
-                self._account(level, fields_by_rank)
+                self._copy_planned(fields_by_rank, copies)
+                self._account(level, fields_by_rank, copies)
             else:
                 self.path_counts["envelope"] += 1
-                self._post_sends(level, fields_by_rank)
-                self._complete_receives(level, fields_by_rank)
+                for c in range(copies):
+                    copy = fields_by_rank[c * size : (c + 1) * size]
+                    self._post_sends(level, copy)
+                    self._complete_receives(level, copy)
             self._apply_fills(fields_by_rank)
             if self.recorder is not None:
                 self.recorder.exchange(level)
 
     def _validate(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> None:
+    ) -> int:
+        """Reject what cannot be exchanged, by name; returns how many
+        copies of the decomposition ``fields_by_rank`` holds."""
         size = self.topology.size
-        if len(fields_by_rank) != size:
+        copies, partial = divmod(len(fields_by_rank), size)
+        if copies < 1 or partial:
             raise ValueError(
-                f"need fields for all {size} ranks, got {len(fields_by_rank)}"
+                f"need fields for a positive multiple of topology.size="
+                f"{size} ranks (whole copies of the decomposition), got "
+                f"{len(fields_by_rank)}"
             )
         self._last_level = level
         nfields = len(fields_by_rank[0])
@@ -539,12 +469,17 @@ class HaloExchange(ResilientChannel):
             raise ValueError("nothing to exchange: the rank field lists are empty")
         if any(len(f) != nfields for f in fields_by_rank):
             raise ValueError("all ranks must exchange the same fields")
+        key = self.grid.geometry_key
         for fields in fields_by_rank:
             for field in fields:
-                if field.grid.shape_bricks != self.grid.shape_bricks or (
-                    field.grid.brick_dim != self.grid.brick_dim
-                ):
-                    raise ValueError("field grid incompatible with exchanger grid")
+                # shape, brick, ghost depth and ordering: the plan's slot
+                # tables are only this geometry's
+                if field.grid.geometry_key != key:
+                    raise ValueError(
+                        "field grid incompatible with exchanger grid: "
+                        f"{field.grid.geometry_key} != {key}"
+                    )
+        return copies
 
     # ------------------------------------------------------------------
     # planned path
@@ -552,9 +487,10 @@ class HaloExchange(ResilientChannel):
     def _stacked_window(
         self, fields_by_rank: Sequence[Sequence[BrickedArray]], f: int
     ) -> np.ndarray | None:
-        """Field ``f``'s rank-stacked storage, when the ranks' fields
-        are the consecutive blocks of one stacked array (asked of the
-        fields themselves: see ``BrickedArray.stacked_block``)."""
+        """Field ``f``'s stacked storage, when the fields of all ranks
+        of all copies are the consecutive blocks of one stacked array
+        (asked of the fields themselves: see
+        ``BrickedArray.stacked_block``)."""
         first = fields_by_rank[0][f].stacked_block()
         if first is None:
             return None
@@ -565,27 +501,29 @@ class HaloExchange(ResilientChannel):
         S = self.plan.num_slots
         return stacked.data[k0 * S : (k0 + len(fields_by_rank)) * S]
 
-    def _copy_planned(self, fields_by_rank) -> None:
+    def _copy_planned(self, fields_by_rank, copies: int) -> None:
         """Every ghost brick of every field, by index: all send regions
         are read before any ghost is written."""
         plan = self.plan
+        src, dst = plan.tables(copies)
         for f in range(len(fields_by_rank[0])):
             window = self._stacked_window(fields_by_rank, f)
             if window is not None:
-                window[plan.dst] = window.take(plan.src, axis=0)
+                window[dst] = window.take(src, axis=0)
                 continue
-            bricks = [
-                fields_by_rank[p.src_rank][f].data[p.src_slots]
-                for p in plan.pairs
-            ]
-            for p, part in zip(plan.pairs, bricks):
-                fields_by_rank[p.dst_rank][f].data[p.dst_slots] = part
+            for c in range(copies):
+                ranks = fields_by_rank[c * plan.num_ranks : (c + 1) * plan.num_ranks]
+                bricks = [
+                    ranks[p.src_rank][f].data[p.src_slots] for p in plan.pairs
+                ]
+                for p, part in zip(plan.pairs, bricks):
+                    ranks[p.dst_rank][f].data[p.dst_slots] = part
 
-    def _account(self, level, fields_by_rank) -> None:
+    def _account(self, level, fields_by_rank, copies: int) -> None:
         """Add what the envelope path's sends would have recorded."""
         nfields = len(fields_by_rank[0])
         itemsize = fields_by_rank[0][0].data.dtype.itemsize
-        key = (level, itemsize, nfields)
+        key = (level, itemsize, nfields, copies)
         derived = self._derived.get(key)
         if derived is None:
             brick_bytes = self.plan.cells_per_brick * itemsize * nfields
@@ -595,9 +533,12 @@ class HaloExchange(ResilientChannel):
                     m.send_segments * nfields, m.dst_rank == m.src_rank,
                 )
                 for m in self.plan.messages
-            ]
+            ] * copies
             pair_bytes = [
-                ((p.src_rank, p.dst_rank), len(p.src_slots) * brick_bytes)
+                (
+                    (p.src_rank, p.dst_rank),
+                    len(p.src_slots) * brick_bytes * copies,
+                )
                 for p in self.plan.pairs
             ]
             derived = self._derived[key] = (events, pair_bytes)
@@ -682,10 +623,13 @@ class HaloExchange(ResilientChannel):
         # (after all receives — corner mirrors read exchanged ghosts).
         if self._fills is None:
             return
-        for rank in range(self.topology.size):
-            if self._is_dead(rank):
+        size = self.topology.size
+        dead = self._dead_ranks()
+        for k, fields in enumerate(fields_by_rank):
+            rank = k % size
+            if rank in dead:
                 continue
-            for field in fields_by_rank[rank]:
+            for field in fields:
                 self._fills[rank].apply(field)
 
     def _receive(

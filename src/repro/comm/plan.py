@@ -3,9 +3,12 @@
 The paper's ghost *bricks* make an exchange a fixed brick-to-brick
 mapping (§III, Fig 6): which interior brick of which rank lands in
 which ghost slot of which neighbour depends only on the brick grid and
-the rank grid, never on the data.  An :class:`ExchangePlan` resolves
-that mapping once per ``(grid.geometry_key, topology dims, periodic)``
-into
+the rank grid, never on the data — nor on whether the neighbour is
+another rank or, across a periodic axis one rank wide, the sender
+itself.  One periodic rank is 26 self-messages (the periodic wrap), one
+walled rank is a plan with no messages at all.  An
+:class:`ExchangePlan` resolves that mapping once per
+``(grid.geometry_key, topology dims, periodic)`` into
 
 * the **per-message table** — one :class:`PlannedMessage` per send the
   26-neighbour protocol would post, in the protocol's ``(rank,
@@ -14,7 +17,9 @@ into
   ``MessageEvent``s and communicator counters without posting anything;
 * **flat ``src``/``dst`` slot tables** over the rank-stacked storage
   (rank ``r``'s slot ``s`` is ``r * num_slots + s``), so a whole
-  exchange of one field is ``data[dst] = data[src]``;
+  exchange of one field is ``data[dst] = data[src]`` — and
+  :meth:`ExchangePlan.tables` tiles them over any number of stacked
+  copies of the decomposition (a service cohort's members);
 * the same copy **split by ``(src_rank, dst_rank)`` pair** for fields
   that are separate per-rank arrays.
 
@@ -69,6 +74,12 @@ class PairCopy:
     dst_slots: np.ndarray
 
 
+def _concatenate(slot_arrays) -> np.ndarray:
+    """The slot arrays end to end; an empty int64 table for none (a
+    walled rank with no neighbours)."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *slot_arrays])
+
+
 class ExchangePlan:
     """The static structure of one level's ghost exchange."""
 
@@ -114,24 +125,24 @@ class ExchangePlan:
         S = self.num_slots
         #: flat tables in completion order; receive ``i`` owns
         #: ``[offsets[i], offsets[i + 1])``
-        self.src = np.concatenate(
-            [m.src_rank * S + self.send_slots[m.direction] for m in self.receives]
+        self.src = _concatenate(
+            m.src_rank * S + self.send_slots[m.direction] for m in self.receives
         )
-        self.dst = np.concatenate(
-            [
-                m.dst_rank * S + self.ghost_slots[m.ghost_direction]
-                for m in self.receives
-            ]
+        self.dst = _concatenate(
+            m.dst_rank * S + self.ghost_slots[m.ghost_direction]
+            for m in self.receives
         )
         self.offsets = np.cumsum([0] + [m.bricks for m in self.receives])
+        #: ``(src, dst)`` over ``k`` stacked copies, per ``k``
+        self._tables = {1: (self.src, self.dst)}
         by_pair: dict[tuple[int, int], list[PlannedMessage]] = {}
         for m in self.receives:
             by_pair.setdefault((m.src_rank, m.dst_rank), []).append(m)
         self.pairs: tuple[PairCopy, ...] = tuple(
             PairCopy(
                 src, dst,
-                np.concatenate([self.send_slots[m.direction] for m in msgs]),
-                np.concatenate([self.ghost_slots[m.ghost_direction] for m in msgs]),
+                _concatenate(self.send_slots[m.direction] for m in msgs),
+                _concatenate(self.ghost_slots[m.ghost_direction] for m in msgs),
             )
             for (src, dst), msgs in by_pair.items()
         )
@@ -144,6 +155,18 @@ class ExchangePlan:
     def num_bricks(self) -> int:
         """Bricks one field moves per exchange."""
         return len(self.src)
+
+    def tables(self, copies: int) -> tuple[np.ndarray, np.ndarray]:
+        """The flat ``(src, dst)`` tables over ``copies`` stacked copies
+        of the decomposition: copy ``c``'s rank ``r`` owns block
+        ``c * num_ranks + r`` of the window."""
+        tables = self._tables.get(copies)
+        if tables is None:
+            base = np.arange(copies)[:, None] * (self.num_ranks * self.num_slots)
+            tables = self._tables[copies] = tuple(
+                (base + table).reshape(-1) for table in (self.src, self.dst)
+            )
+        return tables
 
     def nbytes(self, itemsize: int, nfields: int = 1) -> int:
         """Payload bytes of one exchange of ``nfields`` fields."""

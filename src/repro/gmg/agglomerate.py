@@ -21,11 +21,11 @@ The mechanism is in-solver and exact, not a performance-model stub:
   to their owner rank through the parent :class:`~repro.comm.simmpi.
   SimComm` — priced, checksummed, and fault-injectable exactly like
   halo traffic (``direction=None`` distinguishes the envelope);
-* active ranks smooth the merged level through an exchanger scoped to
-  the active communicator (:class:`~repro.comm.simmpi.SubComm`), or a
-  :class:`~repro.comm.exchange.LocalPeriodicExchange` when a single
-  rank owns the whole coarse domain (26 wire messages become 26 local
-  wraps);
+* active ranks smooth the merged level through a
+  :class:`~repro.comm.exchange.HaloExchange` scoped to the active
+  communicator (:class:`~repro.comm.simmpi.SubComm`) — when a single
+  rank owns the whole coarse domain that is a communicator of one,
+  whose 26 messages are copies within the rank;
 * on the way back up the transfer *scatters* the merged correction to
   the staged blocks, and interpolation proceeds per source rank.
 
@@ -39,12 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.exchange import (
-    HaloExchange,
-    LocalPeriodicExchange,
-    ResilientChannel,
-    payload_checksum,
-)
+from repro.comm.exchange import HaloExchange, ResilientChannel, payload_checksum
 from repro.comm.simmpi import SubComm
 from repro.comm.topology import CartTopology
 from repro.gmg import operators as ops
@@ -399,7 +394,7 @@ class Agglomerator:
         #: per level: staging Levels on the previous decomposition
         self.staging_levels: list[list[Level] | None] = [None] * n
         #: per level: exchanger over the active ranks, or None
-        self.exchangers: list[object | None] = [None] * n
+        self.exchangers: list[HaloExchange | None] = [None] * n
         #: per level: the gather/scatter transfer at a transition
         self.transfers: list[AgglomerationTransfer | None] = [None] * n
 
@@ -417,25 +412,20 @@ class Agglomerator:
             ]
             self.merged_levels[lev] = merged
             active = self.plan.active_ranks(lev)
-            if len(active) == 1:
-                self.exchangers[lev] = LocalPeriodicExchange(
-                    merged[0].grid, recorder, boundary, tracer=tracer
-                )
-            else:
-                sub_topology = CartTopology(
-                    D,
-                    min(config.ranks_per_node, len(active)),
-                    periodic=periodic,
-                )
-                sub_comm = SubComm(
-                    comm, active,
-                    SUBCOMM_TAG_BASE + lev * SUBCOMM_TAG_STRIDE,
-                )
-                self.exchangers[lev] = HaloExchange(
-                    merged[0].grid, sub_topology, sub_comm, recorder,
-                    boundary, injector=injector, max_retries=max_retries,
-                    tracer=tracer,
-                )
+            sub_topology = CartTopology(
+                D,
+                min(config.ranks_per_node, len(active)),
+                periodic=periodic,
+            )
+            sub_comm = SubComm(
+                comm, active,
+                SUBCOMM_TAG_BASE + lev * SUBCOMM_TAG_STRIDE,
+            )
+            self.exchangers[lev] = HaloExchange(
+                merged[0].grid, sub_topology, sub_comm, recorder,
+                boundary, injector=injector, max_retries=max_retries,
+                tracer=tracer,
+            )
             if not self.plan.transition_at(lev):
                 continue
             S = self.plan.active_dims[lev - 1]
@@ -567,7 +557,7 @@ class Agglomerator:
         """Every resilient channel this agglomerator opened (for the
         end-of-solve stale drain)."""
         out: list[ResilientChannel] = [
-            ex for ex in self.exchangers if isinstance(ex, HaloExchange)
+            ex for ex in self.exchangers if ex is not None
         ]
         out.extend(t for t in self.transfers if t is not None)
         return out

@@ -15,7 +15,8 @@ stacked storage (``BrickedArray.bind_stacked``), so ghost exchanges,
 checkpoints, fault injection and solution assembly — all of which
 address per-rank fields — alias the stacked arrays automatically and
 need no changes; the field remembers its block, which lets the halo
-exchange copy ghosts over the whole stack at once.  The adjacency is
+exchange copy ghosts over the whole stack — every rank of every cohort
+member — at once.  The adjacency is
 block-diagonal, so no kernel mixes blocks, and every float equals the
 per-rank schedule's (``tests/oracle.py`` is that schedule; the identity
 suites compare against it byte for byte).

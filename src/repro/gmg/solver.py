@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.comm.exchange import HaloExchange, LocalPeriodicExchange
+from repro.comm.exchange import HaloExchange
 from repro.comm.simmpi import SimComm
 from repro.comm.topology import CartTopology
 from repro.gmg.engine import ExecutionEngine
@@ -309,11 +309,7 @@ class Hierarchy:
             config.ranks_per_node,
             periodic=self.boundary is BoundaryCondition.PERIODIC,
         )
-        self.comm = (
-            SimComm(self.topology.size, tracer=self.tracer)
-            if self.topology.size > 1
-            else None
-        )
+        self.comm = SimComm(self.topology.size, tracer=self.tracer)
 
         per_rank = config.cells_per_rank
         self.rank_levels: list[list[Level]] = []
@@ -340,7 +336,7 @@ class Hierarchy:
 
         self.buddy = None
         if (
-            self.comm is not None
+            self.topology.size > 1
             and self.resilience is not None
             and self.resilience.buddy_checkpoints
         ):
@@ -358,10 +354,7 @@ class Hierarchy:
         self._init_rhs()
 
         self.agglomerator = None
-        if (
-            config.agglomerate_threshold is not None
-            and self.comm is not None
-        ):
+        if config.agglomerate_threshold is not None and self.topology.size > 1:
             from repro.gmg.agglomerate import Agglomerator
 
             agglomerator = Agglomerator(
@@ -381,13 +374,8 @@ class Hierarchy:
 
     def _build_exchanger(self, lev: int):
         """A fresh full-grid exchanger for level ``lev``."""
-        grid = self.rank_levels[0][lev].grid
-        if self.comm is None:
-            return LocalPeriodicExchange(
-                grid, self.recorder, self.boundary, tracer=self.tracer
-            )
         return HaloExchange(
-            grid,
+            self.rank_levels[0][lev].grid,
             self.topology,
             self.comm,
             self.recorder,
@@ -398,12 +386,16 @@ class Hierarchy:
         )
 
     def halo_exchangers(self) -> list[tuple[int, HaloExchange]]:
-        """``(level, exchanger)`` of every multi-rank ghost exchange:
-        the full-grid ones, then the agglomerator's active-rank ones."""
+        """``(level, exchanger)`` of every ghost exchange: the
+        full-grid ones, then the agglomerator's active-rank ones."""
         out = list(enumerate(self.exchangers))
         if self.agglomerator is not None:
-            out.extend(enumerate(self.agglomerator.exchangers))
-        return [(lev, ex) for lev, ex in out if isinstance(ex, HaloExchange)]
+            out.extend(
+                (lev, ex)
+                for lev, ex in enumerate(self.agglomerator.exchangers)
+                if ex is not None
+            )
+        return out
 
     def _init_rhs(self) -> None:
         from repro.gmg.problem import rhs_field_dirichlet
@@ -458,8 +450,8 @@ class Hierarchy:
             smoother=make_smoother(config.smoother, **dict(config.smoother_options)),
             bottom_solver=make_bottom_solver(config.bottom_solver, **bottom_kwargs),
             cycle=config.cycle,
-            allreduce_max=self.comm.allreduce_max if self.comm is not None else None,
-            allreduce_sum=self.comm.allreduce_sum if self.comm is not None else None,
+            allreduce_max=self.comm.allreduce_max,
+            allreduce_sum=self.comm.allreduce_sum,
             topology=self.topology,
             fault_injector=self.injector,
             engine=engine,
@@ -576,8 +568,7 @@ class GMGSolver(Hierarchy):
                 history = self.vcycle.solve(
                     self.config.tol, self.config.max_vcycles
                 )
-                if self.comm is not None:
-                    self.comm.assert_drained()
+                self.comm.assert_drained()
                 return SolveResult(
                     converged=history[-1] <= self.config.tol,
                     num_vcycles=len(history) - 1,
@@ -601,21 +592,19 @@ class GMGSolver(Hierarchy):
             tracer=self.tracer,
         )
         outcome = driver.solve(self.config.tol, self.config.max_vcycles)
-        if self.comm is not None:
-            if outcome.status == STATUS_FAILED_FAULTS:
-                # A failed solve may abort mid-exchange; discard the
-                # in-flight traffic instead of asserting a clean drain.
-                self.comm.reset_in_flight()
-            else:
-                for ex in self.exchangers:
-                    if isinstance(ex, HaloExchange):
-                        ex.drain_stale()
-                if self.agglomerator is not None:
-                    for channel in self.agglomerator.channels():
-                        channel.drain_stale()
-                if self.buddy is not None:
-                    self.buddy.drain_stale()
-                self.comm.assert_drained()
+        if outcome.status == STATUS_FAILED_FAULTS:
+            # A failed solve may abort mid-exchange; discard the
+            # in-flight traffic instead of asserting a clean drain.
+            self.comm.reset_in_flight()
+        else:
+            for ex in self.exchangers:
+                ex.drain_stale()
+            if self.agglomerator is not None:
+                for channel in self.agglomerator.channels():
+                    channel.drain_stale()
+            if self.buddy is not None:
+                self.buddy.drain_stale()
+            self.comm.assert_drained()
         return SolveResult(
             converged=outcome.converged,
             num_vcycles=outcome.clean_vcycles,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bricks.bricked_array import BrickedArray
-from repro.comm.exchange import HaloExchange, LocalPeriodicExchange
+from repro.comm.exchange import HaloExchange
 from repro.comm.simmpi import SimComm
 from repro.comm.topology import CartTopology
 from repro.dsl.ast import ConstRef, Grid, Stencil, indices
@@ -165,7 +165,7 @@ class VariableCoefficientSolver:
         self.global_cells = int(global_cells)
         self.recorder = Recorder()
         self.topology = CartTopology(rank_dims)
-        self.comm = SimComm(self.topology.size) if self.topology.size > 1 else None
+        self.comm = SimComm(self.topology.size)
         per_rank = tuple(global_cells // p for p in rank_dims)
         if any(global_cells % p for p in rank_dims):
             raise ValueError(f"rank_dims {rank_dims} do not divide {global_cells}")
@@ -191,15 +191,13 @@ class VariableCoefficientSolver:
                 levels.append(level)
             self.rank_levels.append(levels)
 
-        self.exchangers = []
-        for lev in range(num_levels):
-            grid = self.rank_levels[0][lev].grid
-            if self.comm is None:
-                self.exchangers.append(LocalPeriodicExchange(grid, self.recorder))
-            else:
-                self.exchangers.append(
-                    HaloExchange(grid, self.topology, self.comm, self.recorder)
-                )
+        self.exchangers = [
+            HaloExchange(
+                self.rank_levels[0][lev].grid, self.topology, self.comm,
+                self.recorder,
+            )
+            for lev in range(num_levels)
+        ]
         # static coefficient ghosts, filled once
         for lev in range(num_levels):
             coeff_fields = [
@@ -224,8 +222,8 @@ class VariableCoefficientSolver:
             apply_op_fn=_apply_variable_op,
             smoother=VariableCoefficientJacobi(omega),
             bottom_solver=RelaxationBottomSolver(bottom_smooths),
-            allreduce_max=self.comm.allreduce_max if self.comm else None,
-            allreduce_sum=self.comm.allreduce_sum if self.comm else None,
+            allreduce_max=self.comm.allreduce_max,
+            allreduce_sum=self.comm.allreduce_sum,
             topology=self.topology,
         )
 
@@ -283,8 +281,7 @@ class VariableCoefficientSolver:
 
     def solve(self, tol: float = 1e-10, max_vcycles: int = 100) -> VarCoefResult:
         history = self.vcycle.solve(tol, max_vcycles)
-        if self.comm is not None:
-            self.comm.assert_drained()
+        self.comm.assert_drained()
         return VarCoefResult(
             converged=history[-1] <= tol,
             num_vcycles=len(history) - 1,

@@ -1,10 +1,9 @@
 """The multigrid cycle driver (Algorithms 1 and 2 of the paper).
 
 Runs any number of simulated ranks in lockstep: compute phases loop
-over ranks, communication phases go through the level's exchanger
-(:class:`~repro.comm.exchange.HaloExchange` for multi-rank runs,
-:class:`~repro.comm.exchange.LocalPeriodicExchange` for single-rank
-runs — the numerics are identical).
+over ranks, communication phases go through the level's
+:class:`~repro.comm.exchange.HaloExchange` — the same exchanger for
+one rank, many ranks and a service cohort's stacked members.
 
 Communication-avoiding smoothing (Section V): the ghost shell is one
 brick deep, so one exchange validates ``brick_dim`` halo cells; each
@@ -26,11 +25,11 @@ provided as the standard extensions.
 from __future__ import annotations
 
 import math
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.bricks.bricked_array import BrickedArray
+from repro.comm.exchange import HaloExchange
 from repro.gmg import operators as ops
 from repro.gmg.bottom import BottomSolver, RelaxationBottomSolver
 from repro.gmg.level import Level
@@ -40,15 +39,6 @@ from repro.instrument import Recorder
 from repro.obs.tracer import NULL_TRACER
 
 CYCLE_TYPES = ("V", "W", "F")
-
-
-class Exchanger(Protocol):
-    """Anything that can fill ghost shells for all ranks of one level:
-    one synchronous ``exchange`` is the whole protocol."""
-
-    def exchange(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> None: ...
 
 
 class VCycle:
@@ -84,7 +74,8 @@ class VCycle:
         constant-coefficient 7-point kernel.  Variable-coefficient
         solvers supply their own.
     allreduce_max / allreduce_sum:
-        Cross-rank reductions; the defaults serve single-rank runs.
+        Cross-rank reductions (the solvers pass their ``SimComm``'s);
+        the defaults reduce a bare driver's values in place.
     topology:
         Optional :class:`~repro.comm.topology.CartTopology` (needed by
         the FFT bottom solver to assemble the global coarse grid).
@@ -100,7 +91,7 @@ class VCycle:
     def __init__(
         self,
         rank_levels: Sequence[Sequence[Level]],
-        exchangers: Sequence[Exchanger],
+        exchangers: Sequence[HaloExchange],
         max_smooths: int = 12,
         bottom_smooths: int = 100,
         communication_avoiding: bool = True,

@@ -140,7 +140,7 @@ class MetricsRegistry:
             self.gauge(f"kernels.native.{stat}", value, owner="native_kernels")
 
     def observe_exchange_paths(self, exchangers) -> None:
-        """Snapshot which execution each multi-rank ghost exchange took.
+        """Snapshot which execution each ghost exchange took.
 
         ``exchangers`` is :meth:`GMGSolver.halo_exchangers`' ``(level,
         exchanger)`` list.  ``exchanges.planned`` counts index copies

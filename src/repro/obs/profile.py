@@ -42,20 +42,21 @@ def wait_fraction(tracer: Tracer) -> tuple[float, float]:
 
 
 def exchange_path_line(solver) -> str | None:
-    """One line on how a traced solve's multi-rank ghost exchanges ran.
+    """One line on how a traced solve's ghost exchanges ran.
 
     Tracing (or a fault plan) moves per-message envelopes where the
     plain solve copies by index off the exchange plan; saying so — with
     what the plan moves per exchange — keeps a profile from passing for
-    the run it explains.  ``None`` for a single-rank solve.
+    the run it explains.  ``None`` when no exchange ran as envelopes
+    (a single-rank solve never does): the profile is of the plain run.
     """
     exchangers = solver.halo_exchangers()
-    if not exchangers:
-        return None
     envelope, planned = (
         sum(ex.path_counts[path] for _, ex in exchangers)
         for path in ("envelope", "planned")
     )
+    if not envelope:
+        return None
     itemsize = 4 if solver.config.precision == "fp32" else 8
     plans = ", ".join(
         f"l{lev}: {ex.plan.num_messages} msg / {ex.plan.nbytes(itemsize)} B"

@@ -11,10 +11,14 @@ index space:
   groups onto one :class:`~repro.bricks.batch.BatchedGrid` of
   ``capacity * num_ranks`` blocks, so a smoothing iteration is one
   kernel call over the whole cohort;
-* **communication** stays per member: a :class:`FanoutExchanger`
-  splits the driver's ``fields_by_rank`` back into per-member chunks
-  and delegates to each member's own exchangers/communicator, so the
-  bytes on every (simulated) wire are identical to a standalone solve;
+* **communication** batches the same way: a member is one more copy
+  of the decomposition on the stacking axis, so the driver hands the
+  whole cohort's ``fields_by_rank`` to member 0's
+  :class:`~repro.comm.exchange.HaloExchange`, which copies every
+  member's ghosts in one pass over the stacked storage (or exchanges
+  envelopes member by member) — each member's ghosts are the bytes a
+  standalone solve moves, and member 0's recorder and communicator
+  account the plan's messages once per member;
 * **convergence** is per request: :class:`CohortCycle` mirrors
   ``max_norm_residual`` but reduces per member slot, reproducing each
   member's allreduce semantics bit-exactly.
@@ -46,93 +50,6 @@ from repro.service.request import RequestResult, SolveRequest, apply_rhs
 from repro.service.request import geometry_key as _geometry_key
 
 
-class FanoutExchanger:
-    """One logical exchanger over N members' per-level exchangers.
-
-    The V-cycle driver hands ghost exchanges a ``fields_by_rank`` list
-    covering the whole cohort; this splits it into per-member chunks
-    (``counts[m]`` compute levels each) and delegates, so each member's
-    exchange runs on its own communicator with standalone-identical
-    traffic.
-    """
-
-    def __init__(self, delegates, counts) -> None:
-        if len(delegates) != len(counts):
-            raise ValueError("need one field count per delegate")
-        self.delegates = list(delegates)
-        self.counts = [int(n) for n in counts]
-
-    def _chunks(self, fields_by_rank):
-        if len(fields_by_rank) != sum(self.counts):
-            raise ValueError(
-                f"got {len(fields_by_rank)} rank field lists, expected "
-                f"{sum(self.counts)}"
-            )
-        i = 0
-        for delegate, n in zip(self.delegates, self.counts):
-            yield delegate, fields_by_rank[i : i + n]
-            i += n
-
-    def exchange(self, level: int, fields_by_rank) -> None:
-        for delegate, chunk in self._chunks(fields_by_rank):
-            delegate.exchange(level, chunk)
-
-
-class StackedLocalExchanger:
-    """All-single-rank cohort exchange fused over the stacked storage.
-
-    When every member owns the whole periodic domain, a member exchange
-    is a local wrap — ``data[ghost] = data[source]`` inside that
-    member's slot block of the engine's stacked storage (member fields
-    are views of it).  The :class:`~repro.bricks.batch.BatchedGrid` wrap
-    pairs are exactly the member pairs offset per block, so one
-    vectorised copy writes byte-identical ghosts for the whole cohort —
-    the throughput lever at small geometries, where N per-member
-    Python exchanges would cost as much as the N sequential solves the
-    cohort must beat.
-
-    Per-member message recording is delegated to the members' own
-    exchangers unchanged, so operation-count accounting matches the
-    fanout path exactly; fields the engine did not stack fall back to
-    the per-member delegates.
-    """
-
-    def __init__(self, delegates, stacked_by_id, tracer=None) -> None:
-        self.delegates = list(delegates)
-        #: id(member view field) -> stacked field sharing its storage
-        self._stacked_by_id = stacked_by_id
-        self.tracer = tracer or NULL_TRACER
-
-    def exchange(self, level: int, fields_by_rank) -> None:
-        if len(fields_by_rank) != len(self.delegates):
-            raise ValueError(
-                f"got {len(fields_by_rank)} rank field lists, expected "
-                f"{len(self.delegates)}"
-            )
-        targets = [
-            self._stacked_by_id.get(id(f)) for f in fields_by_rank[0]
-        ]
-        fused = all(t is not None for t in targets) and all(
-            len(fields) == len(targets)
-            and all(
-                self._stacked_by_id.get(id(f)) is targets[k]
-                for k, f in enumerate(fields)
-            )
-            for fields in fields_by_rank[1:]
-        )
-        if not fused:
-            for delegate, fields in zip(self.delegates, fields_by_rank):
-                delegate.exchange(level, [fields])
-            return
-        with self.tracer.span(
-            "exchange", l=level, nfields=len(targets), stacked=True
-        ):
-            for stacked_field in targets:
-                stacked_field.fill_ghost_periodic()
-        for delegate, fields in zip(self.delegates, fields_by_rank):
-            delegate._record(level, fields)
-
-
 class _FanoutTransfer:
     """Agglomeration gather/scatter fanned out across members."""
 
@@ -156,8 +73,9 @@ class CohortAgglomerator:
     consumes — ``plan``, ``levels_at``, ``ranks_at``, ``exchanger_at``,
     ``transfer_at``, ``staging_levels``, ``canonical_restriction``,
     ``channels`` — by concatenating (levels, staging) or fanning out
-    (exchanges, transfers) across the members.  All members share one
-    config, hence one agglomeration plan.
+    (transfers) across the members; exchanges go through member 0's
+    active-rank exchangers, which serve every member's copy in one
+    call.  All members share one config, hence one agglomeration plan.
     """
 
     def __init__(self, member_aggs, ranks_per_member: int) -> None:
@@ -165,17 +83,10 @@ class CohortAgglomerator:
         self.plan = self.members[0].plan
         self.ranks_per_member = int(ranks_per_member)
         num_levels = self.plan.num_levels
-        self._exchangers = []
         self._transfers = []
         #: staging levels per depth, concatenated across members
         self.staging_levels: list[list | None] = []
         for lev in range(num_levels):
-            exs = [a.exchanger_at(lev) for a in self.members]
-            if exs[0] is None:
-                self._exchangers.append(None)
-            else:
-                counts = [len(a.levels_at(lev)) for a in self.members]
-                self._exchangers.append(FanoutExchanger(exs, counts))
             trs = [a.transfer_at(lev) for a in self.members]
             self._transfers.append(
                 None if trs[0] is None else _FanoutTransfer(trs)
@@ -210,7 +121,7 @@ class CohortAgglomerator:
         ]
 
     def exchanger_at(self, lev: int):
-        return self._exchangers[lev]
+        return self.members[0].exchanger_at(lev)
 
     def transfer_at(self, lev: int):
         return self._transfers[lev]
@@ -365,19 +276,11 @@ class CohortSolver:
         bottom_kwargs = dict(config.bottom_options)
         if "iterations" not in bottom_kwargs:
             bottom_kwargs["iterations"] = config.bottom_smooths
-        exchangers = []
-        for lev in range(num_levels):
-            ex = self._stacked_exchanger(lev)
-            if ex is None:
-                ex = FanoutExchanger(
-                    [m.exchangers[lev] for m in self.members],
-                    [self.num_ranks] * self.capacity,
-                )
-            exchangers.append(ex)
         self.vcycle = CohortCycle(
             self.capacity,
             rank_levels,
-            exchangers,
+            # every member is one more copy of the decomposition
+            first.exchangers,
             max_smooths=config.max_smooths,
             bottom_smooths=config.bottom_smooths,
             communication_avoiding=config.communication_avoiding,
@@ -407,33 +310,6 @@ class CohortSolver:
         # slots must start empty — idle slots hold exact zeros
         for slot in range(self.capacity):
             self._reset_slot(slot)
-
-    # ------------------------------------------------------------------
-    def _stacked_exchanger(self, lev: int) -> StackedLocalExchanger | None:
-        """The fused single-rank exchanger for depth ``lev``, when
-        every member's exchange is a pure periodic wrap (single rank,
-        periodic boundary) — None otherwise."""
-        from repro.comm.exchange import LocalPeriodicExchange
-
-        if self.num_ranks != 1:
-            return None
-        st = self.engine.stacked_level(lev)
-        delegates = [m.exchangers[lev] for m in self.members]
-        if not all(
-            isinstance(d, LocalPeriodicExchange) and d._fill is None
-            for d in delegates
-        ):
-            return None
-        stacked_fields = st.fields()
-        stacked_by_id: dict[int, object] = {}
-        for member in self.members:
-            lv = member.rank_levels[0][lev]
-            for name, f in lv.fields().items():
-                if name in stacked_fields:
-                    stacked_by_id[id(f)] = stacked_fields[name]
-        return StackedLocalExchanger(
-            delegates, stacked_by_id, tracer=self.tracer
-        )
 
     @property
     def free_slots(self) -> int:
@@ -506,12 +382,11 @@ class CohortSolver:
         logs, so a long-lived cohort's memory does not grow with the
         requests it has served.
 
-        Each member's recorder logs that member's messages, and member
-        0's doubles as the driver's and logs every kernel; nothing reads
-        a cohort's recorders, so a slot's log restarts with its next
-        request.  Slot 0 is the first to be refilled and no request
-        outlives ``max_vcycles`` cycles, which bounds the driver's log
-        too.
+        Member 0's recorder is the driver's and logs every kernel and
+        every member's messages; nothing reads a cohort's recorders, so
+        a slot's log restarts with its next request.  Slot 0 is the
+        first to be refilled and no request outlives ``max_vcycles``
+        cycles, which bounds the driver's log too.
         """
         self.members[slot].recorder.clear()
         samples = self.occupancy_samples
@@ -638,8 +513,7 @@ class CohortSolver:
                     _finalize(self.cycle())
                 # else: open-loop idle gap — spin until the next arrival
         for member in self.members:
-            if member.comm is not None:
-                member.comm.assert_drained()
+            member.comm.assert_drained()
         return results
 
     def occupancy_totals(self) -> tuple[int, int]:

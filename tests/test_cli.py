@@ -68,6 +68,8 @@ class TestProfileCommand:
         assert "(model: Perlmutter)" in out
         assert "sigma:" in out and "| model " in out
         assert "reductions.total" in out
+        # one rank never moves envelopes: the profile is of the plain run
+        assert "halo exchange:" not in out
 
     def test_multirank_profile_names_the_exchange_path(self, capsys):
         """A traced run moves envelopes where the untraced one copies by

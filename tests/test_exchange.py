@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bricks import BrickGrid, BrickedArray
-from repro.comm import CartTopology, HaloExchange, LocalPeriodicExchange, SimComm
+from repro.comm import CartTopology, HaloExchange, SimComm
+from repro.gmg.boundary import BoundaryCondition, BoundaryFill
 from repro.gmg.problem import rhs_field
 from repro.instrument import Recorder
 
@@ -55,36 +56,75 @@ class TestPayloadChecksum:
         assert payload_checksum(strided) != payload_checksum(payload)
 
 
-class TestLocalPeriodicExchange:
+def one_rank_exchange(grid, recorder=None, boundary=None):
+    """The exchanger of a solve whose one rank owns the whole domain."""
+    condition = BoundaryCondition(boundary or "periodic")
+    topo = CartTopology(
+        (1, 1, 1), periodic=condition is BoundaryCondition.PERIODIC
+    )
+    return HaloExchange(grid, topo, SimComm(1), recorder, condition)
+
+
+class TestSingleRankExchange:
     def test_fills_ghosts(self, rng):
         grid = BrickGrid((2, 2, 2), 4)
         dense = rng.random((8, 8, 8))
         field = BrickedArray.from_ijk(grid, dense)
         topo = CartTopology((1, 1, 1))
-        LocalPeriodicExchange(grid).exchange(0, [[field]])
+        one_rank_exchange(grid).exchange(0, [[field]])
         check_ghosts_against_global(topo, grid, [field], dense)
 
     def test_records_events(self, rng):
         grid = BrickGrid((2, 2, 2), 4)
         rec = Recorder()
         field = BrickedArray.from_ijk(grid, rng.random((8, 8, 8)))
-        LocalPeriodicExchange(grid, rec).exchange(3, [[field]])
+        one_rank_exchange(grid, rec).exchange(3, [[field]])
         assert rec.exchange_counts() == {3: 1}
         assert rec.message_counts_by_level() == {3: 26}
         assert all(ev.self_message for ev in rec.messages)
 
-    def test_rejects_multiple_ranks(self, rng):
+    def test_rejects_partial_copies(self, rng):
+        """Field lists come in whole copies of the decomposition: any
+        count but a positive multiple of ``topology.size`` raises, and
+        says so."""
         grid = BrickGrid((2, 2, 2), 4)
         f = BrickedArray.from_ijk(grid, rng.random((8, 8, 8)))
-        with pytest.raises(ValueError):
-            LocalPeriodicExchange(grid).exchange(0, [[f], [f]])
+        for dims, count in [((1, 1, 1), 0), ((2, 1, 1), 1), ((2, 1, 1), 3)]:
+            topo = CartTopology(dims)
+            ex = HaloExchange(grid, topo, SimComm(topo.size))
+            with pytest.raises(
+                ValueError,
+                match=rf"positive multiple of topology\.size={topo.size} .*got {count}$",
+            ):
+                ex.exchange(0, [[f]] * count)
 
-    def test_rejects_foreign_grid(self, rng):
+    def test_rejects_foreign_grid(self):
+        """What makes a grid foreign is its geometry, not its identity:
+        a congruent grid's fields exchange, any other geometry's raise."""
         grid = BrickGrid((2, 2, 2), 4)
-        other = BrickGrid((2, 2, 2), 4)
-        f = BrickedArray.zeros(other)
-        with pytest.raises(ValueError):
-            LocalPeriodicExchange(grid).exchange(0, [[f]])
+        ex = one_rank_exchange(grid)
+        ex.exchange(0, [[BrickedArray.zeros(BrickGrid((2, 2, 2), 4))]])
+        with pytest.raises(ValueError, match="incompatible"):
+            ex.exchange(0, [[BrickedArray.zeros(BrickGrid((2, 2, 4), 4))]])
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_walled_rank_synthesises_every_ghost(self, rng, boundary):
+        """One rank with walls all round has no neighbour at all: an
+        empty plan, no messages, every ghost from the boundary fill."""
+        grid = BrickGrid((2, 2, 2), 4)
+        rec = Recorder()
+        ex = one_rank_exchange(grid, rec, boundary)
+        assert ex.plan.num_messages == ex.plan.num_bricks == 0
+        assert ex.plan.src.dtype == ex.plan.dst.dtype == np.int64
+        assert ex.plan.pairs == ()
+        content = rng.random((grid.num_slots, 4, 4, 4))
+        got, want = BrickedArray(grid, content.copy()), BrickedArray(grid, content.copy())
+        want.zero_ghost()
+        BoundaryFill(grid, ((True, True),) * 3, BoundaryCondition(boundary)).apply(want)
+        ex.exchange(1, [[got]])
+        assert got.data.tobytes() == want.data.tobytes()
+        assert rec.exchange_counts() == {1: 1} and rec.messages == []
+        assert ex.comm.sent_messages == 0 and ex.path_counts["planned"] == 1
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1)], ids=["local", "halo"])
@@ -93,13 +133,33 @@ def test_empty_field_lists_are_rejected_by_name(dims):
     refused in validation, not die there with a bare ``IndexError``."""
     grid = BrickGrid((2, 2, 2), 4)
     topo = CartTopology(dims)
-    if topo.size == 1:
-        ex = LocalPeriodicExchange(grid, Recorder())
-    else:
-        ex = HaloExchange(grid, topo, SimComm(topo.size), recorder=Recorder())
+    ex = HaloExchange(grid, topo, SimComm(topo.size), recorder=Recorder())
     with pytest.raises(ValueError, match="nothing to exchange.*empty"):
         ex.exchange(0, [[] for _ in range(topo.size)])
     assert ex.recorder.exchange_counts() == {}
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1)], ids=["1rank", "2ranks"])
+@pytest.mark.parametrize(
+    "wrong, named",
+    [
+        ({"ordering": "lexicographic"}, r"'lexicographic'\) != .*'surface-major'\)"),
+        ({"ghost_bricks": 2}, r"4, 2, 'surface-major'\) != .*4, 1, 'surface-major'\)"),
+    ],
+    ids=["ordering", "ghost-depth"],
+)
+def test_fields_of_another_geometry_are_rejected_by_name(dims, wrong, named):
+    """Same shape and brick, other slot order or shell depth: the plan's
+    slot tables would scatter into the wrong bricks without an error."""
+    grid = BrickGrid((2, 2, 2), 4)
+    topo = CartTopology(dims)
+    ex = HaloExchange(grid, topo, SimComm(topo.size), recorder=Recorder())
+    ok = BrickedArray.zeros(grid)
+    other = BrickedArray.zeros(BrickGrid((2, 2, 2), 4, **wrong))
+    fields = [[ok] for _ in range(topo.size - 1)] + [[other]]
+    with pytest.raises(ValueError, match=f"incompatible.*{named}$"):
+        ex.exchange(0, fields)
+    assert ex.recorder.exchange_counts() == {} and not other.data.any()
 
 
 class TestHaloExchange:

@@ -4,6 +4,11 @@
 index copy must leave every ghost brick, every recorded message and
 every communicator counter exactly as the envelope path does.  The
 reference is forced the way a user would meet it: an enabled tracer.
+
+It is also the only exchanger, so the plan is pinned at its two other
+ends: one rank against the independent periodic wrap
+(``BrickedArray.fill_ghost_periodic``), and ``k`` stacked copies of a
+decomposition in one call against ``k`` calls.
 """
 
 import dataclasses
@@ -31,10 +36,12 @@ BOUNDARIES = ["periodic", "dirichlet", "neumann"]
 def build(
     dims, boundary="periodic", ordering="surface-major", nfields=1,
     stacked=True, dtype=np.float64, reference=False, seed=7,
+    shape=(2, 2, 2), copies=1,
 ):
-    """An exchanger and ``fields_by_rank`` with random content everywhere
-    (ghosts included, so a ghost the exchange must not touch shows)."""
-    grid = BrickGrid((2, 2, 2), 4, ordering=ordering)
+    """An exchanger and ``fields_by_rank`` — for ``copies`` copies of the
+    decomposition — with random content everywhere (ghosts included, so
+    a ghost the exchange must not touch shows)."""
+    grid = BrickGrid(shape, 4, ordering=ordering)
     condition = BoundaryCondition(boundary)
     topo = CartTopology(dims, periodic=condition is BoundaryCondition.PERIODIC)
     comm = SimComm(topo.size)
@@ -44,12 +51,13 @@ def build(
         tracer=Tracer() if reference else None,
     )
     rng = np.random.default_rng(seed)
-    fields_by_rank = [[] for _ in range(topo.size)]
+    blocks = copies * topo.size
+    fields_by_rank = [[] for _ in range(blocks)]
     for _ in range(nfields):
-        content = rng.random((topo.size * grid.num_slots, 4, 4, 4)).astype(dtype)
+        content = rng.random((blocks * grid.num_slots, 4, 4, 4)).astype(dtype)
         if stacked:
-            whole = BrickedArray(BatchedGrid(grid, topo.size), content, dtype=dtype)
-        for rank in range(topo.size):
+            whole = BrickedArray(BatchedGrid(grid, blocks), content, dtype=dtype)
+        for rank in range(blocks):
             field = BrickedArray.zeros(grid, dtype=dtype)
             if stacked:
                 field.bind_stacked(whole, rank)
@@ -136,6 +144,78 @@ class TestPlanEqualsReference:
         ref_ex.exchange(0, ref_fields)
         assert ex.path_counts["planned"] == 1
         assert_same(observable(ex, fields), observable(ref_ex, ref_fields))
+
+
+class TestOneRankPlanIsThePeriodicWrap:
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (2, 2, 2), (4, 4, 4), (2, 1, 4)],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "free"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
+    def test_byte_identity(self, shape, ordering, stacked, dtype):
+        """26 self-messages copy what ``fill_ghost_periodic`` copies."""
+        ex, fields = build(
+            (1, 1, 1), ordering=ordering, stacked=stacked, dtype=dtype, shape=shape
+        )
+        (field,) = fields[0]
+        wrapped = BrickedArray(ex.grid, field.data.copy(), dtype=dtype)
+        wrapped.fill_ghost_periodic()
+        ex.exchange(0, fields)
+        assert ex.path_counts == {"planned": 1, "envelope": 0}
+        assert ex.plan.num_messages == 26
+        assert all(m.src_rank == m.dst_rank == 0 for m in ex.plan.messages)
+        assert field.data.dtype == dtype
+        assert field.data.tobytes() == wrapped.data.tobytes()
+
+
+class TestCopiesInOneCall:
+    """``k`` stacked copies of the decomposition through one ``exchange``
+    leave what ``k`` exchanges of one copy each leave."""
+
+    @pytest.mark.parametrize(
+        "dims, reference, stacked",
+        [
+            ((1, 1, 1), False, True),
+            ((1, 1, 1), False, False),
+            ((2, 1, 1), False, True),
+            ((2, 1, 1), False, False),
+            ((2, 1, 1), True, True),
+        ],
+        ids=["1rank", "1rank-free", "2ranks", "2ranks-free", "2ranks-envelopes"],
+    )
+    @pytest.mark.parametrize("copies", [1, 3])
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_equals_separate_calls(self, dims, reference, stacked, copies, boundary):
+        kwargs = dict(
+            boundary=boundary, nfields=2, stacked=stacked, reference=reference,
+            copies=copies,
+        )
+        together, fields = build(dims, **kwargs)
+        together.exchange(1, fields)
+        apart, apart_fields = build(dims, **kwargs)
+        size = apart.topology.size
+        for c in range(copies):
+            apart.exchange(1, apart_fields[c * size : (c + 1) * size])
+        path = "envelope" if reference else "planned"
+        assert together.path_counts[path] == 1 and apart.path_counts[path] == copies
+        got, want = observable(together, fields), observable(apart, apart_fields)
+        # one collective over k copies is one exchange event
+        assert got.pop("exchange_counts") == {1: 1}
+        assert want.pop("exchange_counts") == {1: copies}
+        assert len(got["messages"]) == copies * together.plan.num_messages
+        assert_same(got, want)
+
+    def test_tables_tile_the_plan_per_copy(self):
+        grid = BrickGrid((2, 2, 2), 4)
+        plan = exchange_plan_for(grid, CartTopology((2, 1, 1)))
+        src, dst = plan.tables(3)
+        assert plan.tables(3)[0] is src and plan.tables(1) == (plan.src, plan.dst)
+        stride = plan.num_ranks * plan.num_slots
+        for c in range(3):
+            part = slice(c * plan.num_bricks, (c + 1) * plan.num_bricks)
+            assert np.array_equal(src[part], plan.src + c * stride)
+            assert np.array_equal(dst[part], plan.dst + c * stride)
 
 
 class TestPlanStructure:
@@ -251,6 +331,39 @@ class TestPathSelection:
         ex.exchange(0, fields)
         assert ex.path_counts == {"planned": 0, "envelope": 1}
         assert len(tracer.child(0).find(owed)) == 26
+
+    @pytest.mark.parametrize("sub", [False, True], ids=["SimComm(1)", "SubComm-of-1"])
+    @pytest.mark.parametrize("why", ["injector", "tracer"])
+    def test_communicator_of_one_never_takes_envelopes(self, sub, why):
+        """No wire to strike and no second timeline to trace: a lone
+        rank's messages are copies within it, whatever is attached."""
+        from repro.faults import FaultInjector, FaultPlan
+
+        recorder, tracer = Recorder(), Tracer()
+        kwargs = {"recorder": recorder}
+        if why == "injector":
+            # would drop every message of every exchange, had it a wire
+            kwargs["injector"] = FaultInjector(FaultPlan.single("drop"), recorder)
+            root = SimComm(4 if sub else 1)
+        else:
+            kwargs["tracer"] = tracer
+            root = SimComm(4 if sub else 1, tracer=tracer)
+        comm = SubComm(root, (2,), tag_offset=100) if sub else root
+        grid = BrickGrid((2, 2, 2), 4)
+        ex = HaloExchange(grid, CartTopology((1, 1, 1)), comm, **kwargs)
+        assert ex.envelope_reason() is None
+        field = BrickedArray(grid, np.random.default_rng(5).random((grid.num_slots, 4, 4, 4)))
+        wrapped = field.copy()
+        wrapped.fill_ghost_periodic()
+        ex.exchange(0, [[field]])
+        assert ex.path_counts == {"planned": 1, "envelope": 0}
+        assert field.data.tobytes() == wrapped.data.tobytes()
+        assert recorder.fault_counts() == {} and len(recorder.messages) == 26
+        rank = 2 if sub else 0
+        assert dict(root.bytes_by_pair) == {(rank, rank): ex.plan.nbytes(8)}
+        if why == "tracer":
+            assert [s.name for s in tracer.spans] == ["exchange"]
+            assert not tracer.child(rank).spans
 
     def test_killed_rank_takes_envelopes(self):
         ex, fields = self.exchanger()

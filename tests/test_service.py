@@ -29,7 +29,6 @@ from repro.service import (
     geometry_key,
     standalone_solve,
 )
-from repro.service.cohort import StackedLocalExchanger
 from repro.service.loadgen import generate_requests, run_loadgen, smoke_config
 
 
@@ -130,14 +129,33 @@ def test_cohort_rejects_foreign_geometry():
         cohort.solve_stream([alien])
 
 
-def test_stacked_exchanger_engages_on_smoke_geometry():
-    """The single-rank fused exchange is what makes batching pay; make
-    sure the smoke path actually uses it at every level."""
-    cohort = CohortSolver(smoke_config(), capacity=4)
-    assert all(
-        isinstance(ex, StackedLocalExchanger)
-        for ex in cohort.vcycle.exchangers
-    )
+@pytest.mark.parametrize("variant", ["production", "multirank"])
+def test_cohort_exchanges_through_member_zero(variant):
+    """One exchange per cohort exchange is what makes batching pay: the
+    members are copies of one decomposition, so member 0's exchangers
+    serve them all with one plan copy over the stacked storage — at any
+    rank count — and nobody else's exchangers run."""
+    cfg = tiny_config(**VARIANTS[variant])
+    cohort = CohortSolver(cfg, capacity=4)
+    first, *others = cohort.members
+    requests = [SolveRequest(cfg, amplitude=1.0 + k) for k in range(4)]
+    assert len(cohort.solve_stream(requests)) == 4
+    # the driver's recorder is member 0's, cleared at admission only:
+    # a closed batch that fits the cohort keeps every exchange it ran
+    ran = first.recorder.exchange_counts()
+    assert sum(ran.values()) > 0
+    for lev, ex in enumerate(cohort.vcycle.exchangers):
+        assert ex is first.exchangers[lev]
+        assert ex.path_counts == {"planned": ran[lev], "envelope": 0}
+    per_exchange = 4 * sum(ex.plan.num_messages * ran[lev]
+                           for lev, ex in enumerate(first.exchangers))
+    assert len(first.recorder.messages) == per_exchange
+    for member in others:
+        assert all(
+            ex.path_counts == {"planned": 0, "envelope": 0}
+            for ex in member.exchangers
+        )
+        assert member.comm.sent_messages == 0
 
 
 # ---------------------------------------------------------------------------
