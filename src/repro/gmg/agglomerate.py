@@ -33,6 +33,12 @@ Because every gather/scatter moves exact field blocks and smoothing is
 pointwise over identical values, the residual history with agglomeration
 on is **bit-identical** to the history with it off — only the message
 schedule changes.  That identity is the acceptance test.
+
+A hierarchy of ``copies`` stacked problems (a service cohort) has one
+agglomerator: its merged and staging lists hold every copy's levels,
+its exchangers and transfers move each copy's blocks in turn, and the
+canonical restriction pairs fine and coarse levels one to one — so no
+copy reads another's bytes.
 """
 
 from __future__ import annotations
@@ -175,6 +181,10 @@ class AgglomerationTransfer(ResilientChannel):
     but level/src/rank predicates do.  The owner's own block is a self
     message (the active rank keeps its corner), matching how a real
     ``MPI_Gatherv`` onto a member root behaves.
+
+    ``staging_levels`` and ``merged_levels`` may hold several stacked
+    copies of the decomposition (copy-major); the collective then runs
+    copy by copy on the same tags, as the halo envelope path does.
     """
 
     def __init__(
@@ -208,6 +218,15 @@ class AgglomerationTransfer(ResilientChannel):
         self.gather_tag = TRANSFER_TAG_BASE + 2 * self.level_index
         self.scatter_tag = TRANSFER_TAG_BASE + 2 * self.level_index + 1
         self._last_level = self.level_index
+
+    def _copies(self):
+        """``(staging, merged)`` level lists of each stacked copy."""
+        S, n = len(self.source_ranks), len(self.owner_ranks)
+        for c in range(len(self.staging_levels) // S):
+            yield (
+                self.staging_levels[c * S : (c + 1) * S],
+                self.merged_levels[c * n : (c + 1) * n],
+            )
 
     # ------------------------------------------------------------------
     def _post(self, src: int, dst: int, tag: int, payload: np.ndarray,
@@ -250,55 +269,56 @@ class AgglomerationTransfer(ResilientChannel):
             sources=len(self.staging_levels), owners=len(self.merged_levels),
         ):
             self.poll_crashes(level)
-            for s, st in enumerate(self.staging_levels):
-                if self._is_dead(self.source_ranks[s]) or self._is_dead(
-                    self.owner_ranks[self.owner_of[s]]
-                ):
-                    continue  # dead endpoint on either side: nothing moves
-                st.init_zero()  # the staged x is the zero initial guess
-                payload = np.stack([st.x.to_ijk(), st.b.to_ijk()])
-                self._post(
-                    self.source_ranks[s],
-                    self.owner_ranks[self.owner_of[s]],
-                    self.gather_tag, payload, "gather",
-                )
-            for o, merged in enumerate(self.merged_levels):
-                dst = self.owner_ranks[o]
-                if self._is_dead(dst):
-                    continue  # a dead owner assembles nothing
-                dense = np.empty(
-                    (2,) + tuple(merged.shape_cells), dtype=merged.dtype
-                )
-                partial = False
-                for s, offset in self.assignments[o]:
-                    st = self.staging_levels[s]
-                    src = self.source_ranks[s]
-                    if self._is_dead(src):
-                        partial = True
-                        continue  # source died before staging its block
-                    expected = (2,) + tuple(st.shape_cells)
-                    payload = self._receive_payload(
-                        level, dst, src, self.gather_tag, expected,
-                        direction=None,
-                        context=(
-                            f"rank {dst}'s agglomerated block from rank "
-                            f"{src} at level {level}"
-                        ),
-                        what="agglomeration gather",
-                    )
-                    with self.tracer.child(dst).span(
-                        "unpack", l=level, src=src, dst=dst,
-                        tag=self.gather_tag, bytes=int(payload.nbytes),
+            for staging, merged_levels in self._copies():
+                for s, st in enumerate(staging):
+                    if self._is_dead(self.source_ranks[s]) or self._is_dead(
+                        self.owner_ranks[self.owner_of[s]]
                     ):
-                        block = tuple(
-                            slice(off, off + c)
-                            for off, c in zip(offset, st.shape_cells)
+                        continue  # dead endpoint on either side: nothing moves
+                    st.init_zero()  # the staged x is the zero initial guess
+                    payload = np.stack([st.x.to_ijk(), st.b.to_ijk()])
+                    self._post(
+                        self.source_ranks[s],
+                        self.owner_ranks[self.owner_of[s]],
+                        self.gather_tag, payload, "gather",
+                    )
+                for o, merged in enumerate(merged_levels):
+                    dst = self.owner_ranks[o]
+                    if self._is_dead(dst):
+                        continue  # a dead owner assembles nothing
+                    dense = np.empty(
+                        (2,) + tuple(merged.shape_cells), dtype=merged.dtype
+                    )
+                    partial = False
+                    for s, offset in self.assignments[o]:
+                        st = staging[s]
+                        src = self.source_ranks[s]
+                        if self._is_dead(src):
+                            partial = True
+                            continue  # source died before staging its block
+                        expected = (2,) + tuple(st.shape_cells)
+                        payload = self._receive_payload(
+                            level, dst, src, self.gather_tag, expected,
+                            direction=None,
+                            context=(
+                                f"rank {dst}'s agglomerated block from rank "
+                                f"{src} at level {level}"
+                            ),
+                            what="agglomeration gather",
                         )
-                        dense[(slice(None),) + block] = payload
-                if partial:
-                    continue  # never commit a partially assembled block
-                merged.x.set_interior(dense[0])
-                merged.b.set_interior(dense[1])
+                        with self.tracer.child(dst).span(
+                            "unpack", l=level, src=src, dst=dst,
+                            tag=self.gather_tag, bytes=int(payload.nbytes),
+                        ):
+                            block = tuple(
+                                slice(off, off + c)
+                                for off, c in zip(offset, st.shape_cells)
+                            )
+                            dense[(slice(None),) + block] = payload
+                    if partial:
+                        continue  # never commit a partially assembled block
+                    merged.x.set_interior(dense[0])
+                    merged.b.set_interior(dense[1])
 
     def scatter(self) -> None:
         """Return the merged correction ``x`` to the staged blocks."""
@@ -308,42 +328,43 @@ class AgglomerationTransfer(ResilientChannel):
             sources=len(self.staging_levels), owners=len(self.merged_levels),
         ):
             self.poll_crashes(level)
-            for o, merged in enumerate(self.merged_levels):
-                src = self.owner_ranks[o]
-                if self._is_dead(src):
-                    continue  # a dead owner returns nothing
-                dense_x = merged.x.to_ijk()
-                for s, offset in self.assignments[o]:
-                    st = self.staging_levels[s]
-                    if self._is_dead(self.source_ranks[s]):
-                        continue  # no endpoint to deliver to
-                    block = tuple(
-                        slice(off, off + c)
-                        for off, c in zip(offset, st.shape_cells)
+            for staging, merged_levels in self._copies():
+                for o, merged in enumerate(merged_levels):
+                    src = self.owner_ranks[o]
+                    if self._is_dead(src):
+                        continue  # a dead owner returns nothing
+                    dense_x = merged.x.to_ijk()
+                    for s, offset in self.assignments[o]:
+                        st = staging[s]
+                        if self._is_dead(self.source_ranks[s]):
+                            continue  # no endpoint to deliver to
+                        block = tuple(
+                            slice(off, off + c)
+                            for off, c in zip(offset, st.shape_cells)
+                        )
+                        self._post(
+                            src, self.source_ranks[s], self.scatter_tag,
+                            np.ascontiguousarray(dense_x[block]), "scatter",
+                        )
+                for s, st in enumerate(staging):
+                    dst = self.source_ranks[s]
+                    src = self.owner_ranks[self.owner_of[s]]
+                    if self._is_dead(dst) or self._is_dead(src):
+                        continue  # staged block keeps its pre-crash correction
+                    payload = self._receive_payload(
+                        level, dst, src, self.scatter_tag,
+                        tuple(st.shape_cells), direction=None,
+                        context=(
+                            f"rank {dst}'s scattered correction from rank "
+                            f"{src} at level {level}"
+                        ),
+                        what="agglomeration scatter",
                     )
-                    self._post(
-                        src, self.source_ranks[s], self.scatter_tag,
-                        np.ascontiguousarray(dense_x[block]), "scatter",
-                    )
-            for s, st in enumerate(self.staging_levels):
-                dst = self.source_ranks[s]
-                src = self.owner_ranks[self.owner_of[s]]
-                if self._is_dead(dst) or self._is_dead(src):
-                    continue  # staged block keeps its pre-crash correction
-                payload = self._receive_payload(
-                    level, dst, src, self.scatter_tag,
-                    tuple(st.shape_cells), direction=None,
-                    context=(
-                        f"rank {dst}'s scattered correction from rank "
-                        f"{src} at level {level}"
-                    ),
-                    what="agglomeration scatter",
-                )
-                with self.tracer.child(dst).span(
-                    "unpack", l=level, src=src, dst=dst,
-                    tag=self.scatter_tag, bytes=int(payload.nbytes),
-                ):
-                    st.x.set_interior(payload)
+                    with self.tracer.child(dst).span(
+                        "unpack", l=level, src=src, dst=dst,
+                        tag=self.scatter_tag, bytes=int(payload.nbytes),
+                    ):
+                        st.x.set_interior(payload)
 
 
 class Agglomerator:
@@ -367,6 +388,7 @@ class Agglomerator:
         injector=None,
         max_retries: int = 3,
         tracer=None,
+        copies: int = 1,
     ) -> None:
         from repro.gmg.boundary import BoundaryCondition
 
@@ -381,6 +403,7 @@ class Agglomerator:
         self.config = config
         self.topology = topology
         self.comm = comm
+        self.copies = int(copies)
         self.tracer = tracer or NULL_TRACER
         boundary = boundary or BoundaryCondition.PERIODIC
         periodic = boundary is BoundaryCondition.PERIODIC
@@ -408,7 +431,7 @@ class Agglomerator:
                     lev, cells, config.brick_dim, config.level_spacing(lev),
                     config.ordering, dtype=dtype,
                 )
-                for _ in range(self.plan.active_count(lev))
+                for _ in range(self.copies * self.plan.active_count(lev))
             ]
             self.merged_levels[lev] = merged
             active = self.plan.active_ranks(lev)
@@ -435,7 +458,7 @@ class Agglomerator:
                     lev, s_cells, config.brick_dim, config.level_spacing(lev),
                     config.ordering, dtype=dtype,
                 )
-                for _ in range(S[0] * S[1] * S[2])
+                for _ in range(self.copies * S[0] * S[1] * S[2])
             ]
             self.staging_levels[lev] = staging
             owner_of, assignments = self._assign(S, D, s_cells)
@@ -540,10 +563,14 @@ class Agglomerator:
         return self.merged_levels[lev]
 
     def ranks_at(self, lev: int) -> list[int] | None:
-        """Global ids of the active ranks (None when not merged)."""
+        """Global slot ids of the merged levels' owners — copy ``c``'s
+        active rank ``r`` is ``c * topology.size + r`` (None when not
+        merged)."""
         if self.merged_levels[lev] is None:
             return None
-        return self.plan.active_ranks(lev)
+        active = self.plan.active_ranks(lev)
+        size = self.topology.size
+        return [c * size + r for c in range(self.copies) for r in active]
 
     def exchanger_at(self, lev: int):
         """Active-rank exchanger at ``lev`` (None when not merged)."""

@@ -2,10 +2,11 @@
 
 A :class:`Hierarchy` assembles what a solve stands on — domain
 decomposition, per-rank level hierarchies, ghost exchangers, simulated
-MPI, the right-hand side — from a declarative :class:`SolverConfig`;
-:class:`GMGSolver` is a hierarchy adopted into the stacked execution
-layout (:mod:`repro.gmg.engine`) under a V-cycle driver: it runs
-Algorithm 1 and exposes the assembled global solution plus the
+MPI, the right-hand side — from a declarative :class:`SolverConfig`,
+for one problem or ``copies`` independent ones (a service cohort);
+:class:`GMGSolver` is a one-copy hierarchy adopted into the stacked
+execution layout (:mod:`repro.gmg.engine`) under a V-cycle driver: it
+runs Algorithm 1 and exposes the assembled global solution plus the
 instrumentation record.
 
 Example
@@ -246,14 +247,24 @@ class Hierarchy:
     Builds the decomposition, the simulated communicator, every rank's
     level hierarchy, the per-level ghost exchangers, the agglomerator
     (when the threshold merges anything) and the finest-level
-    right-hand side.  :class:`GMGSolver` adopts one hierarchy into the
-    stacked layout and drives it; a service cohort builds several and
-    adopts them together under one engine.
+    right-hand side.  :class:`GMGSolver` adopts a hierarchy into the
+    stacked layout and drives it; so does a service cohort, with
+    ``copies=capacity``.
+
+    ``copies`` problems share everything but field storage:
+    ``rank_levels`` holds ``copies * topology.size`` level lists (copy
+    ``c``'s rank ``r`` is slot ``c * size + r``) over one communicator,
+    one recorder, one exchanger per level and one agglomerator.  No
+    operation mixes slots, so each copy sees the floats it would alone.
 
     Parameters
     ----------
     config:
         The :class:`SolverConfig`.
+    copies:
+        How many independent problems to stack.  More than one excludes
+        what reduces or recovers per communicator and would couple them:
+        a fault plan, resilience, the ``cg``/``fft`` bottom solvers.
     resilience:
         Optional :class:`~repro.faults.recovery.ResilienceConfig`
         activating the hardened solve path (checksummed exchanges,
@@ -276,15 +287,32 @@ class Hierarchy:
         resilience=None,
         fault_plan=None,
         tracer=None,
+        *,
+        copies: int = 1,
     ) -> None:
         from repro.gmg.boundary import BoundaryCondition
         from repro.obs.tracer import NULL_TRACER
 
+        if copies < 1:
+            raise ValueError(f"copies must be positive: {copies}")
+        if copies > 1 and (fault_plan is not None or resilience is not None):
+            raise ValueError(
+                "fault injection and resilience detect and recover per "
+                "communicator: a crash or rollback would take all "
+                f"{copies} copies with it; use copies=1"
+            )
+        if copies > 1 and config.bottom_solver != "relaxation":
+            raise ValueError(
+                f"stacked copies require the 'relaxation' bottom solver; "
+                f"{config.bottom_solver!r} reduces across the whole index "
+                "space and would couple independent problems"
+            )
         if fault_plan is not None and resilience is None:
             from repro.faults.recovery import ResilienceConfig
 
             resilience = ResilienceConfig()
         self.config = config
+        self.copies = int(copies)
         self.resilience = resilience
         self.tracer = tracer or NULL_TRACER
         self.recorder = Recorder()
@@ -313,7 +341,7 @@ class Hierarchy:
 
         per_rank = config.cells_per_rank
         self.rank_levels: list[list[Level]] = []
-        for rank in range(self.topology.size):
+        for _ in range(self.copies * self.topology.size):
             levels = []
             for lev in range(config.num_levels):
                 cells = tuple(c >> lev for c in per_rank)
@@ -351,7 +379,8 @@ class Hierarchy:
                 tracer=self.tracer,
             )
 
-        self._init_rhs()
+        for copy in range(self.copies):
+            self.set_rhs(copy=copy)
 
         self.agglomerator = None
         if config.agglomerate_threshold is not None and self.topology.size > 1:
@@ -366,6 +395,7 @@ class Hierarchy:
                 injector=self.injector,
                 max_retries=self._max_retries,
                 tracer=self.tracer,
+                copies=self.copies,
             )
             # a threshold too small to merge anything leaves the
             # schedule untouched (and unpoliced levels un-built)
@@ -397,15 +427,25 @@ class Hierarchy:
             )
         return out
 
-    def _init_rhs(self) -> None:
+    def _copy_levels(self, copy: int) -> list[list[Level]]:
+        """The per-rank level lists of one stacked copy, in rank order."""
+        if not 0 <= copy < self.copies:
+            raise ValueError(f"copy {copy} out of range [0, {self.copies})")
+        size = self.topology.size
+        return self.rank_levels[copy * size : (copy + 1) * size]
+
+    def set_rhs(self, amplitude: float = 1.0, copy: int = 0) -> None:
+        """Write ``amplitude *`` the model problem's right-hand side into
+        one copy's finest-level ``b`` (interior slots only: ghosts stay
+        as they are).  Multiplying by ``1.0`` is exact."""
         from repro.gmg.problem import rhs_field_dirichlet
 
         h = self.config.level_spacing(0)
         per_rank = self.config.cells_per_rank
         rhs = rhs_field if self.config.boundary == "periodic" else rhs_field_dirichlet
-        for rank, levels in enumerate(self.rank_levels):
+        for rank, levels in enumerate(self._copy_levels(copy)):
             origin = self.topology.subdomain_origin(rank, per_rank)
-            levels[0].b.set_interior(rhs(per_rank, h, origin))
+            levels[0].b.set_interior(amplitude * rhs(per_rank, h, origin))
 
     def compute_groups(self) -> tuple[list[list[Level]], list[list[int]]]:
         """Per depth: the levels that compute it and the global rank
@@ -413,7 +453,7 @@ class Hierarchy:
         ranks where the agglomerator took the level over.  What an
         :class:`~repro.gmg.engine.ExecutionEngine` stacks."""
         agg = self.agglomerator
-        everyone = list(range(self.topology.size))
+        everyone = list(range(len(self.rank_levels)))
         groups, ranks = [], []
         for lev in range(self.config.num_levels):
             merged = agg.levels_at(lev) if agg is not None else None
@@ -457,14 +497,15 @@ class Hierarchy:
             engine=engine,
             tracer=self.tracer,
             agglomerator=self.agglomerator,
+            copies=self.copies,
         )
 
-    def _assemble(self, name: str) -> np.ndarray:
-        """The global finest-level field ``name`` as a dense array."""
+    def _assemble(self, name: str, copy: int = 0) -> np.ndarray:
+        """One copy's global finest-level field ``name``, dense."""
         N = self.config.global_cells
         out = np.empty((N, N, N), dtype=np.float64)
         per_rank = self.config.cells_per_rank
-        for rank, levels in enumerate(self.rank_levels):
+        for rank, levels in enumerate(self._copy_levels(copy)):
             o = self.topology.subdomain_origin(rank, per_rank)
             out[
                 o[0] : o[0] + per_rank[0],
@@ -473,9 +514,9 @@ class Hierarchy:
             ] = getattr(levels[0], name).to_ijk()
         return out
 
-    def solution(self) -> np.ndarray:
-        """Assemble the global finest-level solution as a dense array."""
-        return self._assemble("x")
+    def solution(self, copy: int = 0) -> np.ndarray:
+        """Assemble one copy's global finest-level solution, dense."""
+        return self._assemble("x", copy)
 
     def residual_dense(self) -> np.ndarray:
         """Assemble the global finest-level residual."""
@@ -543,7 +584,7 @@ class GMGSolver(Hierarchy):
             level.b.data[...] = 0.0
             level.r.data[...] = 0.0
             level.Ax.data[...] = 0.0
-        self._init_rhs()
+        self.set_rhs()
 
     # ------------------------------------------------------------------
     def solve(self) -> SolveResult:

@@ -3,7 +3,7 @@
 Runs any number of simulated ranks in lockstep: compute phases loop
 over ranks, communication phases go through the level's
 :class:`~repro.comm.exchange.HaloExchange` — the same exchanger for
-one rank, many ranks and a service cohort's stacked members.
+one rank, many ranks and a service cohort's stacked copies.
 
 Communication-avoiding smoothing (Section V): the ghost shell is one
 brick deep, so one exchange validates ``brick_dim`` halo cells; each
@@ -86,6 +86,9 @@ class VCycle:
         — the schedule of the variable-coefficient solver, whose levels
         carry coefficient fields the engine does not stack, and of the
         test oracle.
+    copies:
+        How many independent problems ``rank_levels`` stacks
+        (copy-major); :meth:`residual_norms` reduces each separately.
     """
 
     def __init__(
@@ -107,6 +110,7 @@ class VCycle:
         engine=None,
         tracer=None,
         agglomerator=None,
+        copies: int = 1,
     ) -> None:
         if not rank_levels or not rank_levels[0]:
             raise ValueError("need at least one rank with at least one level")
@@ -135,6 +139,7 @@ class VCycle:
         #: optional FaultInjector poisoning kernel outputs (SDC model)
         self.fault_injector = fault_injector
         self.engine = engine
+        self.copies = int(copies)
         #: optional Agglomerator (repro.gmg.agglomerate): below its
         #: threshold, coarse levels compute on merged subdomains owned
         #: by a shrinking active rank grid — bit-identical numerics,
@@ -386,6 +391,25 @@ class VCycle:
             if self.recorder is not None:
                 self.recorder.reduction()
             return float(self._allreduce_max(local))
+
+    def residual_norms(self) -> list[float]:
+        """Finest-level residual max-norm of each stacked copy (needs
+        the engine).
+
+        :meth:`max_norm_residual`'s residual pass, reduced per copy
+        with ``float(np.max(...))`` — bit-identical to both the default
+        reduction and ``SimComm.allreduce_max`` of that copy alone.
+        """
+        with self.tracer.span("residual-check", v=self.cycles_run):
+            self._residual_pass()
+            stacked = self.engine.stacked_level(0)
+            # one reduction over the stacked residual: blocks are
+            # copy-major, so each row of the reshape is exactly one
+            # copy's interior element set, and max is order-independent
+            vals = np.abs(stacked.r.data[stacked.grid.interior_slots])
+            if self.recorder is not None:
+                self.recorder.reduction()
+            return [float(np.max(row)) for row in vals.reshape(self.copies, -1)]
 
     def solve(
         self, tol: float = CONVERGENCE_TOL, max_vcycles: int = 100

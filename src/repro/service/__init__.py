@@ -12,9 +12,9 @@ Layers:
 * :mod:`repro.service.request` — :class:`SolveRequest` /
   :class:`RequestResult`, the cohort grouping key, and the standalone
   reference solve the identity suite compares against;
-* :mod:`repro.service.cohort` — :class:`CohortSolver`: N member
-  hierarchies batched under one V-cycle driver with per-request
-  convergence, retirement and cycle-boundary admission;
+* :mod:`repro.service.cohort` — :class:`CohortSolver`: one hierarchy
+  of ``capacity`` stacked copies under one V-cycle driver with
+  per-request convergence, retirement and cycle-boundary admission;
 * :mod:`repro.service.service` — :class:`SolveService`: the
   geometry-keyed cohort cache and request front-end;
 * :mod:`repro.service.loadgen` — the synthetic open-loop load

@@ -1,38 +1,34 @@
 """Batched multi-request execution: N solves under one V-cycle driver.
 
-A :class:`CohortSolver` owns ``capacity`` *member* hierarchies of one
-geometry class and drives them with a single unmodified
-:class:`~repro.gmg.vcycle.VCycle` over the concatenated per-rank level
-lists — requests and ranks are the same stacking axis of the engine's
-index space:
+A :class:`CohortSolver` is one :class:`~repro.gmg.solver.Hierarchy`
+with ``copies = capacity`` — requests are further copies of the
+decomposition on the engine's stacking axis, exactly as ranks are —
+adopted and driven the way :class:`~repro.gmg.solver.GMGSolver` adopts
+and drives a single copy; what this module adds is slot bookkeeping:
 
-* **compute** batches across requests: the cohort
-  :class:`~repro.gmg.engine.ExecutionEngine` stacks all members' level
-  groups onto one :class:`~repro.bricks.batch.BatchedGrid` of
-  ``capacity * num_ranks`` blocks, so a smoothing iteration is one
-  kernel call over the whole cohort;
-* **communication** batches the same way: a member is one more copy
-  of the decomposition on the stacking axis, so the driver hands the
-  whole cohort's ``fields_by_rank`` to member 0's
-  :class:`~repro.comm.exchange.HaloExchange`, which copies every
-  member's ghosts in one pass over the stacked storage (or exchanges
-  envelopes member by member) — each member's ghosts are the bytes a
-  standalone solve moves, and member 0's recorder and communicator
-  account the plan's messages once per member;
-* **convergence** is per request: :class:`CohortCycle` mirrors
-  ``max_norm_residual`` but reduces per member slot, reproducing each
-  member's allreduce semantics bit-exactly.
+* **compute** batches across requests: the engine stacks ``capacity *
+  num_ranks`` blocks per depth, so a smoothing iteration is one kernel
+  call over the whole cohort;
+* **communication** batches the same way: the hierarchy's one
+  :class:`~repro.comm.exchange.HaloExchange` per level copies every
+  copy's ghosts in one pass over the stacked storage (or exchanges
+  envelopes copy by copy), and its one recorder and communicator
+  account the plan's messages once per copy;
+* **convergence** is per request:
+  :meth:`~repro.gmg.vcycle.VCycle.residual_norms` reduces each copy's
+  residual separately, reproducing a standalone solve's allreduce
+  bit-exactly.
 
 Identity argument: every kernel is elementwise (or adjacency-gathered)
 per brick slot and the batched adjacency is block-diagonal, so no
-operation mixes slots of different members; idle slots hold exact
+operation mixes slots of different copies; idle slots hold exact
 zeros, which smoothing, restriction and bottom relaxation all map to
 zero.  A request therefore sees the same floats whether it shares the
 cohort with 0 or N-1 neighbours — asserted by the bit-identity suite.
 
 Requests retire individually when their residual test passes (or their
 cycle budget is exhausted) and new requests join at cycle boundaries:
-the freed slot's fields are zeroed through the adopted views and the
+the freed slot's fields are zeroed in the stacked storage and the
 joiner's RHS is written exactly as a fresh solver's constructor would.
 """
 
@@ -40,145 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.gmg.engine import ExecutionEngine
 from repro.gmg.solver import Hierarchy, SolverConfig
-from repro.gmg.vcycle import VCycle
 from repro.obs.tracer import NULL_TRACER
-from repro.service.request import RequestResult, SolveRequest, apply_rhs
+from repro.service.request import RequestResult, SolveRequest
 from repro.service.request import geometry_key as _geometry_key
-
-
-class _FanoutTransfer:
-    """Agglomeration gather/scatter fanned out across members."""
-
-    def __init__(self, delegates) -> None:
-        self.delegates = list(delegates)
-
-    def gather(self) -> None:
-        for delegate in self.delegates:
-            delegate.gather()
-
-    def scatter(self) -> None:
-        for delegate in self.delegates:
-            delegate.scatter()
-
-
-class CohortAgglomerator:
-    """N members' agglomerators presented as one, to the unmodified
-    V-cycle driver.
-
-    Implements exactly the surface :class:`~repro.gmg.vcycle.VCycle`
-    consumes — ``plan``, ``levels_at``, ``ranks_at``, ``exchanger_at``,
-    ``transfer_at``, ``staging_levels``, ``canonical_restriction``,
-    ``channels`` — by concatenating (levels, staging) or fanning out
-    (transfers) across the members; exchanges go through member 0's
-    active-rank exchangers, which serve every member's copy in one
-    call.  All members share one config, hence one agglomeration plan.
-    """
-
-    def __init__(self, member_aggs, ranks_per_member: int) -> None:
-        self.members = list(member_aggs)
-        self.plan = self.members[0].plan
-        self.ranks_per_member = int(ranks_per_member)
-        num_levels = self.plan.num_levels
-        self._transfers = []
-        #: staging levels per depth, concatenated across members
-        self.staging_levels: list[list | None] = []
-        for lev in range(num_levels):
-            trs = [a.transfer_at(lev) for a in self.members]
-            self._transfers.append(
-                None if trs[0] is None else _FanoutTransfer(trs)
-            )
-            per = [a.staging_levels[lev] for a in self.members]
-            self.staging_levels.append(
-                None
-                if per[0] is None
-                else [stage for member in per for stage in member]
-            )
-
-    @property
-    def active(self) -> bool:
-        return True
-
-    def levels_at(self, lev: int):
-        merged = [a.levels_at(lev) for a in self.members]
-        if merged[0] is None:
-            return None
-        return [lv for member in merged for lv in member]
-
-    def ranks_at(self, lev: int):
-        """Global cohort slot ids: member ``m``'s rank ``r`` is slot
-        ``m * ranks_per_member + r``."""
-        active = [a.ranks_at(lev) for a in self.members]
-        if active[0] is None:
-            return None
-        return [
-            m * self.ranks_per_member + r
-            for m, member in enumerate(active)
-            for r in member
-        ]
-
-    def exchanger_at(self, lev: int):
-        return self.members[0].exchanger_at(lev)
-
-    def transfer_at(self, lev: int):
-        return self._transfers[lev]
-
-    def canonical_restriction(
-        self, lev: int, fine_levels, coarse_levels, recorder
-    ) -> None:
-        """Split the concatenated level lists per member and delegate
-        (the canonical per-rank association is a member-local fact)."""
-        n = len(self.members)
-        fine_n = len(fine_levels) // n
-        coarse_n = len(coarse_levels) // n
-        for m, agg in enumerate(self.members):
-            agg.canonical_restriction(
-                lev,
-                fine_levels[m * fine_n : (m + 1) * fine_n],
-                coarse_levels[m * coarse_n : (m + 1) * coarse_n],
-                recorder,
-            )
-
-    def channels(self):
-        return [ch for a in self.members for ch in a.channels()]
-
-
-class CohortCycle(VCycle):
-    """A V-cycle over a cohort, with per-member residual reductions."""
-
-    def __init__(self, num_members: int, *args, **kwargs) -> None:
-        self.num_members = int(num_members)
-        super().__init__(*args, **kwargs)
-
-    def member_residuals(self) -> list[float]:
-        """Finest-level residual max-norm of every member slot.
-
-        Mirrors :meth:`VCycle.max_norm_residual` — same residual pass,
-        same per-level local maxima — but reduces each member's locals
-        separately with ``float(np.max(...))``, which is bit-identical
-        to both the single-rank default reduction and
-        ``SimComm.allreduce_max``.
-        """
-        with self.tracer.span("residual-check", v=self.cycles_run):
-            levels = self._residual_pass()
-            stacked = self.engine.stacked_level(0)
-            # one reduction over the stacked residual: each block row is
-            # exactly one level's interior element set, and max is
-            # order-independent, so the per-block maxima match the
-            # per-level ``max_abs_interior`` calls bit-for-bit
-            vals = np.abs(stacked.r.data[stacked.grid.interior_slots])
-            local = vals.reshape(len(levels), -1).max(axis=1)
-            if self.recorder is not None:
-                self.recorder.reduction()
-            per = len(local) // self.num_members
-            return [
-                float(np.max(local[m * per : (m + 1) * per]))
-                for m in range(self.num_members)
-            ]
-
 
 #: most recent occupancy samples a cohort keeps.  The list is trimmed to
 #: this length once it reaches twice it, so it stays bounded however
@@ -199,17 +61,18 @@ class _ActiveRequest:
 
 
 class CohortSolver:
-    """``capacity`` member solver hierarchies under one batched driver.
+    """One ``capacity``-copy hierarchy under one batched driver.
 
     Construction is the expensive, reusable part (the service caches
-    cohorts by geometry key): member hierarchies, exchangers, the
-    cohort engine adoption and the V-cycle driver are all built once;
-    requests then stream through slots with per-slot state resets only.
+    cohorts by geometry key): the hierarchy, its exchangers, the engine
+    adoption and the V-cycle driver are all built once; requests then
+    stream through slots (slot ``k`` is copy ``k``) with per-slot state
+    resets only.
 
-    Restrictions: the ``cg``/``fft`` bottom solvers reduce over the
-    driver's whole index space and would mix requests — cohorts require
-    the paper-default ``relaxation`` bottom (no cross-slot reductions).
-    Fault injection/resilience are standalone-solver features.
+    Restrictions are the hierarchy's (``copies > 1``): the ``cg``/
+    ``fft`` bottom solvers reduce over the driver's whole index space
+    and would mix requests, and fault injection/resilience recover per
+    communicator — both are standalone-solver features.
     """
 
     def __init__(
@@ -218,83 +81,18 @@ class CohortSolver:
         capacity: int,
         tracer=None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive: {capacity}")
-        if config.bottom_solver != "relaxation":
-            raise ValueError(
-                f"cohorts require the 'relaxation' bottom solver; "
-                f"{config.bottom_solver!r} reduces across the batched index "
-                "space and would couple independent requests"
-            )
         self.config = config
         self.capacity = int(capacity)
         self.tracer = tracer or NULL_TRACER
         self.geometry_key = _geometry_key(config)
-        # members are hierarchies only; the one cohort engine adopts
-        # them all, so requests stack exactly like ranks
         with self.tracer.span("cohort-build", capacity=self.capacity):
-            self.members = [
-                Hierarchy(config, tracer=self.tracer)
-                for _ in range(self.capacity)
-            ]
-        first = self.members[0]
-        self.num_ranks = first.topology.size
-        num_levels = config.num_levels
-
-        self.agglomerator = None
-        if first.agglomerator is not None:
-            self.agglomerator = CohortAgglomerator(
-                [m.agglomerator for m in self.members], self.num_ranks
+            self.hierarchy = Hierarchy(
+                config, tracer=self.tracer, copies=self.capacity
             )
-
-        # request-axis level groups: the members' compute groups
-        # concatenated, member m's rank r owning cohort slot
-        # m * num_ranks + r
-        groups = [member.compute_groups() for member in self.members]
         self.engine = ExecutionEngine(
-            [
-                [lv for levels, _ in groups for lv in levels[lev]]
-                for lev in range(num_levels)
-            ],
-            [
-                [
-                    m * self.num_ranks + r
-                    for m, (_, ranks) in enumerate(groups)
-                    for r in ranks[lev]
-                ]
-                for lev in range(num_levels)
-            ],
-            tracer=self.tracer,
+            *self.hierarchy.compute_groups(), tracer=self.tracer
         )
-        rank_levels = [
-            levels for member in self.members for levels in member.rank_levels
-        ]
-
-        from repro.gmg.bottom import make_bottom_solver
-        from repro.gmg.smoothers import make_smoother
-
-        bottom_kwargs = dict(config.bottom_options)
-        if "iterations" not in bottom_kwargs:
-            bottom_kwargs["iterations"] = config.bottom_smooths
-        self.vcycle = CohortCycle(
-            self.capacity,
-            rank_levels,
-            # every member is one more copy of the decomposition
-            first.exchangers,
-            max_smooths=config.max_smooths,
-            bottom_smooths=config.bottom_smooths,
-            communication_avoiding=config.communication_avoiding,
-            recorder=first.recorder,
-            smoother=make_smoother(
-                config.smoother, **dict(config.smoother_options)
-            ),
-            bottom_solver=make_bottom_solver("relaxation", **bottom_kwargs),
-            cycle=config.cycle,
-            topology=first.topology,
-            engine=self.engine,
-            tracer=self.tracer,
-            agglomerator=self.agglomerator,
-        )
+        self.vcycle = self.hierarchy.make_vcycle(self.engine)
         #: slot -> _ActiveRequest
         self._active: dict[int, _ActiveRequest] = {}
         self._free: list[int] = list(range(self.capacity))
@@ -306,8 +104,8 @@ class CohortSolver:
         self._occupancy_cycles = 0
         self._occupancy_active = 0
         self.requests_retired = 0
-        # construction initialised every member's RHS (amplitude 1);
-        # slots must start empty — idle slots hold exact zeros
+        # construction wrote every copy's RHS (amplitude 1); slots
+        # must start empty — idle slots hold exact zeros
         for slot in range(self.capacity):
             self._reset_slot(slot)
 
@@ -323,31 +121,28 @@ class CohortSolver:
     def cycles_run(self) -> int:
         return self.vcycle.cycles_run
 
+    def _slot_storage(self, slot: int):
+        """Every array holding slot ``slot``'s state: its contiguous
+        block rows of each depth's stacked fields, and its staging
+        levels' fields (which the engine does not stack)."""
+        for st in self.engine.stacked:
+            rows = st.grid.num_slots // self.capacity
+            for f in st.fields().values():
+                yield f.data[slot * rows : (slot + 1) * rows]
+        agg = self.hierarchy.agglomerator
+        for staging in agg.staging_levels if agg is not None else ():
+            if staging is None:
+                continue
+            per = len(staging) // self.capacity
+            for lv in staging[slot * per : (slot + 1) * per]:
+                for f in lv.fields().values():
+                    yield f.data
+
     def _reset_slot(self, slot: int) -> None:
-        """Zero every field of the member's hierarchy, through the
-        adopted views — after this the slot is numerically identical to
-        a freshly constructed (pre-RHS) member."""
-        member = self.members[slot]
-        seen: set[int] = set()
-
-        def _zero(lv) -> None:
-            if id(lv) in seen:
-                return
-            seen.add(id(lv))
-            for f in lv.fields().values():
-                f.data[...] = 0.0
-
-        for levels in member.rank_levels:
-            for lv in levels:
-                _zero(lv)
-        agg = member.agglomerator
-        if agg is not None:
-            for lev in range(self.config.num_levels):
-                merged = agg.levels_at(lev)
-                for lv in merged or ():
-                    _zero(lv)
-                for lv in agg.staging_levels[lev] or ():
-                    _zero(lv)
+        """Zero the slot's state — after this it is numerically
+        identical to a freshly constructed (pre-RHS) copy."""
+        for data in self._slot_storage(slot):
+            data[...] = 0.0
 
     # ------------------------------------------------------------------
     def admit(self, request: SolveRequest, arrival_s: float = 0.0) -> int:
@@ -364,8 +159,8 @@ class CohortSolver:
         if not self._free:
             raise RuntimeError("cohort is full")
         slot = self._free.pop(0)
-        self._forget_history(slot)
-        apply_rhs(self.members[slot], request.amplitude)
+        self._forget_history()
+        self.hierarchy.set_rhs(request.amplitude, copy=slot)
         self._active[slot] = _ActiveRequest(
             request=request,
             slot=slot,
@@ -377,18 +172,13 @@ class CohortSolver:
         )
         return slot
 
-    def _forget_history(self, slot: int) -> None:
-        """Drop what the slot's previous occupants left in per-event
-        logs, so a long-lived cohort's memory does not grow with the
-        requests it has served.
-
-        Member 0's recorder is the driver's and logs every kernel and
-        every member's messages; nothing reads a cohort's recorders, so
-        a slot's log restarts with its next request.  Slot 0 is the
-        first to be refilled and no request outlives ``max_vcycles``
-        cycles, which bounds the driver's log too.
-        """
-        self.members[slot].recorder.clear()
+    def _forget_history(self) -> None:
+        """Restart the per-event logs at an admission, so a long-lived
+        cohort's memory does not grow with the requests it has served:
+        nothing reads a cohort's recorder, and no request outlives
+        ``max_vcycles`` cycles, which bounds what accumulates between
+        admissions."""
+        self.hierarchy.recorder.clear()
         samples = self.occupancy_samples
         if len(samples) >= 2 * OCCUPANCY_WINDOW:
             del samples[:-OCCUPANCY_WINDOW]
@@ -397,14 +187,14 @@ class CohortSolver:
         """Record joiners' initial residuals (``history[0]``).
 
         One cohort-wide residual pass; only the named slots harvest an
-        entry.  For members mid-solve the pass is numerically idempotent
+        entry.  For copies mid-solve the pass is numerically idempotent
         — it re-exchanges unchanged interiors and recomputes ``Ax``/``r``
         from unchanged ``x``/``b`` — so their trajectories are
         unperturbed and their histories untouched.  Requests whose
         initial residual already passes their test retire immediately
         (mirroring a standalone solve that runs zero cycles).
         """
-        residuals = self.vcycle.member_residuals()
+        residuals = self.vcycle.residual_norms()
         retired = []
         for slot in slots:
             active = self._active[slot]
@@ -431,7 +221,7 @@ class CohortSolver:
         self._occupancy_cycles += 1
         self._occupancy_active += len(self._active)
         self.vcycle.run()
-        residuals = self.vcycle.member_residuals()
+        residuals = self.vcycle.residual_norms()
         retired = []
         for slot in sorted(self._active):
             active = self._active[slot]
@@ -449,7 +239,7 @@ class CohortSolver:
             converged=active.history[-1] <= config.tol,
             num_vcycles=len(active.history) - 1,
             residual_history=list(active.history),
-            solution=self.members[slot].solution(),
+            solution=self.hierarchy.solution(copy=slot),
             slot=slot,
             joined_at_cycle=active.joined_at_cycle,
             arrival_s=active.arrival_s,
@@ -474,15 +264,23 @@ class CohortSolver:
 
         ``arrivals[i]`` is the offset (seconds on ``clock``) at which
         ``requests[i]`` becomes eligible; omitted arrivals are 0 (a
-        closed batch).  Requests join at cycle boundaries as slots free
-        up; the returned results carry arrival/completion stamps on
-        ``clock`` for latency accounting.  Results are in retirement
-        order.
+        closed batch).  Requests join in arrival order (ties in the
+        order given) at cycle boundaries as slots free up; the returned
+        results carry arrival/completion stamps on ``clock`` for
+        latency accounting.  Results are in retirement order.
         """
         import time as _time
 
         clock = clock or _time.perf_counter
-        pending = list(zip(requests, arrivals or [0.0] * len(requests)))
+        requests = list(requests)
+        arrivals = [0.0] * len(requests) if arrivals is None else list(arrivals)
+        if len(arrivals) != len(requests):
+            raise ValueError(
+                f"need one arrival offset per request: {len(arrivals)} "
+                f"arrivals for {len(requests)} requests"
+            )
+        # stable, so a request never waits behind one due later
+        pending = sorted(zip(requests, arrivals), key=lambda pair: pair[1])
         for request, _ in pending:
             if request.geometry_key != self.geometry_key:
                 raise ValueError(
@@ -512,8 +310,7 @@ class CohortSolver:
                 if self._active:
                     _finalize(self.cycle())
                 # else: open-loop idle gap — spin until the next arrival
-        for member in self.members:
-            member.comm.assert_drained()
+        self.hierarchy.comm.assert_drained()
         return results
 
     def occupancy_totals(self) -> tuple[int, int]:

@@ -15,7 +15,9 @@ controls ``tol`` and ``max_vcycles``.
 
 :func:`standalone_solve` is the reference the bit-identity suite (and
 the load generator's sequential baseline) compares the cohort against:
-one ordinary :class:`~repro.gmg.solver.GMGSolver` per request.
+one ordinary :class:`~repro.gmg.solver.GMGSolver` per request, its
+right-hand side written by the call a cohort admission makes
+(:meth:`~repro.gmg.solver.Hierarchy.set_rhs`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro.gmg.solver import GMGSolver, Hierarchy, SolveResult, SolverConfig
+from repro.gmg.solver import GMGSolver, SolveResult, SolverConfig
 
 #: config fields excluded from the cohort grouping key: per-request
 #: convergence controls that do not change the geometry or schedule
@@ -110,25 +112,6 @@ class RequestResult:
         return self.residual_history[-1]
 
 
-def apply_rhs(solver: Hierarchy, amplitude: float) -> None:
-    """Set the hierarchy's finest-level RHS to ``amplitude * rhs``.
-
-    Evaluates the exact same expression for the standalone and cohort
-    paths, so both write byte-equal ``b`` fields; ``set_interior``
-    touches interior slots only (ghost slots stay zero, as after
-    construction).
-    """
-    from repro.gmg.problem import rhs_field, rhs_field_dirichlet
-
-    config = solver.config
-    h = config.level_spacing(0)
-    per_rank = config.cells_per_rank
-    rhs = rhs_field if config.boundary == "periodic" else rhs_field_dirichlet
-    for rank, levels in enumerate(solver.rank_levels):
-        origin = solver.topology.subdomain_origin(rank, per_rank)
-        levels[0].b.set_interior(amplitude * rhs(per_rank, h, origin))
-
-
 def standalone_solve(request: SolveRequest, tracer=None) -> RequestResult:
     """Solve ``request`` alone with an ordinary :class:`GMGSolver`.
 
@@ -136,10 +119,9 @@ def standalone_solve(request: SolveRequest, tracer=None) -> RequestResult:
     reproduce this result's residual history and solution exactly.
     """
     solver = GMGSolver(request.config, tracer=tracer)
-    if request.amplitude != 1.0:
-        # construction already wrote the amplitude-1 RHS; rewrite the
-        # interior through the adopted views
-        apply_rhs(solver, request.amplitude)
+    # construction wrote the amplitude-1 RHS; rewrite the interior
+    # through the adopted views
+    solver.set_rhs(request.amplitude)
     result: SolveResult = solver.solve()
     return RequestResult(
         request=request,

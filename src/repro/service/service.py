@@ -3,7 +3,7 @@
 :class:`SolveService` accepts independent :class:`SolveRequest`\\ s,
 groups them by :func:`~repro.service.request.geometry_key`, and runs
 each group through a cached :class:`~repro.service.cohort.CohortSolver`
-— the expensive part (hierarchies, exchangers, engine adoption, and
+— the expensive part (the hierarchy, its exchangers, engine adoption, and
 the geometry-keyed plan caches underneath) is built once per geometry
 class and reused across submissions, which is the whole point of a
 long-lived service process.
@@ -50,7 +50,7 @@ class SolveService:
         self.capacity = int(capacity)
         self.tracer = tracer or NULL_TRACER
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: geometry_key -> (cohort, fork label); the plan/workspace cache
+        #: geometry_key -> cohort; the plan/workspace cache
         self._cohorts: dict[tuple, CohortSolver] = {}
         self._cohort_seq = 0
         self.requests_served = 0

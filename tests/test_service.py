@@ -12,6 +12,8 @@ per-fork tracer timelines.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -58,12 +60,16 @@ def assert_identical(cohort_result, reference) -> None:
 VARIANTS = {
     "production": {},
     "multirank": {"rank_dims": (2, 1, 1)},
+    "walled": {"boundary": "dirichlet", "rank_dims": (2, 1, 1)},
+    "gsrb": {"smoother": "gsrb"},
+    # 8 -> 2 -> 1 active ranks: an unmerged->merged transition, a
+    # merged-fine transition and a merged->merged canonical restriction
     "multirank-agg": {
-        "global_cells": 16,
-        "num_levels": 3,
+        "global_cells": 32,
+        "num_levels": 4,
         "brick_dim": 4,
-        "rank_dims": (2, 2, 1),
-        "agglomerate_threshold": 100,
+        "rank_dims": (4, 2, 1),
+        "agglomerate_threshold": 1000,
     },
 }
 
@@ -129,33 +135,122 @@ def test_cohort_rejects_foreign_geometry():
         cohort.solve_stream([alien])
 
 
-@pytest.mark.parametrize("variant", ["production", "multirank"])
-def test_cohort_exchanges_through_member_zero(variant):
-    """One exchange per cohort exchange is what makes batching pay: the
-    members are copies of one decomposition, so member 0's exchangers
-    serve them all with one plan copy over the stacked storage — at any
-    rank count — and nobody else's exchangers run."""
+def test_stacked_hierarchy_rejects_what_would_couple_its_copies():
+    from repro.faults.plan import FaultPlan
+    from repro.faults.recovery import ResilienceConfig
+    from repro.gmg.solver import Hierarchy
+
+    with pytest.raises(ValueError, match="copies must be positive"):
+        Hierarchy(tiny_config(), copies=0)
+    with pytest.raises(ValueError, match="per communicator"):
+        Hierarchy(tiny_config(), fault_plan=FaultPlan(), copies=2)
+    with pytest.raises(ValueError, match="per communicator"):
+        Hierarchy(tiny_config(), resilience=ResilienceConfig(), copies=2)
+    with pytest.raises(ValueError, match="relaxation"):
+        Hierarchy(tiny_config(bottom_solver="fft"), copies=2)
+
+
+@pytest.mark.parametrize("variant", ["production", "multirank", "multirank-agg"])
+def test_cohort_is_one_hierarchy(variant, monkeypatch):
+    """A capacity-k cohort is one hierarchy of k copies, not k
+    hierarchies: one communicator, one recorder, one exchanger per
+    level and at most one agglomerator are ever constructed, and every
+    exchange is one planned call serving all k copies."""
+    from repro.comm.exchange import HaloExchange
+    from repro.comm.simmpi import SimComm
+    from repro.gmg.agglomerate import Agglomerator
+    from repro.instrument import Recorder
+
+    built = Counter()
+    for cls in (SimComm, Recorder, HaloExchange, Agglomerator):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
     cfg = tiny_config(**VARIANTS[variant])
     cohort = CohortSolver(cfg, capacity=4)
-    first, *others = cohort.members
+    hierarchy = cohort.hierarchy
+    merged = hierarchy.agglomerator is not None
+    assert merged == (variant == "multirank-agg")
+    assert len(hierarchy.exchangers) == cfg.num_levels
+    assert built == {
+        "SimComm": 1,
+        "Recorder": 1,
+        "HaloExchange": len(hierarchy.halo_exchangers()),
+        **({"Agglomerator": 1} if merged else {}),
+    }
+    assert len(hierarchy.rank_levels) == 4 * cfg.num_ranks
+
     requests = [SolveRequest(cfg, amplitude=1.0 + k) for k in range(4)]
     assert len(cohort.solve_stream(requests)) == 4
-    # the driver's recorder is member 0's, cleared at admission only:
-    # a closed batch that fits the cohort keeps every exchange it ran
-    ran = first.recorder.exchange_counts()
+    # the recorder restarts at admissions only: a closed batch that
+    # fits the cohort keeps every exchange it ran
+    ran = hierarchy.recorder.exchange_counts()
     assert sum(ran.values()) > 0
-    for lev, ex in enumerate(cohort.vcycle.exchangers):
-        assert ex is first.exchangers[lev]
-        assert ex.path_counts == {"planned": ran[lev], "envelope": 0}
-    per_exchange = 4 * sum(ex.plan.num_messages * ran[lev]
-                           for lev, ex in enumerate(first.exchangers))
-    assert len(first.recorder.messages) == per_exchange
-    for member in others:
-        assert all(
-            ex.path_counts == {"planned": 0, "envelope": 0}
-            for ex in member.exchangers
-        )
-        assert member.comm.sent_messages == 0
+    serving = [cohort.vcycle.exchanger_at(lev) for lev in range(cfg.num_levels)]
+    for lev, ex in hierarchy.halo_exchangers():
+        runs = ran[lev] if ex is serving[lev] else 0
+        assert ex.path_counts == {"planned": runs, "envelope": 0}
+    halo_messages = [
+        ev for ev in hierarchy.recorder.messages
+        if ev.direction_kind not in ("gather", "scatter")
+    ]
+    assert len(halo_messages) == 4 * sum(
+        ex.plan.num_messages * ran[lev] for lev, ex in enumerate(serving)
+    )
+    assert hierarchy.comm.sent_messages == len(hierarchy.recorder.messages)
+
+
+def test_retired_slot_is_zeroed_and_its_neighbour_untouched():
+    """Retirement zeroes exactly one copy: every field row of the slot
+    at every depth, and its staging levels, are all-zero bytes, while a
+    neighbour mid-solve goes on to its standalone result."""
+    cfg = tiny_config(**VARIANTS["multirank-agg"])
+    cohort = CohortSolver(cfg, capacity=3)
+    quick = SolveRequest(replace(cfg, max_vcycles=2), amplitude=1.0)
+    slow = SolveRequest(replace(cfg, max_vcycles=4), amplitude=1.7)
+    slots = [cohort.admit(quick), cohort.admit(slow)]
+    assert slots == [0, 1] and cohort.seed(slots) == []
+    assert cohort.cycle() == []
+    busy = list(cohort._slot_storage(0))
+    # x, b, Ax, r of 4 stacked depths and of this copy's 8 + 2 staging levels
+    assert len(busy) == 4 * (4 + 8 + 2)
+    assert all(a.any() for a in busy[0::4] + busy[1::4])  # every x and b
+    (retired,) = cohort.cycle()
+    assert retired.request is quick and cohort.free_slots == 2
+    assert not any(a.tobytes().strip(b"\0") for a in cohort._slot_storage(0))
+    assert all(a.any() for a in list(cohort._slot_storage(1))[0::4])
+    (result,) = cohort.cycle() + cohort.cycle()
+    assert_identical(result, standalone_solve(slow))
+
+
+def test_solve_stream_needs_one_arrival_per_request():
+    cfg = tiny_config()
+    cohort = CohortSolver(cfg, capacity=2)
+    requests = [SolveRequest(cfg) for _ in range(3)]
+    with pytest.raises(ValueError, match="one arrival offset per request"):
+        cohort.solve_stream(requests, arrivals=[0.0, 0.0])
+    assert cohort.active_count == 0 and cohort.cycles_run == 0
+
+
+def test_solve_stream_admits_in_arrival_order():
+    """Arrivals need not be sorted: a request due now is not held
+    behind an earlier-listed one due later."""
+    cfg = tiny_config()
+    cohort = CohortSolver(cfg, capacity=3)
+    requests = [SolveRequest(cfg, amplitude=1.0 + k) for k in range(3)]
+    ticks = itertools.count()  # a clock advancing 1 ms per reading
+    results = cohort.solve_stream(
+        requests, arrivals=[0.5, 0.0, 0.0], clock=lambda: 0.001 * next(ticks)
+    )
+    by_request = {r.request.request_id: r for r in results}
+    late, *due = (by_request[q.request_id] for q in requests)
+    assert [r.joined_at_cycle for r in due] == [0, 0]
+    assert all(r.latency_s < 0.1 for r in due)
+    assert late.joined_at_cycle > 0 and late.arrival_s == 0.5
+    for request in requests:
+        assert_identical(by_request[request.request_id], standalone_solve(request))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +329,10 @@ def test_long_lived_cohort_state_is_bounded(monkeypatch):
     assert 0.0 < occupancy <= 1.0
 
     def log_sizes():
+        recorder = cohort.hierarchy.recorder
         return (
-            max(len(m.recorder.messages) for m in cohort.members),
-            max(len(m.recorder.kernels) for m in cohort.members),
+            len(recorder.messages),
+            len(recorder.kernels),
             len(cohort.occupancy_samples),
         )
 
