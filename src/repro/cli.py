@@ -101,8 +101,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"https://ui.perfetto.dev)"
         )
         from repro.dsl import native
+        from repro.obs.profile import exchange_path_line
 
         print(native.describe())
+        if paths := exchange_path_line(solver):
+            print(paths)
     if args.verify:
         from repro.gmg import discrete_solution
         from repro.gmg.problem import discrete_solution_dirichlet

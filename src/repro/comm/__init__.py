@@ -31,6 +31,7 @@ Message *timing* is priced separately by :mod:`repro.machines.network`.
 """
 
 from repro.comm.exchange import (
+    ExchangeChecksumError,
     ExchangeFaultError,
     HaloExchange,
     ResilientChannel,
@@ -59,6 +60,7 @@ __all__ = [
     "ExchangePlan",
     "exchange_plan_for",
     "ResilientChannel",
+    "ExchangeChecksumError",
     "ExchangeFaultError",
     "payload_checksum",
     "Protocol",

@@ -7,9 +7,11 @@ a full brick deep, one exchange validates ``brick_dim`` cells of halo —
 the basis of communication-avoiding smoothing.
 
 The mapping is static, so :class:`HaloExchange` executes a precomputed
-:class:`~repro.comm.plan.ExchangePlan` — as one index copy per field,
-or message by message over ``SimComm`` when faults, tracing or a dead
-rank call for individual envelopes.  It is the only exchanger: one
+:class:`~repro.comm.plan.ExchangePlan` — as one index copy per field
+(with a per-message checksum pass when a fault injector is attached),
+or message by message over ``SimComm`` when an armed message fault,
+tracing, a dead rank or traffic in flight call for individual
+envelopes.  It is the only exchanger: one
 rank is a plan of self-messages (the periodic wrap) or of none (walls
 all round, every ghost synthesised by the boundary condition), and a
 service cohort's members are further stacked copies of the same
@@ -28,6 +30,7 @@ Two cost-relevant properties are recorded per message:
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -75,9 +78,27 @@ class ExchangeFaultError(RuntimeError):
         self.attempts = attempts
 
 
+class ExchangeChecksumError(RuntimeError):
+    """A ghost region of a checked plan copy does not hold what was
+    sent: a defect of the copy (it has no wire to fault), never retried."""
+
+
 def payload_checksum(payload: np.ndarray) -> int:
     """CRC32 of a message payload (the sender-side integrity header)."""
     return zlib.crc32(np.ascontiguousarray(payload))
+
+
+def message_checksums(buffers: Sequence[np.ndarray], edges: list[int]) -> list[int]:
+    """CRC32 per plan message: message ``i`` owns bricks ``[edges[i],
+    edges[i + 1])`` of every per-field buffer.  Chained across the
+    fields, so each equals the :func:`payload_checksum` of the
+    ``np.stack``ed payload the envelope path would send, unbuilt."""
+    sums = [0] * (len(edges) - 1)
+    for buf in buffers:
+        sums = [
+            zlib.crc32(buf[a:b], crc) for a, b, crc in zip(edges, edges[1:], sums)
+        ]
+    return sums
 
 
 class ResilientChannel:
@@ -327,7 +348,9 @@ class HaloExchange(ResilientChannel):
       take and one indexed assign per field over the stacked storage
       of all copies, or one indexed copy per ``(src_rank, dst_rank)``
       pair and copy when the fields are separate arrays — and derives
-      message events and communicator counters from the plan's table;
+      message events and communicator counters from the plan's table
+      (under a fault injector the copy is *checked*: each plan
+      message's CRC32 over the gathered bricks against what landed);
     * the **envelope** path is the priced reference: the driver runs
       ranks in lockstep, all sends for all ranks are posted first, then
       all receives complete (``Isend``/``Irecv``/``Waitall`` order
@@ -335,8 +358,9 @@ class HaloExchange(ResilientChannel):
       checksummed, sequenced, fault-injectable message — copy by copy.
 
     Both fill byte-identical ghosts and leave identical accounting.
-    :meth:`envelope_reason` picks per exchange, from exchanger state
-    alone; ``path_counts`` tallies the choices.
+    :meth:`envelope_reason` picks per exchange, from exchanger and
+    injector state alone; ``path_counts``, ``envelope_reasons`` and
+    ``checked_copies`` tally the choices as they are made.
     """
 
     def __init__(
@@ -376,6 +400,10 @@ class HaloExchange(ResilientChannel):
         self.plan = exchange_plan_for(grid, topology)
         #: exchanges executed per path
         self.path_counts = {"planned": 0, "envelope": 0}
+        #: envelope exchanges per :meth:`envelope_reason` answer
+        self.envelope_reasons: Counter[str] = Counter()
+        #: planned exchanges that ran the per-message checksum pass
+        self.checked_copies = 0
         #: what one planned exchange adds to the recorder and the
         #: communicator, per (level, itemsize, nfields, copies)
         self._derived: dict[tuple[int, int, int, int], tuple[list, list]] = {}
@@ -385,30 +413,32 @@ class HaloExchange(ResilientChannel):
         """True when every receive lands in one contiguous segment."""
         return all(n == 1 for n in self.plan.recv_segments.values())
 
-    def envelope_reason(self) -> str | None:
-        """What makes the next exchange move per-message envelopes.
+    def envelope_reason(self, level: int | None = None) -> str | None:
+        """What makes the next exchange at ``level`` (``None``: at any
+        level) move per-message envelopes.
 
         ``None`` selects the planned copy — always on a communicator of
         one, where every message is a copy within the rank: no wire to
         strike, no second timeline to trace, no peer to lose.  Otherwise
-        each answer names something only envelopes provide: an armed
-        injector strikes individual transmissions (and the receives
-        validate checksums and sequence numbers); an enabled tracer is
-        owed per-rank ``isend``/``irecv``/``unpack`` spans; a dead
-        endpoint makes the collective partial, message by message; and
-        traffic already in flight may sit on this exchange's envelopes,
-        where FIFO matching must see it.
+        each answer names something only envelopes provide: a message
+        fault armed for this cycle and level strikes individual
+        transmissions (an injector with nothing to strike here gets the
+        planned copy, checksummed); an enabled tracer is owed per-rank
+        ``isend``/``irecv``/``unpack`` spans; a dead endpoint makes the
+        collective partial, message by message; and traffic in flight —
+        a duplicate a struck exchange left — may sit on this exchange's
+        envelopes, where FIFO matching and sequence checks must see it.
         """
         if self.comm.size == 1:
             return None
-        if self.injector is not None:
-            return "a fault injector"
+        if self.injector is not None and self.injector.may_strike(level):
+            return "armed message fault"
         if self.tracer.enabled or self._root_comm().tracer.enabled:
             return "tracing"
         if self.comm.dead_ranks():
-            return "a dead endpoint"
+            return "dead endpoint"
         if self.comm.pending:
-            return "messages in flight"
+            return "traffic in flight"
         return None
 
     def exchange(
@@ -436,12 +466,17 @@ class HaloExchange(ResilientChannel):
         with self.tracer.span("exchange", l=level, nfields=nfields):
             copies = self._validate(level, fields_by_rank)
             self.poll_crashes(level)
-            if self.envelope_reason() is None:
+            reason = self.envelope_reason(level)
+            if reason is None:
                 self.path_counts["planned"] += 1
-                self._copy_planned(fields_by_rank, copies)
+                if self.injector is None:
+                    self._copy_planned(fields_by_rank, copies)
+                else:
+                    self._copy_checked(level, fields_by_rank, copies)
                 self._account(level, fields_by_rank, copies)
             else:
                 self.path_counts["envelope"] += 1
+                self.envelope_reasons[reason] += 1
                 for c in range(copies):
                     copy = fields_by_rank[c * size : (c + 1) * size]
                     self._post_sends(level, copy)
@@ -518,6 +553,45 @@ class HaloExchange(ResilientChannel):
                 ]
                 for p, part in zip(plan.pairs, bricks):
                     ranks[p.dst_rank][f].data[p.dst_slots] = part
+
+    def _copy_checked(self, level: int, fields_by_rank, copies: int) -> None:
+        """The planned copy under a fault injector, with the envelope
+        path's integrity check: each plan message's CRC32 over the
+        gathered bricks (sender side) must equal the one over the ghost
+        bricks that landed (receiver side).  Separate field arrays are
+        stacked for the pass and written back.  Sequence numbers and
+        the send log advance on neither side, so they stay consistent
+        for the envelope exchanges that follow."""
+        plan = self.plan
+        src, dst = plan.tables(copies)
+        blocks, nfields = len(fields_by_rank), len(fields_by_rank[0])
+        own = [self._stacked_window(fields_by_rank, f) for f in range(nfields)]
+        windows = [
+            np.concatenate([fields[f].data for fields in fields_by_rank])
+            if window is None else window
+            for f, window in enumerate(own)
+        ]
+        edges = (
+            np.arange(copies)[:, None] * plan.num_bricks + plan.offsets[:-1]
+        ).ravel().tolist() + [copies * plan.num_bricks]
+        gathered = [window.take(src, axis=0) for window in windows]
+        sent = message_checksums(gathered, edges)
+        for window, bricks in zip(windows, gathered):
+            window[dst] = bricks
+        landed = message_checksums([w.take(dst, axis=0) for w in windows], edges)
+        if landed != sent:
+            i = [a != b for a, b in zip(sent, landed)].index(True)
+            m = plan.receives[i % plan.num_messages]
+            raise ExchangeChecksumError(
+                f"planned exchange at level {level}: rank {self._gr(m.dst_rank)}'s "
+                f"ghost region along direction {m.ghost_direction} holds CRC32 "
+                f"{landed[i]:#010x}, rank {self._gr(m.src_rank)} sent {sent[i]:#010x}"
+            )
+        for f in range(nfields):
+            if own[f] is None:
+                for fields, block in zip(fields_by_rank, np.split(windows[f], blocks)):
+                    fields[f].data[...] = block
+        self.checked_copies += 1
 
     def _account(self, level, fields_by_rank, copies: int) -> None:
         """Add what the envelope path's sends would have recorded."""

@@ -1,10 +1,15 @@
 """Applies a :class:`~repro.faults.plan.FaultPlan` during a solve.
 
-The injector is consulted at two hook points:
+The injector is consulted at these hook points:
 
-* :meth:`FaultInjector.message_action` — by
-  :class:`~repro.comm.exchange.HaloExchange` before every posted send
-  (including retransmissions, so persistent specs can defeat retries);
+* :meth:`FaultInjector.may_strike` — by
+  :class:`~repro.comm.exchange.HaloExchange` once per exchange: only an
+  exchange some armed message fault can strike moves per-message
+  envelopes, the rest run the plan copy with a checksum pass;
+* :meth:`FaultInjector.message_action` — before every send such an
+  exchange posts (including retransmissions, so persistent specs can
+  defeat retries), and by the agglomeration transfers and buddy
+  checkpoints, which always move envelopes;
 * :meth:`FaultInjector.kernel_sdc` — by
   :class:`~repro.gmg.vcycle.VCycle` after every smoothing visit, to
   poison one interior cell of the just-written solution field;
@@ -79,6 +84,18 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # hook points
     # ------------------------------------------------------------------
+    def may_strike(self, level: int | None = None) -> bool:
+        """Could :meth:`message_action` fault a message of an exchange
+        at ``level`` (``None``: at any level) in the current V-cycle?
+        True when some *armed* message-fault spec matches the cycle and
+        the level: only those exchanges need envelopes to strike.
+        ``sdc`` and ``rank_crash`` specs never do — one poisons a kernel
+        output, the crash poll and the dead endpoint cover the other."""
+        return any(
+            self._armed(idx) and spec.matches_exchange(self.vcycle, level)
+            for idx, spec in enumerate(self.plan)
+        )
+
     def message_action(
         self,
         level: int,

@@ -108,6 +108,18 @@ class FaultSpec:
     def persistent(self) -> bool:
         return self.max_hits is None
 
+    def matches_exchange(self, vcycle: int, level: int | None) -> bool:
+        """Could this spec strike some message of an exchange at
+        ``level`` (``None``: at any level) during ``vcycle``?  The site
+        half of :meth:`matches_message`, without the per-message
+        ``src``/``rank``/``direction`` predicates."""
+        return (
+            self.is_message_fault
+            and (self.vcycle is None or self.vcycle == vcycle)
+            and (self.vcycle_from is None or vcycle >= self.vcycle_from)
+            and (level is None or self.level is None or self.level == level)
+        )
+
     def matches_message(
         self,
         vcycle: int,
@@ -120,10 +132,7 @@ class FaultSpec:
         # agglomeration gather/scatter): a direction-pinned spec never
         # matches those, a direction-free spec matches them normally.
         return (
-            self.is_message_fault
-            and (self.vcycle is None or self.vcycle == vcycle)
-            and (self.vcycle_from is None or vcycle >= self.vcycle_from)
-            and (self.level is None or self.level == level)
+            self.matches_exchange(vcycle, level)
             and (self.src is None or self.src == src)
             and (self.rank is None or self.rank == dst)
             and (

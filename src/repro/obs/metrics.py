@@ -144,17 +144,24 @@ class MetricsRegistry:
 
         ``exchangers`` is :meth:`GMGSolver.halo_exchangers`' ``(level,
         exchanger)`` list.  ``exchanges.planned`` counts index copies
-        off the exchange plan, ``exchanges.envelope`` per-message
-        reference executions (with per-level detail); the plan cache's
-        own hit/miss sits under ``cache.exchange_plan.*``
+        off the exchange plan (``exchanges.checked`` of them with the
+        per-message checksum pass a fault plan adds),
+        ``exchanges.envelope`` per-message reference executions (with
+        per-level detail) and ``exchanges.envelope.<reason>`` what
+        selected them, as tallied when each exchange chose; the plan
+        cache's own hit/miss sits under ``cache.exchange_plan.*``
         (:meth:`observe_plan_caches`).  Gauges, for the same reason as
         there: the tallies are cumulative per exchanger.
         """
-        totals: dict[str, int] = {}
+        totals: dict[str, int] = {"exchanges.checked": 0}
         for lev, ex in exchangers:
+            totals["exchanges.checked"] += ex.checked_copies
             for path, n in ex.path_counts.items():
                 for name in (f"exchanges.{path}", f"exchanges.level{lev}.{path}"):
                     totals[name] = totals.get(name, 0) + n
+            for reason, n in ex.envelope_reasons.items():
+                name = f"exchanges.envelope.{reason.replace(' ', '_')}"
+                totals[name] = totals.get(name, 0) + n
         for name, n in totals.items():
             self.gauge(name, n, owner="exchange_paths")
 

@@ -11,6 +11,7 @@ over this module, so tests can exercise the whole path in-process.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.obs.aggregate import (
@@ -42,31 +43,34 @@ def wait_fraction(tracer: Tracer) -> tuple[float, float]:
 
 
 def exchange_path_line(solver) -> str | None:
-    """One line on how a traced solve's ghost exchanges ran.
+    """One line on how a solve's ghost exchanges ran, from the tallies
+    each exchanger kept as it chose.
 
-    Tracing (or a fault plan) moves per-message envelopes where the
-    plain solve copies by index off the exchange plan; saying so — with
-    what the plan moves per exchange — keeps a profile from passing for
-    the run it explains.  ``None`` when no exchange ran as envelopes
-    (a single-rank solve never does): the profile is of the plain run.
+    Tracing, an armed message fault, a dead endpoint or traffic in
+    flight move per-message envelopes where the plain solve copies by
+    index off the exchange plan (checksummed under a fault plan);
+    saying so — with what the plan moves per exchange — keeps a
+    profile from passing for the run it explains.  ``None`` when every
+    exchange was the plain copy: the profile is of the plain run.
     """
     exchangers = solver.halo_exchangers()
-    envelope, planned = (
-        sum(ex.path_counts[path] for _, ex in exchangers)
-        for path in ("envelope", "planned")
-    )
-    if not envelope:
+    envelope = sum(ex.path_counts["envelope"] for _, ex in exchangers)
+    planned = sum(ex.path_counts["planned"] for _, ex in exchangers)
+    checked = sum(ex.checked_copies for _, ex in exchangers)
+    if not envelope and not checked:
         return None
+    reasons = sum((ex.envelope_reasons for _, ex in exchangers), Counter())
+    why = ", ".join(f"{reason}: {n}" for reason, n in reasons.items())
     itemsize = 4 if solver.config.precision == "fp32" else 8
     plans = ", ".join(
         f"l{lev}: {ex.plan.num_messages} msg / {ex.plan.nbytes(itemsize)} B"
         for lev, ex in exchangers
     )
     return (
-        f"halo exchange: {exchangers[0][1].envelope_reason()} selected the "
-        f"per-message reference exchange ({envelope} exchanges as envelopes, "
-        f"{planned} as plan copies); a plain solve runs each as one index "
-        f"copy per field; plan per exchange and field: {plans}"
+        f"halo exchange: {envelope} of {envelope + planned} exchanges as "
+        f"envelopes{f' ({why})' if why else ''}; checked plan copies: "
+        f"{checked}; a plain solve runs each as one index copy per field; "
+        f"plan per exchange and field: {plans}"
     )
 
 

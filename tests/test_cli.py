@@ -78,8 +78,10 @@ class TestProfileCommand:
                    "--bottom", "20", "--ranks", "2,1,1"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "tracing selected the per-message reference exchange" in out
-        assert "as envelopes, 0 as plan copies" in out
+        line = next(l for l in out.splitlines() if "halo exchange:" in l)
+        total = line.split(" of ")[0].rsplit(" ", 1)[1]
+        assert f"{total} of {total} exchanges as envelopes (tracing: {total})" in line
+        assert "checked plan copies: 0" in line
         assert "l0: 52 msg / 114688 B" in out
 
     def test_profile_machine_none(self, capsys):
@@ -133,7 +135,7 @@ class TestCommvizCommand:
         assert "critical path" in out
         assert "model" in out  # network-model column present
         assert "per-level traffic: l0:" in out
-        assert "tracing selected the per-message reference exchange" in out
+        assert "21 of 21 exchanges as envelopes (tracing: 21)" in out
         assert "l0: 208 msg / " in out
 
     def test_machine_none_skips_model_column(self, capsys):

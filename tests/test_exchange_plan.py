@@ -4,6 +4,10 @@
 index copy must leave every ghost brick, every recorded message and
 every communicator counter exactly as the envelope path does.  The
 reference is forced the way a user would meet it: an enabled tracer.
+Under a fault plan only the exchanges an armed message fault can
+strike (and those that drain what it left in flight) move envelopes;
+the rest are the planned copy plus a per-message checksum pass, pinned
+here to the traced all-envelope run event by event.
 
 It is also the only exchanger, so the plan is pinned at its two other
 ends: one rank against the independent periodic wrap
@@ -21,7 +25,10 @@ from repro.bricks.batch import BatchedGrid
 from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS, direction_index
 from repro.bricks.orderings import contiguous_segments
 from repro.comm import CartTopology, HaloExchange, SimComm, SubComm
+from repro.comm import exchange as exchange_module
+from repro.comm.exchange import ExchangeChecksumError, payload_checksum
 from repro.comm.plan import exchange_plan_for
+from repro.faults import FaultInjector, FaultPlan, FaultSpec, ResilienceConfig
 from repro.gmg import GMGSolver, SolverConfig
 from repro.gmg.boundary import BoundaryCondition
 from repro.instrument import Recorder
@@ -36,11 +43,12 @@ BOUNDARIES = ["periodic", "dirichlet", "neumann"]
 def build(
     dims, boundary="periodic", ordering="surface-major", nfields=1,
     stacked=True, dtype=np.float64, reference=False, seed=7,
-    shape=(2, 2, 2), copies=1,
+    shape=(2, 2, 2), copies=1, fault_plan=None,
 ):
     """An exchanger and ``fields_by_rank`` — for ``copies`` copies of the
     decomposition — with random content everywhere (ghosts included, so
-    a ghost the exchange must not touch shows)."""
+    a ghost the exchange must not touch shows).  ``fault_plan`` attaches
+    an injector."""
     grid = BrickGrid(shape, 4, ordering=ordering)
     condition = BoundaryCondition(boundary)
     topo = CartTopology(dims, periodic=condition is BoundaryCondition.PERIODIC)
@@ -48,6 +56,7 @@ def build(
     recorder = Recorder()
     ex = HaloExchange(
         grid, topo, comm, recorder, condition,
+        injector=fault_plan and FaultInjector(fault_plan, recorder),
         tracer=Tracer() if reference else None,
     )
     rng = np.random.default_rng(seed)
@@ -308,15 +317,71 @@ class TestPathSelection:
         ex.exchange(0, fields)
         assert ex.path_counts == {"planned": 1, "envelope": 0}
 
-    def test_armed_injector_takes_envelopes(self):
-        from repro.faults import FaultInjector, FaultPlan
-
+    def injected(self, spec, vcycle=1):
         recorder = Recorder()
-        injector = FaultInjector(FaultPlan.random(1, 1, num_ranks=2), recorder)
-        ex, fields = self.exchanger(recorder=recorder, injector=injector)
-        assert "injector" in ex.envelope_reason()
+        injector = FaultInjector(FaultPlan(specs=(spec,)), recorder)
+        injector.begin_vcycle(vcycle)
+        return self.exchanger(recorder=recorder, injector=injector)
+
+    def test_fault_armed_for_this_exchange_takes_envelopes(self):
+        ex, fields = self.injected(FaultSpec("drop", vcycle=1, level=0))
+        assert ex.envelope_reason(0) == "armed message fault"
         ex.exchange(0, fields)
         assert ex.path_counts == {"planned": 0, "envelope": 1}
+        assert ex.envelope_reasons == {"armed message fault": 1}
+        assert ex.checked_copies == 0
+        assert ex.recorder.fault_counts()["inject_drop"] == 1
+
+    @pytest.mark.parametrize(
+        "spec, struck_first",
+        [
+            (FaultSpec("drop", vcycle=1, level=1), 0),
+            (FaultSpec("drop", vcycle=2, level=0), 0),
+            (FaultSpec("drop", vcycle=1, level=0), 1),
+            (FaultSpec("sdc", max_hits=None), 0),
+        ],
+        ids=["other-level", "other-cycle", "exhausted", "sdc-only"],
+    )
+    def test_injector_with_nothing_to_strike_runs_the_checked_plan(
+        self, spec, struck_first, monkeypatch
+    ):
+        """An attached injector is not a reason: the exchange runs as
+        the plan copy (checksummed) and posts nothing."""
+        ex, fields = self.injected(spec)
+        for _ in range(struck_first):
+            ex.exchange(0, fields)  # spends the one-shot spec
+        assert ex.path_counts["envelope"] == struck_first
+        assert ex.envelope_reason(0) is None
+
+        def no_isend(*args, **kwargs):
+            raise AssertionError("a checked plan copy posts no envelope")
+
+        monkeypatch.setattr(SimComm, "isend", no_isend)
+        ex.exchange(0, fields)
+        assert ex.path_counts == {"planned": 1, "envelope": struck_first}
+        assert ex.checked_copies == 1
+        assert ex.comm.pending == 0
+        assert ex.comm.sent_messages == (
+            (1 + struck_first) * ex.plan.num_messages + struck_first
+        )
+
+    def test_persistent_storm_envelopes_every_matching_exchange(self):
+        """``max_hits=None`` with ``vcycle_from``: every exchange of the
+        level from that cycle on is struck, none before, none elsewhere."""
+        ex, fields = self.injected(
+            FaultSpec("delay", level=0, vcycle_from=2, max_hits=None)
+        )
+        ex.exchange(0, fields)
+        for cycle in (2, 3, 4):
+            ex.injector.begin_vcycle(cycle)
+            ex.exchange(0, fields)
+            ex.exchange(1, fields)
+        assert ex.path_counts == {"planned": 4, "envelope": 3}
+        assert ex.envelope_reasons == {"armed message fault": 3}
+        assert ex.checked_copies == 4
+        counts = ex.recorder.fault_counts()
+        assert counts["inject_delay"] == counts["detect_delay"] == 3 * 52
+        ex.comm.assert_drained()
 
     @pytest.mark.parametrize(
         "where, owed", [("exchanger", "unpack"), ("comm", "isend")]
@@ -408,6 +473,84 @@ class TestPathSelection:
         assert comm.pending == 0
 
 
+#: attaches an injector that never strikes a message
+QUIET = FaultPlan.single("sdc", vcycle=99)
+
+
+@pytest.fixture
+def checksum_calls(monkeypatch):
+    """Every ``message_checksums`` result, in call order."""
+    calls = []
+    real = exchange_module.message_checksums
+
+    def recording(buffers, edges):
+        calls.append(real(buffers, edges))
+        return calls[-1]
+
+    monkeypatch.setattr(exchange_module, "message_checksums", recording)
+    return calls
+
+
+class TestCheckedCopy:
+    """The planned copy under an injector: the same ghosts and the same
+    accounting, plus one CRC32 per plan message on each side."""
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-rank"])
+    @pytest.mark.parametrize("copies", [1, 3])
+    @pytest.mark.parametrize("nfields", [1, 2])
+    def test_sums_are_the_envelopes_and_ghosts_the_plain_copys(
+        self, stacked, copies, nfields, ordering, checksum_calls
+    ):
+        kwargs = dict(
+            ordering=ordering, nfields=nfields, stacked=stacked, copies=copies,
+        )
+        ex, fields = build((2, 2, 1), fault_plan=QUIET, **kwargs)
+        plain, plain_fields = build((2, 2, 1), **kwargs)
+        size, send = ex.topology.size, ex.plan.send_slots
+        # what the envelope path would put in each message's header, in
+        # the order the plan's flat tables list the messages
+        envelopes = [
+            payload_checksum(np.stack(
+                [f.data[send[m.direction]] for f in fields[c * size + m.src_rank]]
+            ))
+            for c in range(copies)
+            for m in ex.plan.receives
+        ]
+        ex.exchange(1, fields)
+        plain.exchange(1, plain_fields)
+        assert ex.path_counts == {"planned": 1, "envelope": 0}
+        assert ex.checked_copies == 1 and plain.checked_copies == 0
+        sent, landed = checksum_calls  # the plain copy takes no sums
+        assert sent == landed == envelopes
+        assert len(sent) == copies * ex.plan.num_messages
+        assert ex.comm.pending == 0
+        assert_same(observable(ex, fields), observable(plain, plain_fields))
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-rank"])
+    def test_a_flipped_bit_is_a_named_error(self, stacked, monkeypatch):
+        """The check is live: damage between the sender-side and the
+        receiver-side sums cannot pass."""
+        ex, fields = build((2, 1, 1), nfields=2, stacked=stacked, fault_plan=QUIET)
+        real = exchange_module.message_checksums
+        sides = []
+
+        def flipping(buffers, edges):
+            sums = real(buffers, edges)
+            if not sides:  # the gathered bricks, summed but not yet landed
+                brick = buffers[1][0].nbytes
+                buffers[1].view(np.uint8).reshape(-1)[edges[5] * brick + 3] ^= 0x10
+            sides.append(sums)
+            return sums
+
+        monkeypatch.setattr(exchange_module, "message_checksums", flipping)
+        with pytest.raises(ExchangeChecksumError) as err:
+            ex.exchange(2, fields)
+        m = ex.plan.receives[5]
+        assert f"level 2: rank {m.dst_rank}'s ghost region" in str(err.value)
+        assert f"direction {m.ghost_direction}" in str(err.value)
+        assert [a != b for a, b in zip(*sides)].index(True) == 5
+
+
 class TestSolverLevel:
     CONFIG = SolverConfig(
         global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2),
@@ -474,3 +617,105 @@ class TestSolverLevel:
             assert any(
                 isinstance(ex.comm, SubComm) for _, ex in planned.halo_exchangers()
             )
+
+
+def one_of_each(seed):
+    """A drop, a corruption, a duplicate, a delay and a silent
+    corruption, each where and when the seed says."""
+    rng = np.random.default_rng([seed, 0xFA])
+    return FaultPlan(specs=tuple(
+        FaultSpec(
+            kind, vcycle=int(rng.integers(1, 4)), level=int(rng.integers(2)),
+            rank=int(rng.integers(8)) if kind == "sdc" else None,
+        )
+        for kind in ("drop", "corrupt", "duplicate", "delay", "sdc")
+    ))
+
+
+#: drops every level-0 message from cycle 2 on: retries cannot win
+STORM = FaultPlan.single("drop", level=0, vcycle_from=2, max_hits=None)
+
+
+class TestFaultedSolveEqualsAllEnvelopeReference:
+    """Under a fault plan the untraced solve envelopes only what a fault
+    can strike; the traced solve envelopes everything, as every faulted
+    solve used to.  Both must inject, detect and recover identically."""
+
+    #: converges in four clean cycles: every fault of cycles 1-3 fires
+    #: and a traced reference solve stays near half a second
+    CONFIG = SolverConfig(
+        global_cells=16, num_levels=2, brick_dim=4, rank_dims=(2, 2, 2),
+        max_smooths=6, bottom_smooths=20, tol=1e-4,
+    )
+
+    def solve(self, plan, tracer=None, **overrides):
+        solver = GMGSolver(
+            dataclasses.replace(self.CONFIG, **overrides),
+            resilience=ResilienceConfig(), fault_plan=plan, tracer=tracer,
+        )
+        return solver, solver.solve()
+
+    @pytest.mark.parametrize(
+        "plan", [one_of_each(0), one_of_each(1), one_of_each(2), STORM],
+        ids=["seed0", "seed1", "seed2", "storm"],
+    )
+    def test_same_faults_traffic_and_answer(self, plan, checksum_calls):
+        solver, result = self.solve(plan)
+        sums = list(checksum_calls)  # the untraced solve's alone
+        checked = sum(
+            ex.checked_copies * ex.plan.num_messages
+            for _, ex in solver.halo_exchangers()
+        )
+        # every message of every checked copy: one sum per side, equal
+        assert sum(map(len, sums)) == 2 * checked > 0
+        assert sums[0::2] == sums[1::2]
+        traced, reference = self.solve(plan, tracer=Tracer())
+        exchangers = [ex for _, ex in solver.halo_exchangers()]
+        total = sum(sum(ex.path_counts.values()) for ex in exchangers)
+        enveloped = sum(ex.path_counts["envelope"] for ex in exchangers)
+        assert 0 < enveloped < total
+        assert [ex.path_counts for _, ex in traced.halo_exchangers()] == [
+            {"planned": 0, "envelope": sum(ex.path_counts.values())}
+            for ex in exchangers
+        ]
+        assert result.status == reference.status
+        assert result.status == (
+            "failed_faults" if plan is STORM else "converged"
+        )
+        assert result.rollbacks == reference.rollbacks
+        assert result.executed_vcycles == reference.executed_vcycles
+        assert result.residual_history == reference.residual_history
+        assert np.array_equal(solver.solution(), traced.solution())
+        assert len(result.recorder.faults) == len(reference.recorder.faults)
+        for got, want in zip(result.recorder.faults, reference.recorder.faults):
+            assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert result.recorder.messages == reference.recorder.messages
+        for counter in ("sent_messages", "sent_bytes", "retransmissions"):
+            assert getattr(solver.comm, counter) == getattr(traced.comm, counter)
+        assert solver.comm.bytes_by_pair == traced.comm.bytes_by_pair
+        solver.comm.assert_drained()
+
+    def test_storm_envelopes_every_exchange_it_can_strike(self):
+        """From cycle 2 on no level-0 exchange is a plan copy."""
+        quiet_cycles, _ = self.solve(QUIET, max_vcycles=1)
+        solver, result = self.solve(STORM)
+        (_, before), (_, level0) = (
+            s.halo_exchangers()[0] for s in (quiet_cycles, solver)
+        )
+        assert level0.checked_copies == before.checked_copies
+        assert level0.envelope_reasons == {
+            "armed message fault": level0.path_counts["envelope"]
+        }
+        assert result.status == "failed_faults"
+
+    def test_duplicate_on_the_final_exchange_is_drained(self):
+        """Untraced twin of ``test_faults``' traced case: the solve's
+        only exchange is struck, so no later receive discards the copy."""
+        solver, result = self.solve(
+            FaultPlan.single("duplicate", vcycle=0, level=0), max_vcycles=0
+        )
+        (dup,) = result.recorder.faults_of("detect_duplicate")
+        assert dup.level == 0 and dup.rank >= 0
+        _, level0 = solver.halo_exchangers()[0]
+        assert level0.path_counts == {"planned": 0, "envelope": 1}
+        solver.comm.assert_drained()

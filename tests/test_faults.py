@@ -114,6 +114,67 @@ class TestInjectorDeterminism:
         assert (a.corrupt_byte, a.corrupt_bit) == (b.corrupt_byte, b.corrupt_bit)
 
 
+class TestMayStrike:
+    """``FaultInjector.may_strike``: can an armed message fault hit an
+    exchange at this level in the current V-cycle?"""
+
+    def injector(self, *specs, vcycle=0):
+        inj = FaultInjector(FaultPlan(specs=specs))
+        inj.begin_vcycle(vcycle)
+        return inj
+
+    def test_follows_the_vcycle_pin(self):
+        inj = self.injector(FaultSpec("drop", vcycle=2, level=1))
+        assert not inj.may_strike(1)
+        inj.begin_vcycle(2)
+        assert inj.may_strike(1) and not inj.may_strike(0)
+        assert inj.may_strike()  # some level of this cycle
+        inj.begin_vcycle(3)
+        assert not inj.may_strike(1) and not inj.may_strike()
+
+    def test_vcycle_from_matches_every_later_cycle(self):
+        inj = self.injector(
+            FaultSpec("delay", vcycle_from=2, level=0, max_hits=None), vcycle=1
+        )
+        assert not inj.may_strike(0)
+        for cycle in (2, 3, 9):
+            inj.begin_vcycle(cycle)
+            assert inj.may_strike(0) and not inj.may_strike(1)
+
+    def test_level_free_spec_matches_every_level(self):
+        inj = self.injector(FaultSpec("corrupt", vcycle=1), vcycle=1)
+        assert inj.may_strike(0) and inj.may_strike(3) and inj.may_strike()
+
+    def test_one_shot_exhaustion_disarms(self):
+        inj = self.injector(FaultSpec("duplicate", vcycle=1, level=0), vcycle=1)
+        assert inj.may_strike(0)
+        assert inj.message_action(0, 0, 1, 3, (1, 0, 0), 64) is not None
+        assert not inj.may_strike(0)
+
+    def test_per_message_predicates_do_not_narrow_it(self):
+        """``src``/``rank``/``direction`` pick the message, not the
+        exchange: any exchange of the cycle and level may carry it."""
+        inj = self.injector(
+            FaultSpec("drop", vcycle=1, level=0, src=0, rank=1,
+                      direction=(1, 0, 0)),
+            vcycle=1,
+        )
+        assert inj.may_strike(0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FaultSpec("sdc", max_hits=None),
+            FaultSpec("rank_crash", rank=1, max_hits=None),
+            FaultSpec("rank_crash", rank=1, level=0, max_hits=None),
+        ],
+        ids=["sdc", "rank_crash", "level-pinned-rank_crash"],
+    )
+    def test_sdc_and_crash_specs_never_demand_envelopes(self, spec):
+        inj = self.injector(spec, vcycle=1)
+        assert not inj.may_strike(0) and not inj.may_strike()
+
+
 class TestBitIdenticalWithoutInjection:
     def test_resilient_path_matches_seed_behavior(self, reference):
         ref_result, ref_solution = reference

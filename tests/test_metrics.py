@@ -106,8 +106,42 @@ class TestSolveMetricsBridge:
                 gauges[f"exchanges.level0.{ran}"]
                 + gauges[f"exchanges.level1.{ran}"]
             ) == exchanges
+            assert gauges["exchanges.checked"] == 0
+            if tracer is not None:
+                assert gauges["exchanges.envelope.tracing"] == exchanges
             assert gauges["cache.exchange_plan.hits"] >= 1
             assert gauges["cache.exchange_plan.size"] >= 2
+
+    def test_faulted_solve_reports_why_each_exchange_ran_as_it_did(self):
+        """Reasons are tallied when chosen, not read back afterwards:
+        the one-shot fault is long spent when the report is made."""
+        from repro.faults import FaultPlan
+        from repro.obs.profile import exchange_path_line
+
+        config = SolverConfig(
+            global_cells=16, num_levels=2, brick_dim=4, max_smooths=6,
+            bottom_smooths=20, max_vcycles=2, rank_dims=(2, 1, 1),
+        )
+        solver = GMGSolver(
+            config, fault_plan=FaultPlan.single("duplicate", vcycle=1, level=1)
+        )
+        result = solver.solve()
+        gauges = solve_metrics(
+            result.recorder, exchangers=solver.halo_exchangers()
+        ).snapshot()["gauges"]
+        exchanges = sum(result.recorder.exchange_counts().values())
+        assert solver.injector.exhausted
+        assert gauges["exchanges.envelope.armed_message_fault"] == 1
+        # the next exchange finds the duplicate in flight and discards it
+        assert gauges["exchanges.envelope.traffic_in_flight"] == 1
+        assert gauges["exchanges.envelope"] == 2
+        assert gauges["exchanges.checked"] == exchanges - 2
+        assert gauges["exchanges.planned"] == exchanges - 2
+        assert exchange_path_line(solver).startswith(
+            f"halo exchange: 2 of {exchanges} exchanges as envelopes (armed "
+            f"message fault: 1, traffic in flight: 1); checked plan copies: "
+            f"{exchanges - 2}; "
+        )
 
     def test_tracer_gauges_join_snapshot(self, multirank_result):
         from repro.obs import Tracer

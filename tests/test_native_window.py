@@ -188,8 +188,8 @@ SOLVES = {
 
 def faulted_solver():
     """Two silent corruptions (rollbacks) and two message faults
-    (retries) under checksummed envelopes, as the ladder's faulted
-    workload runs them."""
+    (retries: envelopes for the struck exchanges, checksummed plan
+    copies for the rest), as the ladder's faulted workload runs them."""
     specs = []
     for seed, kind, vcycle, level in (
         (1, "sdc", 2, 0), (2, "sdc", 3, 1), (3, "drop", 2, 1), (4, "corrupt", 4, 0),
