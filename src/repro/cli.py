@@ -159,26 +159,25 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_commviz(args: argparse.Namespace) -> int:
     from repro.gmg import GMGSolver
-    from repro.harness.ascii_plot import ascii_matrix, ascii_plot
-    from repro.obs import Tracer, write_chrome_trace
-    from repro.obs.profile import exchange_path_line
-    from repro.obs.rank import (
-        critical_paths,
-        fit_message_model,
-        message_time_samples,
-        rank_time_breakdown,
+    from repro.harness.ascii_plot import ascii_matrix
+    from repro.obs import (
+        Tracer,
+        measured_vs_model_rows,
+        render_measured_vs_model,
         traffic_matrix,
+        write_chrome_trace,
     )
+    from repro.obs.profile import exchange_path_line
 
     config = _solver_config(args)
     if config.num_ranks < 2:
         print("commviz needs a distributed solve; pass e.g. --ranks 2,2,2")
         return 2
-    machine = None
-    if args.machine != "none":
+    machine_name = machine = None
+    if args.machine != "none" and config.boundary == "periodic":
         from repro.machines import MACHINES
 
-        machine = MACHINES[args.machine]
+        machine_name, machine = args.machine, MACHINES[args.machine]
     tracer = Tracer()
     solver = GMGSolver(config, tracer=tracer)
     result = solver.solve()
@@ -187,8 +186,9 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
         f"({','.join(map(str, args.ranks))}), {args.levels} levels, "
         f"status={result.status}"
     )
-    print(exchange_path_line(solver))
-    traffic = traffic_matrix(tracer, size=config.num_ranks)
+    if paths := exchange_path_line(solver):
+        print(paths)
+    traffic = traffic_matrix(solver.comm)
     print()
     print(ascii_matrix(traffic.messages, title="messages (src -> dst)"))
     print(ascii_matrix(traffic.nbytes, title="bytes (src -> dst)"))
@@ -206,54 +206,15 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
     print(f"per-level traffic: {by_level}")
 
     print()
-    print("per-rank time breakdown (ms):")
-    breakdown = rank_time_breakdown(tracer)
-    names = sorted({n for b in breakdown.values() for n in b})
-    header = "  rank" + "".join(f"  {n:>11}" for n in names) + f"  {'total':>11}"
-    print(header)
-    for rank, by_name in breakdown.items():
-        cells = "".join(f"  {by_name.get(n, 0.0) * 1e3:11.3f}" for n in names)
-        print(f"  {rank:4d}{cells}  {sum(by_name.values()) * 1e3:11.3f}")
-
-    print()
-    print("per-V-cycle critical path (longest send->recv dependency chain):")
-    paths = critical_paths(tracer, machine=machine)
-    for p in paths:
-        model = f"  model {p.model_s * 1e3:8.3f} ms" if p.model_s is not None else ""
-        print(
-            f"  vcycle {p.vcycle:2d}: {len(p.steps):3d} spans, "
-            f"{p.comm_bytes:9d} B on path, measured {p.duration_s * 1e3:8.3f} ms "
-            f"(window {p.window_s * 1e3:8.3f} ms){model}"
+    print("ghost exchange per level, as the solve ran it:")
+    rows = measured_vs_model_rows(
+        tracer, config, machine, max(result.num_vcycles, 1)
+    )
+    print(
+        render_measured_vs_model(
+            [r for r in rows if r["op"] == "exchange"], machine_name
         )
-    if paths:
-        longest = max(paths, key=lambda p: p.duration_s)
-        hops = " -> ".join(
-            f"r{s.rank}:{s.name}[l{s.level}]" for s in longest.steps[:8]
-        )
-        more = "" if len(longest.steps) <= 8 else f" -> ... ({len(longest.steps)} total)"
-        print(f"  longest (vcycle {longest.vcycle}): {hops}{more}")
-
-    fit = fit_message_model(tracer)
-    if fit is not None:
-        xs, ts = message_time_samples(tracer)
-        print()
-        print(
-            f"measured send-time fit t = alpha + n/beta: "
-            f"alpha={fit.alpha * 1e6:.3g} us, "
-            f"beta={fit.beta / 1e9:.3g} GB/s, R^2={fit.r_squared:.3f}"
-        )
-        resid = ts - np.asarray(fit.time(xs))
-        print(
-            f"fit residuals: max |r| = {np.abs(resid).max() * 1e6:.3g} us "
-            f"over {len(ts)} sends"
-        )
-        print(
-            ascii_plot(
-                {"measured": (xs, ts), "fit": (xs, np.asarray(fit.time(xs)))},
-                x_label="message bytes",
-                y_label="send seconds",
-            )
-        )
+    )
     if args.trace:
         write_chrome_trace(
             tracer,
@@ -269,9 +230,7 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
             f"wrote rank-resolved trace to {args.trace} "
             f"(one pid per rank; open in https://ui.perfetto.dev)"
         )
-    ok = result.status in ("converged", "max_vcycles")
-    ok = ok and all(p.duration_s <= p.window_s for p in paths)
-    return 0 if ok else 1
+    return 0 if result.status in ("converged", "max_vcycles") else 1
 
 
 def _experiment_commands() -> dict:
@@ -603,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     commviz = sub.add_parser(
         "commviz",
         help="run a distributed solve and render the rank x rank traffic "
-             "matrix, per-rank time breakdown, and per-V-cycle critical "
-             "path next to the network model",
+             "matrices and each level's measured exchange time next to "
+             "the machine model's",
     )
     add_solver_args(commviz)
     commviz.set_defaults(ranks="2,2,2")
@@ -612,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--machine",
         default="Perlmutter",
         choices=["Perlmutter", "Frontier", "Sunspot", "none"],
-        help="network model pricing the critical path ('none' to skip)",
+        help="machine model pricing each level's exchange ('none' to skip)",
     )
     commviz.set_defaults(func=_cmd_commviz)
 

@@ -9,9 +9,10 @@ the basis of communication-avoiding smoothing.
 The mapping is static, so :class:`HaloExchange` executes a precomputed
 :class:`~repro.comm.plan.ExchangePlan` — as one index copy per field
 (with a per-message checksum pass when a fault injector is attached),
-or message by message over ``SimComm`` when an armed message fault,
-tracing, a dead rank or traffic in flight call for individual
-envelopes.  It is the only exchanger: one
+or message by message over ``SimComm`` when an armed message fault, a
+dead rank or traffic in flight call for individual envelopes — never
+because someone is watching: a traced exchange is the exchange an
+untraced solve runs.  It is the only exchanger: one
 rank is a plan of self-messages (the periodic wrap) or of none (walls
 all round, every ghost synthesised by the boundary condition), and a
 service cohort's members are further stacked copies of the same
@@ -102,14 +103,15 @@ def message_checksums(buffers: Sequence[np.ndarray], edges: list[int]) -> list[i
 
 
 class ResilientChannel:
-    """Receive-side resilience shared by every ``SimComm`` consumer.
+    """Envelope discipline shared by every ``SimComm`` consumer.
 
-    Halo exchanges and the agglomeration gather/scatter transfers face
-    the same wire hazards (drop, corrupt, duplicate, delay), so the
-    machinery lives here once: per-envelope sequence tracking, checksum
-    and shape validation, duplicate discard, bounded sender-side
-    retransmission, and the end-of-solve stale drain.  Subclasses own
-    the message topology; this class owns the envelope discipline.
+    Halo exchanges, the agglomeration gather/scatter transfers and the
+    buddy checkpoints face the same wire hazards (drop, corrupt,
+    duplicate, delay), so the machinery lives here once: the
+    checksummed, injectable send; per-envelope sequence tracking,
+    checksum and shape validation, duplicate discard, bounded
+    sender-side retransmission, and the end-of-solve stale drain.
+    Subclasses own the message topology.
 
     Ranks passed to the channel are communicator-local; ``_gr`` maps
     them to global ids (via the communicator's ``global_rank`` hook when
@@ -193,6 +195,36 @@ class ResilientChannel:
             self.recorder.fault(
                 kind, vcycle=vcycle, level=level, rank=self._gr(rank),
                 src=self._gr(src), tag=tag, nbytes=nbytes, attempt=attempt,
+            )
+
+    def _send(
+        self,
+        level: int,
+        src: int,
+        dst: int,
+        tag: int,
+        direction: tuple[int, int, int] | None,
+        payload: np.ndarray,
+        kind: str | None,
+        segments: int = 1,
+    ) -> None:
+        """One send: checksummed and open to the injector when one is
+        set, then recorded as a ``kind`` message event (``None``: not a
+        message of the solve's exchange accounting — a replica)."""
+        checksum = action = None
+        if self.injector is not None:
+            checksum = payload_checksum(payload)
+            action = self.injector.message_action(
+                level, self._gr(src), self._gr(dst), tag, direction,
+                payload.nbytes,
+            )
+        self.comm.isend(
+            src, dst, tag, payload, checksum=checksum, fault=action, level=level
+        )
+        if kind is not None and self.recorder is not None:
+            self.recorder.message(
+                level, payload.nbytes, kind, segments=segments,
+                self_message=(dst == src),
             )
 
     def _receive_payload(
@@ -317,8 +349,8 @@ class ResilientChannel:
         is recorded as a detected duplicate attributed to the channel's
         final exchange level, inside a ``drain-stale`` span on the
         receiving rank's timeline so the instant has an owning span in
-        per-rank Chrome exports and critical paths.  Returns the number
-        of messages discarded.
+        per-rank Chrome exports.  Returns the number of messages
+        discarded.
         """
         n = 0
         for (rank, src, tag), expected in self._next_seq.items():
@@ -404,8 +436,8 @@ class HaloExchange(ResilientChannel):
         self.envelope_reasons: Counter[str] = Counter()
         #: planned exchanges that ran the per-message checksum pass
         self.checked_copies = 0
-        #: what one planned exchange adds to the recorder and the
-        #: communicator, per (level, itemsize, nfields, copies)
+        #: what one planned exchange adds to the recorder and the root
+        #: communicator's ledger, per (level, itemsize, nfields, copies)
         self._derived: dict[tuple[int, int, int, int], tuple[list, list]] = {}
 
     @property
@@ -419,22 +451,20 @@ class HaloExchange(ResilientChannel):
 
         ``None`` selects the planned copy — always on a communicator of
         one, where every message is a copy within the rank: no wire to
-        strike, no second timeline to trace, no peer to lose.  Otherwise
-        each answer names something only envelopes provide: a message
-        fault armed for this cycle and level strikes individual
-        transmissions (an injector with nothing to strike here gets the
-        planned copy, checksummed); an enabled tracer is owed per-rank
-        ``isend``/``irecv``/``unpack`` spans; a dead endpoint makes the
-        collective partial, message by message; and traffic in flight —
-        a duplicate a struck exchange left — may sit on this exchange's
-        envelopes, where FIFO matching and sequence checks must see it.
+        strike, no peer to lose.  Otherwise each of the three answers
+        names something only envelopes provide: a message fault armed
+        for this cycle and level strikes individual transmissions (an
+        injector with nothing to strike here gets the planned copy,
+        checksummed); a dead endpoint makes the collective partial,
+        message by message; and traffic in flight — a duplicate a struck
+        exchange left — may sit on this exchange's envelopes, where FIFO
+        matching and sequence checks must see it.  Who is watching is
+        not among them: a tracer times the exchange that runs.
         """
         if self.comm.size == 1:
             return None
         if self.injector is not None and self.injector.may_strike(level):
             return "armed message fault"
-        if self.tracer.enabled or self._root_comm().tracer.enabled:
-            return "tracing"
         if self.comm.dead_ranks():
             return "dead endpoint"
         if self.comm.pending:
@@ -452,7 +482,8 @@ class HaloExchange(ResilientChannel):
         ``topology.size``); all ranks must pass the same number of
         fields.  The whole collective phase (sends, receives including
         any fault retries, boundary fills) runs inside one ``exchange``
-        span, so fault instants fired during receives land inside it.
+        span, so fault instants fired during receives land inside it;
+        the span says which path ran and what the plan moves.
 
         Level-pinned ``rank_crash`` specs fire on entry; once a rank is
         dead, every send/receive touching it is skipped so the
@@ -463,10 +494,17 @@ class HaloExchange(ResilientChannel):
         """
         nfields = len(fields_by_rank[0]) if fields_by_rank else 0
         size = self.topology.size
-        with self.tracer.span("exchange", l=level, nfields=nfields):
+        with self.tracer.span("exchange", l=level, nfields=nfields) as span:
             copies = self._validate(level, fields_by_rank)
             self.poll_crashes(level)
             reason = self.envelope_reason(level)
+            span.set(
+                path="planned" if reason is None else "envelope",
+                messages=copies * self.plan.num_messages,
+                bytes=copies * self.plan.nbytes(
+                    fields_by_rank[0][0].data.dtype.itemsize, nfields
+                ),
+            )
             if reason is None:
                 self.path_counts["planned"] += 1
                 if self.injector is None:
@@ -608,18 +646,19 @@ class HaloExchange(ResilientChannel):
                 )
                 for m in self.plan.messages
             ] * copies
-            pair_bytes = [
+            traffic = [
                 (
-                    (p.src_rank, p.dst_rank),
+                    (level, self._gr(p.src_rank), self._gr(p.dst_rank)),
+                    p.messages * copies,
                     len(p.src_slots) * brick_bytes * copies,
                 )
                 for p in self.plan.pairs
             ]
-            derived = self._derived[key] = (events, pair_bytes)
-        events, pair_bytes = derived
+            derived = self._derived[key] = (events, traffic)
+        events, traffic = derived
         if self.recorder is not None:
             self.recorder.messages.extend(events)
-        self.comm.account_sends(len(events), pair_bytes)
+        self._root_comm().account_sends(traffic)
 
     # ------------------------------------------------------------------
     # envelope path
@@ -645,25 +684,10 @@ class HaloExchange(ResilientChannel):
             payload = np.stack(
                 [f.data[send_slots[m.direction]] for f in fields_by_rank[rank]]
             )
-            checksum = action = None
-            if self.injector is not None:
-                checksum = payload_checksum(payload)
-                action = self.injector.message_action(
-                    level, self._gr(rank), self._gr(dst), m.tag, m.direction,
-                    payload.nbytes,
-                )
-            self.comm.isend(
-                rank, dst, m.tag, payload, checksum=checksum, fault=action,
-                level=level,
+            self._send(
+                level, rank, dst, m.tag, m.direction, payload, m.kind,
+                segments=m.send_segments * nfields,
             )
-            if self.recorder is not None:
-                self.recorder.message(
-                    level,
-                    payload.nbytes,
-                    m.kind,
-                    segments=m.send_segments * nfields,
-                    self_message=(dst == rank),
-                )
 
     def _complete_receives(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]

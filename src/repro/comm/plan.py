@@ -66,12 +66,14 @@ class PlannedMessage:
 
 @dataclass(frozen=True)
 class PairCopy:
-    """Every brick ``src_rank`` sends ``dst_rank``, as rank-local slots."""
+    """Every brick ``src_rank`` sends ``dst_rank``, as rank-local slots,
+    and how many messages of the protocol carry them."""
 
     src_rank: int
     dst_rank: int
     src_slots: np.ndarray
     dst_slots: np.ndarray
+    messages: int
 
 
 def _concatenate(slot_arrays) -> np.ndarray:
@@ -143,6 +145,7 @@ class ExchangePlan:
                 src, dst,
                 _concatenate(self.send_slots[m.direction] for m in msgs),
                 _concatenate(self.ghost_slots[m.ghost_direction] for m in msgs),
+                len(msgs),
             )
             for (src, dst), msgs in by_pair.items()
         )

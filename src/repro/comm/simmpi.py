@@ -136,10 +136,13 @@ class SimComm:
         #: undelivered transmissions across all mailboxes and delay
         #: queues, maintained at every push/pop so ``pending`` is O(1)
         self._pending = 0
-        self.sent_messages = 0
-        self.sent_bytes = 0
-        self.retransmissions = 0
-        self.bytes_by_pair: dict[tuple[int, int], int] = defaultdict(int)
+        #: the traffic ledger: ``{(level, src, dst): [messages, bytes,
+        #: retransmissions]}`` of every transmission (resends included in
+        #: all three), whether it moved as an envelope or was derived
+        #: from an exchange plan; ``level`` is -1 where the caller gave
+        #: none.  ``sent_messages``, ``sent_bytes``, ``retransmissions``
+        #: and ``bytes_by_pair`` are its totals.
+        self.ledger: dict[tuple[int, int, int], list[int]] = {}
         #: crashed endpoints; every operation touching one raises
         #: RankDeadError until repair() revives it
         self._dead: set[int] = set()
@@ -195,6 +198,26 @@ class SimComm:
         self.repairs += 1
         return purged
 
+    @property
+    def sent_messages(self) -> int:
+        return sum(entry[0] for entry in self.ledger.values())
+
+    @property
+    def sent_bytes(self) -> int:
+        return sum(entry[1] for entry in self.ledger.values())
+
+    @property
+    def retransmissions(self) -> int:
+        return sum(entry[2] for entry in self.ledger.values())
+
+    @property
+    def bytes_by_pair(self) -> dict[tuple[int, int], int]:
+        """``{(src, dst): bytes sent}`` over all levels, in first-send order."""
+        out: dict[tuple[int, int], int] = {}
+        for (_, src, dst), (_, nbytes, _) in self.ledger.items():
+            out[src, dst] = out.get((src, dst), 0) + nbytes
+        return out
+
     def _check_alive(self, dst: int, src: int, op: str) -> None:
         if src in self._dead:
             raise RankDeadError(src, op=f"{op} from rank {src}")
@@ -235,9 +258,7 @@ class SimComm:
             self._send_seq[key] = seq + 1
             msg = _Message(data, checksum, seq)
             self._send_log[key] = msg
-            self.sent_messages += 1
-            self.sent_bytes += data.nbytes
-            self.bytes_by_pair[(src, dst)] += data.nbytes
+            self.account_sends([((level, src, dst), 1, data.nbytes)])
             self._transmit(key, msg, fault)
         return SendRequest(dst=dst, tag=tag, nbytes=data.nbytes)
 
@@ -357,25 +378,23 @@ class SimComm:
             bytes=int(logged.payload.nbytes), seq=logged.seq,
         ):
             msg = _Message(logged.payload, logged.checksum, logged.seq)
-            self.sent_messages += 1
-            self.retransmissions += 1
-            self.sent_bytes += msg.payload.nbytes
-            self.bytes_by_pair[(src, dst)] += msg.payload.nbytes
+            self.account_sends([((level, src, dst), 1, msg.payload.nbytes)])
+            self.ledger[level, src, dst][2] += 1
             self._transmit(key, msg, fault)
         return int(msg.payload.nbytes)
 
-    def account_sends(self, messages: int, pair_bytes) -> None:
-        """Count sends that moved without envelopes.
-
-        The compiled halo exchange copies ghost bricks by index and
-        derives its traffic from the plan: ``messages`` sends whose
-        payloads total ``pair_bytes`` — ``((src, dst), nbytes)`` rows in
-        first-send order — land in the same counters ``isend`` feeds.
-        """
-        self.sent_messages += messages
-        for pair, nbytes in pair_bytes:
-            self.sent_bytes += nbytes
-            self.bytes_by_pair[pair] += nbytes
+    def account_sends(self, traffic) -> None:
+        """Enter ``((level, src, dst), messages, nbytes)`` rows in the
+        ledger: what ``isend`` does per envelope, and what the compiled
+        halo exchange — which copies ghost bricks by index and posts
+        nothing — derives from its plan, in first-send order."""
+        ledger = self.ledger
+        for key, messages, nbytes in traffic:
+            entry = ledger.get(key)
+            if entry is None:
+                entry = ledger[key] = [0, 0, 0]
+            entry[0] += messages
+            entry[1] += nbytes
 
     def logged_nbytes(self, dst: int, src: int, tag: int) -> int:
         """Payload size of the last transmission on an envelope (0 if none)."""
@@ -578,13 +597,6 @@ class SubComm:
         return self.parent.logged_nbytes(
             self.global_rank(dst), self.global_rank(src),
             tag + self.tag_offset,
-        )
-
-    def account_sends(self, messages, pair_bytes):
-        gr = self.global_ranks
-        self.parent.account_sends(
-            messages,
-            [((gr[src], gr[dst]), nbytes) for (src, dst), nbytes in pair_bytes],
         )
 
     @property

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.exchange import ResilientChannel, payload_checksum
+from repro.comm.exchange import ResilientChannel
 from repro.instrument import Recorder
 
 #: tag for buddy snapshot shipments — its own band, above the halo
@@ -77,17 +77,9 @@ class BuddyCheckpointer(ResilientChannel):
         total = 0
         with self.tracer.span("buddy-checkpoint", cycle=int(cycle), ranks=size):
             for rank in range(size):
-                payload = x_by_rank[rank]
-                checksum = action = None
-                if self.injector is not None:
-                    checksum = payload_checksum(payload)
-                    action = self.injector.message_action(
-                        -1, rank, self.buddy_of[rank], BUDDY_TAG, None,
-                        payload.nbytes,
-                    )
-                self.comm.isend(
-                    rank, self.buddy_of[rank], BUDDY_TAG, payload,
-                    checksum=checksum, fault=action, level=-1,
+                self._send(
+                    -1, rank, self.buddy_of[rank], BUDDY_TAG, None,
+                    x_by_rank[rank], None,
                 )
             for rank in range(size):
                 buddy = self.buddy_of[rank]

@@ -200,14 +200,20 @@ class FaultPlan:
         return replace(self, specs=self.specs + tuple(extra))
 
     def validate_for(
-        self, num_ranks: int, num_levels: int | None = None
+        self,
+        num_ranks: int,
+        num_levels: int | None = None,
+        active_ranks=None,
     ) -> "FaultPlan":
         """Reject specs that could never fire on the given solver shape.
 
         A spec naming a rank or level outside the communicator/hierarchy
         would silently sit in the plan forever; failing loudly at
         construction time is the only way a typo in a chaos matrix gets
-        noticed.  Returns ``self`` so callers can chain.
+        noticed.  ``active_ranks[level]`` lists the ranks that compute
+        ``level`` when agglomeration idles the others: an ``sdc`` spec
+        pinned to an idle ``(level, rank)`` has no kernel output to
+        poison.  Returns ``self`` so callers can chain.
         """
         for i, spec in enumerate(self.specs):
             for attr in ("rank", "src"):
@@ -227,6 +233,20 @@ class FaultPlan:
                     f"spec {i} ({spec.kind}): level={spec.level} out of "
                     f"range for a {num_levels}-level hierarchy — the "
                     "spec could never fire"
+                )
+            if (
+                active_ranks is not None
+                and spec.kind in KERNEL_FAULT_KINDS
+                and spec.level is not None
+                and spec.rank is not None
+                and spec.rank not in active_ranks[spec.level]
+            ):
+                raise ValueError(
+                    f"spec {i} ({spec.kind}): rank={spec.rank} computes "
+                    f"nothing at level={spec.level} — agglomeration "
+                    f"leaves that level to ranks "
+                    f"{list(active_ranks[spec.level])} — the spec could "
+                    "never fire"
                 )
             if spec.kind in RANK_FAULT_KINDS and num_ranks < 2:
                 raise ValueError(

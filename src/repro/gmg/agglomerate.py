@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.exchange import HaloExchange, ResilientChannel, payload_checksum
+from repro.comm.exchange import HaloExchange, ResilientChannel
 from repro.comm.simmpi import SubComm
 from repro.comm.topology import CartTopology
 from repro.gmg import operators as ops
@@ -229,26 +229,6 @@ class AgglomerationTransfer(ResilientChannel):
             )
 
     # ------------------------------------------------------------------
-    def _post(self, src: int, dst: int, tag: int, payload: np.ndarray,
-              kind: str) -> None:
-        """One priced, checksummed, injectable send on the parent comm."""
-        level = self.level_index
-        checksum = action = None
-        if self.injector is not None:
-            checksum = payload_checksum(payload)
-            action = self.injector.message_action(
-                level, src, dst, tag, None, payload.nbytes
-            )
-        self.comm.isend(
-            src, dst, tag, payload, checksum=checksum, fault=action,
-            level=level,
-        )
-        if self.recorder is not None:
-            self.recorder.message(
-                level, payload.nbytes, kind, segments=1,
-                self_message=(src == dst),
-            )
-
     def gather(self) -> None:
         """Assemble the merged ``x``/``b`` from the staged blocks.
 
@@ -277,10 +257,10 @@ class AgglomerationTransfer(ResilientChannel):
                         continue  # dead endpoint on either side: nothing moves
                     st.init_zero()  # the staged x is the zero initial guess
                     payload = np.stack([st.x.to_ijk(), st.b.to_ijk()])
-                    self._post(
-                        self.source_ranks[s],
+                    self._send(
+                        level, self.source_ranks[s],
                         self.owner_ranks[self.owner_of[s]],
-                        self.gather_tag, payload, "gather",
+                        self.gather_tag, None, payload, "gather",
                     )
                 for o, merged in enumerate(merged_levels):
                     dst = self.owner_ranks[o]
@@ -342,9 +322,9 @@ class AgglomerationTransfer(ResilientChannel):
                             slice(off, off + c)
                             for off, c in zip(offset, st.shape_cells)
                         )
-                        self._post(
-                            src, self.source_ranks[s], self.scatter_tag,
-                            np.ascontiguousarray(dense_x[block]), "scatter",
+                        self._send(
+                            level, src, self.source_ranks[s], self.scatter_tag,
+                            None, np.ascontiguousarray(dense_x[block]), "scatter",
                         )
                 for s, st in enumerate(staging):
                     dst = self.source_ranks[s]

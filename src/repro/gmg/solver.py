@@ -401,6 +401,15 @@ class Hierarchy:
             # schedule untouched (and unpoliced levels un-built)
             if agglomerator.active:
                 self.agglomerator = agglomerator
+                if self.injector is not None:
+                    # only now known: which ranks each level idles
+                    fault_plan.validate_for(
+                        config.num_ranks, config.num_levels,
+                        active_ranks=[
+                            agglomerator.plan.active_ranks(lev)
+                            for lev in range(config.num_levels)
+                        ],
+                    )
 
     def _build_exchanger(self, lev: int):
         """A fresh full-grid exchanger for level ``lev``."""

@@ -9,9 +9,9 @@
 * :mod:`~repro.obs.metrics` — counters/gauges bridging the event
   :class:`~repro.instrument.Recorder` into one snapshot;
 * :mod:`~repro.obs.profile` — the ``python -m repro profile`` core;
-* :mod:`~repro.obs.rank` — rank x rank traffic matrices, per-rank time
-  breakdowns, and per-V-cycle critical paths from the per-rank span
-  timelines (the ``python -m repro commviz`` core).
+* :mod:`~repro.obs.rank` — the rank x rank traffic matrix, per level
+  and in total, off the communicator's ledger (the ``python -m repro
+  commviz`` core).
 """
 
 from repro.obs.aggregate import (
@@ -29,15 +29,7 @@ from repro.obs.chrome_trace import (
 )
 from repro.obs.metrics import MetricsRegistry, solve_metrics
 from repro.obs.profile import ProfileReport, profile_solve
-from repro.obs.rank import (
-    CommMatrix,
-    CriticalPath,
-    PathStep,
-    critical_paths,
-    fit_message_model,
-    rank_time_breakdown,
-    traffic_matrix,
-)
+from repro.obs.rank import CommMatrix, traffic_matrix
 from repro.obs.tracer import (
     NULL_TRACER,
     InstantRecord,
@@ -66,10 +58,5 @@ __all__ = [
     "ProfileReport",
     "profile_solve",
     "CommMatrix",
-    "CriticalPath",
-    "PathStep",
     "traffic_matrix",
-    "rank_time_breakdown",
-    "critical_paths",
-    "fit_message_model",
 ]

@@ -146,9 +146,11 @@ class MetricsRegistry:
         exchanger)`` list.  ``exchanges.planned`` counts index copies
         off the exchange plan (``exchanges.checked`` of them with the
         per-message checksum pass a fault plan adds),
-        ``exchanges.envelope`` per-message reference executions (with
-        per-level detail) and ``exchanges.envelope.<reason>`` what
-        selected them, as tallied when each exchange chose; the plan
+        ``exchanges.envelope`` per-message executions (with per-level
+        detail) and ``exchanges.envelope.<reason>`` which of the three
+        :meth:`HaloExchange.envelope_reason` answers selected them, as
+        tallied when each exchange chose (none on a fault-free solve,
+        traced or not); the plan
         cache's own hit/miss sits under ``cache.exchange_plan.*``
         (:meth:`observe_plan_caches`).  Gauges, for the same reason as
         there: the tallies are cumulative per exchanger.

@@ -25,7 +25,8 @@ from repro.obs.tracer import Tracer
 
 
 def wait_fraction(tracer: Tracer) -> tuple[float, float]:
-    """``(wait_s, fraction)`` of V-cycle wall time blocked on halos.
+    """``(wait_s, fraction)`` of V-cycle wall time spent exchanging
+    ghosts — in the simulator the copy itself, not a wait on a peer.
 
     Sums the durations of the root ``exchange`` spans inside the
     ``vcycle`` windows and divides by total V-cycle time.
@@ -46,12 +47,12 @@ def exchange_path_line(solver) -> str | None:
     """One line on how a solve's ghost exchanges ran, from the tallies
     each exchanger kept as it chose.
 
-    Tracing, an armed message fault, a dead endpoint or traffic in
-    flight move per-message envelopes where the plain solve copies by
-    index off the exchange plan (checksummed under a fault plan);
-    saying so — with what the plan moves per exchange — keeps a
-    profile from passing for the run it explains.  ``None`` when every
-    exchange was the plain copy: the profile is of the plain run.
+    An armed message fault, a dead endpoint or traffic in flight move
+    per-message envelopes where the plain solve copies by index off
+    the exchange plan (checksummed under a fault plan); saying so —
+    with what the plan moves per exchange — keeps a profile from
+    passing for the run it explains.  ``None`` when every exchange was
+    the plain copy, as in any fault-free solve, traced or not.
     """
     exchangers = solver.halo_exchangers()
     envelope = sum(ex.path_counts["envelope"] for _, ex in exchangers)
@@ -107,7 +108,7 @@ class ProfileReport:
             f"{len(self.tracer.instants)} instants, "
             f"coverage {self.coverage:.1%} of the solve span",
             f"  wait fraction: {self.wait_fraction:.1%} of V-cycle time "
-            f"blocked on halo completion ({self.wait_s:.6g}s in exchange)",
+            f"in the ghost-exchange copy ({self.wait_s:.6g}s in exchange)",
             *([f"  {self.exchange_paths}"] if self.exchange_paths else []),
             *([f"  {self.kernels}"] if self.kernels else []),
             "",

@@ -82,6 +82,9 @@ class _NullSpan:
     def __exit__(self, *exc) -> None:
         return None
 
+    def set(self, **attrs) -> None:
+        return None
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -137,6 +140,10 @@ class _SpanContext:
         stack.append(self)
         self.start = tr._clock() - tr._epoch
         return self
+
+    def set(self, **attrs) -> None:
+        """Attach attributes learned while the span is open."""
+        self.attrs.update(attrs)
 
     def __exit__(self, *exc) -> None:
         tr = self.tracer
@@ -207,11 +214,10 @@ class Tracer:
 
         Children share this tracer's clock *and* epoch, so their span
         timestamps are directly comparable with the root timeline's —
-        which is what lets the critical-path extractor order a send on
-        one rank against the matching receive on another, and what lets
-        the Chrome exporter emit each rank as its own pid on a common
-        time axis.  Children have their own span stacks (one logical
-        timeline per rank) and their own preorder indices.
+        which is what lets the Chrome exporter emit each rank as its
+        own pid on a common time axis.  Children have their own span
+        stacks (one logical timeline per rank) and their own preorder
+        indices.
         """
         tracer = self.children.get(rank)
         if tracer is None:

@@ -9,6 +9,7 @@ from unittest import mock
 
 from repro.bricks import BrickGrid, BrickedArray
 from repro.dsl import native
+from repro.faults import FaultInjector, FaultPlan, ResilienceConfig
 
 #: a backend that offers no native kernels, for reaching the oracle
 NUMPY_BACKEND = native.Backend("NumPy kernels requested by the test")
@@ -19,6 +20,41 @@ def numpy_path():
     kernels (usable where a function-scoped fixture is not, e.g. under
     hypothesis)."""
     return mock.patch.object(native, "resolve_backend", lambda: NUMPY_BACKEND)
+
+
+class ArmedNeverStriking:
+    """Injector stand-in for ``HaloExchange(injector=...)``: arms every
+    exchange and strikes no message, so each one moves envelopes — the
+    all-envelope reference, forced from the test side."""
+
+    vcycle = 0
+
+    def may_strike(self, level=None):
+        return True
+
+    def message_action(self, *args):
+        return None
+
+    def crashes_due(self, level=None):
+        return []
+
+
+#: what gives a whole solve an injector that strikes nothing and ships
+#: no replicas: ``GMGSolver(config, **QUIET_INJECTOR)`` leaves the
+#: residual history, messages and ledger of ``GMGSolver(config)``
+QUIET_INJECTOR = {
+    "fault_plan": FaultPlan.single("sdc", vcycle=99),
+    "resilience": ResilienceConfig(buddy_checkpoints=False),
+}
+
+
+def all_envelopes():
+    """Context manager: every exchange of a solve that has an injector
+    (:data:`QUIET_INJECTOR` will do) is armed, so all of them move
+    envelopes — the reference the planned copy is compared against."""
+    return mock.patch.object(
+        FaultInjector, "may_strike", lambda self, level=None: True
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)

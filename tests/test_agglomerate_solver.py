@@ -254,3 +254,46 @@ class TestTransferFaultRecovery:
             FaultPlan.single("drop", level=3, max_hits=None)
         )
         assert result.status == "failed_faults"
+
+
+class TestIdledSdcSpecIsRejected:
+    """An ``sdc`` spec pinned to a ``(level, rank)`` that agglomeration
+    idles has no kernel output to poison: it used to sit in the plan and
+    the solve converged with nothing injected and nothing said."""
+
+    def test_named_at_construction(self):
+        # level 3 is computed by rank 0 alone
+        plan = FaultPlan(specs=(
+            FaultSpec("drop", vcycle=1, level=3),
+            FaultSpec("sdc", vcycle=2, level=3, rank=5),
+        ))
+        with pytest.raises(ValueError) as err:
+            GMGSolver(config_8rank(agglomerate_threshold=64), fault_plan=plan)
+        message = str(err.value)
+        assert "spec 1 (sdc)" in message and "could never fire" in message
+        assert "rank=5" in message and "level=3" in message
+        assert "ranks [0]" in message
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FaultSpec("sdc", vcycle=1, level=3, rank=0),  # the active rank
+            FaultSpec("sdc", vcycle=1, level=2, rank=5),  # a full-grid level
+            FaultSpec("sdc", vcycle=1, rank=5),  # any level: fires at level 0
+            FaultSpec("sdc", vcycle=1, level=3),  # any rank: fires on rank 0
+        ],
+        ids=["active-rank", "full-level", "level-free", "rank-free"],
+    )
+    def test_specs_that_can_fire_do(self, spec):
+        solver = GMGSolver(
+            config_8rank(agglomerate_threshold=64),
+            fault_plan=FaultPlan(specs=(spec,)),
+        )
+        result = solver.solve()
+        assert result.fault_counts["inject_sdc"] == 1
+        assert result.rollbacks == 1
+
+    def test_same_spec_is_fine_without_agglomeration(self):
+        plan = FaultPlan.single("sdc", vcycle=1, level=3, rank=5)
+        result = GMGSolver(config_8rank(), fault_plan=plan).solve()
+        assert result.fault_counts["inject_sdc"] == 1

@@ -71,18 +71,22 @@ class TestProfileCommand:
         # one rank never moves envelopes: the profile is of the plain run
         assert "halo exchange:" not in out
 
-    def test_multirank_profile_names_the_exchange_path(self, capsys):
-        """A traced run moves envelopes where the untraced one copies by
-        index; the report must say so."""
+    def test_multirank_profile_names_the_exchange_path(self, capsys, tmp_path):
+        """The profiled run is the plain run: every exchange the plan
+        copy, so there is no envelope line to print — and the metrics
+        say so by name."""
+        import json
+
+        report = tmp_path / "profile.json"
         rc = main(["profile", "-s", "16", "-l", "2", "--smooths", "6",
-                   "--bottom", "20", "--ranks", "2,1,1"])
+                   "--bottom", "20", "--ranks", "2,1,1", "--json", str(report)])
         assert rc == 0
         out = capsys.readouterr().out
-        line = next(l for l in out.splitlines() if "halo exchange:" in l)
-        total = line.split(" of ")[0].rsplit(" ", 1)[1]
-        assert f"{total} of {total} exchanges as envelopes (tracing: {total})" in line
-        assert "checked plan copies: 0" in line
-        assert "l0: 52 msg / 114688 B" in out
+        assert "halo exchange:" not in out and "None" not in out
+        assert "in the ghost-exchange copy" in out
+        gauges = json.loads(report.read_text())["metrics"]["gauges"]
+        assert gauges["exchanges.envelope"] == 0 < gauges["exchanges.planned"]
+        assert not any(g.startswith("exchanges.envelope.") for g in gauges)
 
     def test_profile_machine_none(self, capsys):
         rc = main(["profile", "-s", "16", "-l", "2", "--smooths", "6",
@@ -131,12 +135,18 @@ class TestCommvizCommand:
         assert "messages (src -> dst)" in out
         assert "bytes (src -> dst)" in out
         assert "dst7" in out and "src7" in out  # full 8x8 matrix
-        assert "per-rank time breakdown" in out
-        assert "critical path" in out
-        assert "model" in out  # network-model column present
-        assert "per-level traffic: l0:" in out
-        assert "21 of 21 exchanges as envelopes (tracing: 21)" in out
-        assert "l0: 208 msg / " in out
+        assert "per-rank time breakdown" not in out
+        assert "critical path" not in out
+        # every exchange was the plain copy: no envelope line, and no
+        # literal None where it would have been
+        assert "halo exchange:" not in out and "None" not in out
+        assert "per-level traffic: l0:" in out and " msg, l1: " in out
+        # each level's measured exchange next to the machine model's
+        assert "(model: Perlmutter)" in out
+        for lev in (0, 1):
+            (row,) = [l for l in out.splitlines() if f"level {lev} exchange" in l]
+            assert "| model " in row
+        assert "applyOp" not in out
 
     def test_machine_none_skips_model_column(self, capsys):
         rc = main(["commviz", "-s", "16", "-l", "2", "--smooths", "6",
@@ -144,7 +154,7 @@ class TestCommvizCommand:
                    "--machine", "none"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "critical path" in out and "model" not in out
+        assert "level 0 exchange" in out and "model" not in out
 
     def test_single_rank_rejected(self, capsys):
         rc = main(["commviz", "-s", "16", "-l", "2", "--ranks", "1,1,1"])

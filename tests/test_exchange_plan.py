@@ -3,11 +3,14 @@
 ``HaloExchange`` executes one ``ExchangePlan`` two ways; the planned
 index copy must leave every ghost brick, every recorded message and
 every communicator counter exactly as the envelope path does.  The
-reference is forced the way a user would meet it: an enabled tracer.
-Under a fault plan only the exchanges an armed message fault can
-strike (and those that drain what it left in flight) move envelopes;
-the rest are the planned copy plus a per-message checksum pass, pinned
-here to the traced all-envelope run event by event.
+reference is forced from here, never by a switch in ``src/``: an
+injector that arms every exchange and strikes nothing
+(``tests/conftest.py``).  Under a fault plan only the exchanges an
+armed message fault can strike (and those that drain what it left in
+flight) move envelopes; the rest are the planned copy plus a
+per-message checksum pass, pinned here to the all-envelope run event
+by event.  A tracer selects nothing: a traced solve is its untraced
+twin, exchange for exchange.
 
 It is also the only exchanger, so the plan is pinned at its two other
 ends: one rank against the independent periodic wrap
@@ -32,8 +35,10 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec, ResilienceConfig
 from repro.gmg import GMGSolver, SolverConfig
 from repro.gmg.boundary import BoundaryCondition
 from repro.instrument import Recorder
+from repro.obs import to_chrome_trace, traffic_matrix, validate_chrome_trace
 from repro.obs.tracer import Tracer
 
+from tests.conftest import QUIET_INJECTOR, ArmedNeverStriking, all_envelopes
 from tests.oracle import OracleSolver
 
 RANK_DIMS = [(2, 1, 1), (2, 2, 2), (3, 2, 1)]
@@ -48,7 +53,8 @@ def build(
     """An exchanger and ``fields_by_rank`` — for ``copies`` copies of the
     decomposition — with random content everywhere (ghosts included, so
     a ghost the exchange must not touch shows).  ``fault_plan`` attaches
-    an injector."""
+    an injector; ``reference`` one that makes every exchange move
+    envelopes."""
     grid = BrickGrid(shape, 4, ordering=ordering)
     condition = BoundaryCondition(boundary)
     topo = CartTopology(dims, periodic=condition is BoundaryCondition.PERIODIC)
@@ -56,8 +62,10 @@ def build(
     recorder = Recorder()
     ex = HaloExchange(
         grid, topo, comm, recorder, condition,
-        injector=fault_plan and FaultInjector(fault_plan, recorder),
-        tracer=Tracer() if reference else None,
+        injector=(
+            ArmedNeverStriking() if reference
+            else fault_plan and FaultInjector(fault_plan, recorder)
+        ),
     )
     rng = np.random.default_rng(seed)
     blocks = copies * topo.size
@@ -129,7 +137,7 @@ class TestPlanEqualsReference:
             parent = SimComm(8)
             ex = HaloExchange(
                 grid, topo, SubComm(parent, (0, 4), tag_offset=100), Recorder(),
-                tracer=Tracer() if reference else None,
+                injector=ArmedNeverStriking() if reference else None,
             )
             rng = np.random.default_rng(3)
             fields = [[BrickedArray(grid, rng.random((grid.num_slots, 4, 4, 4)))]
@@ -383,25 +391,49 @@ class TestPathSelection:
         assert counts["inject_delay"] == counts["detect_delay"] == 3 * 52
         ex.comm.assert_drained()
 
-    @pytest.mark.parametrize(
-        "where, owed", [("exchanger", "unpack"), ("comm", "isend")]
-    )
-    def test_enabled_tracer_takes_envelopes(self, where, owed):
+    @pytest.mark.parametrize("where", ["exchanger", "comm"])
+    def test_enabled_tracer_runs_the_planned_copy(self, where, monkeypatch):
+        """Watching selects nothing: the traced exchange is the plan
+        copy, posts no envelope, and its span says what ran."""
         tracer = Tracer()
         if where == "exchanger":
             ex, fields = self.exchanger(tracer=tracer)
         else:
             ex, fields = self.exchanger(comm=SimComm(2, tracer=tracer))
-        assert ex.envelope_reason() == "tracing"
+        assert ex.envelope_reason() is None
+
+        def no_isend(*args, **kwargs):
+            raise AssertionError("a traced exchange posts no envelope")
+
+        monkeypatch.setattr(SimComm, "isend", no_isend)
         ex.exchange(0, fields)
-        assert ex.path_counts == {"planned": 0, "envelope": 1}
-        assert len(tracer.child(0).find(owed)) == 26
+        assert ex.path_counts == {"planned": 1, "envelope": 0}
+        assert not ex.envelope_reasons and not tracer.children
+        if where == "exchanger":
+            (span,) = tracer.spans
+            assert (span.name, span.attrs) == ("exchange", {
+                "l": 0, "nfields": 1, "path": "planned",
+                "messages": ex.plan.num_messages, "bytes": ex.plan.nbytes(8),
+            })
+
+    def test_envelope_exchange_leaves_per_message_spans(self):
+        """Envelopes that genuinely run are still traced one by one."""
+        tracer = Tracer()
+        ex, fields = self.exchanger(
+            comm=SimComm(2, tracer=tracer), tracer=tracer,
+            injector=ArmedNeverStriking(),
+        )
+        ex.exchange(0, fields)
+        (span,) = tracer.spans
+        assert span.attrs["path"] == "envelope"
+        for name in ("isend", "irecv", "unpack"):
+            assert len(tracer.child(0).find(name)) == 26
 
     @pytest.mark.parametrize("sub", [False, True], ids=["SimComm(1)", "SubComm-of-1"])
     @pytest.mark.parametrize("why", ["injector", "tracer"])
     def test_communicator_of_one_never_takes_envelopes(self, sub, why):
-        """No wire to strike and no second timeline to trace: a lone
-        rank's messages are copies within it, whatever is attached."""
+        """No wire to strike: a lone rank's messages are copies within
+        it, whatever is attached."""
         from repro.faults import FaultInjector, FaultPlan
 
         recorder, tracer = Recorder(), Tracer()
@@ -565,9 +597,17 @@ class TestSolverLevel:
                 counts[path] += n
         return solver, result, counts
 
+    def reference(self, config, solver_cls=GMGSolver):
+        """The same solve with every exchange as envelopes."""
+        with all_envelopes():
+            return self.solve(config, solver_cls, **QUIET_INJECTOR)
+
     def test_plan_equals_traced_reference_equals_one_rank(self):
         planned, p_res, p_counts = self.solve(self.CONFIG)
-        traced, t_res, t_counts = self.solve(self.CONFIG, tracer=Tracer())
+        _, watched, w_counts = self.solve(self.CONFIG, tracer=Tracer())
+        assert w_counts == p_counts
+        assert watched.residual_history == p_res.residual_history
+        traced, t_res, t_counts = self.reference(self.CONFIG)
         assert p_counts["envelope"] == 0 and p_counts["planned"] > 0
         assert t_counts["planned"] == 0 and t_counts["envelope"] == p_counts["planned"]
         assert p_res.residual_history == t_res.residual_history
@@ -606,7 +646,7 @@ class TestSolverLevel:
         extra.setdefault("max_vcycles", 4)
         config = dataclasses.replace(self.CONFIG, global_cells=16, **extra)
         planned, p_res, p_counts = self.solve(config, solver_cls)
-        traced, t_res, t_counts = self.solve(config, solver_cls, tracer=Tracer())
+        traced, t_res, t_counts = self.reference(config, solver_cls)
         assert p_counts["envelope"] == 0
         assert t_counts == {"planned": 0, "envelope": p_counts["planned"]}
         assert p_res.residual_history == t_res.residual_history
@@ -637,12 +677,13 @@ STORM = FaultPlan.single("drop", level=0, vcycle_from=2, max_hits=None)
 
 
 class TestFaultedSolveEqualsAllEnvelopeReference:
-    """Under a fault plan the untraced solve envelopes only what a fault
-    can strike; the traced solve envelopes everything, as every faulted
-    solve used to.  Both must inject, detect and recover identically."""
+    """Under a fault plan a solve envelopes only what a fault can
+    strike; the reference (every exchange armed) envelopes everything,
+    as every faulted solve used to.  Both must inject, detect and
+    recover identically."""
 
     #: converges in four clean cycles: every fault of cycles 1-3 fires
-    #: and a traced reference solve stays near half a second
+    #: and an all-envelope reference solve stays near half a second
     CONFIG = SolverConfig(
         global_cells=16, num_levels=2, brick_dim=4, rank_dims=(2, 2, 2),
         max_smooths=6, bottom_smooths=20, tol=1e-4,
@@ -661,7 +702,7 @@ class TestFaultedSolveEqualsAllEnvelopeReference:
     )
     def test_same_faults_traffic_and_answer(self, plan, checksum_calls):
         solver, result = self.solve(plan)
-        sums = list(checksum_calls)  # the untraced solve's alone
+        sums = list(checksum_calls)  # this solve's alone: envelopes take none
         checked = sum(
             ex.checked_copies * ex.plan.num_messages
             for _, ex in solver.halo_exchangers()
@@ -669,7 +710,8 @@ class TestFaultedSolveEqualsAllEnvelopeReference:
         # every message of every checked copy: one sum per side, equal
         assert sum(map(len, sums)) == 2 * checked > 0
         assert sums[0::2] == sums[1::2]
-        traced, reference = self.solve(plan, tracer=Tracer())
+        with all_envelopes():
+            traced, reference = self.solve(plan)
         exchangers = [ex for _, ex in solver.halo_exchangers()]
         total = sum(sum(ex.path_counts.values()) for ex in exchangers)
         enveloped = sum(ex.path_counts["envelope"] for ex in exchangers)
@@ -709,8 +751,8 @@ class TestFaultedSolveEqualsAllEnvelopeReference:
         assert result.status == "failed_faults"
 
     def test_duplicate_on_the_final_exchange_is_drained(self):
-        """Untraced twin of ``test_faults``' traced case: the solve's
-        only exchange is struck, so no later receive discards the copy."""
+        """The solve's only exchange is struck, so no later receive
+        discards the copy (``test_faults`` has the traced twin)."""
         solver, result = self.solve(
             FaultPlan.single("duplicate", vcycle=0, level=0), max_vcycles=0
         )
@@ -719,3 +761,163 @@ class TestFaultedSolveEqualsAllEnvelopeReference:
         _, level0 = solver.halo_exchangers()[0]
         assert level0.path_counts == {"planned": 0, "envelope": 1}
         solver.comm.assert_drained()
+
+
+def ladder_fault_plan(seed):
+    """``benchmarks/ladder``'s ``faulted_8rank_32`` recipe: two silent
+    corruptions and six message faults, sited by the seed."""
+    rng = np.random.default_rng([seed, 0xFA])
+    second = int(rng.choice((3, 5)))
+    sites = [("sdc", int(rng.integers(2, second))), ("sdc", second)] + [
+        (kind, int(rng.integers(2, 6)))
+        for kind in ("drop", "drop", "corrupt", "corrupt", "duplicate", "delay")
+    ]
+    specs = []
+    for kind, vcycle in sites:
+        level = int(rng.choice((0, 1, 2)))
+        specs.extend(FaultPlan.random(
+            int(rng.integers(2**31)), 1, kinds=(kind,),
+            vcycles=(vcycle, vcycle), levels=(level,), num_ranks=8,
+        ).specs)
+    return FaultPlan(specs=tuple(specs))
+
+
+@pytest.fixture
+def isend_calls(monkeypatch):
+    """Counts every ``SimComm.isend``."""
+    calls = []
+    real = SimComm.isend
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[:3])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimComm, "isend", counting)
+    return calls
+
+
+class TestTracedSolveIsItsUntracedTwin:
+    """A tracer selects nothing: the traced solve takes the paths, posts
+    the envelopes and leaves the bytes of the untraced one."""
+
+    SMALL = dict(
+        global_cells=16, num_levels=2, brick_dim=4, max_smooths=6,
+        bottom_smooths=20, max_vcycles=3,
+    )
+
+    @staticmethod
+    def left_behind(hierarchy, isend_calls, **extra):
+        comm, recorder = hierarchy.comm, hierarchy.recorder
+        traffic = traffic_matrix(comm)
+        posted = len(isend_calls)
+        isend_calls.clear()
+        return {
+            "envelopes": sum(
+                ex.path_counts["envelope"] for _, ex in hierarchy.halo_exchangers()
+            ),
+            "isend_calls": posted,
+            "messages": list(recorder.messages),
+            "sent_messages": comm.sent_messages,
+            "sent_bytes": comm.sent_bytes,
+            "retransmissions": comm.retransmissions,
+            "bytes_by_pair": comm.bytes_by_pair,
+            "ledger": {key: tuple(entry) for key, entry in comm.ledger.items()},
+            "traffic": {
+                name: getattr(traffic, name).tolist()
+                for name in ("messages", "nbytes", "retransmissions")
+            },
+            "traffic_by_level": {
+                lev: (traffic.level_messages[lev].tolist(),
+                      traffic.level_nbytes[lev].tolist())
+                for lev in traffic.levels()
+            },
+            **extra,
+        }
+
+    def solved(self, isend_calls, tracer, config, **kwargs):
+        solver = GMGSolver(config, tracer=tracer, **kwargs)
+        result = solver.solve()
+        return self.left_behind(
+            solver, isend_calls, status=result.status,
+            history=[h.hex() for h in result.residual_history],
+            solution=solver.solution().tobytes(),
+            faults=[dataclasses.asdict(f) for f in result.recorder.faults],
+        )
+
+    @pytest.mark.parametrize(
+        "dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)],
+        ids=["1rank", "2ranks", "4ranks", "8ranks"],
+    )
+    def test_fault_free(self, dims, isend_calls):
+        config = SolverConfig(rank_dims=dims, **self.SMALL)
+        plain = self.solved(isend_calls, None, config)
+        tracer = Tracer()
+        traced = self.solved(isend_calls, tracer, config)
+        assert traced == plain
+        assert plain["envelopes"] == plain["isend_calls"] == 0
+        per_rank = {s.name for c in tracer.children.values() for s in c.spans}
+        assert not per_rank & {"isend", "irecv", "unpack", "retransmit"}
+        exchanges = tracer.find("exchange")
+        assert {s.attrs["path"] for s in exchanges} == {"planned"}
+        assert sum(s.attrs["messages"] for s in exchanges) == plain["sent_messages"]
+        assert sum(s.attrs["bytes"] for s in exchanges) == plain["sent_bytes"]
+
+    def test_cohort_of_four_over_two_ranks(self, isend_calls):
+        from repro.service import SolveRequest
+        from repro.service.cohort import CohortSolver
+
+        config = SolverConfig(rank_dims=(2, 1, 1), **self.SMALL)
+        requests = [
+            SolveRequest(config=config, amplitude=a, request_id=f"r{i}")
+            for i, a in enumerate((1.0, 0.5, 2.0, 1.5, 0.75))
+        ]
+        runs = []
+        for tracer in (None, Tracer()):
+            cohort = CohortSolver(config, capacity=4, tracer=tracer)
+            results = cohort.solve_stream(requests)
+            runs.append(self.left_behind(
+                cohort.hierarchy, isend_calls,
+                histories=[
+                    (r.request.request_id, [h.hex() for h in r.residual_history])
+                    for r in results
+                ],
+            ))
+        plain, traced = runs
+        assert traced == plain
+        assert plain["envelopes"] == plain["isend_calls"] == 0
+
+    def test_ladder_seed3_fault_plan(self, isend_calls):
+        """The struck exchanges move envelopes, traced or not, and the
+        matrix counts what the faults cost on the wire."""
+        config = SolverConfig(
+            global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2)
+        )
+        kwargs = dict(
+            fault_plan=ladder_fault_plan(3), resilience=ResilienceConfig()
+        )
+        plain = self.solved(isend_calls, None, config, **kwargs)
+        tracer = Tracer()
+        traced = self.solved(isend_calls, tracer, config, **kwargs)
+        assert traced == plain
+        assert plain["status"] == "converged"
+        assert 5 <= plain["envelopes"] <= 7
+        # per-message spans for every send that was posted, no more;
+        # the halo ones (direction tags) inside the struck exchanges only
+        per_rank = [s for c in tracer.children.values() for s in c.spans]
+        sends = [s for s in per_rank if s.name in ("isend", "retransmit")]
+        assert len(sends) == plain["isend_calls"] + plain["retransmissions"]
+        struck = [s for s in tracer.find("exchange") if s.attrs["path"] == "envelope"]
+        assert len(struck) == plain["envelopes"]
+        halo = [s for s in per_rank if s.attrs.get("tag", 27) < 27]
+        assert halo and all(
+            any(w.start <= s.start and s.end <= w.end for w in struck) for s in halo
+        )
+        assert validate_chrome_trace(to_chrome_trace(tracer))["pids"] == 9
+        # the matrix is the ledger, resends included
+        resent = np.array(plain["traffic"]["retransmissions"])
+        assert resent.sum() == plain["retransmissions"] == 4
+        assert np.array(plain["traffic"]["messages"]).sum() == plain["sent_messages"]
+        by_pair = np.zeros((8, 8), dtype=np.int64)
+        for (src, dst), nbytes in plain["bytes_by_pair"].items():
+            by_pair[src, dst] = nbytes
+        assert by_pair.tolist() == plain["traffic"]["nbytes"]

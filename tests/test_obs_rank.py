@@ -1,4 +1,5 @@
-"""Rank-resolved comm analysis: matrices, breakdowns, critical paths."""
+"""Rank-resolved communication: the ledger-sourced traffic matrix and
+the pid-per-rank Chrome export of the envelopes that genuinely run."""
 
 import numpy as np
 import pytest
@@ -6,198 +7,80 @@ import pytest
 from repro.gmg import GMGSolver, SolverConfig
 from repro.obs import Tracer, to_chrome_trace
 from repro.obs.chrome_trace import rank_pid
-from repro.obs.rank import (
-    critical_paths,
-    fit_message_model,
-    message_time_samples,
-    rank_time_breakdown,
-    traffic_matrix,
-)
+from repro.obs.rank import traffic_matrix
 
-
-class ManualClock:
-    """Clock that only moves when the test says so."""
-
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-
-def _emit(clock, tracer, name, t0, t1, **attrs):
-    clock.t = t0
-    with tracer.span(name, **attrs):
-        clock.t = t1
+from tests.conftest import QUIET_INJECTOR, all_envelopes
 
 
 @pytest.fixture(scope="module")
 def traced_solve():
-    """One traced 2-rank tier-1-shaped solve shared across the module."""
+    """One traced 2-rank tier-1-shaped solve shared across the module,
+    every exchange forced to envelopes so the per-rank timelines hold
+    per-message spans (a fault-free traced solve posts none)."""
     config = SolverConfig(
         global_cells=16, num_levels=2, brick_dim=4, max_smooths=6,
         bottom_smooths=20, max_vcycles=2, rank_dims=(2, 1, 1),
     )
     tracer = Tracer()
-    solver = GMGSolver(config, tracer=tracer)
-    result = solver.solve()
+    with all_envelopes():
+        solver = GMGSolver(config, tracer=tracer, **QUIET_INJECTOR)
+        result = solver.solve()
     return config, solver, tracer, result
 
 
 class TestTrafficMatrix:
     def test_matches_simulator_ledger(self, traced_solve):
-        """The span-derived matrix must agree byte-for-byte with the
-        simulator's own ``bytes_by_pair`` accounting."""
+        """The matrix agrees byte for byte with the simulator's
+        ``bytes_by_pair`` and totals — and, the solve having run as
+        envelopes, with one count per ``isend`` span."""
         config, solver, tracer, _ = traced_solve
-        traffic = traffic_matrix(tracer, size=config.num_ranks)
+        traffic = traffic_matrix(solver.comm)
+        assert traffic.size == config.num_ranks
         for (src, dst), nbytes in solver.comm.bytes_by_pair.items():
             assert traffic.nbytes[src, dst] == nbytes
         assert traffic.total_bytes == solver.comm.sent_bytes
         assert traffic.total_messages == solver.comm.sent_messages
+        for rank, child in tracer.children.items():
+            assert traffic.messages[rank].sum() == len(child.find("isend"))
+
+    def test_untraced_planned_solve_has_the_same_matrix(self, traced_solve):
+        config, solver, _, _ = traced_solve
+        plain = GMGSolver(config)
+        plain.solve()
+        want, got = traffic_matrix(solver.comm), traffic_matrix(plain.comm)
+        np.testing.assert_array_equal(got.messages, want.messages)
+        np.testing.assert_array_equal(got.nbytes, want.nbytes)
+        assert got.levels() == want.levels()
+        for lev in got.levels():
+            np.testing.assert_array_equal(
+                got.level_messages[lev], want.level_messages[lev]
+            )
 
     def test_per_level_split_sums_to_total(self, traced_solve):
-        config, _, tracer, _ = traced_solve
-        traffic = traffic_matrix(tracer, size=config.num_ranks)
+        _, solver, _, _ = traced_solve
+        traffic = traffic_matrix(solver.comm)
         assert traffic.levels() == [0, 1]
         stacked = sum(traffic.level_nbytes[lev] for lev in traffic.levels())
         np.testing.assert_array_equal(stacked, traffic.nbytes)
 
     def test_clean_solve_has_no_retransmissions(self, traced_solve):
-        config, _, tracer, _ = traced_solve
-        traffic = traffic_matrix(tracer, size=config.num_ranks)
-        assert traffic.total_retransmissions == 0
+        _, solver, _, _ = traced_solve
+        assert traffic_matrix(solver.comm).total_retransmissions == 0
 
     def test_retransmit_spans_counted(self):
         from repro.comm import SimComm
         from repro.faults.injector import FaultAction
 
-        tracer = Tracer()
-        comm = SimComm(2, tracer=tracer)
+        comm = SimComm(2)
         comm.isend(0, 1, tag=3, payload=np.arange(8.0),
-                   fault=FaultAction(kind="drop"))
-        comm.retransmit(1, 0, tag=3)
+                   fault=FaultAction(kind="drop"), level=1)
+        comm.retransmit(1, 0, tag=3, level=1)
         assert comm.irecv(1, 0, tag=3).wait().size == 8
-        traffic = traffic_matrix(tracer)
+        traffic = traffic_matrix(comm)
         assert traffic.messages[0, 1] == 2
         assert traffic.retransmissions[0, 1] == 1
         assert traffic.nbytes[0, 1] == 2 * 8 * 8
-
-    def test_empty_tracer_needs_size(self):
-        with pytest.raises(ValueError, match="no per-rank spans"):
-            traffic_matrix(Tracer())
-
-
-class TestRankBreakdown:
-    def test_every_rank_accounted(self, traced_solve):
-        config, _, tracer, _ = traced_solve
-        breakdown = rank_time_breakdown(tracer)
-        assert sorted(breakdown) == list(range(config.num_ranks))
-        for by_name in breakdown.values():
-            assert {"isend", "irecv", "unpack"} <= set(by_name)
-            assert all(v >= 0 for v in by_name.values())
-
-    def test_durations_match_child_spans(self, traced_solve):
-        _, _, tracer, _ = traced_solve
-        breakdown = rank_time_breakdown(tracer)
-        for rank, child in tracer.children.items():
-            total = sum(breakdown[rank].values())
-            assert total == pytest.approx(
-                sum(s.duration for s in child.spans)
-            )
-
-
-class TestCriticalPath:
-    def test_matched_edge_beats_local_chain(self):
-        """A long send on rank 0 must pull the path across the matched
-        send -> recv edge onto rank 1's receive."""
-        clock = ManualClock()
-        root = Tracer(clock=clock)
-        r0, r1 = root.child(0), root.child(1)
-        clock.t = 0.0
-        with root.span("vcycle", v=0):
-            _emit(clock, r0, "isend", 1.0, 3.0,
-                  l=0, src=0, dst=1, tag=5, bytes=800, seq=0)
-            _emit(clock, r1, "isend", 3.0, 3.5,
-                  l=0, src=1, dst=0, tag=6, bytes=800, seq=0)
-            _emit(clock, r0, "irecv", 4.0, 4.2,
-                  l=0, src=1, dst=0, tag=6, bytes=800, seq=0)
-            _emit(clock, r1, "irecv", 4.0, 4.5,
-                  l=0, src=0, dst=1, tag=5, bytes=800, seq=0)
-            _emit(clock, r1, "unpack", 5.0, 6.0,
-                  l=0, src=0, dst=1, tag=5, bytes=800)
-            clock.t = 10.0
-        (path,) = critical_paths(root)
-        assert [s.name for s in path.steps] == ["isend", "irecv", "unpack"]
-        assert [s.rank for s in path.steps] == [0, 1, 1]
-        assert path.duration_s == pytest.approx(2.0 + 0.5 + 1.0)
-        assert path.window_s == pytest.approx(10.0)
-
-    def test_paths_bounded_by_vcycle_window(self, traced_solve):
-        """The chain is disjoint spans inside the window, so its total
-        can never exceed the measured vcycle root span."""
-        _, _, tracer, result = traced_solve
-        paths = critical_paths(tracer)
-        assert len(paths) == result.num_vcycles
-        for p in paths:
-            assert 0.0 < p.duration_s <= p.window_s
-            assert p.comm_bytes > 0
-
-    def test_model_prices_each_message_once(self):
-        from repro.machines import MACHINES
-        from repro.machines.network import message_time
-
-        machine = MACHINES["Perlmutter"]
-        clock = ManualClock()
-        root = Tracer(clock=clock)
-        r0, r1 = root.child(0), root.child(1)
-        clock.t = 0.0
-        with root.span("vcycle", v=0):
-            _emit(clock, r0, "isend", 1.0, 2.0,
-                  l=0, src=0, dst=1, tag=5, bytes=4096, seq=0)
-            _emit(clock, r1, "irecv", 3.0, 3.5,
-                  l=0, src=0, dst=1, tag=5, bytes=4096, seq=0)
-            clock.t = 5.0
-        (path,) = critical_paths(root, machine=machine)
-        # isend and its matching irecv share one wire message
-        assert path.model_s == pytest.approx(message_time(machine, 4096))
-
-    def test_model_column_on_real_solve(self, traced_solve):
-        from repro.machines import MACHINES
-
-        _, _, tracer, _ = traced_solve
-        paths = critical_paths(tracer, machine=MACHINES["Perlmutter"])
-        assert all(p.model_s is not None and p.model_s > 0 for p in paths)
-
-
-class TestMessageModelFit:
-    def test_fit_recovers_planted_alpha_beta(self):
-        clock = ManualClock()
-        root = Tracer(clock=clock)
-        child = root.child(0)
-        alpha, beta = 1e-5, 1e9  # 10us + 1 GB/s
-        t = 0.0
-        for nbytes in (512, 4096, 32768, 262144):
-            for _ in range(3):
-                _emit(clock, child, "isend", t, t + alpha + nbytes / beta,
-                      l=0, src=0, dst=1, tag=0, bytes=nbytes, seq=0)
-                t += 1.0
-        fit = fit_message_model(root)
-        assert fit.alpha == pytest.approx(alpha, rel=1e-6)
-        assert fit.beta == pytest.approx(beta, rel=1e-6)
-        assert fit.r_squared == pytest.approx(1.0)
-
-    def test_single_size_returns_none(self):
-        clock = ManualClock()
-        root = Tracer(clock=clock)
-        _emit(clock, root.child(0), "isend", 0.0, 1.0,
-              l=0, src=0, dst=1, tag=0, bytes=64, seq=0)
-        assert fit_message_model(root) is None
-
-    def test_samples_cover_all_sends(self, traced_solve):
-        _, solver, tracer, _ = traced_solve
-        xs, ts = message_time_samples(tracer)
-        assert len(xs) == solver.comm.sent_messages
-        assert np.all(xs > 0) and np.all(ts > 0)
+        assert traffic.levels() == [1] and traffic.total_messages == 2
 
 
 class TestRankChromeExport:
