@@ -5,12 +5,14 @@ The paper's model problem is constant-coefficient Poisson "for easy
 performance comparison", but its DSL handles non-constant coefficients
 and its HPGMG baseline is a variable-coefficient FV code.  This script
 solves ``-div(beta grad u) = f`` with a smoothly varying ``beta`` —
-same bricks, same communication-avoiding V-cycle, coefficients carried
-as extra bricked fields and volume-averaged onto the coarse levels —
-and verifies against a manufactured solution.
+same bricks, same communication-avoiding V-cycle on the same stacked
+engine, coefficients carried as extra bricked fields and volume-averaged
+onto the coarse levels — and verifies against a manufactured solution.
 
 Run:  python examples/variable_coefficients.py
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -43,7 +45,9 @@ def main() -> None:
     )
     u -= u.mean()
     solver.set_rhs(solver.apply_operator(u))
-    result = solver.solve(tol=1e-9, max_vcycles=60)
+    # a GMGSolver: the stopping rule is its SolverConfig's
+    solver.config = dataclasses.replace(solver.config, tol=1e-9, max_vcycles=60)
+    result = solver.solve()
 
     print("\nresidual history:")
     for cyc, res in enumerate(result.residual_history):

@@ -49,7 +49,6 @@ def _solver_config(args: argparse.Namespace):
         bottom_solver=args.bottom_solver,
         cycle=args.cycle,
         boundary=args.boundary,
-        communication_avoiding=not args.no_ca,
         agglomerate_threshold=getattr(args, "agglomerate_threshold", None),
     )
 
@@ -444,15 +443,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=_sys.stderr,
         )
         return 2
-    base = smoke_config(**overrides)
-    requests = [
-        SolveRequest(
-            config=base,
-            amplitude=float(spec.get("amplitude", 1.0)),
-            request_id=str(spec.get("request_id", f"req-{k}")),
-        )
-        for k, spec in enumerate(payload["requests"])
-    ]
+    try:
+        base = smoke_config(**overrides)
+        requests = [
+            SolveRequest(
+                config=base,
+                amplitude=float(spec.get("amplitude", 1.0)),
+                request_id=str(spec.get("request_id", f"req-{k}")),
+            )
+            for k, spec in enumerate(payload["requests"])
+        ]
+    except (TypeError, ValueError) as exc:
+        print(f"invalid request batch: {exc}", file=_sys.stderr)
+        return 2
     if not requests:
         print("no requests in batch", file=_sys.stderr)
         return 1
@@ -519,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cycle", default="V", choices=["V", "W", "F"])
         p.add_argument("--boundary", default="periodic",
                        choices=["periodic", "dirichlet", "neumann"])
-        p.add_argument("--no-ca", action="store_true",
-                       help="disable communication-avoiding smoothing")
         p.add_argument("--agglomerate-threshold", type=int, default=None,
                        metavar="POINTS",
                        help="merge coarse-level subdomains onto fewer "

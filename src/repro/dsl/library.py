@@ -193,7 +193,7 @@ def build_variable_coefficient_apply_op() -> Stencil:
         + cy(i, j, k) * (x(i, j + 1, k) + x(i, j - 1, k))
         + cz(i, j, k) * (x(i, j, k + 1) + x(i, j, k - 1))
     )
-    return Stencil("applyOpVariable", [Ax(i, j, k).assign(calc)])
+    return Stencil("applyOpVar", [Ax(i, j, k).assign(calc)])
 
 
 def theoretical_ai_table() -> dict[str, tuple[float, float]]:

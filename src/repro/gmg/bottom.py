@@ -112,8 +112,7 @@ class ConjugateGradientBottomSolver(BottomSolver):
         """Ax <- A x with a fresh ghost exchange (radius-1 stencil)."""
         vcycle.exchangers[lev].exchange(lev, [[lv.x] for lv in levels])
         for lv in levels:
-            with self.tracer.span("applyOp", l=lev):
-                vcycle.apply_op_fn(lv, vcycle.recorder)
+            vcycle.smoother.apply_op(lv, vcycle.recorder)
 
     def solve(self, vcycle, lev: int) -> None:
         from repro.gmg import operators as ops

@@ -39,11 +39,14 @@ class _StackedLevel:
     """All blocks' state at one depth, fused into one level-shaped object.
 
     Duck-types the :class:`~repro.gmg.level.Level` surface the smoothers
-    and operators consume (``grid``, ``constants``, ``fields()``,
-    ``workspace``, ``num_points``, ``index``), so every kernel caller
-    runs unchanged over the stacked storage.  ``num_points`` is the
-    interior-cell total across blocks, keeping recorded work sums equal
-    to the per-rank schedule's.
+    and operators consume (``grid``, ``constants``, ``fields()`` and one
+    attribute per field, ``workspace``, ``num_points``, ``index``), so
+    every kernel caller runs unchanged over the stacked storage.  The
+    fields are whatever the base level declares in ``fields()`` — the
+    solver's ``x/b/Ax/r``, plus the coefficient grids of a
+    variable-coefficient level.  ``num_points`` is the interior-cell
+    total across blocks, keeping recorded work sums equal to the
+    per-rank schedule's.
     """
 
     def __init__(self, base_levels: Sequence[Level]) -> None:
@@ -53,10 +56,12 @@ class _StackedLevel:
         self.dtype = first.dtype
         self.shape_cells = first.shape_cells
         self.grid = BatchedGrid(first.grid, len(base_levels))
-        self.x = BrickedArray.zeros(self.grid, dtype=self.dtype)
-        self.b = BrickedArray.zeros(self.grid, dtype=self.dtype)
-        self.Ax = BrickedArray.zeros(self.grid, dtype=self.dtype)
-        self.r = BrickedArray.zeros(self.grid, dtype=self.dtype)
+        self._fields = {
+            name: BrickedArray.zeros(self.grid, dtype=self.dtype)
+            for name in first.fields()
+        }
+        for name, stacked_field in self._fields.items():
+            setattr(self, name, stacked_field)
         self.workspace: dict = {}
         self._num_points = len(base_levels) * first.num_points
 
@@ -69,7 +74,7 @@ class _StackedLevel:
         return self.grid.ghost_cells
 
     def fields(self) -> dict[str, BrickedArray]:
-        return {"x": self.x, "b": self.b, "Ax": self.Ax, "r": self.r}
+        return dict(self._fields)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -137,8 +142,9 @@ class ExecutionEngine:
                     "adopt-rank", l=lev, rank=rank
                 ):
                     sl = st.grid.rank_slice(k)
+                    per_rank_fields = lv.fields()
                     for name, stacked_field in st.fields().items():
-                        per_rank = getattr(lv, name)
+                        per_rank = per_rank_fields[name]
                         stacked_field.data[sl] = per_rank.data
                         per_rank.bind_stacked(stacked_field, k)
 

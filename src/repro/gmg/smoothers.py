@@ -38,11 +38,11 @@ import numpy as np
 
 from repro.dsl.codegen import compile_stencil
 from repro.dsl.library import (
-    APPLY_OP,
     FUSED_APPLY_RESIDUAL,
     FUSED_SMOOTH,
     FUSED_SMOOTH_RESIDUAL,
 )
+from repro.gmg import operators as ops
 from repro.gmg.level import Level
 from repro.instrument import Recorder
 from repro.obs.tracer import NULL_TRACER
@@ -52,13 +52,6 @@ def _run_kernel(level: Level, stencil, consts: dict, sweeps: int = 1) -> None:
     """Apply one compiled stencil ``sweeps`` times over ``level``."""
     kernel = compile_stencil(stencil, level.grid.brick_dim)
     kernel.apply(level.fields(), consts, level.workspace, sweeps)
-
-
-def _apply_op(level: Level, recorder: Recorder | None, tracer=NULL_TRACER) -> None:
-    with tracer.span("applyOp", l=level.index):
-        _run_kernel(level, APPLY_OP, level.constants.as_dict())
-    if recorder is not None:
-        recorder.kernel(level.index, "applyOp", level.num_points)
 
 
 def _apply_op_residual(
@@ -95,6 +88,9 @@ class Smoother:
     number of iterations the window holds; it assumes the ghost shell
     of ``x`` (and ``b``) holds at least ``sweeps *
     ghost_cells_per_iteration`` cells of valid halo.
+
+    The smoother also owns the operator it relaxes: :meth:`apply_op` is
+    what the convergence check and the CG bottom solver apply.
     """
 
     name: str = "abstract"
@@ -120,6 +116,12 @@ class Smoother:
     ) -> None:
         """One smoothing iteration."""
         raise NotImplementedError
+
+    def apply_op(self, level: Level, recorder: Recorder | None) -> None:
+        """``Ax = A x`` (requires valid halo): the paper's constant-
+        coefficient 7-point operator."""
+        with self.tracer.span("applyOp", l=level.index):
+            ops.apply_op(level, recorder)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -222,7 +224,7 @@ class _ColoredSmoother(Smoother):
         recorder: Recorder | None,
         op_label: str,
     ) -> None:
-        _apply_op(level, recorder, self.tracer)
+        self.apply_op(level, recorder)
         with self.tracer.span(op_label, l=level.index):
             self._masked_update(level, mask)
         if recorder is not None:
@@ -335,7 +337,7 @@ class ChebyshevSmoother(Smoother):
         if with_residual:
             _apply_op_residual(level, recorder, self.tracer)
         else:
-            _apply_op(level, recorder, self.tracer)
+            self.apply_op(level, recorder)
         with self.tracer.span("chebyshev-update", l=level.index):
             np.subtract(level.b.data, level.Ax.data, out=r)
             # Chebyshev iteration on the preconditioned residual equation
@@ -347,7 +349,7 @@ class ChebyshevSmoother(Smoother):
         sigma = theta / delta
         rho = 1.0 / sigma
         for _ in range(1, self.degree):
-            _apply_op(level, recorder, self.tracer)
+            self.apply_op(level, recorder)
             with self.tracer.span("chebyshev-update", l=level.index):
                 np.subtract(level.b.data, level.Ax.data, out=r)
                 np.multiply(r, dinv, out=z)

@@ -53,7 +53,6 @@ class SolverConfig:
     tol: float = CONVERGENCE_TOL
     max_vcycles: int = 100
     ordering: str = "surface-major"
-    communication_avoiding: bool = True
     rank_dims: tuple[int, int, int] = (1, 1, 1)
     ranks_per_node: int = 1
     #: smoother registry name: jacobi (paper) / gsrb / sor / chebyshev
@@ -93,6 +92,10 @@ class SolverConfig:
         for name in ("brick_dim", "max_smooths", "bottom_smooths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive: {getattr(self, name)}")
+        if not self.tol >= 0.0:  # NaN fails every comparison
+            raise ValueError(f"tol must be a non-negative number: {self.tol}")
+        if self.max_vcycles < 0:
+            raise ValueError(f"max_vcycles must be non-negative: {self.max_vcycles}")
         if self.ordering not in ORDERINGS:
             raise ValueError(
                 f"unknown ordering {self.ordering!r}; choose from "
@@ -281,6 +284,10 @@ class Hierarchy:
         rung measures what an enabled tracer costs).
     """
 
+    #: the class of every rank's levels; a subclass whose operator reads
+    #: more grids names a level type that declares them in ``fields()``
+    level_type: type[Level] = Level
+
     def __init__(
         self,
         config: SolverConfig,
@@ -347,7 +354,7 @@ class Hierarchy:
                 cells = tuple(c >> lev for c in per_rank)
                 bdim = level_brick_dim(min(cells), config.brick_dim)
                 levels.append(
-                    Level(
+                    self.level_type(
                         lev,
                         cells,
                         bdim,
@@ -379,8 +386,7 @@ class Hierarchy:
                 tracer=self.tracer,
             )
 
-        for copy in range(self.copies):
-            self.set_rhs(copy=copy)
+        self._setup_problem()
 
         self.agglomerator = None
         if config.agglomerate_threshold is not None and self.topology.size > 1:
@@ -443,6 +449,12 @@ class Hierarchy:
         size = self.topology.size
         return self.rank_levels[copy * size : (copy + 1) * size]
 
+    def _setup_problem(self) -> None:
+        """Write the problem's data into the fresh levels, before any
+        engine adopts them: the model right-hand side of every copy."""
+        for copy in range(self.copies):
+            self.set_rhs(copy=copy)
+
     def set_rhs(self, amplitude: float = 1.0, copy: int = 0) -> None:
         """Write ``amplitude *`` the model problem's right-hand side into
         one copy's finest-level ``b`` (interior slots only: ghosts stay
@@ -474,12 +486,19 @@ class Hierarchy:
                 ranks.append(agg.ranks_at(lev))
         return groups, ranks
 
-    def make_vcycle(self, engine) -> VCycle:
-        """The configured cycle driver over this hierarchy.  ``engine``
-        is the engine that adopted it, or ``None`` for the per-rank
-        schedule."""
-        from repro.gmg.bottom import make_bottom_solver
+    def make_smoother(self):
+        """The configured :class:`~repro.gmg.smoothers.Smoother`, which
+        also supplies the operator the cycle applies."""
         from repro.gmg.smoothers import make_smoother
+
+        return make_smoother(
+            self.config.smoother, **dict(self.config.smoother_options)
+        )
+
+    def make_vcycle(self, engine: ExecutionEngine) -> VCycle:
+        """The configured cycle driver over this hierarchy, as adopted
+        by ``engine``."""
+        from repro.gmg.bottom import make_bottom_solver
 
         config = self.config
         bottom_kwargs = dict(config.bottom_options)
@@ -492,35 +511,38 @@ class Hierarchy:
         return VCycle(
             self.rank_levels,
             self.exchangers,
+            engine,
             max_smooths=config.max_smooths,
             bottom_smooths=config.bottom_smooths,
-            communication_avoiding=config.communication_avoiding,
             recorder=self.recorder,
-            smoother=make_smoother(config.smoother, **dict(config.smoother_options)),
+            smoother=self.make_smoother(),
             bottom_solver=make_bottom_solver(config.bottom_solver, **bottom_kwargs),
             cycle=config.cycle,
             allreduce_max=self.comm.allreduce_max,
             allreduce_sum=self.comm.allreduce_sum,
             topology=self.topology,
             fault_injector=self.injector,
-            engine=engine,
             tracer=self.tracer,
             agglomerator=self.agglomerator,
             copies=self.copies,
         )
 
+    def _subdomains(self, copy: int = 0):
+        """``(finest level, its window of the global grid)`` per rank of
+        one copy."""
+        per_rank = self.config.cells_per_rank
+        for rank, levels in enumerate(self._copy_levels(copy)):
+            origin = self.topology.subdomain_origin(rank, per_rank)
+            yield levels[0], tuple(
+                slice(o, o + n) for o, n in zip(origin, per_rank)
+            )
+
     def _assemble(self, name: str, copy: int = 0) -> np.ndarray:
         """One copy's global finest-level field ``name``, dense."""
         N = self.config.global_cells
         out = np.empty((N, N, N), dtype=np.float64)
-        per_rank = self.config.cells_per_rank
-        for rank, levels in enumerate(self._copy_levels(copy)):
-            o = self.topology.subdomain_origin(rank, per_rank)
-            out[
-                o[0] : o[0] + per_rank[0],
-                o[1] : o[1] + per_rank[1],
-                o[2] : o[2] + per_rank[2],
-            ] = getattr(levels[0], name).to_ijk()
+        for level, window in self._subdomains(copy):
+            out[window] = getattr(level, name).to_ijk()
         return out
 
     def solution(self, copy: int = 0) -> np.ndarray:
@@ -670,32 +692,35 @@ class GMGSolver(Hierarchy):
         )
 
 
-def estimate_solve_time(config: SolverConfig, machine, num_vcycles: int) -> float:
-    """Model the wall-clock of ``config`` on a machine (seconds).
+def timed_model(config: SolverConfig, machine, num_vcycles: int):
+    """The performance model of ``config``'s solve on a machine.
 
     Bridges the functional and performance layers: the same
     configuration a :class:`GMGSolver` executes numerically is priced by
-    :class:`repro.harness.vcycle_sim.TimedSolve` for any of the paper's
-    machines — e.g. "this 1024^3 solve would take ~2.8 s on Perlmutter".
-    Requires a periodic configuration (the harness models the paper's
-    experiments).
+    the returned :class:`repro.harness.vcycle_sim.TimedSolve` for any of
+    the paper's machines.  Requires a periodic configuration (the
+    harness models the paper's experiments).
     """
     from repro.harness.vcycle_sim import TimedSolve, WorkloadConfig
 
     if config.boundary != "periodic":
         raise ValueError("the performance harness models periodic runs only")
-    per_rank = config.cells_per_rank
     workload = WorkloadConfig(
-        per_rank_cells=per_rank,
+        per_rank_cells=config.cells_per_rank,
         num_levels=config.num_levels,
         max_smooths=config.max_smooths,
         bottom_smooths=config.bottom_smooths,
         num_vcycles=num_vcycles,
         rank_dims=config.rank_dims,
         ranks_per_node=config.ranks_per_node,
-        communication_avoiding=config.communication_avoiding,
         ordering=config.ordering,
         brick_dim=config.brick_dim,
         precision=config.precision,
     )
-    return TimedSolve(machine, workload).total_solve_time()
+    return TimedSolve(machine, workload)
+
+
+def estimate_solve_time(config: SolverConfig, machine, num_vcycles: int) -> float:
+    """Model the wall-clock of ``config`` on a machine (seconds) — e.g.
+    "this 1024^3 solve would take ~2.8 s on Perlmutter"."""
+    return timed_model(config, machine, num_vcycles).total_solve_time()

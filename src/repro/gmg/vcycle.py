@@ -1,7 +1,8 @@
 """The multigrid cycle driver (Algorithms 1 and 2 of the paper).
 
-Runs any number of simulated ranks in lockstep: compute phases loop
-over ranks, communication phases go through the level's
+Runs any number of simulated ranks in lockstep: compute phases run once
+over each depth's stacked level (:mod:`repro.gmg.engine`),
+communication phases go through the level's
 :class:`~repro.comm.exchange.HaloExchange` — the same exchanger for
 one rank, many ranks and a service cohort's stacked copies.
 
@@ -9,13 +10,16 @@ Communication-avoiding smoothing (Section V): the ghost shell is one
 brick deep, so one exchange validates ``brick_dim`` halo cells; each
 smoothing iteration consumes the smoother's declared number of cells
 (one for Jacobi; two for coloured sweeps; ``degree`` for Chebyshev).
-With CA enabled, a level performs ``ceil(smooths / (depth // cells
-per iteration))`` exchanges per visit instead of one per smooth; ghost
-bricks are updated redundantly and the corruption that creeps inward
-from the shell's outer boundary never reaches interior cells within the
-allowed iteration count.  The first exchange of each level visit
-aggregates ``b`` with ``x`` into one message per neighbour (``b``'s
-ghost stays valid for the rest of the visit).
+A level performs ``ceil(smooths / (depth // cells per iteration))``
+exchanges per visit instead of one per smooth; ghost bricks are
+updated redundantly and the corruption that creeps inward from the
+shell's outer boundary never reaches interior cells within the allowed
+iteration count.  The first exchange of each level visit aggregates
+``b`` with ``x`` into one message per neighbour (``b``'s ghost stays
+valid for the rest of the visit).  Exchanging before every smooth —
+HPGMG's schedule, the paper's baseline — is priced by
+:mod:`repro.harness.vcycle_sim` and run by
+:class:`~repro.gmg.baseline.ArrayGMG`.
 
 Cycle types: the paper evaluates V-cycles; W-cycles (two recursive
 coarse visits) and F-cycles (one F visit followed by a V visit) are
@@ -32,6 +36,7 @@ import numpy as np
 from repro.comm.exchange import HaloExchange
 from repro.gmg import operators as ops
 from repro.gmg.bottom import BottomSolver, RelaxationBottomSolver
+from repro.gmg.engine import ExecutionEngine
 from repro.gmg.level import Level
 from repro.gmg.problem import CONVERGENCE_TOL
 from repro.gmg.smoothers import JacobiSmoother, Smoother
@@ -52,40 +57,30 @@ class VCycle:
         hierarchies.
     exchangers:
         One exchanger per level.
+    engine:
+        The :class:`~repro.gmg.engine.ExecutionEngine` that stacked
+        ``rank_levels``: compute phases run once over each depth's
+        stacked level.
     max_smooths:
         Smoothing iterations per level visit (the paper uses 12).
     bottom_smooths:
         Iterations of the default point-relaxation bottom solver
         (paper: 100); ignored when ``bottom_solver`` is supplied.
-    communication_avoiding:
-        When False, exchange before every smoothing iteration (the
-        conventional schedule the paper's baseline follows).
     smoother:
         A :class:`~repro.gmg.smoothers.Smoother`; defaults to the
-        paper's damped Jacobi.
+        paper's damped Jacobi.  Its ``apply_op`` is also the operator
+        of the convergence check and of the CG bottom solver.
     bottom_solver:
         A :class:`~repro.gmg.bottom.BottomSolver`; defaults to
         relaxation with ``bottom_smooths`` iterations.
     cycle:
         ``"V"`` (paper), ``"W"`` or ``"F"``.
-    apply_op_fn:
-        Operator application used by the convergence check (and by
-        bottom solvers that need ``A``); defaults to the
-        constant-coefficient 7-point kernel.  Variable-coefficient
-        solvers supply their own.
     allreduce_max / allreduce_sum:
         Cross-rank reductions (the solvers pass their ``SimComm``'s);
         the defaults reduce a bare driver's values in place.
     topology:
         Optional :class:`~repro.comm.topology.CartTopology` (needed by
         the FFT bottom solver to assemble the global coarse grid).
-    engine:
-        The :class:`~repro.gmg.engine.ExecutionEngine` that stacked
-        ``rank_levels``: compute phases then run once over each depth's
-        stacked level.  ``None`` loops over the per-rank levels instead
-        — the schedule of the variable-coefficient solver, whose levels
-        carry coefficient fields the engine does not stack, and of the
-        test oracle.
     copies:
         How many independent problems ``rank_levels`` stacks
         (copy-major); :meth:`residual_norms` reduces each separately.
@@ -95,9 +90,9 @@ class VCycle:
         self,
         rank_levels: Sequence[Sequence[Level]],
         exchangers: Sequence[HaloExchange],
+        engine: ExecutionEngine,
         max_smooths: int = 12,
         bottom_smooths: int = 100,
-        communication_avoiding: bool = True,
         recorder: Recorder | None = None,
         smoother: Smoother | None = None,
         bottom_solver: BottomSolver | None = None,
@@ -105,9 +100,7 @@ class VCycle:
         allreduce_max=None,
         allreduce_sum=None,
         topology=None,
-        apply_op_fn=None,
         fault_injector=None,
-        engine=None,
         tracer=None,
         agglomerator=None,
         copies: int = 1,
@@ -130,7 +123,6 @@ class VCycle:
         self.exchangers = list(exchangers)
         self.max_smooths = int(max_smooths)
         self.bottom_smooths = int(bottom_smooths)
-        self.communication_avoiding = bool(communication_avoiding)
         self.recorder = recorder
         self.smoother = smoother or JacobiSmoother()
         self.bottom_solver = bottom_solver or RelaxationBottomSolver(bottom_smooths)
@@ -156,7 +148,6 @@ class VCycle:
         # surfaces in the health checks of single-rank runs too.
         self._allreduce_max = allreduce_max or (lambda values: float(np.max(values)))
         self.allreduce_sum = allreduce_sum or (lambda values: sum(values))
-        self.apply_op_fn = apply_op_fn or ops.apply_op
         self._validate_ca_budget()
 
     def _validate_ca_budget(self) -> None:
@@ -201,8 +192,6 @@ class VCycle:
 
     def iterations_per_exchange(self, lev: int) -> int:
         """Smoothing iterations one exchange's halo budget supports."""
-        if not self.communication_avoiding:
-            return 1
         depth = self.levels_at(lev)[0].ghost_depth_cells
         return max(1, depth // self.smoother.ghost_cells_per_iteration)
 
@@ -214,16 +203,15 @@ class VCycle:
     def smooth_level(self, lev: int, iterations: int, with_residual: bool) -> None:
         """One smoothing visit: CA-scheduled exchanges + iterations.
 
-        The exchange cadence is part of the numerics; under the engine
-        the per-rank smoother loop collapses into one iterate over the
-        stacked level (exchanges still address the per-rank fields,
-        whose storage views the stacked arrays).  Each exchange
-        opens a *window* of as many iterations as its halo stays valid
-        for (one without communication avoiding), handed to the
-        smoother in a single ``iterate(..., sweeps=window)``.
+        The exchange cadence is part of the numerics; the smoother runs
+        once over the stacked level (exchanges still address the
+        per-rank fields, whose storage views the stacked arrays).  Each
+        exchange opens a *window* of as many iterations as its halo
+        stays valid for, handed to the smoother in a single
+        ``iterate(..., sweeps=window)``.
         """
         levels = self.levels_at(lev)
-        targets = self._compute_targets(lev, levels)
+        targets = self._compute_targets(lev)
         exchanger = self.exchanger_at(lev)
         per_window = self.iterations_per_exchange(lev)
         fields = [[lv.x, lv.b] for lv in levels]
@@ -250,16 +238,12 @@ class VCycle:
                     self.fault_injector.kernel_sdc(lev, rank, lv.x)
 
     # ------------------------------------------------------------------
-    def _compute_targets(self, lev: int, levels):
+    def _compute_targets(self, lev: int) -> list:
         """What the compute phases of depth ``lev`` iterate over: the
-        engine's one stacked level, or the per-rank ``levels``."""
-        if self.engine is None:
-            return levels
+        engine's one stacked level."""
         return [self.engine.stacked_level(lev)]
 
     def _stacked_pair(self, lev: int):
-        if self.engine is None:
-            return None
         return self.engine.stacked_intergrid_pair(lev)
 
     def _transfer_at(self, lev: int):
@@ -374,11 +358,10 @@ class VCycle:
         ``residual-check`` span."""
         levels = self.levels_at(0)
         self.exchanger_at(0).exchange(0, [[lv.x] for lv in levels])
-        # under the engine one applyOp + residual covers all rank
-        # blocks; per-rank reductions read through the stacked views
-        for target in self._compute_targets(0, levels):
-            with self.tracer.span("applyOp", l=0):
-                self.apply_op_fn(target, self.recorder)
+        # one applyOp + residual covers all rank blocks; per-rank
+        # reductions read through the stacked views
+        for target in self._compute_targets(0):
+            self.smoother.apply_op(target, self.recorder)
             with self.tracer.span("residual", l=0):
                 ops.residual(target, self.recorder)
         return levels
@@ -393,8 +376,7 @@ class VCycle:
             return float(self._allreduce_max(local))
 
     def residual_norms(self) -> list[float]:
-        """Finest-level residual max-norm of each stacked copy (needs
-        the engine).
+        """Finest-level residual max-norm of each stacked copy.
 
         :meth:`max_norm_residual`'s residual pass, reduced per copy
         with ``float(np.max(...))`` — bit-identical to both the default

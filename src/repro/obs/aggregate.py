@@ -134,29 +134,11 @@ def span_coverage(tracer: Tracer, root_name: str = "solve") -> float:
 # measured vs model
 # ----------------------------------------------------------------------
 def model_level_times(config, machine, num_vcycles: int) -> list[dict]:
-    """The machine model's per-level op totals for ``config``'s schedule.
+    """The machine model's per-level op totals for ``config``'s schedule
+    (:func:`repro.gmg.solver.timed_model`; periodic configurations only)."""
+    from repro.gmg.solver import timed_model
 
-    Mirrors :func:`repro.gmg.solver.estimate_solve_time`'s bridge into
-    the performance harness; requires a periodic configuration.
-    """
-    from repro.harness.vcycle_sim import TimedSolve, WorkloadConfig
-
-    if config.boundary != "periodic":
-        raise ValueError("the performance harness models periodic runs only")
-    workload = WorkloadConfig(
-        per_rank_cells=config.cells_per_rank,
-        num_levels=config.num_levels,
-        max_smooths=config.max_smooths,
-        bottom_smooths=config.bottom_smooths,
-        num_vcycles=max(num_vcycles, 1),
-        rank_dims=config.rank_dims,
-        ranks_per_node=config.ranks_per_node,
-        communication_avoiding=config.communication_avoiding,
-        ordering=config.ordering,
-        brick_dim=config.brick_dim,
-        precision=config.precision,
-    )
-    return TimedSolve(machine, workload).solve_level_times()
+    return timed_model(config, machine, max(num_vcycles, 1)).solve_level_times()
 
 
 def kernel_bytes_per_point(itemsize: int) -> dict[str, int]:

@@ -10,6 +10,7 @@ from unittest import mock
 from repro.bricks import BrickGrid, BrickedArray
 from repro.dsl import native
 from repro.faults import FaultInjector, FaultPlan, ResilienceConfig
+from repro.gmg.vcycle import VCycle
 
 #: a backend that offers no native kernels, for reaching the oracle
 NUMPY_BACKEND = native.Backend("NumPy kernels requested by the test")
@@ -20,6 +21,16 @@ def numpy_path():
     kernels (usable where a function-scoped fixture is not, e.g. under
     hypothesis)."""
     return mock.patch.object(native, "resolve_backend", lambda: NUMPY_BACKEND)
+
+
+def exchange_every_sweep():
+    """Context manager: every cycle inside exchanges before each
+    smoothing iteration — HPGMG's schedule, the paper's baseline —
+    instead of once per halo budget (the communication-avoiding
+    schedule, the only one the solver runs)."""
+    return mock.patch.object(
+        VCycle, "iterations_per_exchange", lambda self, lev: 1
+    )
 
 
 class ArmedNeverStriking:

@@ -2,16 +2,17 @@
 
 The seed schedule, kept because it is the simplest thing that computes
 the paper's Algorithms 1 and 2 on bricks: per-rank levels, a Python loop
-over ranks (``VCycle(engine=None)``), each smoothing iteration as the
-paper's kernel sequence — ``applyOp``, then ``smooth`` or
-``smooth+residual`` — one kernel launch per stage and per sweep, every
-launch through ``gather_extended`` and the generated NumPy function.
-Nothing in it is stacked, fused, windowed or native, so agreement with
-it byte for byte pins all of those at once.
+over ranks (no engine adopts the hierarchy; :func:`per_rank` points the
+cycle's compute phases at the per-rank levels), each smoothing
+iteration as the paper's kernel sequence — ``applyOp``, then ``smooth``
+or ``smooth+residual`` — one kernel launch per stage and per sweep,
+every launch through ``gather_extended`` and the generated NumPy
+function.  Nothing in it is stacked, fused, windowed or native, so
+agreement with it byte for byte pins all of those at once.
 
 The oracle shares the hierarchy (levels, exchangers, agglomerator,
-right-hand side) and the resilient driver with the solver under test;
-what it replaces is how kernels execute.
+right-hand side or coefficients) and the resilient driver with the
+solver under test; what it replaces is how kernels execute.
 
 A fault-free, untraced oracle solve is a pure function of its
 :class:`SolverConfig`, so :func:`oracle_solve` keeps one
@@ -29,6 +30,7 @@ from repro.dsl.codegen import compile_stencil
 from repro.dsl.library import SMOOTH, SMOOTH_RESIDUAL
 from repro.gmg import GMGSolver, Hierarchy, JacobiSmoother, SolverConfig
 from repro.gmg import operators as ops
+from repro.gmg.varcoef import VariableCoefficientSolver
 
 from tests.conftest import numpy_path
 
@@ -46,15 +48,24 @@ class StagedJacobi(JacobiSmoother):
                 recorder.kernel(level.index, stencil.name, level.num_points)
 
 
+def per_rank(vcycle):
+    """Point ``vcycle``'s compute phases at the per-rank levels: every
+    kernel runs once per rank, every inter-grid transfer per rank pair."""
+    vcycle._compute_targets = vcycle.levels_at
+    vcycle._stacked_pair = lambda lev: None
+    return vcycle
+
+
 class OracleSolver(GMGSolver):
     """``config``'s hierarchy under the seed schedule."""
 
     def __init__(self, config: SolverConfig, **kwargs) -> None:
         Hierarchy.__init__(self, config, **kwargs)
         self.engine = None
-        self.vcycle = self.make_vcycle(None)
-        # the other smoothers' updates are plain NumPy already
-        if config.smoother == "jacobi":
+        self.vcycle = per_rank(self.make_vcycle(None))
+        # the other smoothers' updates (and the variable-coefficient
+        # sweep's two kernels) are unfused already
+        if type(self.vcycle.smoother) is JacobiSmoother:
             staged = StagedJacobi(**dict(config.smoother_options))
             staged.tracer = self.vcycle.smoother.tracer
             self.vcycle.smoother = staged
@@ -62,6 +73,11 @@ class OracleSolver(GMGSolver):
     def solve(self):
         with numpy_path():
             return super().solve()
+
+
+class OracleVariableCoefficientSolver(VariableCoefficientSolver, OracleSolver):
+    """A :class:`VariableCoefficientSolver` under the seed schedule (the
+    constructor's hierarchy is the oracle's: no engine adopts it)."""
 
 
 def stored_fields(solver) -> list[np.ndarray]:
@@ -95,8 +111,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 _RECORDS: dict[SolverConfig, OracleRecord] = {}
 
 
-def _solve(config: SolverConfig, **solver_kwargs) -> OracleRecord:
-    oracle = OracleSolver(config, **solver_kwargs)
+def oracle_record(oracle: OracleSolver) -> OracleRecord:
+    """Solve a constructed oracle and keep what it left behind."""
     result = oracle.solve()
     return OracleRecord(
         status=result.status,
@@ -112,21 +128,17 @@ def oracle_solve(config: SolverConfig, **solver_kwargs) -> OracleRecord:
     """The oracle's record for ``config``; solved once per session
     unless a fault plan, resilience or tracer makes the solve its own."""
     if solver_kwargs:
-        return _solve(config, **solver_kwargs)
+        return oracle_record(OracleSolver(config, **solver_kwargs))
     record = _RECORDS.get(config)
     if record is None:
-        record = _RECORDS[config] = _solve(config)
+        record = _RECORDS[config] = oracle_record(OracleSolver(config))
     return record
 
 
-def assert_matches_oracle(config: SolverConfig, **solver_kwargs):
-    """Solve ``config`` with :class:`GMGSolver` and require the status,
-    residual history, assembled solution and stored fields of
-    :func:`oracle_solve`, byte for byte.  Returns the solver's
-    ``(result, solver)``."""
-    solver = GMGSolver(config, **solver_kwargs)
-    result = solver.solve()
-    expected = oracle_solve(config, **solver_kwargs)
+def assert_matches_record(result, solver, expected: OracleRecord) -> None:
+    """``solver``'s finished solve (``result``) left the status, residual
+    history, assembled solution and stored fields of ``expected``, byte
+    for byte."""
     assert result.status == expected.status
     assert result.num_vcycles == expected.num_vcycles
     assert result.rollbacks == expected.rollbacks
@@ -136,4 +148,13 @@ def assert_matches_oracle(config: SolverConfig, **solver_kwargs):
     for got, want in pairs:
         np.testing.assert_array_equal(got, want)  # says where they differ
         assert got.tobytes() == want.tobytes()  # signed zeros, NaN payloads
+
+
+def assert_matches_oracle(config: SolverConfig, **solver_kwargs):
+    """Solve ``config`` with :class:`GMGSolver` and require
+    :func:`oracle_solve`'s record.  Returns the solver's ``(result,
+    solver)``."""
+    solver = GMGSolver(config, **solver_kwargs)
+    result = solver.solve()
+    assert_matches_record(result, solver, oracle_solve(config, **solver_kwargs))
     return result, solver

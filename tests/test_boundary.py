@@ -12,6 +12,7 @@ from repro.gmg.problem import (
     discrete_solution_dirichlet,
     rhs_field_dirichlet,
 )
+from tests.conftest import exchange_every_sweep
 
 BASE = dict(global_cells=32, num_levels=3, brick_dim=4,
             max_smooths=8, bottom_smooths=40)
@@ -162,9 +163,9 @@ class TestDirichletSolves:
         """Mirror arithmetic is antisymmetric only up to reassociation,
         so CA redundant ghost updates agree to rounding, not bitwise."""
         solver, _ = serial
-        plain = GMGSolver(SolverConfig(**BASE, boundary="dirichlet",
-                                       communication_avoiding=False))
-        plain.solve()
+        with exchange_every_sweep():
+            plain = GMGSolver(SolverConfig(**BASE, boundary="dirichlet"))
+            plain.solve()
         np.testing.assert_allclose(
             plain.solution(), solver.solution(), atol=1e-14
         )

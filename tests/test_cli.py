@@ -39,10 +39,17 @@ class TestSolveCommand:
                    "--bottom", "20", "-n", "1"])
         assert rc == 1
 
-    def test_no_ca_flag(self, capsys):
-        rc = main(["solve", "-s", "16", "-l", "2", "--smooths", "6",
-                   "--bottom", "20", "--no-ca"])
-        assert rc == 0
+    def test_retired_no_ca_flag_fails_by_name(self, capsys):
+        """Communication-avoiding smoothing is the only schedule: the
+        flag and the config field that switched it off are gone."""
+        from repro.gmg import SolverConfig
+
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-s", "16", "-l", "2", "--no-ca"])
+        assert exc.value.code == 2
+        assert "--no-ca" in capsys.readouterr().err
+        with pytest.raises(TypeError, match="communication_avoiding"):
+            SolverConfig(communication_avoiding=False)
 
     def test_trace_flag_writes_valid_chrome_trace(self, capsys, tmp_path):
         from repro.obs import validate_chrome_trace_file
@@ -248,7 +255,7 @@ class TestValidateCommand:
     def test_all_checks_pass(self, capsys):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
-        assert "7/7 checks passed" in out
+        assert "6/6 checks passed" in out
         assert "FAIL" not in out
 
 
@@ -355,7 +362,30 @@ class TestServeCommand:
         assert line.startswith("unknown config key 'overlap'; valid fields: ")
         listed = line.split("valid fields: ")[1].split(", ")
         assert listed == sorted(f.name for f in dataclasses.fields(SolverConfig))
-        assert len(listed) == 19 and "num_levels" in listed
+        assert len(listed) == 18 and "num_levels" in listed
+
+    @pytest.mark.parametrize(
+        "batch,needle",
+        [
+            ({"config": {"max_vcycles": -2}, "requests": [{}]}, "max_vcycles"),
+            ({"config": {"tol": float("nan")}, "requests": [{}]}, "tol"),
+            ([{"amplitude": float("nan")}], "amplitude"),
+        ],
+        ids=["negative-max-vcycles", "nan-tol", "nan-amplitude"],
+    )
+    def test_malformed_batch_is_one_line_exit_2(self, batch, needle, capsys, tmp_path):
+        """A bad value in a batch ends like an unknown key: the
+        ``ValueError`` on one stderr line and exit 2 — no traceback and
+        no solve that answers ``converged: false`` after 0 cycles."""
+        import json
+
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))  # NaN is written as JSON NaN
+        assert main(["serve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("invalid request batch: ") and needle in line
 
     def test_empty_batch_rejected(self, capsys, tmp_path):
         batch = tmp_path / "batch.json"

@@ -6,6 +6,7 @@ from repro.gmg import GMGSolver, SolverConfig
 from repro.harness.vcycle_sim import TimedSolve, WorkloadConfig, decompose_for
 from repro.machines import FRONTIER, PERLMUTTER, SUNSPOT
 from repro.obs.aggregate import by_paper_op
+from tests.conftest import exchange_every_sweep
 
 
 class TestWorkloadConfig:
@@ -102,10 +103,10 @@ class TestScheduleFidelity:
         cfg = SolverConfig(
             global_cells=16, num_levels=2, brick_dim=4, max_smooths=5,
             bottom_smooths=6, tol=0.0, max_vcycles=1,
-            communication_avoiding=False,
         )
-        solver = GMGSolver(cfg)
-        result = solver.solve()
+        with exchange_every_sweep():
+            solver = GMGSolver(cfg)
+            result = solver.solve()
         w = WorkloadConfig(
             per_rank_cells=(16, 16, 16), num_levels=2, max_smooths=5,
             bottom_smooths=6, rank_dims=(1, 1, 1), brick_dim=4,

@@ -10,6 +10,8 @@ for byte.  They run natively and with the compilers masked (the NumPy
 path then loops, and the schedule checks still bite).
 """
 
+import contextlib
+import dataclasses
 import math
 from unittest import mock
 
@@ -25,7 +27,7 @@ from repro.gmg.smoothers import JacobiSmoother, Smoother
 from repro.gmg.vcycle import VCycle
 from repro.obs import Tracer, aggregate_by_level_op
 from repro.obs.metrics import MetricsRegistry, solve_metrics
-from tests.conftest import numpy_path
+from tests.conftest import exchange_every_sweep, numpy_path
 from tests.test_native_kernels import (
     GRIDS,
     STENCILS,
@@ -149,7 +151,7 @@ def single_sweep_smooth_level(self, lev, iterations, with_residual):
     """``VCycle.smooth_level`` as it was before windows: one exchange
     check and one ``iterate`` per iteration, ranks innermost."""
     levels = self.levels_at(lev)
-    targets = self._compute_targets(lev, levels)
+    targets = self._compute_targets(lev)
     per_iter = self.smoother.ghost_cells_per_iteration
     budget = self.iterations_per_exchange(lev) * per_iter
     ghost_valid = 0
@@ -175,7 +177,7 @@ SOLVES = {
     "kernel_1rank_64": dict(global_cells=64, num_levels=4, brick_dim=8),
     "exchange_8rank_32": dict(**EIGHT_RANKS),
     "default_1rank_32": dict(global_cells=32, num_levels=3, brick_dim=4),
-    "windows-of-one": dict(**SMALL, communication_avoiding=False),
+    "windows-of-one": dict(**SMALL),  # under exchange_every_sweep()
     "gsrb": dict(**SMALL, smoother="gsrb"),
     "chebyshev": dict(**SMALL, smoother="chebyshev"),
     "fp32": dict(**SMALL, precision="fp32"),
@@ -248,7 +250,13 @@ def test_solve_matches_single_sweep_schedule(name):
     def make_solver():
         return GMGSolver(SolverConfig(**SOLVES[name]))
 
-    assert_same_observables(observables(make_solver()), reference_observables(make_solver))
+    schedule = (
+        exchange_every_sweep() if name == "windows-of-one" else contextlib.nullcontext()
+    )
+    with schedule:
+        assert_same_observables(
+            observables(make_solver()), reference_observables(make_solver)
+        )
 
 
 def test_faulted_solve_matches_single_sweep_schedule():
@@ -265,7 +273,8 @@ def test_variable_coefficient_solve_matches_single_sweep_schedule():
             lambda x, y, z: 1.0 + 0.5 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
             global_cells=16, num_levels=2, brick_dim=4, rank_dims=(2, 1, 1),
         )
-        result = solver.solve(max_vcycles=4)
+        solver.config = dataclasses.replace(solver.config, max_vcycles=4)
+        result = solver.solve()
         return [h.hex() for h in result.residual_history], solver.recorder.kernel_counts()
 
     with numpy_path(), mock.patch.object(

@@ -28,20 +28,29 @@ class TestConfigValidation:
             ("max_smooths", 0),
             ("bottom_smooths", 0),
             ("ordering", "hilbert"),
+            ("tol", float("nan")),
+            ("tol", -1e-10),
+            ("max_vcycles", -1),
         ],
     )
     def test_bad_values_are_rejected_by_name_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
+    def test_zero_tol_and_zero_cycles_are_legal(self):
+        config = SolverConfig(global_cells=8, num_levels=2, brick_dim=2,
+                              tol=0.0, max_vcycles=0)
+        assert GMGSolver(config).solve().num_vcycles == 0
+
     def test_there_is_no_execution_option(self):
-        """How a solve executes is not configurable: 19 fields, none
+        """How a solve executes is not configurable: 18 fields, none
         of them a schedule, and every solver stacks its levels under an
         engine."""
         import dataclasses
 
         names = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert len(names) == 19 and "overlap" not in names
+        assert len(names) == 18
+        assert "overlap" not in names and "communication_avoiding" not in names
         solver = GMGSolver(SolverConfig(global_cells=16, num_levels=2))
         for lev in range(2):
             assert solver.engine.stacked_level(lev).grid.num_ranks == 1

@@ -2,6 +2,9 @@
 format is fairly flexible, including ... non-constant coefficients")
 and the multigrid solver built on them."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,12 @@ from repro.gmg.varcoef import (
     VarCoefLevel,
     VariableCoefficientJacobi,
     VariableCoefficientSolver,
+)
+from tests.conftest import numpy_path
+from tests.oracle import (
+    OracleVariableCoefficientSolver,
+    assert_matches_record,
+    oracle_record,
 )
 
 
@@ -32,6 +41,22 @@ def manufactured_u(n: int) -> np.ndarray:
         * np.cos(2 * np.pi * c)[None, None, :]
     )
     return u - u.mean()
+
+
+def stopping_at(solver, tol, max_vcycles):
+    """``solver`` with its config's stopping rule replaced."""
+    solver.config = dataclasses.replace(
+        solver.config, tol=tol, max_vcycles=max_vcycles
+    )
+    return solver
+
+
+def manufactured_solver(cls=VariableCoefficientSolver, rank_dims=(1, 1, 1)):
+    """The 32^3 manufactured problem ``b = A u``, ready to solve to 1e-9."""
+    s = cls(beta_smooth, global_cells=32, num_levels=3, brick_dim=4,
+            max_smooths=8, bottom_smooths=60, rank_dims=rank_dims)
+    s.set_rhs(s.apply_operator(manufactured_u(32)))
+    return stopping_at(s, 1e-9, 60)
 
 
 class TestKernels:
@@ -63,6 +88,20 @@ class TestVarCoefLevel:
         lv = VarCoefLevel(0, (8, 8, 8), 4, h=1 / 8)
         with pytest.raises(ValueError, match="positive"):
             lv.set_coefficient(np.zeros((8, 8, 8)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected_at_construction(self, bad):
+        """NaN passes ``beta <= 0``; it must not reach a solve that runs
+        and returns a ``[nan]`` history."""
+
+        def beta(x, y, z):
+            out = np.ones(np.broadcast_shapes(x.shape, y.shape, z.shape))
+            out[1, 2, 3] = bad
+            return out
+
+        with pytest.raises(ValueError, match="finite"):
+            VariableCoefficientSolver(beta, global_cells=8, num_levels=2,
+                                      brick_dim=4)
 
     def test_fields_include_coefficients(self):
         lv = VarCoefLevel(0, (8, 8, 8), 4, h=1 / 8)
@@ -107,14 +146,8 @@ class TestOperator:
 class TestSolve:
     @pytest.fixture(scope="class")
     def solved(self):
-        s = VariableCoefficientSolver(beta_smooth, global_cells=32,
-                                      num_levels=3, brick_dim=4,
-                                      max_smooths=8, bottom_smooths=60)
-        u = manufactured_u(32)
-        b = s.apply_operator(u)
-        s.set_rhs(b)
-        result = s.solve(tol=1e-9, max_vcycles=60)
-        return s, u, result
+        s = manufactured_solver()
+        return s, manufactured_u(32), s.solve()
 
     def test_converges(self, solved):
         _, _, result = solved
@@ -133,13 +166,9 @@ class TestSolve:
         assert all(b < a for a, b in zip(h, h[1:]))
 
     def test_distributed_solve_matches_serial(self, solved):
-        s, u, _ = solved
-        dist = VariableCoefficientSolver(beta_smooth, global_cells=32,
-                                         num_levels=3, brick_dim=4,
-                                         max_smooths=8, bottom_smooths=60,
-                                         rank_dims=(2, 1, 1))
-        dist.set_rhs(dist.apply_operator(u))
-        dist.solve(tol=1e-9, max_vcycles=60)
+        s, _, _ = solved
+        dist = manufactured_solver(rank_dims=(2, 1, 1))
+        dist.solve()
         a = s.solution()
         b = dist.solution()
         np.testing.assert_allclose(a - a.mean(), b - b.mean(), atol=1e-12)
@@ -165,8 +194,77 @@ class TestSolve:
                                       bottom_smooths=60)
         u = manufactured_u(32)
         s.set_rhs(s.apply_operator(u))
-        result = s.solve(tol=1e-8, max_vcycles=80)
+        result = stopping_at(s, 1e-8, 80).solve()
         assert result.converged
+
+
+# ----------------------------------------------------------------------
+# the engine path pinned to the per-rank schedule and to earlier releases
+# ----------------------------------------------------------------------
+#: the 32^3 manufactured solve (8 smooths, 60 bottom smooths, tol 1e-9)
+#: as the per-rank ``VCycle`` loop computed it before the solver ran on
+#: the stacked engine: one residual history for every rank grid, and
+#: the SHA-256 of the assembled solution and of every rank level's
+#: stored ``x``, ``Ax`` and ``r`` (ghosts included)
+RELEASED_HISTORY = [
+    "0x1.743a6cb0c8690p+8", "0x1.a30c41982a590p+5", "0x1.523fd15487000p+0",
+    "0x1.f1c40eed6c000p-4", "0x1.2817af5d00000p-8", "0x1.92c2fa4e00000p-12",
+    "0x1.59eb447000000p-16", "0x1.8a120a0000000p-20", "0x1.a09bd00000000p-24",
+    "0x1.8bbe000000000p-28", "0x1.db10000000000p-32",
+]
+RELEASED_SOLUTION = "bfde6a29da727a15f7b1f4d1349926b9f9f1c670b2cc989b9bf02f3a22435631"
+RELEASED_STORED = {
+    (1, 1, 1): "c160437562c7b5069d7e0f4f7c71b57ff5aff0b41c3677221a0a79e3bff564f5",
+    (2, 1, 1): "ab81363a6a315f312e6ddb55df906268cecea25fb12e44264384b0ebd1dfdf5a",
+    (2, 2, 2): "2be7d43fd111186b539330bf3111f1a29fa3808a7c8b8d3955c71dfb11b0d0ed",
+}
+
+
+def sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("rank_dims", list(RELEASED_STORED), ids=str)
+def test_engine_solve_matches_oracle_and_release(rank_dims):
+    """Coefficients stacked by the engine, one kernel call per depth:
+    status, history, solution and stored fields equal the per-rank
+    NumPy schedule's byte for byte, and the released numbers."""
+    with numpy_path():
+        oracle = manufactured_solver(OracleVariableCoefficientSolver, rank_dims)
+    expected = oracle_record(oracle)
+    solver = manufactured_solver(rank_dims=rank_dims)
+    result = solver.solve()
+    assert_matches_record(result, solver, expected)
+    assert result.converged and result.num_vcycles == 10
+    assert [h.hex() for h in result.residual_history] == RELEASED_HISTORY
+    assert result.final_residual == 4.320668267610017e-10
+    assert sha256([solver.solution()]) == RELEASED_SOLUTION
+    stored = [
+        getattr(lv, name).data
+        for levels in solver.rank_levels
+        for lv in levels
+        for name in ("x", "Ax", "r")
+    ]
+    assert sha256(stored) == RELEASED_STORED[rank_dims]
+
+
+def test_eight_rank_sweep_is_one_native_call(native_backend):
+    """The coefficient grids are stacked with ``x``: a smoothing sweep
+    over eight ranks is one ``applyOp`` and one ``smooth`` call."""
+    from repro.dsl import native
+
+    s = VariableCoefficientSolver(beta_smooth, global_cells=16, num_levels=2,
+                                  brick_dim=4, rank_dims=(2, 2, 2))
+    s.set_rhs(s.apply_operator(manufactured_u(16)))
+    s.vcycle.smooth_level(0, 1, with_residual=True)  # binds the kernels
+    before = native.call_counts()
+    s.vcycle.smooth_level(0, 1, with_residual=True)
+    after = native.call_counts()
+    assert after["calls"] - before["calls"] == 2
+    assert after["sweeps"] - before["sweeps"] == 2
 
 
 # ----------------------------------------------------------------------

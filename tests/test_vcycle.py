@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gmg import GMGSolver, SolverConfig
+from tests.conftest import exchange_every_sweep
 
 
 def solve(global_cells=16, num_levels=2, brick_dim=4, **kw):
@@ -51,21 +52,26 @@ class TestConvergenceBehaviour:
 
 
 class TestCommunicationAvoiding:
+    """The solver runs only the communication-avoiding schedule; the
+    exchange-every-sweep one is forced from the test side."""
+
     def test_ca_and_non_ca_give_identical_results(self):
         """Redundant ghost-zone computation must not change interior
         values: CA on/off solves agree bit-for-bit."""
-        a = solve(communication_avoiding=True)
-        b = solve(communication_avoiding=False)
+        a = solve()
         ra = a.solve()
-        rb = b.solve()
+        with exchange_every_sweep():
+            b = solve()
+            rb = b.solve()
         assert ra.residual_history == rb.residual_history
         np.testing.assert_array_equal(a.solution(), b.solution())
 
     def test_ca_reduces_exchange_count(self):
-        a = solve(communication_avoiding=True)
-        b = solve(communication_avoiding=False)
+        a = solve()
         a.solve()
-        b.solve()
+        with exchange_every_sweep():
+            b = solve()
+            b.solve()
         ex_a = sum(a.recorder.exchange_counts().values())
         ex_b = sum(b.recorder.exchange_counts().values())
         assert ex_a < ex_b
@@ -75,8 +81,9 @@ class TestCommunicationAvoiding:
         assert s.vcycle.exchanges_per_visit(0) == 2
         s2 = solve(max_smooths=4)
         assert s2.vcycle.exchanges_per_visit(0) == 1
-        s3 = solve(max_smooths=6, communication_avoiding=False)
-        assert s3.vcycle.exchanges_per_visit(0) == 6
+        with exchange_every_sweep():
+            s3 = solve(max_smooths=6)
+            assert s3.vcycle.exchanges_per_visit(0) == 6
 
 
 class TestScheduleValidation:
@@ -85,11 +92,11 @@ class TestScheduleValidation:
 
         s = solve()
         with pytest.raises(ValueError, match="exchanger"):
-            VCycle(s.rank_levels, [], max_smooths=2, bottom_smooths=2)
+            VCycle(s.rank_levels, [], s.engine, max_smooths=2, bottom_smooths=2)
         with pytest.raises(ValueError, match="positive"):
-            VCycle(s.rank_levels, s.exchangers, max_smooths=0)
+            VCycle(s.rank_levels, s.exchangers, s.engine, max_smooths=0)
         with pytest.raises(ValueError, match="at least one"):
-            VCycle([], [])
+            VCycle([], [], s.engine)
 
     def test_mismatched_rank_hierarchies_rejected(self):
         from repro.gmg.vcycle import VCycle
@@ -99,4 +106,5 @@ class TestScheduleValidation:
             VCycle(
                 [a.rank_levels[0], b.rank_levels[0]],
                 a.exchangers,
+                a.engine,
             )
