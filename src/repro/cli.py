@@ -288,6 +288,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_faultsweep(args: argparse.Namespace) -> int:
     from repro.faults.sweep import fault_sweep, render_fault_sweep
 
+    if args.ranks == (1, 1, 1):
+        # the battery's message faults strike the wire between ranks
+        print("faultsweep needs at least 2 ranks: one rank posts no "
+              "message to fault", file=sys.stderr)
+        return 2
     machine = None if args.machine == "none" else args.machine
     rows = fault_sweep(
         seed=args.seed, machine_name=machine, rank_dims=args.ranks

@@ -6,9 +6,9 @@ single-process SPMD simulator that preserves MPI's semantics:
 
 * :class:`~repro.comm.topology.CartTopology` — periodic 3-D Cartesian
   decomposition with 26-neighbour connectivity;
-* :class:`~repro.comm.simmpi.SimComm` — non-blocking
-  ``Isend``/``Irecv``/``Waitall``-style message passing between rank
-  mailboxes, with tag matching and per-rank statistics;
+* :class:`~repro.comm.simmpi.SimComm` — the wire for message headers
+  (sequence number, size, checksum) between rank mailboxes, with tag
+  matching, the traffic ledger and dead-rank semantics;
 * :class:`~repro.comm.plan.ExchangePlan` — the static structure of one
   level's ghost exchange, for every topology (one periodic rank is 26
   self-messages, one walled rank none): which brick of which rank
@@ -18,14 +18,14 @@ single-process SPMD simulator that preserves MPI's semantics:
   ``exchange()``: ghost-brick exchange with all 26 neighbours, message
   aggregation across fields, and pack/unpack segment accounting driven
   by the brick storage ordering — the plan executed as one index copy
-  over any number of stacked copies of the decomposition, or as
-  per-message envelopes when something needs individual messages; the
+  over any number of stacked copies of the decomposition, followed by
+  per-message headers when something needs individual messages; the
   only exchanger, at any rank count;
 * :mod:`~repro.comm.protocols` — eager/rendezvous message protocol
   selection mirroring the CXI environment variables of Table I;
 * :mod:`~repro.comm.mapping` — CPU–GPU–NIC binding models.
 
-Functional correctness is real: distributed solves move actual NumPy
+Functional correctness is real: distributed solves copy actual NumPy
 data between rank subdomains and must match single-rank solves exactly.
 Message *timing* is priced separately by :mod:`repro.machines.network`.
 """
@@ -40,21 +40,13 @@ from repro.comm.exchange import (
 from repro.comm.mapping import NicBinding, binding_hop_penalty
 from repro.comm.plan import ExchangePlan, exchange_plan_for
 from repro.comm.protocols import CxiSettings, Protocol, select_protocol
-from repro.comm.simmpi import (
-    RecvRequest,
-    SendRequest,
-    SimComm,
-    SubComm,
-    UnmatchedReceiveError,
-)
+from repro.comm.simmpi import SimComm, SubComm, UnmatchedReceiveError
 from repro.comm.topology import CartTopology
 
 __all__ = [
     "CartTopology",
     "SimComm",
     "SubComm",
-    "SendRequest",
-    "RecvRequest",
     "UnmatchedReceiveError",
     "HaloExchange",
     "ExchangePlan",

@@ -7,16 +7,15 @@ a full brick deep, one exchange validates ``brick_dim`` cells of halo —
 the basis of communication-avoiding smoothing.
 
 The mapping is static, so :class:`HaloExchange` executes a precomputed
-:class:`~repro.comm.plan.ExchangePlan` — as one index copy per field
-(with a per-message checksum pass when a fault injector is attached),
-or message by message over ``SimComm`` when an armed message fault, a
-dead rank or traffic in flight call for individual envelopes — never
-because someone is watching: a traced exchange is the exchange an
-untraced solve runs.  It is the only exchanger: one
-rank is a plan of self-messages (the periodic wrap) or of none (walls
-all round, every ghost synthesised by the boundary condition), and a
-service cohort's members are further stacked copies of the same
-decomposition, served by one call.
+:class:`~repro.comm.plan.ExchangePlan` as one index copy per field
+(with a per-message checksum pass when a fault injector is attached);
+only when an armed message fault, a dead rank or traffic in flight
+call for individual messages does it also post their headers over
+``SimComm`` — never because someone is watching.  It is the only
+exchanger: one rank is a plan of self-messages (the periodic wrap) or
+of none (walls all round, every ghost synthesised by the boundary
+condition), and a service cohort's members are further stacked copies
+of the same decomposition, served by one call.
 
 Two cost-relevant properties are recorded per message:
 
@@ -84,16 +83,24 @@ class ExchangeChecksumError(RuntimeError):
     sent: a defect of the copy (it has no wire to fault), never retried."""
 
 
-def payload_checksum(payload: np.ndarray) -> int:
-    """CRC32 of a message payload (the sender-side integrity header)."""
-    return zlib.crc32(np.ascontiguousarray(payload))
+def payload_checksum(
+    payload: np.ndarray, flip: tuple[int, int] | None = None
+) -> int:
+    """CRC32 of a message payload (the sender-side integrity header);
+    with ``flip=(byte, bit)``, of a copy with that bit flipped — the
+    bytes a ``corrupt`` fault would have delivered."""
+    data = np.ascontiguousarray(payload)
+    if flip is not None:
+        data = data.copy()
+        data.view(np.uint8).reshape(-1)[flip[0]] ^= np.uint8(1 << flip[1])
+    return zlib.crc32(data)
 
 
 def message_checksums(buffers: Sequence[np.ndarray], edges: list[int]) -> list[int]:
     """CRC32 per plan message: message ``i`` owns bricks ``[edges[i],
     edges[i + 1])`` of every per-field buffer.  Chained across the
-    fields, so each equals the :func:`payload_checksum` of the
-    ``np.stack``ed payload the envelope path would send, unbuilt."""
+    fields, so each equals the :func:`payload_checksum` of the message's
+    fields ``np.stack``ed, unbuilt."""
     sums = [0] * (len(edges) - 1)
     for buf in buffers:
         sums = [
@@ -103,15 +110,16 @@ def message_checksums(buffers: Sequence[np.ndarray], edges: list[int]) -> list[i
 
 
 class ResilientChannel:
-    """Envelope discipline shared by every ``SimComm`` consumer.
+    """Header discipline shared by every ``SimComm`` consumer.
 
     Halo exchanges, the agglomeration gather/scatter transfers and the
     buddy checkpoints face the same wire hazards (drop, corrupt,
     duplicate, delay), so the machinery lives here once: the
-    checksummed, injectable send; per-envelope sequence tracking,
-    checksum and shape validation, duplicate discard, bounded
+    checksummed, injectable header send; per-envelope sequence tracking,
+    checksum and size validation, duplicate discard, bounded
     sender-side retransmission, and the end-of-solve stale drain.
-    Subclasses own the message topology.
+    Subclasses own the message topology and move the bytes themselves,
+    by direct copy: a header is delivered before its bytes are kept.
 
     Ranks passed to the channel are communicator-local; ``_gr`` maps
     them to global ids (via the communicator's ``global_rank`` hook when
@@ -204,117 +212,90 @@ class ResilientChannel:
         dst: int,
         tag: int,
         direction: tuple[int, int, int] | None,
-        payload: np.ndarray,
+        nbytes: int,
         kind: str | None,
         segments: int = 1,
+        checksum: int | None = None,
     ) -> None:
-        """One send: checksummed and open to the injector when one is
-        set, then recorded as a ``kind`` message event (``None``: not a
-        message of the solve's exchange accounting — a replica)."""
-        checksum = action = None
+        """Post one header — carrying ``checksum``, the sender's CRC32,
+        when an injector is set, and open to it — then record it as a
+        ``kind`` message event (``None``: not a message of the solve's
+        exchange accounting — a replica)."""
+        action = None
         if self.injector is not None:
-            checksum = payload_checksum(payload)
             action = self.injector.message_action(
-                level, self._gr(src), self._gr(dst), tag, direction,
-                payload.nbytes,
+                level, self._gr(src), self._gr(dst), tag, direction, nbytes
             )
         self.comm.isend(
-            src, dst, tag, payload, checksum=checksum, fault=action, level=level
+            src, dst, tag, nbytes, checksum=checksum, fault=action, level=level
         )
         if kind is not None and self.recorder is not None:
             self.recorder.message(
-                level, payload.nbytes, kind, segments=segments,
+                level, nbytes, kind, segments=segments,
                 self_message=(dst == src),
             )
 
-    def _receive_payload(
+    def _receive(
         self,
         level: int,
         rank: int,
         src: int,
         tag: int,
-        expected_shape: tuple[int, ...],
+        nbytes: int,
+        own_bytes,
         direction: tuple[int, int, int] | None = None,
         context: str = "message",
         what: str = "payload",
-    ) -> np.ndarray:
-        """One receive, fault-tolerant when an injector is set.
+        crc: int | None = None,
+    ) -> None:
+        """Receive one header; returns once the receiver may keep its
+        ``nbytes``.  ``own_bytes()`` returns them (``crc``, when given,
+        is their CRC32 already taken): a header's checksum is judged
+        against them, with the wire's ``flip`` applied to a copy.
 
-        ``direction`` is the receiver's ghost direction for halo
-        receives (retransmissions re-enter the injector with the
-        sender's ``-direction``); agglomeration transfers pass ``None``
-        and are matched by level/src/rank predicates alone.
-        """
-        if self.injector is not None:
-            return self._receive_resilient(
-                level, rank, src, tag, expected_shape, direction, context
-            )
-        try:
-            payload = self.comm.irecv(rank, src, tag, level=level).wait()
-        except UnmatchedReceiveError as exc:
-            raise UnmatchedReceiveError(
-                f"{exc} (while filling {context})"
-            ) from None
-        if payload.shape != expected_shape:
-            raise RuntimeError(
-                f"{what} shape mismatch: got {payload.shape}, "
-                f"expected {expected_shape} (while filling {context})"
-            )
-        return payload
-
-    def _receive_resilient(
-        self,
-        level: int,
-        rank: int,
-        src: int,
-        tag: int,
-        expected_shape: tuple[int, ...],
-        direction: tuple[int, int, int] | None,
-        context: str,
-    ) -> np.ndarray:
-        """Checksum-validated receive with duplicate discard and bounded
-        retry.
-
-        Anomaly handling, in order: a stale sequence number is a
-        duplicate (discarded, not an attempt); an empty mailbox first
-        flushes the delay queue (a late message landing after the retry
-        timeout), then falls back to sender-side retransmission; a
-        checksum or shape failure discards the message and requests
-        retransmission.  Each retransmission passes through the injector
-        again, so persistent faults can defeat the whole budget — after
+        Without an injector a missing or wrong-sized header is a
+        protocol bug and raises.  With one, anomalies are handled in
+        order: a stale sequence number is a duplicate (discarded, not
+        an attempt); an empty mailbox first flushes the delay queue (a
+        late message landing after the retry timeout), then falls back
+        to sender-side retransmission; a checksum or size failure
+        discards the header and requests retransmission.  Each
+        retransmission passes through the injector again (with the
+        sender's ``-direction``; transfers and replicas have none), so
+        persistent faults can defeat the whole budget — after
         ``max_retries`` failed attempts the receive raises
         :class:`ExchangeFaultError` for the recovery layer.
         """
         key = (rank, src, tag)
-        sender_d = None if direction is None else tuple(-c for c in direction)
         attempts = 0
         while True:
             msg = self.comm.try_match(rank, src, tag, level=level)
+            if self.injector is None:
+                if msg is None:
+                    raise UnmatchedReceiveError(
+                        f"deadlock: rank {self._gr(rank)} waits on a message "
+                        f"from rank {self._gr(src)} tag {tag} that was never "
+                        f"sent (while filling {context})"
+                    )
+                if msg.nbytes != nbytes:
+                    raise RuntimeError(
+                        f"{what} size mismatch: got {msg.nbytes} bytes, "
+                        f"expected {nbytes} (while filling {context})"
+                    )
+                return
             if msg is not None and msg.seq < self._next_seq.get(key, 0):
                 self._fault("detect_duplicate", level, rank, src, tag,
-                            nbytes=msg.payload.nbytes)
+                            nbytes=msg.nbytes)
                 continue
+            released = False
             if msg is not None:
-                valid = msg.payload.shape == expected_shape and (
-                    msg.checksum is None
-                    or payload_checksum(msg.payload) == msg.checksum
-                )
-                if valid:
+                if msg.nbytes == nbytes and self._intact(msg, own_bytes, crc):
                     self._next_seq[key] = msg.seq + 1
-                    return msg.payload
+                    return
                 self._fault("detect_corrupt", level, rank, src, tag,
-                            nbytes=msg.payload.nbytes)
-            elif self.comm.release_delayed(rank, src, tag):
+                            nbytes=msg.nbytes)
+            elif released := self.comm.release_delayed(rank, src, tag):
                 self._fault("detect_delay", level, rank, src, tag)
-                attempts += 1
-                if attempts > self.max_retries:
-                    raise ExchangeFaultError(
-                        level, self._gr(rank), self._gr(src), direction,
-                        attempts - 1,
-                    )
-                self._fault("retry", level, rank, src, tag, attempt=attempts,
-                            nbytes=self.comm.logged_nbytes(rank, src, tag))
-                continue
             else:
                 self._fault("detect_drop", level, rank, src, tag)
             attempts += 1
@@ -323,14 +304,18 @@ class ResilientChannel:
                     level, self._gr(rank), self._gr(src), direction,
                     attempts - 1,
                 )
+            logged = self.comm.logged_nbytes(rank, src, tag)
             self._fault("retry", level, rank, src, tag, attempt=attempts,
-                        nbytes=self.comm.logged_nbytes(rank, src, tag))
+                        nbytes=logged)
+            if released:
+                continue
             action = self.injector.message_action(
-                level, self._gr(src), self._gr(rank), tag, sender_d,
-                self.comm.logged_nbytes(rank, src, tag),
+                level, self._gr(src), self._gr(rank), tag,
+                None if direction is None else tuple(-c for c in direction),
+                logged,
             )
             try:
-                nbytes = self.comm.retransmit(
+                sent = self.comm.retransmit(
                     rank, src, tag, fault=action, level=level
                 )
             except UnmatchedReceiveError as exc:
@@ -338,7 +323,17 @@ class ResilientChannel:
                     f"{exc} (while filling {context})"
                 ) from None
             self._fault("retransmit", level, rank, src, tag,
-                        nbytes=nbytes, attempt=attempts)
+                        nbytes=sent, attempt=attempts)
+
+    @staticmethod
+    def _intact(msg, own_bytes, crc: int | None) -> bool:
+        """Does the header's checksum hold for the receiver's bytes as
+        the wire delivered them (its ``flip`` applied to a copy)?"""
+        if msg.checksum is None:
+            return True
+        if crc is None or msg.flip is not None:
+            crc = payload_checksum(own_bytes(), msg.flip)
+        return crc == msg.checksum
 
     def drain_stale(self) -> int:
         """Discard leftover duplicates before the end-of-solve drain check.
@@ -373,26 +368,30 @@ class HaloExchange(ResilientChannel):
     One call serves ``k >= 1`` whole copies of the decomposition —
     ``fields_by_rank`` lists copy 0's ranks, then copy 1's, … — so the
     members of a service cohort exchange through one member's
-    exchanger.  Two executions of one
-    :class:`~repro.comm.plan.ExchangePlan`:
+    exchanger.  Ghosts are written one way only, by the
+    :class:`~repro.comm.plan.ExchangePlan`'s index copy: one take and
+    one indexed assign per field over the stacked storage of all
+    copies, or one indexed copy per ``(src_rank, dst_rank)`` pair and
+    copy when the fields are separate arrays, leaving out every pair
+    with a dead endpoint.  Under a fault injector the copy is
+    *checked*: each plan message's CRC32 over the gathered bricks
+    against what landed.
 
-    * the **planned** path copies every ghost brick by index — one
-      take and one indexed assign per field over the stacked storage
-      of all copies, or one indexed copy per ``(src_rank, dst_rank)``
-      pair and copy when the fields are separate arrays — and derives
-      message events and communicator counters from the plan's table
-      (under a fault injector the copy is *checked*: each plan
-      message's CRC32 over the gathered bricks against what landed);
-    * the **envelope** path is the priced reference: the driver runs
-      ranks in lockstep, all sends for all ranks are posted first, then
-      all receives complete (``Isend``/``Irecv``/``Waitall`` order
-      within one phase), fields aggregated per neighbour into a single
-      checksummed, sequenced, fault-injectable message — copy by copy.
+    Then the exchange is accounted, one of two ways:
 
-    Both fill byte-identical ghosts and leave identical accounting.
-    :meth:`envelope_reason` picks per exchange, from exchanger and
-    injector state alone; ``path_counts``, ``envelope_reasons`` and
-    ``checked_copies`` tally the choices as they are made.
+    * **planned** — message events and ledger rows derived from the
+      plan's table, nothing posted;
+    * **envelope** — when :meth:`envelope_reason` names something only
+      individual messages provide, the header protocol runs over the
+      plan's messages, copy by copy: ranks in lockstep, every rank's
+      sends posted first (one header per message, carrying its CRC32
+      from the checked copy), then every receive validated
+      (``Isend``/``Irecv`` order within one phase).  A header a fault
+      strikes is detected, retried and retransmitted; its bytes were
+      never at risk.
+
+    Both leave identical accounting.  ``path_counts``,
+    ``envelope_reasons`` and ``checked_copies`` tally what ran.
     """
 
     def __init__(
@@ -434,7 +433,8 @@ class HaloExchange(ResilientChannel):
         self.path_counts = {"planned": 0, "envelope": 0}
         #: envelope exchanges per :meth:`envelope_reason` answer
         self.envelope_reasons: Counter[str] = Counter()
-        #: planned exchanges that ran the per-message checksum pass
+        #: exchanges whose copy ran the per-message checksum pass (every
+        #: exchange under an injector)
         self.checked_copies = 0
         #: what one planned exchange adds to the recorder and the root
         #: communicator's ledger, per (level, itemsize, nfields, copies)
@@ -447,19 +447,20 @@ class HaloExchange(ResilientChannel):
 
     def envelope_reason(self, level: int | None = None) -> str | None:
         """What makes the next exchange at ``level`` (``None``: at any
-        level) move per-message envelopes.
+        level) post per-message headers.
 
-        ``None`` selects the planned copy — always on a communicator of
-        one, where every message is a copy within the rank: no wire to
-        strike, no peer to lose.  Otherwise each of the three answers
-        names something only envelopes provide: a message fault armed
-        for this cycle and level strikes individual transmissions (an
-        injector with nothing to strike here gets the planned copy,
-        checksummed); a dead endpoint makes the collective partial,
-        message by message; and traffic in flight — a duplicate a struck
-        exchange left — may sit on this exchange's envelopes, where FIFO
-        matching and sequence checks must see it.  Who is watching is
-        not among them: a tracer times the exchange that runs.
+        ``None`` derives the accounting from the plan — always on a
+        communicator of one, where every message is a copy within the
+        rank: no wire to strike, no peer to lose.  Otherwise each of the
+        three answers names something only headers provide: a message
+        fault armed for this cycle and level strikes individual
+        transmissions (an injector with nothing to strike here gets the
+        plan's accounting); a dead endpoint makes the collective
+        partial, message by message; and headers in flight — a
+        duplicate a struck exchange left — may sit on this exchange's
+        envelopes, where FIFO matching and sequence checks must see
+        them.  Who is watching is not among them: a tracer times the
+        exchange that runs.
         """
         if self.comm.size == 1:
             return None
@@ -480,20 +481,20 @@ class HaloExchange(ResilientChannel):
         aggregate per rank, for one or more whole copies of the
         decomposition (``len(fields_by_rank)`` a positive multiple of
         ``topology.size``); all ranks must pass the same number of
-        fields.  The whole collective phase (sends, receives including
-        any fault retries, boundary fills) runs inside one ``exchange``
-        span, so fault instants fired during receives land inside it;
-        the span says which path ran and what the plan moves.
+        fields.  The whole collective phase (the copy, any header
+        protocol including fault retries, boundary fills) runs inside
+        one ``exchange`` span, so fault instants fired during receives
+        land inside it; the span says which accounting ran and what the
+        plan moves.
 
         Level-pinned ``rank_crash`` specs fire on entry; once a rank is
-        dead, every send/receive touching it is skipped so the
-        collective completes for the survivors (no hung waitall) —
-        the crash then surfaces as :class:`RankDeadError` at the next
-        residual reduction, which is the recovery ladder's guaranteed
-        detection point.
+        dead, every pair and header touching it is skipped so the
+        collective completes for the survivors — the crash then
+        surfaces as :class:`RankDeadError` at the next residual
+        reduction, which is the recovery ladder's guaranteed detection
+        point.
         """
         nfields = len(fields_by_rank[0]) if fields_by_rank else 0
-        size = self.topology.size
         with self.tracer.span("exchange", l=level, nfields=nfields) as span:
             copies = self._validate(level, fields_by_rank)
             self.poll_crashes(level)
@@ -505,21 +506,20 @@ class HaloExchange(ResilientChannel):
                     fields_by_rank[0][0].data.dtype.itemsize, nfields
                 ),
             )
+            dead = self._dead_ranks()
+            sums = None
+            if self.injector is None:
+                self._copy_planned(fields_by_rank, copies, dead)
+            else:
+                sums = self._copy_checked(level, fields_by_rank, copies, dead)
             if reason is None:
                 self.path_counts["planned"] += 1
-                if self.injector is None:
-                    self._copy_planned(fields_by_rank, copies)
-                else:
-                    self._copy_checked(level, fields_by_rank, copies)
                 self._account(level, fields_by_rank, copies)
             else:
                 self.path_counts["envelope"] += 1
                 self.envelope_reasons[reason] += 1
-                for c in range(copies):
-                    copy = fields_by_rank[c * size : (c + 1) * size]
-                    self._post_sends(level, copy)
-                    self._complete_receives(level, copy)
-            self._apply_fills(fields_by_rank)
+                self._post_headers(level, fields_by_rank, dead, sums)
+            self._apply_fills(fields_by_rank, dead)
             if self.recorder is not None:
                 self.recorder.exchange(level)
 
@@ -555,7 +555,7 @@ class HaloExchange(ResilientChannel):
         return copies
 
     # ------------------------------------------------------------------
-    # planned path
+    # the copy
     # ------------------------------------------------------------------
     def _stacked_window(
         self, fields_by_rank: Sequence[Sequence[BrickedArray]], f: int
@@ -574,34 +574,38 @@ class HaloExchange(ResilientChannel):
         S = self.plan.num_slots
         return stacked.data[k0 * S : (k0 + len(fields_by_rank)) * S]
 
-    def _copy_planned(self, fields_by_rank, copies: int) -> None:
+    def _copy_planned(self, fields_by_rank, copies: int, dead) -> None:
         """Every ghost brick of every field, by index: all send regions
         are read before any ghost is written."""
         plan = self.plan
-        src, dst = plan.tables(copies)
+        src, dst = plan.tables(copies, dead)
         for f in range(len(fields_by_rank[0])):
             window = self._stacked_window(fields_by_rank, f)
             if window is not None:
                 window[dst] = window.take(src, axis=0)
                 continue
+            pairs = [
+                p for p in plan.pairs
+                if p.src_rank not in dead and p.dst_rank not in dead
+            ]
             for c in range(copies):
                 ranks = fields_by_rank[c * plan.num_ranks : (c + 1) * plan.num_ranks]
-                bricks = [
-                    ranks[p.src_rank][f].data[p.src_slots] for p in plan.pairs
-                ]
-                for p, part in zip(plan.pairs, bricks):
+                bricks = [ranks[p.src_rank][f].data[p.src_slots] for p in pairs]
+                for p, part in zip(pairs, bricks):
                     ranks[p.dst_rank][f].data[p.dst_slots] = part
 
-    def _copy_checked(self, level: int, fields_by_rank, copies: int) -> None:
-        """The planned copy under a fault injector, with the envelope
-        path's integrity check: each plan message's CRC32 over the
-        gathered bricks (sender side) must equal the one over the ghost
-        bricks that landed (receiver side).  Separate field arrays are
-        stacked for the pass and written back.  Sequence numbers and
-        the send log advance on neither side, so they stay consistent
-        for the envelope exchanges that follow."""
+    def _copy_checked(
+        self, level: int, fields_by_rank, copies: int, dead
+    ) -> list[int]:
+        """The copy under a fault injector, with an integrity check:
+        each plan message's CRC32 over the gathered bricks (sender
+        side) must equal the one over the ghost bricks that landed
+        (receiver side).  Separate field arrays are stacked for the
+        pass and written back.  Returns the sums, copy-major, in the
+        order of ``plan.live_receives(dead)``: the checksums the
+        messages' headers carry."""
         plan = self.plan
-        src, dst = plan.tables(copies)
+        src, dst = plan.tables(copies, dead)
         blocks, nfields = len(fields_by_rank), len(fields_by_rank[0])
         own = [self._stacked_window(fields_by_rank, f) for f in range(nfields)]
         windows = [
@@ -609,9 +613,13 @@ class HaloExchange(ResilientChannel):
             if window is None else window
             for f, window in enumerate(own)
         ]
+        receives = plan.live_receives(dead)
+        offsets = plan.offsets if not dead else np.cumsum(
+            [0] + [m.bricks for m in receives]
+        )
         edges = (
-            np.arange(copies)[:, None] * plan.num_bricks + plan.offsets[:-1]
-        ).ravel().tolist() + [copies * plan.num_bricks]
+            np.arange(copies)[:, None] * offsets[-1] + offsets[:-1]
+        ).ravel().tolist() + [copies * int(offsets[-1])]
         gathered = [window.take(src, axis=0) for window in windows]
         sent = message_checksums(gathered, edges)
         for window, bricks in zip(windows, gathered):
@@ -619,7 +627,7 @@ class HaloExchange(ResilientChannel):
         landed = message_checksums([w.take(dst, axis=0) for w in windows], edges)
         if landed != sent:
             i = [a != b for a, b in zip(sent, landed)].index(True)
-            m = plan.receives[i % plan.num_messages]
+            m = receives[i % len(receives)]
             raise ExchangeChecksumError(
                 f"planned exchange at level {level}: rank {self._gr(m.dst_rank)}'s "
                 f"ghost region along direction {m.ghost_direction} holds CRC32 "
@@ -630,9 +638,10 @@ class HaloExchange(ResilientChannel):
                 for fields, block in zip(fields_by_rank, np.split(windows[f], blocks)):
                     fields[f].data[...] = block
         self.checked_copies += 1
+        return sent
 
     def _account(self, level, fields_by_rank, copies: int) -> None:
-        """Add what the envelope path's sends would have recorded."""
+        """Add what the header protocol's sends would have recorded."""
         nfields = len(fields_by_rank[0])
         itemsize = fields_by_rank[0][0].data.dtype.itemsize
         key = (level, itemsize, nfields, copies)
@@ -661,90 +670,65 @@ class HaloExchange(ResilientChannel):
         self._root_comm().account_sends(traffic)
 
     # ------------------------------------------------------------------
-    # envelope path
+    # header protocol
     # ------------------------------------------------------------------
     def _dead_ranks(self) -> frozenset[int]:
         """Communicator-local dead endpoints (fixed for one phase:
         crashes fire only at the polls that precede it)."""
+        if not self.comm.dead_ranks():
+            return frozenset()
         return frozenset(
             r for r in range(self.topology.size) if self._is_dead(r)
         )
 
-    def _post_sends(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> None:
+    def _post_headers(self, level: int, fields_by_rank, dead, sums) -> None:
+        """The header protocol over the plan's live messages, copy by
+        copy: every rank posts one header per direction (carrying the
+        message's CRC32 from the checked copy, ``sums``), then every
+        rank validates its headers against the ghost bricks the copy
+        landed — ``Isend``/``Irecv`` order within one lockstep phase.
+        A message carries tag = index(-d) of the receiver's ghost
+        direction d; a dead endpoint posts and receives nothing."""
+        plan, size = self.plan, self.topology.size
         nfields = len(fields_by_rank[0])
-        send_slots = self.plan.send_slots
-        dead = self._dead_ranks()
-        # Phase 1: every rank posts one aggregated send per direction.
-        for m in self.plan.messages:
-            rank, dst = m.src_rank, m.dst_rank
-            if rank in dead or dst in dead:
-                continue  # a dead endpoint posts nothing, receives nothing
-            payload = np.stack(
-                [f.data[send_slots[m.direction]] for f in fields_by_rank[rank]]
+        brick_bytes = plan.cells_per_brick * fields_by_rank[0][0].data.itemsize * nfields
+        receives = plan.live_receives(dead)
+        for c in range(len(fields_by_rank) // size):
+            ranks = fields_by_rank[c * size : (c + 1) * size]
+            crcs = {} if sums is None else dict(
+                zip(receives, sums[c * len(receives) : (c + 1) * len(receives)])
             )
-            self._send(
-                level, rank, dst, m.tag, m.direction, payload, m.kind,
-                segments=m.send_segments * nfields,
-            )
-
-    def _complete_receives(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> None:
-        nfields = len(fields_by_rank[0])
-        ghost_slots = self.plan.ghost_slots
-        dead = self._dead_ranks()
-        brick = (self.grid.brick_dim,) * 3
-        # Phase 2: every rank completes its receives.  A message carries
-        # tag = index(-d) of the receiver's ghost direction d.
-        for m in self.plan.receives:
-            rank, src = m.dst_rank, m.src_rank
-            if rank in dead or src in dead:
-                continue  # a dead sender leaves the ghost stale until recovery
-            d = m.ghost_direction
-            ghost = ghost_slots[d]
-            payload = self._receive(
-                level, rank, src, m.tag, d, (nfields, m.bricks) + brick
-            )
-            with self.tracer.child(self._gr(rank)).span(
-                "unpack", l=level, src=self._gr(src), dst=self._gr(rank),
-                tag=m.tag, bytes=int(payload.nbytes),
-            ):
-                for f_idx, field in enumerate(fields_by_rank[rank]):
-                    field.data[ghost] = payload[f_idx]
+            for m in plan.messages:
+                if m.src_rank not in dead and m.dst_rank not in dead:
+                    self._send(
+                        level, m.src_rank, m.dst_rank, m.tag, m.direction,
+                        m.bricks * brick_bytes, m.kind,
+                        segments=m.send_segments * nfields, checksum=crcs.get(m),
+                    )
+            for m in receives:
+                d, fields = m.ghost_direction, ranks[m.dst_rank]
+                self._receive(
+                    level, m.dst_rank, m.src_rank, m.tag, m.bricks * brick_bytes,
+                    lambda: np.stack([f.data[plan.ghost_slots[d]] for f in fields]),
+                    direction=d,
+                    context=(
+                        f"rank {self._gr(m.dst_rank)}'s ghost region along "
+                        f"direction {d} at level {level}"
+                    ),
+                    what="ghost region", crc=crcs.get(m),
+                )
 
     def _apply_fills(
-        self, fields_by_rank: Sequence[Sequence[BrickedArray]]
+        self, fields_by_rank: Sequence[Sequence[BrickedArray]], dead
     ) -> None:
         # Phase 3: boundary conditions synthesise the outward ghosts
-        # (after all receives — corner mirrors read exchanged ghosts).
+        # (after the copy — corner mirrors read exchanged ghosts).
         if self._fills is None:
             return
         size = self.topology.size
-        dead = self._dead_ranks()
         for k, fields in enumerate(fields_by_rank):
             rank = k % size
             if rank in dead:
                 continue
             for field in fields:
                 self._fills[rank].apply(field)
-
-    def _receive(
-        self,
-        level: int,
-        rank: int,
-        src: int,
-        tag: int,
-        d: tuple[int, int, int],
-        expected_shape: tuple[int, ...],
-    ) -> np.ndarray:
-        """One ghost-region receive, fault-tolerant when an injector is set."""
-        return self._receive_payload(
-            level, rank, src, tag, expected_shape, direction=d,
-            context=(
-                f"rank {self._gr(rank)}'s ghost region along direction "
-                f"{d} at level {level}"
-            ),
-            what="ghost region",
-        )

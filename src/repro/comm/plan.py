@@ -12,8 +12,8 @@ walled rank is a plan with no messages at all.  An
 
 * the **per-message table** — one :class:`PlannedMessage` per send the
   26-neighbour protocol would post, in the protocol's ``(rank,
-  direction)`` order — from which the envelope path reads its
-  neighbours, tags and expected shapes and the planned path derives
+  direction)`` order — from which the header protocol reads its
+  neighbours, tags and sizes and the planned accounting derives
   ``MessageEvent``s and communicator counters without posting anything;
 * **flat ``src``/``dst`` slot tables** over the rank-stacked storage
   (rank ``r``'s slot ``s`` is ``r * num_slots + s``), so a whole
@@ -135,8 +135,9 @@ class ExchangePlan:
             for m in self.receives
         )
         self.offsets = np.cumsum([0] + [m.bricks for m in self.receives])
-        #: ``(src, dst)`` over ``k`` stacked copies, per ``k``
-        self._tables = {1: (self.src, self.dst)}
+        #: ``(src, dst)`` over ``k`` stacked copies without the dead
+        #: ranks' messages, per ``(k, dead)``
+        self._tables = {(1, frozenset()): (self.src, self.dst)}
         by_pair: dict[tuple[int, int], list[PlannedMessage]] = {}
         for m in self.receives:
             by_pair.setdefault((m.src_rank, m.dst_rank), []).append(m)
@@ -159,15 +160,35 @@ class ExchangePlan:
         """Bricks one field moves per exchange."""
         return len(self.src)
 
-    def tables(self, copies: int) -> tuple[np.ndarray, np.ndarray]:
-        """The flat ``(src, dst)`` tables over ``copies`` stacked copies
-        of the decomposition: copy ``c``'s rank ``r`` owns block
-        ``c * num_ranks + r`` of the window."""
-        tables = self._tables.get(copies)
+    def live_receives(self, dead: frozenset[int] = frozenset()):
+        """:attr:`receives` without those a rank in ``dead`` sends or
+        receives: a dead endpoint moves nothing."""
+        if not dead:
+            return self.receives
+        return tuple(
+            m for m in self.receives
+            if m.src_rank not in dead and m.dst_rank not in dead
+        )
+
+    def tables(
+        self, copies: int, dead: frozenset[int] = frozenset()
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The flat ``(src, dst)`` tables of :meth:`live_receives` over
+        ``copies`` stacked copies of the decomposition: copy ``c``'s
+        rank ``r`` owns block ``c * num_ranks + r`` of the window."""
+        tables = self._tables.get((copies, dead))
         if tables is None:
+            src, dst = self.src, self.dst
+            if dead:
+                live = np.repeat(
+                    [m.src_rank not in dead and m.dst_rank not in dead
+                     for m in self.receives],
+                    [m.bricks for m in self.receives],
+                )
+                src, dst = src[live], dst[live]
             base = np.arange(copies)[:, None] * (self.num_ranks * self.num_slots)
-            tables = self._tables[copies] = tuple(
-                (base + table).reshape(-1) for table in (self.src, self.dst)
+            tables = self._tables[copies, dead] = tuple(
+                (base + table).reshape(-1) for table in (src, dst)
             )
         return tables
 

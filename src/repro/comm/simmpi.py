@@ -1,32 +1,36 @@
-"""Single-process simulated MPI with non-blocking semantics.
+"""Single-process simulated MPI: the message headers of the exchange.
 
 The solver's exchange follows the paper's pattern — ``MPI_Isend`` /
-``MPI_Irecv`` / ``MPI_Waitall`` with 26 neighbours — so the simulator
-exposes the same shape: sends are posted (payload snapshotted, as a
-correct MPI program may reuse its buffer after completion), receives
-are posted against ``(source, tag)`` and completed by ``wait``.
+``MPI_Irecv`` with 26 neighbours — but the bytes of a message never
+pass through this module: each consumer (the halo exchange, the
+agglomeration transfers, the buddy checkpoints) copies its data itself,
+from the sender's memory into the receiver's, and posts here only the
+message's *header* — sequence number, size, and the sender-side CRC32
+when a fault injector is attached.  ``SimComm`` is the wire those
+headers travel: per-envelope FIFO mailboxes (MPI's non-overtaking
+order), the traffic ledger, and the dead-rank semantics of ULFM.
 
 The driver executes ranks in lockstep phases, so by the time any rank
-waits on a receive, the matching send has been posted; an unmatched
-wait is therefore a protocol bug and raises
-:class:`UnmatchedReceiveError`.  Message payloads are real NumPy arrays
-— distributed solves genuinely move data between rank subdomains.
+receives, the matching send has been posted; a receive that finds its
+mailbox empty with no injector attached is therefore a protocol bug
+(the channel raises :class:`UnmatchedReceiveError`).
 
-Fault modelling (``repro.faults``): every message carries an in-band
-header — a per-envelope sequence number and an optional sender-side
-checksum — and ``isend`` accepts a
-:class:`~repro.faults.injector.FaultAction` describing what the "wire"
-does to this transmission: drop it, flip a bit (after the checksum is
-computed, as real corruption would), duplicate it, or park it in a
-delay queue until the receiver's retry timeout flushes it.  The pristine
-payload of the last send per envelope is retained (the MPI send-buffer
-analogue) so :meth:`SimComm.retransmit` can model a sender-side resend.
+Fault modelling (``repro.faults``): ``isend`` accepts a
+:class:`~repro.faults.injector.FaultAction` describing what the wire
+does to this transmission: drop it, flip a bit (recorded in the
+header's ``flip``, after the checksum was taken, as real corruption
+would be), duplicate it, or park it in a delay queue until the
+receiver's retry timeout flushes it.  The last header per envelope is
+logged (the MPI send-buffer analogue) so :meth:`SimComm.retransmit`
+can model a sender-side resend.  The receiver applies a delivered
+``flip`` to a temporary copy of its own bytes before its CRC32, so a
+corruption is detected by a real checksum mismatch and never written.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,57 +66,25 @@ class RankDeadError(RuntimeError):
         super().__init__(msg)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Message:
-    """One in-flight transmission: payload plus resilience header."""
+    """One in-flight transmission: the header of a message, no payload.
 
-    payload: np.ndarray
-    checksum: int | None
+    ``flip`` is the ``(byte, bit)`` a ``corrupt`` fault flipped in this
+    copy on the wire, or ``None`` for a pristine one.
+    """
+
     seq: int
-
-
-@dataclass
-class SendRequest:
-    """Completed-at-post send handle (buffered-send semantics)."""
-
-    dst: int
-    tag: int
     nbytes: int
-
-    def wait(self) -> None:
-        """Sends complete at post time in the simulator."""
-
-
-class RecvRequest:
-    """A posted receive; :meth:`wait` returns the payload."""
-
-    def __init__(
-        self, comm: "SimComm", dst: int, src: int, tag: int, level: int = -1
-    ) -> None:
-        self._comm = comm
-        self._dst = dst
-        self._src = src
-        self._tag = tag
-        self._level = level
-        self._payload: np.ndarray | None = None
-        self._done = False
-
-    def wait(self) -> np.ndarray:
-        """Complete the receive, returning the message payload."""
-        if not self._done:
-            self._payload = self._comm._match(
-                self._dst, self._src, self._tag, level=self._level
-            ).payload
-            self._done = True
-        assert self._payload is not None
-        return self._payload
+    checksum: int | None
+    flip: tuple[int, int] | None = None
 
 
 class SimComm:
-    """Mailbox-based message passing among ``size`` simulated ranks.
+    """Mailboxes of message headers among ``size`` simulated ranks.
 
     ``tracer`` is an optional :class:`~repro.obs.tracer.Tracer`: every
-    send, receive completion and retransmission is mirrored as a span on
+    send, matched receive and retransmission is mirrored as a span on
     the *per-rank child tracer* of the rank doing the work (the sender
     for ``isend``/``retransmit``, the receiver for matched receives),
     attributed with ``(src, dst, tag, bytes, seq)`` and the exchange
@@ -130,7 +102,7 @@ class SimComm:
         self._mailboxes: dict[tuple[int, int, int], deque] = defaultdict(deque)
         # Faulted 'delay' transmissions parked until a retry flushes them.
         self._delayed: dict[tuple[int, int, int], deque] = defaultdict(deque)
-        # Last pristine transmission per envelope (send-buffer analogue).
+        # Last pristine header per envelope (send-buffer analogue).
         self._send_log: dict[tuple[int, int, int], _Message] = {}
         self._send_seq: dict[tuple[int, int, int], int] = defaultdict(int)
         #: undelivered transmissions across all mailboxes and delay
@@ -138,7 +110,7 @@ class SimComm:
         self._pending = 0
         #: the traffic ledger: ``{(level, src, dst): [messages, bytes,
         #: retransmissions]}`` of every transmission (resends included in
-        #: all three), whether it moved as an envelope or was derived
+        #: all three), whether its header was posted or it was derived
         #: from an exchange plan; ``level`` is -1 where the caller gave
         #: none.  ``sent_messages``, ``sent_bytes``, ``retransmissions``
         #: and ``bytes_by_pair`` are its totals.
@@ -232,14 +204,14 @@ class SimComm:
         src: int,
         dst: int,
         tag: int,
-        payload: np.ndarray,
+        nbytes: int,
         checksum: int | None = None,
         fault=None,
         level: int = -1,
-    ) -> SendRequest:
-        """Post a send; the payload is snapshotted at post time.
+    ) -> None:
+        """Post the header of an ``nbytes`` message.
 
-        ``checksum`` is carried in-band (computed by the sender over the
+        ``checksum`` is carried in-band (the sender's CRC32 over the
         pristine data).  ``fault`` is an optional
         :class:`~repro.faults.injector.FaultAction` the "wire" applies
         to this transmission.  ``level`` tags the traced span with the
@@ -251,19 +223,17 @@ class SimComm:
         key = (dst, src, tag)
         seq = self._send_seq[key]
         with self.tracer.child(src).span(
-            "isend", l=level, src=src, dst=dst, tag=tag,
-            bytes=int(payload.nbytes), seq=seq,
+            "isend", l=level, src=src, dst=dst, tag=tag, bytes=int(nbytes),
+            seq=seq,
         ):
-            data = np.ascontiguousarray(payload).copy()
             self._send_seq[key] = seq + 1
-            msg = _Message(data, checksum, seq)
+            msg = _Message(seq, int(nbytes), checksum)
             self._send_log[key] = msg
-            self.account_sends([((level, src, dst), 1, data.nbytes)])
+            self.account_sends([((level, src, dst), 1, msg.nbytes)])
             self._transmit(key, msg, fault)
-        return SendRequest(dst=dst, tag=tag, nbytes=data.nbytes)
 
     def _transmit(self, key: tuple[int, int, int], msg: _Message, fault) -> None:
-        """Put one transmission on the wire, applying any fault action."""
+        """Put one header on the wire, applying any fault action."""
         if fault is None:
             self._mailboxes[key].append(msg)
             self._pending += 1
@@ -271,17 +241,12 @@ class SimComm:
         if fault.kind == "drop":
             return  # vanishes on the wire
         if fault.kind == "corrupt":
-            corrupted = msg.payload.copy()
-            flat = corrupted.view(np.uint8).reshape(-1)
-            flat[fault.corrupt_byte % flat.size] ^= np.uint8(
-                1 << (fault.corrupt_bit % 8)
-            )
-            self._mailboxes[key].append(_Message(corrupted, msg.checksum, msg.seq))
+            flip = (fault.corrupt_byte % msg.nbytes, fault.corrupt_bit % 8)
+            self._mailboxes[key].append(replace(msg, flip=flip))
             self._pending += 1
             return
         if fault.kind == "duplicate":
-            self._mailboxes[key].append(msg)
-            self._mailboxes[key].append(_Message(msg.payload, msg.checksum, msg.seq))
+            self._mailboxes[key].extend((msg, msg))
             self._pending += 2
             return
         if fault.kind == "delay":
@@ -290,43 +255,13 @@ class SimComm:
             return
         raise ValueError(f"unknown fault action {fault.kind!r}")
 
-    def irecv(self, dst: int, src: int, tag: int, level: int = -1) -> RecvRequest:
-        """Post a receive for ``(src, tag)`` at rank ``dst``."""
-        self._check_rank(src, "source rank")
-        self._check_rank(dst, "destination rank")
-        return RecvRequest(self, dst, src, tag, level)
-
-    def _record_recv(self, dst: int, src: int, tag: int, level: int,
-                     msg: _Message) -> None:
-        """Mirror one matched receive as a span on ``dst``'s timeline."""
-        with self.tracer.child(dst).span(
-            "irecv", l=level, src=src, dst=dst, tag=tag,
-            bytes=int(msg.payload.nbytes), seq=msg.seq,
-        ):
-            pass
-
-    def _match(self, dst: int, src: int, tag: int, level: int = -1) -> _Message:
-        self._check_alive(dst, src, "receive")
-        box = self._mailboxes.get((dst, src, tag))
-        if not box:
-            raise UnmatchedReceiveError(
-                f"deadlock: rank {dst} waits on a message from rank {src} "
-                f"tag {tag} that was never sent"
-            )
-        msg = box.popleft()
-        self._pending -= 1
-        self._record_recv(dst, src, tag, level, msg)
-        return msg
-
     def try_match(
         self, dst: int, src: int, tag: int, level: int = -1
     ) -> _Message | None:
-        """Pop the next message for an envelope, or ``None`` if empty.
+        """Pop the next header for an envelope, or ``None`` if empty.
 
-        The resilient receive path in
-        :class:`~repro.comm.exchange.HaloExchange` uses this instead of
-        :meth:`irecv`'s raising wait so a missing message becomes a
-        detected fault rather than an exception.  A dead peer still
+        A missing message is the caller's to judge: a detected fault
+        under an injector, a protocol bug without one.  A dead peer
         raises: no amount of retrying revives a crashed endpoint.
         """
         self._check_alive(dst, src, "receive")
@@ -335,7 +270,11 @@ class SimComm:
             return None
         msg = box.popleft()
         self._pending -= 1
-        self._record_recv(dst, src, tag, level, msg)
+        with self.tracer.child(dst).span(
+            "irecv", l=level, src=src, dst=dst, tag=tag, bytes=msg.nbytes,
+            seq=msg.seq,
+        ):
+            pass
         return msg
 
     def release_delayed(self, dst: int, src: int, tag: int) -> int:
@@ -356,36 +295,35 @@ class SimComm:
     def retransmit(
         self, dst: int, src: int, tag: int, fault=None, level: int = -1
     ) -> int:
-        """Resend the last transmission of an envelope from the send log.
+        """Resend the last header of an envelope from the send log.
 
         Models a sender-side resend out of the retained send buffer
-        (same sequence number and checksum, pristine payload — the
-        original fault is not baked in, though ``fault`` may strike the
-        retransmission too).  Returns the payload size in bytes; raises
+        (same sequence number and checksum, pristine — the original
+        fault is not baked in, though ``fault`` may strike the
+        retransmission too).  Returns the message size in bytes; raises
         :class:`UnmatchedReceiveError` when nothing was ever sent on the
         envelope, which is a protocol bug rather than a fault.
         """
         self._check_alive(dst, src, "retransmit")
         key = (dst, src, tag)
-        logged = self._send_log.get(key)
-        if logged is None:
+        msg = self._send_log.get(key)
+        if msg is None:
             raise UnmatchedReceiveError(
                 f"deadlock: rank {dst} requested retransmission from rank "
                 f"{src} tag {tag} but nothing was ever sent on that envelope"
             )
         with self.tracer.child(src).span(
-            "retransmit", l=level, src=src, dst=dst, tag=tag,
-            bytes=int(logged.payload.nbytes), seq=logged.seq,
+            "retransmit", l=level, src=src, dst=dst, tag=tag, bytes=msg.nbytes,
+            seq=msg.seq,
         ):
-            msg = _Message(logged.payload, logged.checksum, logged.seq)
-            self.account_sends([((level, src, dst), 1, msg.payload.nbytes)])
+            self.account_sends([((level, src, dst), 1, msg.nbytes)])
             self.ledger[level, src, dst][2] += 1
             self._transmit(key, msg, fault)
-        return int(msg.payload.nbytes)
+        return msg.nbytes
 
     def account_sends(self, traffic) -> None:
         """Enter ``((level, src, dst), messages, nbytes)`` rows in the
-        ledger: what ``isend`` does per envelope, and what the compiled
+        ledger: what ``isend`` does per header, and what the compiled
         halo exchange — which copies ghost bricks by index and posts
         nothing — derives from its plan, in first-send order."""
         ledger = self.ledger
@@ -397,9 +335,9 @@ class SimComm:
             entry[1] += nbytes
 
     def logged_nbytes(self, dst: int, src: int, tag: int) -> int:
-        """Payload size of the last transmission on an envelope (0 if none)."""
+        """Size of the last message sent on an envelope (0 if none)."""
         logged = self._send_log.get((dst, src, tag))
-        return 0 if logged is None else int(logged.payload.nbytes)
+        return 0 if logged is None else logged.nbytes
 
     def discard_stale(self, dst: int, src: int, tag: int, below_seq: int) -> int:
         """Drop leading mailbox messages with ``seq < below_seq``.
@@ -416,51 +354,39 @@ class SimComm:
         self._pending -= n
         return n
 
-    def waitall(self, requests: list) -> list:
-        """Complete a batch of requests, returning receive payloads.
-
-        Traced as one ``waitall`` span on the root timeline; each
-        completed receive still lands as an ``irecv`` span on its
-        destination rank's child timeline.
-        """
-        with self.tracer.span("waitall", n=len(requests)):
-            return [req.wait() for req in requests]
-
     # ------------------------------------------------------------------
     # collectives (lockstep driver supplies all ranks' values at once)
     # ------------------------------------------------------------------
+    def _check_reduction(self, values) -> None:
+        """Raise :class:`RankDeadError` when any rank is dead — the
+        collective is the guaranteed detection point for a crash, like
+        ULFM's ``MPI_ERR_PROC_FAILED`` from a collective — and
+        ``ValueError`` unless every rank contributed one value."""
+        if self._dead:
+            raise RankDeadError(
+                min(self._dead), op="allreduce over a communicator with dead ranks"
+            )
+        if len(values) != self.size:
+            raise ValueError(
+                f"allreduce needs one value per rank: got {len(values)}, "
+                f"size {self.size}"
+            )
+
     def allreduce_max(self, values: list[float]) -> float:
         """MAX all-reduce over one contribution per rank.
 
         NaN-propagating (``np.max``): a poisoned local residual must
         surface globally for the solver's health checks, exactly as an
-        ``MPI_MAX`` over a NaN does on real systems.  Raises
-        :class:`RankDeadError` when any rank is dead — the collective is
-        the guaranteed detection point for a crash, like ULFM's
-        ``MPI_ERR_PROC_FAILED`` from a collective.
+        ``MPI_MAX`` over a NaN does on real systems.
         """
-        if self._dead:
-            raise RankDeadError(
-                min(self._dead), op="allreduce over a communicator with dead ranks"
-            )
-        if len(values) != self.size:
-            raise ValueError(
-                f"allreduce needs one value per rank: got {len(values)}, "
-                f"size {self.size}"
-            )
+        self._check_reduction(values)
         return float(np.max(values))
 
     def allreduce_sum(self, values: list[float]) -> float:
-        """SUM all-reduce over one contribution per rank."""
-        if self._dead:
-            raise RankDeadError(
-                min(self._dead), op="allreduce over a communicator with dead ranks"
-            )
-        if len(values) != self.size:
-            raise ValueError(
-                f"allreduce needs one value per rank: got {len(values)}, "
-                f"size {self.size}"
-            )
+        """SUM all-reduce over one contribution per rank: Python's
+        left-to-right sum (``np.sum`` adds pairwise from 8 values up
+        and rounds differently)."""
+        self._check_reduction(values)
         return float(sum(values))
 
     # ------------------------------------------------------------------
@@ -523,8 +449,8 @@ class SubComm:
     The distributed-MPI analogue is ``MPI_Comm_split``: agglomerated
     coarse levels run their halo exchanges over the *active* ranks only,
     so the exchange layer needs a communicator whose local ranks
-    ``0..n-1`` map onto the chosen global ranks.  All traffic physically
-    moves through the parent — ``sent_messages``, ``bytes_by_pair`` and
+    ``0..n-1`` map onto the chosen global ranks.  Every header travels
+    through the parent — ``sent_messages``, ``bytes_by_pair`` and
     the per-rank trace spans keep global rank ids, so communication
     accounting stays truthful on agglomerated levels.
 
@@ -561,43 +487,29 @@ class SubComm:
         return self.global_ranks[local]
 
     # -- point to point, local ranks in / parent envelopes out ----------
-    def isend(self, src, dst, tag, payload, checksum=None, fault=None,
+    def _envelope(self, a: int, b: int, tag: int) -> tuple[int, int, int]:
+        return self.global_rank(a), self.global_rank(b), tag + self.tag_offset
+
+    def isend(self, src, dst, tag, nbytes, checksum=None, fault=None,
               level=-1):
         return self.parent.isend(
-            self.global_rank(src), self.global_rank(dst),
-            tag + self.tag_offset, payload, checksum=checksum, fault=fault,
-            level=level,
-        )
-
-    def irecv(self, dst, src, tag, level=-1):
-        return self.parent.irecv(
-            self.global_rank(dst), self.global_rank(src),
-            tag + self.tag_offset, level=level,
+            *self._envelope(src, dst, tag), nbytes, checksum=checksum,
+            fault=fault, level=level,
         )
 
     def try_match(self, dst, src, tag, level=-1):
-        return self.parent.try_match(
-            self.global_rank(dst), self.global_rank(src),
-            tag + self.tag_offset, level=level,
-        )
+        return self.parent.try_match(*self._envelope(dst, src, tag), level=level)
 
     def release_delayed(self, dst, src, tag):
-        return self.parent.release_delayed(
-            self.global_rank(dst), self.global_rank(src),
-            tag + self.tag_offset,
-        )
+        return self.parent.release_delayed(*self._envelope(dst, src, tag))
 
     def retransmit(self, dst, src, tag, fault=None, level=-1):
         return self.parent.retransmit(
-            self.global_rank(dst), self.global_rank(src),
-            tag + self.tag_offset, fault=fault, level=level,
+            *self._envelope(dst, src, tag), fault=fault, level=level
         )
 
     def logged_nbytes(self, dst, src, tag):
-        return self.parent.logged_nbytes(
-            self.global_rank(dst), self.global_rank(src),
-            tag + self.tag_offset,
-        )
+        return self.parent.logged_nbytes(*self._envelope(dst, src, tag))
 
     @property
     def pending(self) -> int:
@@ -606,10 +518,7 @@ class SubComm:
         return self.parent.pending
 
     def discard_stale(self, dst, src, tag, below_seq):
-        return self.parent.discard_stale(
-            self.global_rank(dst), self.global_rank(src),
-            tag + self.tag_offset, below_seq,
-        )
+        return self.parent.discard_stale(*self._envelope(dst, src, tag), below_seq)
 
     # -- rank-failure view ----------------------------------------------
     def is_dead(self, local: int) -> bool:
@@ -620,33 +529,21 @@ class SubComm:
         """Global ids of this view's members that are dead."""
         return tuple(r for r in self.global_ranks if self.parent.is_dead(r))
 
-    # -- collectives over the active ranks ------------------------------
-    def _check_members_alive(self) -> None:
+    # -- collectives over the active ranks, as SimComm's ----------------
+    def _check_reduction(self, values) -> None:
         dead = self.dead_ranks()
         if dead:
             raise RankDeadError(
                 dead[0], op="allreduce over a SubComm with dead ranks"
             )
-
-    def allreduce_max(self, values) -> float:
-        self._check_members_alive()
         if len(values) != self.size:
             raise ValueError(
                 f"allreduce needs one value per active rank: got "
                 f"{len(values)}, size {self.size}"
             )
-        return float(np.max(values))
 
-    def allreduce_sum(self, values) -> float:
-        self._check_members_alive()
-        if len(values) != self.size:
-            raise ValueError(
-                f"allreduce needs one value per active rank: got "
-                f"{len(values)}, size {self.size}"
-            )
-        # Python's left-to-right sum, as SimComm.allreduce_sum: np.sum
-        # adds pairwise from 8 values up and rounds differently
-        return float(sum(values))
+    allreduce_max = SimComm.allreduce_max
+    allreduce_sum = SimComm.allreduce_sum
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

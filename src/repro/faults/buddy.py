@@ -5,26 +5,26 @@ with the rank that took them, so a rank crash would otherwise always
 escalate to a global restart.  The buddy scheme gives every rank an
 off-node partner (:meth:`~repro.comm.topology.CartTopology.buddy_rank`)
 that holds a replica of its finest-level solution bricks: at every
-checkpoint the coordinated snapshot is *shipped* over the same priced,
-checksummed, retransmission-protected envelope protocol halo traffic
-uses, so replication cost is visible in the message accounting and a
-message fault striking a snapshot in flight is healed by the normal
-retry machinery.
+checkpoint the coordinated snapshot is *shipped*: copied into the
+buddy's store once its header — priced, checksummed and
+retransmission-protected like halo traffic's — is delivered, so
+replication cost is visible in the message accounting and a message
+fault striking a snapshot in flight is healed by the normal retry
+machinery before anything is stored.
 
-Replica traffic travels with ``level=-1`` and ``direction=None``, so
-level- or direction-pinned fault specs never strike it by accident —
-only a spec written against the buddy band can.  Replica payloads are
-kept exactly as received (no copy-on-store is needed because the
-sender snapshots at ship time), keyed by the *protected* rank, and a
-replica hosted on a rank that later dies is invalidated: blank respawn
-memory holds no state, exactly like a real ULFM respawn.
+Replica headers travel with ``level=-1`` and ``direction=None``, so
+level- or direction-pinned fault specs never strike them by accident —
+only a spec written against the buddy band can.  Replicas are keyed by
+the *protected* rank, and a replica hosted on a rank that later dies
+is invalidated: blank respawn memory holds no state, exactly like a
+real ULFM respawn.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.exchange import ResilientChannel
+from repro.comm.exchange import ResilientChannel, payload_checksum
 from repro.instrument import Recorder
 
 #: tag for buddy snapshot shipments — its own band, above the halo
@@ -38,8 +38,8 @@ class BuddyCheckpointer(ResilientChannel):
     back during recovery.
 
     One instance covers the whole (lockstep-simulated) communicator:
-    :meth:`ship` moves every rank's snapshot to its partner in a single
-    collective-style phase (all sends posted, then all receives), and
+    :meth:`ship` copies every rank's snapshot to its partner in a single
+    collective-style phase (all headers posted, then all received), and
     :meth:`snapshot_for` hands a dead rank's replica to the repair
     path.  The store maps *protected* rank to ``(cycle, payload)`` so
     recovery can check the replica is from the same coordinated
@@ -77,28 +77,31 @@ class BuddyCheckpointer(ResilientChannel):
         total = 0
         with self.tracer.span("buddy-checkpoint", cycle=int(cycle), ranks=size):
             for rank in range(size):
+                x = x_by_rank[rank]
                 self._send(
-                    -1, rank, self.buddy_of[rank], BUDDY_TAG, None,
-                    x_by_rank[rank], None,
+                    -1, rank, self.buddy_of[rank], BUDDY_TAG, None, x.nbytes,
+                    None, checksum=(
+                        None if self.injector is None else payload_checksum(x)
+                    ),
                 )
             for rank in range(size):
                 buddy = self.buddy_of[rank]
-                expected = tuple(x_by_rank[rank].shape)
-                payload = self._receive_payload(
-                    -1, buddy, rank, BUDDY_TAG, expected, direction=None,
+                x = x_by_rank[rank]
+                self._receive(
+                    -1, buddy, rank, BUDDY_TAG, x.nbytes, lambda: x,
                     context=(
                         f"rank {buddy}'s replica of rank {rank}'s "
                         f"cycle-{cycle} snapshot"
                     ),
                     what="buddy snapshot",
                 )
-                self._store[rank] = (int(cycle), payload)
-                total += int(payload.nbytes)
+                self._store[rank] = (int(cycle), x.copy())
+                total += int(x.nbytes)
                 if self.recorder is not None:
                     self.recorder.fault(
                         "buddy_checkpoint", vcycle=int(cycle), level=-1,
                         rank=buddy, src=rank, tag=BUDDY_TAG,
-                        nbytes=int(payload.nbytes),
+                        nbytes=int(x.nbytes),
                     )
         self.shipped_bytes += total
         return total

@@ -4,12 +4,12 @@ The injector is consulted at these hook points:
 
 * :meth:`FaultInjector.may_strike` — by
   :class:`~repro.comm.exchange.HaloExchange` once per exchange: only an
-  exchange some armed message fault can strike moves per-message
-  envelopes, the rest run the plan copy with a checksum pass;
-* :meth:`FaultInjector.message_action` — before every send such an
+  exchange some armed message fault can strike posts per-message
+  headers after its checked plan copy, the rest derive them;
+* :meth:`FaultInjector.message_action` — before every header such an
   exchange posts (including retransmissions, so persistent specs can
   defeat retries), and by the agglomeration transfers and buddy
-  checkpoints, which always move envelopes;
+  checkpoints, which always post headers;
 * :meth:`FaultInjector.kernel_sdc` — by
   :class:`~repro.gmg.vcycle.VCycle` after every smoothing visit, to
   poison one interior cell of the just-written solution field;
@@ -88,7 +88,7 @@ class FaultInjector:
         """Could :meth:`message_action` fault a message of an exchange
         at ``level`` (``None``: at any level) in the current V-cycle?
         True when some *armed* message-fault spec matches the cycle and
-        the level: only those exchanges need envelopes to strike.
+        the level: only those exchanges need headers to strike.
         ``sdc`` and ``rank_crash`` specs never do — one poisons a kernel
         output, the crash poll and the dead endpoint cover the other."""
         return any(

@@ -128,11 +128,26 @@ class FaultSpec:
         dst: int,
         direction: tuple[int, int, int] | None,
     ) -> bool:
+        return self.matches_exchange(vcycle, level) and self.matches_row(
+            level, src, dst, direction
+        )
+
+    def matches_row(
+        self,
+        level: int,
+        src: int,
+        dst: int,
+        direction: tuple[int, int, int] | None,
+    ) -> bool:
+        """Could this spec strike the message ``src -> dst`` along
+        ``direction`` at ``level`` in some V-cycle?"""
         # direction is None for messages with no halo geometry (the
-        # agglomeration gather/scatter): a direction-pinned spec never
-        # matches those, a direction-free spec matches them normally.
+        # agglomeration gather/scatter, buddy replicas): a
+        # direction-pinned spec never matches those, a direction-free
+        # spec matches them normally.
         return (
-            self.matches_exchange(vcycle, level)
+            self.is_message_fault
+            and (self.level is None or self.level == level)
             and (self.src is None or self.src == src)
             and (self.rank is None or self.rank == dst)
             and (
@@ -204,6 +219,7 @@ class FaultPlan:
         num_ranks: int,
         num_levels: int | None = None,
         active_ranks=None,
+        message_rows=None,
     ) -> "FaultPlan":
         """Reject specs that could never fire on the given solver shape.
 
@@ -213,8 +229,13 @@ class FaultPlan:
         noticed.  ``active_ranks[level]`` lists the ranks that compute
         ``level`` when agglomeration idles the others: an ``sdc`` spec
         pinned to an idle ``(level, rank)`` has no kernel output to
-        poison.  Returns ``self`` so callers can chain.
+        poison.  ``message_rows`` lists ``(level, src, dst, direction)``
+        of every message the solve posts a header for — plan messages
+        on a communicator of more than one rank, transfer blocks, buddy
+        replicas: a message spec none of them matches has nothing to
+        strike.  Returns ``self`` so callers can chain.
         """
+        rows = None if message_rows is None else list(message_rows)
         for i, spec in enumerate(self.specs):
             for attr in ("rank", "src"):
                 value = getattr(spec, attr)
@@ -247,6 +268,22 @@ class FaultPlan:
                     f"leaves that level to ranks "
                     f"{list(active_ranks[spec.level])} — the spec could "
                     "never fire"
+                )
+            if (
+                rows is not None
+                and spec.is_message_fault
+                and not any(spec.matches_row(*row) for row in rows)
+            ):
+                pinned = ", ".join(
+                    f"{attr}={getattr(spec, attr)}"
+                    for attr in ("level", "src", "rank", "direction")
+                    if getattr(spec, attr) is not None
+                ) or "no site predicate"
+                raise ValueError(
+                    f"spec {i} ({spec.kind}): {pinned} matches no message "
+                    f"this solve posts ({len(rows)} plan messages, transfer "
+                    "blocks and buddy replicas; a communicator of one rank "
+                    "posts none) — the spec could never fire"
                 )
             if spec.kind in RANK_FAULT_KINDS and num_ranks < 2:
                 raise ValueError(

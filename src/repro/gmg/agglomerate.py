@@ -18,9 +18,10 @@ The mechanism is in-solver and exact, not a performance-model stub:
 * at each *transition* level the per-source restriction lands in a
   *staging* level on the previous decomposition, and an
   :class:`AgglomerationTransfer` gathers the staged ``x``/``b`` blocks
-  to their owner rank through the parent :class:`~repro.comm.simmpi.
-  SimComm` — priced, checksummed, and fault-injectable exactly like
-  halo traffic (``direction=None`` distinguishes the envelope);
+  to their owner rank by direct copy, each behind a header on the
+  parent :class:`~repro.comm.simmpi.SimComm` — priced, checksummed and
+  fault-injectable exactly like halo traffic (``direction=None``
+  distinguishes the envelope);
 * active ranks smooth the merged level through a
   :class:`~repro.comm.exchange.HaloExchange` scoped to the active
   communicator (:class:`~repro.comm.simmpi.SubComm`) — when a single
@@ -43,9 +44,11 @@ copy reads another's bytes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.comm.exchange import HaloExchange, ResilientChannel
+from repro.comm.exchange import HaloExchange, ResilientChannel, payload_checksum
 from repro.comm.simmpi import SubComm
 from repro.comm.topology import CartTopology
 from repro.gmg import operators as ops
@@ -174,9 +177,10 @@ class AgglomerationPlan:
 class AgglomerationTransfer(ResilientChannel):
     """Gather/scatter of staged coarse blocks at one transition level.
 
-    Messages travel on the *parent* communicator with global rank ids
-    and level-unique tags, so they are priced, traced, checksummed and
-    fault-injected by exactly the machinery halo traffic uses; a
+    Each block is copied directly; its header travels on the *parent*
+    communicator with global rank ids and a level-unique tag, so it is
+    priced, traced, checksummed and fault-injected by exactly the
+    machinery halo traffic uses; a
     direction-pinned fault spec never matches them (``direction=None``)
     but level/src/rank predicates do.  The owner's own block is a self
     message (the active rank keeps its corner), matching how a real
@@ -184,7 +188,7 @@ class AgglomerationTransfer(ResilientChannel):
 
     ``staging_levels`` and ``merged_levels`` may hold several stacked
     copies of the decomposition (copy-major); the collective then runs
-    copy by copy on the same tags, as the halo envelope path does.
+    copy by copy on the same tags, as the halo's header protocol does.
     """
 
     def __init__(
@@ -217,6 +221,8 @@ class AgglomerationTransfer(ResilientChannel):
         self.assignments = assignments
         self.gather_tag = TRANSFER_TAG_BASE + 2 * self.level_index
         self.scatter_tag = TRANSFER_TAG_BASE + 2 * self.level_index + 1
+        #: cell offset in its owner's merged block, per staging index
+        self._offset_of = {s: off for owned in assignments for s, off in owned}
         self._last_level = self.level_index
 
     def _copies(self):
@@ -232,16 +238,17 @@ class AgglomerationTransfer(ResilientChannel):
     def gather(self) -> None:
         """Assemble the merged ``x``/``b`` from the staged blocks.
 
-        Every source rank sends one dense ``(2, *cells)`` block (the
-        zero initial guess stacked with its restricted right-hand
-        side); each owner places the blocks at their cell offsets.
+        Every source rank posts the header of one dense ``(2, *cells)``
+        block (the zero initial guess stacked with its restricted
+        right-hand side); each owner copies the block to its cell
+        offset once the header is delivered.
 
         Level-pinned ``rank_crash`` specs fire on entry; transfers
         touching a dead rank are skipped so the collective completes
-        for the survivors with no hung waitall and no partially staged
-        state left in flight — the crash surfaces as
-        :class:`RankDeadError` at the next residual reduction and the
-        recovery ladder restores or rolls back the whole cycle.
+        for the survivors with no partially staged state left in
+        flight — the crash surfaces as :class:`RankDeadError` at the
+        next residual reduction and the recovery ladder restores or
+        rolls back the whole cycle.
         """
         level = self.level_index
         with self.tracer.span(
@@ -256,11 +263,14 @@ class AgglomerationTransfer(ResilientChannel):
                     ):
                         continue  # dead endpoint on either side: nothing moves
                     st.init_zero()  # the staged x is the zero initial guess
-                    payload = np.stack([st.x.to_ijk(), st.b.to_ijk()])
                     self._send(
                         level, self.source_ranks[s],
                         self.owner_ranks[self.owner_of[s]],
-                        self.gather_tag, None, payload, "gather",
+                        self.gather_tag, None,
+                        2 * st.x.data.itemsize * math.prod(st.shape_cells),
+                        "gather",
+                        checksum=None if self.injector is None
+                        else payload_checksum(_staged(st)),
                     )
                 for o, merged in enumerate(merged_levels):
                     dst = self.owner_ranks[o]
@@ -276,10 +286,10 @@ class AgglomerationTransfer(ResilientChannel):
                         if self._is_dead(src):
                             partial = True
                             continue  # source died before staging its block
-                        expected = (2,) + tuple(st.shape_cells)
-                        payload = self._receive_payload(
-                            level, dst, src, self.gather_tag, expected,
-                            direction=None,
+                        payload = _staged(st)
+                        self._receive(
+                            level, dst, src, self.gather_tag, payload.nbytes,
+                            lambda: payload,
                             context=(
                                 f"rank {dst}'s agglomerated block from rank "
                                 f"{src} at level {level}"
@@ -290,18 +300,16 @@ class AgglomerationTransfer(ResilientChannel):
                             "unpack", l=level, src=src, dst=dst,
                             tag=self.gather_tag, bytes=int(payload.nbytes),
                         ):
-                            block = tuple(
-                                slice(off, off + c)
-                                for off, c in zip(offset, st.shape_cells)
-                            )
-                            dense[(slice(None),) + block] = payload
+                            dense[(slice(None),) + _block(offset, st)] = payload
                     if partial:
                         continue  # never commit a partially assembled block
                     merged.x.set_interior(dense[0])
                     merged.b.set_interior(dense[1])
 
     def scatter(self) -> None:
-        """Return the merged correction ``x`` to the staged blocks."""
+        """Return the merged correction ``x`` to the staged blocks: each
+        owner posts one header per block, and each source copies its
+        block of the owner's correction once the header is delivered."""
         level = self.level_index
         with self.tracer.span(
             "agglomerate-scatter", l=level,
@@ -309,31 +317,32 @@ class AgglomerationTransfer(ResilientChannel):
         ):
             self.poll_crashes(level)
             for staging, merged_levels in self._copies():
+                corrections = {}
                 for o, merged in enumerate(merged_levels):
                     src = self.owner_ranks[o]
                     if self._is_dead(src):
                         continue  # a dead owner returns nothing
-                    dense_x = merged.x.to_ijk()
+                    dense_x = corrections[o] = merged.x.to_ijk()
                     for s, offset in self.assignments[o]:
-                        st = staging[s]
                         if self._is_dead(self.source_ranks[s]):
                             continue  # no endpoint to deliver to
-                        block = tuple(
-                            slice(off, off + c)
-                            for off, c in zip(offset, st.shape_cells)
-                        )
+                        block = dense_x[_block(offset, staging[s])]
                         self._send(
                             level, src, self.source_ranks[s], self.scatter_tag,
-                            None, np.ascontiguousarray(dense_x[block]), "scatter",
+                            None, block.nbytes, "scatter",
+                            checksum=None if self.injector is None
+                            else payload_checksum(block),
                         )
                 for s, st in enumerate(staging):
                     dst = self.source_ranks[s]
-                    src = self.owner_ranks[self.owner_of[s]]
+                    o = self.owner_of[s]
+                    src = self.owner_ranks[o]
                     if self._is_dead(dst) or self._is_dead(src):
                         continue  # staged block keeps its pre-crash correction
-                    payload = self._receive_payload(
-                        level, dst, src, self.scatter_tag,
-                        tuple(st.shape_cells), direction=None,
+                    payload = corrections[o][_block(self._offset_of[s], st)]
+                    self._receive(
+                        level, dst, src, self.scatter_tag, payload.nbytes,
+                        lambda: payload,
                         context=(
                             f"rank {dst}'s scattered correction from rank "
                             f"{src} at level {level}"
@@ -345,6 +354,16 @@ class AgglomerationTransfer(ResilientChannel):
                         tag=self.scatter_tag, bytes=int(payload.nbytes),
                     ):
                         st.x.set_interior(payload)
+
+
+def _staged(st: Level) -> np.ndarray:
+    """A staged level's gather payload: its ``x`` stacked on its ``b``."""
+    return np.stack([st.x.to_ijk(), st.b.to_ijk()])
+
+
+def _block(offset, st: Level) -> tuple[slice, ...]:
+    """Where staged level ``st`` sits in its owner's merged cells."""
+    return tuple(slice(off, off + c) for off, c in zip(offset, st.shape_cells))
 
 
 class Agglomerator:

@@ -331,9 +331,6 @@ class Hierarchy:
         if fault_plan is not None and not fault_plan.empty:
             from repro.faults.injector import FaultInjector
 
-            # A spec naming a rank/level outside this solve would sit in
-            # the plan silently forever — fail at construction instead.
-            fault_plan.validate_for(config.num_ranks, config.num_levels)
             self.injector = FaultInjector(fault_plan, self.recorder)
         self._max_retries = (
             resilience.max_retries if resilience is not None else 3
@@ -407,15 +404,18 @@ class Hierarchy:
             # schedule untouched (and unpoliced levels un-built)
             if agglomerator.active:
                 self.agglomerator = agglomerator
-                if self.injector is not None:
-                    # only now known: which ranks each level idles
-                    fault_plan.validate_for(
-                        config.num_ranks, config.num_levels,
-                        active_ranks=[
-                            agglomerator.plan.active_ranks(lev)
-                            for lev in range(config.num_levels)
-                        ],
-                    )
+        if self.injector is not None:
+            # A spec that names a rank/level outside this solve, an
+            # idled (level, rank) or no message it posts would sit in
+            # the plan silently forever — fail at construction instead.
+            fault_plan.validate_for(
+                config.num_ranks, config.num_levels,
+                active_ranks=None if self.agglomerator is None else [
+                    self.agglomerator.plan.active_ranks(lev)
+                    for lev in range(config.num_levels)
+                ],
+                message_rows=self._message_rows(),
+            )
 
     def _build_exchanger(self, lev: int):
         """A fresh full-grid exchanger for level ``lev``."""
@@ -429,6 +429,31 @@ class Hierarchy:
             max_retries=self._max_retries,
             tracer=self.tracer,
         )
+
+    def _message_rows(self) -> list[tuple]:
+        """``(level, src, dst, direction)`` of every message this solve
+        posts a header for, global ranks — what a message fault can
+        strike: the plan messages of the exchanger serving each level
+        (none on a communicator of one), the agglomeration transfer
+        blocks, the buddy replicas."""
+        rows = []
+        for lev, ex in enumerate(self.exchangers):
+            if self.agglomerator is not None:
+                ex = self.agglomerator.exchanger_at(lev) or ex
+            if ex.comm.size > 1:
+                rows += [
+                    (lev, ex._gr(m.src_rank), ex._gr(m.dst_rank), m.direction)
+                    for m in ex.plan.messages
+                ]
+        if self.agglomerator is not None:
+            for t in self.agglomerator.transfers:
+                for s, o in enumerate([] if t is None else t.owner_of):
+                    src, dst = t.source_ranks[s], t.owner_ranks[o]
+                    rows += [(t.level_index, src, dst, None),
+                             (t.level_index, dst, src, None)]
+        if self.buddy is not None:
+            rows += [(-1, r, b, None) for r, b in enumerate(self.buddy.buddy_of)]
+        return rows
 
     def halo_exchangers(self) -> list[tuple[int, HaloExchange]]:
         """``(level, exchanger)`` of every ghost exchange: the

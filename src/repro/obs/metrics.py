@@ -143,11 +143,13 @@ class MetricsRegistry:
         """Snapshot which execution each ghost exchange took.
 
         ``exchangers`` is :meth:`GMGSolver.halo_exchangers`' ``(level,
-        exchanger)`` list.  ``exchanges.planned`` counts index copies
-        off the exchange plan (``exchanges.checked`` of them with the
-        per-message checksum pass a fault plan adds),
-        ``exchanges.envelope`` per-message executions (with per-level
-        detail) and ``exchanges.envelope.<reason>`` which of the three
+        exchanger)`` list.  Every exchange is an index copy off the
+        exchange plan (``exchanges.checked`` of them with the
+        per-message checksum pass a fault plan adds);
+        ``exchanges.planned`` counts those accounted from the plan,
+        ``exchanges.envelope`` those that posted per-message headers
+        (with per-level detail) and ``exchanges.envelope.<reason>``
+        which of the three
         :meth:`HaloExchange.envelope_reason` answers selected them, as
         tallied when each exchange chose (none on a fault-free solve,
         traced or not); the plan

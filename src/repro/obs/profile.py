@@ -45,14 +45,16 @@ def wait_fraction(tracer: Tracer) -> tuple[float, float]:
 
 def exchange_path_line(solver) -> str | None:
     """One line on how a solve's ghost exchanges ran, from the tallies
-    each exchanger kept as it chose.
+    each exchanger kept as it went.
 
-    An armed message fault, a dead endpoint or traffic in flight move
-    per-message envelopes where the plain solve copies by index off
-    the exchange plan (checksummed under a fault plan); saying so —
-    with what the plan moves per exchange — keeps a profile from
-    passing for the run it explains.  ``None`` when every exchange was
-    the plain copy, as in any fault-free solve, traced or not.
+    Every exchange copies its ghosts by index off the exchange plan;
+    under a fault plan each copy is checked (a CRC32 per message), and
+    an armed message fault, a dead endpoint or traffic in flight add
+    per-message headers where the plain solve derives its accounting
+    from the plan.  Saying so — with what the plan moves per exchange —
+    keeps a profile from passing for the run it explains.  ``None``
+    when every exchange was the plain copy, as in any fault-free solve,
+    traced or not.
     """
     exchangers = solver.halo_exchangers()
     envelope = sum(ex.path_counts["envelope"] for _, ex in exchangers)
@@ -68,10 +70,10 @@ def exchange_path_line(solver) -> str | None:
         for lev, ex in exchangers
     )
     return (
-        f"halo exchange: {envelope} of {envelope + planned} exchanges as "
-        f"envelopes{f' ({why})' if why else ''}; checked plan copies: "
-        f"{checked}; a plain solve runs each as one index copy per field; "
-        f"plan per exchange and field: {plans}"
+        f"halo exchange: {checked} of {envelope + planned} index copies "
+        f"checked; {envelope} posted per-message headers"
+        f"{f' ({why})' if why else ''}; a plain solve runs each as one "
+        f"unchecked index copy per field; plan per exchange and field: {plans}"
     )
 
 

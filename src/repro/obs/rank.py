@@ -2,13 +2,14 @@
 
 :func:`traffic_matrix` reads the communicator's own ledger
 (:attr:`~repro.comm.simmpi.SimComm.ledger`), which every transmission
-enters whether it moved as an envelope or was derived from an exchange
-plan — so the matrix is exact for any solve: traced or not, fault-free
-or faulted (retransmissions counted), agglomerated levels included
-(their sub-communicators keep global rank ids on the root ledger).
+enters whether its header was posted or it was derived from an
+exchange plan — so the matrix is exact for any solve: traced or not,
+fault-free or faulted (retransmissions counted), agglomerated levels
+included (their sub-communicators keep global rank ids on the root
+ledger).
 
-The per-message ``isend``/``irecv``/``unpack``/``retransmit`` spans an
-envelope exchange leaves on the per-rank timelines
+The per-message ``isend``/``irecv``/``retransmit`` spans posted headers
+leave on the per-rank timelines
 (:meth:`~repro.obs.tracer.Tracer.child`) are for looking at, in the
 pid-per-rank Chrome export; nothing is computed from them.
 """

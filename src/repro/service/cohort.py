@@ -11,8 +11,8 @@ and drives a single copy; what this module adds is slot bookkeeping:
   call over the whole cohort;
 * **communication** batches the same way: the hierarchy's one
   :class:`~repro.comm.exchange.HaloExchange` per level copies every
-  copy's ghosts in one pass over the stacked storage (or exchanges
-  envelopes copy by copy), and its one recorder and communicator
+  copy's ghosts in one pass over the stacked storage (posting any
+  headers copy by copy), and its one recorder and communicator
   account the plan's messages once per copy;
 * **convergence** is per request:
   :meth:`~repro.gmg.vcycle.VCycle.residual_norms` reduces each copy's

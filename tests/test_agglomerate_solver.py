@@ -241,13 +241,17 @@ class TestTransferFaultRecovery:
 
     def test_direction_pinned_spec_never_matches_transfers(self):
         # a direction predicate describes halo geometry; transfer
-        # messages have none and must pass through untouched
+        # messages have none, and level 3's one active rank posts no
+        # halo header: the spec has nothing to strike and is refused
         spec = FaultSpec(
             "drop", vcycle=1, level=3, direction=(1, 0, 0), max_hits=None
         )
-        solver, result = self.run_with(FaultPlan(specs=(spec,)))
-        assert result.fault_counts.get("detect_drop", 0) == 0
-        assert result.residual_history == self.clean_history()
+        with pytest.raises(ValueError, match=r"spec 0 \(drop\): level=3, "
+                           r"direction=\(1, 0, 0\) matches no message"):
+            self.run_with(FaultPlan(specs=(spec,)))
+        # the transfers themselves are struck by a direction-free spec
+        _, result = self.run_with(FaultPlan.single("drop", vcycle=1, level=3))
+        assert result.fault_counts["detect_drop"] == 1
 
     def test_persistent_transfer_fault_degrades_gracefully(self):
         solver, result = self.run_with(

@@ -250,6 +250,12 @@ class TestChaosSweepCommand:
         assert "Fault sweep" in out
         assert "degraded gracefully in 1" in out
 
+    def test_faultsweep_refuses_one_rank(self, capsys):
+        """One rank posts no message: the battery's message faults
+        could never fire, and the sweep says so instead of passing."""
+        assert main(["faultsweep", "--ranks", "1,1,1", "--machine", "none"]) == 2
+        assert "at least 2 ranks" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_all_checks_pass(self, capsys):

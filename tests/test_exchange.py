@@ -24,18 +24,24 @@ def make_rank_fields(topology, grid, global_dense):
 
 
 def check_ghosts_against_global(topology, grid, fields, global_dense):
-    """Every ghost brick must hold the right global (periodic) data."""
+    """Every ghost brick that faces a neighbour must hold the right
+    global data: periodic wrap, or under walls only the ghosts inside
+    the global domain (``test_boundary.py`` owns the outward fills).
+    The reference is the dense array indexed by position: it shares no
+    code with ``ExchangePlan``."""
     cells = grid.shape_cells
     B = grid.brick_dim
     N = global_dense.shape
     for rank, field in enumerate(fields):
         o = topology.subdomain_origin(rank, cells)
-        for slot in grid.ghost_slots[::5]:  # sample for speed
+        for slot in grid.ghost_slots:
             lg = grid.slot_to_grid[slot] - grid.ghost_bricks
-            idx = [
-                np.mod(np.arange(o[d] + lg[d] * B, o[d] + (lg[d] + 1) * B), N[d])
-                for d in range(3)
-            ]
+            start = [o[d] + lg[d] * B for d in range(3)]
+            if not topology.periodic and any(
+                not 0 <= start[d] < N[d] for d in range(3)
+            ):
+                continue
+            idx = [np.mod(np.arange(start[d], start[d] + B), N[d]) for d in range(3)]
             expected = global_dense[np.ix_(*idx)]
             assert np.array_equal(field.data[slot], expected), (rank, tuple(lg))
 
@@ -239,7 +245,7 @@ class TestHaloExchange:
         with pytest.raises(ValueError, match="incompatible"):
             ex.exchange(0, [[ok], [wrong]])
 
-    def test_ghost_shape_mismatch_names_rank_direction_level(self, rng):
+    def test_ghost_size_mismatch_names_rank_direction_level(self, rng):
         from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS, direction_index
 
         grid = BrickGrid((2, 2, 2), 4)
@@ -247,28 +253,43 @@ class TestHaloExchange:
         comm = SimComm(2)
         ex = HaloExchange(grid, topo, comm)
         fields = make_rank_fields(topo, grid, rng.random((16, 8, 8)))
-        # smuggle a wrong-shaped payload onto the first envelope rank 0
-        # will read; FIFO ordering guarantees it is matched first
+        # smuggle a stray header of the wrong size onto the first
+        # envelope rank 0 will read; FIFO ordering guarantees it is
+        # matched first (and, in flight, it makes the exchange post)
         d0 = NEIGHBOR_DIRECTIONS[0]
         src = topo.neighbor(0, d0)
         tag = direction_index(tuple(-c for c in d0))
-        comm.isend(src, 0, tag, np.zeros((1, 1, 1)))
-        with pytest.raises(RuntimeError, match="ghost region shape mismatch") as exc:
+        comm.isend(src, 0, tag, nbytes=8)
+        with pytest.raises(RuntimeError, match="ghost region size mismatch") as exc:
             ex.exchange(0, [[f] for f in fields])
+        assert "got 8 bytes, expected 512" in str(exc.value)
         assert "rank 0" in str(exc.value)
         assert f"direction {d0}" in str(exc.value)
         assert "level 0" in str(exc.value)
 
-    def test_unmatched_receive_names_direction_and_level(self):
-        grid = BrickGrid((2, 2, 2), 4)
-        topo = CartTopology((2, 1, 1))
-        ex = HaloExchange(grid, topo, SimComm(2))
+    def test_unmatched_receive_names_direction_and_level(self, monkeypatch):
         from repro.comm import UnmatchedReceiveError
 
+        grid = BrickGrid((2, 2, 2), 4)
+        topo = CartTopology((2, 1, 1))
+        comm = SimComm(2)
+        ex = HaloExchange(grid, topo, comm)
+        comm.isend(0, 1, 999, nbytes=8)  # in flight: the exchange posts
+        lost = next(m for m in ex.plan.messages if m.src_rank == 1)
+        real = SimComm.isend
+
+        def losing(self, src, dst, tag, *args, **kwargs):
+            if (src, dst, tag) != (1, 0, lost.tag):
+                real(self, src, dst, tag, *args, **kwargs)
+
+        monkeypatch.setattr(SimComm, "isend", losing)
+        fields = [[BrickedArray.zeros(grid)] for _ in range(2)]
         with pytest.raises(UnmatchedReceiveError) as exc:
-            ex._receive(2, 0, src=1, tag=9, d=(1, 0, 0),
-                        expected_shape=(1, 4, 4, 4, 4))
-        assert "direction (1, 0, 0) at level 2" in str(exc.value)
+            ex.exchange(2, fields)
+        assert (
+            f"rank 0's ghost region along direction {lost.ghost_direction} "
+            "at level 2"
+        ) in str(exc.value)
         assert "deadlock" in str(exc.value)
 
     def test_exchange_with_rhs_field_data(self):

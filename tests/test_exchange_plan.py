@@ -1,16 +1,19 @@
-"""The compiled halo exchange against the per-message reference.
+"""The compiled halo exchange: ghosts against an independent dense
+reference, accounting against the per-message header protocol.
 
-``HaloExchange`` executes one ``ExchangePlan`` two ways; the planned
-index copy must leave every ghost brick, every recorded message and
-every communicator counter exactly as the envelope path does.  The
-reference is forced from here, never by a switch in ``src/``: an
+``HaloExchange`` writes every ghost by the ``ExchangePlan``'s index
+copy; the data is judged against each copy's dense interior indexed by
+position (``tests/test_exchange.py: check_ghosts_against_global``),
+which shares no code with the plan.  What an exchange *accounts* —
+message events, ledger rows, exchange counts — is judged against the
+header protocol, forced from here, never by a switch in ``src/``: an
 injector that arms every exchange and strikes nothing
 (``tests/conftest.py``).  Under a fault plan only the exchanges an
 armed message fault can strike (and those that drain what it left in
-flight) move envelopes; the rest are the planned copy plus a
-per-message checksum pass, pinned here to the all-envelope run event
-by event.  A tracer selects nothing: a traced solve is its untraced
-twin, exchange for exchange.
+flight) post headers; every exchange's copy runs a per-message
+checksum pass, pinned here to the all-header run event by event.  A
+tracer selects nothing: a traced solve is its untraced twin, exchange
+for exchange.
 
 It is also the only exchanger, so the plan is pinned at its two other
 ends: one rank against the independent periodic wrap
@@ -40,6 +43,7 @@ from repro.obs.tracer import Tracer
 
 from tests.conftest import QUIET_INJECTOR, ArmedNeverStriking, all_envelopes
 from tests.oracle import OracleSolver
+from tests.test_exchange import check_ghosts_against_global
 
 RANK_DIMS = [(2, 1, 1), (2, 2, 2), (3, 2, 1)]
 BOUNDARIES = ["periodic", "dirichlet", "neumann"]
@@ -53,8 +57,8 @@ def build(
     """An exchanger and ``fields_by_rank`` — for ``copies`` copies of the
     decomposition — with random content everywhere (ghosts included, so
     a ghost the exchange must not touch shows).  ``fault_plan`` attaches
-    an injector; ``reference`` one that makes every exchange move
-    envelopes."""
+    an injector; ``reference`` one that makes every exchange post
+    headers."""
     grid = BrickGrid(shape, 4, ordering=ordering)
     condition = BoundaryCondition(boundary)
     topo = CartTopology(dims, periodic=condition is BoundaryCondition.PERIODIC)
@@ -96,14 +100,45 @@ def observable(ex, fields_by_rank):
         "sent_messages": comm.sent_messages,
         "sent_bytes": comm.sent_bytes,
         "bytes_by_pair": dict(comm.bytes_by_pair),
+        "ledger": {key: tuple(entry) for key, entry in comm.ledger.items()},
     }
 
 
-def assert_same(planned, reference):
-    for fp, fr in zip(planned.pop("data"), reference.pop("data")):
+def assert_same(got, want):
+    for fp, fr in zip(got.pop("data"), want.pop("data")):
         for a, b in zip(fp, fr):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert planned == reference
+    assert got == want
+
+
+def assert_matches_dense(ex, fields_by_rank, before):
+    """Every neighbour-facing ghost of every copy and field holds what
+    the dense reference says, and no interior brick moved.  ``before``
+    is each field's storage ahead of the exchange."""
+    grid, topo = ex.grid, ex.topology
+    interior = grid.interior_slots
+    for fields, saved in zip(fields_by_rank, before):
+        for field, data in zip(fields, saved):
+            assert np.array_equal(field.data[interior], data[interior])
+    for c in range(len(fields_by_rank) // topo.size):
+        block = slice(c * topo.size, (c + 1) * topo.size)
+        for f in range(len(fields_by_rank[0])):
+            dense = np.zeros(
+                tuple(n * c_ for n, c_ in zip(topo.dims, grid.shape_cells))
+            )
+            for rank, data in enumerate(before[block]):
+                o = topo.subdomain_origin(rank, grid.shape_cells)
+                sub = BrickedArray(grid, data[f].copy(), dtype=data[f].dtype).to_ijk()
+                dense[tuple(
+                    slice(o[d], o[d] + grid.shape_cells[d]) for d in range(3)
+                )] = sub
+            check_ghosts_against_global(
+                topo, grid, [fields[f] for fields in fields_by_rank[block]], dense
+            )
+
+
+def snapshot(fields_by_rank):
+    return [[f.data.copy() for f in fields] for fields in fields_by_rank]
 
 
 class TestPlanEqualsReference:
@@ -113,19 +148,25 @@ class TestPlanEqualsReference:
     @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-rank"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
     def test_byte_identity(self, dims, boundary, ordering, nfields, stacked, dtype):
+        """Ghosts as the dense reference says; accounting as the header
+        protocol's."""
         results = []
         for reference in (False, True):
             ex, fields = build(
                 dims, boundary, ordering, nfields, stacked, dtype, reference
             )
+            before = snapshot(fields)
             ex.exchange(0, fields)
             ex.exchange(2, fields)
+            assert_matches_dense(ex, fields, before)
             expect = "envelope" if reference else "planned"
             assert ex.path_counts[expect] == 2 and sum(ex.path_counts.values()) == 2
             ex.comm.assert_drained()
-            results.append(observable(ex, fields))
+            got = observable(ex, fields)
+            del got["data"]
+            results.append(got)
         assert len(results[0]["messages"]) == 2 * ex.plan.num_messages
-        assert_same(*results)
+        assert results[0] == results[1]
 
     def test_subcomm_accounts_global_ranks(self):
         """Active-rank exchangers (agglomerated levels) run over a
@@ -142,25 +183,28 @@ class TestPlanEqualsReference:
             rng = np.random.default_rng(3)
             fields = [[BrickedArray(grid, rng.random((grid.num_slots, 4, 4, 4)))]
                       for _ in range(2)]
+            before = snapshot(fields)
             ex.exchange(1, fields)
-            results.append(observable(ex, fields))
+            assert_matches_dense(ex, fields, before)
+            got = observable(ex, fields)
+            del got["data"]
+            results.append(got)
         # unit rank dims wrap onto the sender itself
         assert set(results[0]["bytes_by_pair"]) == {(0, 0), (0, 4), (4, 0), (4, 4)}
-        assert_same(*results)
+        assert results[0] == results[1]
 
     def test_rebound_data_leaves_the_stack(self):
         """A field whose ``data`` was swapped (CG's scratch buffers) is
         exchanged where it now lives, not in its old stacked block."""
         ex, fields = build((2, 1, 1))
-        ref_ex, ref_fields = build((2, 1, 1), reference=True)
-        for fs in (fields, ref_fields):
-            scratch = fs[1][0].data.copy() + 5.0
-            fs[1][0].data = scratch
-            assert fs[1][0].stacked_block() is None
+        scratch = fields[1][0].data.copy() + 5.0
+        fields[1][0].data = scratch
+        assert fields[1][0].stacked_block() is None
+        before = snapshot(fields)
         ex.exchange(0, fields)
-        ref_ex.exchange(0, ref_fields)
         assert ex.path_counts["planned"] == 1
-        assert_same(observable(ex, fields), observable(ref_ex, ref_fields))
+        assert fields[1][0].data is scratch
+        assert_matches_dense(ex, fields, before)
 
 
 class TestOneRankPlanIsThePeriodicWrap:
@@ -209,7 +253,9 @@ class TestCopiesInOneCall:
             copies=copies,
         )
         together, fields = build(dims, **kwargs)
+        before = snapshot(fields)
         together.exchange(1, fields)
+        assert_matches_dense(together, fields, before)
         apart, apart_fields = build(dims, **kwargs)
         size = apart.topology.size
         for c in range(copies):
@@ -337,7 +383,7 @@ class TestPathSelection:
         ex.exchange(0, fields)
         assert ex.path_counts == {"planned": 0, "envelope": 1}
         assert ex.envelope_reasons == {"armed message fault": 1}
-        assert ex.checked_copies == 0
+        assert ex.checked_copies == 1  # the copy comes first, checked
         assert ex.recorder.fault_counts()["inject_drop"] == 1
 
     @pytest.mark.parametrize(
@@ -353,8 +399,8 @@ class TestPathSelection:
     def test_injector_with_nothing_to_strike_runs_the_checked_plan(
         self, spec, struck_first, monkeypatch
     ):
-        """An attached injector is not a reason: the exchange runs as
-        the plan copy (checksummed) and posts nothing."""
+        """An attached injector is not a reason: the exchange runs the
+        plan copy (checksummed) and posts nothing."""
         ex, fields = self.injected(spec)
         for _ in range(struck_first):
             ex.exchange(0, fields)  # spends the one-shot spec
@@ -362,12 +408,12 @@ class TestPathSelection:
         assert ex.envelope_reason(0) is None
 
         def no_isend(*args, **kwargs):
-            raise AssertionError("a checked plan copy posts no envelope")
+            raise AssertionError("a checked plan copy posts no header")
 
         monkeypatch.setattr(SimComm, "isend", no_isend)
         ex.exchange(0, fields)
         assert ex.path_counts == {"planned": 1, "envelope": struck_first}
-        assert ex.checked_copies == 1
+        assert ex.checked_copies == 1 + struck_first
         assert ex.comm.pending == 0
         assert ex.comm.sent_messages == (
             (1 + struck_first) * ex.plan.num_messages + struck_first
@@ -386,7 +432,7 @@ class TestPathSelection:
             ex.exchange(1, fields)
         assert ex.path_counts == {"planned": 4, "envelope": 3}
         assert ex.envelope_reasons == {"armed message fault": 3}
-        assert ex.checked_copies == 4
+        assert ex.checked_copies == 7
         counts = ex.recorder.fault_counts()
         assert counts["inject_delay"] == counts["detect_delay"] == 3 * 52
         ex.comm.assert_drained()
@@ -403,7 +449,7 @@ class TestPathSelection:
         assert ex.envelope_reason() is None
 
         def no_isend(*args, **kwargs):
-            raise AssertionError("a traced exchange posts no envelope")
+            raise AssertionError("a traced exchange posts no header")
 
         monkeypatch.setattr(SimComm, "isend", no_isend)
         ex.exchange(0, fields)
@@ -417,7 +463,8 @@ class TestPathSelection:
             })
 
     def test_envelope_exchange_leaves_per_message_spans(self):
-        """Envelopes that genuinely run are still traced one by one."""
+        """Headers that genuinely post are still traced one by one; the
+        halo unpacks nothing (its ghosts were copied)."""
         tracer = Tracer()
         ex, fields = self.exchanger(
             comm=SimComm(2, tracer=tracer), tracer=tracer,
@@ -426,8 +473,14 @@ class TestPathSelection:
         ex.exchange(0, fields)
         (span,) = tracer.spans
         assert span.attrs["path"] == "envelope"
-        for name in ("isend", "irecv", "unpack"):
-            assert len(tracer.child(0).find(name)) == 26
+        brick_bytes = ex.plan.cells_per_brick * 8
+        for name in ("isend", "irecv"):
+            spans = tracer.child(0).find(name)
+            assert len(spans) == 26
+            assert sorted(s.attrs["bytes"] for s in spans) == sorted(
+                m.bricks * brick_bytes for m in ex.plan.receives if m.dst_rank == 0
+            )
+        assert not tracer.child(0).find("unpack") and not tracer.find("waitall")
 
     @pytest.mark.parametrize("sub", [False, True], ids=["SimComm(1)", "SubComm-of-1"])
     @pytest.mark.parametrize("why", ["injector", "tracer"])
@@ -480,7 +533,7 @@ class TestPathSelection:
 
     def test_stray_envelope_takes_envelopes(self):
         ex, fields = self.exchanger()
-        ex.comm.isend(0, 1, 999, np.zeros(1))
+        ex.comm.isend(0, 1, 999, nbytes=8)
         assert ex.comm.pending == 1
         assert "in flight" in ex.envelope_reason()
         ex.exchange(0, fields)
@@ -491,12 +544,12 @@ class TestPathSelection:
         from repro.faults.injector import FaultAction
 
         comm = SimComm(2)
-        comm.isend(0, 1, 0, np.zeros(2))
-        comm.isend(0, 1, 1, np.zeros(2), fault=FaultAction("duplicate"))
-        comm.isend(0, 1, 2, np.zeros(2), fault=FaultAction("delay"))
-        comm.isend(0, 1, 3, np.zeros(2), fault=FaultAction("drop"))
+        comm.isend(0, 1, 0, 16)
+        comm.isend(0, 1, 1, 16, fault=FaultAction("duplicate"))
+        comm.isend(0, 1, 2, 16, fault=FaultAction("delay"))
+        comm.isend(0, 1, 3, 16, fault=FaultAction("drop"))
         assert comm.pending == 4 == sum(comm.in_flight().values())
-        comm.irecv(1, 0, 0).wait()
+        assert comm.try_match(1, 0, 0).nbytes == 16
         assert comm.try_match(1, 0, 1).seq == 0
         assert comm.discard_stale(1, 0, 1, below_seq=1) == 1
         assert comm.release_delayed(1, 0, 2) == 1
@@ -539,8 +592,8 @@ class TestCheckedCopy:
         ex, fields = build((2, 2, 1), fault_plan=QUIET, **kwargs)
         plain, plain_fields = build((2, 2, 1), **kwargs)
         size, send = ex.topology.size, ex.plan.send_slots
-        # what the envelope path would put in each message's header, in
-        # the order the plan's flat tables list the messages
+        # what each message's header carries, in the order the plan's
+        # flat tables list the messages
         envelopes = [
             payload_checksum(np.stack(
                 [f.data[send[m.direction]] for f in fields[c * size + m.src_rank]]
@@ -738,13 +791,14 @@ class TestFaultedSolveEqualsAllEnvelopeReference:
         solver.comm.assert_drained()
 
     def test_storm_envelopes_every_exchange_it_can_strike(self):
-        """From cycle 2 on no level-0 exchange is a plan copy."""
+        """From cycle 2 on every level-0 exchange posts headers."""
         quiet_cycles, _ = self.solve(QUIET, max_vcycles=1)
         solver, result = self.solve(STORM)
         (_, before), (_, level0) = (
             s.halo_exchangers()[0] for s in (quiet_cycles, solver)
         )
-        assert level0.checked_copies == before.checked_copies
+        assert level0.path_counts["planned"] == before.path_counts["planned"]
+        assert level0.checked_copies == sum(level0.path_counts.values())
         assert level0.envelope_reasons == {
             "armed message fault": level0.path_counts["envelope"]
         }

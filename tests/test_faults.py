@@ -96,6 +96,58 @@ class TestFaultPlan:
         assert persistent.total_planned_hits is None
 
 
+class TestUnstrikableMessageSpecs:
+    """A message spec that matches no message the solve posts used to
+    sit in the plan: the solve converged with nothing injected and
+    nothing said.  Now the solver names it at construction."""
+
+    CONFIG = dict(global_cells=16, num_levels=2, brick_dim=4)
+
+    def test_one_rank_posts_no_message(self):
+        # a communicator of one copies its periodic wrap within the rank
+        plan = FaultPlan.single("drop", level=0, vcycle=1)
+        with pytest.raises(ValueError) as err:
+            GMGSolver(SolverConfig(**self.CONFIG), resilience=ResilienceConfig(),
+                      fault_plan=plan)
+        message = str(err.value)
+        assert "spec 0 (drop): level=0 matches no message" in message
+        assert "could never fire" in message
+
+    def test_no_plan_message_from_a_rank_to_itself(self):
+        # on 2x2x2 rank 0's +x neighbour is rank 4: nothing flows 0 -> 0
+        plan = FaultPlan.single("drop", src=0, rank=0, direction=(1, 0, 0))
+        with pytest.raises(ValueError) as err:
+            GMGSolver(
+                SolverConfig(**self.CONFIG, rank_dims=(2, 2, 2)),
+                resilience=ResilienceConfig(), fault_plan=plan,
+            )
+        assert (
+            "spec 0 (drop): src=0, rank=0, direction=(1, 0, 0) matches no "
+            "message"
+        ) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FaultSpec("drop", src=0, rank=4, direction=(1, 0, 0)),
+            FaultSpec("corrupt", src=0, rank=1),  # halo or replica
+            FaultSpec("delay", level=1, rank=7),
+        ],
+        ids=["halo", "level-free", "receiver-only"],
+    )
+    def test_specs_with_a_message_to_strike_are_accepted(self, spec):
+        GMGSolver(
+            SolverConfig(**self.CONFIG, rank_dims=(2, 2, 2)),
+            resilience=ResilienceConfig(), fault_plan=FaultPlan(specs=(spec,)),
+        )
+
+    def test_rows_are_checked_without_the_cycle(self):
+        spec = FaultSpec("drop", vcycle=5, level=1, src=0)
+        assert spec.matches_row(1, 0, 3, None)
+        assert not spec.matches_row(0, 0, 3, None)
+        assert not FaultSpec("sdc").matches_row(0, 0, 0, None)
+
+
 class TestInjectorDeterminism:
     def test_exhaustion_and_hit_counting(self):
         plan = FaultPlan.single("drop", vcycle=1)

@@ -133,12 +133,13 @@ class TestSolveMetricsBridge:
         # the next exchange finds the duplicate in flight and discards it
         assert gauges["exchanges.envelope.traffic_in_flight"] == 1
         assert gauges["exchanges.envelope"] == 2
-        assert gauges["exchanges.checked"] == exchanges - 2
+        # every exchange under an injector is a checked copy
+        assert gauges["exchanges.checked"] == exchanges
         assert gauges["exchanges.planned"] == exchanges - 2
         assert exchange_path_line(solver).startswith(
-            f"halo exchange: 2 of {exchanges} exchanges as envelopes (armed "
-            f"message fault: 1, traffic in flight: 1); checked plan copies: "
-            f"{exchanges - 2}; "
+            f"halo exchange: {exchanges} of {exchanges} index copies checked; "
+            f"2 posted per-message headers (armed message fault: 1, traffic "
+            f"in flight: 1); "
         )
 
     def test_tracer_gauges_join_snapshot(self, multirank_result):

@@ -118,7 +118,7 @@ class TestDeadEndpointSemantics:
         assert comm.is_dead(1)
         assert comm.dead_ranks() == (1,)
         with pytest.raises(RankDeadError):
-            comm.isend(1, 0, tag=0, payload=np.zeros(4))
+            comm.isend(1, 0, tag=0, nbytes=32)
         with pytest.raises(RankDeadError):
             comm.allreduce_sum([1.0, 2.0])
 
@@ -129,7 +129,7 @@ class TestDeadEndpointSemantics:
 
     def test_repair_revives_and_purges(self):
         comm = SimComm(2)
-        comm.isend(1, 0, tag=0, payload=np.zeros(4))
+        comm.isend(1, 0, tag=0, nbytes=32)
         comm.kill(1)
         comm.repair(revive=[1])
         assert comm.dead_ranks() == ()
