@@ -31,7 +31,6 @@ Message *timing* is priced separately by :mod:`repro.machines.network`.
 """
 
 from repro.comm.exchange import (
-    ExchangeChecksumError,
     ExchangeFaultError,
     HaloExchange,
     ResilientChannel,
@@ -52,7 +51,6 @@ __all__ = [
     "ExchangePlan",
     "exchange_plan_for",
     "ResilientChannel",
-    "ExchangeChecksumError",
     "ExchangeFaultError",
     "payload_checksum",
     "Protocol",

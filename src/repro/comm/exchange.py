@@ -7,11 +7,11 @@ a full brick deep, one exchange validates ``brick_dim`` cells of halo —
 the basis of communication-avoiding smoothing.
 
 The mapping is static, so :class:`HaloExchange` executes a precomputed
-:class:`~repro.comm.plan.ExchangePlan` as one index copy per field
-(with a per-message checksum pass when a fault injector is attached);
+:class:`~repro.comm.plan.ExchangePlan` as one index copy per field;
 only when an armed message fault, a dead rank or traffic in flight
 call for individual messages does it also post their headers over
-``SimComm`` — never because someone is watching.  It is the only
+``SimComm`` (with each message's CRC32 when an injector is attached)
+— never because someone is watching.  It is the only
 exchanger: one rank is a plan of self-messages (the periodic wrap) or
 of none (walls all round, every ghost synthesised by the boundary
 condition), and a service cohort's members are further stacked copies
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,11 +78,6 @@ class ExchangeFaultError(RuntimeError):
         self.attempts = attempts
 
 
-class ExchangeChecksumError(RuntimeError):
-    """A ghost region of a checked plan copy does not hold what was
-    sent: a defect of the copy (it has no wire to fault), never retried."""
-
-
 def payload_checksum(
     payload: np.ndarray, flip: tuple[int, int] | None = None
 ) -> int:
@@ -96,16 +91,17 @@ def payload_checksum(
     return zlib.crc32(data)
 
 
-def message_checksums(buffers: Sequence[np.ndarray], edges: list[int]) -> list[int]:
-    """CRC32 per plan message: message ``i`` owns bricks ``[edges[i],
-    edges[i + 1])`` of every per-field buffer.  Chained across the
-    fields, so each equals the :func:`payload_checksum` of the message's
-    fields ``np.stack``ed, unbuilt."""
-    sums = [0] * (len(edges) - 1)
-    for buf in buffers:
-        sums = [
-            zlib.crc32(buf[a:b], crc) for a, b, crc in zip(edges, edges[1:], sums)
-        ]
+def message_checksums(messages: Iterable[Sequence[np.ndarray]]) -> list[int]:
+    """CRC32 per message, each given as its per-field brick arrays.
+    Chained across the fields, so each equals the
+    :func:`payload_checksum` of the message's fields ``np.stack``ed,
+    unbuilt."""
+    sums = []
+    for fields in messages:
+        crc = 0
+        for bricks in fields:
+            crc = zlib.crc32(bricks, crc)
+        sums.append(crc)
     return sums
 
 
@@ -373,9 +369,9 @@ class HaloExchange(ResilientChannel):
     one indexed assign per field over the stacked storage of all
     copies, or one indexed copy per ``(src_rank, dst_rank)`` pair and
     copy when the fields are separate arrays, leaving out every pair
-    with a dead endpoint.  Under a fault injector the copy is
-    *checked*: each plan message's CRC32 over the gathered bricks
-    against what landed.
+    with a dead endpoint.  The plan proves, once, that every ghost slot
+    has exactly one writer and every source slot is interior, so the
+    copy has nothing to check.
 
     Then the exchange is accounted, one of two ways:
 
@@ -384,14 +380,15 @@ class HaloExchange(ResilientChannel):
     * **envelope** — when :meth:`envelope_reason` names something only
       individual messages provide, the header protocol runs over the
       plan's messages, copy by copy: ranks in lockstep, every rank's
-      sends posted first (one header per message, carrying its CRC32
-      from the checked copy), then every receive validated
+      sends posted first (one header per message, carrying the CRC32
+      of its send bricks when an injector is attached), then every
+      receive validated
       (``Isend``/``Irecv`` order within one phase).  A header a fault
       strikes is detected, retried and retransmitted; its bytes were
       never at risk.
 
-    Both leave identical accounting.  ``path_counts``,
-    ``envelope_reasons`` and ``checked_copies`` tally what ran.
+    Both leave identical accounting.  ``path_counts`` and
+    ``envelope_reasons`` tally what ran.
     """
 
     def __init__(
@@ -433,9 +430,6 @@ class HaloExchange(ResilientChannel):
         self.path_counts = {"planned": 0, "envelope": 0}
         #: envelope exchanges per :meth:`envelope_reason` answer
         self.envelope_reasons: Counter[str] = Counter()
-        #: exchanges whose copy ran the per-message checksum pass (every
-        #: exchange under an injector)
-        self.checked_copies = 0
         #: what one planned exchange adds to the recorder and the root
         #: communicator's ledger, per (level, itemsize, nfields, copies)
         self._derived: dict[tuple[int, int, int, int], tuple[list, list]] = {}
@@ -507,18 +501,14 @@ class HaloExchange(ResilientChannel):
                 ),
             )
             dead = self._dead_ranks()
-            sums = None
-            if self.injector is None:
-                self._copy_planned(fields_by_rank, copies, dead)
-            else:
-                sums = self._copy_checked(level, fields_by_rank, copies, dead)
+            self._copy_planned(fields_by_rank, copies, dead)
             if reason is None:
                 self.path_counts["planned"] += 1
                 self._account(level, fields_by_rank, copies)
             else:
                 self.path_counts["envelope"] += 1
                 self.envelope_reasons[reason] += 1
-                self._post_headers(level, fields_by_rank, dead, sums)
+                self._post_headers(level, fields_by_rank, dead)
             self._apply_fills(fields_by_rank, dead)
             if self.recorder is not None:
                 self.recorder.exchange(level)
@@ -594,52 +584,6 @@ class HaloExchange(ResilientChannel):
                 for p, part in zip(pairs, bricks):
                     ranks[p.dst_rank][f].data[p.dst_slots] = part
 
-    def _copy_checked(
-        self, level: int, fields_by_rank, copies: int, dead
-    ) -> list[int]:
-        """The copy under a fault injector, with an integrity check:
-        each plan message's CRC32 over the gathered bricks (sender
-        side) must equal the one over the ghost bricks that landed
-        (receiver side).  Separate field arrays are stacked for the
-        pass and written back.  Returns the sums, copy-major, in the
-        order of ``plan.live_receives(dead)``: the checksums the
-        messages' headers carry."""
-        plan = self.plan
-        src, dst = plan.tables(copies, dead)
-        blocks, nfields = len(fields_by_rank), len(fields_by_rank[0])
-        own = [self._stacked_window(fields_by_rank, f) for f in range(nfields)]
-        windows = [
-            np.concatenate([fields[f].data for fields in fields_by_rank])
-            if window is None else window
-            for f, window in enumerate(own)
-        ]
-        receives = plan.live_receives(dead)
-        offsets = plan.offsets if not dead else np.cumsum(
-            [0] + [m.bricks for m in receives]
-        )
-        edges = (
-            np.arange(copies)[:, None] * offsets[-1] + offsets[:-1]
-        ).ravel().tolist() + [copies * int(offsets[-1])]
-        gathered = [window.take(src, axis=0) for window in windows]
-        sent = message_checksums(gathered, edges)
-        for window, bricks in zip(windows, gathered):
-            window[dst] = bricks
-        landed = message_checksums([w.take(dst, axis=0) for w in windows], edges)
-        if landed != sent:
-            i = [a != b for a, b in zip(sent, landed)].index(True)
-            m = receives[i % len(receives)]
-            raise ExchangeChecksumError(
-                f"planned exchange at level {level}: rank {self._gr(m.dst_rank)}'s "
-                f"ghost region along direction {m.ghost_direction} holds CRC32 "
-                f"{landed[i]:#010x}, rank {self._gr(m.src_rank)} sent {sent[i]:#010x}"
-            )
-        for f in range(nfields):
-            if own[f] is None:
-                for fields, block in zip(fields_by_rank, np.split(windows[f], blocks)):
-                    fields[f].data[...] = block
-        self.checked_copies += 1
-        return sent
-
     def _account(self, level, fields_by_rank, copies: int) -> None:
         """Add what the header protocol's sends would have recorded."""
         nfields = len(fields_by_rank[0])
@@ -681,18 +625,37 @@ class HaloExchange(ResilientChannel):
             r for r in range(self.topology.size) if self._is_dead(r)
         )
 
-    def _post_headers(self, level: int, fields_by_rank, dead, sums) -> None:
+    def _header_sums(self, fields_by_rank, dead) -> list[int]:
+        """The CRC32 each live plan message's header carries, copy-major
+        in ``plan.live_receives(dead)`` order, over the message's send
+        bricks.  Those are interior slots, which the copy never writes
+        (the plan proves it at construction), so the sums hold before
+        and after the copy — and for the ghost bricks it landed, each
+        written by that message alone."""
+        plan, size = self.plan, self.topology.size
+        receives = plan.live_receives(dead)
+        return message_checksums(
+            [field.data[plan.send_slots[m.direction]]
+             for field in fields_by_rank[c * size + m.src_rank]]
+            for c in range(len(fields_by_rank) // size)
+            for m in receives
+        )
+
+    def _post_headers(self, level: int, fields_by_rank, dead) -> None:
         """The header protocol over the plan's live messages, copy by
         copy: every rank posts one header per direction (carrying the
-        message's CRC32 from the checked copy, ``sums``), then every
-        rank validates its headers against the ghost bricks the copy
-        landed — ``Isend``/``Irecv`` order within one lockstep phase.
-        A message carries tag = index(-d) of the receiver's ghost
+        message's CRC32 when an injector is attached), then every rank
+        validates its headers against the ghost bricks the copy landed
+        — ``Isend``/``Irecv`` order within one lockstep phase.  A
+        message carries tag = index(-d) of the receiver's ghost
         direction d; a dead endpoint posts and receives nothing."""
         plan, size = self.plan, self.topology.size
         nfields = len(fields_by_rank[0])
         brick_bytes = plan.cells_per_brick * fields_by_rank[0][0].data.itemsize * nfields
         receives = plan.live_receives(dead)
+        sums = None if self.injector is None else self._header_sums(
+            fields_by_rank, dead
+        )
         for c in range(len(fields_by_rank) // size):
             ranks = fields_by_rank[c * size : (c + 1) * size]
             crcs = {} if sums is None else dict(

@@ -24,8 +24,9 @@ walled rank is a plan with no messages at all.  An
   that are separate per-rank arrays.
 
 Every ``dst`` slot is a ghost slot written exactly once and every
-``src`` slot is an interior slot, so the copy has no read-after-write
-hazard and needs no staging order.
+``src`` slot is an interior slot (refused by name otherwise, when the
+plan is built), so the copy has no read-after-write hazard, needs no
+staging order and has nothing to check.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ class ExchangePlan:
             for m in self.receives
         )
         self.offsets = np.cumsum([0] + [m.bricks for m in self.receives])
+        self._check_writers(grid)
         #: ``(src, dst)`` over ``k`` stacked copies without the dead
         #: ranks' messages, per ``(k, dead)``
         self._tables = {(1, frozenset()): (self.src, self.dst)}
@@ -150,6 +152,43 @@ class ExchangePlan:
             )
             for (src, dst), msgs in by_pair.items()
         )
+
+    def _check_writers(self, grid: BrickGrid) -> None:
+        """Refuse a plan in which a ghost slot has two writers, a row
+        writes anything but a ghost slot, or a row reads anything but
+        an interior slot, naming the slot and the messages.  The tiled
+        tables of :meth:`tables` inherit the invariant: copy ``c`` is
+        the plan offset by ``c`` whole decompositions, and a dead mask
+        only drops rows."""
+        S = self.num_slots
+
+        def where(row: int) -> str:
+            m = self.receives[int(np.searchsorted(self.offsets, row, "right")) - 1]
+            return (
+                f"rank {m.src_rank} -> rank {m.dst_rank} along direction "
+                f"{m.direction} (tag {m.tag})"
+            )
+
+        order = np.argsort(self.dst, kind="stable")
+        twice = np.flatnonzero(self.dst[order][1:] == self.dst[order][:-1])
+        if twice.size:
+            a, b = order[twice[0]], order[twice[0] + 1]
+            rank, slot = divmod(int(self.dst[a]), S)
+            raise ValueError(
+                f"exchange plan writes rank {rank}'s ghost slot {slot} twice: "
+                f"from {where(a)} and from {where(b)}"
+            )
+        for table, allowed, what, verb in (
+            (self.dst, grid.ghost_slots, "a ghost", "writes"),
+            (self.src, grid.interior_slots, "an interior", "reads"),
+        ):
+            bad = np.flatnonzero(~np.isin(table % S, allowed))
+            if bad.size:
+                rank, slot = divmod(int(table[bad[0]]), S)
+                raise ValueError(
+                    f"exchange plan {verb} rank {rank}'s slot {slot}, not "
+                    f"{what} slot, in {where(bad[0])}"
+                )
 
     @property
     def num_messages(self) -> int:
@@ -178,15 +217,12 @@ class ExchangePlan:
         rank ``r`` owns block ``c * num_ranks + r`` of the window."""
         tables = self._tables.get((copies, dead))
         if tables is None:
-            src, dst = self.src, self.dst
+            src, dst, S = self.src, self.dst, self.num_slots
             if dead:
-                live = np.repeat(
-                    [m.src_rank not in dead and m.dst_rank not in dead
-                     for m in self.receives],
-                    [m.bricks for m in self.receives],
-                )
+                lost = list(dead)
+                live = ~(np.isin(src // S, lost) | np.isin(dst // S, lost))
                 src, dst = src[live], dst[live]
-            base = np.arange(copies)[:, None] * (self.num_ranks * self.num_slots)
+            base = np.arange(copies)[:, None] * (self.num_ranks * S)
             tables = self._tables[copies, dead] = tuple(
                 (base + table).reshape(-1) for table in (src, dst)
             )

@@ -144,22 +144,19 @@ class MetricsRegistry:
 
         ``exchangers`` is :meth:`GMGSolver.halo_exchangers`' ``(level,
         exchanger)`` list.  Every exchange is an index copy off the
-        exchange plan (``exchanges.checked`` of them with the
-        per-message checksum pass a fault plan adds);
-        ``exchanges.planned`` counts those accounted from the plan,
-        ``exchanges.envelope`` those that posted per-message headers
-        (with per-level detail) and ``exchanges.envelope.<reason>``
-        which of the three
-        :meth:`HaloExchange.envelope_reason` answers selected them, as
-        tallied when each exchange chose (none on a fault-free solve,
-        traced or not); the plan
-        cache's own hit/miss sits under ``cache.exchange_plan.*``
-        (:meth:`observe_plan_caches`).  Gauges, for the same reason as
-        there: the tallies are cumulative per exchanger.
+        exchange plan; ``exchanges.planned`` counts those accounted
+        from the plan, ``exchanges.envelope`` those that posted
+        per-message headers (with per-level detail; only these take
+        CRC32 sums) and ``exchanges.envelope.<reason>`` which of the
+        three :meth:`HaloExchange.envelope_reason` answers selected
+        them, as tallied when each exchange chose (none on a fault-free
+        solve, traced or not); the plan cache's own hit/miss sits under
+        ``cache.exchange_plan.*`` (:meth:`observe_plan_caches`).
+        Gauges, for the same reason as there: the tallies are
+        cumulative per exchanger.
         """
-        totals: dict[str, int] = {"exchanges.checked": 0}
+        totals: dict[str, int] = {}
         for lev, ex in exchangers:
-            totals["exchanges.checked"] += ex.checked_copies
             for path, n in ex.path_counts.items():
                 for name in (f"exchanges.{path}", f"exchanges.level{lev}.{path}"):
                     totals[name] = totals.get(name, 0) + n

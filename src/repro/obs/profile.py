@@ -44,24 +44,24 @@ def wait_fraction(tracer: Tracer) -> tuple[float, float]:
 
 
 def exchange_path_line(solver) -> str | None:
-    """One line on how a solve's ghost exchanges ran, from the tallies
-    each exchanger kept as it went.
+    """One line on the ghost exchanges of a solve that posted
+    per-message headers, from the tallies each exchanger kept as it
+    went.
 
-    Every exchange copies its ghosts by index off the exchange plan;
-    under a fault plan each copy is checked (a CRC32 per message), and
-    an armed message fault, a dead endpoint or traffic in flight add
+    Every exchange copies its ghosts by index off the exchange plan; an
+    armed message fault, a dead endpoint or traffic in flight add
     per-message headers where the plain solve derives its accounting
-    from the plan.  Saying so — with what the plan moves per exchange —
-    keeps a profile from passing for the run it explains.  ``None``
-    when every exchange was the plain copy, as in any fault-free solve,
-    traced or not.
+    from the plan.  Saying which did, why, and what the plan moves per
+    exchange keeps a profile from passing for the run it explains.
+    ``None`` when no exchange posted headers — any fault-free solve,
+    traced or not, and a faulted one whose faults never strike a
+    message.
     """
     exchangers = solver.halo_exchangers()
     envelope = sum(ex.path_counts["envelope"] for _, ex in exchangers)
-    planned = sum(ex.path_counts["planned"] for _, ex in exchangers)
-    checked = sum(ex.checked_copies for _, ex in exchangers)
-    if not envelope and not checked:
+    if not envelope:
         return None
+    planned = sum(ex.path_counts["planned"] for _, ex in exchangers)
     reasons = sum((ex.envelope_reasons for _, ex in exchangers), Counter())
     why = ", ".join(f"{reason}: {n}" for reason, n in reasons.items())
     itemsize = 4 if solver.config.precision == "fp32" else 8
@@ -70,10 +70,8 @@ def exchange_path_line(solver) -> str | None:
         for lev, ex in exchangers
     )
     return (
-        f"halo exchange: {checked} of {envelope + planned} index copies "
-        f"checked; {envelope} posted per-message headers"
-        f"{f' ({why})' if why else ''}; a plain solve runs each as one "
-        f"unchecked index copy per field; plan per exchange and field: {plans}"
+        f"halo exchange: {envelope} of {envelope + planned} exchanges posted "
+        f"per-message headers ({why}); plan per exchange and field: {plans}"
     )
 
 

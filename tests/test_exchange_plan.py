@@ -10,8 +10,10 @@ header protocol, forced from here, never by a switch in ``src/``: an
 injector that arms every exchange and strikes nothing
 (``tests/conftest.py``).  Under a fault plan only the exchanges an
 armed message fault can strike (and those that drain what it left in
-flight) post headers; every exchange's copy runs a per-message
-checksum pass, pinned here to the all-header run event by event.  A
+flight) post headers, and only those take the CRC32 sums the headers
+carry, pinned here to the all-header run event by event.  That the
+copy needs no check of its own is the plan's one-writer invariant,
+proved at construction and pinned here over every small geometry.  A
 tracer selects nothing: a traced solve is its untraced twin, exchange
 for exchange.
 
@@ -25,15 +27,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bricks import BrickGrid, BrickedArray
 from repro.bricks.batch import BatchedGrid
 from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS, direction_index
-from repro.bricks.orderings import contiguous_segments
+from repro.bricks.orderings import ORDERINGS, contiguous_segments
 from repro.comm import CartTopology, HaloExchange, SimComm, SubComm
 from repro.comm import exchange as exchange_module
-from repro.comm.exchange import ExchangeChecksumError, payload_checksum
-from repro.comm.plan import exchange_plan_for
+from repro.comm.exchange import payload_checksum
+from repro.comm.plan import ExchangePlan, exchange_plan_for
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, ResilienceConfig
 from repro.gmg import GMGSolver, SolverConfig
 from repro.gmg.boundary import BoundaryCondition
@@ -304,6 +308,76 @@ class TestPlanStructure:
         assert np.array_equal(plan.dst[order], pair_dst[pair_order])
         assert np.array_equal(plan.src[order], pair_src[pair_order])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 3)] * 3),
+        periodic=st.booleans(),
+        brick_dim=st.sampled_from([2, 4]),
+        ordering=st.sampled_from(sorted(ORDERINGS)),
+        data=st.data(),
+    )
+    def test_every_plan_has_one_writer_per_ghost_slot(
+        self, dims, periodic, brick_dim, ordering, data
+    ):
+        """The copy's invariant over every small geometry, and over the
+        tables tiled across copies with any dead ranks masked out."""
+        grid = BrickGrid((2, 3, 2), brick_dim, ordering=ordering)
+        topo = CartTopology(dims, periodic=periodic)
+        plan = ExchangePlan(grid, topo)
+        dead = frozenset(data.draw(st.sets(st.sampled_from(range(topo.size)))))
+        S, R = grid.num_slots, topo.size
+        for copies in (1, 3):
+            for table_dead in (frozenset(), dead):
+                src, dst = plan.tables(copies, table_dead)
+                assert len(src) == len(dst)
+                assert len(np.unique(dst)) == len(dst)
+                assert np.isin(dst % S, grid.ghost_slots).all()
+                assert np.isin(src % S, grid.interior_slots).all()
+                assert (dst < copies * R * S).all()
+                for table in (src, dst):
+                    assert not np.isin(table // S % R, list(table_dead)).any()
+                live = plan.live_receives(table_dead)
+                assert len(dst) == copies * sum(m.bricks for m in live)
+
+    @pytest.mark.parametrize("fault", ["twice", "not-ghost", "not-interior"])
+    def test_a_broken_plan_is_refused_at_construction(self, fault, monkeypatch):
+        """A ghost slot with two writers (or a row writing an interior
+        slot, or reading a ghost one) is refused when the plan is
+        built, naming the slot and the messages."""
+        grid = BrickGrid((2, 2, 2), 4)
+        topo = CartTopology((2, 1, 1))
+        ghost, send = grid.ghost_region_slots, grid.send_region_slots
+        west, east = (-1, 0, 0), (1, 0, 0)
+        if fault == "twice":
+            # the east ghost face is the west one again: two writers
+            # for each west slot, none for the east
+            monkeypatch.setattr(
+                grid, "ghost_region_slots",
+                lambda d: ghost(west if d == east else d),
+            )
+            slot = int(ghost(west).min())
+            want = [f"rank 0's ghost slot {slot} twice"] + [
+                f"from rank 1 -> rank 0 along direction {d} (tag "
+                f"{direction_index(d)})"
+                for d in (west, east)
+            ]
+        elif fault == "not-ghost":
+            monkeypatch.setattr(
+                grid, "ghost_region_slots",
+                lambda d: send(d) if d == west else ghost(d),
+            )
+            want = ["not a ghost slot", "along direction (1, 0, 0)"]
+        else:
+            monkeypatch.setattr(
+                grid, "send_region_slots",
+                lambda d: ghost(d) if d == east else send(d),
+            )
+            want = ["not an interior slot", "along direction (1, 0, 0)"]
+        with pytest.raises(ValueError, match="exchange plan") as err:
+            ExchangePlan(grid, topo)
+        for part in want:
+            assert part in str(err.value)
+
     def test_message_table_follows_the_protocol(self):
         grid = BrickGrid((2, 2, 2), 4)
         topo = CartTopology((3, 2, 1), periodic=False)
@@ -383,7 +457,6 @@ class TestPathSelection:
         ex.exchange(0, fields)
         assert ex.path_counts == {"planned": 0, "envelope": 1}
         assert ex.envelope_reasons == {"armed message fault": 1}
-        assert ex.checked_copies == 1  # the copy comes first, checked
         assert ex.recorder.fault_counts()["inject_drop"] == 1
 
     @pytest.mark.parametrize(
@@ -396,11 +469,11 @@ class TestPathSelection:
         ],
         ids=["other-level", "other-cycle", "exhausted", "sdc-only"],
     )
-    def test_injector_with_nothing_to_strike_runs_the_checked_plan(
-        self, spec, struck_first, monkeypatch
+    def test_injector_with_nothing_to_strike_runs_the_plain_plan(
+        self, spec, struck_first, monkeypatch, checksum_calls
     ):
         """An attached injector is not a reason: the exchange runs the
-        plan copy (checksummed) and posts nothing."""
+        plain plan copy, takes no sums and posts nothing."""
         ex, fields = self.injected(spec)
         for _ in range(struck_first):
             ex.exchange(0, fields)  # spends the one-shot spec
@@ -408,12 +481,12 @@ class TestPathSelection:
         assert ex.envelope_reason(0) is None
 
         def no_isend(*args, **kwargs):
-            raise AssertionError("a checked plan copy posts no header")
+            raise AssertionError("a plain plan copy posts no header")
 
         monkeypatch.setattr(SimComm, "isend", no_isend)
         ex.exchange(0, fields)
         assert ex.path_counts == {"planned": 1, "envelope": struck_first}
-        assert ex.checked_copies == 1 + struck_first
+        assert len(checksum_calls) == struck_first
         assert ex.comm.pending == 0
         assert ex.comm.sent_messages == (
             (1 + struck_first) * ex.plan.num_messages + struck_first
@@ -432,7 +505,6 @@ class TestPathSelection:
             ex.exchange(1, fields)
         assert ex.path_counts == {"planned": 4, "envelope": 3}
         assert ex.envelope_reasons == {"armed message fault": 3}
-        assert ex.checked_copies == 7
         counts = ex.recorder.fault_counts()
         assert counts["inject_delay"] == counts["detect_delay"] == 3 * 52
         ex.comm.assert_drained()
@@ -568,72 +640,69 @@ def checksum_calls(monkeypatch):
     calls = []
     real = exchange_module.message_checksums
 
-    def recording(buffers, edges):
-        calls.append(real(buffers, edges))
+    def recording(messages):
+        calls.append(real(messages))
         return calls[-1]
 
     monkeypatch.setattr(exchange_module, "message_checksums", recording)
     return calls
 
 
-class TestCheckedCopy:
-    """The planned copy under an injector: the same ghosts and the same
-    accounting, plus one CRC32 per plan message on each side."""
+def send_sums(ex, fields_by_rank, dead=frozenset()):
+    """What each live message's header carries, copy-major in the order
+    the plan's flat tables list the messages: the CRC32 of its send
+    bricks, the fields ``np.stack``ed."""
+    size, send = ex.topology.size, ex.plan.send_slots
+    return [
+        payload_checksum(np.stack([
+            f.data[send[m.direction]]
+            for f in fields_by_rank[c * size + m.src_rank]
+        ]))
+        for c in range(len(fields_by_rank) // size)
+        for m in ex.plan.live_receives(dead)
+    ]
+
+
+class TestHeaderSums:
+    """Only an exchange that posts headers takes the CRC32 sums they
+    carry — one per live plan message, over its send bricks — and its
+    ghosts and accounting are the plain copy's."""
+
+    def test_an_exchange_posting_no_headers_takes_none(self, checksum_calls):
+        ex, fields = build((2, 2, 1), nfields=2, fault_plan=QUIET)
+        ex.exchange(1, fields)
+        assert ex.path_counts == {"planned": 1, "envelope": 0}
+        assert checksum_calls == []
 
     @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-rank"])
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("nfields", [1, 2])
-    def test_sums_are_the_envelopes_and_ghosts_the_plain_copys(
+    def test_one_sum_per_message_over_its_send_bricks(
         self, stacked, copies, nfields, ordering, checksum_calls
     ):
         kwargs = dict(
             ordering=ordering, nfields=nfields, stacked=stacked, copies=copies,
         )
-        ex, fields = build((2, 2, 1), fault_plan=QUIET, **kwargs)
+        ex, fields = build((2, 2, 1), reference=True, **kwargs)
         plain, plain_fields = build((2, 2, 1), **kwargs)
-        size, send = ex.topology.size, ex.plan.send_slots
-        # what each message's header carries, in the order the plan's
-        # flat tables list the messages
-        envelopes = [
-            payload_checksum(np.stack(
-                [f.data[send[m.direction]] for f in fields[c * size + m.src_rank]]
-            ))
-            for c in range(copies)
-            for m in ex.plan.receives
-        ]
+        want = send_sums(ex, fields)
         ex.exchange(1, fields)
         plain.exchange(1, plain_fields)
-        assert ex.path_counts == {"planned": 1, "envelope": 0}
-        assert ex.checked_copies == 1 and plain.checked_copies == 0
-        sent, landed = checksum_calls  # the plain copy takes no sums
-        assert sent == landed == envelopes
-        assert len(sent) == copies * ex.plan.num_messages
+        assert ex.path_counts == {"planned": 0, "envelope": 1}
+        (sums,) = checksum_calls  # the plain exchange takes none
+        assert sums == want == send_sums(ex, fields)
+        assert len(sums) == copies * ex.plan.num_messages
         assert ex.comm.pending == 0
         assert_same(observable(ex, fields), observable(plain, plain_fields))
 
-    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-rank"])
-    def test_a_flipped_bit_is_a_named_error(self, stacked, monkeypatch):
-        """The check is live: damage between the sender-side and the
-        receiver-side sums cannot pass."""
-        ex, fields = build((2, 1, 1), nfields=2, stacked=stacked, fault_plan=QUIET)
-        real = exchange_module.message_checksums
-        sides = []
-
-        def flipping(buffers, edges):
-            sums = real(buffers, edges)
-            if not sides:  # the gathered bricks, summed but not yet landed
-                brick = buffers[1][0].nbytes
-                buffers[1].view(np.uint8).reshape(-1)[edges[5] * brick + 3] ^= 0x10
-            sides.append(sums)
-            return sums
-
-        monkeypatch.setattr(exchange_module, "message_checksums", flipping)
-        with pytest.raises(ExchangeChecksumError) as err:
-            ex.exchange(2, fields)
-        m = ex.plan.receives[5]
-        assert f"level 2: rank {m.dst_rank}'s ghost region" in str(err.value)
-        assert f"direction {m.ghost_direction}" in str(err.value)
-        assert [a != b for a, b in zip(*sides)].index(True) == 5
+    def test_a_dead_endpoint_s_messages_take_none(self, checksum_calls):
+        ex, fields = build((2, 2, 1), reference=True, nfields=2, copies=2)
+        ex.comm.kill(1)
+        ex.exchange(0, fields)
+        (sums,) = checksum_calls
+        live = ex.plan.live_receives(frozenset({1}))
+        assert len(sums) == 2 * len(live) < 2 * ex.plan.num_messages
+        assert sums == send_sums(ex, fields, frozenset({1}))
 
 
 class TestSolverLevel:
@@ -755,14 +824,17 @@ class TestFaultedSolveEqualsAllEnvelopeReference:
     )
     def test_same_faults_traffic_and_answer(self, plan, checksum_calls):
         solver, result = self.solve(plan)
-        sums = list(checksum_calls)  # this solve's alone: envelopes take none
-        checked = sum(
-            ex.checked_copies * ex.plan.num_messages
+        sums = list(checksum_calls)  # this solve's alone
+        enveloped_messages = sum(
+            ex.path_counts["envelope"] * ex.plan.num_messages
             for _, ex in solver.halo_exchangers()
         )
-        # every message of every checked copy: one sum per side, equal
-        assert sum(map(len, sums)) == 2 * checked > 0
-        assert sums[0::2] == sums[1::2]
+        # one sum per message of every exchange that posted headers,
+        # taken on the sending side only; the plain copies take none
+        assert len(sums) == sum(
+            ex.path_counts["envelope"] for _, ex in solver.halo_exchangers()
+        )
+        assert sum(map(len, sums)) == enveloped_messages > 0
         with all_envelopes():
             traced, reference = self.solve(plan)
         exchangers = [ex for _, ex in solver.halo_exchangers()]
@@ -798,7 +870,6 @@ class TestFaultedSolveEqualsAllEnvelopeReference:
             s.halo_exchangers()[0] for s in (quiet_cycles, solver)
         )
         assert level0.path_counts["planned"] == before.path_counts["planned"]
-        assert level0.checked_copies == sum(level0.path_counts.values())
         assert level0.envelope_reasons == {
             "armed message fault": level0.path_counts["envelope"]
         }

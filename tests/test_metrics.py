@@ -105,7 +105,6 @@ class TestSolveMetricsBridge:
                 gauges["exchanges.level0.planned"]
                 + gauges["exchanges.level1.planned"]
             ) == exchanges
-            assert gauges["exchanges.checked"] == 0
             assert not any(g.startswith("exchanges.envelope.") for g in gauges)
             assert gauges["cache.exchange_plan.hits"] >= 1
             assert gauges["cache.exchange_plan.size"] >= 2
@@ -133,14 +132,27 @@ class TestSolveMetricsBridge:
         # the next exchange finds the duplicate in flight and discards it
         assert gauges["exchanges.envelope.traffic_in_flight"] == 1
         assert gauges["exchanges.envelope"] == 2
-        # every exchange under an injector is a checked copy
-        assert gauges["exchanges.checked"] == exchanges
         assert gauges["exchanges.planned"] == exchanges - 2
+        assert "exchanges.checked" not in gauges
         assert exchange_path_line(solver).startswith(
-            f"halo exchange: {exchanges} of {exchanges} index copies checked; "
-            f"2 posted per-message headers (armed message fault: 1, traffic "
-            f"in flight: 1); "
+            f"halo exchange: 2 of {exchanges} exchanges posted per-message "
+            f"headers (armed message fault: 1, traffic in flight: 1); "
         )
+
+    def test_faults_that_strike_no_message_leave_no_exchange_line(self):
+        """An injector whose faults never strike a message posts no
+        header, so the profile has no exchange line to print."""
+        from repro.faults import FaultPlan
+        from repro.obs.profile import exchange_path_line
+
+        config = SolverConfig(
+            global_cells=16, num_levels=2, brick_dim=4, max_smooths=6,
+            bottom_smooths=20, max_vcycles=2, rank_dims=(2, 1, 1),
+        )
+        solver = GMGSolver(config, fault_plan=FaultPlan.single("sdc", vcycle=99))
+        solver.solve()
+        assert solver.injector is not None
+        assert exchange_path_line(solver) is None
 
     def test_tracer_gauges_join_snapshot(self, multirank_result):
         from repro.obs import Tracer
