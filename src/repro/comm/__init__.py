@@ -6,9 +6,12 @@ single-process SPMD simulator that preserves MPI's semantics:
 
 * :class:`~repro.comm.topology.CartTopology` — periodic 3-D Cartesian
   decomposition with 26-neighbour connectivity;
-* :class:`~repro.comm.simmpi.SimComm` — the wire for message headers
-  (sequence number, size, checksum) between rank mailboxes, with tag
-  matching, the traffic ledger and dead-rank semantics;
+* :class:`~repro.comm.simmpi.SimComm` — ranks, their fate and their
+  traffic: the ledger, dead-rank semantics and the headers that outlive
+  their receive (a duplicate's extra copy);
+* :class:`~repro.comm.exchange.ResilientChannel` — the header protocol
+  every consumer shares: the fault a header's send drew is replayed
+  in place by its receive (checksum, size, retry, retransmission);
 * :class:`~repro.comm.plan.ExchangePlan` — the static structure of one
   level's ghost exchange, for every topology (one periodic rank is 26
   self-messages, one walled rank none): which brick of which rank

@@ -9,9 +9,10 @@ the basis of communication-avoiding smoothing.
 The mapping is static, so :class:`HaloExchange` executes a precomputed
 :class:`~repro.comm.plan.ExchangePlan` as one index copy per field;
 only when an armed message fault, a dead rank or traffic in flight
-call for individual messages does it also post their headers over
-``SimComm`` (with each message's CRC32 when an injector is attached)
-— never because someone is watching.  It is the only
+call for individual messages does it also run their headers through
+:class:`ResilientChannel` (with each message's CRC32 when an injector
+is attached), whose receive replays each header's fault in place —
+never because someone is watching.  It is the only
 exchanger: one rank is a plan of self-messages (the periodic wrap) or
 of none (walls all round, every ghost synthesised by the boundary
 condition), and a service cohort's members are further stacked copies
@@ -38,7 +39,7 @@ import numpy as np
 from repro.bricks.brick_grid import BrickGrid
 from repro.bricks.bricked_array import BrickedArray
 from repro.comm.plan import exchange_plan_for
-from repro.comm.simmpi import SimComm, UnmatchedReceiveError
+from repro.comm.simmpi import RankDeadError, SimComm, UnmatchedReceiveError
 from repro.comm.topology import CartTopology
 from repro.instrument import MessageEvent, Recorder
 from repro.obs.tracer import NULL_TRACER
@@ -105,23 +106,50 @@ def message_checksums(messages: Iterable[Sequence[np.ndarray]]) -> list[int]:
     return sums
 
 
+def _fate(action, nbytes: int) -> tuple[list, int]:
+    """What the wire does to one transmission under ``action`` (a
+    :class:`~repro.faults.injector.FaultAction`, or ``None``): the
+    copies it delivers, each the ``(byte, bit)`` a corruption flipped in
+    it or ``None``, and how many more land only after the receiver's
+    retry timeout."""
+    if action is None:
+        return [None], 0
+    if action.kind == "drop":
+        return [], 0
+    if action.kind == "corrupt":
+        return [(action.corrupt_byte % nbytes, action.corrupt_bit % 8)], 0
+    if action.kind == "duplicate":
+        return [None, None], 0
+    if action.kind == "delay":
+        return [], 1
+    raise ValueError(f"unknown fault action {action.kind!r}")
+
+
 class ResilientChannel:
     """Header discipline shared by every ``SimComm`` consumer.
 
     Halo exchanges, the agglomeration gather/scatter transfers and the
     buddy checkpoints face the same wire hazards (drop, corrupt,
     duplicate, delay), so the machinery lives here once: the
-    checksummed, injectable header send; per-envelope sequence tracking,
-    checksum and size validation, duplicate discard, bounded
-    sender-side retransmission, and the end-of-solve stale drain.
-    Subclasses own the message topology and move the bytes themselves,
-    by direct copy: a header is delivered before its bytes are kept.
+    checksummed, injectable header send; checksum and size validation,
+    stale-header discard, bounded sender-side retransmission, and the
+    end-of-solve stale drain.  Subclasses own the message topology and
+    move the bytes themselves, by direct copy: a header is delivered
+    before its bytes are kept.
+
+    A phase posts every header first, then receives each: ``_send``
+    keeps the header's size, checksum and the fault the injector drew
+    for it, and ``_receive`` replays that fault in place.  Only headers
+    that outlive their receive — a duplicate's extra copy, or what an
+    aborted phase had posted — are left on the communicator
+    (:meth:`~repro.comm.simmpi.SimComm.hold`).
 
     Ranks passed to the channel are communicator-local; ``_gr`` maps
     them to global ids (via the communicator's ``global_rank`` hook when
     present, e.g. :class:`~repro.comm.simmpi.SubComm`) so fault events,
-    injector predicates, and trace spans always name the real rank —
-    per-rank accounting stays truthful on agglomerated levels.
+    injector predicates, the ledger and held headers always name the
+    real rank — per-rank accounting stays truthful on agglomerated
+    levels.
     """
 
     def __init__(
@@ -138,12 +166,17 @@ class ResilientChannel:
         self.recorder = recorder
         self.tracer = tracer or NULL_TRACER
         #: optional FaultInjector; when set, sends carry checksums and
-        #: receives validate, discard duplicates, and retry via
+        #: receives validate, discard stale headers, and retry via
         #: retransmission instead of raising on the first anomaly.
         self.injector = injector
         self.max_retries = int(max_retries)
-        #: next expected sequence number per (rank, src, tag) envelope
-        self._next_seq: dict[tuple[int, int, int], int] = {}
+        #: this phase's posted, unreceived headers — one per envelope, as
+        #: a lockstep phase posts: ``{(rank, src, tag): (nbytes,
+        #: checksum, fault action)}``
+        self._rows: dict[tuple[int, int, int], tuple] = {}
+        #: envelopes received on under an injector, in first-receive
+        #: order: where the end-of-solve drain looks
+        self._received: dict[tuple[int, int, int], None] = {}
         #: level of the most recent exchange on this channel — drained
         #: end-of-solve duplicates belong to the final exchange's level,
         #: not to a level-less ``-1``
@@ -161,10 +194,36 @@ class ResilientChannel:
             comm = comm.parent
         return comm
 
+    def _envelope(self, rank: int, src: int, tag: int) -> tuple[int, int, int]:
+        """The root communicator's ``(dst, src, tag)`` for a local one."""
+        return (
+            self._gr(rank), self._gr(src),
+            tag + getattr(self.comm, "tag_offset", 0),
+        )
+
     def _is_dead(self, rank: int) -> bool:
         """Is communicator-local ``rank`` a dead endpoint?"""
         dead = getattr(self.comm, "is_dead", None)
         return False if dead is None else dead(rank)
+
+    def _check_alive(self, dst: int, src: int, op: str) -> None:
+        """Raise :class:`RankDeadError` for a dead endpoint, leaving the
+        phase's posted headers for the repair's purge."""
+        for rank, way in ((src, "from"), (dst, "to")):
+            if self._is_dead(rank):
+                self._abandon()
+                rank = self._gr(rank)
+                raise RankDeadError(rank, op=f"{op} {way} rank {rank}")
+
+    def _abandon(self) -> None:
+        """Leave this phase's unreceived headers on the communicator,
+        for the recovery's purge (an aborted phase)."""
+        root = self._root_comm()
+        for (rank, src, tag), (nbytes, _, action) in self._rows.items():
+            arrived, late = _fate(action, nbytes)
+            copies = len(arrived) + late
+            root.hold(*self._envelope(rank, src, tag), [nbytes] * copies)
+        self._rows.clear()
 
     def poll_crashes(self, level: int) -> list[int]:
         """Fire level-pinned ``rank_crash`` specs on entry to a collective.
@@ -182,15 +241,6 @@ class ResilientChannel:
             for rank in victims:
                 root.kill(rank)
         return victims
-
-    def reset_envelopes(self) -> None:
-        """Forget per-envelope sequence state after a communicator repair.
-
-        Repair clears the communicator's send logs and sequence
-        counters; a channel that kept expecting pre-repair sequence
-        numbers would discard every post-repair message as a duplicate.
-        """
-        self._next_seq.clear()
 
     def _fault(self, kind: str, level: int, rank: int, src: int, tag: int,
                nbytes: int = 0, attempt: int = 0) -> None:
@@ -222,9 +272,14 @@ class ResilientChannel:
             action = self.injector.message_action(
                 level, self._gr(src), self._gr(dst), tag, direction, nbytes
             )
-        self.comm.isend(
-            src, dst, tag, nbytes, checksum=checksum, fault=action, level=level
-        )
+        root = self._root_comm()
+        key = (dst, src, tag)
+        envelope = self._envelope(*key)
+        root._check_rank(envelope[1], "source rank")
+        root._check_rank(envelope[0], "destination rank")
+        self._check_alive(dst, src, "send")
+        root.account_sends([((level, envelope[1], envelope[0]), 1, int(nbytes))])
+        self._rows[key] = (int(nbytes), checksum, action)
         if kind is not None and self.recorder is not None:
             self.recorder.message(
                 level, nbytes, kind, segments=segments,
@@ -247,106 +302,113 @@ class ResilientChannel:
         """Receive one header; returns once the receiver may keep its
         ``nbytes``.  ``own_bytes()`` returns them (``crc``, when given,
         is their CRC32 already taken): a header's checksum is judged
-        against them, with the wire's ``flip`` applied to a copy.
+        against them, with a corruption's flip applied to a copy.
 
-        Without an injector a missing or wrong-sized header is a
-        protocol bug and raises.  With one, anomalies are handled in
-        order: a stale sequence number is a duplicate (discarded, not
-        an attempt); an empty mailbox first flushes the delay queue (a
-        late message landing after the retry timeout), then falls back
-        to sender-side retransmission; a checksum or size failure
-        discards the header and requests retransmission.  Each
-        retransmission passes through the injector again (with the
-        sender's ``-direction``; transfers and replicas have none), so
-        persistent faults can defeat the whole budget — after
-        ``max_retries`` failed attempts the receive raises
+        A receive with no posted header is a protocol bug and raises;
+        so, without an injector, is a wrong-sized one.  With an
+        injector, the header's fault is replayed: headers held on the
+        envelope since an earlier receive are stale duplicates
+        (discarded, not an attempt); then each delivered copy is judged
+        — a checksum or size failure discards it — and when none is
+        left, late copies land after the retry timeout, else the sender
+        retransmits.  Each retransmission passes through the injector
+        again (with the sender's ``-direction``; transfers and replicas
+        have none), so persistent faults can defeat the whole budget —
+        after ``max_retries`` failed attempts the receive leaves what is
+        still in flight on the communicator and raises
         :class:`ExchangeFaultError` for the recovery layer.
         """
+        self._check_alive(rank, src, "receive")
         key = (rank, src, tag)
+        envelope = self._envelope(*key)
+        root = self._root_comm()
+        for stale in root.take_held(*envelope):
+            self._fault("detect_duplicate", level, rank, src, tag, nbytes=stale)
+        row = self._rows.pop(key, None)
+        if row is None:
+            self._abandon()
+            raise UnmatchedReceiveError(
+                f"deadlock: rank {self._gr(rank)} waits on a message "
+                f"from rank {self._gr(src)} tag {tag} that was never "
+                f"sent (while filling {context})"
+            )
+        sent, checksum, action = row
+        if self.injector is None:
+            if sent != nbytes:
+                self._abandon()
+                raise RuntimeError(
+                    f"{what} size mismatch: got {sent} bytes, "
+                    f"expected {nbytes} (while filling {context})"
+                )
+            return
+        arrived, late = _fate(action, sent)
         attempts = 0
         while True:
-            msg = self.comm.try_match(rank, src, tag, level=level)
-            if self.injector is None:
-                if msg is None:
-                    raise UnmatchedReceiveError(
-                        f"deadlock: rank {self._gr(rank)} waits on a message "
-                        f"from rank {self._gr(src)} tag {tag} that was never "
-                        f"sent (while filling {context})"
-                    )
-                if msg.nbytes != nbytes:
-                    raise RuntimeError(
-                        f"{what} size mismatch: got {msg.nbytes} bytes, "
-                        f"expected {nbytes} (while filling {context})"
-                    )
-                return
-            if msg is not None and msg.seq < self._next_seq.get(key, 0):
-                self._fault("detect_duplicate", level, rank, src, tag,
-                            nbytes=msg.nbytes)
-                continue
             released = False
-            if msg is not None:
-                if msg.nbytes == nbytes and self._intact(msg, own_bytes, crc):
-                    self._next_seq[key] = msg.seq + 1
+            if arrived:
+                flip = arrived.pop(0)
+                if sent == nbytes and self._intact(checksum, flip, own_bytes, crc):
+                    root.hold(*envelope, [sent] * (len(arrived) + late))
+                    self._received.setdefault(key)
                     return
-                self._fault("detect_corrupt", level, rank, src, tag,
-                            nbytes=msg.nbytes)
-            elif released := self.comm.release_delayed(rank, src, tag):
+                self._fault("detect_corrupt", level, rank, src, tag, nbytes=sent)
+            elif late:
+                arrived, late, released = [None] * late, 0, True
                 self._fault("detect_delay", level, rank, src, tag)
             else:
                 self._fault("detect_drop", level, rank, src, tag)
             attempts += 1
             if attempts > self.max_retries:
+                root.hold(*envelope, [sent] * (len(arrived) + late))
+                self._abandon()
                 raise ExchangeFaultError(
                     level, self._gr(rank), self._gr(src), direction,
                     attempts - 1,
                 )
-            logged = self.comm.logged_nbytes(rank, src, tag)
             self._fault("retry", level, rank, src, tag, attempt=attempts,
-                        nbytes=logged)
+                        nbytes=sent)
             if released:
                 continue
             action = self.injector.message_action(
-                level, self._gr(src), self._gr(rank), tag,
+                level, envelope[1], envelope[0], tag,
                 None if direction is None else tuple(-c for c in direction),
-                logged,
+                sent,
             )
-            try:
-                sent = self.comm.retransmit(
-                    rank, src, tag, fault=action, level=level
-                )
-            except UnmatchedReceiveError as exc:
-                raise UnmatchedReceiveError(
-                    f"{exc} (while filling {context})"
-                ) from None
+            root.account_sends(
+                [((level, envelope[1], envelope[0]), 1, sent)], resends=True
+            )
             self._fault("retransmit", level, rank, src, tag,
                         nbytes=sent, attempt=attempts)
+            more, later = _fate(action, sent)
+            arrived += more
+            late += later
 
     @staticmethod
-    def _intact(msg, own_bytes, crc: int | None) -> bool:
+    def _intact(checksum, flip, own_bytes, crc: int | None) -> bool:
         """Does the header's checksum hold for the receiver's bytes as
-        the wire delivered them (its ``flip`` applied to a copy)?"""
-        if msg.checksum is None:
+        the wire delivered them (``flip`` applied to a copy)?"""
+        if checksum is None:
             return True
-        if crc is None or msg.flip is not None:
-            crc = payload_checksum(own_bytes(), msg.flip)
-        return crc == msg.checksum
+        if crc is None or flip is not None:
+            crc = payload_checksum(own_bytes(), flip)
+        return crc == checksum
 
     def drain_stale(self) -> int:
         """Discard leftover duplicates before the end-of-solve drain check.
 
-        A duplicated message whose original was consumed in the solve's
+        A duplicated header whose original was consumed in the solve's
         final exchange on its envelope has no later receive to discard
-        it; its stale sequence number identifies it here.  Each discard
-        is recorded as a detected duplicate attributed to the channel's
-        final exchange level, inside a ``drain-stale`` span on the
-        receiving rank's timeline so the instant has an owning span in
-        per-rank Chrome exports.  Returns the number of messages
-        discarded.
+        it; it is still held on the envelope.  Each discard is recorded
+        as a detected duplicate attributed to the channel's final
+        exchange level, inside a ``drain-stale`` span on the receiving
+        rank's timeline so the instant has an owning span in per-rank
+        Chrome exports.  Returns the number of headers discarded; a
+        header posted and never received is left on the communicator,
+        for its drain check to name.
         """
-        n = 0
-        for (rank, src, tag), expected in self._next_seq.items():
-            dropped = self.comm.discard_stale(rank, src, tag, expected)
-            for _ in range(dropped):
+        root, n = self._root_comm(), 0
+        for rank, src, tag in self._received:
+            for _ in root.take_held(*self._envelope(rank, src, tag)):
                 with self.tracer.child(self._gr(rank)).span(
                     "drain-stale", l=self._last_level, src=self._gr(src),
                     dst=self._gr(rank), tag=tag,
@@ -354,7 +416,8 @@ class ResilientChannel:
                     self._fault(
                         "detect_duplicate", self._last_level, rank, src, tag
                     )
-            n += dropped
+                n += 1
+        self._abandon()
         return n
 
 
@@ -452,9 +515,9 @@ class HaloExchange(ResilientChannel):
         plan's accounting); a dead endpoint makes the collective
         partial, message by message; and headers in flight — a
         duplicate a struck exchange left — may sit on this exchange's
-        envelopes, where FIFO matching and sequence checks must see
-        them.  Who is watching is not among them: a tracer times the
-        exchange that runs.
+        envelopes, where its receives must find and discard them.
+        Who is watching is not among them: a tracer times the exchange
+        that runs.
         """
         if self.comm.size == 1:
             return None
@@ -462,7 +525,7 @@ class HaloExchange(ResilientChannel):
             return "armed message fault"
         if self.comm.dead_ranks():
             return "dead endpoint"
-        if self.comm.pending:
+        if self._root_comm().pending:
             return "traffic in flight"
         return None
 

@@ -1,48 +1,34 @@
-"""Single-process simulated MPI: the message headers of the exchange.
+"""Single-process simulated MPI: ranks, their fate and their traffic.
 
 The solver's exchange follows the paper's pattern — ``MPI_Isend`` /
-``MPI_Irecv`` with 26 neighbours — but the bytes of a message never
-pass through this module: each consumer (the halo exchange, the
-agglomeration transfers, the buddy checkpoints) copies its data itself,
-from the sender's memory into the receiver's, and posts here only the
-message's *header* — sequence number, size, and the sender-side CRC32
-when a fault injector is attached.  ``SimComm`` is the wire those
-headers travel: per-envelope FIFO mailboxes (MPI's non-overtaking
-order), the traffic ledger, and the dead-rank semantics of ULFM.
+``MPI_Irecv`` with 26 neighbours — but neither the bytes nor the
+headers of a message pass through a mailbox here: each consumer (the
+halo exchange, the agglomeration transfers, the buddy checkpoints)
+copies its data itself, from the sender's memory into the receiver's,
+and its :class:`~repro.comm.exchange.ResilientChannel` keeps the
+header it posts — size, the sender-side CRC32 when a fault injector is
+attached, and the fault the injector drew for it — until the matching
+receive works out, in place, what the wire did to it.
 
-The driver executes ranks in lockstep phases, so by the time any rank
-receives, the matching send has been posted; a receive that finds its
-mailbox empty with no injector attached is therefore a protocol bug
-(the channel raises :class:`UnmatchedReceiveError`).
-
-Fault modelling (``repro.faults``): ``isend`` accepts a
-:class:`~repro.faults.injector.FaultAction` describing what the wire
-does to this transmission: drop it, flip a bit (recorded in the
-header's ``flip``, after the checksum was taken, as real corruption
-would be), duplicate it, or park it in a delay queue until the
-receiver's retry timeout flushes it.  The last header per envelope is
-logged (the MPI send-buffer analogue) so :meth:`SimComm.retransmit`
-can model a sender-side resend.  The receiver applies a delivered
-``flip`` to a temporary copy of its own bytes before its CRC32, so a
-corruption is detected by a real checksum mismatch and never written.
+``SimComm`` keeps what outlives a receive: the traffic ledger, the
+headers left over on an envelope (a duplicate's extra copy, or what an
+aborted phase had posted), which the next receive on that envelope —
+or the end-of-solve drain — judges stale, and the dead-rank semantics
+of ULFM.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass, replace
-
 import numpy as np
-
-from repro.obs.tracer import NULL_TRACER
 
 
 class UnmatchedReceiveError(RuntimeError):
     """A receive waited on an envelope that was never sent.
 
-    With no fault injection active this is always a protocol bug
-    (mismatched send/receive bookkeeping), hence the 'deadlock' wording;
-    the exchange layer re-raises it with direction and level context.
+    Ranks run in lockstep phases, every send posted before any receive,
+    so this is always a protocol bug (mismatched send/receive
+    bookkeeping), hence the 'deadlock' wording; the message names the
+    direction and level being filled.
     """
 
 
@@ -50,8 +36,8 @@ class RankDeadError(RuntimeError):
     """An operation touched a crashed rank's endpoint.
 
     The simulator's analogue of ``MPI_ERR_PROC_FAILED``: after
-    :meth:`SimComm.kill`, every send to, receive from, or collective
-    including the dead rank raises this — so the failure surfaces to
+    :meth:`SimComm.kill`, every send to, receive from (both checked by
+    the channel), or collective including the dead rank raises this — so the failure surfaces to
     every peer that touches the victim, exactly as ULFM error handlers
     deliver it.  The recovery driver catches it, agrees on the dead set
     (:meth:`SimComm.agree_dead`) and repairs the communicator
@@ -66,48 +52,22 @@ class RankDeadError(RuntimeError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class _Message:
-    """One in-flight transmission: the header of a message, no payload.
-
-    ``flip`` is the ``(byte, bit)`` a ``corrupt`` fault flipped in this
-    copy on the wire, or ``None`` for a pristine one.
-    """
-
-    seq: int
-    nbytes: int
-    checksum: int | None
-    flip: tuple[int, int] | None = None
-
-
 class SimComm:
-    """Mailboxes of message headers among ``size`` simulated ranks.
+    """Ranks, their fate and their traffic.
 
-    ``tracer`` is an optional :class:`~repro.obs.tracer.Tracer`: every
-    send, matched receive and retransmission is mirrored as a span on
-    the *per-rank child tracer* of the rank doing the work (the sender
-    for ``isend``/``retransmit``, the receiver for matched receives),
-    attributed with ``(src, dst, tag, bytes, seq)`` and the exchange
-    level the caller threads through.  The default null tracer keeps the
-    un-traced path allocation-free.
+    No header is matched here: a channel works out each header's fate
+    itself.  What the communicator keeps is what outlives a receive —
+    the ledger, the headers left over on an envelope (a duplicate's
+    extra copy, or what an aborted phase had posted) and the dead set.
     """
 
-    def __init__(self, size: int, tracer=None) -> None:
+    def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError(f"size must be positive: {size}")
         self.size = int(size)
-        self.tracer = tracer or NULL_TRACER
-        # (dst, src, tag) -> FIFO of messages, preserving MPI's
-        # non-overtaking order for identical envelopes.
-        self._mailboxes: dict[tuple[int, int, int], deque] = defaultdict(deque)
-        # Faulted 'delay' transmissions parked until a retry flushes them.
-        self._delayed: dict[tuple[int, int, int], deque] = defaultdict(deque)
-        # Last pristine header per envelope (send-buffer analogue).
-        self._send_log: dict[tuple[int, int, int], _Message] = {}
-        self._send_seq: dict[tuple[int, int, int], int] = defaultdict(int)
-        #: undelivered transmissions across all mailboxes and delay
-        #: queues, maintained at every push/pop so ``pending`` is O(1)
-        self._pending = 0
+        #: ``{(dst, src, tag): [nbytes, ...]}``: headers that outlived
+        #: their receive, oldest first
+        self._held: dict[tuple[int, int, int], list[int]] = {}
         #: the traffic ledger: ``{(level, src, dst): [messages, bytes,
         #: retransmissions]}`` of every transmission (resends included in
         #: all three), whether its header was posted or it was derived
@@ -131,7 +91,7 @@ class SimComm:
         """Crash a rank's endpoint.
 
         Every subsequent operation touching it — sends to it, receives
-        or retransmission requests from it, collectives including it —
+        from it, collectives including it —
         raises :class:`RankDeadError` until :meth:`repair` revives it.
         """
         self._check_rank(rank, "crashed rank")
@@ -155,16 +115,11 @@ class SimComm:
     def repair(self, revive=()) -> int:
         """ULFM-style communicator repair.
 
-        Discards all in-flight traffic (the revoke), forgets send logs
-        and per-envelope sequence numbering (the repaired communicator
-        starts fresh — channel objects must reset their expectations to
-        match), and revives the given endpoints (the respawn analogue:
-        same decomposition slot, blank memory).  Returns the number of
-        purged messages.
+        Discards every held header (the revoke) and revives the given
+        endpoints (the respawn analogue: same decomposition slot, blank
+        memory).  Returns the number of purged headers.
         """
         purged = self.reset_in_flight()
-        self._send_log.clear()
-        self._send_seq.clear()
         for rank in revive:
             self._dead.discard(int(rank))
         self.repairs += 1
@@ -190,142 +145,11 @@ class SimComm:
             out[src, dst] = out.get((src, dst), 0) + nbytes
         return out
 
-    def _check_alive(self, dst: int, src: int, op: str) -> None:
-        if src in self._dead:
-            raise RankDeadError(src, op=f"{op} from rank {src}")
-        if dst in self._dead:
-            raise RankDeadError(dst, op=f"{op} to rank {dst}")
-
-    # ------------------------------------------------------------------
-    # point to point
-    # ------------------------------------------------------------------
-    def isend(
-        self,
-        src: int,
-        dst: int,
-        tag: int,
-        nbytes: int,
-        checksum: int | None = None,
-        fault=None,
-        level: int = -1,
-    ) -> None:
-        """Post the header of an ``nbytes`` message.
-
-        ``checksum`` is carried in-band (the sender's CRC32 over the
-        pristine data).  ``fault`` is an optional
-        :class:`~repro.faults.injector.FaultAction` the "wire" applies
-        to this transmission.  ``level`` tags the traced span with the
-        multigrid level the exchange serves.
-        """
-        self._check_rank(src, "source rank")
-        self._check_rank(dst, "destination rank")
-        self._check_alive(dst, src, "isend")
-        key = (dst, src, tag)
-        seq = self._send_seq[key]
-        with self.tracer.child(src).span(
-            "isend", l=level, src=src, dst=dst, tag=tag, bytes=int(nbytes),
-            seq=seq,
-        ):
-            self._send_seq[key] = seq + 1
-            msg = _Message(seq, int(nbytes), checksum)
-            self._send_log[key] = msg
-            self.account_sends([((level, src, dst), 1, msg.nbytes)])
-            self._transmit(key, msg, fault)
-
-    def _transmit(self, key: tuple[int, int, int], msg: _Message, fault) -> None:
-        """Put one header on the wire, applying any fault action."""
-        if fault is None:
-            self._mailboxes[key].append(msg)
-            self._pending += 1
-            return
-        if fault.kind == "drop":
-            return  # vanishes on the wire
-        if fault.kind == "corrupt":
-            flip = (fault.corrupt_byte % msg.nbytes, fault.corrupt_bit % 8)
-            self._mailboxes[key].append(replace(msg, flip=flip))
-            self._pending += 1
-            return
-        if fault.kind == "duplicate":
-            self._mailboxes[key].extend((msg, msg))
-            self._pending += 2
-            return
-        if fault.kind == "delay":
-            self._delayed[key].append(msg)
-            self._pending += 1
-            return
-        raise ValueError(f"unknown fault action {fault.kind!r}")
-
-    def try_match(
-        self, dst: int, src: int, tag: int, level: int = -1
-    ) -> _Message | None:
-        """Pop the next header for an envelope, or ``None`` if empty.
-
-        A missing message is the caller's to judge: a detected fault
-        under an injector, a protocol bug without one.  A dead peer
-        raises: no amount of retrying revives a crashed endpoint.
-        """
-        self._check_alive(dst, src, "receive")
-        box = self._mailboxes.get((dst, src, tag))
-        if not box:
-            return None
-        msg = box.popleft()
-        self._pending -= 1
-        with self.tracer.child(dst).span(
-            "irecv", l=level, src=src, dst=dst, tag=tag, bytes=msg.nbytes,
-            seq=msg.seq,
-        ):
-            pass
-        return msg
-
-    def release_delayed(self, dst: int, src: int, tag: int) -> int:
-        """Flush parked 'delay' transmissions into the mailbox.
-
-        Models the receiver's retry timeout expiring after which the
-        late message finally lands; returns how many were released.
-        """
-        key = (dst, src, tag)
-        parked = self._delayed.get(key)
-        if not parked:
-            return 0
-        n = len(parked)
-        self._mailboxes[key].extend(parked)
-        parked.clear()
-        return n
-
-    def retransmit(
-        self, dst: int, src: int, tag: int, fault=None, level: int = -1
-    ) -> int:
-        """Resend the last header of an envelope from the send log.
-
-        Models a sender-side resend out of the retained send buffer
-        (same sequence number and checksum, pristine — the original
-        fault is not baked in, though ``fault`` may strike the
-        retransmission too).  Returns the message size in bytes; raises
-        :class:`UnmatchedReceiveError` when nothing was ever sent on the
-        envelope, which is a protocol bug rather than a fault.
-        """
-        self._check_alive(dst, src, "retransmit")
-        key = (dst, src, tag)
-        msg = self._send_log.get(key)
-        if msg is None:
-            raise UnmatchedReceiveError(
-                f"deadlock: rank {dst} requested retransmission from rank "
-                f"{src} tag {tag} but nothing was ever sent on that envelope"
-            )
-        with self.tracer.child(src).span(
-            "retransmit", l=level, src=src, dst=dst, tag=tag, bytes=msg.nbytes,
-            seq=msg.seq,
-        ):
-            self.account_sends([((level, src, dst), 1, msg.nbytes)])
-            self.ledger[level, src, dst][2] += 1
-            self._transmit(key, msg, fault)
-        return msg.nbytes
-
-    def account_sends(self, traffic) -> None:
+    def account_sends(self, traffic, resends: bool = False) -> None:
         """Enter ``((level, src, dst), messages, nbytes)`` rows in the
-        ledger: what ``isend`` does per header, and what the compiled
-        halo exchange — which copies ghost bricks by index and posts
-        nothing — derives from its plan, in first-send order."""
+        ledger, in first-send order: a channel's posted headers, or what
+        a planned halo exchange — which posts nothing — derives from its
+        plan.  ``resends`` counts the messages as retransmissions too."""
         ledger = self.ledger
         for key, messages, nbytes in traffic:
             entry = ledger.get(key)
@@ -333,26 +157,22 @@ class SimComm:
                 entry = ledger[key] = [0, 0, 0]
             entry[0] += messages
             entry[1] += nbytes
+            if resends:
+                entry[2] += messages
 
-    def logged_nbytes(self, dst: int, src: int, tag: int) -> int:
-        """Size of the last message sent on an envelope (0 if none)."""
-        logged = self._send_log.get((dst, src, tag))
-        return 0 if logged is None else logged.nbytes
+    # ------------------------------------------------------------------
+    # headers that outlive their receive
+    # ------------------------------------------------------------------
+    def hold(self, dst: int, src: int, tag: int, sizes) -> None:
+        """Leave headers of ``sizes`` bytes on an envelope, after any
+        already there."""
+        if sizes:
+            self._held.setdefault((dst, src, tag), []).extend(sizes)
 
-    def discard_stale(self, dst: int, src: int, tag: int, below_seq: int) -> int:
-        """Drop leading mailbox messages with ``seq < below_seq``.
-
-        Used by the exchange layer to clear already-consumed duplicates
-        (recognised by their stale sequence numbers) before the
-        end-of-solve drain check.
-        """
-        box = self._mailboxes.get((dst, src, tag))
-        n = 0
-        while box and box[0].seq < below_seq:
-            box.popleft()
-            n += 1
-        self._pending -= n
-        return n
+    def take_held(self, dst: int, src: int, tag: int) -> list[int]:
+        """Remove and return the sizes of an envelope's held headers,
+        oldest first."""
+        return self._held.pop((dst, src, tag), [])
 
     # ------------------------------------------------------------------
     # collectives (lockstep driver supplies all ranks' values at once)
@@ -394,42 +214,33 @@ class SimComm:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Undelivered transmissions, delayed included (O(1))."""
-        return self._pending
+        """Held headers, over every envelope."""
+        return sum(map(len, self._held.values()))
 
     def in_flight(self) -> dict[tuple[int, int, int], int]:
-        """``{(dst, src, tag): pending message count}``, delayed included."""
-        out: dict[tuple[int, int, int], int] = {}
-        for key, box in self._mailboxes.items():
-            if box:
-                out[key] = len(box)
-        for key, parked in self._delayed.items():
-            if parked:
-                out[key] = out.get(key, 0) + len(parked)
-        return out
+        """``{(dst, src, tag): held header count}``."""
+        return {key: len(sizes) for key, sizes in self._held.items()}
 
     def reset_in_flight(self) -> int:
-        """Discard every undelivered message (mailboxes and delay queues).
+        """Discard every held header.
 
         The recovery path calls this after an unrecoverable exchange
         fault before rolling back — the analogue of revoking and
         re-creating a communicator so stale traffic from the aborted
         cycle cannot be mistaken for fresh data.  Returns the number of
-        messages discarded.
+        headers discarded.
         """
-        n = self._pending
-        self._mailboxes.clear()
-        self._delayed.clear()
-        self._pending = 0
+        n = self.pending
+        self._held.clear()
         return n
 
     def assert_drained(self) -> None:
-        """Raise if any posted message was never received.
+        """Raise if any posted header was never received.
 
-        Called at the end of a solve: leftover messages mean mismatched
+        Called at the end of a solve: leftover headers mean mismatched
         send/receive bookkeeping even though results looked right.  The
-        error names every leaking mailbox by destination, source, and
-        tag so the offending envelope is identifiable.
+        error names every leaking envelope by destination, source, and
+        tag so the offending one is identifiable.
         """
         leftovers = self.in_flight()
         if leftovers:
@@ -438,8 +249,8 @@ class SimComm:
                 for (dst, src, tag), n in sorted(leftovers.items())
             )
             raise RuntimeError(
-                f"undelivered messages remain in {len(leftovers)} "
-                f"mailbox(es): {detail}"
+                f"undelivered headers remain on {len(leftovers)} "
+                f"envelope(s): {detail}"
             )
 
 
@@ -449,16 +260,17 @@ class SubComm:
     The distributed-MPI analogue is ``MPI_Comm_split``: agglomerated
     coarse levels run their halo exchanges over the *active* ranks only,
     so the exchange layer needs a communicator whose local ranks
-    ``0..n-1`` map onto the chosen global ranks.  Every header travels
-    through the parent — ``sent_messages``, ``bytes_by_pair`` and
-    the per-rank trace spans keep global rank ids, so communication
-    accounting stays truthful on agglomerated levels.
+    ``0..n-1`` map onto the chosen global ranks.  Every header is
+    accounted and held on the parent under global rank ids
+    (:meth:`~repro.comm.exchange.ResilientChannel._envelope`), so
+    ``sent_messages`` and ``bytes_by_pair`` stay truthful on
+    agglomerated levels.
 
     Tags are shifted by ``tag_offset`` into a band reserved for this
     sub-communicator, mirroring MPI's guarantee that messages never
     cross communicators: the active exchange's direction tags ``0..26``
-    must not share envelopes (and hence FIFO order and sequence
-    numbering) with the full-grid exchanges between the same rank pair.
+    must not share envelopes (and hence held headers) with the
+    full-grid exchanges between the same rank pair.
     """
 
     def __init__(
@@ -485,40 +297,6 @@ class SubComm:
                 f"local rank {local} out of range for SubComm size {self.size}"
             )
         return self.global_ranks[local]
-
-    # -- point to point, local ranks in / parent envelopes out ----------
-    def _envelope(self, a: int, b: int, tag: int) -> tuple[int, int, int]:
-        return self.global_rank(a), self.global_rank(b), tag + self.tag_offset
-
-    def isend(self, src, dst, tag, nbytes, checksum=None, fault=None,
-              level=-1):
-        return self.parent.isend(
-            *self._envelope(src, dst, tag), nbytes, checksum=checksum,
-            fault=fault, level=level,
-        )
-
-    def try_match(self, dst, src, tag, level=-1):
-        return self.parent.try_match(*self._envelope(dst, src, tag), level=level)
-
-    def release_delayed(self, dst, src, tag):
-        return self.parent.release_delayed(*self._envelope(dst, src, tag))
-
-    def retransmit(self, dst, src, tag, fault=None, level=-1):
-        return self.parent.retransmit(
-            *self._envelope(dst, src, tag), fault=fault, level=level
-        )
-
-    def logged_nbytes(self, dst, src, tag):
-        return self.parent.logged_nbytes(*self._envelope(dst, src, tag))
-
-    @property
-    def pending(self) -> int:
-        """The parent's undelivered count: a view cannot tell its own
-        band apart in O(1), and any traffic is reason for caution."""
-        return self.parent.pending
-
-    def discard_stale(self, dst, src, tag, below_seq):
-        return self.parent.discard_stale(*self._envelope(dst, src, tag), below_seq)
 
     # -- rank-failure view ----------------------------------------------
     def is_dead(self, local: int) -> bool:

@@ -9,9 +9,10 @@ resilience claim testable:
   seeded, deterministic descriptions of *which* faults strike *where*
   (by V-cycle, level, rank, and neighbour direction);
 * :mod:`~repro.faults.injector` — :class:`FaultInjector`: applies a
-  plan at the comm layer (drop / bit-flip / duplicate / delay), at
-  kernel outputs (NaN/Inf silent data corruption), and at the process
-  level (``rank_crash`` killing a communicator endpoint);
+  plan at the comm layer (draws a drop / bit-flip / duplicate / delay
+  for a header as it is posted, which its receive replays), at kernel
+  outputs (NaN/Inf silent data corruption), and at the process level
+  (``rank_crash`` killing a communicator endpoint);
 * :mod:`~repro.faults.recovery` — :class:`ResilienceConfig` and
   :class:`ResilientDriver`: checksummed receives with bounded retry,
   residual-loop health checks, checkpoint/rollback of the finest-level

@@ -5,11 +5,13 @@ The injector is consulted at these hook points:
 * :meth:`FaultInjector.may_strike` — by
   :class:`~repro.comm.exchange.HaloExchange` once per exchange: only an
   exchange some armed message fault can strike posts per-message
-  headers after its checked plan copy, the rest derive them;
+  headers after its plan copy, the rest derive them;
 * :meth:`FaultInjector.message_action` — before every header such an
   exchange posts (including retransmissions, so persistent specs can
   defeat retries), and by the agglomeration transfers and buddy
-  checkpoints, which always post headers;
+  checkpoints, which always post headers.  The action it returns is
+  the header's fate: the channel keeps it with the header and its
+  receive replays it in place;
 * :meth:`FaultInjector.kernel_sdc` — by
   :class:`~repro.gmg.vcycle.VCycle` after every smoothing visit, to
   poison one interior cell of the just-written solution field;

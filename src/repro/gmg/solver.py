@@ -341,7 +341,7 @@ class Hierarchy:
             config.ranks_per_node,
             periodic=self.boundary is BoundaryCondition.PERIODIC,
         )
-        self.comm = SimComm(self.topology.size, tracer=self.tracer)
+        self.comm = SimComm(self.topology.size)
 
         per_rank = config.cells_per_rank
         self.rank_levels: list[list[Level]] = []
@@ -607,24 +607,18 @@ class GMGSolver(Hierarchy):
     def rebuild_channels(self) -> None:
         """Rebuild the exchange machinery after a communicator repair.
 
-        Repair clears the communicator's send logs and sequence
-        counters; the full-grid exchangers are rebuilt from scratch
-        (the distributed analogue of re-deriving every ``MPI_Datatype``
-        on the repaired communicator), and agglomerated channels and
-        the buddy checkpointer forget their envelope state in place.
-        Every rebuilt piece is a pure function of the unchanged
-        decomposition, so the replayed schedule stays bit-identical.
+        The full-grid exchangers are rebuilt from scratch (the
+        distributed analogue of re-deriving every ``MPI_Datatype`` on
+        the repaired communicator); agglomerated channels and the buddy
+        checkpointer hold no state a repair invalidates.  Every rebuilt
+        piece is a pure function of the unchanged decomposition, so the
+        replayed schedule stays bit-identical.
         """
         self.exchangers = [
             self._build_exchanger(lev)
             for lev in range(self.config.num_levels)
         ]
         self.vcycle.exchangers = self.exchangers
-        if self.agglomerator is not None:
-            for channel in self.agglomerator.channels():
-                channel.reset_envelopes()
-        if self.buddy is not None:
-            self.buddy.reset_envelopes()
 
     def _restart_state(self) -> None:
         """Deterministically re-initialise the solve for a global restart.

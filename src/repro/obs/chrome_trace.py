@@ -38,7 +38,7 @@ def _category(name: str) -> str:
     """Coarse event category shown as a Perfetto filter chip."""
     if name.startswith("fault:"):
         return "fault"
-    if name in ("exchange", "isend", "irecv", "unpack", "retransmit"):
+    if name in ("exchange", "unpack"):
         return "comm"
     if name in ("solve", "vcycle", "level", "smooth-visit", "bottom"):
         return "structure"

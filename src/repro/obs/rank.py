@@ -8,10 +8,13 @@ fault-free or faulted (retransmissions counted), agglomerated levels
 included (their sub-communicators keep global rank ids on the root
 ledger).
 
-The per-message ``isend``/``irecv``/``retransmit`` spans posted headers
-leave on the per-rank timelines
-(:meth:`~repro.obs.tracer.Tracer.child`) are for looking at, in the
-pid-per-rank Chrome export; nothing is computed from them.
+No span is read: posted headers leave none of their own (their
+faults appear as instants inside the ``exchange`` span that posted
+them), and the per-rank timelines
+(:meth:`~repro.obs.tracer.Tracer.child`) of the pid-per-rank Chrome
+export hold only what ranks do on their own: ``adopt-rank`` copies
+at setup, agglomeration ``unpack`` copies and end-of-solve
+``drain-stale`` discards.
 """
 
 from __future__ import annotations

@@ -245,21 +245,25 @@ class TestHaloExchange:
         with pytest.raises(ValueError, match="incompatible"):
             ex.exchange(0, [[ok], [wrong]])
 
-    def test_ghost_size_mismatch_names_rank_direction_level(self, rng):
+    def test_ghost_size_mismatch_names_rank_direction_level(self, rng, monkeypatch):
         from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS, direction_index
 
         grid = BrickGrid((2, 2, 2), 4)
         topo = CartTopology((2, 1, 1))
-        comm = SimComm(2)
-        ex = HaloExchange(grid, topo, comm)
+        ex = HaloExchange(grid, topo, SimComm(2))
         fields = make_rank_fields(topo, grid, rng.random((16, 8, 8)))
-        # smuggle a stray header of the wrong size onto the first
-        # envelope rank 0 will read; FIFO ordering guarantees it is
-        # matched first (and, in flight, it makes the exchange post)
+        # the sender's header on one envelope rank 0 reads claims 8 bytes
         d0 = NEIGHBOR_DIRECTIONS[0]
-        src = topo.neighbor(0, d0)
-        tag = direction_index(tuple(-c for c in d0))
-        comm.isend(src, 0, tag, nbytes=8)
+        short = (topo.neighbor(0, d0), 0, direction_index(tuple(-c for c in d0)))
+        send = ex._send
+
+        def misreport(level, src, dst, tag, direction, nbytes, *args, **kwargs):
+            if (src, dst, tag) == short:
+                nbytes = 8
+            send(level, src, dst, tag, direction, nbytes, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "_send", misreport)
+        monkeypatch.setattr(ex, "envelope_reason", lambda level=None: "forced")
         with pytest.raises(RuntimeError, match="ghost region size mismatch") as exc:
             ex.exchange(0, [[f] for f in fields])
         assert "got 8 bytes, expected 512" in str(exc.value)
@@ -272,17 +276,16 @@ class TestHaloExchange:
 
         grid = BrickGrid((2, 2, 2), 4)
         topo = CartTopology((2, 1, 1))
-        comm = SimComm(2)
-        ex = HaloExchange(grid, topo, comm)
-        comm.isend(0, 1, 999, nbytes=8)  # in flight: the exchange posts
+        ex = HaloExchange(grid, topo, SimComm(2))
         lost = next(m for m in ex.plan.messages if m.src_rank == 1)
-        real = SimComm.isend
+        send = ex._send
 
-        def losing(self, src, dst, tag, *args, **kwargs):
+        def losing(level, src, dst, tag, *args, **kwargs):
             if (src, dst, tag) != (1, 0, lost.tag):
-                real(self, src, dst, tag, *args, **kwargs)
+                send(level, src, dst, tag, *args, **kwargs)
 
-        monkeypatch.setattr(SimComm, "isend", losing)
+        monkeypatch.setattr(ex, "_send", losing)
+        monkeypatch.setattr(ex, "envelope_reason", lambda level=None: "forced")
         fields = [[BrickedArray.zeros(grid)] for _ in range(2)]
         with pytest.raises(UnmatchedReceiveError) as exc:
             ex.exchange(2, fields)

@@ -34,11 +34,14 @@ from repro.bricks import BrickGrid, BrickedArray
 from repro.bricks.batch import BatchedGrid
 from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS, direction_index
 from repro.bricks.orderings import ORDERINGS, contiguous_segments
-from repro.comm import CartTopology, HaloExchange, SimComm, SubComm
+from repro.comm import (
+    CartTopology, HaloExchange, ResilientChannel, SimComm, SubComm,
+)
 from repro.comm import exchange as exchange_module
 from repro.comm.exchange import payload_checksum
 from repro.comm.plan import ExchangePlan, exchange_plan_for
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, ResilienceConfig
+from repro.faults.buddy import BuddyCheckpointer
 from repro.gmg import GMGSolver, SolverConfig
 from repro.gmg.boundary import BoundaryCondition
 from repro.instrument import Recorder
@@ -480,10 +483,10 @@ class TestPathSelection:
         assert ex.path_counts["envelope"] == struck_first
         assert ex.envelope_reason(0) is None
 
-        def no_isend(*args, **kwargs):
+        def no_send(*args, **kwargs):
             raise AssertionError("a plain plan copy posts no header")
 
-        monkeypatch.setattr(SimComm, "isend", no_isend)
+        monkeypatch.setattr(ResilientChannel, "_send", no_send)
         ex.exchange(0, fields)
         assert ex.path_counts == {"planned": 1, "envelope": struck_first}
         assert len(checksum_calls) == struck_first
@@ -512,18 +515,23 @@ class TestPathSelection:
     @pytest.mark.parametrize("where", ["exchanger", "comm"])
     def test_enabled_tracer_runs_the_planned_copy(self, where, monkeypatch):
         """Watching selects nothing: the traced exchange is the plan
-        copy, posts no envelope, and its span says what ran."""
+        copy, posts no envelope, and its span says what ran — nor does
+        a traced channel that has already posted on the communicator."""
         tracer = Tracer()
         if where == "exchanger":
             ex, fields = self.exchanger(tracer=tracer)
         else:
-            ex, fields = self.exchanger(comm=SimComm(2, tracer=tracer))
+            comm = SimComm(2)
+            BuddyCheckpointer(comm, CartTopology((2, 1, 1)), tracer=tracer).ship(
+                0, [np.zeros(4), np.ones(4)]
+            )
+            ex, fields = self.exchanger(comm=comm)
         assert ex.envelope_reason() is None
 
-        def no_isend(*args, **kwargs):
+        def no_send(*args, **kwargs):
             raise AssertionError("a traced exchange posts no header")
 
-        monkeypatch.setattr(SimComm, "isend", no_isend)
+        monkeypatch.setattr(ResilientChannel, "_send", no_send)
         ex.exchange(0, fields)
         assert ex.path_counts == {"planned": 1, "envelope": 0}
         assert not ex.envelope_reasons and not tracer.children
@@ -534,25 +542,25 @@ class TestPathSelection:
                 "messages": ex.plan.num_messages, "bytes": ex.plan.nbytes(8),
             })
 
-    def test_envelope_exchange_leaves_per_message_spans(self):
-        """Headers that genuinely post are still traced one by one; the
-        halo unpacks nothing (its ghosts were copied)."""
-        tracer = Tracer()
+    def test_envelope_exchange_leaves_no_per_message_spans(self):
+        """Headers that genuinely post are not traced one by one: the
+        exchange span says what ran, and a fault's events are instants
+        inside it.  The halo unpacks nothing (its ghosts were copied)."""
+        recorder, tracer = Recorder(), Tracer()
+        recorder.tracer = tracer
+        injector = FaultInjector(FaultPlan.single("drop", level=0), recorder)
         ex, fields = self.exchanger(
-            comm=SimComm(2, tracer=tracer), tracer=tracer,
-            injector=ArmedNeverStriking(),
+            recorder=recorder, tracer=tracer, injector=injector,
         )
         ex.exchange(0, fields)
         (span,) = tracer.spans
         assert span.attrs["path"] == "envelope"
-        brick_bytes = ex.plan.cells_per_brick * 8
-        for name in ("isend", "irecv"):
-            spans = tracer.child(0).find(name)
-            assert len(spans) == 26
-            assert sorted(s.attrs["bytes"] for s in spans) == sorted(
-                m.bricks * brick_bytes for m in ex.plan.receives if m.dst_rank == 0
-            )
-        assert not tracer.child(0).find("unpack") and not tracer.find("waitall")
+        assert not tracer.children
+        assert [i.name for i in tracer.instants] == [
+            f"fault:{kind}" for kind in
+            ("inject_drop", "detect_drop", "retry", "retransmit")
+        ]
+        assert {i.parent for i in tracer.instants} == {span.index}
 
     @pytest.mark.parametrize("sub", [False, True], ids=["SimComm(1)", "SubComm-of-1"])
     @pytest.mark.parametrize("why", ["injector", "tracer"])
@@ -569,7 +577,7 @@ class TestPathSelection:
             root = SimComm(4 if sub else 1)
         else:
             kwargs["tracer"] = tracer
-            root = SimComm(4 if sub else 1, tracer=tracer)
+            root = SimComm(4 if sub else 1)
         comm = SubComm(root, (2,), tag_offset=100) if sub else root
         grid = BrickGrid((2, 2, 2), 4)
         ex = HaloExchange(grid, CartTopology((1, 1, 1)), comm, **kwargs)
@@ -605,7 +613,7 @@ class TestPathSelection:
 
     def test_stray_envelope_takes_envelopes(self):
         ex, fields = self.exchanger()
-        ex.comm.isend(0, 1, 999, nbytes=8)
+        ex.comm.hold(0, 1, 999, [8])
         assert ex.comm.pending == 1
         assert "in flight" in ex.envelope_reason()
         ex.exchange(0, fields)
@@ -613,18 +621,13 @@ class TestPathSelection:
         assert ex.comm.pending == 1  # the stray is still there to be found
 
     def test_pending_counts_every_queue(self):
-        from repro.faults.injector import FaultAction
-
+        """``pending`` — what ``envelope_reason`` reads as traffic in
+        flight — counts every held header, over every envelope."""
         comm = SimComm(2)
-        comm.isend(0, 1, 0, 16)
-        comm.isend(0, 1, 1, 16, fault=FaultAction("duplicate"))
-        comm.isend(0, 1, 2, 16, fault=FaultAction("delay"))
-        comm.isend(0, 1, 3, 16, fault=FaultAction("drop"))
-        assert comm.pending == 4 == sum(comm.in_flight().values())
-        assert comm.try_match(1, 0, 0).nbytes == 16
-        assert comm.try_match(1, 0, 1).seq == 0
-        assert comm.discard_stale(1, 0, 1, below_seq=1) == 1
-        assert comm.release_delayed(1, 0, 2) == 1
+        comm.hold(1, 0, 0, [16])
+        comm.hold(1, 0, 2, [16, 16])
+        assert comm.pending == 3 == sum(comm.in_flight().values())
+        assert comm.take_held(1, 0, 2) == [16, 16]
         assert comm.pending == 1 == sum(comm.in_flight().values())
         assert comm.reset_in_flight() == 1
         assert comm.pending == 0
@@ -907,20 +910,6 @@ def ladder_fault_plan(seed):
     return FaultPlan(specs=tuple(specs))
 
 
-@pytest.fixture
-def isend_calls(monkeypatch):
-    """Counts every ``SimComm.isend``."""
-    calls = []
-    real = SimComm.isend
-
-    def counting(self, *args, **kwargs):
-        calls.append(args[:3])
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(SimComm, "isend", counting)
-    return calls
-
-
 class TestTracedSolveIsItsUntracedTwin:
     """A tracer selects nothing: the traced solve takes the paths, posts
     the envelopes and leaves the bytes of the untraced one."""
@@ -931,16 +920,13 @@ class TestTracedSolveIsItsUntracedTwin:
     )
 
     @staticmethod
-    def left_behind(hierarchy, isend_calls, **extra):
+    def left_behind(hierarchy, **extra):
         comm, recorder = hierarchy.comm, hierarchy.recorder
         traffic = traffic_matrix(comm)
-        posted = len(isend_calls)
-        isend_calls.clear()
         return {
             "envelopes": sum(
                 ex.path_counts["envelope"] for _, ex in hierarchy.halo_exchangers()
             ),
-            "isend_calls": posted,
             "messages": list(recorder.messages),
             "sent_messages": comm.sent_messages,
             "sent_bytes": comm.sent_bytes,
@@ -959,11 +945,11 @@ class TestTracedSolveIsItsUntracedTwin:
             **extra,
         }
 
-    def solved(self, isend_calls, tracer, config, **kwargs):
+    def solved(self, tracer, config, **kwargs):
         solver = GMGSolver(config, tracer=tracer, **kwargs)
         result = solver.solve()
         return self.left_behind(
-            solver, isend_calls, status=result.status,
+            solver, status=result.status,
             history=[h.hex() for h in result.residual_history],
             solution=solver.solution().tobytes(),
             faults=[dataclasses.asdict(f) for f in result.recorder.faults],
@@ -973,21 +959,21 @@ class TestTracedSolveIsItsUntracedTwin:
         "dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)],
         ids=["1rank", "2ranks", "4ranks", "8ranks"],
     )
-    def test_fault_free(self, dims, isend_calls):
+    def test_fault_free(self, dims):
         config = SolverConfig(rank_dims=dims, **self.SMALL)
-        plain = self.solved(isend_calls, None, config)
+        plain = self.solved(None, config)
         tracer = Tracer()
-        traced = self.solved(isend_calls, tracer, config)
+        traced = self.solved(tracer, config)
         assert traced == plain
-        assert plain["envelopes"] == plain["isend_calls"] == 0
+        assert plain["envelopes"] == 0
         per_rank = {s.name for c in tracer.children.values() for s in c.spans}
-        assert not per_rank & {"isend", "irecv", "unpack", "retransmit"}
+        assert not per_rank & {"unpack", "drain-stale"}
         exchanges = tracer.find("exchange")
         assert {s.attrs["path"] for s in exchanges} == {"planned"}
         assert sum(s.attrs["messages"] for s in exchanges) == plain["sent_messages"]
         assert sum(s.attrs["bytes"] for s in exchanges) == plain["sent_bytes"]
 
-    def test_cohort_of_four_over_two_ranks(self, isend_calls):
+    def test_cohort_of_four_over_two_ranks(self):
         from repro.service import SolveRequest
         from repro.service.cohort import CohortSolver
 
@@ -1001,7 +987,7 @@ class TestTracedSolveIsItsUntracedTwin:
             cohort = CohortSolver(config, capacity=4, tracer=tracer)
             results = cohort.solve_stream(requests)
             runs.append(self.left_behind(
-                cohort.hierarchy, isend_calls,
+                cohort.hierarchy,
                 histories=[
                     (r.request.request_id, [h.hex() for h in r.residual_history])
                     for r in results
@@ -1009,9 +995,9 @@ class TestTracedSolveIsItsUntracedTwin:
             ))
         plain, traced = runs
         assert traced == plain
-        assert plain["envelopes"] == plain["isend_calls"] == 0
+        assert plain["envelopes"] == 0
 
-    def test_ladder_seed3_fault_plan(self, isend_calls):
+    def test_ladder_seed3_fault_plan(self):
         """The struck exchanges move envelopes, traced or not, and the
         matrix counts what the faults cost on the wire."""
         config = SolverConfig(
@@ -1020,23 +1006,14 @@ class TestTracedSolveIsItsUntracedTwin:
         kwargs = dict(
             fault_plan=ladder_fault_plan(3), resilience=ResilienceConfig()
         )
-        plain = self.solved(isend_calls, None, config, **kwargs)
+        plain = self.solved(None, config, **kwargs)
         tracer = Tracer()
-        traced = self.solved(isend_calls, tracer, config, **kwargs)
+        traced = self.solved(tracer, config, **kwargs)
         assert traced == plain
         assert plain["status"] == "converged"
         assert 5 <= plain["envelopes"] <= 7
-        # per-message spans for every send that was posted, no more;
-        # the halo ones (direction tags) inside the struck exchanges only
-        per_rank = [s for c in tracer.children.values() for s in c.spans]
-        sends = [s for s in per_rank if s.name in ("isend", "retransmit")]
-        assert len(sends) == plain["isend_calls"] + plain["retransmissions"]
         struck = [s for s in tracer.find("exchange") if s.attrs["path"] == "envelope"]
         assert len(struck) == plain["envelopes"]
-        halo = [s for s in per_rank if s.attrs.get("tag", 27) < 27]
-        assert halo and all(
-            any(w.start <= s.start and s.end <= w.end for w in struck) for s in halo
-        )
         assert validate_chrome_trace(to_chrome_trace(tracer))["pids"] == 9
         # the matrix is the ledger, resends included
         resent = np.array(plain["traffic"]["retransmissions"])

@@ -308,6 +308,31 @@ class TestMessageFaultRecovery:
         assert drains[0].attrs["l"] == 0
         solver.comm.assert_drained()
 
+    def test_duplicate_outliving_its_level_is_no_corruption(self):
+        """Every level-0 header of cycle 1 is duplicated, so the last
+        level-0 exchange before restriction leaves extra copies on
+        envelopes the level-1 exchanger reads next.  They are stale
+        duplicates there too: no size failure, retry or resend."""
+        config = SolverConfig(
+            global_cells=16, num_levels=2, brick_dim=4, rank_dims=(2, 2, 2),
+            max_smooths=6, bottom_smooths=20, tol=1e-4,
+        )
+        plan = FaultPlan(specs=(
+            FaultSpec("duplicate", vcycle=1, level=0, max_hits=None),
+        ))
+        solver = GMGSolver(
+            config, resilience=ResilienceConfig(buddy_checkpoints=False),
+            fault_plan=plan,
+        )
+        result = solver.solve()
+        assert result.status == "converged"
+        counts = result.fault_counts
+        assert counts["detect_duplicate"] == counts["inject_duplicate"] == 1040
+        assert not {"detect_corrupt", "retry", "retransmit"} & set(counts)
+        assert {f.level for f in result.recorder.faults_of("detect_duplicate")} == {0, 1}
+        assert solver.comm.retransmissions == 0
+        solver.comm.assert_drained()
+
     def test_counts_match_plan_exactly(self, reference):
         plan = FaultPlan(
             specs=(

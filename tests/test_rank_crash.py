@@ -14,6 +14,7 @@ hanging; and plan validation rejects impossible crash specs up front.
 import numpy as np
 import pytest
 
+from repro.comm import ResilientChannel
 from repro.comm.simmpi import RankDeadError, SimComm
 from repro.comm.topology import CartTopology
 from repro.faults import (
@@ -114,11 +115,14 @@ class TestBuddyMapping:
 class TestDeadEndpointSemantics:
     def test_dead_peer_raises_on_send_and_receive(self):
         comm = SimComm(2)
+        channel = ResilientChannel(comm)
         comm.kill(1)
         assert comm.is_dead(1)
         assert comm.dead_ranks() == (1,)
-        with pytest.raises(RankDeadError):
-            comm.isend(1, 0, tag=0, nbytes=32)
+        with pytest.raises(RankDeadError, match="send from rank 1"):
+            channel._send(0, 1, 0, 0, None, 32, None)
+        with pytest.raises(RankDeadError, match="receive from rank 1"):
+            channel._receive(0, 0, 1, 0, 32, lambda: None)
         with pytest.raises(RankDeadError):
             comm.allreduce_sum([1.0, 2.0])
 
@@ -128,13 +132,22 @@ class TestDeadEndpointSemantics:
         assert comm.agree_dead() == (2,)
 
     def test_repair_revives_and_purges(self):
+        """A phase a crash aborts leaves its posted header held; repair
+        purges it, and the same channel talks again with no reset."""
         comm = SimComm(2)
-        comm.isend(1, 0, tag=0, nbytes=32)
+        channel = ResilientChannel(comm)
+        channel._send(0, 1, 0, 0, None, 32, None)
         comm.kill(1)
-        comm.repair(revive=[1])
+        with pytest.raises(RankDeadError):
+            channel._send(0, 0, 1, 0, None, 32, None)
+        assert comm.pending == 1
+        assert comm.repair(revive=[1]) == 1
         assert comm.dead_ranks() == ()
         assert comm.repairs == 1
-        comm.assert_drained()  # repair purged the in-flight message
+        comm.assert_drained()  # repair purged the in-flight header
+        channel._send(0, 1, 0, 0, None, 32, None)
+        channel._receive(0, 0, 1, 0, 32, lambda: None)
+        comm.assert_drained()
 
 
 class TestIdentityWithoutCrashes:

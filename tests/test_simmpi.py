@@ -1,232 +1,379 @@
-"""Simulated MPI semantics: headers, matching, ordering, faults on the
-wire, the ledger, dead ranks and collectives.
+"""Simulated MPI semantics: the ledger, dead ranks, held headers, the
+drain check and collectives — and the fate of one header, replayed by
+``ResilientChannel`` on ``SimComm(2)``.
 
-``SimComm`` carries message headers — sequence number, size, checksum
-and the ``(byte, bit)`` a corruption flipped — never bytes: the
-consumers copy their data themselves.
+``SimComm`` matches nothing: a channel keeps the header it posts (size,
+checksum, the fault the injector drew) and its receive works out, in
+place, what the wire did.  Only headers that outlive their receive — a
+duplicate's extra copy, or what an aborted phase had posted — are held
+on the communicator.
 """
 
 import numpy as np
 import pytest
 
-from repro.comm import SimComm, UnmatchedReceiveError
+from repro.comm import (
+    ExchangeFaultError,
+    ResilientChannel,
+    SimComm,
+    UnmatchedReceiveError,
+    payload_checksum,
+)
+from repro.comm.simmpi import RankDeadError
 from repro.faults.injector import FaultAction
+from repro.instrument import Recorder
+
+DROP, DUP, DELAY = FaultAction("drop"), FaultAction("duplicate"), FaultAction("delay")
+CORRUPT = FaultAction("corrupt", corrupt_byte=35, corrupt_bit=13)
+#: 32 bytes
+PAYLOAD = np.arange(4, dtype=np.float64)
+
+
+class Scripted:
+    """Injector stand-in: strikes the headers posted — retransmissions
+    included, in posting order — with ``actions`` (``None``: spared),
+    then none."""
+
+    vcycle = 0
+
+    def __init__(self, *actions):
+        self.actions = list(actions)
+
+    def message_action(self, *args):
+        return self.actions.pop(0) if self.actions else None
+
+    def crashes_due(self, level=None):
+        return []
+
+
+def channel(comm, *actions, max_retries=3, injector=True):
+    recorder = Recorder()
+    ch = ResilientChannel(
+        comm, recorder=recorder, max_retries=max_retries,
+        injector=Scripted(*actions) if injector else None,
+    )
+    return ch, recorder
+
+
+def post(ch, tag=5, src=0, dst=1, payload=PAYLOAD, level=0):
+    checksum = None if ch.injector is None else payload_checksum(payload)
+    ch._send(level, src, dst, tag, None, payload.nbytes, None, checksum=checksum)
+
+
+def receive(ch, tag=5, src=0, dst=1, payload=PAYLOAD, level=0):
+    ch._receive(level, dst, src, tag, payload.nbytes, lambda: payload)
+
+
+def kinds(recorder):
+    return [f.kind for f in recorder.faults]
 
 
 class TestPointToPoint:
     def test_send_recv_roundtrip(self):
         comm = SimComm(2)
-        comm.isend(0, 1, tag=7, nbytes=80, checksum=0xBEEF)
-        msg = comm.try_match(1, 0, tag=7)
-        assert (msg.seq, msg.nbytes, msg.checksum, msg.flip) == (0, 80, 0xBEEF, None)
-        assert comm.pending == 0
+        ch, recorder = channel(comm)
+        post(ch, tag=7)
+        assert comm.pending == 0  # the header is the channel's until received
+        receive(ch, tag=7)
+        assert comm.pending == 0 and kinds(recorder) == []
+        assert comm.ledger == {(0, 0, 1): [1, 32, 0]}
 
     def test_header_carries_no_payload(self):
+        """The communicator holds sizes, never bytes, and has no mailbox
+        to post to or match from."""
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=8)
-        msg = comm.try_match(1, 0, tag=0)
-        assert not any(
-            isinstance(getattr(msg, name), np.ndarray)
-            for name in msg.__dataclass_fields__
-        )
-        assert not hasattr(SimComm, "irecv") and not hasattr(SimComm, "waitall")
+        ch, _ = channel(comm, DUP)
+        post(ch)
+        receive(ch)
+        assert comm.take_held(1, 0, 5) == [32]
+        for name in ("irecv", "waitall", "isend", "try_match", "retransmit",
+                     "release_delayed", "discard_stale"):
+            assert not hasattr(SimComm, name), name
 
     def test_tag_matching(self):
         comm = SimComm(2)
-        comm.isend(0, 1, tag=1, nbytes=8)
-        comm.isend(0, 1, tag=2, nbytes=16)
-        assert comm.try_match(1, 0, tag=2).nbytes == 16
-        assert comm.try_match(1, 0, tag=1).nbytes == 8
+        ch, recorder = channel(comm)
+        post(ch, tag=1, payload=PAYLOAD[:1])
+        post(ch, tag=2, payload=PAYLOAD[:2])
+        receive(ch, tag=2, payload=PAYLOAD[:2])
+        receive(ch, tag=1, payload=PAYLOAD[:1])
+        assert kinds(recorder) == [] and comm.pending == 0
 
     def test_fifo_for_identical_envelopes(self):
-        """Non-overtaking: same (src, dst, tag) arrives in post order."""
+        """The older header on an envelope is met first — and judged
+        stale, whichever channel finds it: a coarser level's exchanger
+        meeting a finer level's leftover duplicate does not take it
+        for a corrupted header of its own."""
         comm = SimComm(2)
-        for n in (8, 16, 24):
-            comm.isend(0, 1, tag=5, nbytes=n)
-        got = [comm.try_match(1, 0, tag=5).nbytes for _ in range(3)]
-        assert got == [8, 16, 24]
+        fine, fine_log = channel(comm, DUP)
+        coarse, coarse_log = channel(comm)
+        post(fine, payload=PAYLOAD)
+        receive(fine, payload=PAYLOAD)
+        post(coarse, payload=PAYLOAD[:1], level=1)
+        receive(coarse, payload=PAYLOAD[:1], level=1)
+        assert kinds(fine_log) == []
+        assert [(f.kind, f.nbytes, f.level) for f in coarse_log.faults] == [
+            ("detect_duplicate", 32, 1)
+        ]
+        assert comm.pending == 0 and comm.retransmissions == 0
 
     def test_self_send(self):
         comm = SimComm(1)
-        comm.isend(0, 0, tag=0, nbytes=8)
-        assert comm.try_match(0, 0, tag=0).nbytes == 8
+        ch, _ = channel(comm)
+        post(ch, src=0, dst=0)
+        receive(ch, src=0, dst=0)
+        assert comm.ledger == {(0, 0, 0): [1, 32, 0]}
 
     def test_unmatched_wait_raises(self):
-        """An empty mailbox matches nothing; a receive without an
-        injector judges that a deadlock (a protocol bug) and raises."""
-        from repro.comm import ResilientChannel
-
+        """A receive with no posted header is a deadlock (a protocol
+        bug), with an injector or without."""
         comm = SimComm(2)
-        assert comm.try_match(1, 0, tag=9) is None
         with pytest.raises(UnmatchedReceiveError, match="deadlock"):
             ResilientChannel(comm)._receive(0, 1, 0, 9, 8, lambda: None)
         comm.assert_drained()
 
     def test_rank_range_checked(self):
-        comm = SimComm(2)
+        ch, _ = channel(SimComm(2), injector=False)
         with pytest.raises(ValueError):
-            comm.isend(0, 2, tag=0, nbytes=8)
+            post(ch, src=0, dst=2)
         with pytest.raises(ValueError):
-            comm.isend(-1, 0, tag=0, nbytes=8)
+            post(ch, src=-1, dst=0)
 
 
 class TestStats:
     def test_counters(self):
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=80)
-        comm.isend(1, 0, tag=0, nbytes=40)
+        ch, _ = channel(comm, injector=False)
+        post(ch, src=0, dst=1, payload=np.zeros(10))
+        post(ch, src=1, dst=0, payload=np.zeros(5))
         assert comm.sent_messages == 2
         assert comm.sent_bytes == 120
         assert comm.bytes_by_pair[(0, 1)] == 80
 
     def test_ledger_rows_per_level_and_pair(self):
         comm = SimComm(3)
-        comm.isend(0, 1, tag=0, nbytes=8, level=0)
-        comm.isend(0, 1, tag=1, nbytes=16, level=0)
-        comm.isend(2, 1, tag=0, nbytes=4, level=1)
-        comm.isend(0, 1, tag=0, nbytes=8, fault=FaultAction("drop"), level=0)
-        comm.retransmit(1, 0, tag=0, level=0)
+        ch, _ = channel(comm, None, None, None, DROP)
+        post(ch, 0, 0, 1, PAYLOAD[:1], level=0)
+        post(ch, 1, 0, 1, PAYLOAD[:2], level=0)
+        post(ch, 0, 2, 1, PAYLOAD[:0], level=1)
+        receive(ch, 0, 0, 1, PAYLOAD[:1], level=0)
+        receive(ch, 1, 0, 1, PAYLOAD[:2], level=0)
+        receive(ch, 0, 2, 1, PAYLOAD[:0], level=1)
+        post(ch, 3, 0, 1, PAYLOAD[:1], level=0)  # dropped, then resent
+        receive(ch, 3, 0, 1, PAYLOAD[:1], level=0)
         comm.account_sends([((2, 1, 0), 3, 96)])
         assert comm.ledger == {
-            (0, 0, 1): [4, 40, 1], (1, 2, 1): [1, 4, 0], (2, 1, 0): [3, 96, 0],
+            (0, 0, 1): [4, 40, 1], (1, 2, 1): [1, 0, 0], (2, 1, 0): [3, 96, 0],
         }
         assert comm.retransmissions == 1
 
     def test_assert_drained_clean(self):
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=8)
-        comm.try_match(1, 0, tag=0)
+        ch, _ = channel(comm)
+        post(ch)
+        receive(ch)
+        assert ch.drain_stale() == 0
         comm.assert_drained()
 
     def test_assert_drained_detects_leftovers(self):
+        """A header posted and never received is left for the drain
+        check to name, not discarded as stale."""
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=8)
+        ch, recorder = channel(comm)
+        post(ch)
+        assert ch.drain_stale() == 0 and kinds(recorder) == []
         with pytest.raises(RuntimeError, match="undelivered"):
             comm.assert_drained()
 
     def test_assert_drained_names_each_leaking_mailbox(self):
         comm = SimComm(3)
-        comm.isend(0, 1, tag=3, nbytes=8)
-        comm.isend(0, 1, tag=3, nbytes=8)
-        comm.isend(2, 0, tag=7, nbytes=8)
+        comm.hold(1, 0, 3, [8, 8])
+        comm.hold(0, 2, 7, [8])
         with pytest.raises(RuntimeError) as exc:
             comm.assert_drained()
-        assert "2 mailbox(es)" in str(exc.value)
+        assert "2 envelope(s)" in str(exc.value)
         assert "dst=1 src=0 tag=3: 2 pending" in str(exc.value)
         assert "dst=0 src=2 tag=7: 1 pending" in str(exc.value)
 
 
+#: (actions struck on the header and its resends, events the receive
+#: records, ledger row, headers held after the receive)
+FATES = {
+    "clean": ((), [], [1, 32, 0], 0),
+    "drop": ((DROP,), ["detect_drop", "retry", "retransmit"], [2, 64, 1], 0),
+    "corrupt": (
+        (CORRUPT,), ["detect_corrupt", "retry", "retransmit"], [2, 64, 1], 0,
+    ),
+    "duplicate": ((DUP,), [], [1, 32, 0], 1),
+    "delay": ((DELAY,), ["detect_delay", "retry"], [1, 32, 0], 0),
+    "resend-struck-again": (
+        (DROP, CORRUPT),
+        ["detect_drop", "retry", "retransmit",
+         "detect_corrupt", "retry", "retransmit"],
+        [3, 96, 2], 0,
+    ),
+    "resend-delayed": (
+        (CORRUPT, DELAY),
+        ["detect_corrupt", "retry", "retransmit", "detect_delay", "retry"],
+        [2, 64, 1], 0,
+    ),
+    "resend-duplicated": (
+        (DROP, DUP), ["detect_drop", "retry", "retransmit"], [2, 64, 1], 1,
+    ),
+}
+
+
 class TestFaultTransport:
-    """Resilience primitives: headers, delay queue, retransmission."""
+    """The fate of one header, replayed by its receive."""
 
-    def test_try_match_returns_none_instead_of_raising(self):
+    @pytest.mark.parametrize("name", list(FATES))
+    def test_fate_of_one_header(self, name):
+        actions, events, row, held = FATES[name]
         comm = SimComm(2)
-        assert comm.try_match(1, 0, tag=0) is None
-        comm.isend(0, 1, tag=0, nbytes=24)
-        msg = comm.try_match(1, 0, tag=0)
-        assert (msg.nbytes, msg.seq) == (24, 0)
+        ch, recorder = channel(comm, *actions)
+        post(ch)
+        receive(ch)
+        assert kinds(recorder) == events
+        assert comm.ledger == {(0, 0, 1): row}
+        assert comm.pending == held
+        assert ch.drain_stale() == held
+        assert kinds(recorder)[len(events):] == ["detect_duplicate"] * held
+        comm.assert_drained()
 
-    def test_sequence_numbers_are_per_envelope(self):
+    @pytest.mark.parametrize("last", ["dropped", "late"])
+    def test_exhausted_budget_leaves_the_phase_pending(self, last):
+        """The receive gives up after ``max_retries`` resends; what the
+        phase still has in flight — its unreceived headers, a
+        duplicate's two copies, a resend that landed too late — is
+        left for the recovery's purge."""
         comm = SimComm(2)
-        for _ in range(2):
-            comm.isend(0, 1, tag=0, nbytes=8)
-        comm.isend(0, 1, tag=1, nbytes=8)
-        assert comm.try_match(1, 0, tag=0).seq == 0
-        assert comm.try_match(1, 0, tag=0).seq == 1
-        assert comm.try_match(1, 0, tag=1).seq == 0
+        if last == "dropped":
+            ch, recorder = channel(comm, DROP, None, DUP, DROP, DROP, max_retries=2)
+            want = {(1, 0, 6): 1, (1, 0, 7): 2}
+        else:
+            ch, recorder = channel(comm, DROP, None, DUP, DELAY, max_retries=1)
+            want = {(1, 0, 5): 1, (1, 0, 6): 1, (1, 0, 7): 2}
+        for tag in (5, 6, 7):
+            post(ch, tag=tag)
+        with pytest.raises(ExchangeFaultError, match="gave up") as exc:
+            receive(ch, tag=5)
+        assert exc.value.attempts == ch.max_retries
+        assert kinds(recorder)[-1] in ("detect_drop", "detect_delay")
+        assert comm.in_flight() == want
+        assert comm.reset_in_flight() == sum(want.values())
+        comm.assert_drained()
 
     def test_drop_posts_nothing_but_is_accounted(self):
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=8, fault=FaultAction("drop"))
-        assert comm.try_match(1, 0, tag=0) is None
+        ch, recorder = channel(comm, DROP)
+        post(ch)
         assert comm.pending == 0 and comm.sent_messages == 1
+        receive(ch)
+        assert comm.sent_messages == 2 and comm.retransmissions == 1
 
     def test_duplicate_delivers_the_same_header_twice(self):
+        """One copy is received; the other is held on the envelope and
+        discarded as stale by the next receive there."""
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=8, checksum=7,
-                   fault=FaultAction("duplicate"))
-        assert comm.pending == 2
-        first, second = comm.try_match(1, 0, tag=0), comm.try_match(1, 0, tag=0)
-        assert first == second and first.seq == 0
+        ch, recorder = channel(comm, DUP)
+        post(ch)
+        receive(ch)
+        assert comm.in_flight() == {(1, 0, 5): 1}
+        post(ch)
+        receive(ch)
+        assert [(f.kind, f.nbytes) for f in recorder.faults] == [
+            ("detect_duplicate", 32)
+        ]
+        assert comm.pending == 0
 
     def test_corrupt_records_the_flip_in_the_header(self):
+        """The flip strikes a copy the checksum is taken over: the
+        receiver's bytes are never touched, the sum fails."""
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=32, checksum=123,
-                   fault=FaultAction("corrupt", corrupt_byte=35, corrupt_bit=13))
-        msg = comm.try_match(1, 0, tag=0)
-        assert msg.flip == (35 % 32, 13 % 8)
-        assert (msg.checksum, msg.nbytes) == (123, 32)
+        ch, recorder = channel(comm, CORRUPT)
+        payload = PAYLOAD.copy()
+        post(ch, payload=payload)
+        seen = []
+
+        def own_bytes():
+            seen.append(payload_checksum(payload))
+            return payload
+
+        ch._receive(0, 1, 0, 5, payload.nbytes, own_bytes)
+        assert kinds(recorder)[0] == "detect_corrupt"
+        # read for the struck copy and for the resend, never written
+        assert seen == [payload_checksum(PAYLOAD)] * 2
+        np.testing.assert_array_equal(payload, PAYLOAD)
+        flipped = payload_checksum(PAYLOAD, (35 % 32, 13 % 8))
+        assert flipped != payload_checksum(PAYLOAD)
 
     def test_delay_parks_until_released(self):
+        """A late header lands on the first retry: no resend."""
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=8, fault=FaultAction("delay"))
-        assert comm.pending == 1
-        assert comm.try_match(1, 0, tag=0) is None
-        assert comm.release_delayed(1, 0, tag=0) == 1
-        assert comm.try_match(1, 0, tag=0).nbytes == 8
-        assert comm.release_delayed(1, 0, tag=0) == 0
+        ch, recorder = channel(comm, DELAY)
+        post(ch)
+        assert comm.pending == 0
+        receive(ch)
+        assert kinds(recorder) == ["detect_delay", "retry"]
+        assert comm.retransmissions == 0 and comm.pending == 0
 
     def test_retransmit_resends_pristine_payload(self):
-        """The logged header goes out again without the original flip."""
+        """The resend carries the original checksum, nothing flipped."""
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=32, checksum=123,
-                   fault=FaultAction("corrupt", corrupt_byte=2, corrupt_bit=5))
-        corrupted = comm.try_match(1, 0, tag=0)
-        assert corrupted.flip == (2, 5)
-        assert comm.retransmit(1, 0, tag=0) == 32 == comm.logged_nbytes(1, 0, 0)
+        ch, recorder = channel(comm, CORRUPT)
+        post(ch)
+        receive(ch)
+        assert kinds(recorder) == ["detect_corrupt", "retry", "retransmit"]
+        assert [f.nbytes for f in recorder.faults] == [32, 32, 32]
         assert comm.retransmissions == 1
-        fresh = comm.try_match(1, 0, tag=0)
-        # same envelope identity (seq, checksum), nothing flipped
-        assert (fresh.seq, fresh.checksum, fresh.flip) == (corrupted.seq, 123, None)
 
     def test_retransmit_without_prior_send_is_protocol_bug(self):
+        """Under an injector too, a receive with no posted header asks
+        for no resend: it raises."""
         comm = SimComm(2)
-        with pytest.raises(UnmatchedReceiveError, match="nothing was ever sent"):
-            comm.retransmit(1, 0, tag=4)
-        assert comm.logged_nbytes(1, 0, 4) == 0
-
-    def test_discard_stale_drops_old_sequence_numbers(self):
-        comm = SimComm(2)
-        for _ in range(3):
-            comm.isend(0, 1, tag=0, nbytes=8)
-        assert comm.discard_stale(1, 0, tag=0, below_seq=2) == 2
-        assert comm.try_match(1, 0, tag=0).seq == 2
+        ch, recorder = channel(comm)
+        with pytest.raises(UnmatchedReceiveError, match="never sent"):
+            receive(ch, tag=4)
+        assert kinds(recorder) == [] and comm.sent_messages == 0
 
     def test_reset_in_flight_purges_everything(self):
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=8)
-        comm.isend(0, 1, tag=1, nbytes=8, fault=FaultAction("delay"))
-        assert comm.in_flight() == {(1, 0, 0): 1, (1, 0, 1): 1}
-        assert comm.reset_in_flight() == 2
+        comm.hold(1, 0, 0, [8])
+        comm.hold(1, 0, 1, [8, 8])
+        assert comm.in_flight() == {(1, 0, 0): 1, (1, 0, 1): 2}
+        assert comm.reset_in_flight() == 3
         comm.assert_drained()
 
 
 class TestDeadRanks:
     def test_every_touch_of_a_dead_endpoint_raises(self):
-        from repro.comm.simmpi import RankDeadError
-
         comm = SimComm(3)
-        comm.isend(1, 0, tag=0, nbytes=8)
+        ch, _ = channel(comm, injector=False)
+        post(ch, src=1, dst=0)
         comm.kill(1)
         with pytest.raises(RankDeadError, match="rank 1"):
-            comm.isend(0, 1, tag=0, nbytes=8)
-        with pytest.raises(RankDeadError):
-            comm.try_match(0, 1, tag=0)
-        with pytest.raises(RankDeadError):
-            comm.retransmit(0, 1, tag=0)
+            post(ch, src=0, dst=1)
+        with pytest.raises(RankDeadError, match="receive from rank 1"):
+            receive(ch, src=1, dst=0)
         with pytest.raises(RankDeadError):
             comm.allreduce_max([0.0, 0.0, 0.0])
-        comm.isend(0, 2, tag=0, nbytes=8)  # survivors still talk
+        assert comm.pending == 1  # the aborted phase's header, held
+        post(ch, src=0, dst=2)  # survivors still talk
+        receive(ch, src=0, dst=2)
 
     def test_repair_purges_forgets_sequences_and_revives(self):
+        """Repair purges what was held; a channel needs no reset to
+        talk over the repaired communicator."""
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=8)
+        ch, _ = channel(comm, DUP)
+        post(ch)
+        receive(ch)
         comm.kill(1)
         assert comm.repair(revive=[1]) == 1
         assert comm.dead_ranks() == () and comm.repairs == 1
-        assert comm.logged_nbytes(1, 0, 0) == 0
-        comm.isend(0, 1, tag=0, nbytes=8)
-        assert comm.try_match(1, 0, tag=0).seq == 0
+        post(ch)
+        receive(ch)
+        assert comm.pending == 0
 
 
 class TestCollectives:
@@ -272,59 +419,13 @@ class TestCollectives:
 
 
 class TestCommSpans:
-    """Per-rank span attribution of sends, receives, retransmissions."""
-
-    def test_isend_lands_on_sender_timeline(self):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        comm = SimComm(2, tracer=tracer)
-        comm.isend(0, 1, tag=7, nbytes=32, level=2)
-        (span,) = tracer.children[0].spans
-        assert span.name == "isend"
-        assert span.attrs == {
-            "l": 2, "src": 0, "dst": 1, "tag": 7, "bytes": 32, "seq": 0,
-        }
-
-    def test_matched_receive_lands_on_receiver_timeline(self):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        comm = SimComm(2, tracer=tracer)
-        comm.isend(0, 1, tag=7, nbytes=32, level=1)
-        comm.try_match(1, 0, tag=7, level=1)
-        (span,) = tracer.children[1].spans
-        assert span.name == "irecv"
-        assert span.attrs["src"] == 0 and span.attrs["dst"] == 1
-        assert span.attrs["l"] == 1 and span.attrs["bytes"] == 32
-
-    def test_send_span_precedes_matching_recv_span(self):
-        """Lockstep ordering: the property the critical-path DP's
-        sort-by-start topological order rests on."""
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        comm = SimComm(2, tracer=tracer)
-        comm.isend(0, 1, tag=0, nbytes=64)
-        comm.try_match(1, 0, tag=0)
-        send = tracer.children[0].spans[0]
-        recv = tracer.children[1].spans[0]
-        assert send.end <= recv.start
-
-    def test_retransmit_traced_with_original_seq(self):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        comm = SimComm(2, tracer=tracer)
-        comm.isend(0, 1, tag=3, nbytes=16, fault=FaultAction("drop"))
-        comm.retransmit(1, 0, tag=3, level=0)
-        names = [s.name for s in tracer.children[0].spans]
-        assert names == ["isend", "retransmit"]
-        assert tracer.children[0].spans[1].attrs["seq"] == 0
-        assert tracer.children[0].spans[1].attrs["bytes"] == 16
-
     def test_untraced_comm_records_nothing(self):
+        """The communicator has no tracer; an untraced channel's headers
+        leave no span anywhere."""
         comm = SimComm(2)
-        comm.isend(0, 1, tag=0, nbytes=8)
-        comm.try_match(1, 0, tag=0)
-        assert not comm.tracer.enabled
+        ch, _ = channel(comm, DUP)
+        post(ch)
+        receive(ch)
+        ch.drain_stale()
+        assert not hasattr(comm, "tracer")
+        assert not ch.tracer.enabled
