@@ -69,7 +69,10 @@ class BrickGrid:
         Depth of the ghost shell in bricks.  The default of 1 matches
         the paper: the ghost zone is one brick (``brick_dim`` cells)
         deep, enabling up to ``brick_dim`` communication-avoiding
-        smoothing steps per exchange.
+        smoothing steps per exchange.  0 leaves no shell: the grid is
+        periodic in itself (its :attr:`adjacency` wraps), which is what
+        one rank owning a whole periodic domain needs — no ghost to
+        store, compute or exchange.
     ordering:
         Storage-order strategy, one of the keys of
         :data:`repro.bricks.orderings.ORDERINGS`
@@ -208,11 +211,15 @@ class BrickGrid:
         """``(num_slots, 27)`` neighbour slot table.
 
         ``adjacency[s, direction_index(d)]`` is the slot of the brick
-        one step along ``d`` from the brick in slot ``s``.  Neighbours
-        that would fall outside the extended grid are *clamped to self*;
-        such reads only ever occur for the outermost ghost bricks whose
-        values are redundant by construction (the communication-avoiding
-        validity argument in DESIGN.md).
+        one step along ``d`` from the brick in slot ``s``.  With a ghost
+        shell, neighbours that would fall outside the extended grid are
+        *clamped to self*; such reads only ever occur for the outermost
+        ghost bricks whose values are redundant by construction (the
+        communication-avoiding validity argument in DESIGN.md).  A
+        ghostless grid (``ghost_bricks=0``) is periodic in itself: each
+        neighbour wraps to the brick at the periodic coordinate, so a
+        stencil reads exactly what a shell filled by periodic wrap
+        would have held.
         """
         coords = self.slot_to_grid  # (num_slots, 3) stored coords
         ext = np.asarray(self.extended_shape, dtype=np.int64)
@@ -220,11 +227,12 @@ class BrickGrid:
         flat = self.grid_to_slot.reshape(-1)
         for di, d in enumerate(DIRECTIONS):
             nb = coords + np.asarray(d, dtype=np.int64)
-            inside = np.all((nb >= 0) & (nb < ext), axis=1)
-            nb_clamped = np.where(inside[:, None], nb, coords)
-            ravel = (
-                nb_clamped[:, 0] * ext[1] + nb_clamped[:, 1]
-            ) * ext[2] + nb_clamped[:, 2]
+            if self.ghost_bricks == 0:
+                nb = np.mod(nb, ext)
+            else:
+                inside = np.all((nb >= 0) & (nb < ext), axis=1)
+                nb = np.where(inside[:, None], nb, coords)
+            ravel = (nb[:, 0] * ext[1] + nb[:, 1]) * ext[2] + nb[:, 2]
             adj[:, di] = flat[ravel]
         return adj
 

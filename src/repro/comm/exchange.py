@@ -13,10 +13,13 @@ call for individual messages does it also run their headers through
 :class:`ResilientChannel` (with each message's CRC32 when an injector
 is attached), whose receive replays each header's fault in place —
 never because someone is watching.  It is the only
-exchanger: one rank is a plan of self-messages (the periodic wrap) or
-of none (walls all round, every ghost synthesised by the boundary
-condition), and a service cohort's members are further stacked copies
-of the same decomposition, served by one call.
+exchanger: one rank is a plan of self-messages (the periodic wrap, run
+by the one active rank of an agglomerated level) or of none (walls all
+round, every ghost synthesised by the boundary condition), and a
+service cohort's members are further stacked copies of the same
+decomposition, served by one call.  A solve on one periodic rank builds
+none: its levels have no ghost shell (their bricks wrap their own
+adjacency).
 
 Two cost-relevant properties are recorded per message:
 

@@ -110,7 +110,7 @@ class ConjugateGradientBottomSolver(BottomSolver):
 
     def _apply_operator(self, vcycle, lev: int, levels: list[Level]) -> None:
         """Ax <- A x with a fresh ghost exchange (radius-1 stencil)."""
-        vcycle.exchangers[lev].exchange(lev, [[lv.x] for lv in levels])
+        vcycle.exchange(lev, [[lv.x] for lv in levels])
         for lv in levels:
             vcycle.smoother.apply_op(lv, vcycle.recorder)
 

@@ -57,7 +57,14 @@ def make_level(
 
 
 class Level:
-    """State of one multigrid level on one rank."""
+    """State of one multigrid level on one rank.
+
+    ``ghost_bricks`` is the :class:`BrickGrid`'s shell depth: 1 (the
+    paper's one-brick ghost zone, refreshed by a halo exchange) or 0
+    for a rank that owns a whole periodic domain — its grid wraps its
+    own adjacency, so the level stores and computes interior bricks
+    only and has nothing to exchange.
+    """
 
     def __init__(
         self,
@@ -67,6 +74,7 @@ class Level:
         h: float,
         ordering: str = "surface-major",
         dtype: np.dtype | type = np.float64,
+        ghost_bricks: int = 1,
     ) -> None:
         shape_cells = tuple(int(c) for c in shape_cells)
         if any(c % brick_dim for c in shape_cells):
@@ -79,7 +87,9 @@ class Level:
         self.constants = LevelConstants.for_spacing(h)
         self.dtype = np.dtype(dtype)
         shape_bricks = tuple(c // brick_dim for c in shape_cells)
-        self.grid = BrickGrid(shape_bricks, brick_dim, ghost_bricks=1, ordering=ordering)
+        self.grid = BrickGrid(
+            shape_bricks, brick_dim, ghost_bricks=ghost_bricks, ordering=ordering
+        )
         self.x = BrickedArray.zeros(self.grid, dtype=self.dtype)
         self.b = BrickedArray.zeros(self.grid, dtype=self.dtype)
         self.Ax = BrickedArray.zeros(self.grid, dtype=self.dtype)
@@ -97,7 +107,8 @@ class Level:
 
     @property
     def ghost_depth_cells(self) -> int:
-        """Halo validity (cells) granted by one exchange."""
+        """Halo validity (cells) granted by one exchange; 0 on a
+        ghostless level, which has no exchange and no halo budget."""
         return self.grid.ghost_cells
 
     def fields(self) -> dict[str, BrickedArray]:

@@ -248,7 +248,8 @@ class Hierarchy:
     """One configuration's problem state, before any execution layout.
 
     Builds the decomposition, the simulated communicator, every rank's
-    level hierarchy, the per-level ghost exchangers, the agglomerator
+    level hierarchy, the per-level ghost exchangers (none for one
+    periodic rank, whose levels have no ghost shell), the agglomerator
     (when the threshold merges anything) and the finest-level
     right-hand side.  :class:`GMGSolver` adopts a hierarchy into the
     stacked layout and drives it; so does a service cohort, with
@@ -344,6 +345,10 @@ class Hierarchy:
         self.comm = SimComm(self.topology.size)
 
         per_rank = config.cells_per_rank
+        # One rank owning a whole periodic domain is its own neighbour:
+        # its grids wrap their adjacency, so no level carries a ghost
+        # shell, and none has anything to exchange.
+        ghost_bricks = 0 if self.topology.size == 1 and self.topology.periodic else 1
         self.rank_levels: list[list[Level]] = []
         for _ in range(self.copies * self.topology.size):
             levels = []
@@ -358,11 +363,13 @@ class Hierarchy:
                         config.level_spacing(lev),
                         config.ordering,
                         dtype=np.float32 if config.precision == "fp32" else np.float64,
+                        ghost_bricks=ghost_bricks,
                     )
                 )
             self.rank_levels.append(levels)
 
-        self.exchangers = [
+        #: per level, its ghost exchanger — ``None`` on a ghostless level
+        self.exchangers: list[HaloExchange | None] = [
             self._build_exchanger(lev) for lev in range(config.num_levels)
         ]
 
@@ -417,10 +424,14 @@ class Hierarchy:
                 message_rows=self._message_rows(),
             )
 
-    def _build_exchanger(self, lev: int):
-        """A fresh full-grid exchanger for level ``lev``."""
+    def _build_exchanger(self, lev: int) -> HaloExchange | None:
+        """A fresh full-grid exchanger for level ``lev`` (``None`` for a
+        ghostless level: no shell, nothing to exchange)."""
+        grid = self.rank_levels[0][lev].grid
+        if grid.ghost_bricks == 0:
+            return None
         return HaloExchange(
-            self.rank_levels[0][lev].grid,
+            grid,
             self.topology,
             self.comm,
             self.recorder,
@@ -440,7 +451,7 @@ class Hierarchy:
         for lev, ex in enumerate(self.exchangers):
             if self.agglomerator is not None:
                 ex = self.agglomerator.exchanger_at(lev) or ex
-            if ex.comm.size > 1:
+            if ex is not None and ex.comm.size > 1:
                 rows += [
                     (lev, ex._gr(m.src_rank), ex._gr(m.dst_rank), m.direction)
                     for m in ex.plan.messages
@@ -457,8 +468,9 @@ class Hierarchy:
 
     def halo_exchangers(self) -> list[tuple[int, HaloExchange]]:
         """``(level, exchanger)`` of every ghost exchange: the
-        full-grid ones, then the agglomerator's active-rank ones."""
-        out = list(enumerate(self.exchangers))
+        full-grid ones, then the agglomerator's active-rank ones (none
+        for a ghostless level)."""
+        out = [(lev, ex) for lev, ex in enumerate(self.exchangers) if ex is not None]
         if self.agglomerator is not None:
             out.extend(
                 (lev, ex)
@@ -689,7 +701,8 @@ class GMGSolver(Hierarchy):
             self.comm.reset_in_flight()
         else:
             for ex in self.exchangers:
-                ex.drain_stale()
+                if ex is not None:
+                    ex.drain_stale()
             if self.agglomerator is not None:
                 for channel in self.agglomerator.channels():
                     channel.drain_stale()

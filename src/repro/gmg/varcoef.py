@@ -165,7 +165,8 @@ class VariableCoefficientSolver(GMGSolver):
     def _setup_problem(self) -> None:
         """Sample ``beta`` on every rank's finest level, volume-average
         it down the hierarchy, and fill the static coefficient ghosts
-        with one exchange per level.  ``b`` stays zero."""
+        with one exchange per level that has a shell.  ``b`` stays
+        zero."""
         per_rank = self.config.cells_per_rank
         h = self.config.level_spacing(0)
         for rank, levels in enumerate(self.rank_levels):
@@ -181,6 +182,8 @@ class VariableCoefficientSolver(GMGSolver):
                     beta = beta.reshape(n0 // 2, 2, n1 // 2, 2, n2 // 2, 2).mean(axis=(1, 3, 5))
                 level.set_coefficient(beta)
         for lev, exchanger in enumerate(self.exchangers):
+            if exchanger is None:
+                continue
             exchanger.exchange(
                 lev,
                 [
@@ -204,7 +207,7 @@ class VariableCoefficientSolver(GMGSolver):
         leaves ``x`` zero."""
         self._distribute("x", u_dense)
         levels = self.vcycle.levels_at(0)
-        self.exchangers[0].exchange(0, [[lv.x] for lv in levels])
+        self.vcycle.exchange(0, [[lv.x] for lv in levels])
         for target in self.vcycle._compute_targets(0):
             self.vcycle.smoother.apply_op(target, None)
         out = self._assemble("Ax")

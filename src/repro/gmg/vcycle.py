@@ -16,8 +16,11 @@ updated redundantly and the corruption that creeps inward from the
 shell's outer boundary never reaches interior cells within the allowed
 iteration count.  The first exchange of each level visit aggregates
 ``b`` with ``x`` into one message per neighbour (``b``'s ghost stays
-valid for the rest of the visit).  Exchanging before every smooth —
-HPGMG's schedule, the paper's baseline — is priced by
+valid for the rest of the visit).  A ghostless level (one rank owning
+a whole periodic domain: its bricks wrap their own adjacency) has no
+exchanger and no halo budget, so each of its visits — the relaxation
+bottom solve included — is one window.  Exchanging before every
+smooth — HPGMG's schedule, the paper's baseline — is priced by
 :mod:`repro.harness.vcycle_sim` and run by
 :class:`~repro.gmg.baseline.ArrayGMG`.
 
@@ -56,7 +59,8 @@ class VCycle:
         depth ``lev`` (0 = finest).  All ranks must have congruent
         hierarchies.
     exchangers:
-        One exchanger per level.
+        One exchanger per level; ``None`` for a ghostless level, which
+        has nothing to exchange.
     engine:
         The :class:`~repro.gmg.engine.ExecutionEngine` that stacked
         ``rank_levels``: compute phases run once over each depth's
@@ -89,7 +93,7 @@ class VCycle:
     def __init__(
         self,
         rank_levels: Sequence[Sequence[Level]],
-        exchangers: Sequence[HaloExchange],
+        exchangers: Sequence[HaloExchange | None],
         engine: ExecutionEngine,
         max_smooths: int = 12,
         bottom_smooths: int = 100,
@@ -151,12 +155,13 @@ class VCycle:
         self._validate_ca_budget()
 
     def _validate_ca_budget(self) -> None:
-        """Every level must grant at least one smoothing iteration of
-        halo per exchange."""
+        """Every level with a ghost shell must grant at least one
+        smoothing iteration of halo per exchange (a ghostless level has
+        no exchange to budget)."""
         per_iter = self.smoother.ghost_cells_per_iteration
         for lev in range(self.num_levels):
             depth = self.levels_at(lev)[0].ghost_depth_cells
-            if per_iter > depth:
+            if 0 < depth < per_iter:
                 raise ValueError(
                     f"smoother consumes {per_iter} halo cells per iteration "
                     f"but level {lev}'s ghost zone is only {depth} cells deep"
@@ -183,22 +188,33 @@ class VCycle:
 
     def exchanger_at(self, lev: int):
         """The exchanger serving depth ``lev`` (active-rank scoped on
-        agglomerated levels)."""
+        agglomerated levels; ``None`` on a ghostless level)."""
         if self.agglomerator is not None:
             ex = self.agglomerator.exchanger_at(lev)
             if ex is not None:
                 return ex
         return self.exchangers[lev]
 
-    def iterations_per_exchange(self, lev: int) -> int:
-        """Smoothing iterations one exchange's halo budget supports."""
+    def exchange(self, lev: int, fields_by_rank) -> None:
+        """Refresh the ghosts of depth ``lev``'s listed fields; nothing
+        to do on a ghostless level."""
+        exchanger = self.exchanger_at(lev)
+        if exchanger is not None:
+            exchanger.exchange(lev, fields_by_rank)
+
+    def iterations_per_exchange(self, lev: int) -> int | None:
+        """Smoothing iterations one exchange's halo budget supports;
+        ``None`` on a ghostless level, whose windows nothing limits."""
         depth = self.levels_at(lev)[0].ghost_depth_cells
+        if depth == 0:
+            return None
         return max(1, depth // self.smoother.ghost_cells_per_iteration)
 
     def exchanges_per_visit(self, lev: int, smooths: int | None = None) -> int:
         """Exchange phases one level visit performs (model cross-check)."""
         n = self.max_smooths if smooths is None else smooths
-        return math.ceil(n / self.iterations_per_exchange(lev))
+        per_window = self.iterations_per_exchange(lev)
+        return 0 if per_window is None else math.ceil(n / per_window)
 
     def smooth_level(self, lev: int, iterations: int, with_residual: bool) -> None:
         """One smoothing visit: CA-scheduled exchanges + iterations.
@@ -208,16 +224,16 @@ class VCycle:
         per-rank fields, whose storage views the stacked arrays).  Each
         exchange opens a *window* of as many iterations as its halo
         stays valid for, handed to the smoother in a single
-        ``iterate(..., sweeps=window)``.
+        ``iterate(..., sweeps=window)``.  A ghostless level exchanges
+        nothing and runs the whole visit as one window.
         """
         levels = self.levels_at(lev)
         targets = self._compute_targets(lev)
-        exchanger = self.exchanger_at(lev)
-        per_window = self.iterations_per_exchange(lev)
+        per_window = self.iterations_per_exchange(lev) or iterations
         fields = [[lv.x, lv.b] for lv in levels]
         with self.tracer.span("smooth-visit", l=lev, n=iterations):
             while iterations > 0:
-                exchanger.exchange(lev, fields)
+                self.exchange(lev, fields)
                 # b's ghost stays valid for the rest of the visit
                 fields = [[lv.x] for lv in levels]
                 # every iteration this exchange's halo covers, in one
@@ -357,7 +373,7 @@ class VCycle:
         finest level; returns the per-rank levels.  Call inside a
         ``residual-check`` span."""
         levels = self.levels_at(0)
-        self.exchanger_at(0).exchange(0, [[lv.x] for lv in levels])
+        self.exchange(0, [[lv.x] for lv in levels])
         # one applyOp + residual covers all rank blocks; per-rank
         # reductions read through the stacked views
         for target in self._compute_targets(0):

@@ -91,6 +91,8 @@ class ProfileReport:
     wait_s: float = 0.0
     #: ``wait_s`` as a share of total ``vcycle`` wall time
     wait_fraction: float = 0.0
+    #: the solve had no ghost exchanger at all (one periodic rank)
+    ghostless: bool = False
     #: :func:`exchange_path_line` of the profiled solver
     exchange_paths: str | None = None
     #: :func:`repro.dsl.native.describe`: which backend ran the kernels
@@ -99,6 +101,12 @@ class ProfileReport:
     def render(self) -> str:
         """The full human-readable profile report."""
         cfg = self.config
+        exchange = (
+            "no ghost exchange (one periodic rank has no ghost shell)"
+            if self.ghostless
+            else f"wait fraction: {self.wait_fraction:.1%} of V-cycle time "
+            f"in the ghost-exchange copy ({self.wait_s:.6g}s in exchange)"
+        )
         lines = [
             f"profiled solve: {cfg.global_cells}^3 over {cfg.num_ranks} "
             f"rank(s), {cfg.num_levels} levels, brick {cfg.brick_dim}^3",
@@ -107,8 +115,7 @@ class ProfileReport:
             f"  trace: {len(self.tracer.spans)} spans, "
             f"{len(self.tracer.instants)} instants, "
             f"coverage {self.coverage:.1%} of the solve span",
-            f"  wait fraction: {self.wait_fraction:.1%} of V-cycle time "
-            f"in the ghost-exchange copy ({self.wait_s:.6g}s in exchange)",
+            f"  {exchange}",
             *([f"  {self.exchange_paths}"] if self.exchange_paths else []),
             *([f"  {self.kernels}"] if self.kernels else []),
             "",
@@ -205,6 +212,7 @@ def profile_solve(
         ).snapshot(),
         wait_s=wait_s,
         wait_fraction=wait_frac,
+        ghostless=not solver.halo_exchangers(),
         exchange_paths=exchange_path_line(solver),
         kernels=native.describe(),
     )

@@ -163,6 +163,59 @@ class TestAdjacency:
                     assert adj[nb, dj] == s
 
 
+class TestGhostlessAdjacency:
+    """A grid without a shell is periodic in itself: every one of its
+    neighbours is the brick at the wrapped coordinate, never the brick
+    itself standing in for a missing one."""
+
+    @pytest.mark.parametrize("ordering", ["lexicographic", "surface-major"])
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (1, 2, 3), (1, 1, 1)])
+    def test_every_neighbour_wraps(self, ordering, shape):
+        g = BrickGrid(shape, 2, ghost_bricks=0, ordering=ordering)
+        n = np.asarray(shape)
+        for s in range(g.num_slots):
+            here = g.slot_to_grid[s]
+            for d in DIRECTIONS:
+                wrapped = tuple(int(c) for c in np.mod(here + d, n))
+                assert g.adjacency[s, direction_index(d)] == g.slot_of(wrapped)
+
+    @pytest.mark.parametrize("ordering", ["lexicographic", "surface-major"])
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_gather_extended_is_a_periodic_roll(self, ordering, radius):
+        from repro.bricks import BrickedArray, gather_extended
+
+        g = BrickGrid((3, 2, 4), 2, ghost_bricks=0, ordering=ordering)
+        dense = np.random.default_rng(5).standard_normal(g.shape_cells)
+        E = gather_extended(BrickedArray.from_ijk(g, dense), radius)
+        B, r = g.brick_dim, radius
+        padded = np.pad(dense, r, mode="wrap")
+        for s in range(g.num_slots):
+            o = g.slot_to_grid[s] * B
+            expected = padded[
+                o[0] : o[0] + B + 2 * r,
+                o[1] : o[1] + B + 2 * r,
+                o[2] : o[2] + B + 2 * r,
+            ]
+            np.testing.assert_array_equal(E[s], expected)
+
+    def test_gather_extended_faces_equal_np_roll(self):
+        from repro.bricks import BrickedArray, gather_extended
+
+        g = BrickGrid((2, 3, 2), 2, ghost_bricks=0)
+        dense = np.arange(np.prod(g.shape_cells), dtype=float).reshape(
+            g.shape_cells
+        )
+        E = gather_extended(BrickedArray.from_ijk(g, dense), 1)
+        for axis in range(3):
+            for shift in (-1, 1):
+                # the cell one step along ``shift`` of every cell
+                rolled = np.roll(dense, -shift, axis=axis)
+                inner = [slice(1, -1)] * 3
+                inner[axis] = slice(1 + shift, E.shape[1] - 1 + shift)
+                read = BrickedArray(g, np.ascontiguousarray(E[(slice(None), *inner)]))
+                np.testing.assert_array_equal(read.to_ijk(), rolled)
+
+
 class TestRegions:
     def test_ghost_regions_partition_the_shell(self, small_grid):
         all_ghost: list[int] = []

@@ -956,11 +956,15 @@ class TestTracedSolveIsItsUntracedTwin:
         )
 
     @pytest.mark.parametrize(
-        "dims", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)],
-        ids=["1rank", "2ranks", "4ranks", "8ranks"],
+        "dims,boundary",
+        [((1, 1, 1), "dirichlet"), ((2, 1, 1), "periodic"),
+         ((2, 2, 1), "periodic"), ((2, 2, 2), "periodic")],
+        # one periodic rank has no shell and exchanges nothing; a walled
+        # one still runs its (message-less) plan every exchange
+        ids=["1rank-walled", "2ranks", "4ranks", "8ranks"],
     )
-    def test_fault_free(self, dims):
-        config = SolverConfig(rank_dims=dims, **self.SMALL)
+    def test_fault_free(self, dims, boundary):
+        config = SolverConfig(rank_dims=dims, boundary=boundary, **self.SMALL)
         plain = self.solved(None, config)
         tracer = Tracer()
         traced = self.solved(tracer, config)

@@ -102,14 +102,14 @@ class TestScheduleFidelity:
     def test_non_ca_schedule_also_matches(self):
         cfg = SolverConfig(
             global_cells=16, num_levels=2, brick_dim=4, max_smooths=5,
-            bottom_smooths=6, tol=0.0, max_vcycles=1,
+            bottom_smooths=6, tol=0.0, max_vcycles=1, rank_dims=(2, 1, 1),
         )
         with exchange_every_sweep():
             solver = GMGSolver(cfg)
             result = solver.solve()
         w = WorkloadConfig(
-            per_rank_cells=(16, 16, 16), num_levels=2, max_smooths=5,
-            bottom_smooths=6, rank_dims=(1, 1, 1), brick_dim=4,
+            per_rank_cells=(8, 16, 16), num_levels=2, max_smooths=5,
+            bottom_smooths=6, rank_dims=(2, 1, 1), brick_dim=4,
             communication_avoiding=False,
         )
         ts = TimedSolve(PERLMUTTER, w)

@@ -57,13 +57,13 @@ class TestEndToEnd:
 
     def test_recorder_totals_are_consistent(self):
         cfg = SolverConfig(global_cells=16, num_levels=2, brick_dim=4,
-                           max_smooths=4, bottom_smooths=10)
+                           max_smooths=4, bottom_smooths=10, rank_dims=(2, 1, 1))
         s = GMGSolver(cfg)
         res = s.solve()
         rec: Recorder = res.recorder
-        # every exchange phase at level 0 carries 26 messages
+        # every exchange phase at level 0 carries 26 messages per rank
         msgs = rec.message_counts_by_level()[0]
-        assert msgs == 26 * rec.exchange_counts()[0]
+        assert msgs == 26 * cfg.num_ranks * rec.exchange_counts()[0]
         # applyOp points = invocations x level-0 size at level 0
         counts = by_paper_op(rec.kernel_counts())
         points = by_paper_op(rec.kernel_points())

@@ -149,19 +149,20 @@ def test_sweeps_must_be_positive():
 # ----------------------------------------------------------------------
 def single_sweep_smooth_level(self, lev, iterations, with_residual):
     """``VCycle.smooth_level`` as it was before windows: one exchange
-    check and one ``iterate`` per iteration, ranks innermost."""
+    check and one ``iterate`` per iteration, ranks innermost.  A
+    ghostless level (one periodic rank) has nothing to exchange."""
     levels = self.levels_at(lev)
     targets = self._compute_targets(lev)
+    exchanger = self.exchanger_at(lev)
     per_iter = self.smoother.ghost_cells_per_iteration
-    budget = self.iterations_per_exchange(lev) * per_iter
     ghost_valid = 0
     b_exchanged = False
     for _ in range(iterations):
-        if ghost_valid < per_iter:
+        if exchanger is not None and ghost_valid < per_iter:
             fields = [[lv.x] if b_exchanged else [lv.x, lv.b] for lv in levels]
             b_exchanged = True
-            self.exchanger_at(lev).exchange(lev, fields)
-            ghost_valid = budget
+            exchanger.exchange(lev, fields)
+            ghost_valid = self.iterations_per_exchange(lev) * per_iter
         for target in targets:
             self.smoother.iterate(target, with_residual, self.recorder)
         ghost_valid -= per_iter
@@ -171,7 +172,10 @@ def single_sweep_smooth_level(self, lev, iterations, with_residual):
 
 
 EIGHT_RANKS = dict(global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2))
-SMALL = dict(global_cells=16, num_levels=2, brick_dim=4, max_vcycles=6)
+#: two ranks: every level keeps its shell and exchanges once per window
+SMALL = dict(
+    global_cells=16, num_levels=2, brick_dim=4, max_vcycles=6, rank_dims=(2, 1, 1)
+)
 
 SOLVES = {
     "kernel_1rank_64": dict(global_cells=64, num_levels=4, brick_dim=8),
@@ -331,6 +335,30 @@ def test_smooth_level_makes_one_native_call_per_window(
     assert len(solver.recorder.kernels) - events == iterations  # one per sweep
 
 
+@pytest.mark.parametrize("max_smooths", [1, 4, 12, 13, 100])
+def test_ghostless_visit_is_one_native_call(native_backend, max_smooths):
+    """One periodic rank has no shell and so no halo budget: each
+    visit — smoothing or the relaxation bottom solve — is one window,
+    one native call and no exchange, whatever its length."""
+    config = SolverConfig(
+        **{**SMALL, "rank_dims": (1, 1, 1)},
+        max_smooths=max_smooths, bottom_smooths=max_smooths,
+    )
+    solver = GMGSolver(config)
+    vcycle = solver.vcycle
+    for lev in range(config.num_levels):
+        assert vcycle.exchanger_at(lev) is None
+        assert vcycle.iterations_per_exchange(lev) is None
+        assert vcycle.exchanges_per_visit(lev) == 0
+    vcycle.run()  # builds and binds every kernel
+    calls, sweeps = native_backend.calls, native_backend.sweeps
+    vcycle.run()
+    # one pre- and one post-smoothing visit on level 0, one bottom visit
+    assert native_backend.calls - calls == 3
+    assert native_backend.sweeps - sweeps == 3 * max_smooths
+    assert solver.recorder.exchange_counts() == {}
+
+
 def test_kernel_1rank_64_solve_call_budget(native_backend):
     calls, sweeps = native_backend.calls, native_backend.sweeps
     solver = GMGSolver(SolverConfig(**SOLVES["kernel_1rank_64"]))
@@ -374,7 +402,11 @@ def test_metrics_read_zero_under_numpy(monkeypatch):
 
 def test_traced_window_is_one_span_weighted_by_its_sweeps():
     tracer = Tracer()
-    config = SolverConfig(**SMALL, max_smooths=6)
+    # one walled rank keeps its shell and per-rank events stay one per
+    # span (initZero runs per rank)
+    config = SolverConfig(
+        **{**SMALL, "rank_dims": (1, 1, 1)}, boundary="dirichlet", max_smooths=6
+    )
     solver = GMGSolver(config, tracer=tracer)
     result = solver.solve()
     fused = [

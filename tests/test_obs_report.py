@@ -31,6 +31,13 @@ def profiled():
     return profile_solve(_config(), machine_name="Perlmutter")
 
 
+@pytest.fixture(scope="module")
+def profiled_exchanging():
+    """The same solve over two ranks: one periodic rank has no ghost
+    shell and so no exchange to time."""
+    return profile_solve(_config(rank_dims=(2, 1, 1)), machine_name="Perlmutter")
+
+
 class TestTracedSolve:
     def test_solve_root_covers_everything(self, profiled):
         """Two roots: adopting the hierarchy into the stacked layout
@@ -92,15 +99,16 @@ class TestMeasuredVsModel:
         assert "level 0 " in text and "level 1 " in text
         text.encode("ascii")
 
-    def test_kernel_rows_carry_achieved_bandwidth(self, profiled):
+    def test_kernel_rows_carry_achieved_bandwidth(self, profiled_exchanging):
         """Stencil rows report compulsory GB/s at the run's precision;
         non-stencil rows (exchange, inter-grid) do not."""
         from repro.obs.aggregate import kernel_bytes_per_point
 
-        by_op = {r["op"]: r for r in profiled.rows if r["level"] == 0}
+        rows = profiled_exchanging.rows
+        by_op = {r["op"]: r for r in rows if r["level"] == 0}
         assert by_op["applyOp"]["gbps"] > 0
         assert by_op["exchange"]["gbps"] is None
-        assert "GB/s compulsory" in render_measured_vs_model(profiled.rows)
+        assert "GB/s compulsory" in render_measured_vs_model(rows)
         fp64, fp32 = kernel_bytes_per_point(8), kernel_bytes_per_point(4)
         assert fp64["smooth+residual"] == 40
         assert all(fp32[op] * 2 == fp64[op] for op in fp64)
@@ -127,12 +135,23 @@ class TestProfileReport:
         assert {"cache.native_kernel.hits", "cache.native_kernel.misses",
                 "cache.native_kernel.compile_ms"} <= set(gauges)
 
-    def test_profile_wait_fraction(self, profiled):
+    def test_profile_wait_fraction(self, profiled_exchanging):
         """Share of V-cycle time inside ``exchange`` spans."""
-        assert 0.0 < profiled.wait_fraction < 1.0
-        assert profiled.wait_s > 0.0
-        assert "wait fraction" in profiled.render()
-        assert profiled.to_json()["wait_fraction"] == profiled.wait_fraction
+        report = profiled_exchanging
+        assert 0.0 < report.wait_fraction < 1.0
+        assert report.wait_s > 0.0
+        assert "wait fraction" in report.render()
+        assert "no ghost exchange" not in report.render()
+        assert report.to_json()["wait_fraction"] == report.wait_fraction
+
+    def test_one_periodic_rank_says_it_has_no_ghost_exchange(self, profiled):
+        text = profiled.render()
+        assert "  no ghost exchange (one periodic rank has no ghost shell)\n" in text
+        assert "wait fraction" not in text
+        assert profiled.wait_s == profiled.wait_fraction == 0.0
+        assert not profiled.tracer.find("exchange")
+        counters = profiled.metrics["counters"]
+        assert counters["exchanges.total"] == counters["messages.total"] == 0
 
     def test_reductions_bridged_from_recorder(self, profiled):
         counters = profiled.metrics["counters"]

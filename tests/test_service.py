@@ -59,6 +59,8 @@ def assert_identical(cohort_result, reference) -> None:
 # ---------------------------------------------------------------------------
 VARIANTS = {
     "production": {},
+    # one walled rank keeps its ghost shell (one periodic rank has none)
+    "walled-1rank": {"boundary": "dirichlet"},
     "multirank": {"rank_dims": (2, 1, 1)},
     "walled": {"boundary": "dirichlet", "rank_dims": (2, 1, 1)},
     "gsrb": {"smoother": "gsrb"},
@@ -150,7 +152,7 @@ def test_stacked_hierarchy_rejects_what_would_couple_its_copies():
         Hierarchy(tiny_config(bottom_solver="fft"), copies=2)
 
 
-@pytest.mark.parametrize("variant", ["production", "multirank", "multirank-agg"])
+@pytest.mark.parametrize("variant", ["walled-1rank", "multirank", "multirank-agg"])
 def test_cohort_is_one_hierarchy(variant, monkeypatch):
     """A capacity-k cohort is one hierarchy of k copies, not k
     hierarchies: one communicator, one recorder, one exchanger per
@@ -200,6 +202,37 @@ def test_cohort_is_one_hierarchy(variant, monkeypatch):
         ex.plan.num_messages * ran[lev] for lev, ex in enumerate(serving)
     )
     assert hierarchy.comm.sent_messages == len(hierarchy.recorder.messages)
+
+
+def test_ghostless_cohort_builds_no_exchanger(monkeypatch):
+    """Members of one periodic rank have no ghost shell: the cohort
+    builds no exchanger and no exchange plan, exchanges nothing, and
+    every stacked level stores interior bricks only."""
+    from repro.comm.exchange import HaloExchange
+    from repro.comm.plan import ExchangePlan
+
+    built = Counter()
+    for cls in (HaloExchange, ExchangePlan):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    cfg = tiny_config(**VARIANTS["production"])
+    cohort = CohortSolver(cfg, capacity=4)
+    hierarchy = cohort.hierarchy
+    assert hierarchy.exchangers == [None] * cfg.num_levels
+    assert hierarchy.halo_exchangers() == []
+    for lev in range(cfg.num_levels):
+        grid = cohort.vcycle.engine.stacked_level(lev).grid
+        assert grid.ghost_bricks == 0
+        assert grid.num_slots == grid.num_interior
+    requests = [SolveRequest(cfg, amplitude=1.0 + k) for k in range(4)]
+    assert len(cohort.solve_stream(requests)) == 4
+    assert built == {}
+    assert hierarchy.recorder.exchange_counts() == {}
+    assert hierarchy.recorder.messages == []
+    assert hierarchy.comm.sent_messages == 0
 
 
 def test_retired_slot_is_zeroed_and_its_neighbour_untouched():

@@ -138,19 +138,29 @@ class TestFullSolves:
 
     def test_colored_smoother_doubles_exchanges(self):
         """GSRB consumes 2 halo cells/iteration, halving the CA budget."""
-        jac = GMGSolver(SolverConfig(**BASE))
-        gs = GMGSolver(SolverConfig(**BASE, smoother="gsrb"))
+        jac = GMGSolver(SolverConfig(**BASE, rank_dims=(2, 1, 1)))
+        gs = GMGSolver(SolverConfig(**BASE, smoother="gsrb", rank_dims=(2, 1, 1)))
         assert gs.vcycle.iterations_per_exchange(0) == (
             jac.vcycle.iterations_per_exchange(0) // 2
         )
         assert gs.vcycle.exchanges_per_visit(0) > jac.vcycle.exchanges_per_visit(0)
 
     def test_chebyshev_degree_exceeding_ghost_rejected(self):
-        with pytest.raises(ValueError, match="halo cells"):
+        with pytest.raises(ValueError, match="level 0's ghost zone is only 4 cells"):
             GMGSolver(SolverConfig(
                 **BASE, smoother="chebyshev",
-                smoother_options=(("degree", 5),),
+                smoother_options=(("degree", 5),), rank_dims=(2, 1, 1),
             ))
+
+    def test_one_periodic_rank_accepts_any_chebyshev_degree(self):
+        """No ghost shell, no halo budget: a degree-5 iteration (five
+        halo cells, more than a 4-cell shell grants) runs on one
+        periodic rank and converges."""
+        solver = GMGSolver(SolverConfig(
+            **BASE, smoother="chebyshev", smoother_options=(("degree", 5),),
+        ))
+        assert solver.vcycle.iterations_per_exchange(0) is None
+        assert solver.solve().converged
 
     def test_unknown_smoother_rejected_in_config(self):
         with pytest.raises(ValueError, match="unknown smoother"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gmg import GMGSolver, SolverConfig, discrete_solution
+from repro.gmg.level import Level
 from repro.obs.aggregate import by_paper_op
 
 
@@ -108,6 +109,18 @@ class TestSerialSolve:
         assert result.recorder.reductions == len(result.residual_history)
 
 
+class _ShelledLevel(Level):
+    """A level that keeps its one-brick shell whatever the solver
+    decided: the pre-ghostless layout of a one-rank periodic solve."""
+
+    def __init__(self, *args, ghost_bricks=1, **kwargs):
+        super().__init__(*args, ghost_bricks=1, **kwargs)
+
+
+class _ShelledSolver(GMGSolver):
+    level_type = _ShelledLevel
+
+
 class TestDistributedEquivalence:
     @pytest.fixture(scope="class")
     def serial_solution(self):
@@ -142,6 +155,49 @@ class TestDistributedEquivalence:
                          max_smooths=4, bottom_smooths=8, rank_dims=(2, 1, 1))
         )
         solver.solve()  # raises internally if messages leak
+
+    #: one periodic rank has no ghost shell (its bricks wrap their own
+    #: adjacency); two ranks keep the shell and exchange it.  Neither
+    #: shares the other's grids, windows or exchanges, so each axis of
+    #: the algorithm is checked against a hierarchy built the other way.
+    GHOSTLESS_VS_SHELLED = {
+        "jacobi": {},
+        "gsrb": dict(smoother="gsrb"),
+        "sor": dict(smoother="sor"),
+        "chebyshev": dict(smoother="chebyshev"),
+        "W": dict(cycle="W"),
+        "F": dict(cycle="F"),
+        "fp32": dict(precision="fp32", tol=1e-4, max_vcycles=6),
+        "cg-bottom": dict(bottom_solver="cg"),
+        "fft-bottom": dict(bottom_solver="fft"),
+        "B2-3-levels": dict(brick_dim=2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GHOSTLESS_VS_SHELLED))
+    def test_ghostless_rank_matches_shelled_ranks_bitwise(self, case):
+        base = dict(global_cells=16, num_levels=3, brick_dim=4,
+                    max_smooths=6, bottom_smooths=20)
+        base.update(self.GHOSTLESS_VS_SHELLED[case])
+        one = GMGSolver(SolverConfig(**base))
+        if case == "cg-bottom":
+            # CG reduces its dot products rank by rank, so a split
+            # domain sums in another order: the shelled reference is
+            # one rank forced to keep its shell (26 self-messages)
+            two = _ShelledSolver(SolverConfig(**base))
+        else:
+            two = GMGSolver(SolverConfig(**base, rank_dims=(2, 1, 1)))
+        assert all(
+            lv.grid.ghost_bricks == 0 and lv.grid.num_slots == lv.grid.num_interior
+            for lv in one.rank_levels[0]
+        )
+        assert all(lv.grid.ghost_bricks == 1 for lv in two.rank_levels[0])
+        a, b = one.solve(), two.solve()
+        assert a.recorder.exchange_counts() == {}
+        assert sum(b.recorder.exchange_counts().values()) > 0
+        assert np.asarray(a.residual_history).tobytes() == np.asarray(
+            b.residual_history
+        ).tobytes()
+        assert one.solution().tobytes() == two.solution().tobytes()
 
 
 class TestBrickSizeIndependence:

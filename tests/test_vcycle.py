@@ -53,37 +53,54 @@ class TestConvergenceBehaviour:
 
 class TestCommunicationAvoiding:
     """The solver runs only the communication-avoiding schedule; the
-    exchange-every-sweep one is forced from the test side."""
+    exchange-every-sweep one is forced from the test side.  Two ranks,
+    because one periodic rank has no ghost shell to budget."""
+
+    RANKS = dict(rank_dims=(2, 1, 1))
 
     def test_ca_and_non_ca_give_identical_results(self):
         """Redundant ghost-zone computation must not change interior
         values: CA on/off solves agree bit-for-bit."""
-        a = solve()
+        a = solve(**self.RANKS)
         ra = a.solve()
         with exchange_every_sweep():
-            b = solve()
+            b = solve(**self.RANKS)
             rb = b.solve()
         assert ra.residual_history == rb.residual_history
         np.testing.assert_array_equal(a.solution(), b.solution())
 
     def test_ca_reduces_exchange_count(self):
-        a = solve()
+        a = solve(**self.RANKS)
         a.solve()
         with exchange_every_sweep():
-            b = solve()
+            b = solve(**self.RANKS)
             b.solve()
         ex_a = sum(a.recorder.exchange_counts().values())
         ex_b = sum(b.recorder.exchange_counts().values())
         assert ex_a < ex_b
 
     def test_exchanges_per_visit_formula(self):
-        s = solve(max_smooths=6)  # brick 4 => ghost depth 4 => ceil(6/4)=2
+        # brick 4 => ghost depth 4 => ceil(6/4)=2
+        s = solve(max_smooths=6, **self.RANKS)
         assert s.vcycle.exchanges_per_visit(0) == 2
-        s2 = solve(max_smooths=4)
+        s2 = solve(max_smooths=4, **self.RANKS)
         assert s2.vcycle.exchanges_per_visit(0) == 1
         with exchange_every_sweep():
-            s3 = solve(max_smooths=6)
+            s3 = solve(max_smooths=6, **self.RANKS)
             assert s3.vcycle.exchanges_per_visit(0) == 6
+
+    def test_one_periodic_rank_exchanges_nothing(self):
+        """No ghost shell: no exchanger, no window limit, no exchange,
+        and the same bits as the shelled two-rank solve."""
+        s = solve(max_smooths=6)
+        assert s.exchangers == [None, None] and s.halo_exchangers() == []
+        assert [s.vcycle.exchanges_per_visit(lev) for lev in (0, 1)] == [0, 0]
+        result = s.solve()
+        assert result.recorder.exchange_counts() == {}
+        assert result.recorder.messages == [] and s.comm.ledger == {}
+        two = solve(max_smooths=6, **self.RANKS)
+        assert two.solve().residual_history == result.residual_history
+        assert s.solution().tobytes() == two.solution().tobytes()
 
 
 class TestScheduleValidation:
