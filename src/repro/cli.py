@@ -10,18 +10,24 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """argparse ``type=``: a non-empty comma-separated list of integers."""
+def _int_list(text: str, least: int | None = None) -> tuple[int, ...]:
+    """argparse ``type=``: a non-empty comma-separated list of integers,
+    each at least ``least`` when given."""
     try:
-        return tuple(int(v) for v in text.split(","))
+        values = tuple(int(v) for v in text.split(","))
     except ValueError:
+        values = ()
+    if not values or (least is not None and min(values) < least):
+        at_least = "" if least is None else f" >= {least}"
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+            f"expected comma-separated integers{at_least}, got {text!r}"
+        )
+    return values
 
 
 def _rank_dims(text: str) -> tuple[int, int, int]:
@@ -285,51 +291,65 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faultsweep(args: argparse.Namespace) -> int:
-    from repro.faults.sweep import fault_sweep, render_fault_sweep
+def _scenario_table(args, make_scenarios, title, columns, footer, machine=None) -> int:
+    """Run a fault scenario list, print its table and footer, gate on
+    every row; exit 2 when the list refuses ``--ranks``."""
+    from repro.faults.scenarios import render, run
 
-    if args.ranks == (1, 1, 1):
-        # the battery's message faults strike the wire between ranks
-        print("faultsweep needs at least 2 ranks: one rank posts no "
-              "message to fault", file=sys.stderr)
+    try:
+        scenarios = make_scenarios()
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    machine = None if args.machine == "none" else args.machine
-    rows = fault_sweep(
-        seed=args.seed, machine_name=machine, rank_dims=args.ranks
+    rows = run(scenarios, machine)
+    print(render(rows, title, columns), *footer(rows), sep="\n")
+    return 0 if all(r.passed for r in rows) else 1
+
+
+def _cmd_faultsweep(args: argparse.Namespace) -> int:
+    from repro.faults.scenarios import FAULT_COLUMNS, battery
+    from repro.machines import MACHINES
+
+    machine = None if args.machine == "none" else MACHINES[args.machine]
+    title = "Fault sweep — detect / retry / rollback / degrade"
+    if machine is not None:
+        title += f" (overhead modelled on {args.machine})"
+
+    def footer(rows):
+        degraded = sum(r.status == "failed_faults" for r in rows)
+        recovered = sum(r.status == "converged" for r in rows)
+        yield (f"recovered {recovered}/{len(rows)} scenarios; "
+               f"degraded gracefully in {degraded}")
+
+    return _scenario_table(
+        args, lambda: battery(args.seed, args.ranks), title, FAULT_COLUMNS,
+        footer, machine,
     )
-    print(render_fault_sweep(rows, machine))
-    # Success = every scenario ended in a structured status and the
-    # recoverable ones converged back to the reference solution.
-    recoverable = [r for r in rows if r.scenario != "drop-storm"]
-    ok = all(r.status == "converged" for r in recoverable) and all(
-        r.bit_identical for r in recoverable
-    )
-    return 0 if ok else 1
 
 
 def _cmd_chaossweep(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import chaos_passed, chaos_sweep, render_chaos_sweep
+    from repro.faults.scenarios import CRASH_COLUMNS, crash_matrix
 
-    rows = chaos_sweep(
-        seed=args.seed,
-        rank_dims=args.ranks,
-        crash_cycles=args.crash_cycles,
-        crash_counts=args.crash_counts,
-        checkpoint_intervals=args.checkpoint_intervals,
-        storm=args.storm,
+    def footer(rows):
+        cells = [r for r in rows if r.scenario != "crash-storm"]
+        recovered = sum(r.status == "converged" for r in cells)
+        yield f"recovered {recovered}/{len(cells)} matrix cells to reference tolerance"
+        if args.storm:
+            status = rows[-1].status
+            yield "crash-storm cell " + (
+                "degraded to failed_faults as designed" if status == "failed_faults"
+                else f"ended {status} — NOT degrading"
+            )
+            yield "storm run: unrecoverable crash present, gate fails by design"
+
+    return _scenario_table(
+        args,
+        lambda: crash_matrix(
+            args.seed, args.ranks, args.crash_cycles, args.crash_counts,
+            args.checkpoint_intervals, args.storm,
+        ),
+        "Chaos sweep — crash / repair / restore / converge", CRASH_COLUMNS, footer,
     )
-    print(render_chaos_sweep(rows))
-    ok = chaos_passed(rows, storm=args.storm)
-    if args.storm:
-        storm_rows = [r for r in rows if r.scenario == "crash-storm"]
-        degraded = all(r.status == "failed_faults" for r in storm_rows)
-        print(
-            "crash-storm cell "
-            + ("degraded to failed_faults as designed" if degraded
-               else f"ended {[r.status for r in storm_rows]} — NOT degrading")
-        )
-        print("storm run: unrecoverable crash present, gate fails by design")
-    return 0 if ok else 1
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -632,15 +652,15 @@ def build_parser() -> argparse.ArgumentParser:
     chaossweep.add_argument("--ranks", type=_rank_dims, default="2,2,2",
                             help="rank grid, e.g. 2,2,2 (default 2,2,2)")
     chaossweep.add_argument(
-        "--crash-cycles", type=_int_list, default="1,3", metavar="LIST",
+        "--crash-cycles", type=partial(_int_list, least=0), default="1,3", metavar="LIST",
         help="comma list of V-cycle indices to crash at (default 1,3)",
     )
     chaossweep.add_argument(
-        "--crash-counts", type=_int_list, default="1,2", metavar="LIST",
+        "--crash-counts", type=partial(_int_list, least=1), default="1,2", metavar="LIST",
         help="comma list of simultaneous crash counts (default 1,2)",
     )
     chaossweep.add_argument(
-        "--checkpoint-intervals", type=_int_list, default="1,2", metavar="LIST",
+        "--checkpoint-intervals", type=partial(_int_list, least=1), default="1,2", metavar="LIST",
         help="comma list of checkpoint intervals to try (default 1,2)",
     )
     chaossweep.add_argument(

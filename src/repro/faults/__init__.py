@@ -24,10 +24,9 @@ resilience claim testable:
 * :mod:`~repro.faults.pricing` — prices retries, checkpoints, and
   rollbacks through the machine/network models so resilience overhead
   appears in the same units as the paper's figures;
-* :mod:`~repro.faults.sweep` — the ``python -m repro faultsweep``
-  scenario table demonstrating detection and recovery end to end;
-* :mod:`~repro.faults.chaos` — the ``python -m repro chaossweep``
-  rank-crash recovery matrix.
+* :mod:`~repro.faults.scenarios` — the fault scenario table: one
+  runner and one pass rule for the ``python -m repro faultsweep``
+  battery and the ``python -m repro chaossweep`` rank-crash matrix.
 """
 
 from repro.faults.buddy import BuddyCheckpointer

@@ -172,7 +172,8 @@ class MetricsRegistry:
         ``result`` is a :class:`~repro.gmg.solver.SolveResult`; gauges
         cover mean-time-to-repair, bytes adopted from buddy replicas,
         committed cycles discarded, and how many ranks came back — the
-        numbers ``repro chaossweep`` tabulates.
+        numbers a :class:`~repro.faults.scenarios.Outcome` carries and
+        ``repro chaossweep`` tabulates.
         """
         self.gauge("recovery.mttr_ms", result.mttr_s * 1e3)
         self.gauge("recovery.bytes_restored", result.bytes_restored)

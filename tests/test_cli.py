@@ -256,6 +256,11 @@ class TestChaosSweepCommand:
         assert main(["faultsweep", "--ranks", "1,1,1", "--machine", "none"]) == 2
         assert "at least 2 ranks" in capsys.readouterr().err
 
+    def test_chaossweep_refuses_one_rank(self, capsys):
+        """A crash on one rank leaves no survivor to recover from."""
+        assert main(["chaossweep", "--ranks", "1,1,1"]) == 2
+        assert "chaossweep: needs at least 2 ranks" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_all_checks_pass(self, capsys):
@@ -441,10 +446,16 @@ class TestArgumentErrors:
         err = self.rejected([command, "--ranks", ranks], capsys)
         assert "argument --ranks: expected" in err
 
+    MALFORMED_LISTS = [
+        (flag, value)
+        for flag in ["--crash-cycles", "--crash-counts", "--checkpoint-intervals"]
+        for value in ["1,a", "1.5", "", "-1"]
+    ] + [("--crash-counts", "0"), ("--checkpoint-intervals", "1,0")]
+
     @pytest.mark.parametrize(
-        "flag", ["--crash-cycles", "--crash-counts", "--checkpoint-intervals"]
+        "flag,value", MALFORMED_LISTS,
+        ids=[f"{value}-{flag}" for flag, value in MALFORMED_LISTS],
     )
-    @pytest.mark.parametrize("value", ["1,a", "1.5", ""])
     def test_malformed_chaossweep_list(self, flag, value, capsys):
         err = self.rejected(["chaossweep", flag, value], capsys)
         assert f"argument {flag}: expected comma-separated integers" in err

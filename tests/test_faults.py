@@ -21,11 +21,7 @@ from repro.faults import (
     STATUS_FAILED_FAULTS,
 )
 from repro.faults.pricing import checkpoint_seconds, resilience_overhead
-from repro.faults.sweep import (
-    default_config,
-    fault_sweep,
-    render_fault_sweep,
-)
+from repro.faults.scenarios import FAULT_COLUMNS, battery, render, run
 from repro.gmg import GMGSolver, SolverConfig
 from repro.gmg.solver import SolveResult
 from repro.instrument import Recorder
@@ -520,7 +516,7 @@ class TestOverheadPricing:
 class TestFaultSweep:
     @pytest.fixture(scope="class")
     def rows(self):
-        return fault_sweep(seed=2024, machine_name="Perlmutter")
+        return run(battery(2024), MACHINES["Perlmutter"])
 
     def test_all_scenarios_have_structured_status(self, rows):
         assert all(
@@ -557,13 +553,13 @@ class TestFaultSweep:
         assert storm.rollbacks > 0
         assert not storm.bit_identical
 
-    def test_sweep_is_deterministic(self, rows):
-        assert fault_sweep(seed=2024, machine_name="Perlmutter") == rows
+    def test_every_row_passes_the_gate(self, rows):
+        assert all(r.passed for r in rows)
 
     def test_render_mentions_every_scenario(self, rows):
-        text = render_fault_sweep(rows, "Perlmutter")
+        text = render(rows, "Fault sweep", FAULT_COLUMNS)
         for r in rows:
             assert r.scenario in text
 
     def test_default_config_is_distributed(self):
-        assert default_config().num_ranks > 1
+        assert all(s.config.num_ranks > 1 for s in battery(2024))
