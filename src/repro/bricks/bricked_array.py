@@ -42,8 +42,8 @@ class BrickedArray:
         dtype = np.dtype(dtype)
         if dtype not in [np.dtype(d) for d in self.SUPPORTED_DTYPES]:
             raise ValueError(f"unsupported field dtype: {dtype}")
-        #: ``(stacked field, block, view)`` once :meth:`bind_stacked`
-        #: made ``data`` a block of a stacked field's storage
+        #: ``(stacked field, block)`` once :meth:`bind_stacked` made
+        #: ``data`` a block of a stacked field's storage
         self._stacked: tuple | None = None
         if data is None:
             data = np.zeros((grid.num_slots, B, B, B), dtype=dtype)
@@ -68,27 +68,23 @@ class BrickedArray:
     # stacked storage
     # ------------------------------------------------------------------
     def bind_stacked(self, stacked: "BrickedArray", block: int) -> None:
-        """Rebind ``data`` to block ``block`` of ``stacked``'s storage.
+        """Make ``data`` block ``block`` of ``stacked``'s storage.
 
         ``stacked`` lives on a :class:`~repro.bricks.batch.BatchedGrid`
-        of grids congruent to this one.  Contents are not copied; the
-        field remembers where it lives so consumers that can work on
-        the whole stack (the compiled halo exchange) find it through
-        :meth:`stacked_block`.
+        of grids congruent to this one.  Contents are not copied (a
+        hierarchy binds its fields before writing any); the field
+        remembers where it lives so consumers that work on the whole
+        stack (the halo exchange) find it through :meth:`stacked_block`.
+        Nothing rebinds ``data`` afterwards: the block is the field's
+        only storage.
         """
-        view = stacked.data[stacked.grid.rank_slice(block)]
-        self.data = view
-        self._stacked = (stacked, block, view)
+        self.data = stacked.data[stacked.grid.rank_slice(block)]
+        self._stacked = (stacked, block)
 
     def stacked_block(self) -> "tuple[BrickedArray, int] | None":
-        """``(stacked field, block)`` while ``data`` is still the view
-        :meth:`bind_stacked` bound — ``None`` for a free-standing field
-        or while ``data`` is rebound elsewhere (the CG bottom solver
-        swaps scratch buffers in and restores the view afterwards)."""
-        ref = self._stacked
-        if ref is None or self.data is not ref[2]:
-            return None
-        return ref[0], ref[1]
+        """``(stacked field, block)``, or ``None`` for a free-standing
+        field."""
+        return self._stacked
 
     # ------------------------------------------------------------------
     # construction / conversion

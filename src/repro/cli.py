@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -30,6 +31,17 @@ def _int_list(text: str, least: int | None = None) -> tuple[int, ...]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: one positive integer (a count)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _rank_dims(text: str) -> tuple[int, int, int]:
     """argparse ``type=``: exactly three positive comma-separated integers."""
     dims = _int_list(text)
@@ -40,23 +52,39 @@ def _rank_dims(text: str) -> tuple[int, int, int]:
     return dims
 
 
+class _Refused(Exception):
+    """A command refusing its input: :func:`main` prints ``<command>:
+    <reason>`` on stderr and exits 2."""
+
+
+@contextmanager
+def _refusing():
+    """A ``ValueError`` raised while a command turns its arguments into
+    what it runs is that command refusing them."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _Refused(exc) from None
+
+
 def _solver_config(args: argparse.Namespace):
     from repro.gmg import SolverConfig
 
-    return SolverConfig(
-        global_cells=args.size,
-        num_levels=args.levels,
-        brick_dim=args.brick,
-        max_smooths=args.smooths,
-        bottom_smooths=args.bottom,
-        max_vcycles=args.max_cycles,
-        rank_dims=args.ranks,
-        smoother=args.smoother,
-        bottom_solver=args.bottom_solver,
-        cycle=args.cycle,
-        boundary=args.boundary,
-        agglomerate_threshold=getattr(args, "agglomerate_threshold", None),
-    )
+    with _refusing():
+        return SolverConfig(
+            global_cells=args.size,
+            num_levels=args.levels,
+            brick_dim=args.brick,
+            max_smooths=args.smooths,
+            bottom_smooths=args.bottom,
+            max_vcycles=args.max_cycles,
+            rank_dims=args.ranks,
+            smoother=args.smoother,
+            bottom_solver=args.bottom_solver,
+            cycle=args.cycle,
+            boundary=args.boundary,
+            agglomerate_threshold=getattr(args, "agglomerate_threshold", None),
+        )
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -176,8 +204,7 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
 
     config = _solver_config(args)
     if config.num_ranks < 2:
-        print("commviz needs a distributed solve; pass e.g. --ranks 2,2,2")
-        return 2
+        raise _Refused("needs a distributed solve; pass e.g. --ranks 2,2,2")
     machine_name = machine = None
     if args.machine != "none" and config.boundary == "periodic":
         from repro.machines import MACHINES
@@ -233,7 +260,8 @@ def _cmd_commviz(args: argparse.Namespace) -> int:
         )
         print(
             f"wrote rank-resolved trace to {args.trace} "
-            f"(one pid per rank; open in https://ui.perfetto.dev)"
+            "(one pid per rank with spans of its own; open in "
+            "https://ui.perfetto.dev)"
         )
     return 0 if result.status in ("converged", "max_vcycles") else 1
 
@@ -293,14 +321,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _scenario_table(args, make_scenarios, title, columns, footer, machine=None) -> int:
     """Run a fault scenario list, print its table and footer, gate on
-    every row; exit 2 when the list refuses ``--ranks``."""
+    every row; the list may refuse ``--ranks``."""
     from repro.faults.scenarios import render, run
 
-    try:
+    with _refusing():
         scenarios = make_scenarios()
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
     rows = run(scenarios, machine)
     print(render(rows, title, columns), *footer(rows), sep="\n")
     return 0 if all(r.passed for r in rows) else 1
@@ -380,7 +405,8 @@ def _loadgen_config(args: argparse.Namespace):
         overrides["num_levels"] = args.levels
     if args.brick is not None:
         overrides["brick_dim"] = args.brick
-    return smoke_config(**overrides)
+    with _refusing():
+        return smoke_config(**overrides)
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -676,16 +702,16 @@ def build_parser() -> argparse.ArgumentParser:
              "service: solves/sec, p50/p95 latency, occupancy, and the "
              "speedup over sequential per-request solves",
     )
-    loadgen.add_argument("--requests", type=int, default=8,
+    loadgen.add_argument("--requests", type=_positive_int, default=8,
                          help="requests in the stream (default 8)")
-    loadgen.add_argument("--capacity", type=int, default=8,
+    loadgen.add_argument("--capacity", type=_positive_int, default=8,
                          help="cohort slots per geometry (default 8)")
     loadgen.add_argument("--seed", type=int, default=0,
                          help="stream seed: amplitudes + arrivals (default 0)")
     loadgen.add_argument("--rate", type=float, default=None, metavar="HZ",
                          help="open-loop Poisson arrival rate; omit for a "
                               "closed batch")
-    loadgen.add_argument("--repeats", type=int, default=3,
+    loadgen.add_argument("--repeats", type=_positive_int, default=3,
                          help="best-of-N timed passes, both paths "
                               "(default 3)")
     loadgen.add_argument("--size", type=int, default=None,
@@ -718,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
              "objects, or {config: {...overrides}, requests: [...]}; "
              "'-' reads stdin",
     )
-    serve.add_argument("--capacity", type=int, default=8,
+    serve.add_argument("--capacity", type=_positive_int, default=8,
                        help="cohort slots per geometry (default 8)")
     serve.add_argument("--out", metavar="FILE",
                        help="write results JSON here instead of stdout")
@@ -741,7 +767,11 @@ def _choices() -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refused as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

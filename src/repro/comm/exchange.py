@@ -432,12 +432,13 @@ class HaloExchange(ResilientChannel):
     members of a service cohort exchange through one member's
     exchanger.  Ghosts are written one way only, by the
     :class:`~repro.comm.plan.ExchangePlan`'s index copy: one take and
-    one indexed assign per field over the stacked storage of all
-    copies, or one indexed copy per ``(src_rank, dst_rank)`` pair and
-    copy when the fields are separate arrays, leaving out every pair
-    with a dead endpoint.  The plan proves, once, that every ghost slot
-    has exactly one writer and every source slot is interior, so the
-    copy has nothing to check.
+    one indexed assign per field over its window, leaving out every
+    message with a dead endpoint.  A field's window is the consecutive
+    blocks of one stacked field that the listed ranks' fields are
+    (``BrickedArray.stacked_block``), or the lone field of a one-rank,
+    one-copy call; any other field list is refused by name.  The plan
+    proves, once, that every ghost slot has exactly one writer and
+    every source slot is interior, so the copy has nothing to check.
 
     Then the exchange is accounted, one of two ways:
 
@@ -548,7 +549,7 @@ class HaloExchange(ResilientChannel):
         plan moves.
 
         Level-pinned ``rank_crash`` specs fire on entry; once a rank is
-        dead, every pair and header touching it is skipped so the
+        dead, every message and header touching it is skipped so the
         collective completes for the survivors — the crash then
         surfaces as :class:`RankDeadError` at the next residual
         reduction, which is the recovery ladder's guaranteed detection
@@ -556,7 +557,7 @@ class HaloExchange(ResilientChannel):
         """
         nfields = len(fields_by_rank[0]) if fields_by_rank else 0
         with self.tracer.span("exchange", l=level, nfields=nfields) as span:
-            copies = self._validate(level, fields_by_rank)
+            copies, windows = self._validate(level, fields_by_rank)
             self.poll_crashes(level)
             reason = self.envelope_reason(level)
             span.set(
@@ -567,7 +568,7 @@ class HaloExchange(ResilientChannel):
                 ),
             )
             dead = self._dead_ranks()
-            self._copy_planned(fields_by_rank, copies, dead)
+            self._copy_planned(windows, copies, dead)
             if reason is None:
                 self.path_counts["planned"] += 1
                 self._account(level, fields_by_rank, copies)
@@ -581,9 +582,10 @@ class HaloExchange(ResilientChannel):
 
     def _validate(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> int:
+    ) -> tuple[int, list[np.ndarray]]:
         """Reject what cannot be exchanged, by name; returns how many
-        copies of the decomposition ``fields_by_rank`` holds."""
+        copies of the decomposition ``fields_by_rank`` holds and each
+        field's window."""
         size = self.topology.size
         copies, partial = divmod(len(fields_by_rank), size)
         if copies < 1 or partial:
@@ -608,47 +610,40 @@ class HaloExchange(ResilientChannel):
                         "field grid incompatible with exchanger grid: "
                         f"{field.grid.geometry_key} != {key}"
                     )
-        return copies
+        return copies, [self._window(fields_by_rank, f) for f in range(nfields)]
 
     # ------------------------------------------------------------------
     # the copy
     # ------------------------------------------------------------------
-    def _stacked_window(
+    def _window(
         self, fields_by_rank: Sequence[Sequence[BrickedArray]], f: int
-    ) -> np.ndarray | None:
-        """Field ``f``'s stacked storage, when the fields of all ranks
-        of all copies are the consecutive blocks of one stacked array
-        (asked of the fields themselves: see
+    ) -> np.ndarray:
+        """Field ``f``'s storage across every listed rank: the lone
+        field of a one-rank, one-copy call, else the consecutive blocks
+        of one stacked field (asked of the fields themselves: see
         ``BrickedArray.stacked_block``)."""
+        n = len(fields_by_rank)
+        if n == 1:
+            return fields_by_rank[0][f].data
         first = fields_by_rank[0][f].stacked_block()
-        if first is None:
-            return None
+        for r in range(n):
+            block = fields_by_rank[r][f].stacked_block()
+            if first is None or block != (first[0], first[1] + r):
+                raise ValueError(
+                    f"cannot exchange field {f} of {n} rank field lists: "
+                    f"rank {r}'s is not block {r} of one stacked field (only "
+                    "a one-rank, one-copy call may pass a free-standing field)"
+                )
         stacked, k0 = first
-        for r in range(1, len(fields_by_rank)):
-            if fields_by_rank[r][f].stacked_block() != (stacked, k0 + r):
-                return None
         S = self.plan.num_slots
-        return stacked.data[k0 * S : (k0 + len(fields_by_rank)) * S]
+        return stacked.data[k0 * S : (k0 + n) * S]
 
-    def _copy_planned(self, fields_by_rank, copies: int, dead) -> None:
+    def _copy_planned(self, windows, copies: int, dead) -> None:
         """Every ghost brick of every field, by index: all send regions
         are read before any ghost is written."""
-        plan = self.plan
-        src, dst = plan.tables(copies, dead)
-        for f in range(len(fields_by_rank[0])):
-            window = self._stacked_window(fields_by_rank, f)
-            if window is not None:
-                window[dst] = window.take(src, axis=0)
-                continue
-            pairs = [
-                p for p in plan.pairs
-                if p.src_rank not in dead and p.dst_rank not in dead
-            ]
-            for c in range(copies):
-                ranks = fields_by_rank[c * plan.num_ranks : (c + 1) * plan.num_ranks]
-                bricks = [ranks[p.src_rank][f].data[p.src_slots] for p in pairs]
-                for p, part in zip(pairs, bricks):
-                    ranks[p.dst_rank][f].data[p.dst_slots] = part
+        src, dst = self.plan.tables(copies, dead)
+        for window in windows:
+            window[dst] = window.take(src, axis=0)
 
     def _account(self, level, fields_by_rank, copies: int) -> None:
         """Add what the header protocol's sends would have recorded."""
@@ -669,7 +664,7 @@ class HaloExchange(ResilientChannel):
                 (
                     (level, self._gr(p.src_rank), self._gr(p.dst_rank)),
                     p.messages * copies,
-                    len(p.src_slots) * brick_bytes * copies,
+                    p.bricks * brick_bytes * copies,
                 )
                 for p in self.plan.pairs
             ]

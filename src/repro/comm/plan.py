@@ -20,8 +20,8 @@ walled rank is a plan with no messages at all.  An
   exchange of one field is ``data[dst] = data[src]`` — and
   :meth:`ExchangePlan.tables` tiles them over any number of stacked
   copies of the decomposition (a service cohort's members);
-* the same copy **split by ``(src_rank, dst_rank)`` pair** for fields
-  that are separate per-rank arrays.
+* the **per-pair traffic** — bricks and messages per ``(src_rank,
+  dst_rank)`` — from which the planned accounting derives ledger rows.
 
 Every ``dst`` slot is a ghost slot written exactly once and every
 ``src`` slot is an interior slot (refused by name otherwise, when the
@@ -67,13 +67,12 @@ class PlannedMessage:
 
 @dataclass(frozen=True)
 class PairCopy:
-    """Every brick ``src_rank`` sends ``dst_rank``, as rank-local slots,
-    and how many messages of the protocol carry them."""
+    """How many bricks ``src_rank`` sends ``dst_rank`` per exchange of
+    one field, and how many messages of the protocol carry them."""
 
     src_rank: int
     dst_rank: int
-    src_slots: np.ndarray
-    dst_slots: np.ndarray
+    bricks: int
     messages: int
 
 
@@ -144,12 +143,7 @@ class ExchangePlan:
         for m in self.receives:
             by_pair.setdefault((m.src_rank, m.dst_rank), []).append(m)
         self.pairs: tuple[PairCopy, ...] = tuple(
-            PairCopy(
-                src, dst,
-                _concatenate(self.send_slots[m.direction] for m in msgs),
-                _concatenate(self.ghost_slots[m.ghost_direction] for m in msgs),
-                len(msgs),
-            )
+            PairCopy(src, dst, sum(m.bricks for m in msgs), len(msgs))
             for (src, dst), msgs in by_pair.items()
         )
 

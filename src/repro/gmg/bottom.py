@@ -131,17 +131,20 @@ class ConjugateGradientBottomSolver(BottomSolver):
         if rr == 0.0:
             return
         rr0 = rr
+        saved_x = [np.empty_like(lv.x.data) for lv in levels]
         for it in range(self.max_iterations):
             with self.tracer.span("cg-iteration", l=lev, i=it):
-                # Ap through the bricked operator: stage p in the x slot
-                # of a scratch view by temporarily swapping buffers
-                saved_x = [lv.x.data for lv in levels]
-                for lv, pv in zip(levels, p):
-                    lv.x.data = pv
+                # Ap through the bricked operator: stage p in x's own
+                # storage, take back p with the ghosts the exchange
+                # gave it, and restore x
+                for lv, pv, xv in zip(levels, p, saved_x):
+                    np.copyto(xv, lv.x.data)
+                    np.copyto(lv.x.data, pv)
                 self._apply_operator(vcycle, lev, levels)
                 Ap = [lv.Ax.data.copy() for lv in levels]
-                for lv, xv in zip(levels, saved_x):
-                    lv.x.data = xv
+                for lv, pv, xv in zip(levels, p, saved_x):
+                    np.copyto(pv, lv.x.data)
+                    np.copyto(lv.x.data, xv)
 
                 pAp_local = [
                     float(np.sum(pv[sl] * ap[sl]))

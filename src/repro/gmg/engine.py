@@ -10,16 +10,17 @@ that for a service cohort — onto one
 inter-grid phases are one kernel call over all blocks instead of a
 Python loop over ranks.
 
-Adoption rebinds each per-rank field's ``data`` to a view of the
-stacked storage (``BrickedArray.bind_stacked``), so ghost exchanges,
-checkpoints, fault injection and solution assembly — all of which
-address per-rank fields — alias the stacked arrays automatically and
-need no changes; the field remembers its block, which lets the halo
-exchange copy ghosts over the whole stack — every rank of every cohort
-member — at once.  The adjacency is
-block-diagonal, so no kernel mixes blocks, and every float equals the
-per-rank schedule's (``tests/oracle.py`` is that schedule; the identity
-suites compare against it byte for byte).
+A hierarchy builds its engine before it writes any problem data, so
+adoption copies nothing: it binds each per-rank field's ``data`` to its
+block of the zeroed stacked storage (``BrickedArray.bind_stacked``),
+and that block is the field's only storage from then on.  Setup,
+ghost exchanges, checkpoints, fault injection and solution assembly
+address per-rank fields and so write the stacked arrays; the halo
+exchange finds each field's block and copies the ghosts of every rank
+of every cohort member in one pass.  The adjacency is block-diagonal,
+so no kernel mixes blocks, and every float equals the per-rank
+schedule's (``tests/oracle.py`` runs that schedule over the same
+storage; the identity suites compare against it byte for byte).
 """
 
 from __future__ import annotations
@@ -93,32 +94,19 @@ class ExecutionEngine:
         ``lev``: one per rank, one per active rank where the
         agglomerator merged the level, and the concatenation over
         members for a service cohort.
-    group_ranks:
-        ``group_ranks[lev][k]`` is the global rank id owning
-        ``level_groups[lev][k]`` (labels the adoption trace spans);
-        defaults to the position in the group.
 
-    Construct *after* problem setup (``b`` initialised): adoption copies
-    the current field contents into the stacked storage and rebinds the
-    per-rank ``data`` attributes, so any state present at adoption time
-    is preserved.
+    Adoption binds every member field to its block of fresh, zeroed
+    stacked storage and copies nothing: construct it before writing
+    any problem data, as :class:`~repro.gmg.solver.Hierarchy` does.
     """
 
     def __init__(
-        self,
-        level_groups: Sequence[Sequence[Level]],
-        group_ranks: Sequence[Sequence[int]] | None = None,
-        tracer=None,
+        self, level_groups: Sequence[Sequence[Level]], tracer=None
     ) -> None:
         self.level_groups: list[list[Level]] = [list(g) for g in level_groups]
         if not self.level_groups or not all(self.level_groups):
             raise ValueError("need at least one level at every depth")
         self.num_levels = len(self.level_groups)
-        self.group_ranks: list[list[int]] = (
-            [list(g) for g in group_ranks]
-            if group_ranks is not None
-            else [list(range(len(g))) for g in self.level_groups]
-        )
         self.tracer = tracer or NULL_TRACER
         #: per depth: the stacked level
         self.stacked: list[_StackedLevel] = []
@@ -127,26 +115,14 @@ class ExecutionEngine:
         self._seed_child_maps()
 
     def _adopt(self) -> None:
-        """Stack every depth's compute group and rebind member views.
-
-        Each member's copy-in is traced on its owning rank's child
-        timeline, so the adoption cost shows up in the per-rank
-        breakdown next to the rank's communication spans.
-        """
-        for lev, base in enumerate(self.level_groups):
+        """Stack every depth's compute group and bind member views."""
+        for base in self.level_groups:
             st = _StackedLevel(base)
             self.stacked.append(st)
             for k, lv in enumerate(base):
-                rank = self.group_ranks[lev][k]
-                with self.tracer.child(rank).span(
-                    "adopt-rank", l=lev, rank=rank
-                ):
-                    sl = st.grid.rank_slice(k)
-                    per_rank_fields = lv.fields()
-                    for name, stacked_field in st.fields().items():
-                        per_rank = per_rank_fields[name]
-                        stacked_field.data[sl] = per_rank.data
-                        per_rank.bind_stacked(stacked_field, k)
+                per_rank_fields = lv.fields()
+                for name, stacked_field in st.fields().items():
+                    per_rank_fields[name].bind_stacked(stacked_field, k)
 
     def _seed_child_maps(self) -> None:
         """Precompute stacked restriction child maps so the unmodified

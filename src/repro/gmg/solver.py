@@ -2,10 +2,10 @@
 
 A :class:`Hierarchy` assembles what a solve stands on — domain
 decomposition, per-rank level hierarchies, ghost exchangers, simulated
-MPI, the right-hand side — from a declarative :class:`SolverConfig`,
-for one problem or ``copies`` independent ones (a service cohort);
-:class:`GMGSolver` is a one-copy hierarchy adopted into the stacked
-execution layout (:mod:`repro.gmg.engine`) under a V-cycle driver: it
+MPI, the stacked execution layout (:mod:`repro.gmg.engine`), the
+right-hand side — from a declarative :class:`SolverConfig`, for one
+problem or ``copies`` independent ones (a service cohort);
+:class:`GMGSolver` is a one-copy hierarchy under a V-cycle driver: it
 runs Algorithm 1 and exposes the assembled global solution plus the
 instrumentation record.
 
@@ -245,15 +245,17 @@ class SolveResult:
 
 
 class Hierarchy:
-    """One configuration's problem state, before any execution layout.
+    """One configuration's problem state, born in the stacked layout.
 
-    Builds the decomposition, the simulated communicator, every rank's
-    level hierarchy, the per-level ghost exchangers (none for one
-    periodic rank, whose levels have no ghost shell), the agglomerator
-    (when the threshold merges anything) and the finest-level
-    right-hand side.  :class:`GMGSolver` adopts a hierarchy into the
-    stacked layout and drives it; so does a service cohort, with
-    ``copies=capacity``.
+    Builds, in this order, the decomposition, the simulated
+    communicator, every rank's level hierarchy, the per-level ghost
+    exchangers (none for one periodic rank, whose levels have no ghost
+    shell), the agglomerator (when the threshold merges anything), the
+    :class:`~repro.gmg.engine.ExecutionEngine` that stacks every
+    depth's compute levels (``engine``), and only then the problem
+    data: the finest-level right-hand side, written through the
+    stacked views like every later write.  :class:`GMGSolver` drives a
+    hierarchy; so does a service cohort, with ``copies=capacity``.
 
     ``copies`` problems share everything but field storage:
     ``rank_levels`` holds ``copies * topology.size`` level lists (copy
@@ -390,8 +392,6 @@ class Hierarchy:
                 tracer=self.tracer,
             )
 
-        self._setup_problem()
-
         self.agglomerator = None
         if config.agglomerate_threshold is not None and self.topology.size > 1:
             from repro.gmg.agglomerate import Agglomerator
@@ -411,6 +411,8 @@ class Hierarchy:
             # schedule untouched (and unpoliced levels un-built)
             if agglomerator.active:
                 self.agglomerator = agglomerator
+        self.engine = ExecutionEngine(self.compute_groups(), tracer=self.tracer)
+        self._setup_problem()
         if self.injector is not None:
             # A spec that names a rank/level outside this solve, an
             # idled (level, rank) or no message it posts would sit in
@@ -487,8 +489,8 @@ class Hierarchy:
         return self.rank_levels[copy * size : (copy + 1) * size]
 
     def _setup_problem(self) -> None:
-        """Write the problem's data into the fresh levels, before any
-        engine adopts them: the model right-hand side of every copy."""
+        """Write the problem's data into the stacked levels: the model
+        right-hand side of every copy."""
         for copy in range(self.copies):
             self.set_rhs(copy=copy)
 
@@ -505,23 +507,19 @@ class Hierarchy:
             origin = self.topology.subdomain_origin(rank, per_rank)
             levels[0].b.set_interior(amplitude * rhs(per_rank, h, origin))
 
-    def compute_groups(self) -> tuple[list[list[Level]], list[list[int]]]:
-        """Per depth: the levels that compute it and the global rank
-        owning each — one per rank, or the merged levels of the active
-        ranks where the agglomerator took the level over.  What an
-        :class:`~repro.gmg.engine.ExecutionEngine` stacks."""
+    def compute_groups(self) -> list[list[Level]]:
+        """Per depth, the levels that compute it — one per rank, or the
+        merged levels of the active ranks where the agglomerator took
+        the level over.  What ``engine`` stacks."""
         agg = self.agglomerator
-        everyone = list(range(len(self.rank_levels)))
-        groups, ranks = [], []
+        groups = []
         for lev in range(self.config.num_levels):
             merged = agg.levels_at(lev) if agg is not None else None
             if merged is None:
                 groups.append([levels[lev] for levels in self.rank_levels])
-                ranks.append(everyone)
             else:
                 groups.append(list(merged))
-                ranks.append(agg.ranks_at(lev))
-        return groups, ranks
+        return groups
 
     def make_smoother(self):
         """The configured :class:`~repro.gmg.smoothers.Smoother`, which
@@ -532,9 +530,8 @@ class Hierarchy:
             self.config.smoother, **dict(self.config.smoother_options)
         )
 
-    def make_vcycle(self, engine: ExecutionEngine) -> VCycle:
-        """The configured cycle driver over this hierarchy, as adopted
-        by ``engine``."""
+    def make_vcycle(self) -> VCycle:
+        """The configured cycle driver over this hierarchy."""
         from repro.gmg.bottom import make_bottom_solver
 
         config = self.config
@@ -548,7 +545,7 @@ class Hierarchy:
         return VCycle(
             self.rank_levels,
             self.exchangers,
-            engine,
+            self.engine,
             max_smooths=config.max_smooths,
             bottom_smooths=config.bottom_smooths,
             recorder=self.recorder,
@@ -594,10 +591,10 @@ class Hierarchy:
 class GMGSolver(Hierarchy):
     """Brick-based geometric multigrid on the paper's model problem.
 
-    A :class:`Hierarchy` (same parameters) adopted into the stacked
-    layout: every depth's compute levels are blocks of one stacked
-    level, smoothed with the fused stencils through the native kernels
-    where the host has a compiler and the NumPy kernels elsewhere.
+    A :class:`Hierarchy` (same parameters) under a V-cycle driver:
+    every depth's compute levels are blocks of one stacked level,
+    smoothed with the fused stencils through the native kernels where
+    the host has a compiler and the NumPy kernels elsewhere.
     """
 
     def __init__(
@@ -608,10 +605,7 @@ class GMGSolver(Hierarchy):
         tracer=None,
     ) -> None:
         super().__init__(config, resilience, fault_plan, tracer)
-        # adopt after the right-hand side is in place: the stacked
-        # storage inherits the fields' contents
-        self.engine = ExecutionEngine(*self.compute_groups(), tracer=self.tracer)
-        self.vcycle = self.make_vcycle(self.engine)
+        self.vcycle = self.make_vcycle()
 
     # ------------------------------------------------------------------
     # rank-crash recovery hooks (called by the ResilientDriver)

@@ -62,9 +62,9 @@ class VCycle:
         One exchanger per level; ``None`` for a ghostless level, which
         has nothing to exchange.
     engine:
-        The :class:`~repro.gmg.engine.ExecutionEngine` that stacked
-        ``rank_levels``: compute phases run once over each depth's
-        stacked level.
+        The :class:`~repro.gmg.engine.ExecutionEngine` whose stacked
+        storage ``rank_levels``' fields are blocks of: compute phases
+        run once over each depth's stacked level.
     max_smooths:
         Smoothing iterations per level visit (the paper uses 12).
     bottom_smooths:

@@ -12,9 +12,8 @@ No span is read: posted headers leave none of their own (their
 faults appear as instants inside the ``exchange`` span that posted
 them), and the per-rank timelines
 (:meth:`~repro.obs.tracer.Tracer.child`) of the pid-per-rank Chrome
-export hold only what ranks do on their own: ``adopt-rank`` copies
-at setup, agglomeration ``unpack`` copies and end-of-solve
-``drain-stale`` discards.
+export hold only what ranks do on their own: agglomeration
+``unpack`` copies and end-of-solve ``drain-stale`` discards.
 """
 
 from __future__ import annotations

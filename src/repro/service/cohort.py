@@ -3,8 +3,8 @@
 A :class:`CohortSolver` is one :class:`~repro.gmg.solver.Hierarchy`
 with ``copies = capacity`` — requests are further copies of the
 decomposition on the engine's stacking axis, exactly as ranks are —
-adopted and driven the way :class:`~repro.gmg.solver.GMGSolver` adopts
-and drives a single copy; what this module adds is slot bookkeeping:
+driven the way :class:`~repro.gmg.solver.GMGSolver` drives a single
+copy; what this module adds is slot bookkeeping:
 
 * **compute** batches across requests: the engine stacks ``capacity *
   num_ranks`` blocks per depth, so a smoothing iteration is one kernel
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.gmg.engine import ExecutionEngine
 from repro.gmg.solver import Hierarchy, SolverConfig
 from repro.obs.tracer import NULL_TRACER
 from repro.service.request import RequestResult, SolveRequest
@@ -64,10 +63,10 @@ class CohortSolver:
     """One ``capacity``-copy hierarchy under one batched driver.
 
     Construction is the expensive, reusable part (the service caches
-    cohorts by geometry key): the hierarchy, its exchangers, the engine
-    adoption and the V-cycle driver are all built once; requests then
-    stream through slots (slot ``k`` is copy ``k``) with per-slot state
-    resets only.
+    cohorts by geometry key): the hierarchy (its exchangers and stacked
+    storage included) and the V-cycle driver are built once; requests
+    then stream through slots (slot ``k`` is copy ``k``) with per-slot
+    state resets only.
 
     Restrictions are the hierarchy's (``copies > 1``): the ``cg``/
     ``fft`` bottom solvers reduce over the driver's whole index space
@@ -89,10 +88,7 @@ class CohortSolver:
             self.hierarchy = Hierarchy(
                 config, tracer=self.tracer, copies=self.capacity
             )
-        self.engine = ExecutionEngine(
-            *self.hierarchy.compute_groups(), tracer=self.tracer
-        )
-        self.vcycle = self.hierarchy.make_vcycle(self.engine)
+        self.vcycle = self.hierarchy.make_vcycle()
         #: slot -> _ActiveRequest
         self._active: dict[int, _ActiveRequest] = {}
         self._free: list[int] = list(range(self.capacity))
@@ -125,7 +121,7 @@ class CohortSolver:
         """Every array holding slot ``slot``'s state: its contiguous
         block rows of each depth's stacked fields, and its staging
         levels' fields (which the engine does not stack)."""
-        for st in self.engine.stacked:
+        for st in self.hierarchy.engine.stacked:
             rows = st.grid.num_slots // self.capacity
             for f in st.fields().values():
                 yield f.data[slot * rows : (slot + 1) * rows]

@@ -119,8 +119,7 @@ def standalone_solve(request: SolveRequest, tracer=None) -> RequestResult:
     reproduce this result's residual history and solution exactly.
     """
     solver = GMGSolver(request.config, tracer=tracer)
-    # construction wrote the amplitude-1 RHS; rewrite the interior
-    # through the adopted views
+    # construction wrote the amplitude-1 RHS; rewrite its interior
     solver.set_rhs(request.amplitude)
     result: SolveResult = solver.solve()
     return RequestResult(

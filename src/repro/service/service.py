@@ -3,8 +3,8 @@
 :class:`SolveService` accepts independent :class:`SolveRequest`\\ s,
 groups them by :func:`~repro.service.request.geometry_key`, and runs
 each group through a cached :class:`~repro.service.cohort.CohortSolver`
-— the expensive part (the hierarchy, its exchangers, engine adoption, and
-the geometry-keyed plan caches underneath) is built once per geometry
+— the expensive part (the hierarchy, its exchangers and stacked storage,
+and the geometry-keyed plan caches underneath) is built once per geometry
 class and reused across submissions, which is the whole point of a
 long-lived service process.
 

@@ -1,18 +1,20 @@
 """The reference every identity suite compares :class:`GMGSolver` against.
 
 The seed schedule, kept because it is the simplest thing that computes
-the paper's Algorithms 1 and 2 on bricks: per-rank levels, a Python loop
-over ranks (no engine adopts the hierarchy; :func:`per_rank` points the
-cycle's compute phases at the per-rank levels), each smoothing
-iteration as the paper's kernel sequence — ``applyOp``, then ``smooth``
-or ``smooth+residual`` — one kernel launch per stage and per sweep,
-every launch through ``gather_extended`` and the generated NumPy
-function.  Nothing in it is stacked, fused, windowed or native, so
-agreement with it byte for byte pins all of those at once.
+the paper's Algorithms 1 and 2 on bricks: a Python loop over ranks
+(:func:`per_rank` points the cycle's compute phases at the per-rank
+levels), each smoothing iteration as the paper's kernel sequence —
+``applyOp``, then ``smooth`` or ``smooth+residual`` — one kernel
+launch per stage and per sweep, every launch through
+``gather_extended`` and the generated NumPy function.  No kernel in it
+runs over the stack, fused, windowed or native, so agreement with it
+byte for byte pins all of those at once.
 
-The oracle shares the hierarchy (levels, exchangers, agglomerator,
-right-hand side or coefficients) and the resilient driver with the
-solver under test; what it replaces is how kernels execute.
+The oracle shares the hierarchy (levels and their stacked storage,
+exchangers and their one ghost copy, agglomerator, right-hand side or
+coefficients) and the resilient driver with the solver under test;
+what it replaces is how kernels execute.  Ghosts are judged on their
+own, against a dense reference (``tests/test_exchange.py``).
 
 A fault-free, untraced oracle solve is a pure function of its
 :class:`SolverConfig`, so :func:`oracle_solve` keeps one
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro.dsl.codegen import compile_stencil
 from repro.dsl.library import SMOOTH, SMOOTH_RESIDUAL
-from repro.gmg import GMGSolver, Hierarchy, JacobiSmoother, SolverConfig
+from repro.gmg import GMGSolver, JacobiSmoother, SolverConfig
 from repro.gmg import operators as ops
 from repro.gmg.varcoef import VariableCoefficientSolver
 
@@ -60,9 +62,8 @@ class OracleSolver(GMGSolver):
     """``config``'s hierarchy under the seed schedule."""
 
     def __init__(self, config: SolverConfig, **kwargs) -> None:
-        Hierarchy.__init__(self, config, **kwargs)
-        self.engine = None
-        self.vcycle = per_rank(self.make_vcycle(None))
+        super().__init__(config, **kwargs)
+        per_rank(self.vcycle)
         # the other smoothers' updates (and the variable-coefficient
         # sweep's two kernels) are unfused already
         if type(self.vcycle.smoother) is JacobiSmoother:
@@ -76,15 +77,14 @@ class OracleSolver(GMGSolver):
 
 
 class OracleVariableCoefficientSolver(VariableCoefficientSolver, OracleSolver):
-    """A :class:`VariableCoefficientSolver` under the seed schedule (the
-    constructor's hierarchy is the oracle's: no engine adopts it)."""
+    """A :class:`VariableCoefficientSolver` under the seed schedule."""
 
 
 def stored_fields(solver) -> list[np.ndarray]:
     """``x``, ``Ax`` and ``r`` of every compute level, ghosts included."""
     return [
         getattr(level, name).data
-        for group in solver.compute_groups()[0]
+        for group in solver.compute_groups()
         for level in group
         for name in ("x", "Ax", "r")
     ]

@@ -166,7 +166,7 @@ class TestCommvizCommand:
     def test_single_rank_rejected(self, capsys):
         rc = main(["commviz", "-s", "16", "-l", "2", "--ranks", "1,1,1"])
         assert rc == 2
-        assert "distributed" in capsys.readouterr().out
+        assert "commviz: needs a distributed solve" in capsys.readouterr().err
 
     def test_trace_has_one_pid_per_rank(self, capsys, tmp_path):
         import json
@@ -175,8 +175,11 @@ class TestCommvizCommand:
         from repro.obs.chrome_trace import rank_pid
 
         trace = tmp_path / "ranks.json"
+        # a rank's timeline holds what it does on its own: here both
+        # ranks unpack agglomeration blocks
         rc = main(["commviz", "-s", "16", "-l", "2", "--smooths", "6",
                    "--bottom", "20", "-n", "2", "--ranks", "2,1,1",
+                   "--agglomerate-threshold", "100000",
                    "--trace", str(trace)])
         assert rc == 0
         counts = validate_chrome_trace_file(trace)
@@ -445,6 +448,35 @@ class TestArgumentErrors:
     def test_malformed_ranks(self, command, ranks, capsys):
         err = self.rejected([command, "--ranks", ranks], capsys)
         assert "argument --ranks: expected" in err
+
+    REFUSED = [
+        (["solve", "-s", "3"], "not divisible by 2^1 for level 1"),
+        (["solve", "--smooths", "0"], "max_smooths must be positive: 0"),
+        (["profile", "-b", "0"], "brick_dim must be positive: 0"),
+        (["commviz", "--ranks", "2,2,2", "-s", "3"],
+         "rank_dims[0]=2 does not divide global_cells=3"),
+        (["commviz", "--ranks", "1,1,1"], "needs a distributed solve"),
+        (["loadgen", "--size", "3"], "not divisible by 2^1 for level 1"),
+        (["loadgen", "--repeats", "0"],
+         "argument --repeats: expected a positive integer, got '0'"),
+        (["loadgen", "--capacity", "0"],
+         "argument --capacity: expected a positive integer, got '0'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,reason", REFUSED, ids=[" ".join(argv) for argv, _ in REFUSED]
+    )
+    def test_refused_input_exits_2_naming_the_command(self, argv, reason, capsys):
+        """Input the solver configuration or the load generator rejects
+        ends in ``<command>: <reason>`` on stderr and exit status 2
+        before anything runs, not in a traceback."""
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's own range check
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert f"{argv[0]}: " in err and reason in err
 
     MALFORMED_LISTS = [
         (flag, value)

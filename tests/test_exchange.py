@@ -4,22 +4,34 @@ import numpy as np
 import pytest
 
 from repro.bricks import BrickGrid, BrickedArray
+from repro.bricks.batch import BatchedGrid
 from repro.comm import CartTopology, HaloExchange, SimComm
 from repro.gmg.boundary import BoundaryCondition, BoundaryFill
 from repro.gmg.problem import rhs_field
 from repro.instrument import Recorder
 
 
+def stacked_fields(grid, blocks, content=None, dtype=np.float64):
+    """``blocks`` per-rank fields on ``grid`` that are the consecutive
+    blocks of one stacked field holding ``content`` (zeros if omitted),
+    as an exchange over more than one rank requires."""
+    stack = BrickedArray(BatchedGrid(grid, blocks), content, dtype=dtype)
+    fields = [BrickedArray.zeros(grid, dtype=dtype) for _ in range(blocks)]
+    for block, field in enumerate(fields):
+        field.bind_stacked(stack, block)
+    return fields
+
+
 def make_rank_fields(topology, grid, global_dense):
-    """Split a global dense array into per-rank bricked fields."""
+    """Split a global dense array into per-rank bricked fields (blocks
+    of one stacked field)."""
     cells = grid.shape_cells
-    fields = []
-    for rank in range(topology.size):
+    fields = stacked_fields(grid, topology.size)
+    for rank, field in enumerate(fields):
         o = topology.subdomain_origin(rank, cells)
-        sub = global_dense[
+        field.set_interior(global_dense[
             o[0] : o[0] + cells[0], o[1] : o[1] + cells[1], o[2] : o[2] + cells[2]
-        ]
-        fields.append(BrickedArray.from_ijk(grid, sub))
+        ])
     return fields
 
 
@@ -286,7 +298,7 @@ class TestHaloExchange:
 
         monkeypatch.setattr(ex, "_send", losing)
         monkeypatch.setattr(ex, "envelope_reason", lambda level=None: "forced")
-        fields = [[BrickedArray.zeros(grid)] for _ in range(2)]
+        fields = [[f] for f in stacked_fields(grid, 2)]
         with pytest.raises(UnmatchedReceiveError) as exc:
             ex.exchange(2, fields)
         assert (

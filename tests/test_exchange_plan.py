@@ -31,7 +31,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bricks import BrickGrid, BrickedArray
-from repro.bricks.batch import BatchedGrid
 from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS, direction_index
 from repro.bricks.orderings import ORDERINGS, contiguous_segments
 from repro.comm import (
@@ -50,7 +49,7 @@ from repro.obs.tracer import Tracer
 
 from tests.conftest import QUIET_INJECTOR, ArmedNeverStriking, all_envelopes
 from tests.oracle import OracleSolver
-from tests.test_exchange import check_ghosts_against_global
+from tests.test_exchange import check_ghosts_against_global, stacked_fields
 
 RANK_DIMS = [(2, 1, 1), (2, 2, 2), (3, 2, 1)]
 BOUNDARIES = ["periodic", "dirichlet", "neumann"]
@@ -58,14 +57,17 @@ BOUNDARIES = ["periodic", "dirichlet", "neumann"]
 
 def build(
     dims, boundary="periodic", ordering="surface-major", nfields=1,
-    stacked=True, dtype=np.float64, reference=False, seed=7,
+    whole=True, dtype=np.float64, reference=False, seed=7,
     shape=(2, 2, 2), copies=1, fault_plan=None,
 ):
     """An exchanger and ``fields_by_rank`` — for ``copies`` copies of the
-    decomposition — with random content everywhere (ghosts included, so
-    a ghost the exchange must not touch shows).  ``fault_plan`` attaches
-    an injector; ``reference`` one that makes every exchange post
-    headers."""
+    decomposition, each field the consecutive blocks of one stacked
+    field — with random content everywhere (ghosts included, so a ghost
+    the exchange must not touch shows).  The content is the stacked
+    storage itself (``whole``), or is written rank by rank through each
+    field's block, as a hierarchy's setup writes it.  ``fault_plan``
+    attaches an injector; ``reference`` one that makes every exchange
+    post headers."""
     grid = BrickGrid(shape, 4, ordering=ordering)
     condition = BoundaryCondition(boundary)
     topo = CartTopology(dims, periodic=condition is BoundaryCondition.PERIODIC)
@@ -83,13 +85,9 @@ def build(
     fields_by_rank = [[] for _ in range(blocks)]
     for _ in range(nfields):
         content = rng.random((blocks * grid.num_slots, 4, 4, 4)).astype(dtype)
-        if stacked:
-            whole = BrickedArray(BatchedGrid(grid, blocks), content, dtype=dtype)
-        for rank in range(blocks):
-            field = BrickedArray.zeros(grid, dtype=dtype)
-            if stacked:
-                field.bind_stacked(whole, rank)
-            else:
+        fields = stacked_fields(grid, blocks, content if whole else None, dtype)
+        for rank, field in enumerate(fields):
+            if not whole:
                 field.data[...] = content[
                     rank * grid.num_slots : (rank + 1) * grid.num_slots
                 ]
@@ -152,15 +150,16 @@ class TestPlanEqualsReference:
     @pytest.mark.parametrize("dims", RANK_DIMS)
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("nfields", [1, 2])
-    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-rank"])
+    @pytest.mark.parametrize("whole", [True, False], ids=["stacked", "per-rank"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
-    def test_byte_identity(self, dims, boundary, ordering, nfields, stacked, dtype):
+    def test_byte_identity(self, dims, boundary, ordering, nfields, whole, dtype):
         """Ghosts as the dense reference says; accounting as the header
-        protocol's."""
+        protocol's — whether the content was written as the whole stack
+        or rank by rank through the fields."""
         results = []
         for reference in (False, True):
             ex, fields = build(
-                dims, boundary, ordering, nfields, stacked, dtype, reference
+                dims, boundary, ordering, nfields, whole, dtype, reference
             )
             before = snapshot(fields)
             ex.exchange(0, fields)
@@ -188,8 +187,8 @@ class TestPlanEqualsReference:
                 injector=ArmedNeverStriking() if reference else None,
             )
             rng = np.random.default_rng(3)
-            fields = [[BrickedArray(grid, rng.random((grid.num_slots, 4, 4, 4)))]
-                      for _ in range(2)]
+            content = rng.random((2 * grid.num_slots, 4, 4, 4))
+            fields = [[f] for f in stacked_fields(grid, 2, content)]
             before = snapshot(fields)
             ex.exchange(1, fields)
             assert_matches_dense(ex, fields, before)
@@ -200,18 +199,39 @@ class TestPlanEqualsReference:
         assert set(results[0]["bytes_by_pair"]) == {(0, 0), (0, 4), (4, 0), (4, 4)}
         assert results[0] == results[1]
 
-    def test_rebound_data_leaves_the_stack(self):
-        """A field whose ``data`` was swapped (CG's scratch buffers) is
-        exchanged where it now lives, not in its old stacked block."""
-        ex, fields = build((2, 1, 1))
-        scratch = fields[1][0].data.copy() + 5.0
-        fields[1][0].data = scratch
-        assert fields[1][0].stacked_block() is None
+    @pytest.mark.parametrize(
+        "dims, copies, broken, named",
+        [
+            ((2, 1, 1), 1, "free", "field 1 of 2 rank field lists: rank 1's"),
+            ((2, 1, 1), 1, "swapped", "field 0 of 2 rank field lists: rank 1's"),
+            ((2, 1, 1), 2, "two-stacks", "field 0 of 4 rank field lists: rank 2's"),
+            ((1, 1, 1), 2, "free", "field 1 of 2 rank field lists: rank 1's"),
+        ],
+        ids=["free-rank", "swapped-blocks", "two-stacks", "free-copies"],
+    )
+    def test_non_stack_fields_are_refused(self, dims, copies, broken, named):
+        """Over more than one rank or copy, a field must be the
+        consecutive blocks of one stacked field — its one copy runs over
+        them.  Anything else is refused by name before a ghost moves;
+        only a one-rank, one-copy call may pass a free-standing field."""
+        ex, fields = build(dims, nfields=2, copies=copies)
+        if broken == "free":
+            last = fields[-1][1]
+            fields[-1][1] = BrickedArray(last.grid, last.data.copy())
+        elif broken == "swapped":
+            fields[0], fields[1] = fields[1], fields[0]
+        else:
+            _, other = build(dims, nfields=2, copies=copies)
+            fields[2:] = other[2:]
         before = snapshot(fields)
-        ex.exchange(0, fields)
-        assert ex.path_counts["planned"] == 1
-        assert fields[1][0].data is scratch
-        assert_matches_dense(ex, fields, before)
+        with pytest.raises(ValueError, match=rf"cannot exchange {named} "):
+            ex.exchange(0, fields)
+        assert ex.path_counts == {"planned": 0, "envelope": 0}
+        assert_same(observable(ex, fields), {
+            "data": before, "messages": [], "exchange_counts": {},
+            "sent_messages": 0, "sent_bytes": 0, "bytes_by_pair": {},
+            "ledger": {},
+        })
 
 
 class TestOneRankPlanIsThePeriodicWrap:
@@ -222,10 +242,12 @@ class TestOneRankPlanIsThePeriodicWrap:
     @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "free"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
     def test_byte_identity(self, shape, ordering, stacked, dtype):
-        """26 self-messages copy what ``fill_ghost_periodic`` copies."""
-        ex, fields = build(
-            (1, 1, 1), ordering=ordering, stacked=stacked, dtype=dtype, shape=shape
-        )
+        """26 self-messages copy what ``fill_ghost_periodic`` copies, in
+        a stacked block or in the lone free-standing field a one-rank,
+        one-copy call may pass."""
+        ex, fields = build((1, 1, 1), ordering=ordering, dtype=dtype, shape=shape)
+        if not stacked:
+            fields = [[BrickedArray(ex.grid, fields[0][0].data.copy(), dtype=dtype)]]
         (field,) = fields[0]
         wrapped = BrickedArray(ex.grid, field.data.copy(), dtype=dtype)
         wrapped.fill_ghost_periodic()
@@ -242,28 +264,33 @@ class TestCopiesInOneCall:
     leave what ``k`` exchanges of one copy each leave."""
 
     @pytest.mark.parametrize(
-        "dims, reference, stacked",
+        "dims, reference, free",
         [
-            ((1, 1, 1), False, True),
             ((1, 1, 1), False, False),
-            ((2, 1, 1), False, True),
+            ((1, 1, 1), False, True),
             ((2, 1, 1), False, False),
-            ((2, 1, 1), True, True),
+            ((2, 1, 1), True, False),
         ],
-        ids=["1rank", "1rank-free", "2ranks", "2ranks-free", "2ranks-envelopes"],
+        ids=["1rank", "1rank-free", "2ranks", "2ranks-envelopes"],
     )
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
-    def test_equals_separate_calls(self, dims, reference, stacked, copies, boundary):
+    def test_equals_separate_calls(self, dims, reference, free, copies, boundary):
+        """``free``: each separate call passes its copy's lone rank as a
+        free-standing field."""
         kwargs = dict(
-            boundary=boundary, nfields=2, stacked=stacked, reference=reference,
-            copies=copies,
+            boundary=boundary, nfields=2, reference=reference, copies=copies,
         )
         together, fields = build(dims, **kwargs)
         before = snapshot(fields)
         together.exchange(1, fields)
         assert_matches_dense(together, fields, before)
         apart, apart_fields = build(dims, **kwargs)
+        if free:
+            apart_fields = [
+                [BrickedArray(f.grid, f.data.copy()) for f in rank_fields]
+                for rank_fields in apart_fields
+            ]
         size = apart.topology.size
         for c in range(copies):
             apart.exchange(1, apart_fields[c * size : (c + 1) * size])
@@ -304,12 +331,15 @@ class TestPlanStructure:
             for rank in range(topo.size):
                 mine = plan.dst[plan.dst // S == rank] % S
                 assert np.array_equal(np.sort(mine), grid.ghost_slots)
-        # the per-pair split is the same copy
-        pair_dst = np.concatenate([p.dst_rank * S + p.dst_slots for p in plan.pairs])
-        pair_src = np.concatenate([p.src_rank * S + p.src_slots for p in plan.pairs])
-        order, pair_order = np.argsort(plan.dst), np.argsort(pair_dst)
-        assert np.array_equal(plan.dst[order], pair_dst[pair_order])
-        assert np.array_equal(plan.src[order], pair_src[pair_order])
+        # the per-pair traffic the accounting reads is the copy's
+        for p in plan.pairs:
+            rows = (plan.src // S == p.src_rank) & (plan.dst // S == p.dst_rank)
+            assert p.bricks == rows.sum() > 0
+            assert p.messages == sum(
+                (m.src_rank, m.dst_rank) == (p.src_rank, p.dst_rank)
+                for m in plan.messages
+            )
+        assert sum(p.bricks for p in plan.pairs) == plan.num_bricks
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -439,8 +469,7 @@ class TestPathSelection:
         topo = CartTopology((2, 1, 1))
         comm = kwargs.pop("comm", None) or SimComm(2)
         ex = HaloExchange(grid, topo, comm, **kwargs)
-        fields = [[BrickedArray.zeros(grid)] for _ in range(2)]
-        return ex, fields
+        return ex, [[f] for f in stacked_fields(grid, 2)]
 
     def test_default_is_planned(self):
         ex, fields = self.exchanger()
@@ -677,14 +706,14 @@ class TestHeaderSums:
         assert ex.path_counts == {"planned": 1, "envelope": 0}
         assert checksum_calls == []
 
-    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-rank"])
+    @pytest.mark.parametrize("whole", [True, False], ids=["stacked", "per-rank"])
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("nfields", [1, 2])
     def test_one_sum_per_message_over_its_send_bricks(
-        self, stacked, copies, nfields, ordering, checksum_calls
+        self, whole, copies, nfields, ordering, checksum_calls
     ):
         kwargs = dict(
-            ordering=ordering, nfields=nfields, stacked=stacked, copies=copies,
+            ordering=ordering, nfields=nfields, whole=whole, copies=copies,
         )
         ex, fields = build((2, 2, 1), reference=True, **kwargs)
         plain, plain_fields = build((2, 2, 1), **kwargs)
@@ -756,13 +785,13 @@ class TestSolverLevel:
         [
             AGGLOMERATED,
             {**AGGLOMERATED, "boundary": "dirichlet"},
-            # fields that are not blocks of one stacked array (the
-            # oracle's per-rank levels): one indexed copy per rank pair
+            # the oracle's per-rank kernel schedule over the same
+            # stacked storage and ghost copy
             {"solver_cls": OracleSolver, "max_vcycles": 3},
             {"bottom_solver": "cg"},
             {"precision": "fp32", "tol": 1e-4},
         ],
-        ids=["agglomerated", "agglomerated-dirichlet", "per-rank-arrays",
+        ids=["agglomerated", "agglomerated-dirichlet", "oracle",
              "cg-bottom", "fp32"],
     )
     def test_variants_equal_their_traced_reference(self, extra):

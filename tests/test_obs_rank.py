@@ -1,9 +1,12 @@
 """Rank-resolved communication: the ledger-sourced traffic matrix and
 the pid-per-rank Chrome export."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, FaultSpec
 from repro.gmg import GMGSolver, SolverConfig
 from repro.obs import Tracer, to_chrome_trace
 from repro.obs.chrome_trace import rank_pid
@@ -91,7 +94,13 @@ class TestTrafficMatrix:
 
 class TestRankChromeExport:
     def test_one_pid_per_rank(self, traced_solve):
-        config, _, tracer, _ = traced_solve
+        """A rank's timeline holds what it does on its own: here each
+        rank unpacks agglomeration blocks."""
+        config = dataclasses.replace(
+            traced_solve[0], agglomerate_threshold=10**6
+        )
+        tracer = Tracer()
+        GMGSolver(config, tracer=tracer).solve()
         obj = to_chrome_trace(tracer)
         pids = {e["pid"] for e in obj["traceEvents"]}
         assert pids == {1} | {rank_pid(r) for r in range(config.num_ranks)}
@@ -106,9 +115,18 @@ class TestRankChromeExport:
 
     def test_comm_spans_land_on_owner_pid(self, traced_solve):
         """Per-rank spans export under their rank's pid; posted headers
-        leave none of their own, and the halo writes by copy."""
-        _, _, tracer, _ = traced_solve
+        leave none of their own, and the halo writes by copy.  Every
+        level-0 header of the only exchange is duplicated, so each rank
+        discards stale copies at the end-of-solve drain, on its own
+        timeline."""
+        config = dataclasses.replace(traced_solve[0], max_vcycles=0)
+        plan = FaultPlan(specs=(
+            FaultSpec("duplicate", vcycle=0, level=0, max_hits=None),
+        ))
+        tracer = Tracer()
+        GMGSolver(config, fault_plan=plan, tracer=tracer).solve()
         obj = to_chrome_trace(tracer)
+        assert set(tracer.children) == set(range(config.num_ranks))
         for rank, child in tracer.children.items():
             names = {s.name for s in child.spans}
             assert names and not names & {"isend", "irecv", "retransmit"}

@@ -182,7 +182,7 @@ class TestProfileReport:
                                trace_path=path)
         counts = validate_chrome_trace_file(path)
         tracer = report.tracer
-        # the root timeline plus rank 0's (its adoption copy-in)
+        # the root timeline plus any rank's own
         assert counts["spans"] == len(tracer.spans) + sum(
             len(child.spans) for child in tracer.children.values()
         )
