@@ -1,4 +1,5 @@
-"""Native C emission target for DSL stencils, loaded through cffi.
+"""Native C emission target for DSL stencils and the inter-grid
+operators, loaded through cffi.
 
 The NumPy generator (:mod:`repro.dsl.codegen`) evaluates a stencil as a
 chain of whole-array operations: one temporary per binary operation and
@@ -25,6 +26,15 @@ time**:
   count) and outputs the stencil never reads (``Ax``, ``r``) are stored
   by the last sweep only — byte-identical, on every slot, to that many
   single applications.
+
+The inter-grid operators — restriction and interpolation+increment,
+the paper's "new operators in BrickLib for multigrid" — are emitted the
+same way, one function per ``(operator, brick_dim, dtype)``
+(:func:`generate_intergrid_source`), and reach each coarse brick's eight
+children through a per-level-pair table instead of the adjacency;
+:func:`bind_intergrid` binds one to a level pair's arrays once.  Their
+calls are counted apart from the stencils' (``intergrid`` in
+:func:`call_counts`).
 
 Identity with the NumPy kernels, bit for bit: ``+ - * /`` are correctly
 rounded in both; the C is fully parenthesised and compiled without any
@@ -268,17 +278,7 @@ def generate_c_source(
         lines += ["        " + line for line in body + stores]
         return lines + ["    }", "}"]
 
-    out = [
-        f"/* Generated from stencil {stencil.name!r} "
-        f"(brick_dim={B}, {np.dtype(dtype).name}); do not edit. */",
-        "#include <float.h>",
-        "#include <math.h>",
-        "#include <stdint.h>",
-        "#include <string.h>",
-        "#if defined(FLT_EVAL_METHOD) && FLT_EVAL_METHOD != 0",
-        '#error "excess floating-point precision: results would differ from NumPy"',
-        "#endif",
-        f"typedef {_C_TYPES[np.dtype(dtype).char]} T;",
+    out = _preamble(f"stencil {stencil.name!r}", B, dtype) + [
         f"enum {{ B = {B}, R = {r}, E = {E}, B3 = {B ** 3} }};",
     ]
     for g in analysis.halo_grids:
@@ -327,6 +327,107 @@ def generate_c_source(
             f"    if (sweeps & 1) memcpy(g_{g}, s_{g}, (size_t)nslots * B3 * sizeof(T));"
         )
     out += ["}", ""]
+    return "\n".join(out)
+
+
+def _preamble(what: str, brick_dim: int, dtype) -> list[str]:
+    """The lines every generated translation unit opens with."""
+    B = int(brick_dim)
+    return [
+        f"/* Generated from {what} "
+        f"(brick_dim={B}, {np.dtype(dtype).name}); do not edit. */",
+        "#include <float.h>",
+        "#include <math.h>",
+        "#include <stdint.h>",
+        "#include <string.h>",
+        "#if defined(FLT_EVAL_METHOD) && FLT_EVAL_METHOD != 0",
+        '#error "excess floating-point precision: results would differ from NumPy"',
+        "#endif",
+        f"typedef {_C_TYPES[np.dtype(dtype).char]} T;",
+    ]
+
+
+#: the inter-grid operators with a native kernel, each taking ``fields =
+#: [source, destination]``: restriction reads the fine residual and
+#: writes the coarse right-hand side, interpolation+increment reads the
+#: coarse correction and increments the fine one
+INTERGRID_OPS = ("restriction", "interpolation+increment")
+
+#: the fine cell ``(x, y, z)`` of the ``2B``-cube under one coarse
+#: brick, through the brick's eight child pointers
+_CHILD_CELL = (
+    "#define F(x, y, z) child[(((x) / B) * 2 + (y) / B) * 2 + (z) / B]"
+    "[(((x) % B) * B + (y) % B) * B + (z) % B]"
+)
+
+
+def generate_intergrid_source(op: str, brick_dim: int, dtype) -> str:
+    """The C translation unit for inter-grid operator ``op`` on
+    ``brick_dim`` bricks of ``dtype`` fields.
+
+    Exports the stencil kernels' signature: ``nslots`` coarse interior
+    bricks, ``adjacency`` their ``(nslots, 9)`` table — the coarse slot,
+    then the slots of its children, child ``(a, b, c)`` in column
+    ``1 + 4a + 2b + c`` — and ``fields = [source, destination]`` as in
+    :data:`INTERGRID_OPS`; ``consts`` and ``sweeps`` are unused.
+    Restriction sums a coarse cell's eight children in one association,
+    ``(((p00 + p01) + p10) + p11) / 8`` where ``pab`` adds the two
+    children ``(2I + a, 2J + b, 2K)`` and ``(2I + a, 2J + b, 2K + 1)``
+    — :func:`repro.gmg.operators.average_children`'s order, whatever
+    the shape of the level.
+    """
+    if op not in INTERGRID_OPS:
+        raise ValueError(f"no native inter-grid operator {op!r}")
+    B = int(brick_dim)
+    # restriction reads the children and writes the coarse brick;
+    # interpolation the other way round
+    restrict = op == "restriction"
+    out = _preamble(f"inter-grid operator {op!r}", B, dtype) + [
+        f"enum {{ B = {B}, B3 = {B ** 3} }};",
+        _CHILD_CELL,
+        f"void {ENTRY_POINT}(int64_t nslots, const int64_t *restrict table,",
+        "                  void *const *fields, const double *consts,",
+        "                  int64_t sweeps)",
+        "{",
+        "    (void)consts;",
+        "    (void)sweeps;",
+        "    const T *restrict src = fields[0];",
+        "    T *restrict dst = fields[1];",
+        "    for (int64_t s = 0; s < nslots; ++s) {",
+        "        const int64_t *t = table + 9 * s;",
+        f"        {'T' if restrict else 'const T'} *coarse = "
+        f"{'dst' if restrict else 'src'} + t[0] * B3;",
+        f"        {'const T' if restrict else 'T'} *child[8];",
+        "        for (int c = 0; c < 8; ++c) child[c] = "
+        f"{'src' if restrict else 'dst'} + t[1 + c] * B3;",
+    ]
+    if restrict:
+        out += [
+            "        for (int i = 0; i < B; ++i)",
+            "        for (int j = 0; j < B; ++j)",
+            "        for (int k = 0; k < B; ++k) {",
+        ]
+        for a in (0, 1):
+            for b in (0, 1):
+                x, y = f"2 * i + {a}", f"2 * j + {b}"
+                out.append(
+                    f"            const T p{a}{b} = F({x}, {y}, 2 * k) "
+                    f"+ F({x}, {y}, 2 * k + 1);"
+                )
+        out += [
+            "            coarse[(i * B + j) * B + k] = "
+            "(((p00 + p01) + p10) + p11) / (T)8;",
+            "        }",
+        ]
+    else:
+        out += [
+            "        for (int x = 0; x < 2 * B; ++x)",
+            "        for (int y = 0; y < 2 * B; ++y)",
+            "        for (int z = 0; z < 2 * B; ++z)",
+            "            F(x, y, z) = F(x, y, z) "
+            "+ coarse[((x / 2) * B + y / 2) * B + z / 2];",
+        ]
+    out += ["    }", "}", ""]
     return "\n".join(out)
 
 
@@ -406,6 +507,8 @@ class Backend:
         #: foreign calls made, and the stencil sweeps they ran
         self.calls = 0
         self.sweeps = 0
+        #: foreign calls made into inter-grid kernels
+        self.intergrid = 0
 
     @classmethod
     def probe(cls, cache_dir: str | None = None) -> "Backend":
@@ -508,7 +611,8 @@ class Backend:
         return (
             f"native C ({self.version.splitlines()[0]}, {' '.join(FP_FLAGS)}), "
             f"{self.compiled} compiled, {self.loaded} loaded from "
-            f"{self.cache_dir}, {self.calls} calls, {self.sweeps} sweeps"
+            f"{self.cache_dir}, {self.calls} calls, {self.sweeps} sweeps, "
+            f"{self.intergrid} inter-grid calls"
         )
 
 
@@ -536,7 +640,7 @@ def note_fallback(reason: str) -> None:
     application through NumPy."""
     if reason not in _fallback_reasons:
         _fallback_reasons.append(reason)
-        log.info("stencil kernels run through NumPy: %s", reason)
+        log.info("kernels run through NumPy: %s", reason)
 
 
 def fallback_reasons() -> tuple[str, ...]:
@@ -556,13 +660,14 @@ def stats() -> dict:
 
 
 def call_counts() -> dict:
-    """``{"calls", "sweeps"}``: foreign calls into native kernels so
-    far and the stencil sweeps they ran — equal until a caller hands a
-    kernel a whole exchange window.  Zeros under NumPy."""
+    """``{"calls", "sweeps", "intergrid"}``: foreign calls into native
+    stencil kernels so far and the stencil sweeps they ran — equal
+    until a caller hands a kernel a whole exchange window — and foreign
+    calls into inter-grid kernels.  Zeros under NumPy."""
     b = _backend
     if b is None:
-        return {"calls": 0, "sweeps": 0}
-    return {"calls": b.calls, "sweeps": b.sweeps}
+        return {"calls": 0, "sweeps": 0, "intergrid": 0}
+    return {"calls": b.calls, "sweeps": b.sweeps, "intergrid": b.intergrid}
 
 
 def describe() -> str:
@@ -733,4 +838,79 @@ def _ineligible(compiled, grid, arrays) -> str | None:
         and int(adjacency.max()) < grid.num_slots
     ):
         return "adjacency is not an in-range C-contiguous int64 table"
+    return None
+
+
+# ----------------------------------------------------------------------
+# binding an inter-grid kernel to one level pair
+# ----------------------------------------------------------------------
+class IntergridCall(_Binding):
+    """A native inter-grid kernel bound to one level pair's source and
+    destination arrays and its child table (see
+    :func:`generate_intergrid_source`); a call costs only the foreign
+    call.  Every array a pointer was taken from is referenced here."""
+
+    __slots__ = ("_fn", "_nslots", "_table", "_ptrs", "_keep")
+
+    def __init__(self, backend, kernel, grid, arrays, table) -> None:
+        super().__init__(backend, grid, arrays)
+        ffi = backend._ffi
+        self._fn = kernel.fn
+        self._nslots = len(table)
+        buffers = [ffi.from_buffer(a) for a in arrays]
+        self._ptrs = ffi.new("void *[]", [ffi.cast("void *", b) for b in buffers])
+        tab = ffi.from_buffer(table)
+        self._table = ffi.cast("const int64_t *", tab)
+        self._keep = (kernel, buffers, tab, table)
+
+    def run(self) -> None:
+        """Apply the operator to the bound arrays."""
+        self.backend.intergrid += 1
+        self._fn(self._nslots, self._table, self._ptrs, self.backend._ffi.NULL, 1)
+
+
+def bind_intergrid(
+    backend: Backend, op: str, grid, arrays, table: np.ndarray
+) -> IntergridCall | Refusal:
+    """Bind ``op``'s native kernel to ``arrays`` (``[source,
+    destination]``, see :data:`INTERGRID_OPS`) and the child ``table``
+    of the coarse ``grid``, or refuse, saying why the pair must run
+    through NumPy."""
+    reason = _intergrid_ineligible(op, grid.brick_dim, arrays, table)
+    if reason is None:
+        source = generate_intergrid_source(op, grid.brick_dim, arrays[0].dtype)
+        kernel = backend.kernel(op, source)
+        if not isinstance(kernel, str):
+            return IntergridCall(backend, kernel, grid, arrays, table)
+        reason = kernel
+    return Refusal(backend, grid, arrays, reason)
+
+
+def _intergrid_ineligible(op: str, B: int, arrays, table) -> str | None:
+    """Why a level pair cannot be handed to an inter-grid kernel, if it
+    cannot: one C-typed dtype, packed C-contiguous ``(slots, B, B, B)``
+    storage, a destination sharing no byte with the source, and an
+    in-range C-contiguous ``(n, 9)`` ``int64`` table."""
+    src, dst = arrays
+    fine, coarse = (src, dst) if op == "restriction" else (dst, src)
+    if src.dtype.char not in _C_TYPES:
+        return f"no C type for field dtype {src.dtype}"
+    for a in arrays:
+        if a.dtype != src.dtype:
+            return "mixed field dtypes"
+        if a.shape[1:] != (B, B, B) or not a.flags.c_contiguous:
+            return "strided field storage"
+    if _overlap(src, dst):
+        return "an output field shares storage with another field"
+    if not (
+        table.dtype == np.int64
+        and table.ndim == 2
+        and table.shape[1] == 9
+        and table.flags.c_contiguous
+        and table.size
+        and 0 <= int(table.min())
+        and int(table[:, 0].max()) < len(coarse)
+        and int(table[:, 1:].max()) < len(fine)
+    ):
+        return "child table is not an in-range C-contiguous int64 table"
     return None

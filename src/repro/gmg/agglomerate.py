@@ -37,9 +37,8 @@ schedule changes.  That identity is the acceptance test.
 
 A hierarchy of ``copies`` stacked problems (a service cohort) has one
 agglomerator: its merged and staging lists hold every copy's levels,
-its exchangers and transfers move each copy's blocks in turn, and the
-canonical restriction pairs fine and coarse levels one to one — so no
-copy reads another's bytes.
+and its exchangers and transfers move each copy's blocks in turn — so
+no copy reads another's bytes.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import numpy as np
 from repro.comm.exchange import HaloExchange, ResilientChannel, payload_checksum
 from repro.comm.simmpi import SubComm
 from repro.comm.topology import CartTopology
-from repro.gmg import operators as ops
 from repro.gmg.level import Level, make_level
 from repro.obs.tracer import NULL_TRACER
 
@@ -407,9 +405,6 @@ class Agglomerator:
         boundary = boundary or BoundaryCondition.PERIODIC
         periodic = boundary is BoundaryCondition.PERIODIC
         dtype = np.float32 if config.precision == "fp32" else np.float64
-        self._dtype = dtype
-        #: scratch per-rank-shaped level pairs for canonical restriction
-        self._scratch: dict[int, tuple[Level, Level]] = {}
         n = config.num_levels
         #: per level: merged Levels (active-rank order) or None
         self.merged_levels: list[list[Level] | None] = [None] * n
@@ -492,64 +487,6 @@ class Agglomerator:
             )
             assignments[o].append((s, offset))
         return owner_of, assignments
-
-    # ------------------------------------------------------------------
-    def _scratch_pair(self, lev: int) -> tuple[Level, Level]:
-        """Per-rank-shaped scratch levels for restricting out of ``lev``."""
-        pair = self._scratch.get(lev)
-        if pair is None:
-            cfg = self.config
-            pair = tuple(
-                make_level(
-                    l,
-                    self.plan.level_cells(l, self.plan.rank_dims),
-                    cfg.brick_dim,
-                    cfg.level_spacing(l),
-                    cfg.ordering,
-                    dtype=self._dtype,
-                )
-                for l in (lev, lev + 1)
-            )
-            self._scratch[lev] = pair
-        return pair
-
-    def canonical_restriction(
-        self, lev: int, fine_levels, coarse_levels, recorder=None
-    ) -> None:
-        """Restrict merged fine levels with the per-rank association.
-
-        ``np.mean`` over multiple axes associates its floating-point
-        additions differently for different array shapes, so restricting
-        a merged residual block in one call would drift from the
-        unagglomerated schedule by ~1 ULP.  To keep the bit-identity
-        guarantee at *any* agglomeration depth, the merged residual is
-        split into original per-rank sub-blocks and each is restricted
-        through scratch levels shaped exactly like the per-rank
-        hierarchy — same shapes, same code path, same bits.
-        """
-        sf, sc = self._scratch_pair(lev)
-        pf = tuple(sf.shape_cells)
-        pc = tuple(sc.shape_cells)
-        for fine, coarse in zip(fine_levels, coarse_levels):
-            dense_r = fine.r.to_ijk()
-            out = np.empty(tuple(coarse.shape_cells), dtype=coarse.dtype)
-            blocks = tuple(F // f for F, f in zip(fine.shape_cells, pf))
-            for i in range(blocks[0]):
-                for j in range(blocks[1]):
-                    for k in range(blocks[2]):
-                        at = (i, j, k)
-                        src = tuple(
-                            slice(a * p, (a + 1) * p) for a, p in zip(at, pf)
-                        )
-                        sf.r.set_interior(dense_r[src])
-                        ops.restriction(sf, sc)
-                        dst = tuple(
-                            slice(a * p, (a + 1) * p) for a, p in zip(at, pc)
-                        )
-                        out[dst] = sc.b.to_ijk()
-            coarse.b.set_interior(out)
-            if recorder is not None:
-                recorder.kernel(fine.index, "restriction", coarse.num_points)
 
     # ------------------------------------------------------------------
     @property

@@ -9,15 +9,22 @@ and need no neighbour communication, only the parent/child brick
 mapping.
 
 The brick-native inter-grid paths require both levels to share a brick
-dimension (each coarse brick then covers exactly 2x2x2 fine bricks); on
-very small coarse levels where the brick dimension shrinks, a dense
-fallback runs instead — tests assert the two paths agree bit-for-bit.
+dimension (each coarse brick then covers exactly 2x2x2 fine bricks).
+They run as generated C kernels (:mod:`repro.dsl.native`), bound once
+per level pair and kept in the coarse level's ``workspace``; without a
+compiler, or for storage a kernel cannot take, the NumPy path runs — it
+is also the oracle the kernels are tested against.  On very small
+coarse levels where the brick dimension shrinks, a dense NumPy path
+runs instead.  Every path restricts with :func:`average_children`'s one
+association, so the bits do not depend on which path ran or on the
+shape of the level.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.dsl import native
 from repro.dsl.codegen import compile_stencil
 from repro.dsl.library import APPLY_OP, RESIDUAL, SMOOTH, SMOOTH_RESIDUAL
 from repro.gmg.level import Level
@@ -92,24 +99,67 @@ def _assemble_fine_blocks(fine_data: np.ndarray, child: np.ndarray, B: int) -> n
     return F.transpose(0, 1, 4, 2, 5, 3, 6).reshape(len(child), 2 * B, 2 * B, 2 * B)
 
 
+def average_children(cells: np.ndarray) -> np.ndarray:
+    """``(..., n0, 2, n1, 2, n2, 2)`` fine cells to ``(..., n0, n1, n2)``
+    coarse averages, in the one association every restriction uses:
+    ``(((p00 + p01) + p10) + p11) / 8`` where ``pab`` adds the children
+    ``(2I + a, 2J + b, 2K)`` and ``(2I + a, 2J + b, 2K + 1)``.
+
+    The order is fixed per cell, so a level restricts to the same bits
+    whatever its shape — one rank's block, a merged block, a stack of
+    blocks — and the native kernel adds in exactly this order.
+    """
+    p = [
+        [cells[..., a, :, b, :, 0] + cells[..., a, :, b, :, 1] for b in (0, 1)]
+        for a in (0, 1)
+    ]
+    return (((p[0][0] + p[0][1]) + p[1][0]) + p[1][1]) / 8
+
+
+def _native_intergrid(op: str, coarse: Level, fine: Level, src, dst) -> bool:
+    """Run ``op`` through its native kernel, bound once per level pair
+    and kept in ``coarse.workspace``; ``False`` (with the reason noted
+    once) sends the caller down the NumPy path."""
+    backend = native.resolve_backend()
+    if backend.reason is not None:
+        native.note_fallback(backend.reason)
+        return False
+    key = ("intergrid", op)
+    call = coarse.workspace.get(key)
+    arrays = (src, dst)
+    if call is None or not call.matches(backend, coarse.grid, arrays):
+        call = coarse.workspace[key] = native.bind_intergrid(
+            backend, op, coarse.grid, arrays, _child_table(fine, coarse)
+        )
+    if call.reason is not None:
+        native.note_fallback(call.reason)
+        return False
+    call.run()
+    return True
+
+
 def restriction(
     fine: Level, coarse: Level, recorder: Recorder | None = None
 ) -> None:
-    """FV restriction: ``b_coarse = average of 8 fine residual cells``.
+    """FV restriction: ``b_coarse = average of 8 fine residual cells``
+    (:func:`average_children`'s association).
 
     Acts brick-by-brick between levels; no neighbour communication.
     """
     B = coarse.grid.brick_dim
     if fine.grid.brick_dim == B:
-        child = _restriction_child_map(fine, coarse)
-        R = _assemble_fine_blocks(fine.r.data, child, B)
-        averaged = R.reshape(len(child), B, 2, B, 2, B, 2).mean(axis=(2, 4, 6))
-        coarse.b.data[coarse.grid.interior_slots] = averaged
+        if not _native_intergrid(
+            "restriction", coarse, fine, fine.r.data, coarse.b.data
+        ):
+            child = _restriction_child_map(fine, coarse)
+            R = _assemble_fine_blocks(fine.r.data, child, B)
+            coarse.b.data[coarse.grid.interior_slots] = average_children(
+                R.reshape(len(child), B, 2, B, 2, B, 2)
+            )
     else:
-        dense = fine.r.to_ijk()
         n0, n1, n2 = coarse.shape_cells
-        averaged = dense.reshape(n0, 2, n1, 2, n2, 2).mean(axis=(1, 3, 5))
-        coarse.b.set_interior(averaged)
+        dense = fine.r.to_ijk().reshape(n0, 2, n1, 2, n2, 2)
+        coarse.b.set_interior(average_children(dense))
     if recorder is not None:
         recorder.kernel(fine.index, "restriction", coarse.num_points)
 
@@ -124,14 +174,17 @@ def interpolation_increment(
     """
     B = coarse.grid.brick_dim
     if fine.grid.brick_dim == B:
-        child = _restriction_child_map(fine, coarse)
-        C = coarse.x.data[coarse.grid.interior_slots]  # (nc, B, B, B)
-        R = np.repeat(np.repeat(np.repeat(C, 2, axis=1), 2, axis=2), 2, axis=3)
-        blocks = (
-            R.reshape(len(child), 2, B, 2, B, 2, B)
-            .transpose(0, 1, 3, 5, 2, 4, 6)
-        )
-        fine.x.data[child] += blocks
+        if not _native_intergrid(
+            "interpolation+increment", coarse, fine, coarse.x.data, fine.x.data
+        ):
+            child = _restriction_child_map(fine, coarse)
+            C = coarse.x.data[coarse.grid.interior_slots]  # (nc, B, B, B)
+            R = np.repeat(np.repeat(np.repeat(C, 2, axis=1), 2, axis=2), 2, axis=3)
+            blocks = (
+                R.reshape(len(child), 2, B, 2, B, 2, B)
+                .transpose(0, 1, 3, 5, 2, 4, 6)
+            )
+            fine.x.data[child] += blocks
     else:
         C = coarse.x.to_ijk()
         dense = np.repeat(np.repeat(np.repeat(C, 2, axis=0), 2, axis=1), 2, axis=2)
@@ -149,3 +202,14 @@ def _restriction_child_map(fine: Level, coarse: Level) -> np.ndarray:
         child = _child_slot_map(coarse, fine)
         coarse.workspace[key] = child
     return child
+
+
+def _child_table(fine: Level, coarse: Level) -> np.ndarray:
+    """The native kernels' ``(num_coarse_interior, 9)`` table: each
+    coarse interior slot, then its 8 child slots (child ``(a, b, c)``
+    in column ``1 + 4a + 2b + c``)."""
+    child = _restriction_child_map(fine, coarse)
+    slots = np.asarray(coarse.grid.interior_slots, dtype=np.int64)
+    return np.ascontiguousarray(
+        np.column_stack([slots, child.reshape(len(child), 8)]), dtype=np.int64
+    )

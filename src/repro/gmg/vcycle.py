@@ -268,76 +268,49 @@ class VCycle:
         return self.agglomerator.transfer_at(lev)
 
     def _init_zero(self, lev: int) -> None:
+        """``initZero`` of depth ``lev``: one fill of the stacked ``x``
+        (every block's storage), recorded once per compute level."""
         with self.tracer.span("initZero", l=lev):
-            for lv in self.levels_at(lev):
-                lv.init_zero()
-                if self.recorder is not None:
+            self.engine.stacked_level(lev).x.fill(0.0)
+            if self.recorder is not None:
+                for lv in self.levels_at(lev):
                     self.recorder.kernel(lev, "initZero", lv.num_points)
 
-    def _restrict(self, lev: int) -> None:
-        agg = self.agglomerator
-        merged_fine = agg is not None and agg.plan.is_agglomerated(lev)
-        transfer = self._transfer_at(lev + 1)
-        if transfer is not None:
-            # Transition level: restrict per source rank into the
-            # staging levels (bit-identical to the unagglomerated
-            # restriction — per-rank shapes at the first transition,
-            # the canonical per-rank association when the fine side is
-            # itself merged), then gather the staged blocks onto the
-            # shrunken active rank grid.
-            staging = agg.staging_levels[lev + 1]
-            with self.tracer.span("restriction", l=lev):
-                if merged_fine:
-                    agg.canonical_restriction(
-                        lev, self.levels_at(lev), staging, self.recorder
-                    )
-                else:
-                    for fine, stage in zip(self.levels_at(lev), staging):
-                        ops.restriction(fine, stage, self.recorder)
-            transfer.gather()
-            self._init_zero(lev + 1)
-            return
-        if merged_fine:
-            # Merged -> merged on the same active grid: the canonical
-            # split keeps the reduction association per-rank exact.
-            with self.tracer.span("restriction", l=lev):
-                agg.canonical_restriction(
-                    lev, self.levels_at(lev), self.levels_at(lev + 1),
-                    self.recorder,
-                )
-            self._init_zero(lev + 1)
-            return
+    def _level_pairs(self, lev: int) -> list:
+        """The ``(fine, coarse)`` pairs the inter-grid transfers between
+        depths ``lev`` and ``lev + 1`` run over: each source rank and
+        its staging level where the agglomerator shrinks the rank grid
+        entering ``lev + 1``, else the one stacked pair, else one pair
+        per compute level."""
+        if self._transfer_at(lev + 1) is not None:
+            staging = self.agglomerator.staging_levels[lev + 1]
+            return list(zip(self.levels_at(lev), staging))
         pair = self._stacked_pair(lev)
         if pair is not None:
-            # one vectorised brick-native restriction over all ranks
-            with self.tracer.span("restriction", l=lev):
-                ops.restriction(pair[0], pair[1], self.recorder)
-            self._init_zero(lev + 1)
-            return
+            return [pair]
+        return list(zip(self.levels_at(lev), self.levels_at(lev + 1)))
+
+    def _restrict(self, lev: int) -> None:
         with self.tracer.span("restriction", l=lev):
-            for fine, coarse in zip(self.levels_at(lev), self.levels_at(lev + 1)):
+            for fine, coarse in self._level_pairs(lev):
                 ops.restriction(fine, coarse, self.recorder)
+        transfer = self._transfer_at(lev + 1)
+        if transfer is not None:
+            # Transition level: gather the staged blocks onto the
+            # shrunken active rank grid.
+            transfer.gather()
         self._init_zero(lev + 1)
 
     def _interpolate(self, lev: int) -> None:
         transfer = self._transfer_at(lev + 1)
         if transfer is not None:
             # Transition level: scatter the merged correction back to
-            # the staged blocks, then interpolate per source rank
+            # the staged blocks, which interpolate per source rank
             # (interpolation reads only the coarse interior, so the
             # staged blocks need no ghost exchange).
             transfer.scatter()
-            staging = self.agglomerator.staging_levels[lev + 1]
-            with self.tracer.span("interpolation+increment", l=lev):
-                for fine, stage in zip(self.levels_at(lev), staging):
-                    ops.interpolation_increment(stage, fine, self.recorder)
-            return
         with self.tracer.span("interpolation+increment", l=lev):
-            pair = self._stacked_pair(lev)
-            if pair is not None:
-                ops.interpolation_increment(pair[1], pair[0], self.recorder)
-                return
-            for fine, coarse in zip(self.levels_at(lev), self.levels_at(lev + 1)):
+            for fine, coarse in self._level_pairs(lev):
                 ops.interpolation_increment(coarse, fine, self.recorder)
 
     def _cycle(self, lev: int, kind: str) -> None:

@@ -123,10 +123,11 @@ class MetricsRegistry:
         """Snapshot the native kernel cache: ``cache.native_kernel.hits``
         (shared objects loaded from the cache directory), ``.misses``
         (compiled by this process) and ``.compile_ms``; and what the
-        kernels were asked for: ``kernels.native.calls`` (foreign calls)
-        and ``kernels.native.sweeps`` (stencil sweeps those calls ran —
-        more than the calls where a smoother handed over whole exchange
-        windows).  All zero when the kernels ran through NumPy.  Gauges,
+        kernels were asked for: ``kernels.native.calls`` (foreign calls
+        into stencil kernels), ``kernels.native.sweeps`` (stencil sweeps
+        those calls ran — more than the calls where a smoother handed
+        over whole exchange windows) and ``kernels.native.intergrid``
+        (foreign calls into restriction and interpolation kernels).  All zero when the kernels ran through NumPy.  Gauges,
         as in :meth:`observe_plan_caches`: the totals are
         process-cumulative.
         """

@@ -706,15 +706,12 @@ class TestHeaderSums:
         assert ex.path_counts == {"planned": 1, "envelope": 0}
         assert checksum_calls == []
 
-    @pytest.mark.parametrize("whole", [True, False], ids=["stacked", "per-rank"])
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("nfields", [1, 2])
     def test_one_sum_per_message_over_its_send_bricks(
-        self, whole, copies, nfields, ordering, checksum_calls
+        self, copies, nfields, ordering, checksum_calls
     ):
-        kwargs = dict(
-            ordering=ordering, nfields=nfields, whole=whole, copies=copies,
-        )
+        kwargs = dict(ordering=ordering, nfields=nfields, copies=copies)
         ex, fields = build((2, 2, 1), reference=True, **kwargs)
         plain, plain_fields = build((2, 2, 1), **kwargs)
         want = send_sums(ex, fields)

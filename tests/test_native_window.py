@@ -385,7 +385,8 @@ def test_metrics_count_calls_and_sweeps(native_backend):
     assert gauges["kernels.native.sweeps"] == native_backend.sweeps
     assert native_backend.sweeps > native_backend.calls > 0
     assert native.call_counts() == {
-        "calls": native_backend.calls, "sweeps": native_backend.sweeps
+        "calls": native_backend.calls, "sweeps": native_backend.sweeps,
+        "intergrid": native_backend.intergrid,
     }
     line = native.describe()
     assert f"{native_backend.calls} calls, {native_backend.sweeps} sweeps" in line
@@ -398,6 +399,7 @@ def test_metrics_read_zero_under_numpy(monkeypatch):
     gauges = registry.snapshot()["gauges"]
     assert gauges["kernels.native.calls"] == 0
     assert gauges["kernels.native.sweeps"] == 0
+    assert gauges["kernels.native.intergrid"] == 0
 
 
 def test_traced_window_is_one_span_weighted_by_its_sweeps():
