@@ -5,8 +5,8 @@ The paper's model problem is constant-coefficient Poisson "for easy
 performance comparison", but its DSL handles non-constant coefficients
 and its HPGMG baseline is a variable-coefficient FV code.  This script
 solves ``-div(beta grad u) = f`` with a smoothly varying ``beta`` —
-same bricks, same communication-avoiding V-cycle on the same stacked
-engine, coefficients carried as extra bricked fields and volume-averaged
+same bricks, same communication-avoiding V-cycle over the same stacked
+levels, coefficients carried as extra bricked fields and volume-averaged
 onto the coarse levels — and verifies against a manufactured solution.
 
 Run:  python examples/variable_coefficients.py

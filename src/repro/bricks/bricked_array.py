@@ -42,9 +42,6 @@ class BrickedArray:
         dtype = np.dtype(dtype)
         if dtype not in [np.dtype(d) for d in self.SUPPORTED_DTYPES]:
             raise ValueError(f"unsupported field dtype: {dtype}")
-        #: ``(stacked field, block)`` once :meth:`bind_stacked` made
-        #: ``data`` a block of a stacked field's storage
-        self._stacked: tuple | None = None
         if data is None:
             data = np.zeros((grid.num_slots, B, B, B), dtype=dtype)
         else:
@@ -63,28 +60,6 @@ class BrickedArray:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    # ------------------------------------------------------------------
-    # stacked storage
-    # ------------------------------------------------------------------
-    def bind_stacked(self, stacked: "BrickedArray", block: int) -> None:
-        """Make ``data`` block ``block`` of ``stacked``'s storage.
-
-        ``stacked`` lives on a :class:`~repro.bricks.batch.BatchedGrid`
-        of grids congruent to this one.  Contents are not copied (a
-        hierarchy binds its fields before writing any); the field
-        remembers where it lives so consumers that work on the whole
-        stack (the halo exchange) find it through :meth:`stacked_block`.
-        Nothing rebinds ``data`` afterwards: the block is the field's
-        only storage.
-        """
-        self.data = stacked.data[stacked.grid.rank_slice(block)]
-        self._stacked = (stacked, block)
-
-    def stacked_block(self) -> "tuple[BrickedArray, int] | None":
-        """``(stacked field, block)``, or ``None`` for a free-standing
-        field."""
-        return self._stacked
 
     # ------------------------------------------------------------------
     # construction / conversion

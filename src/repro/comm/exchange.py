@@ -39,6 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.bricks.batch import BatchedGrid
 from repro.bricks.brick_grid import BrickGrid
 from repro.bricks.bricked_array import BrickedArray
 from repro.comm.plan import exchange_plan_for
@@ -427,18 +428,15 @@ class ResilientChannel:
 class HaloExchange(ResilientChannel):
     """Collective 26-neighbour ghost-brick exchange over ``SimComm``.
 
-    One call serves ``k >= 1`` whole copies of the decomposition —
-    ``fields_by_rank`` lists copy 0's ranks, then copy 1's, … — so the
-    members of a service cohort exchange through one member's
-    exchanger.  Ghosts are written one way only, by the
-    :class:`~repro.comm.plan.ExchangePlan`'s index copy: one take and
-    one indexed assign per field over its window, leaving out every
-    message with a dead endpoint.  A field's window is the consecutive
-    blocks of one stacked field that the listed ranks' fields are
-    (``BrickedArray.stacked_block``), or the lone field of a one-rank,
-    one-copy call; any other field list is refused by name.  The plan
-    proves, once, that every ghost slot has exactly one writer and
-    every source slot is interior, so the copy has nothing to check.
+    One call serves ``k >= 1`` whole copies of the decomposition: each
+    field it is given is a depth's stacked field, whose blocks are copy
+    0's ranks, then copy 1's, … — so the members of a service cohort
+    exchange through one member's exchanger.  Ghosts are written one
+    way only, by the :class:`~repro.comm.plan.ExchangePlan`'s index
+    copy: one take and one indexed assign per field over its storage,
+    leaving out every message with a dead endpoint.  The plan proves,
+    once, that every ghost slot has exactly one writer and every source
+    slot is interior, so the copy has nothing to check.
 
     Then the exchange is accounted, one of two ways:
 
@@ -533,20 +531,20 @@ class HaloExchange(ResilientChannel):
             return "traffic in flight"
         return None
 
-    def exchange(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> None:
-        """Exchange ghost bricks for every rank's listed fields.
+    def exchange(self, level: int, fields: Sequence[BrickedArray]) -> None:
+        """Exchange the ghost bricks of a depth's listed fields.
 
-        ``fields_by_rank`` is the (ordered) list of fields to
-        aggregate per rank, for one or more whole copies of the
-        decomposition (``len(fields_by_rank)`` a positive multiple of
-        ``topology.size``); all ranks must pass the same number of
-        fields.  The whole collective phase (the copy, any header
-        protocol including fault retries, boundary fills) runs inside
-        one ``exchange`` span, so fault instants fired during receives
-        land inside it; the span says which accounting ran and what the
-        plan moves.
+        ``fields`` are aggregated into one message per neighbour; each is
+        a stacked field of ``copies * topology.size`` blocks of the
+        exchanger's grid (copy-major, then rank), one or more whole
+        copies of the decomposition.  The per-rank form — one list of
+        block views per rank, ``[[x_0, b_0], [x_1, b_1], ...]`` — is
+        taken too, when its fields are consecutive blocks of one
+        allocation each.  The whole collective phase (the copy, any
+        header protocol including fault retries, boundary fills) runs
+        inside one ``exchange`` span, so fault instants fired during
+        receives land inside it; the span says which accounting ran
+        and what the plan moves.
 
         Level-pinned ``rank_crash`` specs fire on entry; once a rank is
         dead, every message and header touching it is skipped so the
@@ -555,100 +553,70 @@ class HaloExchange(ResilientChannel):
         reduction, which is the recovery ladder's guaranteed detection
         point.
         """
-        nfields = len(fields_by_rank[0]) if fields_by_rank else 0
-        with self.tracer.span("exchange", l=level, nfields=nfields) as span:
-            copies, windows = self._validate(level, fields_by_rank)
+        if fields and not isinstance(fields[0], BrickedArray):
+            fields = _stacked_from_ranks(fields)
+        with self.tracer.span("exchange", l=level, nfields=len(fields)) as span:
+            windows, copies = self._validate(level, fields)
             self.poll_crashes(level)
             reason = self.envelope_reason(level)
+            itemsize, nfields = windows[0].dtype.itemsize, len(windows)
             span.set(
                 path="planned" if reason is None else "envelope",
                 messages=copies * self.plan.num_messages,
-                bytes=copies * self.plan.nbytes(
-                    fields_by_rank[0][0].data.dtype.itemsize, nfields
-                ),
+                bytes=copies * self.plan.nbytes(itemsize, nfields),
             )
             dead = self._dead_ranks()
-            self._copy_planned(windows, copies, dead)
+            src, dst = self.plan.tables(copies, dead)
+            for window in windows:
+                # every send region is read before any ghost is written
+                window[dst] = window.take(src, axis=0)
             if reason is None:
                 self.path_counts["planned"] += 1
-                self._account(level, fields_by_rank, copies)
+                self._account(level, itemsize, nfields, copies)
             else:
                 self.path_counts["envelope"] += 1
                 self.envelope_reasons[reason] += 1
-                self._post_headers(level, fields_by_rank, dead)
-            self._apply_fills(fields_by_rank, dead)
+                self._post_headers(level, windows, copies, dead)
+            self._apply_fills(windows, copies, dead)
             if self.recorder is not None:
                 self.recorder.exchange(level)
 
     def _validate(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> tuple[int, list[np.ndarray]]:
-        """Reject what cannot be exchanged, by name; returns how many
-        copies of the decomposition ``fields_by_rank`` holds and each
-        field's window."""
+        self, level: int, fields: Sequence[BrickedArray]
+    ) -> tuple[list[np.ndarray], int]:
+        """Reject what cannot be exchanged, by name; returns each
+        field's storage and how many copies of the decomposition it
+        holds."""
+        if not fields:
+            raise ValueError("nothing to exchange: the field list is empty")
+        key = self.grid.geometry_key
+        blocks = set()
+        for field in fields:
+            grid = field.grid
+            base = grid.base if isinstance(grid, BatchedGrid) else grid
+            # shape, brick, ghost depth and ordering: the plan's slot
+            # tables are only this geometry's
+            if base.geometry_key != key:
+                raise ValueError(
+                    "field grid incompatible with exchanger grid: "
+                    f"{base.geometry_key} != {key}"
+                )
+            blocks.add(len(field.data) // self.plan.num_slots)
+        if len(blocks) != 1:
+            raise ValueError(f"all fields must stack the same blocks: {sorted(blocks)}")
+        n = blocks.pop()
         size = self.topology.size
-        copies, partial = divmod(len(fields_by_rank), size)
+        copies, partial = divmod(n, size)
         if copies < 1 or partial:
             raise ValueError(
-                f"need fields for a positive multiple of topology.size="
-                f"{size} ranks (whole copies of the decomposition), got "
-                f"{len(fields_by_rank)}"
+                f"need fields of a positive multiple of topology.size="
+                f"{size} blocks (whole copies of the decomposition), got {n}"
             )
         self._last_level = level
-        nfields = len(fields_by_rank[0])
-        if nfields == 0:
-            raise ValueError("nothing to exchange: the rank field lists are empty")
-        if any(len(f) != nfields for f in fields_by_rank):
-            raise ValueError("all ranks must exchange the same fields")
-        key = self.grid.geometry_key
-        for fields in fields_by_rank:
-            for field in fields:
-                # shape, brick, ghost depth and ordering: the plan's slot
-                # tables are only this geometry's
-                if field.grid.geometry_key != key:
-                    raise ValueError(
-                        "field grid incompatible with exchanger grid: "
-                        f"{field.grid.geometry_key} != {key}"
-                    )
-        return copies, [self._window(fields_by_rank, f) for f in range(nfields)]
+        return [field.data for field in fields], copies
 
-    # ------------------------------------------------------------------
-    # the copy
-    # ------------------------------------------------------------------
-    def _window(
-        self, fields_by_rank: Sequence[Sequence[BrickedArray]], f: int
-    ) -> np.ndarray:
-        """Field ``f``'s storage across every listed rank: the lone
-        field of a one-rank, one-copy call, else the consecutive blocks
-        of one stacked field (asked of the fields themselves: see
-        ``BrickedArray.stacked_block``)."""
-        n = len(fields_by_rank)
-        if n == 1:
-            return fields_by_rank[0][f].data
-        first = fields_by_rank[0][f].stacked_block()
-        for r in range(n):
-            block = fields_by_rank[r][f].stacked_block()
-            if first is None or block != (first[0], first[1] + r):
-                raise ValueError(
-                    f"cannot exchange field {f} of {n} rank field lists: "
-                    f"rank {r}'s is not block {r} of one stacked field (only "
-                    "a one-rank, one-copy call may pass a free-standing field)"
-                )
-        stacked, k0 = first
-        S = self.plan.num_slots
-        return stacked.data[k0 * S : (k0 + n) * S]
-
-    def _copy_planned(self, windows, copies: int, dead) -> None:
-        """Every ghost brick of every field, by index: all send regions
-        are read before any ghost is written."""
-        src, dst = self.plan.tables(copies, dead)
-        for window in windows:
-            window[dst] = window.take(src, axis=0)
-
-    def _account(self, level, fields_by_rank, copies: int) -> None:
+    def _account(self, level: int, itemsize: int, nfields: int, copies: int) -> None:
         """Add what the header protocol's sends would have recorded."""
-        nfields = len(fields_by_rank[0])
-        itemsize = fields_by_rank[0][0].data.dtype.itemsize
         key = (level, itemsize, nfields, copies)
         derived = self._derived.get(key)
         if derived is None:
@@ -686,7 +654,7 @@ class HaloExchange(ResilientChannel):
             r for r in range(self.topology.size) if self._is_dead(r)
         )
 
-    def _header_sums(self, fields_by_rank, dead) -> list[int]:
+    def _header_sums(self, windows, copies: int, dead) -> list[int]:
         """The CRC32 each live plan message's header carries, copy-major
         in ``plan.live_receives(dead)`` order, over the message's send
         bricks.  Those are interior slots, which the copy never writes
@@ -694,15 +662,19 @@ class HaloExchange(ResilientChannel):
         and after the copy — and for the ghost bricks it landed, each
         written by that message alone."""
         plan, size = self.plan, self.topology.size
-        receives = plan.live_receives(dead)
         return message_checksums(
-            [field.data[plan.send_slots[m.direction]]
-             for field in fields_by_rank[c * size + m.src_rank]]
-            for c in range(len(fields_by_rank) // size)
-            for m in receives
+            [self._block(w, c * size + m.src_rank)[plan.send_slots[m.direction]]
+             for w in windows]
+            for c in range(copies)
+            for m in plan.live_receives(dead)
         )
 
-    def _post_headers(self, level: int, fields_by_rank, dead) -> None:
+    def _block(self, window: np.ndarray, k: int) -> np.ndarray:
+        """Block ``k`` of a stacked field's storage."""
+        S = self.plan.num_slots
+        return window[k * S : (k + 1) * S]
+
+    def _post_headers(self, level: int, windows, copies: int, dead) -> None:
         """The header protocol over the plan's live messages, copy by
         copy: every rank posts one header per direction (carrying the
         message's CRC32 when an injector is attached), then every rank
@@ -711,14 +683,13 @@ class HaloExchange(ResilientChannel):
         message carries tag = index(-d) of the receiver's ghost
         direction d; a dead endpoint posts and receives nothing."""
         plan, size = self.plan, self.topology.size
-        nfields = len(fields_by_rank[0])
-        brick_bytes = plan.cells_per_brick * fields_by_rank[0][0].data.itemsize * nfields
+        nfields = len(windows)
+        brick_bytes = plan.cells_per_brick * windows[0].itemsize * nfields
         receives = plan.live_receives(dead)
         sums = None if self.injector is None else self._header_sums(
-            fields_by_rank, dead
+            windows, copies, dead
         )
-        for c in range(len(fields_by_rank) // size):
-            ranks = fields_by_rank[c * size : (c + 1) * size]
+        for c in range(copies):
             crcs = {} if sums is None else dict(
                 zip(receives, sums[c * len(receives) : (c + 1) * len(receives)])
             )
@@ -730,10 +701,12 @@ class HaloExchange(ResilientChannel):
                         segments=m.send_segments * nfields, checksum=crcs.get(m),
                     )
             for m in receives:
-                d, fields = m.ghost_direction, ranks[m.dst_rank]
+                d, k = m.ghost_direction, c * size + m.dst_rank
                 self._receive(
                     level, m.dst_rank, m.src_rank, m.tag, m.bricks * brick_bytes,
-                    lambda: np.stack([f.data[plan.ghost_slots[d]] for f in fields]),
+                    lambda: np.stack(
+                        [self._block(w, k)[plan.ghost_slots[d]] for w in windows]
+                    ),
                     direction=d,
                     context=(
                         f"rank {self._gr(m.dst_rank)}'s ghost region along "
@@ -742,17 +715,57 @@ class HaloExchange(ResilientChannel):
                     what="ghost region", crc=crcs.get(m),
                 )
 
-    def _apply_fills(
-        self, fields_by_rank: Sequence[Sequence[BrickedArray]], dead
-    ) -> None:
+    def _apply_fills(self, windows, copies: int, dead) -> None:
         # Phase 3: boundary conditions synthesise the outward ghosts
         # (after the copy — corner mirrors read exchanged ghosts).
         if self._fills is None:
             return
         size = self.topology.size
-        for k, fields in enumerate(fields_by_rank):
+        for k in range(copies * size):
             rank = k % size
             if rank in dead:
                 continue
-            for field in fields:
-                self._fills[rank].apply(field)
+            for window in windows:
+                self._fills[rank].fill(self._block(window, k))
+
+
+def _stacked_from_ranks(fields_by_rank) -> list[BrickedArray]:
+    """The per-rank call form as stacked fields: ``fields_by_rank[k]``
+    lists block ``k``'s view of each field.  One block's fields are
+    taken as they are; more must be consecutive blocks of one
+    allocation per field, or they are refused by name."""
+    n = len(fields_by_rank)
+    nfields = len(fields_by_rank[0])
+    if any(len(fields) != nfields for fields in fields_by_rank):
+        raise ValueError("all ranks must exchange the same fields")
+    if n == 1:
+        return list(fields_by_rank[0])
+    stacked = []
+    for f in range(nfields):
+        first = fields_by_rank[0][f].data
+        whole = first.base
+        rows = len(first)
+        start = None if whole is None else _row_offset(first, whole)
+        for r, fields in enumerate(fields_by_rank):
+            data = fields[f].data
+            if (
+                start is None or data.base is not whole or len(data) != rows
+                or _row_offset(data, whole) != start + r * rows
+            ):
+                raise ValueError(
+                    f"cannot exchange field {f} of {n} rank field lists: "
+                    f"rank {r}'s is not block {r} of one stacked field"
+                )
+        grid = BatchedGrid(fields_by_rank[0][f].grid, n)
+        stacked.append(BrickedArray(grid, whole[start : start + n * rows], first.dtype))
+    return stacked
+
+
+def _row_offset(view: np.ndarray, whole: np.ndarray) -> int | None:
+    """Which row of C-contiguous ``whole`` the view ``view`` starts at
+    (``None`` when it does not start on a row)."""
+    if whole.ndim != view.ndim or whole.shape[1:] != view.shape[1:]:
+        return None
+    delta = view.__array_interface__["data"][0] - whole.__array_interface__["data"][0]
+    row, rem = divmod(delta, whole.strides[0])
+    return row if rem == 0 and 0 <= row < len(whole) else None

@@ -218,9 +218,7 @@ class ResilientDriver:
     def _snapshot(self, cycle: int, history: list[float]) -> _Checkpoint:
         ckpt = _Checkpoint(
             cycle=cycle,
-            x_by_rank=[
-                levels[0].x.data.copy() for levels in self.vcycle.rank_levels
-            ],
+            x_by_rank=[lv.x.data.copy() for lv in self.vcycle.levels_at(0)],
             history=list(history),
         )
         self._fault("checkpoint", cycle, nbytes=ckpt.nbytes)
@@ -231,8 +229,8 @@ class ResilientDriver:
         return ckpt
 
     def _restore(self, ckpt: _Checkpoint, at_cycle: int, reason: str) -> list[float]:
-        for levels, saved in zip(self.vcycle.rank_levels, ckpt.x_by_rank):
-            levels[0].x.data[...] = saved
+        for lv, saved in zip(self.vcycle.levels_at(0), ckpt.x_by_rank):
+            lv.x.data[...] = saved
         purged = 0
         if self.comm is not None:
             purged = self.comm.reset_in_flight()
@@ -314,11 +312,11 @@ class ResilientDriver:
             if ckpt is not None and len(replicas) == len(dead):
                 # Buddy rung: adopt the dead ranks' replicas, roll the
                 # survivors back to the same coordinated checkpoint.
-                for rank, levels in enumerate(self.vcycle.rank_levels):
+                for rank, lv in enumerate(self.vcycle.levels_at(0)):
                     saved = replicas.get(rank)
                     if saved is None:
                         saved = ckpt.x_by_rank[rank]
-                    levels[0].x.data[...] = saved
+                    lv.x.data[...] = saved
                 restored = 0
                 for r in dead:
                     nbytes = int(replicas[r].nbytes)

@@ -25,7 +25,6 @@ from repro.gmg.bottom import (
     RelaxationBottomSolver,
     make_bottom_solver,
 )
-from repro.gmg.engine import ExecutionEngine
 from repro.gmg.level import Level, level_brick_dim, make_level
 from repro.gmg.problem import (
     CONVERGENCE_TOL,
@@ -73,7 +72,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "VCycle",
-    "ExecutionEngine",
     "Level",
     "level_brick_dim",
     "make_level",

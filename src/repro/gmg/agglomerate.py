@@ -35,10 +35,14 @@ pointwise over identical values, the residual history with agglomeration
 on is **bit-identical** to the history with it off — only the message
 schedule changes.  That identity is the acceptance test.
 
+Each merged depth is one :class:`~repro.gmg.level.Level` stacking every
+active rank's block, and each transition's staging is one level
+stacking every previous active rank's block, so restriction into the
+staging level and interpolation out of it are one call over all blocks.
 A hierarchy of ``copies`` stacked problems (a service cohort) has one
-agglomerator: its merged and staging lists hold every copy's levels,
-and its exchangers and transfers move each copy's blocks in turn — so
-no copy reads another's bytes.
+agglomerator: its levels stack every copy's blocks, and its exchangers
+and transfers move each copy's blocks in turn — so no copy reads
+another's bytes.
 """
 
 from __future__ import annotations
@@ -184,16 +188,17 @@ class AgglomerationTransfer(ResilientChannel):
     message (the active rank keeps its corner), matching how a real
     ``MPI_Gatherv`` onto a member root behaves.
 
-    ``staging_levels`` and ``merged_levels`` may hold several stacked
-    copies of the decomposition (copy-major); the collective then runs
-    copy by copy on the same tags, as the halo's header protocol does.
+    ``staging`` and ``merged`` are stacked levels whose blocks may hold
+    several copies of the decomposition (copy-major); the collective
+    then runs copy by copy on the same tags, as the halo's header
+    protocol does.
     """
 
     def __init__(
         self,
         level_index: int,
-        staging_levels: list[Level],
-        merged_levels: list[Level],
+        staging: Level,
+        merged: Level,
         source_ranks: list[int],
         owner_ranks: list[int],
         owner_of: list[int],
@@ -209,8 +214,8 @@ class AgglomerationTransfer(ResilientChannel):
             max_retries=max_retries, tracer=tracer,
         )
         self.level_index = int(level_index)
-        self.staging_levels = staging_levels
-        self.merged_levels = merged_levels
+        self.staging = staging
+        self.merged = merged
         self.source_ranks = source_ranks
         self.owner_ranks = owner_ranks
         #: owner (merged index) of each staging (source) index
@@ -224,13 +229,11 @@ class AgglomerationTransfer(ResilientChannel):
         self._last_level = self.level_index
 
     def _copies(self):
-        """``(staging, merged)`` level lists of each stacked copy."""
+        """``(staging, merged)`` block views of each stacked copy."""
         S, n = len(self.source_ranks), len(self.owner_ranks)
-        for c in range(len(self.staging_levels) // S):
-            yield (
-                self.staging_levels[c * S : (c + 1) * S],
-                self.merged_levels[c * n : (c + 1) * n],
-            )
+        staging, merged = self.staging.blocks(), self.merged.blocks()
+        for c in range(self.staging.num_blocks // S):
+            yield staging[c * S : (c + 1) * S], merged[c * n : (c + 1) * n]
 
     # ------------------------------------------------------------------
     def gather(self) -> None:
@@ -251,7 +254,7 @@ class AgglomerationTransfer(ResilientChannel):
         level = self.level_index
         with self.tracer.span(
             "agglomerate-gather", l=level,
-            sources=len(self.staging_levels), owners=len(self.merged_levels),
+            sources=self.staging.num_blocks, owners=self.merged.num_blocks,
         ):
             self.poll_crashes(level)
             for staging, merged_levels in self._copies():
@@ -311,7 +314,7 @@ class AgglomerationTransfer(ResilientChannel):
         level = self.level_index
         with self.tracer.span(
             "agglomerate-scatter", l=level,
-            sources=len(self.staging_levels), owners=len(self.merged_levels),
+            sources=self.staging.num_blocks, owners=self.merged.num_blocks,
         ):
             self.poll_crashes(level)
             for staging, merged_levels in self._copies():
@@ -367,12 +370,13 @@ def _block(offset, st: Level) -> tuple[slice, ...]:
 class Agglomerator:
     """Builds and owns everything agglomerated levels need.
 
-    Per agglomerated level: the merged :class:`Level` per active rank
-    and an exchanger scoped to the active ranks.  Per *transition*
-    level additionally: the staging levels (one per previous-level
-    active rank) and the :class:`AgglomerationTransfer` that moves the
-    blocks.  The V-cycle consults :meth:`levels_at` / :meth:`ranks_at`
-    / :meth:`exchanger_at` and stays decomposition-agnostic.
+    Per agglomerated level: the merged :class:`Level`, one block per
+    active rank, and an exchanger scoped to the active ranks.  Per
+    *transition* level additionally: the staging level, one block per
+    previous-level active rank, and the :class:`AgglomerationTransfer`
+    that moves the blocks.  The V-cycle consults :meth:`level_at` /
+    :meth:`ranks_at` / :meth:`exchanger_at` and stays
+    decomposition-agnostic.
     """
 
     def __init__(
@@ -406,10 +410,10 @@ class Agglomerator:
         periodic = boundary is BoundaryCondition.PERIODIC
         dtype = np.float32 if config.precision == "fp32" else np.float64
         n = config.num_levels
-        #: per level: merged Levels (active-rank order) or None
-        self.merged_levels: list[list[Level] | None] = [None] * n
-        #: per level: staging Levels on the previous decomposition
-        self.staging_levels: list[list[Level] | None] = [None] * n
+        #: per level: the merged Level (active-rank blocks) or None
+        self.merged_levels: list[Level | None] = [None] * n
+        #: per level: the staging Level on the previous decomposition
+        self.staging_levels: list[Level | None] = [None] * n
         #: per level: exchanger over the active ranks, or None
         self.exchangers: list[HaloExchange | None] = [None] * n
         #: per level: the gather/scatter transfer at a transition
@@ -420,13 +424,11 @@ class Agglomerator:
                 continue
             D = self.plan.active_dims[lev]
             cells = self.plan.level_cells(lev)
-            merged = [
-                make_level(
-                    lev, cells, config.brick_dim, config.level_spacing(lev),
-                    config.ordering, dtype=dtype,
-                )
-                for _ in range(self.copies * self.plan.active_count(lev))
-            ]
+            merged = make_level(
+                lev, cells, config.brick_dim, config.level_spacing(lev),
+                config.ordering, dtype=dtype,
+                blocks=self.copies * self.plan.active_count(lev),
+            )
             self.merged_levels[lev] = merged
             active = self.plan.active_ranks(lev)
             sub_topology = CartTopology(
@@ -439,7 +441,7 @@ class Agglomerator:
                 SUBCOMM_TAG_BASE + lev * SUBCOMM_TAG_STRIDE,
             )
             self.exchangers[lev] = HaloExchange(
-                merged[0].grid, sub_topology, sub_comm, recorder,
+                merged.blocks()[0].grid, sub_topology, sub_comm, recorder,
                 boundary, injector=injector, max_retries=max_retries,
                 tracer=tracer,
             )
@@ -447,13 +449,11 @@ class Agglomerator:
                 continue
             S = self.plan.active_dims[lev - 1]
             s_cells = self.plan.level_cells(lev, S)
-            staging = [
-                make_level(
-                    lev, s_cells, config.brick_dim, config.level_spacing(lev),
-                    config.ordering, dtype=dtype,
-                )
-                for _ in range(self.copies * S[0] * S[1] * S[2])
-            ]
+            staging = make_level(
+                lev, s_cells, config.brick_dim, config.level_spacing(lev),
+                config.ordering, dtype=dtype,
+                blocks=self.copies * S[0] * S[1] * S[2],
+            )
             self.staging_levels[lev] = staging
             owner_of, assignments = self._assign(S, D, s_cells)
             self.transfers[lev] = AgglomerationTransfer(
@@ -494,8 +494,8 @@ class Agglomerator:
         """True when at least one level actually merges ranks."""
         return self.plan.any_agglomerated
 
-    def levels_at(self, lev: int) -> list[Level] | None:
-        """Merged compute levels at ``lev`` (None when not merged)."""
+    def level_at(self, lev: int) -> Level | None:
+        """The merged compute level at ``lev`` (None when not merged)."""
         return self.merged_levels[lev]
 
     def ranks_at(self, lev: int) -> list[int] | None:

@@ -30,7 +30,7 @@ from repro.gmg.problem import CONVERGENCE_TOL, LevelConstants, rhs_field
 from repro.instrument import Recorder
 
 
-def _apply_op(x: np.ndarray, c: LevelConstants) -> np.ndarray:
+def dense_apply_op(x: np.ndarray, c: LevelConstants) -> np.ndarray:
     """7-point operator with periodic wrap, matching the DSL kernel's
     association order: ``alpha*x + beta*(((((x+e)+w)+n)+s)+u)+d)``."""
     neighbor_sum = (
@@ -142,7 +142,7 @@ class ArrayGMG:
         n_points = level.x.size
         for _ in range(iterations):
             self._record_exchange(lev)
-            Ax = _apply_op(level.x, c)
+            Ax = dense_apply_op(level.x, c)
             self.recorder.kernel(lev, "applyOp", n_points)
             if with_residual:
                 self.residuals[lev] = level.b - Ax
@@ -176,7 +176,7 @@ class ArrayGMG:
         """Max-norm residual on the finest level."""
         level = self.levels[0]
         self._record_exchange(0)
-        Ax = _apply_op(level.x, level.constants)
+        Ax = dense_apply_op(level.x, level.constants)
         self.recorder.kernel(0, "applyOp", level.x.size)
         r = level.b - Ax
         self.recorder.kernel(0, "residual", level.x.size)

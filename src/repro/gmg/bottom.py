@@ -109,8 +109,9 @@ class ConjugateGradientBottomSolver(BottomSolver):
         return vcycle.allreduce_sum(locals_)
 
     def _apply_operator(self, vcycle, lev: int, levels: list[Level]) -> None:
-        """Ax <- A x with a fresh ghost exchange (radius-1 stencil)."""
-        vcycle.exchange(lev, [[lv.x] for lv in levels])
+        """Ax <- A x with a fresh ghost exchange (radius-1 stencil), one
+        kernel call per block view."""
+        vcycle.exchange(lev, [vcycle.level_at(lev).x])
         for lv in levels:
             vcycle.smoother.apply_op(lv, vcycle.recorder)
 

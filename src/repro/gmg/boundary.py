@@ -131,7 +131,11 @@ class BoundaryFill:
             or g.ordering != self.grid.ordering
         ):
             raise ValueError("field grid incompatible with the boundary fill's grid")
-        data = field.data
+        self.fill(field.data)
+
+    def fill(self, data: np.ndarray) -> None:
+        """Fill the boundary-facing ghost bricks of one block's storage
+        (``(grid.num_slots, B, B, B)``, e.g. a block of a stacked field)."""
         for dst, src, flips, sign in self._groups:
             block = data[src]
             for axis, flip in enumerate(flips):

@@ -1,18 +1,25 @@
-"""One multigrid level of one rank: brick grid + the four fields.
+"""One multigrid depth: brick grid + the four fields, for every block.
 
 Each level holds the solution ``x``, right-hand side ``b``, operator
 application ``Ax`` and residual ``r`` as bricked fields sharing one
-:class:`~repro.bricks.brick_grid.BrickGrid`, plus the level's stencil
-constants.  The brick dimension shrinks with the level when a level's
-subdomain becomes smaller than the configured brick (the paper never
-descends that far — its coarsest 16^3 level still fits 8^3 bricks —
-but small test problems do).
+grid, plus the level's stencil constants.  A level stores ``blocks``
+congruent subdomains — every rank of the decomposition, times every
+stacked copy of a service cohort — in one allocation per field over a
+:class:`~repro.bricks.batch.BatchedGrid`, so a kernel over the level is
+one call over all of them; :meth:`Level.blocks` views each subdomain as
+a one-block level of its own.  The brick dimension shrinks with the
+level when a level's subdomain becomes smaller than the configured
+brick (the paper never descends that far — its coarsest 16^3 level
+still fits 8^3 bricks — but small test problems do).
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
+from repro.bricks.batch import BatchedGrid
 from repro.bricks.brick_grid import BrickGrid
 from repro.bricks.bricked_array import BrickedArray
 from repro.gmg.problem import LevelConstants
@@ -33,6 +40,18 @@ def level_brick_dim(cells_per_dim: int, requested: int) -> int:
     return b
 
 
+def ghost_shell_bricks(num_ranks: int, periodic: bool) -> int:
+    """Ghost-shell depth (bricks) of every level of a decomposition.
+
+    One rank owning a whole periodic domain is its own neighbour: its
+    grids wrap their adjacency, so its levels carry no shell and have
+    nothing to exchange.  Every other decomposition — more ranks, or a
+    walled rank whose boundary ghosts are synthesised — keeps the
+    paper's one-brick shell.
+    """
+    return 0 if num_ranks == 1 and periodic else 1
+
+
 def make_level(
     index: int,
     shape_cells: tuple[int, int, int],
@@ -40,6 +59,7 @@ def make_level(
     h: float,
     ordering: str = "surface-major",
     dtype: np.dtype | type = np.float64,
+    blocks: int = 1,
 ) -> "Level":
     """A :class:`Level` using the largest brick the subdomain supports.
 
@@ -53,17 +73,25 @@ def make_level(
     fewer exchanges per visit).
     """
     bdim = level_brick_dim(min(shape_cells), requested_brick_dim)
-    return Level(index, shape_cells, bdim, h, ordering, dtype=dtype)
+    return Level(index, shape_cells, bdim, h, ordering, dtype=dtype, blocks=blocks)
 
 
 class Level:
-    """State of one multigrid level on one rank.
+    """State of one multigrid depth over ``blocks`` congruent subdomains.
 
-    ``ghost_bricks`` is the :class:`BrickGrid`'s shell depth: 1 (the
-    paper's one-brick ghost zone, refreshed by a halo exchange) or 0
-    for a rank that owns a whole periodic domain — its grid wraps its
-    own adjacency, so the level stores and computes interior bricks
-    only and has nothing to exchange.
+    ``shape_cells`` is one block's interior.  With one block the level's
+    ``grid`` is that block's :class:`BrickGrid`; with more it is a
+    :class:`~repro.bricks.batch.BatchedGrid` of them (block-major, and
+    block-diagonal: no kernel mixes blocks), and every field is one
+    allocation over all blocks.  :meth:`blocks` returns one view per
+    block — a one-block level over the shared base grid whose fields are
+    that block's rows of this level's storage.
+
+    ``ghost_bricks`` is the base grid's shell depth: 1 (the paper's
+    one-brick ghost zone, refreshed by a halo exchange) or 0 for a rank
+    that owns a whole periodic domain — its grid wraps its own
+    adjacency, so the level stores and computes interior bricks only
+    and has nothing to exchange.
     """
 
     def __init__(
@@ -75,6 +103,7 @@ class Level:
         ordering: str = "surface-major",
         dtype: np.dtype | type = np.float64,
         ghost_bricks: int = 1,
+        blocks: int = 1,
     ) -> None:
         shape_cells = tuple(int(c) for c in shape_cells)
         if any(c % brick_dim for c in shape_cells):
@@ -87,22 +116,25 @@ class Level:
         self.constants = LevelConstants.for_spacing(h)
         self.dtype = np.dtype(dtype)
         shape_bricks = tuple(c // brick_dim for c in shape_cells)
-        self.grid = BrickGrid(
+        base = BrickGrid(
             shape_bricks, brick_dim, ghost_bricks=ghost_bricks, ordering=ordering
         )
+        self.grid = base if blocks == 1 else BatchedGrid(base, blocks)
+        self.num_blocks = int(blocks)
         self.x = BrickedArray.zeros(self.grid, dtype=self.dtype)
         self.b = BrickedArray.zeros(self.grid, dtype=self.dtype)
         self.Ax = BrickedArray.zeros(self.grid, dtype=self.dtype)
         self.r = BrickedArray.zeros(self.grid, dtype=self.dtype)
-        #: reusable halo buffers, keyed by (grid name, shape)
+        #: reusable halo buffers and kernel bindings
         self.workspace: dict = {}
         # cached: read once per kernel invocation on the hot path
         s0, s1, s2 = shape_cells
-        self._num_points = s0 * s1 * s2
+        self._num_points = s0 * s1 * s2 * self.num_blocks
+        self._views: list[Level] | None = None
 
     @property
     def num_points(self) -> int:
-        """Interior cells on this rank at this level."""
+        """Interior cells of this level, over all its blocks."""
         return self._num_points
 
     @property
@@ -115,6 +147,31 @@ class Level:
         """All fields keyed by their DSL grid names."""
         return {"x": self.x, "b": self.b, "Ax": self.Ax, "r": self.r}
 
+    def blocks(self) -> list["Level"]:
+        """One view per block, in storage order (made once): the level
+        itself when it has one block."""
+        if self.num_blocks == 1:
+            # not cached: a level holding itself would be a reference
+            # cycle, freed only by the cyclic collector
+            return [self]
+        if self._views is None:
+            self._views = [self._view(k) for k in range(self.num_blocks)]
+        return self._views
+
+    def _view(self, k: int) -> "Level":
+        """Block ``k`` as a one-block level of the same type: the base
+        grid, block ``k``'s rows of every field and a workspace of its
+        own."""
+        view = copy.copy(self)
+        view.grid = self.grid.base
+        view.num_blocks = 1
+        view.workspace = {}
+        view._num_points = self._num_points // self.num_blocks
+        rows = self.grid.rank_slice(k)
+        for name, field in self.fields().items():
+            setattr(view, name, BrickedArray(view.grid, field.data[rows], self.dtype))
+        return view
+
     def init_zero(self) -> None:
         """The V-cycle's ``initZero``: reset the level's correction."""
         self.x.fill(0.0)
@@ -122,5 +179,6 @@ class Level:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Level(index={self.index}, cells={self.shape_cells}, "
-            f"brick_dim={self.grid.brick_dim}, h={self.constants.h:g})"
+            f"brick_dim={self.grid.brick_dim}, blocks={self.num_blocks}, "
+            f"h={self.constants.h:g})"
         )

@@ -24,21 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.gmg.baseline import dense_apply_op
 from repro.gmg.problem import CONVERGENCE_TOL, LevelConstants, rhs_field
 from repro.gmg.solver import GMGSolver, SolverConfig
 from repro.instrument import Recorder
-
-
-def _dense_apply_op(x: np.ndarray, c: LevelConstants) -> np.ndarray:
-    """High-precision reference operator for the outer defect loop."""
-    return c.alpha * x + c.beta * (
-        np.roll(x, -1, 0)
-        + np.roll(x, 1, 0)
-        + np.roll(x, -1, 1)
-        + np.roll(x, 1, 1)
-        + np.roll(x, -1, 2)
-        + np.roll(x, 1, 2)
-    )
 
 
 @dataclass
@@ -82,15 +71,15 @@ class MixedPrecisionSolver:
 
     def _set_inner_rhs(self, residual: np.ndarray) -> None:
         per_rank = self.config.cells_per_rank
-        for rank, levels in enumerate(self.inner.rank_levels):
+        for rank, level in enumerate(self.inner.levels[0].blocks()):
             o = self.inner.topology.subdomain_origin(rank, per_rank)
             sub = residual[
                 o[0] : o[0] + per_rank[0],
                 o[1] : o[1] + per_rank[1],
                 o[2] : o[2] + per_rank[2],
             ]
-            levels[0].b.set_interior(sub)
-            levels[0].x.fill(0.0)
+            level.b.set_interior(sub)
+            level.x.fill(0.0)
 
     def solve(
         self, tol: float = CONVERGENCE_TOL, max_outer: int = 60
@@ -99,7 +88,7 @@ class MixedPrecisionSolver:
         history = []
         inner_cycles = 0
         for _ in range(max_outer):
-            r = self.b - _dense_apply_op(self.x, self.constants)
+            r = self.b - dense_apply_op(self.x, self.constants)
             history.append(float(np.abs(r).max()))
             if history[-1] <= tol:
                 return MixedSolveResult(
@@ -117,7 +106,7 @@ class MixedPrecisionSolver:
                 inner_cycles += 1
             e = self.inner.solution().astype(np.float64) * scale
             self.x += e
-        r = self.b - _dense_apply_op(self.x, self.constants)
+        r = self.b - dense_apply_op(self.x, self.constants)
         history.append(float(np.abs(r).max()))
         return MixedSolveResult(
             converged=history[-1] <= tol,

@@ -195,11 +195,17 @@ def interpolation_increment(
 
 
 def _restriction_child_map(fine: Level, coarse: Level) -> np.ndarray:
-    """Cache the child map on the coarse level's workspace."""
+    """The child map of every interior brick of ``coarse``, cached on its
+    workspace: one block's map (:func:`_child_slot_map`), offset into
+    each block of a stacked pair — rows follow the coarse grid's
+    ``interior_slots``, block by block."""
     key = ("child_map", fine.grid.shape_bricks, coarse.grid.shape_bricks)
     child = coarse.workspace.get(key)
     if child is None:
-        child = _child_slot_map(coarse, fine)
+        fine0 = fine.blocks()[0]
+        base = _child_slot_map(coarse.blocks()[0], fine0)
+        S = fine0.grid.num_slots
+        child = np.concatenate([base + k * S for k in range(fine.num_blocks)])
         coarse.workspace[key] = child
     return child
 

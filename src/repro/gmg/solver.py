@@ -1,9 +1,9 @@
 """Public solver API: configure, solve, inspect.
 
 A :class:`Hierarchy` assembles what a solve stands on — domain
-decomposition, per-rank level hierarchies, ghost exchangers, simulated
-MPI, the stacked execution layout (:mod:`repro.gmg.engine`), the
-right-hand side — from a declarative :class:`SolverConfig`, for one
+decomposition, one :class:`~repro.gmg.level.Level` per depth holding
+every rank's block, ghost exchangers, simulated MPI, the right-hand
+side — from a declarative :class:`SolverConfig`, for one
 problem or ``copies`` independent ones (a service cohort);
 :class:`GMGSolver` is a one-copy hierarchy under a V-cycle driver: it
 runs Algorithm 1 and exposes the assembled global solution plus the
@@ -29,8 +29,7 @@ import numpy as np
 from repro.comm.exchange import HaloExchange
 from repro.comm.simmpi import SimComm
 from repro.comm.topology import CartTopology
-from repro.gmg.engine import ExecutionEngine
-from repro.gmg.level import Level, level_brick_dim
+from repro.gmg.level import Level, ghost_shell_bricks, level_brick_dim
 from repro.gmg.problem import CONVERGENCE_TOL, rhs_field
 from repro.gmg.vcycle import VCycle
 from repro.instrument import Recorder
@@ -245,23 +244,23 @@ class SolveResult:
 
 
 class Hierarchy:
-    """One configuration's problem state, born in the stacked layout.
+    """One configuration's problem state, every rank stacked per depth.
 
     Builds, in this order, the decomposition, the simulated
-    communicator, every rank's level hierarchy, the per-level ghost
-    exchangers (none for one periodic rank, whose levels have no ghost
-    shell), the agglomerator (when the threshold merges anything), the
-    :class:`~repro.gmg.engine.ExecutionEngine` that stacks every
-    depth's compute levels (``engine``), and only then the problem
-    data: the finest-level right-hand side, written through the
-    stacked views like every later write.  :class:`GMGSolver` drives a
-    hierarchy; so does a service cohort, with ``copies=capacity``.
+    communicator, one :class:`~repro.gmg.level.Level` per depth
+    (``levels``) whose storage holds every rank's block, the per-level
+    ghost exchangers (none for one periodic rank, whose levels have no
+    ghost shell), the agglomerator (when the threshold merges
+    anything), and then the problem data: the finest-level right-hand
+    side, written through the level's block views like every later
+    per-rank write.  :class:`GMGSolver` drives a hierarchy; so does a
+    service cohort, with ``copies=capacity``.
 
-    ``copies`` problems share everything but field storage:
-    ``rank_levels`` holds ``copies * topology.size`` level lists (copy
-    ``c``'s rank ``r`` is slot ``c * size + r``) over one communicator,
-    one recorder, one exchanger per level and one agglomerator.  No
-    operation mixes slots, so each copy sees the floats it would alone.
+    ``copies`` problems share everything but field storage: each level
+    stacks ``copies * topology.size`` blocks (copy ``c``'s rank ``r`` is
+    block ``c * size + r``) over one communicator, one recorder, one
+    exchanger per level and one agglomerator.  No operation mixes
+    blocks, so each copy sees the floats it would alone.
 
     Parameters
     ----------
@@ -347,28 +346,23 @@ class Hierarchy:
         self.comm = SimComm(self.topology.size)
 
         per_rank = config.cells_per_rank
-        # One rank owning a whole periodic domain is its own neighbour:
-        # its grids wrap their adjacency, so no level carries a ghost
-        # shell, and none has anything to exchange.
-        ghost_bricks = 0 if self.topology.size == 1 and self.topology.periodic else 1
-        self.rank_levels: list[list[Level]] = []
-        for _ in range(self.copies * self.topology.size):
-            levels = []
-            for lev in range(config.num_levels):
-                cells = tuple(c >> lev for c in per_rank)
-                bdim = level_brick_dim(min(cells), config.brick_dim)
-                levels.append(
-                    self.level_type(
-                        lev,
-                        cells,
-                        bdim,
-                        config.level_spacing(lev),
-                        config.ordering,
-                        dtype=np.float32 if config.precision == "fp32" else np.float64,
-                        ghost_bricks=ghost_bricks,
-                    )
+        ghost_bricks = ghost_shell_bricks(self.topology.size, self.topology.periodic)
+        #: per depth, the level holding every block (copy-major, then rank)
+        self.levels: list[Level] = []
+        for lev in range(config.num_levels):
+            cells = tuple(c >> lev for c in per_rank)
+            self.levels.append(
+                self.level_type(
+                    lev,
+                    cells,
+                    level_brick_dim(min(cells), config.brick_dim),
+                    config.level_spacing(lev),
+                    config.ordering,
+                    dtype=np.float32 if config.precision == "fp32" else np.float64,
+                    ghost_bricks=ghost_bricks,
+                    blocks=self.copies * self.topology.size,
                 )
-            self.rank_levels.append(levels)
+            )
 
         #: per level, its ghost exchanger — ``None`` on a ghostless level
         self.exchangers: list[HaloExchange | None] = [
@@ -411,7 +405,6 @@ class Hierarchy:
             # schedule untouched (and unpoliced levels un-built)
             if agglomerator.active:
                 self.agglomerator = agglomerator
-        self.engine = ExecutionEngine(self.compute_groups(), tracer=self.tracer)
         self._setup_problem()
         if self.injector is not None:
             # A spec that names a rank/level outside this solve, an
@@ -429,7 +422,7 @@ class Hierarchy:
     def _build_exchanger(self, lev: int) -> HaloExchange | None:
         """A fresh full-grid exchanger for level ``lev`` (``None`` for a
         ghostless level: no shell, nothing to exchange)."""
-        grid = self.rank_levels[0][lev].grid
+        grid = self.levels[lev].blocks()[0].grid
         if grid.ghost_bricks == 0:
             return None
         return HaloExchange(
@@ -481,12 +474,20 @@ class Hierarchy:
             )
         return out
 
-    def _copy_levels(self, copy: int) -> list[list[Level]]:
-        """The per-rank level lists of one stacked copy, in rank order."""
+    @property
+    def rank_levels(self) -> list[list[Level]]:
+        """Per block (copy-major, then rank), its view of every depth —
+        the per-rank hierarchies as a reader outside the solve walks
+        them (the benchmark ladder's per-layer probes do)."""
+        views = [level.blocks() for level in self.levels]
+        return [list(row) for row in zip(*views)]
+
+    def _copy_blocks(self, copy: int) -> list[Level]:
+        """One stacked copy's finest-level block views, in rank order."""
         if not 0 <= copy < self.copies:
             raise ValueError(f"copy {copy} out of range [0, {self.copies})")
         size = self.topology.size
-        return self.rank_levels[copy * size : (copy + 1) * size]
+        return self.levels[0].blocks()[copy * size : (copy + 1) * size]
 
     def _setup_problem(self) -> None:
         """Write the problem's data into the stacked levels: the model
@@ -503,23 +504,9 @@ class Hierarchy:
         h = self.config.level_spacing(0)
         per_rank = self.config.cells_per_rank
         rhs = rhs_field if self.config.boundary == "periodic" else rhs_field_dirichlet
-        for rank, levels in enumerate(self._copy_levels(copy)):
+        for rank, level in enumerate(self._copy_blocks(copy)):
             origin = self.topology.subdomain_origin(rank, per_rank)
-            levels[0].b.set_interior(amplitude * rhs(per_rank, h, origin))
-
-    def compute_groups(self) -> list[list[Level]]:
-        """Per depth, the levels that compute it — one per rank, or the
-        merged levels of the active ranks where the agglomerator took
-        the level over.  What ``engine`` stacks."""
-        agg = self.agglomerator
-        groups = []
-        for lev in range(self.config.num_levels):
-            merged = agg.levels_at(lev) if agg is not None else None
-            if merged is None:
-                groups.append([levels[lev] for levels in self.rank_levels])
-            else:
-                groups.append(list(merged))
-        return groups
+            level.b.set_interior(amplitude * rhs(per_rank, h, origin))
 
     def make_smoother(self):
         """The configured :class:`~repro.gmg.smoothers.Smoother`, which
@@ -543,9 +530,8 @@ class Hierarchy:
             # have the constant nullspace
             bottom_kwargs["project_nullspace"] = config.boundary != "dirichlet"
         return VCycle(
-            self.rank_levels,
+            self.levels,
             self.exchangers,
-            self.engine,
             max_smooths=config.max_smooths,
             bottom_smooths=config.bottom_smooths,
             recorder=self.recorder,
@@ -565,9 +551,9 @@ class Hierarchy:
         """``(finest level, its window of the global grid)`` per rank of
         one copy."""
         per_rank = self.config.cells_per_rank
-        for rank, levels in enumerate(self._copy_levels(copy)):
+        for rank, level in enumerate(self._copy_blocks(copy)):
             origin = self.topology.subdomain_origin(rank, per_rank)
-            yield levels[0], tuple(
+            yield level, tuple(
                 slice(o, o + n) for o, n in zip(origin, per_rank)
             )
 
@@ -592,9 +578,9 @@ class GMGSolver(Hierarchy):
     """Brick-based geometric multigrid on the paper's model problem.
 
     A :class:`Hierarchy` (same parameters) under a V-cycle driver:
-    every depth's compute levels are blocks of one stacked level,
-    smoothed with the fused stencils through the native kernels where
-    the host has a compiler and the NumPy kernels elsewhere.
+    every depth's ranks are blocks of one level, smoothed with the
+    fused stencils through the native kernels where the host has a
+    compiler and the NumPy kernels elsewhere.
     """
 
     def __init__(
@@ -634,12 +620,9 @@ class GMGSolver(Hierarchy):
         ``b`` exactly as the constructor did.  Coarse levels are
         scratch re-derived every cycle and need no reset.
         """
-        for levels in self.rank_levels:
-            level = levels[0]
-            level.x.data[...] = 0.0
-            level.b.data[...] = 0.0
-            level.r.data[...] = 0.0
-            level.Ax.data[...] = 0.0
+        level = self.levels[0]
+        for field in (level.x, level.b, level.r, level.Ax):
+            field.fill(0.0)
         self.set_rhs()
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ path for a spatially varying diffusion coefficient ``beta(x) > 0``:
 * everything else — hierarchy, stacked execution, brick layout, CA
   exchange, restriction, interpolation, bottom relaxation — is the
   constant-coefficient solver's: the coefficients are more grids read
-  by the same bricks, which the engine stacks like ``x`` and ``b``.
+  by the same bricks, which each level stacks like ``x`` and ``b``.
 
 Verification is by inversion: manufacture ``b = A u`` for a known
 ``u`` through the operator kernel itself, then check the solver
@@ -169,14 +169,16 @@ class VariableCoefficientSolver(GMGSolver):
         zero."""
         per_rank = self.config.cells_per_rank
         h = self.config.level_spacing(0)
-        for rank, levels in enumerate(self.rank_levels):
+        blocks = [level.blocks() for level in self.levels]
+        for rank in range(self.topology.size):
             origin = self.topology.subdomain_origin(rank, per_rank)
             coords = [
                 (np.arange(o, o + n) + 0.5) * h for o, n in zip(origin, per_rank)
             ]
             beta = self.beta_fn(*np.ix_(*coords))
             beta = np.broadcast_to(beta, per_rank).astype(np.float64)
-            for level in levels:
+            for views in blocks:
+                level = views[rank]
                 if level.index > 0:
                     n0, n1, n2 = beta.shape
                     beta = beta.reshape(n0 // 2, 2, n1 // 2, 2, n2 // 2, 2).mean(axis=(1, 3, 5))
@@ -185,11 +187,7 @@ class VariableCoefficientSolver(GMGSolver):
             if exchanger is None:
                 continue
             exchanger.exchange(
-                lev,
-                [
-                    [getattr(levels[lev], name) for name in COEFFICIENTS]
-                    for levels in self.rank_levels
-                ],
+                lev, [getattr(self.levels[lev], name) for name in COEFFICIENTS]
             )
 
     def make_smoother(self) -> VariableCoefficientJacobi:
@@ -206,13 +204,12 @@ class VariableCoefficientSolver(GMGSolver):
         """``A u`` on the global grid (used to manufacture b = A u);
         leaves ``x`` zero."""
         self._distribute("x", u_dense)
-        levels = self.vcycle.levels_at(0)
-        self.vcycle.exchange(0, [[lv.x] for lv in levels])
-        for target in self.vcycle._compute_targets(0):
+        level = self.vcycle.level_at(0)
+        self.vcycle.exchange(0, [level.x])
+        for target in self.vcycle.targets(level):
             self.vcycle.smoother.apply_op(target, None)
         out = self._assemble("Ax")
-        for lv in levels:
-            lv.x.fill(0.0)
+        level.x.fill(0.0)
         return out
 
     def set_rhs(self, b_dense: np.ndarray) -> None:

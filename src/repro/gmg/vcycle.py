@@ -1,8 +1,9 @@
 """The multigrid cycle driver (Algorithms 1 and 2 of the paper).
 
 Runs any number of simulated ranks in lockstep: compute phases run once
-over each depth's stacked level (:mod:`repro.gmg.engine`),
-communication phases go through the level's
+over each depth's :class:`~repro.gmg.level.Level`, whose storage holds
+every rank's block (and every stacked copy's), communication phases go
+through the level's
 :class:`~repro.comm.exchange.HaloExchange` — the same exchanger for
 one rank, many ranks and a service cohort's stacked copies.
 
@@ -39,7 +40,6 @@ import numpy as np
 from repro.comm.exchange import HaloExchange
 from repro.gmg import operators as ops
 from repro.gmg.bottom import BottomSolver, RelaxationBottomSolver
-from repro.gmg.engine import ExecutionEngine
 from repro.gmg.level import Level
 from repro.gmg.problem import CONVERGENCE_TOL
 from repro.gmg.smoothers import JacobiSmoother, Smoother
@@ -50,21 +50,17 @@ CYCLE_TYPES = ("V", "W", "F")
 
 
 class VCycle:
-    """Executes multigrid cycles over per-rank level hierarchies.
+    """Executes multigrid cycles over a hierarchy of stacked levels.
 
     Parameters
     ----------
-    rank_levels:
-        ``rank_levels[rank][lev]`` is rank ``rank``'s :class:`Level` at
-        depth ``lev`` (0 = finest).  All ranks must have congruent
-        hierarchies.
+    levels:
+        ``levels[lev]`` is the :class:`Level` at depth ``lev`` (0 =
+        finest), one block per rank of every stacked copy (copy-major);
+        every depth stacks the same number of blocks.
     exchangers:
         One exchanger per level; ``None`` for a ghostless level, which
         has nothing to exchange.
-    engine:
-        The :class:`~repro.gmg.engine.ExecutionEngine` whose stacked
-        storage ``rank_levels``' fields are blocks of: compute phases
-        run once over each depth's stacked level.
     max_smooths:
         Smoothing iterations per level visit (the paper uses 12).
     bottom_smooths:
@@ -86,15 +82,14 @@ class VCycle:
         Optional :class:`~repro.comm.topology.CartTopology` (needed by
         the FFT bottom solver to assemble the global coarse grid).
     copies:
-        How many independent problems ``rank_levels`` stacks
-        (copy-major); :meth:`residual_norms` reduces each separately.
+        How many independent problems ``levels`` stacks (copy-major);
+        :meth:`residual_norms` reduces each separately.
     """
 
     def __init__(
         self,
-        rank_levels: Sequence[Sequence[Level]],
+        levels: Sequence[Level],
         exchangers: Sequence[HaloExchange | None],
-        engine: ExecutionEngine,
         max_smooths: int = 12,
         bottom_smooths: int = 100,
         recorder: Recorder | None = None,
@@ -109,13 +104,15 @@ class VCycle:
         agglomerator=None,
         copies: int = 1,
     ) -> None:
-        if not rank_levels or not rank_levels[0]:
-            raise ValueError("need at least one rank with at least one level")
-        depths = {len(levels) for levels in rank_levels}
-        if len(depths) != 1:
-            raise ValueError("all ranks must have the same number of levels")
-        self.rank_levels = [list(levels) for levels in rank_levels]
-        self.num_levels = depths.pop()
+        if not levels:
+            raise ValueError("need at least one level")
+        if len({lv.num_blocks for lv in levels}) != 1:
+            raise ValueError(
+                "every depth must stack the same number of blocks: "
+                f"{[lv.num_blocks for lv in levels]}"
+            )
+        self.levels = list(levels)
+        self.num_levels = len(self.levels)
         if len(exchangers) != self.num_levels:
             raise ValueError(
                 f"need one exchanger per level: {len(exchangers)} != {self.num_levels}"
@@ -134,7 +131,6 @@ class VCycle:
         self.topology = topology
         #: optional FaultInjector poisoning kernel outputs (SDC model)
         self.fault_injector = fault_injector
-        self.engine = engine
         self.copies = int(copies)
         #: optional Agglomerator (repro.gmg.agglomerate): below its
         #: threshold, coarse levels compute on merged subdomains owned
@@ -160,7 +156,7 @@ class VCycle:
         no exchange to budget)."""
         per_iter = self.smoother.ghost_cells_per_iteration
         for lev in range(self.num_levels):
-            depth = self.levels_at(lev)[0].ghost_depth_cells
+            depth = self.level_at(lev).ghost_depth_cells
             if 0 < depth < per_iter:
                 raise ValueError(
                     f"smoother consumes {per_iter} halo cells per iteration "
@@ -168,15 +164,27 @@ class VCycle:
                 )
 
     # ------------------------------------------------------------------
-    def levels_at(self, lev: int) -> list[Level]:
-        """The :class:`Level` objects that compute depth ``lev`` —
-        one per rank normally, one per *active* rank when the
-        agglomerator merged the level."""
+    def level_at(self, lev: int) -> Level:
+        """The :class:`Level` that computes depth ``lev``: the
+        agglomerator's merged level where it took the depth over, else
+        ``levels[lev]``."""
         if self.agglomerator is not None:
-            merged = self.agglomerator.levels_at(lev)
+            merged = self.agglomerator.level_at(lev)
             if merged is not None:
                 return merged
-        return [levels[lev] for levels in self.rank_levels]
+        return self.levels[lev]
+
+    def levels_at(self, lev: int) -> list[Level]:
+        """The block views of depth ``lev``'s compute level — one per
+        rank normally, one per *active* rank when the agglomerator
+        merged the level."""
+        return self.level_at(lev).blocks()
+
+    def targets(self, level: Level) -> list[Level]:
+        """What one compute phase over ``level`` runs its kernels on: the
+        level itself, every block in one call.  The one hook a reference
+        schedule overrides (``level.blocks()``: a call per block)."""
+        return [level]
 
     def ranks_at(self, lev: int) -> list[int]:
         """Global rank ids owning the compute levels of ``lev``."""
@@ -184,7 +192,7 @@ class VCycle:
             active = self.agglomerator.ranks_at(lev)
             if active is not None:
                 return active
-        return list(range(len(self.rank_levels)))
+        return list(range(self.levels[0].num_blocks))
 
     def exchanger_at(self, lev: int):
         """The exchanger serving depth ``lev`` (active-rank scoped on
@@ -195,17 +203,17 @@ class VCycle:
                 return ex
         return self.exchangers[lev]
 
-    def exchange(self, lev: int, fields_by_rank) -> None:
-        """Refresh the ghosts of depth ``lev``'s listed fields; nothing
-        to do on a ghostless level."""
+    def exchange(self, lev: int, fields) -> None:
+        """Refresh the ghosts of depth ``lev``'s listed (stacked) fields;
+        nothing to do on a ghostless level."""
         exchanger = self.exchanger_at(lev)
         if exchanger is not None:
-            exchanger.exchange(lev, fields_by_rank)
+            exchanger.exchange(lev, fields)
 
     def iterations_per_exchange(self, lev: int) -> int | None:
         """Smoothing iterations one exchange's halo budget supports;
         ``None`` on a ghostless level, whose windows nothing limits."""
-        depth = self.levels_at(lev)[0].ghost_depth_cells
+        depth = self.level_at(lev).ghost_depth_cells
         if depth == 0:
             return None
         return max(1, depth // self.smoother.ghost_cells_per_iteration)
@@ -220,24 +228,23 @@ class VCycle:
         """One smoothing visit: CA-scheduled exchanges + iterations.
 
         The exchange cadence is part of the numerics; the smoother runs
-        once over the stacked level (exchanges still address the
-        per-rank fields, whose storage views the stacked arrays).  Each
+        once over the depth's level, all blocks in one call.  Each
         exchange opens a *window* of as many iterations as its halo
         stays valid for, handed to the smoother in a single
         ``iterate(..., sweeps=window)``.  A ghostless level exchanges
         nothing and runs the whole visit as one window.
         """
-        levels = self.levels_at(lev)
-        targets = self._compute_targets(lev)
+        level = self.level_at(lev)
+        targets = self.targets(level)
         per_window = self.iterations_per_exchange(lev) or iterations
-        fields = [[lv.x, lv.b] for lv in levels]
+        fields = [level.x, level.b]
         with self.tracer.span("smooth-visit", l=lev, n=iterations):
             while iterations > 0:
                 self.exchange(lev, fields)
                 # b's ghost stays valid for the rest of the visit
-                fields = [[lv.x] for lv in levels]
+                fields = [level.x]
                 # every iteration this exchange's halo covers, in one
-                # smoother call (the ranks are independent until the
+                # smoother call (the blocks are independent until the
                 # next exchange)
                 window = min(iterations, per_window)
                 for target in targets:
@@ -250,45 +257,41 @@ class VCycle:
                 # value into its output field on whichever ranks the plan
                 # targets at this (vcycle, level).  Ranks are global ids:
                 # on agglomerated levels only the active ranks own state.
-                for rank, lv in zip(self.ranks_at(lev), levels):
+                for rank, lv in zip(self.ranks_at(lev), level.blocks()):
                     self.fault_injector.kernel_sdc(lev, rank, lv.x)
 
     # ------------------------------------------------------------------
-    def _compute_targets(self, lev: int) -> list:
-        """What the compute phases of depth ``lev`` iterate over: the
-        engine's one stacked level."""
-        return [self.engine.stacked_level(lev)]
-
-    def _stacked_pair(self, lev: int):
-        return self.engine.stacked_intergrid_pair(lev)
-
     def _transfer_at(self, lev: int):
         if self.agglomerator is None:
             return None
         return self.agglomerator.transfer_at(lev)
 
     def _init_zero(self, lev: int) -> None:
-        """``initZero`` of depth ``lev``: one fill of the stacked ``x``
-        (every block's storage), recorded once per compute level."""
+        """``initZero`` of depth ``lev``: one fill of the level's ``x``
+        (every block's storage), recorded once per block."""
+        level = self.level_at(lev)
         with self.tracer.span("initZero", l=lev):
-            self.engine.stacked_level(lev).x.fill(0.0)
+            level.x.fill(0.0)
             if self.recorder is not None:
-                for lv in self.levels_at(lev):
+                for lv in level.blocks():
                     self.recorder.kernel(lev, "initZero", lv.num_points)
 
     def _level_pairs(self, lev: int) -> list:
         """The ``(fine, coarse)`` pairs the inter-grid transfers between
-        depths ``lev`` and ``lev + 1`` run over: each source rank and
-        its staging level where the agglomerator shrinks the rank grid
-        entering ``lev + 1``, else the one stacked pair, else one pair
-        per compute level."""
+        depths ``lev`` and ``lev + 1`` run over.  The coarse side is the
+        agglomerator's staging level where it shrinks the rank grid
+        entering ``lev + 1`` (the same blocks as the fine level), else
+        the coarse depth's level.  Levels of one brick size pair as
+        :meth:`targets` says (one stacked call); otherwise the dense
+        path pairs their blocks."""
+        fine = self.level_at(lev)
         if self._transfer_at(lev + 1) is not None:
-            staging = self.agglomerator.staging_levels[lev + 1]
-            return list(zip(self.levels_at(lev), staging))
-        pair = self._stacked_pair(lev)
-        if pair is not None:
-            return [pair]
-        return list(zip(self.levels_at(lev), self.levels_at(lev + 1)))
+            coarse = self.agglomerator.staging_levels[lev + 1]
+        else:
+            coarse = self.level_at(lev + 1)
+        if fine.grid.brick_dim == coarse.grid.brick_dim:
+            return list(zip(self.targets(fine), self.targets(coarse)))
+        return list(zip(fine.blocks(), coarse.blocks()))
 
     def _restrict(self, lev: int) -> None:
         with self.tracer.span("restriction", l=lev):
@@ -341,25 +344,25 @@ class VCycle:
             self._cycle(0, self.cycle)
         self.cycles_run += 1
 
-    def _residual_pass(self):
+    def _residual_pass(self) -> Level:
         """Exchange ``x`` and evaluate ``Ax``, ``r = b - Ax`` on the
-        finest level; returns the per-rank levels.  Call inside a
+        finest level; returns that level.  Call inside a
         ``residual-check`` span."""
-        levels = self.levels_at(0)
-        self.exchange(0, [[lv.x] for lv in levels])
-        # one applyOp + residual covers all rank blocks; per-rank
-        # reductions read through the stacked views
-        for target in self._compute_targets(0):
+        level = self.level_at(0)
+        self.exchange(0, [level.x])
+        # one applyOp + residual covers all blocks; per-rank reductions
+        # read through the block views
+        for target in self.targets(level):
             self.smoother.apply_op(target, self.recorder)
             with self.tracer.span("residual", l=0):
                 ops.residual(target, self.recorder)
-        return levels
+        return level
 
     def max_norm_residual(self) -> float:
         """Global max-norm of the finest-level residual (Algorithm 1)."""
         with self.tracer.span("residual-check", v=self.cycles_run):
-            levels = self._residual_pass()
-            local = [lv.r.max_abs_interior() for lv in levels]
+            level = self._residual_pass()
+            local = [lv.r.max_abs_interior() for lv in level.blocks()]
             if self.recorder is not None:
                 self.recorder.reduction()
             return float(self._allreduce_max(local))
@@ -372,12 +375,11 @@ class VCycle:
         reduction and ``SimComm.allreduce_max`` of that copy alone.
         """
         with self.tracer.span("residual-check", v=self.cycles_run):
-            self._residual_pass()
-            stacked = self.engine.stacked_level(0)
+            level = self._residual_pass()
             # one reduction over the stacked residual: blocks are
             # copy-major, so each row of the reshape is exactly one
             # copy's interior element set, and max is order-independent
-            vals = np.abs(stacked.r.data[stacked.grid.interior_slots])
+            vals = np.abs(level.r.data[level.grid.interior_slots])
             if self.recorder is not None:
                 self.recorder.reduction()
             return [float(np.max(row)) for row in vals.reshape(self.copies, -1)]

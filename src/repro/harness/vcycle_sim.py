@@ -22,7 +22,7 @@ from functools import cached_property
 
 from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS
 from repro.comm.topology import CartTopology
-from repro.gmg.level import level_brick_dim
+from repro.gmg.level import ghost_shell_bricks, level_brick_dim
 from repro.machines.gpu_model import kernel_time, pack_time
 from repro.machines.network import allreduce_time, exchange_time
 from repro.machines.specs import MachineSpec
@@ -186,6 +186,12 @@ class TimedSolve:
         if self.gpu_aware != machine.gpu_aware_mpi:
             self.machine = replace(machine, gpu_aware_mpi=self.gpu_aware)
         self.topology = CartTopology(workload.rank_dims, workload.ranks_per_node)
+        #: the brick solver's levels carry no ghost shell (one periodic
+        #: rank): no exchange, no halo bytes, no convergence-check
+        #: exchange — the conventional baseline always keeps its ghosts
+        self.ghostless = not workload.baseline and ghost_shell_bricks(
+            self.topology.size, self.topology.periodic
+        ) == 0
         self.levels = [
             self._level_geometry(lev) for lev in range(workload.num_levels)
         ]
@@ -208,7 +214,14 @@ class TimedSolve:
         return self.levels[lev].brick_dim
 
     def exchanges_per_visit(self, lev: int, smooths: int) -> int:
+        if self.ghostless:
+            return 0
         return math.ceil(smooths / self.ghost_depth(lev))
+
+    @property
+    def exchanges_per_check(self) -> int:
+        """Exchanges one convergence check performs (of ``x``, level 0)."""
+        return 0 if self.ghostless else 1
 
     def visits_per_vcycle(self, lev: int) -> int:
         """Smoothing visits per V-cycle: 2 for intermediate levels
@@ -313,7 +326,7 @@ class TimedSolve:
         out: dict[str, float] = {}
         n_ex = self.exchanges_per_visit(lev, smooths)
         # first exchange of the visit aggregates x and b
-        t_ex = self.exchange_seconds(lev, nfields=2)
+        t_ex = self.exchange_seconds(lev, nfields=2) if n_ex else 0.0
         if n_ex > 1:
             t_ex += (n_ex - 1) * self.exchange_seconds(lev, nfields=1)
         out["exchange"] = t_ex
@@ -357,7 +370,7 @@ class TimedSolve:
 
     def convergence_check_time(self) -> float:
         """Exchange + applyOp + residual + allreduce on the finest level."""
-        t = self.exchange_seconds(0, nfields=1)
+        t = self.exchanges_per_check * self.exchange_seconds(0, nfields=1)
         t += self.kernel_seconds("applyOp", 0)
         t += self.kernel_seconds("residual", 0)
         t += allreduce_time(
@@ -379,7 +392,9 @@ class TimedSolve:
         n = self.workload.num_vcycles
         out = [{op: t * n for op, t in lv.items()} for lv in per_cycle]
         # convergence checks live on the finest level
-        out[0]["exchange"] += n * self.exchange_seconds(0, nfields=1)
+        out[0]["exchange"] += (
+            n * self.exchanges_per_check * self.exchange_seconds(0, nfields=1)
+        )
         out[0]["applyOp"] += n * self.kernel_seconds("applyOp", 0)
         return out
 
@@ -513,7 +528,8 @@ class TimedSolve:
         }
 
     def schedule_exchange_counts(self, num_vcycles: int, num_checks: int) -> dict:
-        """Expected ``Recorder.exchange_counts()`` (phases per level)."""
+        """Expected ``Recorder.exchange_counts()`` (phases per level;
+        a level that exchanges nothing has no entry)."""
         W = self.workload
         L = W.num_levels
         out: dict[int, int] = {}
@@ -522,11 +538,12 @@ class TimedSolve:
         out[L - 1] = num_vcycles * self.exchanges_per_visit(
             L - 1, W.bottom_smooths
         )
-        out[0] += num_checks
-        return out
+        out[0] += num_checks * self.exchanges_per_check
+        return {lev: n for lev, n in out.items() if n}
 
     def schedule_message_bytes(self, num_vcycles: int, num_checks: int) -> dict:
-        """Expected ``Recorder.message_bytes_by_level()`` totals."""
+        """Expected ``Recorder.message_bytes_by_level()`` totals (a level
+        that exchanges nothing has no entry)."""
         W = self.workload
         R = self.topology.size
         L = W.num_levels
@@ -536,7 +553,11 @@ class TimedSolve:
             smooths = W.bottom_smooths if lev == L - 1 else W.max_smooths
             n_ex = self.exchanges_per_visit(lev, smooths)
             one_field = self.exchange_total_bytes(lev, nfields=1)
-            per_visit = 2 * one_field + (n_ex - 1) * one_field
+            # the first exchange of a visit carries x and b
+            per_visit = (n_ex + 1) * one_field if n_ex else 0
             out[lev] = num_vcycles * visits * per_visit * R
-        out[0] += num_checks * self.exchange_total_bytes(0, nfields=1) * R
-        return out
+        out[0] += (
+            num_checks * self.exchanges_per_check
+            * self.exchange_total_bytes(0, nfields=1) * R
+        )
+        return {lev: n for lev, n in out.items() if n}

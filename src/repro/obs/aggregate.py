@@ -19,12 +19,11 @@ from collections import defaultdict
 from repro.obs.tracer import SpanRecord, Tracer
 from repro.perf.timers import TimingStat, format_level_timing
 
-#: span names that are pure structure (parents of the op spans below)
-#: or setup (``engine-adopt``, the stacked storage's one-off binding);
+#: span names that are pure structure (parents of the op spans below);
 #: excluded from per-op aggregation, which covers the solve's operations
 STRUCTURE_SPANS = frozenset(
     {"solve", "vcycle", "level", "smooth-visit", "bottom", "residual-check",
-     "cg-iteration", "engine-adopt"}
+     "cg-iteration"}
 )
 
 #: measured span name -> operation key of the machine model's

@@ -1,6 +1,6 @@
 """Multi-tenant batched solve service.
 
-Generalises the engine's cross-rank batching axis (PR 2) to N
+Generalises the levels' cross-rank batching axis to N
 concurrent solve *requests*: independent right-hand sides over one
 geometry class stack block-diagonally onto the batched index space and
 advance through fused V-cycles together, each retiring on its own

@@ -2,13 +2,13 @@
 
 A :class:`CohortSolver` is one :class:`~repro.gmg.solver.Hierarchy`
 with ``copies = capacity`` — requests are further copies of the
-decomposition on the engine's stacking axis, exactly as ranks are —
+decomposition on each level's stacking axis, exactly as ranks are —
 driven the way :class:`~repro.gmg.solver.GMGSolver` drives a single
 copy; what this module adds is slot bookkeeping:
 
-* **compute** batches across requests: the engine stacks ``capacity *
-  num_ranks`` blocks per depth, so a smoothing iteration is one kernel
-  call over the whole cohort;
+* **compute** batches across requests: each depth's level stacks
+  ``capacity * num_ranks`` blocks, so a smoothing iteration is one
+  kernel call over the whole cohort;
 * **communication** batches the same way: the hierarchy's one
   :class:`~repro.comm.exchange.HaloExchange` per level copies every
   copy's ghosts in one pass over the stacked storage (posting any
@@ -119,20 +119,17 @@ class CohortSolver:
 
     def _slot_storage(self, slot: int):
         """Every array holding slot ``slot``'s state: its contiguous
-        block rows of each depth's stacked fields, and its staging
-        levels' fields (which the engine does not stack)."""
-        for st in self.hierarchy.engine.stacked:
-            rows = st.grid.num_slots // self.capacity
-            for f in st.fields().values():
-                yield f.data[slot * rows : (slot + 1) * rows]
+        block rows of every field of each depth's compute level and of
+        each transition's staging level."""
         agg = self.hierarchy.agglomerator
-        for staging in agg.staging_levels if agg is not None else ():
-            if staging is None:
+        staging = [] if agg is None else agg.staging_levels
+        computed = [self.vcycle.level_at(lev) for lev in range(self.vcycle.num_levels)]
+        for level in computed + staging:
+            if level is None:
                 continue
-            per = len(staging) // self.capacity
-            for lv in staging[slot * per : (slot + 1) * per]:
-                for f in lv.fields().values():
-                    yield f.data
+            rows = level.grid.num_slots // self.capacity
+            for f in level.fields().values():
+                yield f.data[slot * rows : (slot + 1) * rows]
 
     def _reset_slot(self, slot: int) -> None:
         """Zero the slot's state — after this it is numerically

@@ -2,15 +2,15 @@
 
 The seed schedule, kept because it is the simplest thing that computes
 the paper's Algorithms 1 and 2 on bricks: a Python loop over ranks
-(:func:`per_rank` points the cycle's compute phases at the per-rank
-levels), each smoothing iteration as the paper's kernel sequence —
+(:func:`per_rank` points the cycle's compute phases at each level's
+block views), each smoothing iteration as the paper's kernel sequence —
 ``applyOp``, then ``smooth`` or ``smooth+residual`` — one kernel
 launch per stage and per sweep, every launch through
 ``gather_extended`` and the generated NumPy function.  No kernel in it
 runs over the stack, fused, windowed or native, so agreement with it
 byte for byte pins all of those at once.
 
-The oracle shares the hierarchy (levels and their stacked storage,
+The oracle shares the hierarchy (levels and their block views,
 exchangers and their one ghost copy, agglomerator, right-hand side or
 coefficients) and the resilient driver with the solver under test;
 what it replaces is how kernels execute.  Ghosts are judged on their
@@ -51,10 +51,10 @@ class StagedJacobi(JacobiSmoother):
 
 
 def per_rank(vcycle):
-    """Point ``vcycle``'s compute phases at the per-rank levels: every
-    kernel runs once per rank, every inter-grid transfer per rank pair."""
-    vcycle._compute_targets = vcycle.levels_at
-    vcycle._stacked_pair = lambda lev: None
+    """Point ``vcycle``'s compute phases at each level's block views:
+    every kernel runs once per rank, every inter-grid transfer per rank
+    pair."""
+    vcycle.targets = lambda level: level.blocks()
     return vcycle
 
 
@@ -82,10 +82,11 @@ class OracleVariableCoefficientSolver(VariableCoefficientSolver, OracleSolver):
 
 def stored_fields(solver) -> list[np.ndarray]:
     """``x``, ``Ax`` and ``r`` of every compute level, ghosts included."""
+    vcycle = solver.vcycle
     return [
         getattr(level, name).data
-        for group in solver.compute_groups()
-        for level in group
+        for lev in range(vcycle.num_levels)
+        for level in vcycle.levels_at(lev)
         for name in ("x", "Ax", "r")
     ]
 

@@ -103,7 +103,7 @@ class TestInSolverIdentity:
         assert np.array_equal(on.solution(), off.solution())
 
     def test_identity_with_batched_engine(self):
-        """The engine stacks the merged levels of the active ranks;
+        """A merged depth is one level stacking the active ranks' blocks;
         against the oracle's per-rank loop over the same hierarchy that
         is every stored field, and against the un-agglomerated oracle
         the history."""

@@ -109,8 +109,8 @@ class TestBatchedExecution:
             ), k
 
     def test_per_rank_views_alias_stacked(self, base_grid, batched):
-        """The engine rebinds per-rank ``data`` to stacked slices;
-        writes through either side must be visible to the other."""
+        """A level's block views are stacked slices; writes through
+        either side must be visible to the other."""
         stacked = BrickedArray.zeros(batched)
         S = base_grid.num_slots
         view = BrickedArray(base_grid, stacked.data[S : 2 * S])

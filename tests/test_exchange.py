@@ -4,35 +4,38 @@ import numpy as np
 import pytest
 
 from repro.bricks import BrickGrid, BrickedArray
-from repro.bricks.batch import BatchedGrid
 from repro.comm import CartTopology, HaloExchange, SimComm
 from repro.gmg.boundary import BoundaryCondition, BoundaryFill
+from repro.gmg.level import Level
 from repro.gmg.problem import rhs_field
 from repro.instrument import Recorder
 
 
 def stacked_fields(grid, blocks, content=None, dtype=np.float64):
-    """``blocks`` per-rank fields on ``grid`` that are the consecutive
-    blocks of one stacked field holding ``content`` (zeros if omitted),
-    as an exchange over more than one rank requires."""
-    stack = BrickedArray(BatchedGrid(grid, blocks), content, dtype=dtype)
-    fields = [BrickedArray.zeros(grid, dtype=dtype) for _ in range(blocks)]
-    for block, field in enumerate(fields):
-        field.bind_stacked(stack, block)
-    return fields
+    """One stacked field of ``blocks`` blocks of ``grid``'s geometry,
+    holding ``content`` (zeros if omitted) — what an exchange takes —
+    and its block views, one per rank, as a level makes them:
+    ``(stacked, views)``."""
+    level = Level(
+        0, grid.shape_cells, grid.brick_dim, 1.0, grid.ordering,
+        dtype=dtype, ghost_bricks=grid.ghost_bricks, blocks=blocks,
+    )
+    if content is not None:
+        level.x.data[...] = content
+    return level.x, [view.x for view in level.blocks()]
 
 
 def make_rank_fields(topology, grid, global_dense):
-    """Split a global dense array into per-rank bricked fields (blocks
-    of one stacked field)."""
+    """Split a global dense array into a stacked field, rank by rank
+    through its block views: ``(stacked, views)``."""
     cells = grid.shape_cells
-    fields = stacked_fields(grid, topology.size)
+    stacked, fields = stacked_fields(grid, topology.size)
     for rank, field in enumerate(fields):
         o = topology.subdomain_origin(rank, cells)
         field.set_interior(global_dense[
             o[0] : o[0] + cells[0], o[1] : o[1] + cells[1], o[2] : o[2] + cells[2]
         ])
-    return fields
+    return stacked, fields
 
 
 def check_ghosts_against_global(topology, grid, fields, global_dense):
@@ -89,41 +92,41 @@ class TestSingleRankExchange:
         dense = rng.random((8, 8, 8))
         field = BrickedArray.from_ijk(grid, dense)
         topo = CartTopology((1, 1, 1))
-        one_rank_exchange(grid).exchange(0, [[field]])
+        one_rank_exchange(grid).exchange(0, [field])
         check_ghosts_against_global(topo, grid, [field], dense)
 
     def test_records_events(self, rng):
         grid = BrickGrid((2, 2, 2), 4)
         rec = Recorder()
         field = BrickedArray.from_ijk(grid, rng.random((8, 8, 8)))
-        one_rank_exchange(grid, rec).exchange(3, [[field]])
+        one_rank_exchange(grid, rec).exchange(3, [field])
         assert rec.exchange_counts() == {3: 1}
         assert rec.message_counts_by_level() == {3: 26}
         assert all(ev.self_message for ev in rec.messages)
 
     def test_rejects_partial_copies(self, rng):
-        """Field lists come in whole copies of the decomposition: any
+        """Fields come in whole copies of the decomposition: a block
         count but a positive multiple of ``topology.size`` raises, and
         says so."""
         grid = BrickGrid((2, 2, 2), 4)
-        f = BrickedArray.from_ijk(grid, rng.random((8, 8, 8)))
-        for dims, count in [((1, 1, 1), 0), ((2, 1, 1), 1), ((2, 1, 1), 3)]:
+        for dims, count in [((2, 1, 1), 1), ((2, 1, 1), 3), ((4, 1, 1), 2)]:
             topo = CartTopology(dims)
             ex = HaloExchange(grid, topo, SimComm(topo.size))
+            field, _ = stacked_fields(grid, count, rng.random((count * grid.num_slots, 4, 4, 4)))
             with pytest.raises(
                 ValueError,
                 match=rf"positive multiple of topology\.size={topo.size} .*got {count}$",
             ):
-                ex.exchange(0, [[f]] * count)
+                ex.exchange(0, [field])
 
     def test_rejects_foreign_grid(self):
         """What makes a grid foreign is its geometry, not its identity:
         a congruent grid's fields exchange, any other geometry's raise."""
         grid = BrickGrid((2, 2, 2), 4)
         ex = one_rank_exchange(grid)
-        ex.exchange(0, [[BrickedArray.zeros(BrickGrid((2, 2, 2), 4))]])
+        ex.exchange(0, [BrickedArray.zeros(BrickGrid((2, 2, 2), 4))])
         with pytest.raises(ValueError, match="incompatible"):
-            ex.exchange(0, [[BrickedArray.zeros(BrickGrid((2, 2, 4), 4))]])
+            ex.exchange(0, [BrickedArray.zeros(BrickGrid((2, 2, 4), 4))])
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
     def test_walled_rank_synthesises_every_ghost(self, rng, boundary):
@@ -139,7 +142,7 @@ class TestSingleRankExchange:
         got, want = BrickedArray(grid, content.copy()), BrickedArray(grid, content.copy())
         want.zero_ghost()
         BoundaryFill(grid, ((True, True),) * 3, BoundaryCondition(boundary)).apply(want)
-        ex.exchange(1, [[got]])
+        ex.exchange(1, [got])
         assert got.data.tobytes() == want.data.tobytes()
         assert rec.exchange_counts() == {1: 1} and rec.messages == []
         assert ex.comm.sent_messages == 0 and ex.path_counts["planned"] == 1
@@ -148,12 +151,14 @@ class TestSingleRankExchange:
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1)], ids=["local", "halo"])
 def test_empty_field_lists_are_rejected_by_name(dims):
     """Accounting reads ``fields[0]``: an exchange of nothing must be
-    refused in validation, not die there with a bare ``IndexError``."""
+    refused in validation, not die there with a bare ``IndexError`` —
+    in the stacked form and the per-rank one."""
     grid = BrickGrid((2, 2, 2), 4)
     topo = CartTopology(dims)
     ex = HaloExchange(grid, topo, SimComm(topo.size), recorder=Recorder())
-    with pytest.raises(ValueError, match="nothing to exchange.*empty"):
-        ex.exchange(0, [[] for _ in range(topo.size)])
+    for nothing in ([], [[] for _ in range(topo.size)]):
+        with pytest.raises(ValueError, match="nothing to exchange.*empty"):
+            ex.exchange(0, nothing)
     assert ex.recorder.exchange_counts() == {}
 
 
@@ -172,11 +177,10 @@ def test_fields_of_another_geometry_are_rejected_by_name(dims, wrong, named):
     grid = BrickGrid((2, 2, 2), 4)
     topo = CartTopology(dims)
     ex = HaloExchange(grid, topo, SimComm(topo.size), recorder=Recorder())
-    ok = BrickedArray.zeros(grid)
-    other = BrickedArray.zeros(BrickGrid((2, 2, 2), 4, **wrong))
-    fields = [[ok] for _ in range(topo.size - 1)] + [[other]]
+    ok, _ = stacked_fields(grid, topo.size)
+    other, _ = stacked_fields(BrickGrid((2, 2, 2), 4, **wrong), topo.size)
     with pytest.raises(ValueError, match=f"incompatible.*{named}$"):
-        ex.exchange(0, fields)
+        ex.exchange(0, [ok, other])
     assert ex.recorder.exchange_counts() == {} and not other.data.any()
 
 
@@ -187,9 +191,9 @@ class TestHaloExchange:
         topo = CartTopology(dims)
         N = tuple(8 * d for d in dims)
         global_dense = rng.random(N)
-        fields = make_rank_fields(topo, grid, global_dense)
+        stacked, fields = make_rank_fields(topo, grid, global_dense)
         comm = SimComm(topo.size)
-        HaloExchange(grid, topo, comm).exchange(0, [[f] for f in fields])
+        HaloExchange(grid, topo, comm).exchange(0, [stacked])
         check_ghosts_against_global(topo, grid, fields, global_dense)
         comm.assert_drained()
 
@@ -200,7 +204,7 @@ class TestHaloExchange:
         via_wrap.fill_ghost_periodic()
         via_comm = BrickedArray.from_ijk(grid, dense)
         topo = CartTopology((1, 1, 1))
-        HaloExchange(grid, topo, SimComm(1)).exchange(0, [[via_comm]])
+        HaloExchange(grid, topo, SimComm(1)).exchange(0, [via_comm])
         assert np.array_equal(via_comm.data, via_wrap.data)
 
     def test_aggregated_fields_share_messages(self, rng):
@@ -210,9 +214,9 @@ class TestHaloExchange:
         rec = Recorder()
         ex = HaloExchange(grid, topo, comm, rec)
         dense = rng.random((16, 8, 8))
-        xs = make_rank_fields(topo, grid, dense)
-        bs = make_rank_fields(topo, grid, dense + 1.0)
-        ex.exchange(0, [[x, b] for x, b in zip(xs, bs)])
+        x, xs = make_rank_fields(topo, grid, dense)
+        b, bs = make_rank_fields(topo, grid, dense + 1.0)
+        ex.exchange(0, [x, b])
         # 26 messages per rank regardless of field count (aggregation)
         assert rec.message_counts_by_level() == {0: 52}
         check_ghosts_against_global(topo, grid, xs, dense)
@@ -237,25 +241,27 @@ class TestHaloExchange:
         ex = HaloExchange(grid, topo, SimComm(2))
         f = BrickedArray.from_ijk(grid, rng.random((8, 8, 8)))
         with pytest.raises(ValueError):
-            ex.exchange(0, [[f]])
+            ex.exchange(0, [f])
 
     def test_mismatched_field_counts_rejected(self, rng):
         grid = BrickGrid((2, 2, 2), 4)
         topo = CartTopology((2, 1, 1))
         ex = HaloExchange(grid, topo, SimComm(2))
-        f = BrickedArray.from_ijk(grid, rng.random((8, 8, 8)))
-        g = BrickedArray.from_ijk(grid, rng.random((8, 8, 8)))
-        with pytest.raises(ValueError):
+        f, _ = stacked_fields(grid, 2)
+        g, _ = stacked_fields(grid, 4)
+        with pytest.raises(ValueError, match="same blocks"):
+            ex.exchange(0, [f, g])
+        with pytest.raises(ValueError, match="same fields"):
             ex.exchange(0, [[f, g], [f]])
 
     def test_incompatible_field_grid_rejected(self, rng):
         grid = BrickGrid((2, 2, 2), 4)
         topo = CartTopology((2, 1, 1))
         ex = HaloExchange(grid, topo, SimComm(2))
-        wrong = BrickedArray.zeros(BrickGrid((4, 4, 4), 2))
-        ok = BrickedArray.from_ijk(grid, rng.random((8, 8, 8)))
+        wrong, _ = stacked_fields(BrickGrid((4, 4, 4), 2), 2)
+        ok, _ = stacked_fields(grid, 2)
         with pytest.raises(ValueError, match="incompatible"):
-            ex.exchange(0, [[ok], [wrong]])
+            ex.exchange(0, [ok, wrong])
 
     def test_ghost_size_mismatch_names_rank_direction_level(self, rng, monkeypatch):
         from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS, direction_index
@@ -263,7 +269,7 @@ class TestHaloExchange:
         grid = BrickGrid((2, 2, 2), 4)
         topo = CartTopology((2, 1, 1))
         ex = HaloExchange(grid, topo, SimComm(2))
-        fields = make_rank_fields(topo, grid, rng.random((16, 8, 8)))
+        stacked, _ = make_rank_fields(topo, grid, rng.random((16, 8, 8)))
         # the sender's header on one envelope rank 0 reads claims 8 bytes
         d0 = NEIGHBOR_DIRECTIONS[0]
         short = (topo.neighbor(0, d0), 0, direction_index(tuple(-c for c in d0)))
@@ -277,7 +283,7 @@ class TestHaloExchange:
         monkeypatch.setattr(ex, "_send", misreport)
         monkeypatch.setattr(ex, "envelope_reason", lambda level=None: "forced")
         with pytest.raises(RuntimeError, match="ghost region size mismatch") as exc:
-            ex.exchange(0, [[f] for f in fields])
+            ex.exchange(0, [stacked])
         assert "got 8 bytes, expected 512" in str(exc.value)
         assert "rank 0" in str(exc.value)
         assert f"direction {d0}" in str(exc.value)
@@ -298,9 +304,9 @@ class TestHaloExchange:
 
         monkeypatch.setattr(ex, "_send", losing)
         monkeypatch.setattr(ex, "envelope_reason", lambda level=None: "forced")
-        fields = [[f] for f in stacked_fields(grid, 2)]
+        stacked, _ = stacked_fields(grid, 2)
         with pytest.raises(UnmatchedReceiveError) as exc:
-            ex.exchange(2, fields)
+            ex.exchange(2, [stacked])
         assert (
             f"rank 0's ghost region along direction {lost.ghost_direction} "
             "at level 2"
@@ -312,7 +318,7 @@ class TestHaloExchange:
         grid = BrickGrid((2, 2, 2), 4)
         topo = CartTopology((2, 2, 2))
         dense = rhs_field((16, 16, 16), 1.0 / 16)
-        fields = make_rank_fields(topo, grid, dense)
+        stacked, fields = make_rank_fields(topo, grid, dense)
         comm = SimComm(8)
-        HaloExchange(grid, topo, comm).exchange(0, [[f] for f in fields])
+        HaloExchange(grid, topo, comm).exchange(0, [stacked])
         check_ghosts_against_global(topo, grid, fields, dense)

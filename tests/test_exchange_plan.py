@@ -43,16 +43,27 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec, ResilienceConfig
 from repro.faults.buddy import BuddyCheckpointer
 from repro.gmg import GMGSolver, SolverConfig
 from repro.gmg.boundary import BoundaryCondition
+from repro.gmg.level import Level
 from repro.instrument import Recorder
 from repro.obs import to_chrome_trace, traffic_matrix, validate_chrome_trace
 from repro.obs.tracer import Tracer
 
 from tests.conftest import QUIET_INJECTOR, ArmedNeverStriking, all_envelopes
 from tests.oracle import OracleSolver
-from tests.test_exchange import check_ghosts_against_global, stacked_fields
+from tests.test_exchange import check_ghosts_against_global
 
 RANK_DIMS = [(2, 1, 1), (2, 2, 2), (3, 2, 1)]
 BOUNDARIES = ["periodic", "dirichlet", "neumann"]
+
+
+class Stacked(list):
+    """A depth's stacked fields — what an exchange takes — with
+    ``by_rank``: each block's views of them, in block order (copy 0's
+    ranks, then copy 1's, …), as a level's block views make them."""
+
+    def __init__(self, fields, by_rank):
+        super().__init__(fields)
+        self.by_rank = by_rank
 
 
 def build(
@@ -60,14 +71,13 @@ def build(
     whole=True, dtype=np.float64, reference=False, seed=7,
     shape=(2, 2, 2), copies=1, fault_plan=None,
 ):
-    """An exchanger and ``fields_by_rank`` — for ``copies`` copies of the
-    decomposition, each field the consecutive blocks of one stacked
-    field — with random content everywhere (ghosts included, so a ghost
-    the exchange must not touch shows).  The content is the stacked
-    storage itself (``whole``), or is written rank by rank through each
-    field's block, as a hierarchy's setup writes it.  ``fault_plan``
-    attaches an injector; ``reference`` one that makes every exchange
-    post headers."""
+    """An exchanger and the :class:`Stacked` fields of a level stacking
+    ``copies`` copies of the decomposition, with random content
+    everywhere (ghosts included, so a ghost the exchange must not touch
+    shows).  The content is written into the stacked storage itself
+    (``whole``), or rank by rank through the level's block views, as a
+    hierarchy's setup writes it.  ``fault_plan`` attaches an injector;
+    ``reference`` one that makes every exchange post headers."""
     grid = BrickGrid(shape, 4, ordering=ordering)
     condition = BoundaryCondition(boundary)
     topo = CartTopology(dims, periodic=condition is BoundaryCondition.PERIODIC)
@@ -82,24 +92,28 @@ def build(
     )
     rng = np.random.default_rng(seed)
     blocks = copies * topo.size
-    fields_by_rank = [[] for _ in range(blocks)]
-    for _ in range(nfields):
+    level = Level(0, grid.shape_cells, 4, 1.0, ordering, dtype=dtype, blocks=blocks)
+    names = ("x", "b")[:nfields]
+    for name in names:
         content = rng.random((blocks * grid.num_slots, 4, 4, 4)).astype(dtype)
-        fields = stacked_fields(grid, blocks, content if whole else None, dtype)
-        for rank, field in enumerate(fields):
-            if not whole:
-                field.data[...] = content[
-                    rank * grid.num_slots : (rank + 1) * grid.num_slots
+        if whole:
+            getattr(level, name).data[...] = content
+        else:
+            for k, view in enumerate(level.blocks()):
+                getattr(view, name).data[...] = content[
+                    k * grid.num_slots : (k + 1) * grid.num_slots
                 ]
-            fields_by_rank[rank].append(field)
-    return ex, fields_by_rank
+    return ex, Stacked(
+        [getattr(level, name) for name in names],
+        [[getattr(view, name) for name in names] for view in level.blocks()],
+    )
 
 
-def observable(ex, fields_by_rank):
+def observable(ex, fields):
     """Everything an exchange leaves behind."""
     comm, recorder = ex._root_comm(), ex.recorder
     return {
-        "data": [[f.data.copy() for f in fields] for fields in fields_by_rank],
+        "data": [[f.data.copy() for f in rank] for rank in fields.by_rank],
         "messages": list(recorder.messages),
         "exchange_counts": recorder.exchange_counts(),
         "sent_messages": comm.sent_messages,
@@ -116,18 +130,19 @@ def assert_same(got, want):
     assert got == want
 
 
-def assert_matches_dense(ex, fields_by_rank, before):
+def assert_matches_dense(ex, fields, before):
     """Every neighbour-facing ghost of every copy and field holds what
     the dense reference says, and no interior brick moved.  ``before``
-    is each field's storage ahead of the exchange."""
+    is each block's storage ahead of the exchange."""
     grid, topo = ex.grid, ex.topology
     interior = grid.interior_slots
-    for fields, saved in zip(fields_by_rank, before):
-        for field, data in zip(fields, saved):
+    by_rank = fields.by_rank
+    for rank, saved in zip(by_rank, before):
+        for field, data in zip(rank, saved):
             assert np.array_equal(field.data[interior], data[interior])
-    for c in range(len(fields_by_rank) // topo.size):
+    for c in range(len(by_rank) // topo.size):
         block = slice(c * topo.size, (c + 1) * topo.size)
-        for f in range(len(fields_by_rank[0])):
+        for f in range(len(by_rank[0])):
             dense = np.zeros(
                 tuple(n * c_ for n, c_ in zip(topo.dims, grid.shape_cells))
             )
@@ -138,12 +153,12 @@ def assert_matches_dense(ex, fields_by_rank, before):
                     slice(o[d], o[d] + grid.shape_cells[d]) for d in range(3)
                 )] = sub
             check_ghosts_against_global(
-                topo, grid, [fields[f] for fields in fields_by_rank[block]], dense
+                topo, grid, [rank[f] for rank in by_rank[block]], dense
             )
 
 
-def snapshot(fields_by_rank):
-    return [[f.data.copy() for f in fields] for fields in fields_by_rank]
+def snapshot(fields):
+    return [[f.data.copy() for f in rank] for rank in fields.by_rank]
 
 
 class TestPlanEqualsReference:
@@ -187,8 +202,9 @@ class TestPlanEqualsReference:
                 injector=ArmedNeverStriking() if reference else None,
             )
             rng = np.random.default_rng(3)
-            content = rng.random((2 * grid.num_slots, 4, 4, 4))
-            fields = [[f] for f in stacked_fields(grid, 2, content)]
+            level = Level(1, grid.shape_cells, 4, 1.0, blocks=2)
+            level.x.data[...] = rng.random((2 * grid.num_slots, 4, 4, 4))
+            fields = Stacked([level.x], [[view.x] for view in level.blocks()])
             before = snapshot(fields)
             ex.exchange(1, fields)
             assert_matches_dense(ex, fields, before)
@@ -210,22 +226,25 @@ class TestPlanEqualsReference:
         ids=["free-rank", "swapped-blocks", "two-stacks", "free-copies"],
     )
     def test_non_stack_fields_are_refused(self, dims, copies, broken, named):
-        """Over more than one rank or copy, a field must be the
-        consecutive blocks of one stacked field — its one copy runs over
-        them.  Anything else is refused by name before a ghost moves;
-        only a one-rank, one-copy call may pass a free-standing field."""
-        ex, fields = build(dims, nfields=2, copies=copies)
+        """The per-rank form, over more than one rank or copy: each
+        rank's field must be its block of one stacked field — the one
+        copy runs over the stack.  Anything else is refused by name
+        before a ghost moves; only a one-rank, one-copy call may pass a
+        free-standing field."""
+        ex, stacked = build(dims, nfields=2, copies=copies)
+        fields = Stacked(stacked, [list(rank) for rank in stacked.by_rank])
+        by_rank = fields.by_rank
         if broken == "free":
-            last = fields[-1][1]
-            fields[-1][1] = BrickedArray(last.grid, last.data.copy())
+            last = by_rank[-1][1]
+            by_rank[-1][1] = BrickedArray(last.grid, last.data.copy())
         elif broken == "swapped":
-            fields[0], fields[1] = fields[1], fields[0]
+            by_rank[0], by_rank[1] = by_rank[1], by_rank[0]
         else:
             _, other = build(dims, nfields=2, copies=copies)
-            fields[2:] = other[2:]
+            by_rank[2:] = other.by_rank[2:]
         before = snapshot(fields)
         with pytest.raises(ValueError, match=rf"cannot exchange {named} "):
-            ex.exchange(0, fields)
+            ex.exchange(0, by_rank)
         assert ex.path_counts == {"planned": 0, "envelope": 0}
         assert_same(observable(ex, fields), {
             "data": before, "messages": [], "exchange_counts": {},
@@ -247,8 +266,8 @@ class TestOneRankPlanIsThePeriodicWrap:
         one-copy call may pass."""
         ex, fields = build((1, 1, 1), ordering=ordering, dtype=dtype, shape=shape)
         if not stacked:
-            fields = [[BrickedArray(ex.grid, fields[0][0].data.copy(), dtype=dtype)]]
-        (field,) = fields[0]
+            fields = [BrickedArray(ex.grid, fields[0].data.copy(), dtype=dtype)]
+        (field,) = fields
         wrapped = BrickedArray(ex.grid, field.data.copy(), dtype=dtype)
         wrapped.fill_ghost_periodic()
         ex.exchange(0, fields)
@@ -287,13 +306,16 @@ class TestCopiesInOneCall:
         assert_matches_dense(together, fields, before)
         apart, apart_fields = build(dims, **kwargs)
         if free:
-            apart_fields = [
+            free_fields = [
                 [BrickedArray(f.grid, f.data.copy()) for f in rank_fields]
-                for rank_fields in apart_fields
+                for rank_fields in apart_fields.by_rank
             ]
+            apart_fields = Stacked(apart_fields, free_fields)
         size = apart.topology.size
         for c in range(copies):
-            apart.exchange(1, apart_fields[c * size : (c + 1) * size])
+            # copy c alone: its blocks of each stacked field, or its lone
+            # rank's free-standing fields
+            apart.exchange(1, apart_fields.by_rank[c * size : (c + 1) * size])
         path = "envelope" if reference else "planned"
         assert together.path_counts[path] == 1 and apart.path_counts[path] == copies
         got, want = observable(together, fields), observable(apart, apart_fields)
@@ -469,7 +491,8 @@ class TestPathSelection:
         topo = CartTopology((2, 1, 1))
         comm = kwargs.pop("comm", None) or SimComm(2)
         ex = HaloExchange(grid, topo, comm, **kwargs)
-        return ex, [[f] for f in stacked_fields(grid, 2)]
+        level = Level(0, grid.shape_cells, 4, 1.0, blocks=2)
+        return ex, Stacked([level.x], [[view.x] for view in level.blocks()])
 
     def test_default_is_planned(self):
         ex, fields = self.exchanger()
@@ -614,7 +637,7 @@ class TestPathSelection:
         field = BrickedArray(grid, np.random.default_rng(5).random((grid.num_slots, 4, 4, 4)))
         wrapped = field.copy()
         wrapped.fill_ghost_periodic()
-        ex.exchange(0, [[field]])
+        ex.exchange(0, [field])
         assert ex.path_counts == {"planned": 1, "envelope": 0}
         assert field.data.tobytes() == wrapped.data.tobytes()
         assert recorder.fault_counts() == {} and len(recorder.messages) == 26
@@ -629,13 +652,13 @@ class TestPathSelection:
         ex.exchange(0, fields)
         ex.comm.kill(1)
         assert "dead" in ex.envelope_reason()
-        for (f,) in fields:
+        for (f,) in fields.by_rank:
             f.data[ex.grid.interior_slots] = 1.0
         ex.exchange(0, fields)
         assert ex.path_counts == {"planned": 1, "envelope": 1}
         # the survivor's own wrap completes; nothing reaches or leaves
         # the dead endpoint
-        survivor, victim = fields[0][0].data, fields[1][0].data
+        survivor, victim = fields.by_rank[0][0].data, fields.by_rank[1][0].data
         assert survivor[ex.grid.ghost_region_slots((0, 1, 0))].all()
         assert not survivor[ex.grid.ghost_region_slots((1, 0, 0))].any()
         assert not victim[ex.grid.ghost_slots].any()
@@ -680,17 +703,17 @@ def checksum_calls(monkeypatch):
     return calls
 
 
-def send_sums(ex, fields_by_rank, dead=frozenset()):
+def send_sums(ex, fields, dead=frozenset()):
     """What each live message's header carries, copy-major in the order
     the plan's flat tables list the messages: the CRC32 of its send
     bricks, the fields ``np.stack``ed."""
-    size, send = ex.topology.size, ex.plan.send_slots
+    size, send, by_rank = ex.topology.size, ex.plan.send_slots, fields.by_rank
     return [
         payload_checksum(np.stack([
             f.data[send[m.direction]]
-            for f in fields_by_rank[c * size + m.src_rank]
+            for f in by_rank[c * size + m.src_rank]
         ]))
-        for c in range(len(fields_by_rank) // size)
+        for c in range(len(by_rank) // size)
         for m in ex.plan.live_receives(dead)
     ]
 

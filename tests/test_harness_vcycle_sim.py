@@ -1,10 +1,13 @@
 """The analytic timed V-cycle: schedule fidelity and cost structure."""
 
+import dataclasses
+
 import pytest
 
 from repro.gmg import GMGSolver, SolverConfig
 from repro.harness.vcycle_sim import TimedSolve, WorkloadConfig, decompose_for
 from repro.machines import FRONTIER, PERLMUTTER, SUNSPOT
+from repro.machines.network import allreduce_time
 from repro.obs.aggregate import by_paper_op
 from tests.conftest import exchange_every_sweep
 
@@ -98,6 +101,50 @@ class TestScheduleFidelity:
             result.num_vcycles, len(result.residual_history)
         )
         assert expected == solver.recorder.message_bytes_by_level()
+
+    #: the ladder's fault-free solve workloads, restated
+    LADDER_SOLVES = {
+        "kernel_1rank_64": dict(global_cells=64, num_levels=4, brick_dim=8),
+        "exchange_8rank_32": dict(
+            global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2)
+        ),
+        "default_1rank_32": dict(global_cells=32, num_levels=3, brick_dim=4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LADDER_SOLVES))
+    def test_ladder_solves_match_the_priced_schedule(self, name):
+        """``repro validate``'s schedule check on each fault-free ladder
+        solve: kernel points, exchange phases and message bytes.  One
+        periodic rank has no ghost shell, so it is priced no exchange."""
+        from repro.gmg.solver import timed_model
+
+        config = SolverConfig(**self.LADDER_SOLVES[name], tol=0.0, max_vcycles=2)
+        solver = GMGSolver(config)
+        result = solver.solve()
+        ts = timed_model(config, PERLMUTTER, result.num_vcycles)
+        n, checks = result.num_vcycles, len(result.residual_history)
+        recorder = solver.recorder
+        assert ts.schedule_kernel_points(n, checks) == by_paper_op(recorder.kernel_points())
+        assert ts.schedule_exchange_counts(n, checks) == recorder.exchange_counts()
+        assert ts.schedule_message_bytes(n, checks) == recorder.message_bytes_by_level()
+
+    def test_ghostless_rank_prices_no_exchange(self):
+        """One periodic rank: no exchange phase, byte or convergence-check
+        exchange anywhere in the model — the baseline layout, whose
+        one-cell ghosts are always exchanged, still pays them."""
+        w = WorkloadConfig(per_rank_cells=(32, 32, 32), num_levels=3, rank_dims=(1, 1, 1))
+        ts = TimedSolve(PERLMUTTER, w)
+        assert ts.schedule_exchange_counts(2, 3) == {}
+        assert ts.schedule_message_bytes(2, 3) == {}
+        assert all(lv["exchange"] == 0.0 for lv in ts.vcycle_level_times())
+        assert all(lv["exchange"] == 0.0 for lv in ts.solve_level_times())
+        assert ts.time_decomposition()["net_overhead"] == 0.0
+        assert ts.convergence_check_time() == (
+            ts.kernel_seconds("applyOp", 0) + ts.kernel_seconds("residual", 0)
+            + allreduce_time(ts.machine, 1, ts.topology.num_nodes)
+        )
+        base = TimedSolve(PERLMUTTER, dataclasses.replace(w, baseline=True))
+        assert base.schedule_exchange_counts(2, 3)[0] > 0
 
     def test_non_ca_schedule_also_matches(self):
         cfg = SolverConfig(

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.dsl import native
 from repro.gmg import SolverConfig
 from repro.gmg import operators as ops
-from repro.gmg.engine import ExecutionEngine
 from repro.gmg.level import Level, make_level
 from repro.instrument import Recorder
 from tests.conftest import numpy_path
@@ -54,25 +53,18 @@ def fill(level: Level, rng, specials: bool) -> None:
 
 def level_pair(B, dtype, layout, blocks, seed, specials=True):
     """A fine/coarse pair of ``B``-bricks: one rank's levels without a
-    ghost shell, with one, or ``blocks`` shelled blocks stacked by an
-    :class:`ExecutionEngine` — filled with seeded random content."""
+    ghost shell, with one, or levels stacking ``blocks`` shelled blocks
+    — filled with seeded random content."""
     shape = (2 * B, B, B)  # coarse cells: 2x1x1 coarse bricks
     ghosts = 0 if layout == "ghostless" else 1
     count = blocks if layout == "stacked" else 1
 
     def build(index, cells):
-        return [
-            Level(index, cells, B, 1.0, dtype=dtype, ghost_bricks=ghosts)
-            for _ in range(count)
-        ]
+        return Level(
+            index, cells, B, 1.0, dtype=dtype, ghost_bricks=ghosts, blocks=count
+        )
 
-    fine = build(0, tuple(2 * c for c in shape))
-    coarse = build(1, shape)
-    if layout == "stacked":
-        engine = ExecutionEngine([fine, coarse])
-        pair = engine.stacked_intergrid_pair(0)
-    else:
-        pair = fine[0], coarse[0]
+    pair = build(0, tuple(2 * c for c in shape)), build(1, shape)
     rng = np.random.default_rng(seed)
     for level in pair:
         fill(level, rng, specials)

@@ -151,15 +151,15 @@ def single_sweep_smooth_level(self, lev, iterations, with_residual):
     """``VCycle.smooth_level`` as it was before windows: one exchange
     check and one ``iterate`` per iteration, ranks innermost.  A
     ghostless level (one periodic rank) has nothing to exchange."""
-    levels = self.levels_at(lev)
-    targets = self._compute_targets(lev)
+    level = self.level_at(lev)
+    targets = self.targets(level)
     exchanger = self.exchanger_at(lev)
     per_iter = self.smoother.ghost_cells_per_iteration
     ghost_valid = 0
     b_exchanged = False
     for _ in range(iterations):
         if exchanger is not None and ghost_valid < per_iter:
-            fields = [[lv.x] if b_exchanged else [lv.x, lv.b] for lv in levels]
+            fields = [level.x] if b_exchanged else [level.x, level.b]
             b_exchanged = True
             exchanger.exchange(lev, fields)
             ghost_valid = self.iterations_per_exchange(lev) * per_iter
@@ -167,7 +167,7 @@ def single_sweep_smooth_level(self, lev, iterations, with_residual):
             self.smoother.iterate(target, with_residual, self.recorder)
         ghost_valid -= per_iter
     if self.fault_injector is not None:
-        for rank, lv in zip(self.ranks_at(lev), levels):
+        for rank, lv in zip(self.ranks_at(lev), level.blocks()):
             self.fault_injector.kernel_sdc(lev, rank, lv.x)
 
 
@@ -218,7 +218,7 @@ def observables(solver):
     recorder = result.recorder
     stored = [
         getattr(lv, name).data.tobytes()
-        for levels in solver.rank_levels
+        for levels in zip(*(level.blocks() for level in solver.levels))
         for lv in levels
         for name in ("x", "Ax", "r")
     ]

@@ -40,16 +40,14 @@ def profiled_exchanging():
 
 class TestTracedSolve:
     def test_solve_root_covers_everything(self, profiled):
-        """Two roots: adopting the hierarchy into the stacked layout
-        (construction), then the solve, which covers everything else."""
+        """One root: the solve, which covers everything (construction
+        records no span — a hierarchy is built stacked)."""
         tracer = profiled.tracer
-        adopt, root = tracer.roots()
-        assert (adopt.name, root.name) == ("engine-adopt", "solve")
-        assert adopt.end <= root.start
+        (root,) = tracer.roots()
+        assert root.name == "solve"
         assert tracer.open_depth == 0
         for s in tracer.spans:
-            if s is not root and s is not adopt:
-                assert root.start <= s.start and s.end <= root.end
+            assert root.start <= s.start and s.end <= root.end
 
     def test_span_coverage_meets_acceptance_bar(self, profiled):
         assert profiled.coverage == span_coverage(profiled.tracer)

@@ -182,7 +182,7 @@ def test_cohort_is_one_hierarchy(variant, monkeypatch):
         "HaloExchange": len(hierarchy.halo_exchangers()),
         **({"Agglomerator": 1} if merged else {}),
     }
-    assert len(hierarchy.rank_levels) == 4 * cfg.num_ranks
+    assert [lv.num_blocks for lv in hierarchy.levels] == [4 * cfg.num_ranks] * cfg.num_levels
 
     requests = [SolveRequest(cfg, amplitude=1.0 + k) for k in range(4)]
     assert len(cohort.solve_stream(requests)) == 4
@@ -224,7 +224,7 @@ def test_ghostless_cohort_builds_no_exchanger(monkeypatch):
     assert hierarchy.exchangers == [None] * cfg.num_levels
     assert hierarchy.halo_exchangers() == []
     for lev in range(cfg.num_levels):
-        grid = cohort.vcycle.engine.stacked_level(lev).grid
+        grid = cohort.vcycle.level_at(lev).grid
         assert grid.ghost_bricks == 0
         assert grid.num_slots == grid.num_interior
     requests = [SolveRequest(cfg, amplitude=1.0 + k) for k in range(4)]
@@ -247,8 +247,9 @@ def test_retired_slot_is_zeroed_and_its_neighbour_untouched():
     assert slots == [0, 1] and cohort.seed(slots) == []
     assert cohort.cycle() == []
     busy = list(cohort._slot_storage(0))
-    # x, b, Ax, r of 4 stacked depths and of this copy's 8 + 2 staging levels
-    assert len(busy) == 4 * (4 + 8 + 2)
+    # x, b, Ax, r of 4 stacked depths and of 2 stacked staging levels:
+    # this copy's block rows of each
+    assert len(busy) == 4 * (4 + 2)
     assert all(a.any() for a in busy[0::4] + busy[1::4])  # every x and b
     (retired,) = cohort.cycle()
     assert retired.request is quick and cohort.free_slots == 2

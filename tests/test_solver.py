@@ -45,16 +45,17 @@ class TestConfigValidation:
 
     def test_there_is_no_execution_option(self):
         """How a solve executes is not configurable: 18 fields, none
-        of them a schedule, and every solver stacks its levels under an
-        engine."""
+        of them a schedule, and every solver stacks its ranks in one
+        level per depth."""
         import dataclasses
 
         names = [f.name for f in dataclasses.fields(SolverConfig)]
         assert len(names) == 18
         assert "overlap" not in names and "communication_avoiding" not in names
         solver = GMGSolver(SolverConfig(global_cells=16, num_levels=2))
-        for lev in range(2):
-            assert solver.engine.stacked_level(lev).grid.num_ranks == 1
+        assert [lv.num_blocks for lv in solver.vcycle.levels] == [1, 1]
+        eight = GMGSolver(SolverConfig(global_cells=16, num_levels=2, rank_dims=(2, 2, 2)))
+        assert [lv.grid.num_ranks for lv in eight.vcycle.levels] == [8, 8]
 
     def test_levels_must_fit(self):
         with pytest.raises(ValueError):
@@ -188,9 +189,9 @@ class TestDistributedEquivalence:
             two = GMGSolver(SolverConfig(**base, rank_dims=(2, 1, 1)))
         assert all(
             lv.grid.ghost_bricks == 0 and lv.grid.num_slots == lv.grid.num_interior
-            for lv in one.rank_levels[0]
+            for lv in one.levels
         )
-        assert all(lv.grid.ghost_bricks == 1 for lv in two.rank_levels[0])
+        assert all(lv.grid.ghost_bricks == 1 for lv in two.levels)
         a, b = one.solve(), two.solve()
         assert a.recorder.exchange_counts() == {}
         assert sum(b.recorder.exchange_counts().values()) > 0
@@ -198,6 +199,54 @@ class TestDistributedEquivalence:
             b.residual_history
         ).tobytes()
         assert one.solution().tobytes() == two.solution().tobytes()
+
+
+class TestOneLevelPerDepth:
+    """Each depth is one level: one base grid and one allocation per
+    field, which every rank's block view shares."""
+
+    @staticmethod
+    def counting_grids(monkeypatch):
+        from repro.bricks.brick_grid import BrickGrid
+
+        built = []
+
+        def counted(self, *args, _init=BrickGrid.__init__, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BrickGrid, "__init__", counted)
+        return built
+
+    def test_block_views_share_the_depth_s_grid_and_storage(self, monkeypatch):
+        built = self.counting_grids(monkeypatch)
+        solver = GMGSolver(
+            SolverConfig(global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2))
+        )
+        assert len(built) == 3  # not one per rank and depth (24)
+        for level, grid in zip(solver.levels, built):
+            assert level.grid.base is grid
+            views = level.blocks()
+            assert len(views) == 8 and level.blocks() is views
+            S = grid.num_slots
+            for k, view in enumerate(views):
+                assert view.grid is grid and view.num_points * 8 == level.num_points
+                for name, field in level.fields().items():
+                    data = view.fields()[name].data
+                    assert np.shares_memory(data, field.data)
+                    assert data.__array_interface__["data"][0] == (
+                        field.data[k * S :].__array_interface__["data"][0]
+                    )
+
+    def test_cohort_builds_one_grid_per_depth(self, monkeypatch):
+        from repro.service import CohortSolver
+
+        built = self.counting_grids(monkeypatch)
+        config = SolverConfig(global_cells=8, num_levels=2, brick_dim=2,
+                              max_smooths=2, bottom_smooths=8)
+        cohort = CohortSolver(config, capacity=8)
+        assert len(built) == config.num_levels
+        assert [lv.num_blocks for lv in cohort.hierarchy.levels] == [8, 8]
 
 
 class TestBrickSizeIndependence:
@@ -215,7 +264,7 @@ class TestBrickSizeIndependence:
 
     def test_brick_dim_shrinks_on_coarse_levels(self):
         s = GMGSolver(SolverConfig(global_cells=16, num_levels=3, brick_dim=8))
-        dims = [lv.grid.brick_dim for lv in s.rank_levels[0]]
+        dims = [lv.grid.brick_dim for lv in s.levels]
         assert dims == [8, 8, 4]
 
 

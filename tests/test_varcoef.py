@@ -120,7 +120,7 @@ class TestOperator:
         rng = np.random.default_rng(5)
         u = rng.random((16, 16, 16))
         Au = s.apply_operator(u)
-        c = s.rank_levels[0][0].constants
+        c = s.levels[0].constants
         oracle = reference_apply_op(u, c.alpha, c.beta)
         np.testing.assert_allclose(Au, oracle, rtol=1e-12)
 
@@ -199,11 +199,11 @@ class TestSolve:
 
 
 # ----------------------------------------------------------------------
-# the engine path pinned to the per-rank schedule and to earlier releases
+# the stacked path pinned to the per-rank schedule and to earlier releases
 # ----------------------------------------------------------------------
 #: the 32^3 manufactured solve (8 smooths, 60 bottom smooths, tol 1e-9)
 #: as the per-rank ``VCycle`` loop computed it before the solver ran on
-#: the stacked engine: one residual history for every rank grid, and
+#: stacked levels: one residual history for every rank grid, and
 #: the SHA-256 of the assembled solution and of every rank level's
 #: stored ``x``, ``Ax`` and ``r`` (ghosts included).  One periodic rank
 #: stores no ghosts: its digest is the released arrays' interior slots
@@ -232,9 +232,10 @@ def sha256(arrays) -> str:
 
 @pytest.mark.parametrize("rank_dims", list(RELEASED_STORED), ids=str)
 def test_engine_solve_matches_oracle_and_release(rank_dims):
-    """Coefficients stacked by the engine, one kernel call per depth:
-    status, history, solution and stored fields equal the per-rank
-    NumPy schedule's byte for byte, and the released numbers."""
+    """Coefficients stacked with ``x`` in each depth's level, one kernel
+    call per depth: status, history, solution and stored fields equal
+    the per-rank NumPy schedule's byte for byte, and the released
+    numbers."""
     with numpy_path():
         oracle = manufactured_solver(OracleVariableCoefficientSolver, rank_dims)
     expected = oracle_record(oracle)
@@ -247,8 +248,9 @@ def test_engine_solve_matches_oracle_and_release(rank_dims):
     assert sha256([solver.solution()]) == RELEASED_SOLUTION
     stored = [
         getattr(lv, name).data
-        for levels in solver.rank_levels
-        for lv in levels
+        for k in range(solver.topology.size)
+        for level in solver.levels
+        for lv in [level.blocks()[k]]
         for name in ("x", "Ax", "r")
     ]
     assert sha256(stored) == RELEASED_STORED[rank_dims]

@@ -46,7 +46,7 @@ class TestConvergenceBehaviour:
         s = solve()
         # x = 0 -> r = b, so the first residual is max|b|
         expected = max(
-            lv[0].b.max_abs_interior() for lv in s.rank_levels
+            lv.b.max_abs_interior() for lv in s.levels[0].blocks()
         )
         assert s.vcycle.max_norm_residual() == pytest.approx(expected)
 
@@ -109,19 +109,17 @@ class TestScheduleValidation:
 
         s = solve()
         with pytest.raises(ValueError, match="exchanger"):
-            VCycle(s.rank_levels, [], s.engine, max_smooths=2, bottom_smooths=2)
+            VCycle(s.levels, [], max_smooths=2, bottom_smooths=2)
         with pytest.raises(ValueError, match="positive"):
-            VCycle(s.rank_levels, s.exchangers, s.engine, max_smooths=0)
+            VCycle(s.levels, s.exchangers, max_smooths=0)
         with pytest.raises(ValueError, match="at least one"):
-            VCycle([], [], s.engine)
+            VCycle([], [])
 
     def test_mismatched_rank_hierarchies_rejected(self):
+        """Every depth stacks the same ranks: levels of different block
+        counts are no hierarchy."""
         from repro.gmg.vcycle import VCycle
 
-        a, b = solve(), solve(num_levels=1)
-        with pytest.raises(ValueError, match="same number of levels"):
-            VCycle(
-                [a.rank_levels[0], b.rank_levels[0]],
-                a.exchangers,
-                a.engine,
-            )
+        a, b = solve(), solve(rank_dims=(2, 1, 1))
+        with pytest.raises(ValueError, match="same number of blocks: \\[1, 2\\]"):
+            VCycle([a.levels[0], b.levels[1]], a.exchangers)
