@@ -213,9 +213,12 @@ class BrickGrid:
         ``adjacency[s, direction_index(d)]`` is the slot of the brick
         one step along ``d`` from the brick in slot ``s``.  With a ghost
         shell, neighbours that would fall outside the extended grid are
-        *clamped to self*; such reads only ever occur for the outermost
-        ghost bricks whose values are redundant by construction (the
-        communication-avoiding validity argument in DESIGN.md).  A
+        *clamped to self*.  Only a ghost cell deeper than the valid
+        depth reads through such a neighbour — after sweep ``k`` of a
+        window, deeper than ``ghost_cells - (k + 1) * radius`` — and
+        nothing reads that cell before the next exchange (the
+        valid-depth rule in DESIGN.md): the native kernels never compute
+        it, the NumPy kernels compute a clamp artefact there.  A
         ghostless grid (``ghost_bricks=0``) is periodic in itself: each
         neighbour wraps to the brick at the periodic coordinate, so a
         stencil reads exactly what a shell filled by periodic wrap

@@ -11,7 +11,8 @@ time**:
 
 * the brick's ``(B + 2r)^3`` halo block is assembled in a stack buffer
   straight from the ``grid.adjacency`` neighbours (constant-size row
-  ``memcpy``\\ s, only the directions the stencil reads), so the halo
+  ``memcpy``\\ s, only the directions the stencil reads, by one
+  ``assemble_<grid>`` function every slot loop calls), so the halo
   lives in L1 and is never written to memory — the paper's fine-grain
   blocking argument applied to the host;
 * the expression tree is evaluated per cell with the generator's CSE
@@ -24,8 +25,17 @@ time**:
   successive applications in one call, moving only what survives it:
   the two arrays trade places every sweep (one copy back after an odd
   count) and outputs the stencil never reads (``Ax``, ``r``) are stored
-  by the last sweep only — byte-identical, on every slot, to that many
-  single applications.
+  by the last sweep only;
+* each sweep walks the interior bricks, then — on a grid with a ghost
+  shell ``G`` cells deep — the ghost bricks of a per-grid table
+  (:func:`slot_table`), each clipped to the box a later sweep can still
+  read: after sweep ``k`` of a radius-``r`` stencil only ghost cells
+  within ``D = G - (k + 1) r`` of the interior hold valid values, so
+  the ghost loop computes those ``i``/``j`` rows (whole ``k`` rows),
+  assembles only the neighbours' rows they read, and skips the shell
+  when ``D <= 0`` — byte-identical, on every valid cell, to that many
+  single applications.  Cells outside the box keep whatever the field
+  or the zeroed staging array held: deterministic, and read by nothing.
 
 The inter-grid operators — restriction and interpolation+increment,
 the paper's "new operators in BrickLib for multigrid" — are emitted the
@@ -90,7 +100,7 @@ CFLAGS = FP_FLAGS + ("-fPIC", "-shared")
 ENTRY_POINT = "repro_kernel"
 _CDEF = (
     f"void {ENTRY_POINT}(int64_t, const int64_t *, void *const *, "
-    "const double *, int64_t);"
+    "const double *, int64_t, const int64_t *, int64_t, int64_t, int64_t);"
 )
 
 #: per-brick halo blocks live on the C stack; kernels needing more than
@@ -178,26 +188,42 @@ def halo_directions(offsets) -> tuple[int, ...]:
     return tuple(i for i, d in enumerate(DIRECTIONS) if d in needed)
 
 
-def _assemble_block(
-    grid_name: str, source: str, offsets, B: int, r: int
-) -> list[str]:
-    """C statements filling ``h_<grid>`` from the adjacency neighbours
-    in the array ``source``: per direction, constant-size row copies of
-    the region that direction contributes to the ``(B + 2r)^3`` block."""
+def _assembler(grid_name: str, offsets, B: int, r: int) -> list[str]:
+    """A C function ``assemble_<grid>(h, in, nb, lo0, hi0, lo1, hi1)``
+    filling the ``(B + 2r)^3`` halo block ``h`` from the adjacency
+    neighbours ``nb`` in the array ``in``: per direction, constant-size
+    row copies of the region that direction contributes, and only the
+    directions the stencil's offsets reach and the box ``[lo0, hi0) x
+    [lo1, hi1)`` (whole ``k`` rows) reads — a neighbour below along an
+    axis only if the box starts within ``r`` of that face, one above
+    only if it ends within ``r`` of it.  The interior passes the whole
+    brick.  Emitted once and called from every slot loop, not inlined:
+    the copies are most of a kernel's code."""
     E = B + 2 * r
     # per axis component: (block start, source start, extent)
     span = {-1: (0, B - r, r), 0: (r, 0, B), 1: (r + B, 0, r)}
-    lines = []
+    reaches = {-1: "lo{a} < R", 1: "hi{a} > B - R"}
+    lines = [
+        f"static void __attribute__((noinline)) assemble_{grid_name}(",
+        "    T *restrict h, const T *restrict in, const int64_t *restrict nb,",
+        "    int lo0, int hi0, int lo1, int hi1)",
+        "{",
+        "    (void)lo0; (void)hi0; (void)lo1; (void)hi1;",
+    ]
     for di in halo_directions(offsets):
-        (d0, s0, n0), (d1, s1, n1), (d2, s2, n2) = (span[c] for c in DIRECTIONS[di])
+        d = DIRECTIONS[di]
+        (d0, s0, n0), (d1, s1, n1), (d2, s2, n2) = (span[c] for c in d)
+        guard = [reaches[c].format(a=a) for a, c in enumerate(d[:2]) if c]
         lines.append(
-            f"{{ const T *src = {source} + nb[{di}] * B3; "
+            "    "
+            + (f"if ({' && '.join(guard)}) " if guard else "")
+            + f"{{ const T *src = in + nb[{di}] * B3; "
             f"for (int i = 0; i < {n0}; ++i) for (int j = 0; j < {n1}; ++j) "
-            f"memcpy(h_{grid_name} + (({d0} + i) * {E} + ({d1} + j)) * {E} + {d2}, "
+            f"memcpy(h + (({d0} + i) * {E} + ({d1} + j)) * {E} + {d2}, "
             f"src + (({s0} + i) * {B} + ({s1} + j)) * {B} + {s2}, "
             f"{n2} * sizeof(T)); }}"
         )
-    return lines
+    return lines + ["}"]
 
 
 def field_order(analysis: StencilAnalysis) -> tuple[str, ...]:
@@ -226,15 +252,19 @@ def generate_c_source(
     ``dtype`` fields.
 
     Exports ``void repro_kernel(nslots, adjacency, fields, consts,
-    sweeps)``: ``fields`` lists the storage pointers in
-    :func:`field_order` followed by one staging pointer per
-    :func:`staged_outputs` grid; ``consts`` lists
-    ``analysis.const_names`` as doubles.  The call leaves every field
-    as ``sweeps`` successive applications would: a staged output is
-    read from one of its two arrays and written to the other, swapping
-    each sweep (one copy back when ``sweeps`` is odd); a
-    :func:`deferred_outputs` grid is stored by the last sweep only;
-    every other output is read and written at the same cell, in place.
+    sweeps, slots, ninner, nghost, depth)``: ``fields`` lists the
+    storage pointers in :func:`field_order` followed by one staging
+    pointer per :func:`staged_outputs` grid; ``consts`` lists
+    ``analysis.const_names`` as doubles; ``slots`` is
+    :func:`slot_table`'s ``ninner`` interior slots and ``nghost`` ghost
+    rows, and ``depth`` the shell's depth in cells.  The call leaves
+    every field, on every cell still valid after it (within ``depth -
+    sweeps * r`` of the interior), as ``sweeps`` successive applications
+    would: a staged output is read from one of its two arrays and
+    written to the other, swapping each sweep (one copy back when
+    ``sweeps`` is odd); a :func:`deferred_outputs` grid is stored by
+    the last sweep only; every other output is read and written at the
+    same cell, in place.
     """
     B, r = int(brick_dim), analysis.radius
     E = B + 2 * r
@@ -257,21 +287,39 @@ def generate_c_source(
             f"{dest}[cell] = rhs{idx};"
         )
 
-    def slot_loop(stores: list[str]) -> list[str]:
-        """One sweep over every brick, storing ``stores`` per cell."""
-        lines = ["for (int64_t s = 0; s < nslots; ++s) {"]
+    def slot_loop(stores: list[str], ghost: bool = False) -> list[str]:
+        """One sweep over the interior bricks — or, with ``ghost``, over
+        the ghost bricks, each clipped to the box still valid after this
+        sweep (whole ``k`` rows) — storing ``stores`` per cell."""
+        if ghost:
+            lines = [
+                "if (D > 0) for (int64_t n = 0; n < nghost; ++n) {",
+                "    const int64_t *row = ghost + 4 * n;",
+                "    const int64_t s = row[0];",
+                "    int lo0, hi0, lo1, hi1, lo2, hi2;",
+                "    CLIP(row[1], lo0, hi0); CLIP(row[2], lo1, hi1); "
+                "CLIP(row[3], lo2, hi2);",
+                "    if (lo0 >= hi0 || lo1 >= hi1 || lo2 >= hi2) continue;",
+            ]
+        else:
+            lines = [
+                "for (int64_t n = 0; n < ninner; ++n) {",
+                "    const int64_t s = slots[n];",
+            ]
         if analysis.halo_grids:
             lines.append("    const int64_t *nb = adj + 27 * s;")
+        (i0, i1), (j0, j1) = (
+            (("lo0", "hi0"), ("lo1", "hi1")) if ghost else (("0", "B"), ("0", "B"))
+        )
         for g in analysis.halo_grids:
             source = f"in_{g}" if g in staged else f"g_{g}"
-            lines.append(f"    T h_{g}[E * E * E];")
             lines += [
-                "    " + line
-                for line in _assemble_block(g, source, analysis.offsets[g], B, r)
+                f"    T h_{g}[E * E * E];",
+                f"    assemble_{g}(h_{g}, {source}, nb, {i0}, {i1}, {j0}, {j1});",
             ]
         lines += [
-            "    for (int i = 0; i < B; ++i)",
-            "    for (int j = 0; j < B; ++j)",
+            f"    for (int i = {i0}; i < {i1}; ++i)",
+            f"    for (int j = {j0}; j < {j1}; ++j)",
             "    for (int k = 0; k < B; ++k) {",
             "        const int64_t cell = s * B3 + (i * B + j) * B + k;",
         ]
@@ -287,10 +335,21 @@ def generate_c_source(
             f"h_{g}[((i + R + (a)) * E + (j + R + (b))) * E + (k + R + (c))]"
         )
     out += [
+        # the cells [lo, hi) of a brick at ring offset o (in bricks; < 0
+        # before the interior, > 0 after it) within depth D of it
+        "#define CLAMP(v) ((v) < 0 ? 0 : (v) > B ? B : (v))",
+        "#define CLIP(o, lo, hi) (lo = (o) < 0 ? CLAMP(-(o) * B - D) : 0, "
+        "hi = (o) > 0 ? CLAMP(D - ((o) - 1) * B) : B)",
+    ]
+    for g in analysis.halo_grids:
+        out += _assembler(g, analysis.offsets[g], B, r)
+    out += [
         f"void {ENTRY_POINT}(int64_t nslots, const int64_t *restrict adj,",
         "                  void *const *fields, const double *consts,",
-        "                  int64_t sweeps)",
+        "                  int64_t sweeps, const int64_t *restrict slots,",
+        "                  int64_t ninner, int64_t nghost, int64_t depth)",
         "{",
+        "    const int64_t *ghost = slots + ninner;",
     ]
     for idx, g in enumerate(order):
         # the two arrays of a staged output trade places every sweep:
@@ -321,6 +380,14 @@ def generate_c_source(
         out.append("        }")
     else:
         out += ["        " + line for line in slot_loop(stores)]
+    # ghost cells deeper than D hold what no later sweep may read; the
+    # ghost loop is written out once, its last-sweep stores branched
+    out.append("        const int64_t D = depth - (sweep + 1) * R;")
+    ghost_stores = stores + (
+        ["if (sweep + 1 == sweeps) { " + " ".join(last_stores) + " }"]
+        if last_stores else []
+    )
+    out += ["        " + line for line in slot_loop(ghost_stores, ghost=True)]
     out.append("    }")
     for g in staged:
         out.append(
@@ -369,7 +436,7 @@ def generate_intergrid_source(op: str, brick_dim: int, dtype) -> str:
     bricks, ``adjacency`` their ``(nslots, 9)`` table — the coarse slot,
     then the slots of its children, child ``(a, b, c)`` in column
     ``1 + 4a + 2b + c`` — and ``fields = [source, destination]`` as in
-    :data:`INTERGRID_OPS`; ``consts`` and ``sweeps`` are unused.
+    :data:`INTERGRID_OPS`; the arguments after ``fields`` are unused.
     Restriction sums a coarse cell's eight children in one association,
     ``(((p00 + p01) + p10) + p11) / 8`` where ``pab`` adds the two
     children ``(2I + a, 2J + b, 2K)`` and ``(2I + a, 2J + b, 2K + 1)``
@@ -387,10 +454,11 @@ def generate_intergrid_source(op: str, brick_dim: int, dtype) -> str:
         _CHILD_CELL,
         f"void {ENTRY_POINT}(int64_t nslots, const int64_t *restrict table,",
         "                  void *const *fields, const double *consts,",
-        "                  int64_t sweeps)",
+        "                  int64_t sweeps, const int64_t *slots,",
+        "                  int64_t ninner, int64_t nghost, int64_t depth)",
         "{",
-        "    (void)consts;",
-        "    (void)sweeps;",
+        "    (void)consts; (void)sweeps; (void)slots;",
+        "    (void)ninner; (void)nghost; (void)depth;",
         "    const T *restrict src = fields[0];",
         "    T *restrict dst = fields[1];",
         "    for (int64_t s = 0; s < nslots; ++s) {",
@@ -504,9 +572,11 @@ class Backend:
         self.compiled = 0
         self.loaded = 0
         self.compile_ms = 0.0
-        #: foreign calls made, and the stencil sweeps they ran
+        #: foreign calls made, the stencil sweeps they ran and the
+        #: cells those computed
         self.calls = 0
         self.sweeps = 0
+        self.cells = 0
         #: foreign calls made into inter-grid kernels
         self.intergrid = 0
 
@@ -612,7 +682,7 @@ class Backend:
             f"native C ({self.version.splitlines()[0]}, {' '.join(FP_FLAGS)}), "
             f"{self.compiled} compiled, {self.loaded} loaded from "
             f"{self.cache_dir}, {self.calls} calls, {self.sweeps} sweeps, "
-            f"{self.intergrid} inter-grid calls"
+            f"{self.cells} cells, {self.intergrid} inter-grid calls"
         )
 
 
@@ -660,14 +730,19 @@ def stats() -> dict:
 
 
 def call_counts() -> dict:
-    """``{"calls", "sweeps", "intergrid"}``: foreign calls into native
-    stencil kernels so far and the stencil sweeps they ran — equal
-    until a caller hands a kernel a whole exchange window — and foreign
-    calls into inter-grid kernels.  Zeros under NumPy."""
+    """``{"calls", "sweeps", "cells", "intergrid"}``: foreign calls into
+    native stencil kernels so far, the stencil sweeps they ran — equal
+    until a caller hands a kernel a whole exchange window — and the
+    cells those sweeps computed (interior plus the clipped ghost boxes,
+    :meth:`BoundCall.window_cells`), and foreign calls into inter-grid
+    kernels.  Zeros under NumPy."""
     b = _backend
     if b is None:
-        return {"calls": 0, "sweeps": 0, "intergrid": 0}
-    return {"calls": b.calls, "sweeps": b.sweeps, "intergrid": b.intergrid}
+        return {"calls": 0, "sweeps": 0, "cells": 0, "intergrid": 0}
+    return {
+        "calls": b.calls, "sweeps": b.sweeps, "cells": b.cells,
+        "intergrid": b.intergrid,
+    }
 
 
 def describe() -> str:
@@ -717,19 +792,47 @@ class Refusal(_Binding):
     __slots__ = ()
 
 
+def slot_table(grid) -> tuple[np.ndarray, int]:
+    """What a stencil kernel walks on ``grid``: its interior slots in
+    storage order, then one row ``(slot, o0, o1, o2)`` per ghost slot
+    giving the brick's ring offset along each axis — ``c - g`` before
+    the interior, ``c - (g + n) + 1`` after it, 0 beside it (stored
+    coordinate ``c``, ``g`` ghost bricks, ``n`` interior bricks; ``±1``
+    on a one-brick shell).  Returns the flat table and the interior
+    count.  A ghostless grid's table is every slot and no row."""
+    inner = np.sort(grid.interior_slots)
+    ghost = grid.ghost_slots
+    g = grid.ghost_bricks
+    coords = grid.slot_to_grid[ghost]
+    n = np.asarray(grid.shape_bricks, dtype=np.int64)
+    ring = np.where(
+        coords < g, coords - g, np.where(coords >= g + n, coords - g - n + 1, 0)
+    )
+    rows = np.column_stack([ghost, ring]).reshape(-1)
+    table = np.ascontiguousarray(np.concatenate([inner, rows]), dtype=np.int64)
+    return table, len(inner)
+
+
 class BoundCall(_Binding):
     """A native kernel bound to one set of field arrays.
 
-    Eligibility is checked and the pointer table built once; while the
-    binding holds, a call costs only the constants and the foreign
-    call.  Every array a pointer was taken from is referenced here, so
-    none can be freed under the kernel.
+    Eligibility is checked and the pointer and slot tables built once;
+    while the binding holds, a call costs only the constants and the
+    foreign call.  Every array a pointer was taken from is referenced
+    here, so none can be freed under the kernel.  ``sweeps`` and
+    ``cells`` tally what this binding's calls ran: stencil sweeps, and
+    the cells they computed (interior plus the clipped ghost boxes).
     """
 
-    __slots__ = ("_fn", "_nslots", "_adj", "_ptrs", "_consts", "_keep")
+    __slots__ = (
+        "_fn", "_nslots", "_adj", "_ptrs", "_consts", "_slots", "_ninner",
+        "_nghost", "_depth", "_ring", "_radius", "_window", "_keep", "sweeps",
+        "cells",
+    )
 
     def __init__(
-        self, backend, kernel, grid, arrays, staging, adjacency, num_consts
+        self, backend, kernel, grid, arrays, staging, adjacency, num_consts,
+        radius, table,
     ) -> None:
         super().__init__(backend, grid, arrays)
         ffi = backend._ffi
@@ -740,7 +843,38 @@ class BoundCall(_Binding):
         adj = ffi.from_buffer(adjacency)
         self._adj = ffi.cast("const int64_t *", adj)
         self._consts = ffi.new("double[]", max(num_consts, 1))
-        self._keep = (kernel, buffers, adj, staging, adjacency)
+        slots, self._ninner = table
+        self._ring = slots[self._ninner:].reshape(-1, 4)[:, 1:]
+        self._nghost = len(self._ring)
+        self._depth = int(grid.ghost_cells)
+        self._radius = int(radius)
+        tab = ffi.from_buffer(slots)
+        self._slots = ffi.cast("const int64_t *", tab)
+        #: sweeps -> cells one call of that many sweeps computes
+        self._window: dict[int, int] = {}
+        self._keep = (kernel, buffers, adj, staging, adjacency, tab, slots)
+        self.sweeps = 0
+        self.cells = 0
+
+    def window_cells(self, sweeps: int) -> int:
+        """Cells one call of ``sweeps`` sweeps computes: every interior
+        cell per sweep, plus sweep ``k``'s ghost box of depth ``G - (k +
+        1) r`` in whole ``k`` rows."""
+        cells = self._window.get(sweeps)
+        if cells is None:
+            B, ring = self.grid.brick_dim, self._ring
+            cells = self._ninner * B**3 * sweeps
+            for k in range(sweeps):
+                depth = self._depth - (k + 1) * self._radius
+                if depth > 0:
+                    # cells per axis within depth of the interior: CLIP
+                    lo = np.where(ring < 0, np.clip(-ring * B - depth, 0, B), 0)
+                    hi = np.where(ring > 0, np.clip(depth - (ring - 1) * B, 0, B), B)
+                    ext = hi - lo
+                    ext = ext[(ext > 0).all(axis=1)]
+                    cells += int((ext[:, 0] * ext[:, 1]).sum()) * B
+            self._window[sweeps] = cells
+        return cells
 
     def run(self, consts: list[float], sweeps: int = 1) -> None:
         """Apply the kernel ``sweeps`` times in one call, with
@@ -749,10 +883,17 @@ class BoundCall(_Binding):
         buf = self._consts
         for i, value in enumerate(consts):
             buf[i] = value
+        cells = self._window.get(sweeps) or self.window_cells(sweeps)
         backend = self.backend
         backend.calls += 1
         backend.sweeps += sweeps
-        self._fn(self._nslots, self._adj, self._ptrs, buf, sweeps)
+        backend.cells += cells
+        self.sweeps += sweeps
+        self.cells += cells
+        self._fn(
+            self._nslots, self._adj, self._ptrs, buf, sweeps, self._slots,
+            self._ninner, self._nghost, self._depth,
+        )
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> bool:
@@ -801,13 +942,22 @@ def bind(
         key = ("native-stage", g, arrays[0].shape, dtype.char)
         buf = workspace.get(key) if workspace is not None else None
         if buf is None:
-            buf = np.empty(arrays[0].shape, dtype=dtype)
+            # zeros, not garbage: cells no sweep writes (outside the
+            # clipped ghost boxes) reach x's shell on an odd window's
+            # copy back, and must be the same bits every run
+            buf = np.zeros(arrays[0].shape, dtype=dtype)
             if workspace is not None:
                 workspace[key] = buf
         staging.append(buf)
+    key = ("native-slots", grid.geometry_key)
+    table = workspace.get(key) if workspace is not None else None
+    if table is None:
+        table = slot_table(grid)
+        if workspace is not None:
+            workspace[key] = table
     return BoundCall(
         backend, kernel, grid, arrays, staging, grid.adjacency,
-        len(an.const_names),
+        len(an.const_names), an.radius, table,
     )
 
 
@@ -866,7 +1016,8 @@ class IntergridCall(_Binding):
     def run(self) -> None:
         """Apply the operator to the bound arrays."""
         self.backend.intergrid += 1
-        self._fn(self._nslots, self._table, self._ptrs, self.backend._ffi.NULL, 1)
+        null = self.backend._ffi.NULL
+        self._fn(self._nslots, self._table, self._ptrs, null, 1, null, 0, 0, 0)
 
 
 def bind_intergrid(

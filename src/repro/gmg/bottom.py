@@ -108,12 +108,14 @@ class ConjugateGradientBottomSolver(BottomSolver):
             vcycle.recorder.reduction()
         return vcycle.allreduce_sum(locals_)
 
-    def _apply_operator(self, vcycle, lev: int, levels: list[Level]) -> None:
+    def _apply_operator(self, vcycle, lev: int) -> None:
         """Ax <- A x with a fresh ghost exchange (radius-1 stencil), one
-        kernel call per block view."""
-        vcycle.exchange(lev, [vcycle.level_at(lev).x])
-        for lv in levels:
-            vcycle.smoother.apply_op(lv, vcycle.recorder)
+        kernel call over the depth's level (the blocks are views of it;
+        only the dot products need them one by one)."""
+        level = vcycle.level_at(lev)
+        vcycle.exchange(lev, [level.x])
+        for target in vcycle.targets(level):
+            vcycle.smoother.apply_op(target, vcycle.recorder)
 
     def solve(self, vcycle, lev: int) -> None:
         from repro.gmg import operators as ops
@@ -124,7 +126,7 @@ class ConjugateGradientBottomSolver(BottomSolver):
             # keep the problem orthogonal to the constant nullspace
             self._project_out_nullspace(vcycle, levels, "b")
         # r = b - A x ; p = r  (x starts at the initZero'd correction)
-        self._apply_operator(vcycle, lev, levels)
+        self._apply_operator(vcycle, lev)
         for lv in levels:
             ops.residual(lv, vcycle.recorder)
         p = [lv.r.data.copy() for lv in levels]
@@ -141,7 +143,7 @@ class ConjugateGradientBottomSolver(BottomSolver):
                 for lv, pv, xv in zip(levels, p, saved_x):
                     np.copyto(xv, lv.x.data)
                     np.copyto(lv.x.data, pv)
-                self._apply_operator(vcycle, lev, levels)
+                self._apply_operator(vcycle, lev)
                 Ap = [lv.Ax.data.copy() for lv in levels]
                 for lv, pv, xv in zip(levels, p, saved_x):
                     np.copyto(pv, lv.x.data)

@@ -126,8 +126,11 @@ class MetricsRegistry:
         kernels were asked for: ``kernels.native.calls`` (foreign calls
         into stencil kernels), ``kernels.native.sweeps`` (stencil sweeps
         those calls ran — more than the calls where a smoother handed
-        over whole exchange windows) and ``kernels.native.intergrid``
-        (foreign calls into restriction and interpolation kernels).  All zero when the kernels ran through NumPy.  Gauges,
+        over whole exchange windows), ``kernels.native.cells`` (the
+        cells those sweeps computed: interior plus the ghost boxes still
+        valid) and ``kernels.native.intergrid`` (foreign calls into
+        restriction and interpolation kernels).  All zero when the
+        kernels ran through NumPy.  Gauges,
         as in :meth:`observe_plan_caches`: the totals are
         process-cumulative.
         """

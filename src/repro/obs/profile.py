@@ -75,6 +75,34 @@ def exchange_path_line(solver) -> str | None:
     )
 
 
+def ghost_work(solver) -> list[dict]:
+    """Per depth, what the native stencil calls bound on its level
+    computed: ``cells`` (interior plus the clipped ghost boxes),
+    ``interior`` (interior cells times sweeps) and ``slots`` (every
+    slot's cells times sweeps: what an unclipped sweep computes).  No
+    row for a depth no native call ran on (all of them under NumPy)."""
+    from repro.dsl.native import BoundCall
+
+    rows = []
+    for lev in range(solver.vcycle.num_levels):
+        level = solver.vcycle.level_at(lev)
+        calls = {
+            id(call): call
+            for lv in (level, *level.blocks())
+            for call in lv.workspace.values()
+            if isinstance(call, BoundCall)
+        }
+        row = {"level": lev, "cells": 0, "interior": 0, "slots": 0}
+        for call in calls.values():
+            per_sweep = call.grid.brick_dim**3 * call.sweeps
+            row["cells"] += call.cells
+            row["interior"] += call.grid.num_interior * per_sweep
+            row["slots"] += call.grid.num_slots * per_sweep
+        if row["cells"]:
+            rows.append(row)
+    return rows
+
+
 @dataclass
 class ProfileReport:
     """Everything one profiled solve produced."""
@@ -97,6 +125,8 @@ class ProfileReport:
     exchange_paths: str | None = None
     #: :func:`repro.dsl.native.describe`: which backend ran the kernels
     kernels: str | None = None
+    #: :func:`ghost_work` of the profiled solver
+    ghost_work: list[dict] = field(default_factory=list)
 
     def render(self) -> str:
         """The full human-readable profile report."""
@@ -118,6 +148,7 @@ class ProfileReport:
             f"  {exchange}",
             *([f"  {self.exchange_paths}"] if self.exchange_paths else []),
             *([f"  {self.kernels}"] if self.kernels else []),
+            *([f"  {self.ghost_work_line()}"] if self.ghost_work else []),
             "",
             render_measured_vs_model(self.rows, self.machine_name),
             "",
@@ -137,9 +168,19 @@ class ProfileReport:
                 lines.append(f"  {key} = {counters[key]}")
         return "\n".join(lines)
 
+    def ghost_work_line(self) -> str:
+        """Computed cells over interior cells per level, next to what
+        unclipped sweeps over every slot would have computed."""
+        return "stencil cells computed / interior: " + ", ".join(
+            f"l{row['level']} {row['cells'] / row['interior']:.2f} "
+            f"(all slots {row['slots'] / row['interior']:.2f})"
+            for row in self.ghost_work
+        )
+
     def to_json(self) -> dict:
         """Machine-readable form of the report (trace excluded)."""
         return {
+            "ghost_work": self.ghost_work,
             "wallclock_s": self.wallclock_s,
             "coverage": self.coverage,
             "machine": self.machine_name,
@@ -215,6 +256,7 @@ def profile_solve(
         ghostless=not solver.halo_exchangers(),
         exchange_paths=exchange_path_line(solver),
         kernels=native.describe(),
+        ghost_work=ghost_work(solver),
     )
     if trace_path is not None:
         write_chrome_trace(

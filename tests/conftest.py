@@ -23,6 +23,54 @@ def numpy_path():
     return mock.patch.object(native, "resolve_backend", lambda: NUMPY_BACKEND)
 
 
+def valid_cells(grid, depth: int) -> np.ndarray:
+    """``(num_slots, B, B, B)`` mask of the cells within ``depth`` cells
+    of ``grid``'s interior, from each slot's coordinates (a ghostless
+    grid wraps: every cell is valid).  After a window of ``n`` sweeps
+    of a radius-``r`` stencil, an output holds the values of ``n``
+    single applications here at depth ``ghost_cells - n * r``, and
+    nothing anyone may read elsewhere."""
+    B, g = grid.brick_dim, grid.ghost_bricks
+    shape = (grid.num_slots, B, B, B)
+    if g == 0:
+        return np.ones(shape, dtype=bool)
+    n = np.asarray(grid.shape_bricks)
+    cells = grid.slot_to_grid[:, :, None] * B + np.arange(B)
+    inside = (cells >= (g * B - depth)) & (cells < ((g + n) * B + depth)[:, None])
+    return (
+        inside[:, 0, :, None, None]
+        & inside[:, 1, None, :, None]
+        & inside[:, 2, None, None, :]
+    )
+
+
+def poisoned_ghosts():
+    """Context manager: every stencil application inside (native or
+    NumPy) starts with NaN in its staging arrays and ends with NaN in
+    every output cell outside the box it promises (depth
+    ``ghost_cells - sweeps * radius``).  A solve that reads such a cell
+    turns NaN; one that reads none keeps its bytes."""
+    from repro.dsl.codegen import CompiledKernel
+
+    real = CompiledKernel.apply
+    masks: dict = {}
+
+    def apply(self, fields, consts=None, workspace=None, sweeps=1):
+        for key, buf in (workspace or {}).items():
+            if isinstance(key, tuple) and key[0] == "native-stage":
+                buf.fill(np.nan)
+        real(self, fields, consts, workspace, sweeps)
+        grid = fields[self.analysis.output_grids[0]].grid
+        depth = grid.ghost_cells - sweeps * self.analysis.radius
+        key = (grid.geometry_key, depth)
+        if key not in masks:
+            masks[key] = ~valid_cells(grid, depth)
+        for g in self.analysis.output_grids:
+            fields[g].data[masks[key]] = np.nan
+
+    return mock.patch.object(CompiledKernel, "apply", apply)
+
+
 def exchange_every_sweep():
     """Context manager: every cycle inside exchanges before each
     smoothing iteration — HPGMG's schedule, the paper's baseline —

@@ -14,7 +14,9 @@ The oracle shares the hierarchy (levels and their block views,
 exchangers and their one ghost copy, agglomerator, right-hand side or
 coefficients) and the resilient driver with the solver under test;
 what it replaces is how kernels execute.  Ghosts are judged on their
-own, against a dense reference (``tests/test_exchange.py``).
+own, against a dense reference (``tests/test_exchange.py``), and the
+valid-depth rule against NaN-poisoned ghosts
+(``tests/test_ghost_clip.py``).
 
 A fault-free, untraced oracle solve is a pure function of its
 :class:`SolverConfig`, so :func:`oracle_solve` keeps one
@@ -81,10 +83,14 @@ class OracleVariableCoefficientSolver(VariableCoefficientSolver, OracleSolver):
 
 
 def stored_fields(solver) -> list[np.ndarray]:
-    """``x``, ``Ax`` and ``r`` of every compute level, ghosts included."""
+    """``x``, ``Ax`` and ``r`` of every compute level at its interior
+    cells.  Ghost cells are not compared: the native kernels leave those
+    beyond the valid depth uncomputed, the oracle's NumPy kernels
+    compute clamp artefacts there, and nothing reads either before the
+    next exchange."""
     vcycle = solver.vcycle
     return [
-        getattr(level, name).data
+        getattr(level, name).data[level.grid.interior_slots]
         for lev in range(vcycle.num_levels)
         for level in vcycle.levels_at(lev)
         for name in ("x", "Ax", "r")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.conftest import reference_apply_op
+from tests.conftest import reference_apply_op, valid_cells
 from repro.bricks import BrickGrid, BrickedArray
 from repro.dsl import (
     APPLY_OP,
@@ -107,12 +107,18 @@ class TestKernelExecution:
         np.testing.assert_allclose(out.to_ijk(), oracle)
 
     def test_apply_updates_ghost_bricks_too(self, fields):
-        """CA requires the kernel to compute over the ghost shell."""
+        """CA requires the kernel to compute over the ghost shell, as
+        deep as a later sweep can still read it: every ghost cell within
+        ``ghost_cells - radius`` of the interior."""
         bricked, _ = fields
         grid = bricked["x"].grid
         bricked["Ax"].data[grid.ghost_slots] = np.nan
         compile_stencil(APPLY_OP, 4).apply(bricked, {"alpha": -6.0, "beta": 1.0})
-        assert np.isfinite(bricked["Ax"].data[grid.ghost_slots]).all()
+        valid = valid_cells(grid, grid.ghost_cells - 1)
+        ghost = np.zeros(valid.shape, dtype=bool)
+        ghost[grid.ghost_slots] = True
+        assert (ghost & valid).sum() > 0
+        assert np.isfinite(bricked["Ax"].data[ghost & valid]).all()
 
 
 class TestValidation:

@@ -26,7 +26,7 @@ from repro.gmg.varcoef import (
     VARIABLE_SMOOTH,
     VARIABLE_SMOOTH_RESIDUAL,
 )
-from tests.conftest import numpy_path
+from tests.conftest import numpy_path, valid_cells
 from tests.oracle import assert_matches_oracle
 
 
@@ -67,7 +67,7 @@ def random_fields(kernel: CompiledKernel, grid, dtype, seed=0):
     fields = {}
     for g in native.field_order(kernel.analysis):
         f = BrickedArray.zeros(grid, dtype=dtype)
-        # ghost bricks included: the kernels compute over every slot
+        # ghost bricks included: every slot holds data a kernel may read
         f.data[...] = rng.standard_normal(f.data.shape)
         fields[g] = f
     return fields
@@ -84,9 +84,21 @@ def consts_for(kernel: CompiledKernel) -> dict:
     return {name: CONSTS[name] for name in kernel.analysis.const_names}
 
 
-def assert_same_bytes(got, want):
+def assert_same_bytes(got, want, kernel=None, sweeps=1):
+    """Every field equal byte for byte: on every slot, or — given the
+    ``kernel`` applied ``sweeps`` times — on every cell still valid
+    after it (within ``ghost_cells - sweeps * radius`` of the interior),
+    where the native kernel promises the NumPy kernel's bytes.  Beyond
+    that depth the native kernel computes nothing and the NumPy kernel
+    computes clamp artefacts."""
     for g in want:
-        assert got[g].data.tobytes() == want[g].data.tobytes(), g
+        a, b = got[g].data, want[g].data
+        if kernel is not None:
+            grid = want[g].grid
+            depth = grid.ghost_cells - sweeps * kernel.analysis.radius
+            mask = valid_cells(grid, depth)
+            a, b = a[mask], b[mask]
+        assert a.tobytes() == b.tobytes(), g
 
 
 def apply_both(kernel, fields, consts):
@@ -113,8 +125,8 @@ def test_kernel_matches_numpy_bytes(name, brick_dim, dtype, layout):
     grid = GRIDS[layout](brick_dim)
     fields = random_fields(kernel, grid, dtype)
     oracle = apply_both(kernel, fields, consts_for(kernel))
-    # every field, ghost bricks and the clamped outermost ones included
-    assert_same_bytes(fields, oracle)
+    # every field, on every cell still valid after one sweep
+    assert_same_bytes(fields, oracle, kernel)
 
 
 def test_second_application_reuses_the_binding():
@@ -126,7 +138,7 @@ def test_second_application_reuses_the_binding():
         kernel.apply(fields, consts_for(kernel), workspace)
         with numpy_path():
             kernel.apply(oracle, consts_for(kernel), {})
-    assert_same_bytes(fields, oracle)
+    assert_same_bytes(fields, oracle, kernel, sweeps=3)
     bound = workspace[kernel]
     # rebinding a field's storage is noticed, not trusted
     fields["b"].data = fields["b"].data.copy()
@@ -145,7 +157,7 @@ def test_constant_arithmetic_follows_python_floats():
     for dtype in (np.float64, np.float32):
         fields = random_fields(kernel, GRIDS["lexicographic"](4), dtype)
         oracle = apply_both(kernel, fields, consts_for(kernel))
-        assert_same_bytes(fields, oracle)
+        assert_same_bytes(fields, oracle, kernel)
 
 
 def test_wide_and_diagonal_reads():
@@ -161,7 +173,7 @@ def test_wide_and_diagonal_reads():
     )
     fields = random_fields(kernel, GRIDS["surface-major"](4), np.float64)
     oracle = apply_both(kernel, fields, {})
-    assert_same_bytes(fields, oracle)
+    assert_same_bytes(fields, oracle, kernel)
 
 
 # ----------------------------------------------------------------------

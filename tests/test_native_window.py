@@ -2,12 +2,14 @@
 
 One native call runs a whole communication-avoiding exchange window:
 ``x`` ping-pongs between its storage and the staging array, ``Ax`` and
-``r`` are stored by the last sweep only.  These tests pin that nothing
-observable moves — every field on every slot after a window, and every
-history, solution, recorded kernel event and message of a whole solve,
-equal the one-sweep-per-call schedule through the NumPy kernels, byte
-for byte.  They run natively and with the compilers masked (the NumPy
-path then loops, and the schedule checks still bite).
+``r`` are stored by the last sweep only, ghost cells only as deep as a
+later sweep can still read them.  These tests pin that nothing
+observable moves — every field on every cell still valid after a window
+(``tests/conftest.py: valid_cells``), and every history, solution,
+recorded kernel event and message of a whole solve, equal the
+one-sweep-per-call schedule through the NumPy kernels, byte for byte.
+They run natively and with the compilers masked (the NumPy path then
+loops, and the schedule checks still bite).
 """
 
 import contextlib
@@ -18,6 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.bricks import BatchedGrid, BrickGrid
 from repro.dsl import library, native
 from repro.dsl.ast import Grid, Stencil, indices
 from repro.dsl.codegen import CompiledKernel, compile_stencil
@@ -51,6 +54,25 @@ def single_numpy_applies(kernel, fields, consts, sweeps):
             kernel.apply(fields, consts, {})
 
 
+#: each of ``GRIDS``' layouts without a ghost shell (wrapping adjacency)
+GHOSTLESS = {
+    "lexicographic": lambda B: BrickGrid((3, 2, 2), B, 0, "lexicographic"),
+    "surface-major": lambda B: BrickGrid((3, 2, 2), B, 0, "surface-major"),
+    "8-rank-batched": lambda B: BatchedGrid(BrickGrid((2, 2, 2), B, 0), 8),
+}
+
+
+def window_grid(layout, brick_dim, kernel, sweeps):
+    """``layout``'s grid — or, for a window longer than its shell
+    supports (``sweeps * radius > ghost_cells``: no cell would be
+    promised), the layout without a shell, the only kind of level the
+    solver hands such a window (``VCycle.iterations_per_exchange``)."""
+    grid = GRIDS[layout](brick_dim)
+    if sweeps * kernel.analysis.radius <= grid.ghost_cells:
+        return grid
+    return GHOSTLESS[layout](brick_dim)
+
+
 def apply_window(kernel, fields, consts, sweeps):
     """One windowed apply on whichever backend ``apply`` picks; where
     there is a native backend, it must be the one that ran."""
@@ -73,12 +95,13 @@ def test_window_matches_single_numpy_applies(name, sweeps, brick_dim, dtype, lay
     ping-pong and the last-sweep-only stores, ``smooth``'s pointwise
     ``x`` the in-place case."""
     kernel = compile_stencil(STENCILS[name], brick_dim)
-    fields = random_fields(kernel, GRIDS[layout](brick_dim), dtype)
+    grid = window_grid(layout, brick_dim, kernel, sweeps)
+    fields = random_fields(kernel, grid, dtype)
     oracle = clone(fields)
     single_numpy_applies(kernel, oracle, consts_for(kernel), sweeps)
     apply_window(kernel, fields, consts_for(kernel), sweeps)
-    # ghost bricks and the clamped outermost ones included
-    assert_same_bytes(fields, oracle)
+    # every cell still valid after the window, ghost cells included
+    assert_same_bytes(fields, oracle, kernel, sweeps)
 
 
 def test_numpy_path_loops():
@@ -93,17 +116,20 @@ def test_numpy_path_loops():
 
 def test_consecutive_windows_reuse_binding_and_staging():
     """Windows of 8, 4 and 1 back to back (a smoothing visit of 12 and a
-    residual-less bottom sweep): same binding, same staging array."""
-    kernel = compile_stencil(library.FUSED_SMOOTH, 4)
-    fields = random_fields(kernel, GRIDS["8-rank-batched"](4), np.float64)
+    residual-less bottom sweep), each opened by an exchange (here: both
+    sides take the same ghosts): same binding, same staging array."""
+    kernel = compile_stencil(library.FUSED_SMOOTH, 8)
+    fields = random_fields(kernel, GRIDS["8-rank-batched"](8), np.float64)
     oracle = clone(fields)
-    single_numpy_applies(kernel, oracle, consts_for(kernel), 13)
     workspace: dict = {}
     bound = set()
     for sweeps in (8, 4, 1):
+        single_numpy_applies(kernel, oracle, consts_for(kernel), sweeps)
         kernel.apply(fields, consts_for(kernel), workspace, sweeps=sweeps)
         bound.add(id(workspace.get(kernel)))
-    assert_same_bytes(fields, oracle)
+        assert_same_bytes(fields, oracle, kernel, sweeps)
+        for g, f in fields.items():
+            f.data[...] = oracle[g].data
     if have_native():
         assert len(bound) == 1
         stages = [
@@ -130,11 +156,12 @@ def test_output_classes_in_one_stencil():
     assert native.staged_outputs(kernel.analysis) == ("x",)
     assert native.deferred_outputs(kernel.analysis) == ("z",)
     for sweeps in SWEEPS:
-        fields = random_fields(kernel, GRIDS["surface-major"](4), np.float64)
+        grid = window_grid("surface-major", 4, kernel, sweeps)
+        fields = random_fields(kernel, grid, np.float64)
         oracle = clone(fields)
         single_numpy_applies(kernel, oracle, {}, sweeps)
         apply_window(kernel, fields, {}, sweeps)
-        assert_same_bytes(fields, oracle)
+        assert_same_bytes(fields, oracle, kernel, sweeps)
 
 
 def test_sweeps_must_be_positive():
@@ -216,8 +243,9 @@ def faulted_solver():
 def observables(solver):
     result = solver.solve()
     recorder = result.recorder
+    # interior cells: ghost cells beyond the valid depth differ by path
     stored = [
-        getattr(lv, name).data.tobytes()
+        getattr(lv, name).data[lv.grid.interior_slots].tobytes()
         for levels in zip(*(level.blocks() for level in solver.levels))
         for lv in levels
         for name in ("x", "Ax", "r")
@@ -386,8 +414,9 @@ def test_metrics_count_calls_and_sweeps(native_backend):
     assert native_backend.sweeps > native_backend.calls > 0
     assert native.call_counts() == {
         "calls": native_backend.calls, "sweeps": native_backend.sweeps,
-        "intergrid": native_backend.intergrid,
+        "cells": native_backend.cells, "intergrid": native_backend.intergrid,
     }
+    assert gauges["kernels.native.cells"] == native_backend.cells > 0
     line = native.describe()
     assert f"{native_backend.calls} calls, {native_backend.sweeps} sweeps" in line
 
@@ -399,6 +428,7 @@ def test_metrics_read_zero_under_numpy(monkeypatch):
     gauges = registry.snapshot()["gauges"]
     assert gauges["kernels.native.calls"] == 0
     assert gauges["kernels.native.sweeps"] == 0
+    assert gauges["kernels.native.cells"] == 0
     assert gauges["kernels.native.intergrid"] == 0
 
 
