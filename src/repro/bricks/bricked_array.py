@@ -141,17 +141,10 @@ class BrickedArray:
         """Set every cell (interior and ghost) to ``value``."""
         self.data.fill(value)
 
-    def zero_interior(self) -> None:
-        """Zero interior cells only (the V-cycle's ``initZero``)."""
-        self.data[self.grid.interior_slots] = 0.0
-
     def max_abs_interior(self) -> float:
-        """Max-norm over interior cells (the convergence functional)."""
+        """Max-norm over interior cells, gathered under any ordering
+        (the reference for the solver's view, ``Level.interior``)."""
         return float(np.max(np.abs(self.data[self.grid.interior_slots])))
-
-    def mean_interior(self) -> float:
-        """Mean over interior cells."""
-        return float(np.mean(self.data[self.grid.interior_slots]))
 
     @property
     def nbytes_interior(self) -> int:

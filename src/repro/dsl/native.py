@@ -441,7 +441,8 @@ def generate_intergrid_source(op: str, brick_dim: int, dtype) -> str:
     ``(((p00 + p01) + p10) + p11) / 8`` where ``pab`` adds the two
     children ``(2I + a, 2J + b, 2K)`` and ``(2I + a, 2J + b, 2K + 1)``
     — :func:`repro.gmg.operators.average_children`'s order, whatever
-    the shape of the level.
+    the shape of the level — and stores a NaN average as the quiet NaN
+    ``NAN``, as that function does.
     """
     if op not in INTERGRID_OPS:
         raise ValueError(f"no native inter-grid operator {op!r}")
@@ -483,8 +484,8 @@ def generate_intergrid_source(op: str, brick_dim: int, dtype) -> str:
                     f"+ F({x}, {y}, 2 * k + 1);"
                 )
         out += [
-            "            coarse[(i * B + j) * B + k] = "
-            "(((p00 + p01) + p10) + p11) / (T)8;",
+            "            const T avg = (((p00 + p01) + p10) + p11) / (T)8;",
+            "            coarse[(i * B + j) * B + k] = avg != avg ? (T)NAN : avg;",
             "        }",
         ]
     else:

@@ -426,7 +426,7 @@ class Agglomerator:
             cells = self.plan.level_cells(lev)
             merged = make_level(
                 lev, cells, config.brick_dim, config.level_spacing(lev),
-                config.ordering, dtype=dtype,
+                dtype=dtype,
                 blocks=self.copies * self.plan.active_count(lev),
             )
             self.merged_levels[lev] = merged
@@ -451,7 +451,7 @@ class Agglomerator:
             s_cells = self.plan.level_cells(lev, S)
             staging = make_level(
                 lev, s_cells, config.brick_dim, config.level_spacing(lev),
-                config.ordering, dtype=dtype,
+                dtype=dtype,
                 blocks=self.copies * S[0] * S[1] * S[2],
             )
             self.staging_levels[lev] = staging

@@ -78,24 +78,25 @@ class ConjugateGradientBottomSolver(BottomSolver):
         self.project_nullspace = project_nullspace
 
     @staticmethod
-    def _project_out_nullspace(vcycle, levels: list[Level], attr: str) -> None:
+    def _project_out_nullspace(vcycle, level: Level, attr: str) -> None:
         """Subtract the global mean from a field (interior cells).
 
         The periodic operator's nullspace is the constant vector; CG on
         the semidefinite system is stable only if iterates stay
         orthogonal to it, so the mean (which enters through rounding)
-        is projected out of the residual and the solution.
+        is projected out of the residual and the solution.  The sums
+        keep ``interior_slots`` order; the subtraction uses the view.
         """
         sums, counts = [], 0
-        for lv in levels:
+        for lv in level.blocks():
             data = getattr(lv, attr).data[lv.grid.interior_slots]
             sums.append(float(np.sum(data)))
             counts += data.size
         if vcycle.recorder is not None:
             vcycle.recorder.reduction()
         mean = vcycle.allreduce_sum(sums) / counts
-        for lv in levels:
-            getattr(lv, attr).data[lv.grid.interior_slots] -= mean
+        interior = level.interior(getattr(level, attr))
+        interior -= mean
 
     @staticmethod
     def _dot(vcycle, levels: list[Level], a: str, b: str) -> float:
@@ -118,17 +119,14 @@ class ConjugateGradientBottomSolver(BottomSolver):
             vcycle.smoother.apply_op(target, vcycle.recorder)
 
     def solve(self, vcycle, lev: int) -> None:
-        from repro.gmg import operators as ops
-
-        levels = vcycle.levels_at(lev)
+        level = vcycle.level_at(lev)
+        levels = level.blocks()
         interior = [lv.grid.interior_slots for lv in levels]
         if self.project_nullspace:
             # keep the problem orthogonal to the constant nullspace
-            self._project_out_nullspace(vcycle, levels, "b")
+            self._project_out_nullspace(vcycle, level, "b")
         # r = b - A x ; p = r  (x starts at the initZero'd correction)
-        self._apply_operator(vcycle, lev)
-        for lv in levels:
-            ops.residual(lv, vcycle.recorder)
+        vcycle.residual_pass(lev)
         p = [lv.r.data.copy() for lv in levels]
         rr = self._dot(vcycle, levels, "r", "r")
         if rr == 0.0:
@@ -170,7 +168,7 @@ class ConjugateGradientBottomSolver(BottomSolver):
                     p[i] = lv.r.data + beta * pv
                 rr = rr_new
         if self.project_nullspace:
-            self._project_out_nullspace(vcycle, levels, "x")
+            self._project_out_nullspace(vcycle, level, "x")
 
 
 class FFTBottomSolver(BottomSolver):

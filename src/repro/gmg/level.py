@@ -57,7 +57,6 @@ def make_level(
     shape_cells: tuple[int, int, int],
     requested_brick_dim: int,
     h: float,
-    ordering: str = "surface-major",
     dtype: np.dtype | type = np.float64,
     blocks: int = 1,
 ) -> "Level":
@@ -73,7 +72,7 @@ def make_level(
     fewer exchanges per visit).
     """
     bdim = level_brick_dim(min(shape_cells), requested_brick_dim)
-    return Level(index, shape_cells, bdim, h, ordering, dtype=dtype, blocks=blocks)
+    return Level(index, shape_cells, bdim, h, dtype=dtype, blocks=blocks)
 
 
 class Level:
@@ -92,6 +91,10 @@ class Level:
     that owns a whole periodic domain — its grid wraps its own
     adjacency, so the level stores and computes interior bricks only
     and has nothing to exchange.
+
+    Storage is always surface-major: every ghost slot precedes every
+    interior slot, so a block's interior is its slot tail
+    (:meth:`interior`).
     """
 
     def __init__(
@@ -100,7 +103,6 @@ class Level:
         shape_cells: tuple[int, int, int],
         brick_dim: int,
         h: float,
-        ordering: str = "surface-major",
         dtype: np.dtype | type = np.float64,
         ghost_bricks: int = 1,
         blocks: int = 1,
@@ -116,9 +118,7 @@ class Level:
         self.constants = LevelConstants.for_spacing(h)
         self.dtype = np.dtype(dtype)
         shape_bricks = tuple(c // brick_dim for c in shape_cells)
-        base = BrickGrid(
-            shape_bricks, brick_dim, ghost_bricks=ghost_bricks, ordering=ordering
-        )
+        base = BrickGrid(shape_bricks, brick_dim, ghost_bricks=ghost_bricks)
         self.grid = base if blocks == 1 else BatchedGrid(base, blocks)
         self.num_blocks = int(blocks)
         self.x = BrickedArray.zeros(self.grid, dtype=self.dtype)
@@ -146,6 +146,15 @@ class Level:
     def fields(self) -> dict[str, BrickedArray]:
         """All fields keyed by their DSL grid names."""
         return {"x": self.x, "b": self.b, "Ax": self.Ax, "r": self.r}
+
+    def interior(self, field: BrickedArray) -> np.ndarray:
+        """``field``'s interior as a ``(blocks, bricks, B, B, B)`` view:
+        each block's slot tail, in storage order — fine for a max or an
+        elementwise update, not for a sum whose rounding depends on
+        order (those gather through ``grid.interior_slots``)."""
+        S = self.grid.num_slots // self.num_blocks
+        lo = S - self.grid.num_interior // self.num_blocks
+        return field.data.reshape(self.num_blocks, S, *field.data.shape[1:])[:, lo:]
 
     def blocks(self) -> list["Level"]:
         """One view per block, in storage order (made once): the level

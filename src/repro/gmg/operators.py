@@ -107,13 +107,19 @@ def average_children(cells: np.ndarray) -> np.ndarray:
 
     The order is fixed per cell, so a level restricts to the same bits
     whatever its shape — one rank's block, a merged block, a stack of
-    blocks — and the native kernel adds in exactly this order.
+    blocks — and the native kernel adds in exactly this order.  A NaN
+    average is stored as the one quiet NaN ``np.nan``: when two NaNs
+    meet in an add (say a NaN child and ``inf + -inf``), which one's
+    bits survive follows operand order, and a compiler may swap the
+    operands of an add.
     """
     p = [
         [cells[..., a, :, b, :, 0] + cells[..., a, :, b, :, 1] for b in (0, 1)]
         for a in (0, 1)
     ]
-    return (((p[0][0] + p[0][1]) + p[1][0]) + p[1][1]) / 8
+    avg = (((p[0][0] + p[0][1]) + p[1][0]) + p[1][1]) / 8
+    np.copyto(avg, np.nan, where=np.isnan(avg))
+    return avg
 
 
 def _native_intergrid(op: str, coarse: Level, fine: Level, src, dst) -> bool:

@@ -54,16 +54,6 @@ def _run_kernel(level: Level, stencil, consts: dict, sweeps: int = 1) -> None:
     kernel.apply(level.fields(), consts, level.workspace, sweeps)
 
 
-def _apply_op_residual(
-    level: Level, recorder: Recorder | None, tracer=NULL_TRACER
-) -> None:
-    """``Ax = A x`` and ``r = b - Ax`` in one fused kernel."""
-    with tracer.span(FUSED_APPLY_RESIDUAL.name, l=level.index):
-        _run_kernel(level, FUSED_APPLY_RESIDUAL, level.constants.as_dict())
-    if recorder is not None:
-        recorder.kernel(level.index, FUSED_APPLY_RESIDUAL.name, level.num_points)
-
-
 def _scratch(level: Level, name: str) -> np.ndarray:
     """A reusable per-level temporary shaped like the packed fields.
 
@@ -90,7 +80,8 @@ class Smoother:
     ghost_cells_per_iteration`` cells of valid halo.
 
     The smoother also owns the operator it relaxes: :meth:`apply_op` is
-    what the convergence check and the CG bottom solver apply.
+    what the CG bottom solver applies, :meth:`apply_op_residual` what
+    the convergence check and CG's first residual run.
     """
 
     name: str = "abstract"
@@ -122,6 +113,14 @@ class Smoother:
         coefficient 7-point operator."""
         with self.tracer.span("applyOp", l=level.index):
             ops.apply_op(level, recorder)
+
+    def apply_op_residual(self, level: Level, recorder: Recorder | None) -> None:
+        """``Ax = A x`` and ``r = b - Ax`` in one fused kernel call
+        (requires valid halo)."""
+        with self.tracer.span(FUSED_APPLY_RESIDUAL.name, l=level.index):
+            _run_kernel(level, FUSED_APPLY_RESIDUAL, level.constants.as_dict())
+        if recorder is not None:
+            recorder.kernel(level.index, FUSED_APPLY_RESIDUAL.name, level.num_points)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -254,7 +253,7 @@ class _ColoredSmoother(Smoother):
         if with_residual:
             # pre-update residual (Algorithm 2's convention) reuses the
             # red half-sweep's operator application
-            _apply_op_residual(level, recorder, self.tracer)
+            self.apply_op_residual(level, recorder)
             self._half_sweep_given_ax(level, red, recorder)
         else:
             self._half_sweep(level, red, recorder, self._half_label)
@@ -335,7 +334,7 @@ class ChebyshevSmoother(Smoother):
         z = _scratch(level, "cheb_z")
         d = _scratch(level, "cheb_d")
         if with_residual:
-            _apply_op_residual(level, recorder, self.tracer)
+            self.apply_op_residual(level, recorder)
         else:
             self.apply_op(level, recorder)
         with self.tracer.span("chebyshev-update", l=level.index):

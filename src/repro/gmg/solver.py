@@ -51,7 +51,6 @@ class SolverConfig:
     bottom_smooths: int = 100
     tol: float = CONVERGENCE_TOL
     max_vcycles: int = 100
-    ordering: str = "surface-major"
     rank_dims: tuple[int, int, int] = (1, 1, 1)
     ranks_per_node: int = 1
     #: smoother registry name: jacobi (paper) / gsrb / sor / chebyshev
@@ -79,7 +78,6 @@ class SolverConfig:
     agglomerate_threshold: int | None = None
 
     def __post_init__(self) -> None:
-        from repro.bricks.orderings import ORDERINGS
         from repro.gmg.bottom import BOTTOM_SOLVERS
         from repro.gmg.smoothers import SMOOTHERS
         from repro.gmg.vcycle import CYCLE_TYPES
@@ -95,11 +93,6 @@ class SolverConfig:
             raise ValueError(f"tol must be a non-negative number: {self.tol}")
         if self.max_vcycles < 0:
             raise ValueError(f"max_vcycles must be non-negative: {self.max_vcycles}")
-        if self.ordering not in ORDERINGS:
-            raise ValueError(
-                f"unknown ordering {self.ordering!r}; choose from "
-                f"{sorted(ORDERINGS)}"
-            )
         if self.smoother not in SMOOTHERS:
             raise ValueError(
                 f"unknown smoother {self.smoother!r}; choose from "
@@ -357,7 +350,6 @@ class Hierarchy:
                     cells,
                     level_brick_dim(min(cells), config.brick_dim),
                     config.level_spacing(lev),
-                    config.ordering,
                     dtype=np.float32 if config.precision == "fp32" else np.float64,
                     ghost_bricks=ghost_bricks,
                     blocks=self.copies * self.topology.size,
@@ -722,7 +714,7 @@ def timed_model(config: SolverConfig, machine, num_vcycles: int):
         num_vcycles=num_vcycles,
         rank_dims=config.rank_dims,
         ranks_per_node=config.ranks_per_node,
-        ordering=config.ordering,
+        ordering="surface-major",
         brick_dim=config.brick_dim,
         precision=config.precision,
     )

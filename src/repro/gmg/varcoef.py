@@ -33,6 +33,7 @@ from repro.bricks.bricked_array import BrickedArray
 from repro.dsl.ast import ConstRef, Grid, Stencil, indices
 from repro.dsl.codegen import compile_stencil
 from repro.dsl.library import build_variable_coefficient_apply_op
+from repro.gmg import operators as ops
 from repro.gmg.level import Level
 from repro.gmg.smoothers import Smoother
 from repro.gmg.solver import GMGSolver, SolverConfig
@@ -109,6 +110,12 @@ class VariableCoefficientJacobi(Smoother):
         if recorder is not None:
             recorder.kernel(level.index, "applyOp", level.num_points)
 
+    def apply_op_residual(self, level: Level, recorder: Recorder | None) -> None:
+        """The variable-coefficient ``Ax = A x``, then ``r = b - Ax``."""
+        self.apply_op(level, recorder)
+        with self.tracer.span("residual", l=level.index):
+            ops.residual(level, recorder)
+
     def sweep(
         self, level: Level, with_residual: bool, recorder: Recorder | None
     ) -> None:
@@ -146,7 +153,6 @@ class VariableCoefficientSolver(GMGSolver):
         bottom_smooths: int = 100,
         omega: float = 0.5,
         rank_dims: tuple[int, int, int] = (1, 1, 1),
-        ordering: str = "surface-major",
     ) -> None:
         self.beta_fn = beta_fn
         super().__init__(
@@ -157,7 +163,6 @@ class VariableCoefficientSolver(GMGSolver):
                 max_smooths=max_smooths,
                 bottom_smooths=bottom_smooths,
                 rank_dims=tuple(rank_dims),
-                ordering=ordering,
                 smoother_options=(("omega", omega),),
             )
         )

@@ -68,8 +68,8 @@ class VCycle:
         (paper: 100); ignored when ``bottom_solver`` is supplied.
     smoother:
         A :class:`~repro.gmg.smoothers.Smoother`; defaults to the
-        paper's damped Jacobi.  Its ``apply_op`` is also the operator
-        of the convergence check and of the CG bottom solver.
+        paper's damped Jacobi.  Its operator is also the convergence
+        check's (``apply_op_residual``) and the CG bottom solver's.
     bottom_solver:
         A :class:`~repro.gmg.bottom.BottomSolver`; defaults to
         relaxation with ``bottom_smooths`` iterations.
@@ -344,45 +344,37 @@ class VCycle:
             self._cycle(0, self.cycle)
         self.cycles_run += 1
 
-    def _residual_pass(self) -> Level:
-        """Exchange ``x`` and evaluate ``Ax``, ``r = b - Ax`` on the
-        finest level; returns that level.  Call inside a
-        ``residual-check`` span."""
-        level = self.level_at(0)
-        self.exchange(0, [level.x])
-        # one applyOp + residual covers all blocks; per-rank reductions
-        # read through the block views
+    def residual_pass(self, lev: int = 0) -> Level:
+        """Exchange ``x``, then ``Ax = A x`` and ``r = b - Ax`` on depth
+        ``lev`` in one fused kernel call; returns the depth's level."""
+        level = self.level_at(lev)
+        self.exchange(lev, [level.x])
         for target in self.targets(level):
-            self.smoother.apply_op(target, self.recorder)
-            with self.tracer.span("residual", l=0):
-                ops.residual(target, self.recorder)
+            self.smoother.apply_op_residual(target, self.recorder)
         return level
+
+    def _block_maxima(self) -> np.ndarray:
+        """Each block's max |r| on the finest level, over the interior
+        view: NaN-propagating, and blind to ghost slots."""
+        level = self.residual_pass()
+        r = np.abs(level.interior(level.r))
+        if self.recorder is not None:
+            self.recorder.reduction()
+        return np.max(r.reshape(level.num_blocks, -1), axis=1)
 
     def max_norm_residual(self) -> float:
         """Global max-norm of the finest-level residual (Algorithm 1)."""
         with self.tracer.span("residual-check", v=self.cycles_run):
-            level = self._residual_pass()
-            local = [lv.r.max_abs_interior() for lv in level.blocks()]
-            if self.recorder is not None:
-                self.recorder.reduction()
-            return float(self._allreduce_max(local))
+            return float(self._allreduce_max(self._block_maxima()))
 
     def residual_norms(self) -> list[float]:
-        """Finest-level residual max-norm of each stacked copy.
-
-        :meth:`max_norm_residual`'s residual pass, reduced per copy
-        with ``float(np.max(...))`` — bit-identical to both the default
-        reduction and ``SimComm.allreduce_max`` of that copy alone.
+        """Finest-level residual max-norm of each stacked copy: the
+        per-block maxima reduced per copy (blocks are copy-major), each
+        bit-identical to ``SimComm.allreduce_max`` of that copy alone.
         """
         with self.tracer.span("residual-check", v=self.cycles_run):
-            level = self._residual_pass()
-            # one reduction over the stacked residual: blocks are
-            # copy-major, so each row of the reshape is exactly one
-            # copy's interior element set, and max is order-independent
-            vals = np.abs(level.r.data[level.grid.interior_slots])
-            if self.recorder is not None:
-                self.recorder.reduction()
-            return [float(np.max(row)) for row in vals.reshape(self.copies, -1)]
+            maxima = self._block_maxima().reshape(self.copies, -1)
+            return [float(np.max(row)) for row in maxima]
 
     def solve(
         self, tol: float = CONVERGENCE_TOL, max_vcycles: int = 100

@@ -26,16 +26,17 @@ STRUCTURE_SPANS = frozenset(
      "cg-iteration"}
 )
 
-#: measured span name -> operation key of the machine model's
+#: measured span name -> operation keys of the machine model's
 #: per-level breakdown (``TimedSolve.solve_level_times``); fused
-#: pipeline spans cover the model's staged pair
+#: pipeline spans cover the model's staged pair (``applyOp>residual``
+#: is the convergence check's ``applyOp`` + ``residual``)
 MODEL_OP_FOR = {
     "applyOp": ("applyOp",),
     "smooth": ("smooth",),
     "smooth+residual": ("smooth+residual",),
     "applyOp>smooth": ("applyOp", "smooth"),
     "applyOp>smooth+residual": ("applyOp", "smooth+residual"),
-    "applyOp>residual": ("applyOp",),
+    "applyOp>residual": ("applyOp", "residual"),
     "exchange": ("exchange",),
     "restriction": ("restriction",),
     "interpolation+increment": ("interpolation+increment",),

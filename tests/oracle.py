@@ -40,7 +40,8 @@ from tests.conftest import numpy_path
 
 
 class StagedJacobi(JacobiSmoother):
-    """Algorithm 2's smoothing iteration, one kernel per stage."""
+    """Algorithm 2's smoothing iteration and Algorithm 1's residual,
+    one kernel per stage."""
 
     def iterate(self, level, with_residual, recorder, sweeps=1):
         stencil = SMOOTH_RESIDUAL if with_residual else SMOOTH
@@ -50,6 +51,10 @@ class StagedJacobi(JacobiSmoother):
             kernel.apply(level.fields(), self._constants(level), level.workspace)
             if recorder is not None:
                 recorder.kernel(level.index, stencil.name, level.num_points)
+
+    def apply_op_residual(self, level, recorder):
+        ops.apply_op(level, recorder)
+        ops.residual(level, recorder)
 
 
 def per_rank(vcycle):

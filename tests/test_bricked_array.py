@@ -85,24 +85,11 @@ class TestWholeField:
         f.fill(3.5)
         assert (f.data == 3.5).all()
 
-    def test_zero_interior_keeps_ghost(self, random_field):
-        field, _ = random_field
-        field.fill_ghost_periodic()
-        ghost_before = field.data[field.grid.ghost_slots].copy()
-        field.zero_interior()
-        assert not field.data[field.grid.interior_slots].any()
-        assert np.array_equal(field.data[field.grid.ghost_slots], ghost_before)
-
     def test_max_abs_interior_ignores_ghost(self, small_grid):
         f = BrickedArray.zeros(small_grid)
         f.data[small_grid.ghost_slots] = 99.0
         f.data[small_grid.interior_slots[0], 0, 0, 0] = -2.5
         assert f.max_abs_interior() == 2.5
-
-    def test_mean_interior(self, small_grid):
-        f = BrickedArray.zeros(small_grid)
-        f.fill(2.0)
-        assert f.mean_interior() == pytest.approx(2.0)
 
     def test_nbytes_interior(self, small_grid):
         f = BrickedArray.zeros(small_grid)

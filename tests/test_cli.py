@@ -376,7 +376,8 @@ class TestServeCommand:
         assert line.startswith("unknown config key 'overlap'; valid fields: ")
         listed = line.split("valid fields: ")[1].split(", ")
         assert listed == sorted(f.name for f in dataclasses.fields(SolverConfig))
-        assert len(listed) == 18 and "num_levels" in listed
+        assert len(listed) == 17 and "num_levels" in listed
+        assert "ordering" not in listed
 
     @pytest.mark.parametrize(
         "batch,needle",

@@ -3,26 +3,29 @@
 import numpy as np
 import pytest
 
-from repro.bricks import BrickGrid, BrickedArray
+from repro.bricks import BatchedGrid, BrickedArray, BrickGrid
 from repro.comm import CartTopology, HaloExchange, SimComm
 from repro.gmg.boundary import BoundaryCondition, BoundaryFill
-from repro.gmg.level import Level
 from repro.gmg.problem import rhs_field
 from repro.instrument import Recorder
 
 
 def stacked_fields(grid, blocks, content=None, dtype=np.float64):
-    """One stacked field of ``blocks`` blocks of ``grid``'s geometry,
-    holding ``content`` (zeros if omitted) — what an exchange takes —
-    and its block views, one per rank, as a level makes them:
+    """One stacked field of ``blocks`` blocks of ``grid`` — any storage
+    ordering — holding ``content`` (zeros if omitted): what an exchange
+    takes, and its block views, one per rank, as a level makes them:
     ``(stacked, views)``."""
-    level = Level(
-        0, grid.shape_cells, grid.brick_dim, 1.0, grid.ordering,
-        dtype=dtype, ghost_bricks=grid.ghost_bricks, blocks=blocks,
+    stacked = BrickedArray.zeros(
+        grid if blocks == 1 else BatchedGrid(grid, blocks), dtype=dtype
     )
     if content is not None:
-        level.x.data[...] = content
-    return level.x, [view.x for view in level.blocks()]
+        stacked.data[...] = content
+    S = grid.num_slots
+    views = [
+        BrickedArray(grid, stacked.data[k * S : (k + 1) * S], dtype)
+        for k in range(blocks)
+    ]
+    return stacked, views
 
 
 def make_rank_fields(topology, grid, global_dense):

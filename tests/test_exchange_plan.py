@@ -50,7 +50,7 @@ from repro.obs.tracer import Tracer
 
 from tests.conftest import QUIET_INJECTOR, ArmedNeverStriking, all_envelopes
 from tests.oracle import OracleSolver
-from tests.test_exchange import check_ghosts_against_global
+from tests.test_exchange import check_ghosts_against_global, stacked_fields
 
 RANK_DIMS = [(2, 1, 1), (2, 2, 2), (3, 2, 1)]
 BOUNDARIES = ["periodic", "dirichlet", "neumann"]
@@ -92,20 +92,19 @@ def build(
     )
     rng = np.random.default_rng(seed)
     blocks = copies * topo.size
-    level = Level(0, grid.shape_cells, 4, 1.0, ordering, dtype=dtype, blocks=blocks)
-    names = ("x", "b")[:nfields]
-    for name in names:
+    pairs = [stacked_fields(grid, blocks, dtype=dtype) for _ in range(nfields)]
+    for stacked, views in pairs:
         content = rng.random((blocks * grid.num_slots, 4, 4, 4)).astype(dtype)
         if whole:
-            getattr(level, name).data[...] = content
+            stacked.data[...] = content
         else:
-            for k, view in enumerate(level.blocks()):
-                getattr(view, name).data[...] = content[
+            for k, view in enumerate(views):
+                view.data[...] = content[
                     k * grid.num_slots : (k + 1) * grid.num_slots
                 ]
     return ex, Stacked(
-        [getattr(level, name) for name in names],
-        [[getattr(view, name) for name in names] for view in level.blocks()],
+        [stacked for stacked, _ in pairs],
+        [[views[k] for _, views in pairs] for k in range(blocks)],
     )
 
 

@@ -98,13 +98,14 @@ class TestMeasuredVsModel:
         text.encode("ascii")
 
     def test_kernel_rows_carry_achieved_bandwidth(self, profiled_exchanging):
-        """Stencil rows report compulsory GB/s at the run's precision;
+        """Stencil rows report compulsory GB/s at the run's precision —
+        the convergence check's fused ``applyOp>residual`` among them;
         non-stencil rows (exchange, inter-grid) do not."""
         from repro.obs.aggregate import kernel_bytes_per_point
 
         rows = profiled_exchanging.rows
         by_op = {r["op"]: r for r in rows if r["level"] == 0}
-        assert by_op["applyOp"]["gbps"] > 0
+        assert by_op["applyOp>residual"]["gbps"] > 0
         assert by_op["exchange"]["gbps"] is None
         assert "GB/s compulsory" in render_measured_vs_model(rows)
         fp64, fp32 = kernel_bytes_per_point(8), kernel_bytes_per_point(4)

@@ -1,5 +1,7 @@
 """Public solver API: configuration, convergence, distribution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,6 @@ class TestConfigValidation:
             ("brick_dim", 0),
             ("max_smooths", 0),
             ("bottom_smooths", 0),
-            ("ordering", "hilbert"),
             ("tol", float("nan")),
             ("tol", -1e-10),
             ("max_vcycles", -1),
@@ -38,19 +39,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
+    def test_storage_ordering_is_not_a_solver_field(self):
+        """The solver always stores surface-major (its residual check
+        reads the interior as each block's slot tail); the ordering
+        stays a ``BrickGrid`` argument only."""
+        assert "ordering" not in {f.name for f in dataclasses.fields(SolverConfig)}
+        with pytest.raises(TypeError, match="ordering"):
+            SolverConfig(ordering="lexicographic")
+        solver = GMGSolver(SolverConfig(global_cells=16, num_levels=2,
+                                        rank_dims=(2, 1, 1)))
+        assert {lv.grid.ordering for lv in solver.levels} == {"surface-major"}
+
     def test_zero_tol_and_zero_cycles_are_legal(self):
         config = SolverConfig(global_cells=8, num_levels=2, brick_dim=2,
                               tol=0.0, max_vcycles=0)
         assert GMGSolver(config).solve().num_vcycles == 0
 
     def test_there_is_no_execution_option(self):
-        """How a solve executes is not configurable: 18 fields, none
+        """How a solve executes is not configurable: 17 fields, none
         of them a schedule, and every solver stacks its ranks in one
         level per depth."""
-        import dataclasses
-
         names = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert len(names) == 18
+        assert len(names) == 17
         assert "overlap" not in names and "communication_avoiding" not in names
         solver = GMGSolver(SolverConfig(global_cells=16, num_levels=2))
         assert [lv.num_blocks for lv in solver.vcycle.levels] == [1, 1]
@@ -137,15 +147,6 @@ class TestDistributedEquivalence:
         solver = GMGSolver(
             SolverConfig(global_cells=16, num_levels=2, brick_dim=4,
                          max_smooths=6, bottom_smooths=20, rank_dims=dims)
-        )
-        solver.solve()
-        np.testing.assert_array_equal(solver.solution(), serial_solution)
-
-    def test_ordering_does_not_change_results(self, serial_solution):
-        solver = GMGSolver(
-            SolverConfig(global_cells=16, num_levels=2, brick_dim=4,
-                         max_smooths=6, bottom_smooths=20,
-                         rank_dims=(2, 1, 1), ordering="lexicographic")
         )
         solver.solve()
         np.testing.assert_array_equal(solver.solution(), serial_solution)
