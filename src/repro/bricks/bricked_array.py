@@ -126,10 +126,6 @@ class BrickedArray:
         ghost, src = self.grid.periodic_wrap_pairs
         self.data[ghost] = self.data[src]
 
-    def zero_ghost(self) -> None:
-        """Zero the ghost shell (used to prove exchanges actually run)."""
-        self.data[self.grid.ghost_slots] = 0.0
-
     # ------------------------------------------------------------------
     # whole-field operations
     # ------------------------------------------------------------------
@@ -145,13 +141,6 @@ class BrickedArray:
         """Max-norm over interior cells, gathered under any ordering
         (the reference for the solver's view, ``Level.interior``)."""
         return float(np.max(np.abs(self.data[self.grid.interior_slots])))
-
-    @property
-    def nbytes_interior(self) -> int:
-        """Bytes of interior payload (excludes the ghost shell)."""
-        return (
-            self.grid.num_interior * self.grid.cells_per_brick * self.dtype.itemsize
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BrickedArray(grid={self.grid!r})"

@@ -52,7 +52,12 @@ fast-math option, so nothing is re-associated; ``-ffp-contract=off``
 forbids fusing a multiply into an add; and Python-float constants are
 cast to the field dtype before they meet a field value, as NumPy's weak
 scalars are (constant-with-constant arithmetic stays in double, as
-Python evaluates it).
+Python evaluates it).  Only a NaN's sign and payload are not pinned:
+which NaN an add of two keeps follows operand order, which the compiler
+may swap.  Kernels are built for the widest vector ISA the host runs
+(:func:`vector_flags`), so a ``B = 8`` row of doubles is one AVX-512
+register; never with ``-march=native``, which on a CPU with AVX512-FP16
+sets ``FLT_EVAL_METHOD`` to 16 and trips the guard.
 
 Nothing here runs at import: the compiler is probed, cffi imported and a
 kernel compiled the first time a kernel is applied.  Shared objects are
@@ -67,6 +72,7 @@ the directory to clear the cache.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import logging
 import math
 import os
@@ -95,6 +101,14 @@ FP_FLAGS = ("-O3", "-ffp-contract=off")
 
 #: the flags every kernel is built with
 CFLAGS = FP_FLAGS + ("-fPIC", "-shared")
+
+#: the vector ISAs a kernel may be built for, widest first: the CPU
+#: feature (NumPy's name for it) and the flags selecting it.  Neither
+#: set defines ``__FMA__`` or a non-zero ``FLT_EVAL_METHOD``
+VECTOR_ISAS = (
+    ("AVX512F", ("-mavx512f", "-mprefer-vector-width=512")),
+    ("AVX2", ("-mavx2",)),
+)
 
 #: the one signature every kernel exports (so one ``cdef`` serves all)
 ENTRY_POINT = "repro_kernel"
@@ -503,6 +517,24 @@ def generate_intergrid_source(op: str, brick_dim: int, dtype) -> str:
 # ----------------------------------------------------------------------
 # the backend: compiler, cache directory, loaded kernels
 # ----------------------------------------------------------------------
+def _cpu_features() -> dict:
+    """NumPy's runtime CPU feature table (computed when NumPy was
+    imported), or ``{}`` where this NumPy has none."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            return dict(importlib.import_module(module).__cpu_features__)
+        except (ImportError, AttributeError):
+            continue
+    return {}
+
+
+def vector_flags() -> tuple[str, ...]:
+    """The flags of the first :data:`VECTOR_ISAS` entry this CPU runs;
+    none on any other host (a non-x86 table names no AVX feature)."""
+    features = _cpu_features()
+    return next((flags for name, flags in VECTOR_ISAS if features.get(name)), ())
+
+
 class NativeKernel:
     """One loaded shared object: the entry point and the library handle
     that keeps it mapped."""
@@ -548,10 +580,10 @@ class Backend:
     is none and every kernel runs through NumPy.
 
     Holds what is shared by all kernels: the compiler and its version,
-    the cache directory, the one cffi ``FFI``, the kernels loaded so far
-    (keyed by their shared object's name) and the hit/miss tallies that
-    ``repro profile`` and :class:`~repro.obs.metrics.MetricsRegistry`
-    report.
+    the :func:`vector_flags` every kernel is built with, the cache
+    directory, the one cffi ``FFI``, the kernels loaded so far (keyed by
+    their shared object's name) and the hit/miss tallies that ``repro
+    profile`` and :class:`~repro.obs.metrics.MetricsRegistry` report.
     """
 
     def __init__(
@@ -561,12 +593,17 @@ class Backend:
         version: str = "",
         cache_dir: str | None = None,
         ffi=None,
+        vector_flags: tuple[str, ...] = (),
     ) -> None:
         self.reason = reason
         self.cc = cc
         self.version = version
         self.cache_dir = cache_dir
         self._ffi = ffi
+        self.vector_flags = tuple(vector_flags)
+        #: kernels built without the vector flags, which the compiler
+        #: rejected
+        self.baseline = 0
         #: shared-object file name -> kernel, or the reason it is unusable
         self._kernels: dict[str, NativeKernel | str] = {}
         #: kernels compiled by this process / loaded from the directory
@@ -611,23 +648,40 @@ class Backend:
             )
         ffi = cffi.FFI()
         ffi.cdef(_CDEF)
-        return cls(None, cc, version, usable, ffi)
+        return cls(None, cc, version, usable, ffi, vector_flags())
 
     # ------------------------------------------------------------------
     def kernel(self, name: str, source: str) -> NativeKernel | str:
         """The loaded kernel for ``source``, compiling it only when no
-        process has before; a reason string when it cannot be had."""
-        digest = hashlib.sha256(
-            "\0".join((source, " ".join(CFLAGS), self.version)).encode()
-        ).hexdigest()[:20]
-        stem = re.sub(r"\W+", "_", name).strip("_") or "kernel"
-        filename = f"{stem}-{digest}.so"
+        process has before — with the vector flags, else once more
+        without them; a reason string when it cannot be had."""
+        flags = CFLAGS + self.vector_flags
+        filename = self._filename(name, source, flags)
         found = self._kernels.get(filename)
         if found is None:
-            found = self._kernels[filename] = self._load(filename, source)
+            found = self._load(filename, source, flags)
+            if isinstance(found, str) and self.vector_flags:
+                rejected = found
+                found = self._load(self._filename(name, source, CFLAGS), source, CFLAGS)
+                if not isinstance(found, str):
+                    self.baseline += 1
+                    log.warning(
+                        "kernel %s built without %s, which failed: %s",
+                        name, " ".join(self.vector_flags), rejected,
+                    )
+            self._kernels[filename] = found
         return found
 
-    def _load(self, filename: str, source: str) -> NativeKernel | str:
+    def _filename(self, name: str, source: str, flags) -> str:
+        """The shared object's name: the kernel's, and a hash of what
+        decides its code — source, flags and compiler version."""
+        digest = hashlib.sha256(
+            "\0".join((source, " ".join(flags), self.version)).encode()
+        ).hexdigest()[:20]
+        stem = re.sub(r"\W+", "_", name).strip("_") or "kernel"
+        return f"{stem}-{digest}.so"
+
+    def _load(self, filename: str, source: str, flags) -> NativeKernel | str:
         path = os.path.join(self.cache_dir, filename)
         kernel = self._open(path) if os.path.exists(path) else None
         if isinstance(kernel, NativeKernel):
@@ -636,7 +690,7 @@ class Backend:
         # nothing cached — or something that will not load (a truncated
         # file, another architecture's object on a shared home): build
         # it, once, over whatever is there
-        failure = self._compile(path, source)
+        failure = self._compile(path, source, flags)
         if failure is not None:
             return failure
         self.compiled += 1
@@ -650,7 +704,7 @@ class Backend:
             return f"cannot load {path}: {exc}"
         return NativeKernel(fn, lib)
 
-    def _compile(self, path: str, source: str) -> str | None:
+    def _compile(self, path: str, source: str, flags) -> str | None:
         """Build ``path`` under a temporary name and move it into place;
         ``None`` on success, else the reason."""
         start = time.perf_counter()
@@ -661,7 +715,7 @@ class Backend:
                 with open(c_file, "w") as fh:
                     fh.write(source)
                 done = subprocess.run(
-                    [self.cc, *CFLAGS, "-o", so_file, c_file],
+                    [self.cc, *flags, "-o", so_file, c_file],
                     capture_output=True, text=True, timeout=600,
                 )
                 if done.returncode != 0:
@@ -679,9 +733,12 @@ class Backend:
         """What this backend is, for ``repro profile`` and ``--trace``."""
         if self.reason is not None:
             return f"NumPy ({self.reason})"
+        flags = " ".join(FP_FLAGS + self.vector_flags)
         return (
-            f"native C ({self.version.splitlines()[0]}, {' '.join(FP_FLAGS)}), "
-            f"{self.compiled} compiled, {self.loaded} loaded from "
+            f"native C ({self.version.splitlines()[0]}, {flags}), "
+            f"{self.compiled} compiled"
+            + (f" ({self.baseline} without vector flags)" if self.baseline else "")
+            + f", {self.loaded} loaded from "
             f"{self.cache_dir}, {self.calls} calls, {self.sweeps} sweeps, "
             f"{self.cells} cells, {self.intergrid} inter-grid calls"
         )

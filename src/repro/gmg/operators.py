@@ -1,7 +1,8 @@
 """V-cycle operators over bricked levels.
 
-The stencil/pointwise operators (``applyOp``, ``smooth``,
-``smooth+residual``, ``residual``) execute the DSL-generated kernels.
+The stencil operators (``applyOp``, ``residual``) execute the
+DSL-generated kernels; the smoothers run theirs themselves
+(:mod:`repro.gmg.smoothers`).
 The inter-grid operators (``restriction``,
 ``interpolation+increment``) are the paper's "new operators in BrickLib
 for multigrid" (Section III): they act brick-by-brick between levels
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.dsl import native
 from repro.dsl.codegen import compile_stencil
-from repro.dsl.library import APPLY_OP, RESIDUAL, SMOOTH, SMOOTH_RESIDUAL
+from repro.dsl.library import APPLY_OP, RESIDUAL
 from repro.gmg.level import Level
 from repro.instrument import Recorder
 
@@ -41,16 +42,6 @@ def _run(stencil, level: Level, recorder: Recorder | None, op_name: str) -> None
 def apply_op(level: Level, recorder: Recorder | None = None) -> None:
     """``Ax = A x`` with the 7-point operator (requires valid halo)."""
     _run(APPLY_OP, level, recorder, "applyOp")
-
-
-def smooth(level: Level, recorder: Recorder | None = None) -> None:
-    """Point-Jacobi update ``x := x + gamma (A x - b)``."""
-    _run(SMOOTH, level, recorder, "smooth")
-
-
-def smooth_residual(level: Level, recorder: Recorder | None = None) -> None:
-    """Fused Jacobi update + residual ``r = b - A x`` (pre-update x)."""
-    _run(SMOOTH_RESIDUAL, level, recorder, "smooth+residual")
 
 
 def residual(level: Level, recorder: Recorder | None = None) -> None:

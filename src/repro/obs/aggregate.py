@@ -160,16 +160,25 @@ def measured_vs_model_rows(
 ) -> list[dict]:
     """One dict per measured (level, op) row, model column attached.
 
-    ``model_s`` is the machine model's prediction for the same
-    operation totals (None for operations outside the model's
-    breakdown, e.g. the convergence check's ``residual``).  With the
-    solve's ``recorder``, stencil rows also carry ``gbps``: the
-    compulsory traffic of the points they processed (at the
-    configuration's precision) over their measured time.
+    ``model_s`` is the machine model's prediction for the operations
+    the row covers (:data:`MODEL_OP_FOR`; None for operations outside
+    the model's breakdown).  A model operation's level total is split
+    across the rows covering it — ``applyOp`` runs inside every fused
+    row — by their share of the points those rows processed (of their
+    applications without a ``recorder``), so a level's rows add up to
+    its model total once.  With the solve's ``recorder``, stencil rows
+    also carry ``gbps``: the compulsory traffic of the points they
+    processed (at the configuration's precision) over their measured
+    time.
     """
     stats = aggregate_by_level_op(tracer)
     totals = total_by_level_op(tracer)
     points = recorder.kernel_points() if recorder is not None else {}
+    weight = {key: points.get(key, stat.count) for key, stat in stats.items()}
+    covering: dict[tuple[int, str], float] = defaultdict(float)
+    for (lev, op), w in weight.items():
+        for k in MODEL_OP_FOR.get(op, ()):
+            covering[(lev, k)] += w
     per_point = kernel_bytes_per_point(4 if config.precision == "fp32" else 8)
     model = (
         model_level_times(config, machine, num_vcycles)
@@ -182,7 +191,10 @@ def measured_vs_model_rows(
         if model is not None and 0 <= lev < len(model):
             keys = MODEL_OP_FOR.get(op)
             if keys is not None:
-                model_s = sum(model[lev].get(k, 0.0) for k in keys)
+                model_s = sum(
+                    model[lev].get(k, 0.0) * weight[(lev, op)] / covering[(lev, k)]
+                    for k in keys
+                )
         rows.append(
             {
                 "level": lev,

@@ -164,6 +164,12 @@ def random_field(small_grid, rng) -> tuple[BrickedArray, np.ndarray]:
     return BrickedArray.from_ijk(small_grid, dense), dense
 
 
+def zero_ghost(field: BrickedArray) -> None:
+    """Zero ``field``'s ghost shell (proves an exchange or a boundary
+    fill wrote what a test then reads)."""
+    field.data[field.grid.ghost_slots] = 0.0
+
+
 def reference_apply_op(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """7-point periodic operator on a dense array (test oracle)."""
     return alpha * x + beta * (

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bricks import BrickGrid, BrickedArray
+from tests.conftest import zero_ghost
 
 
 class TestConstruction:
@@ -67,7 +68,7 @@ class TestGhost:
     def test_zero_ghost(self, random_field):
         field, dense = random_field
         field.fill_ghost_periodic()
-        field.zero_ghost()
+        zero_ghost(field)
         assert not field.data[field.grid.ghost_slots].any()
         assert np.array_equal(field.to_ijk(), dense)
 
@@ -90,10 +91,6 @@ class TestWholeField:
         f.data[small_grid.ghost_slots] = 99.0
         f.data[small_grid.interior_slots[0], 0, 0, 0] = -2.5
         assert f.max_abs_interior() == 2.5
-
-    def test_nbytes_interior(self, small_grid):
-        f = BrickedArray.zeros(small_grid)
-        assert f.nbytes_interior == 24 * 64 * 8
 
 
 @settings(max_examples=20, deadline=None)

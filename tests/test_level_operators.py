@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.conftest import reference_apply_op
+from tests.conftest import reference_apply_op, zero_ghost
 from repro.gmg import operators as ops
 from repro.gmg.level import Level, level_brick_dim
 from repro.gmg.problem import rhs_field
@@ -60,27 +60,6 @@ class TestStencilOperators:
         oracle = reference_apply_op(level.x.to_ijk(), c.alpha, c.beta)
         np.testing.assert_allclose(level.Ax.to_ijk(), oracle, rtol=1e-13)
 
-    def test_smooth_reduces_residual(self, level):
-        c = level.constants
-        b = level.b.to_ijk()
-
-        def res() -> float:
-            x = level.x.to_ijk()
-            return np.abs(b - reference_apply_op(x, c.alpha, c.beta)).max()
-
-        r0 = res()
-        for _ in range(5):
-            level.x.fill_ghost_periodic()
-            ops.apply_op(level)
-            ops.smooth(level)
-        assert res() < r0
-
-    def test_smooth_residual_is_preupdate(self, level):
-        ops.apply_op(level)
-        b, Ax = level.b.to_ijk(), level.Ax.to_ijk()
-        ops.smooth_residual(level)
-        np.testing.assert_allclose(level.r.to_ijk(), b - Ax, rtol=1e-13)
-
     def test_residual_kernel(self, level):
         ops.apply_op(level)
         ops.residual(level)
@@ -91,10 +70,10 @@ class TestStencilOperators:
     def test_recorder_counts(self, level):
         rec = Recorder()
         ops.apply_op(level, rec)
-        ops.smooth_residual(level, rec)
+        ops.residual(level, rec)
         assert rec.kernel_counts() == {
             (0, "applyOp"): 1,
-            (0, "smooth+residual"): 1,
+            (0, "residual"): 1,
         }
         assert rec.kernel_points()[(0, "applyOp")] == 4096
 
@@ -177,7 +156,7 @@ class TestInterGridOperators:
     def test_restriction_needs_no_ghost_data(self, level_pair):
         """The paper's claim: inter-level ops need no neighbour comm."""
         fine, coarse = level_pair
-        fine.r.zero_ghost()  # poison-free: ghosts untouched
+        zero_ghost(fine.r)  # poison-free: ghosts untouched
         ops.restriction(fine, coarse)
         r = fine.r.to_ijk()
         oracle = r.reshape(8, 2, 8, 2, 8, 2).mean(axis=(1, 3, 5))

@@ -390,10 +390,16 @@ def test_fallback_stack_budget(reasons, caplog):
 # ----------------------------------------------------------------------
 def test_flags_forbid_contraction_and_fast_math(native_backend):
     assert "-ffp-contract=off" in native.CFLAGS
-    assert not [f for f in native.CFLAGS if "fast" in f or f == "-Ofast"]
+    vector = [f for _, flags in native.VECTOR_ISAS for f in flags]
+    for f in (*native.CFLAGS, *vector, *native_backend.vector_flags):
+        assert "fast" not in f and "unsafe" not in f and f != "-Ofast", f
+        # -march=native may raise FLT_EVAL_METHOD (AVX512-FP16) and
+        # enables FMA: the ISA is named, never "native"
+        assert "native" not in f and "fma" not in f, f
     line = native.describe()
     assert line.startswith("kernels: native C (")
-    assert "-O3 -ffp-contract=off" in line
+    chosen = " ".join(native.FP_FLAGS + native_backend.vector_flags)
+    assert f", {chosen}), " in line
     assert native_backend.cache_dir in line
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultSpec
 from repro.gmg import GMGSolver, SolverConfig
+from repro.machines import MACHINES
 from repro.obs import (
     Tracer,
     aggregate_by_level_op,
@@ -89,6 +90,29 @@ class TestMeasuredVsModel:
         # the model prices the smoothing pipeline on every level
         assert all(r["model_s"] is not None and r["model_s"] > 0
                    for r in smooth_rows)
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_model_ops_are_split_not_counted_twice(self, profiled_exchanging, recorded):
+        """Every fused row covers ``applyOp``: each model operation's
+        level total is shared out across the rows covering it, by their
+        points (applications without a recorder), so a level's rows sum
+        to the model's totals of the operations they cover, once."""
+        from repro.obs.aggregate import MODEL_OP_FOR, model_level_times
+
+        p = profiled_exchanging
+        rows = measured_vs_model_rows(
+            p.tracer, p.config, MACHINES["Perlmutter"], p.result.num_vcycles,
+            recorder=p.result.recorder if recorded else None,
+        )
+        model = model_level_times(p.config, MACHINES["Perlmutter"], p.result.num_vcycles)
+        for lev in (0, 1):
+            mine = [r for r in rows if r["level"] == lev and r["op"] in MODEL_OP_FOR]
+            covered = {k for r in mine for k in MODEL_OP_FOR[r["op"]]}
+            want = sum(model[lev].get(k, 0.0) for k in covered)
+            assert sum(r["model_s"] for r in mine) == pytest.approx(want, rel=1e-12)
+        # the check's fused call shares l0 applyOp with the smoother's
+        l0 = {r["op"]: r for r in rows if r["level"] == 0}
+        assert 0 < l0["applyOp>residual"]["model_s"] < model[0]["applyOp"]
 
     def test_render_matches_artifact_row_format(self, profiled):
         text = render_measured_vs_model(profiled.rows, "Perlmutter")
