@@ -6,18 +6,21 @@ chain of whole-array operations: one temporary per binary operation and
 a gathered copy of every halo operand.  This module emits, from the same
 :class:`~repro.dsl.ast.Stencil` and
 :class:`~repro.dsl.analysis.StencilAnalysis`, one C function per
-``(stencil, brick_dim, dtype)`` that walks the storage **a brick at a
-time**:
+``(stencil, brick_dim, dtype)`` that walks the storage **a brick row at
+a time** — BrickLib's vector code generation on the host:
 
-* the brick's ``(B + 2r)^3`` halo block is assembled in a stack buffer
-  straight from the ``grid.adjacency`` neighbours (constant-size row
-  ``memcpy``\\ s, only the directions the stencil reads, by one
-  ``assemble_<grid>`` function every slot loop calls), so the halo
-  lives in L1 and is never written to memory — the paper's fine-grain
-  blocking argument applied to the host;
-* the expression tree is evaluated per cell with the generator's CSE
-  temporaries as scalar locals, in exactly the DSL's association order;
-* statements stay compute-then-store: every right-hand side of a cell is
+* a row ``(i, j, 0..B)`` is one GNU C vector ``V`` (``B`` lanes of the
+  field type, padded to a power of two), loaded and stored whole; a halo
+  read at offset ``(a, b, c)`` loads the source row of ``(i + a, j +
+  b)`` in place, from the brick itself or from the ``grid.adjacency``
+  neighbour it falls into, and a shift along ``k`` is one
+  ``__builtin_shufflevector`` over that row and the same row of the
+  ``k`` neighbour ``c`` reaches — nothing is copied, so no halo block
+  exists (a radius up to ``B`` reaches the adjacent bricks only);
+* the expression tree is evaluated per row with the generator's CSE
+  temporaries as vector locals, in exactly the DSL's association order,
+  lane by lane what a per-cell evaluation computes;
+* statements stay compute-then-store: every right-hand side of a row is
   evaluated before its stores, and an output that is also read through
   the halo (``x`` in the fused smoothers) is written to the other of
   two arrays, its storage and a staging array;
@@ -32,7 +35,7 @@ time**:
   read: after sweep ``k`` of a radius-``r`` stencil only ghost cells
   within ``D = G - (k + 1) r`` of the interior hold valid values, so
   the ghost loop computes those ``i``/``j`` rows (whole ``k`` rows),
-  assembles only the neighbours' rows they read, and skips the shell
+  reads only the neighbour rows they need, and skips the shell
   when ``D <= 0`` — byte-identical, on every valid cell, to that many
   single applications.  Cells outside the box keep whatever the field
   or the zeroed staging array held: deterministic, and read by nothing.
@@ -56,8 +59,11 @@ Python evaluates it).  Only a NaN's sign and payload are not pinned:
 which NaN an add of two keeps follows operand order, which the compiler
 may swap.  Kernels are built for the widest vector ISA the host runs
 (:func:`vector_flags`), so a ``B = 8`` row of doubles is one AVX-512
-register; never with ``-march=native``, which on a CPU with AVX512-FP16
-sets ``FLT_EVAL_METHOD`` to 16 and trips the guard.
+register (and two SSE2 registers hold a ``B = 4`` row at the baseline);
+never with ``-march=native``, which on a CPU with AVX512-FP16 sets
+``FLT_EVAL_METHOD`` to 16 and trips the guard.  The shuffle builtin
+needs GCC 12 or clang; an older compiler fails the build, by name, and
+the kernels run through NumPy.
 
 Nothing here runs at import: the compiler is probed, cffi imported and a
 kernel compiled the first time a kernel is applied.  Shared objects are
@@ -85,7 +91,6 @@ import time
 
 import numpy as np
 
-from repro.bricks.brick_grid import DIRECTIONS
 from repro.dsl.analysis import StencilAnalysis, common_subexpressions
 from repro.dsl.ast import BinOp, Const, ConstRef, Expr, GridRef, Stencil
 
@@ -117,10 +122,6 @@ _CDEF = (
     "const double *, int64_t, const int64_t *, int64_t, int64_t, int64_t);"
 )
 
-#: per-brick halo blocks live on the C stack; kernels needing more than
-#: this run through NumPy instead
-STACK_BUDGET_BYTES = 1 << 20
-
 _C_TYPES = {"d": "double", "f": "float"}
 
 
@@ -140,13 +141,16 @@ class _CEmitter:
     """Expression tree to C, mirroring ``codegen._Emitter``'s CSE.
 
     Every fragment carries whether it is a *scalar* (a Python float in
-    the NumPy kernel: double arithmetic) or a field value (the field
-    dtype ``T``); a scalar meeting a field value is cast to ``T`` first,
-    which is NumPy's weak-scalar promotion.
+    the NumPy kernel: double arithmetic) or a field value: one brick row
+    of the field dtype ``T``, a vector ``V``.  A scalar meeting a field
+    value is cast to ``T`` first, which is NumPy's weak-scalar
+    promotion, and the vector extension repeats it in every lane.
+    ``rows`` names the row operand of each halo read ``(grid,
+    offsets)``; any other read loads the grid's row in place.
     """
 
-    def __init__(self, halo_grids, hoisted: set[tuple], lines: list[str]) -> None:
-        self.halo_grids = halo_grids
+    def __init__(self, rows: dict, hoisted: set[tuple], lines: list[str]) -> None:
+        self.rows = rows
         self.hoisted = hoisted
         self.lines = lines
         self.defined: dict[tuple, tuple[str, bool]] = {}
@@ -160,7 +164,7 @@ class _CEmitter:
         text, scalar = self._render(node)
         if key in self.hoisted:
             name = f"t{len(self.defined)}"
-            ctype = "double" if scalar else "T"
+            ctype = "double" if scalar else "V"
             self.lines.append(f"const {ctype} {name} = {text};")
             self.defined[key] = (name, scalar)
             return name, scalar
@@ -172,10 +176,8 @@ class _CEmitter:
         if isinstance(node, ConstRef):
             return f"c_{node.name}", True
         if isinstance(node, GridRef):
-            if node.grid in self.halo_grids:
-                a, b, c = node.offsets
-                return f"H_{node.grid}({a}, {b}, {c})", False
-            return f"g_{node.grid}[cell]", False
+            name = self.rows.get((node.grid, node.offsets))
+            return name or f"LD(g_{node.grid} + row)", False
         if isinstance(node, BinOp):
             lhs, lhs_scalar = self.emit(node.lhs)
             rhs, rhs_scalar = self.emit(node.rhs)
@@ -187,57 +189,6 @@ class _CEmitter:
                 rhs = f"(T){rhs}"
             return f"({lhs} {node.op} {rhs})", False
         raise TypeError(f"cannot generate code for {type(node).__name__}")
-
-
-def halo_directions(offsets) -> tuple[int, ...]:
-    """Indices into ``DIRECTIONS`` of the neighbours a brick must read
-    for ``offsets``: a read shifted along an axis reaches the brick
-    itself and the neighbour on that side, never the opposite one."""
-    needed = set()
-    for off in offsets:
-        reach = [(0,) if o == 0 else (0, 1 if o > 0 else -1) for o in off]
-        needed.update(
-            (a, b, c) for a in reach[0] for b in reach[1] for c in reach[2]
-        )
-    return tuple(i for i, d in enumerate(DIRECTIONS) if d in needed)
-
-
-def _assembler(grid_name: str, offsets, B: int, r: int) -> list[str]:
-    """A C function ``assemble_<grid>(h, in, nb, lo0, hi0, lo1, hi1)``
-    filling the ``(B + 2r)^3`` halo block ``h`` from the adjacency
-    neighbours ``nb`` in the array ``in``: per direction, constant-size
-    row copies of the region that direction contributes, and only the
-    directions the stencil's offsets reach and the box ``[lo0, hi0) x
-    [lo1, hi1)`` (whole ``k`` rows) reads — a neighbour below along an
-    axis only if the box starts within ``r`` of that face, one above
-    only if it ends within ``r`` of it.  The interior passes the whole
-    brick.  Emitted once and called from every slot loop, not inlined:
-    the copies are most of a kernel's code."""
-    E = B + 2 * r
-    # per axis component: (block start, source start, extent)
-    span = {-1: (0, B - r, r), 0: (r, 0, B), 1: (r + B, 0, r)}
-    reaches = {-1: "lo{a} < R", 1: "hi{a} > B - R"}
-    lines = [
-        f"static void __attribute__((noinline)) assemble_{grid_name}(",
-        "    T *restrict h, const T *restrict in, const int64_t *restrict nb,",
-        "    int lo0, int hi0, int lo1, int hi1)",
-        "{",
-        "    (void)lo0; (void)hi0; (void)lo1; (void)hi1;",
-    ]
-    for di in halo_directions(offsets):
-        d = DIRECTIONS[di]
-        (d0, s0, n0), (d1, s1, n1), (d2, s2, n2) = (span[c] for c in d)
-        guard = [reaches[c].format(a=a) for a, c in enumerate(d[:2]) if c]
-        lines.append(
-            "    "
-            + (f"if ({' && '.join(guard)}) " if guard else "")
-            + f"{{ const T *src = in + nb[{di}] * B3; "
-            f"for (int i = 0; i < {n0}; ++i) for (int j = 0; j < {n1}; ++j) "
-            f"memcpy(h + (({d0} + i) * {E} + ({d1} + j)) * {E} + {d2}, "
-            f"src + (({s0} + i) * {B} + ({s1} + j)) * {B} + {s2}, "
-            f"{n2} * sizeof(T)); }}"
-        )
-    return lines + ["}"]
 
 
 def field_order(analysis: StencilAnalysis) -> tuple[str, ...]:
@@ -257,6 +208,41 @@ def deferred_outputs(analysis: StencilAnalysis) -> tuple[str, ...]:
     full and nothing looks at them in between, so only the last sweep
     of a call stores them."""
     return tuple(g for g in analysis.output_grids if g not in analysis.input_grids)
+
+
+def _halo_rows(analysis: StencilAnalysis, B: int, P: int):
+    """The per-row C lines naming every halo read's row operand, and
+    those names by ``(grid, offsets)``: one load of the source row of
+    each distinct ``(a, b)`` — and of the same row in the ``k``
+    neighbour below or above, when some read shifts ``k`` that way — and
+    one shuffle per ``k``-shifted read, lanes ``k + c`` of the pair
+    ``(row, next)`` (``c > 0``) or ``(prev, row)`` (``c < 0``).  Halo
+    grid ``n`` reads through neighbour pointers ``p<n>`` into rows
+    ``h<n>_<a>_<b>`` (``m`` for minus): names no two grids can share."""
+    lines, names = [], {}
+    for n, g in enumerate(analysis.halo_grids):
+        offsets = sorted(analysis.offsets[g])
+        sides: dict[tuple[int, int], set[int]] = {}
+        for a, b, c in offsets:
+            sides.setdefault((a, b), {0}).add((c > 0) - (c < 0))
+        for (a, b), dcs in sides.items():
+            lines += [
+                f"const V h{n}_{a}_{b}{('_lo', '', '_hi')[dc + 1]}".replace("-", "m")
+                + f" = LD(ROW(p{n}, {a}, {b}, {dc}));"
+                for dc in sorted(dcs)
+            ]
+        for a, b, c in offsets:
+            row = f"h{n}_{a}_{b}".replace("-", "m")
+            names[g, (a, b, c)] = name = f"{row}_{c}".replace("-", "m") if c else row
+            if c:
+                # lanes past B pad a row of P lanes and take any value
+                lanes = ", ".join(
+                    str(k if k >= B else ((k + c) // B + (c < 0)) * P + (k + c) % B)
+                    for k in range(P)
+                )
+                pair = f"{row}, {row}_hi" if c > 0 else f"{row}_lo, {row}"
+                lines.append(f"const V {name} = __builtin_shufflevector({pair}, {lanes});")
+    return lines, names
 
 
 def generate_c_source(
@@ -281,38 +267,42 @@ def generate_c_source(
     same cell, in place.
     """
     B, r = int(brick_dim), analysis.radius
-    E = B + 2 * r
+    if r > B:
+        raise ValueError(f"stencil radius {r} exceeds brick dimension {B}")
+    # lanes per row vector: B rounded up to a power of two
+    P = 1 << (B - 1).bit_length()
     order = field_order(analysis)
     staged = staged_outputs(analysis)
     deferred = deferred_outputs(analysis)
     outputs = set(analysis.output_grids)
+    per_row, rows = _halo_rows(analysis, B, P)
 
     body: list[str] = []
-    emitter = _CEmitter(
-        frozenset(analysis.halo_grids), set(common_subexpressions(stencil)), body
-    )
+    emitter = _CEmitter(rows, set(common_subexpressions(stencil)), body)
     stores, last_stores = [], []
     for idx, a in enumerate(stencil.assignments):
         text, scalar = emitter.emit(a.expr)
-        body.append(f"const T rhs{idx} = {'(T)' if scalar else ''}{text};")
+        if scalar:  # a constant right-hand side: its value in every lane
+            text = "(V){" + ", ".join([f"(T){text}"] * P) + "}"
+        body.append(f"const V rhs{idx} = {text};")
         target = a.target.grid
         dest = f"out_{target}" if target in staged else f"g_{target}"
         (last_stores if target in deferred else stores).append(
-            f"{dest}[cell] = rhs{idx};"
+            f"ST({dest} + row, rhs{idx});"
         )
 
     def slot_loop(stores: list[str], ghost: bool = False) -> list[str]:
         """One sweep over the interior bricks — or, with ``ghost``, over
         the ghost bricks, each clipped to the box still valid after this
-        sweep (whole ``k`` rows) — storing ``stores`` per cell."""
+        sweep (whole ``k`` rows) — storing ``stores`` per row."""
         if ghost:
             lines = [
                 "if (D > 0) for (int64_t n = 0; n < nghost; ++n) {",
-                "    const int64_t *row = ghost + 4 * n;",
-                "    const int64_t s = row[0];",
+                "    const int64_t *cut = ghost + 4 * n;",
+                "    const int64_t s = cut[0];",
                 "    int lo0, hi0, lo1, hi1, lo2, hi2;",
-                "    CLIP(row[1], lo0, hi0); CLIP(row[2], lo1, hi1); "
-                "CLIP(row[3], lo2, hi2);",
+                "    CLIP(cut[1], lo0, hi0); CLIP(cut[2], lo1, hi1); "
+                "CLIP(cut[3], lo2, hi2);",
                 "    if (lo0 >= hi0 || lo1 >= hi1 || lo2 >= hi2) continue;",
             ]
         else:
@@ -325,39 +315,40 @@ def generate_c_source(
         (i0, i1), (j0, j1) = (
             (("lo0", "hi0"), ("lo1", "hi1")) if ghost else (("0", "B"), ("0", "B"))
         )
-        for g in analysis.halo_grids:
-            source = f"in_{g}" if g in staged else f"g_{g}"
+        for n, g in enumerate(analysis.halo_grids):
             lines += [
-                f"    T h_{g}[E * E * E];",
-                f"    assemble_{g}(h_{g}, {source}, nb, {i0}, {i1}, {j0}, {j1});",
+                f"    const T *p{n}[27];",
+                f"    for (int d = 0; d < 27; ++d) p{n}[d] = "
+                f"{'in' if g in staged else 'g'}_{g} + nb[d] * B3;",
             ]
         lines += [
             f"    for (int i = {i0}; i < {i1}; ++i)",
-            f"    for (int j = {j0}; j < {j1}; ++j)",
-            "    for (int k = 0; k < B; ++k) {",
-            "        const int64_t cell = s * B3 + (i * B + j) * B + k;",
+            f"    for (int j = {j0}; j < {j1}; ++j) {{",
+            "        const int64_t row = s * B3 + (i * B + j) * B;",
         ]
-        lines += ["        " + line for line in body + stores]
+        lines += ["        " + line for line in per_row + body + stores]
         return lines + ["    }", "}"]
 
     out = _preamble(f"stencil {stencil.name!r}", B, dtype) + [
-        f"enum {{ B = {B}, R = {r}, E = {E}, B3 = {B ** 3} }};",
-    ]
-    for g in analysis.halo_grids:
-        out.append(
-            f"#define H_{g}(a, b, c) "
-            f"h_{g}[((i + R + (a)) * E + (j + R + (b))) * E + (k + R + (c))]"
-        )
-    out += [
+        f"enum {{ B = {B}, P = {P}, R = {r}, B3 = {B ** 3} }};",
+        # one brick row, in the first B of P lanes; loaded and stored
+        # whole, through memcpy (no alignment or aliasing assumed)
+        "typedef T V __attribute__((vector_size(P * sizeof(T))));",
+        "static inline V LD(const T *p) "
+        "{ V v = {0}; memcpy(&v, p, B * sizeof(T)); return v; }",
+        "static inline void ST(T *p, V v) { memcpy(p, &v, B * sizeof(T)); }",
+        # row (i + a, j + b), |a|, |b| <= B, of the brick dc along k from
+        # the one it falls into, through that grid's neighbour pointers n
+        # (one per adjacency column, in DIRECTIONS order)
+        "#define SIDE(v) ((v) < 0 ? 0 : (v) < B ? 1 : 2)",
+        "#define WRAP(v) ((v) < 0 ? (v) + B : (v) < B ? (v) : (v) - B)",
+        "#define ROW(n, a, b, dc) (n[SIDE(i + (a)) * 9 + SIDE(j + (b)) * 3 + (dc) + 1] "
+        "+ (WRAP(i + (a)) * B + WRAP(j + (b))) * B)",
         # the cells [lo, hi) of a brick at ring offset o (in bricks; < 0
         # before the interior, > 0 after it) within depth D of it
         "#define CLAMP(v) ((v) < 0 ? 0 : (v) > B ? B : (v))",
         "#define CLIP(o, lo, hi) (lo = (o) < 0 ? CLAMP(-(o) * B - D) : 0, "
         "hi = (o) > 0 ? CLAMP(D - ((o) - 1) * B) : B)",
-    ]
-    for g in analysis.halo_grids:
-        out += _assembler(g, analysis.offsets[g], B, r)
-    out += [
         f"void {ENTRY_POINT}(int64_t nslots, const int64_t *restrict adj,",
         "                  void *const *fields, const double *consts,",
         "                  int64_t sweeps, const int64_t *restrict slots,",
@@ -729,22 +720,30 @@ class Backend:
             self.compile_ms += (time.perf_counter() - start) * 1e3
         return None
 
-    def describe(self) -> str:
-        """What this backend is, for ``repro profile`` and ``--trace``."""
+    def describe(self, since: dict | None = None) -> str:
+        """What this backend is, for ``repro profile`` and ``--trace``;
+        with ``since`` (a :func:`call_counts` snapshot) the calls, sweeps
+        and cells are those made after it."""
         if self.reason is not None:
             return f"NumPy ({self.reason})"
         flags = " ".join(FP_FLAGS + self.vector_flags)
+        calls, sweeps, cells, intergrid = (
+            getattr(self, k) - (since or {}).get(k, 0) for k in _COUNTS
+        )
         return (
             f"native C ({self.version.splitlines()[0]}, {flags}), "
             f"{self.compiled} compiled"
             + (f" ({self.baseline} without vector flags)" if self.baseline else "")
             + f", {self.loaded} loaded from "
-            f"{self.cache_dir}, {self.calls} calls, {self.sweeps} sweeps, "
-            f"{self.cells} cells, {self.intergrid} inter-grid calls"
+            f"{self.cache_dir}, {calls} calls, {sweeps} sweeps, "
+            f"{cells} cells, {intergrid} inter-grid calls"
         )
 
 
 _backend: Backend | None = None
+
+#: the call tallies :func:`call_counts` reports
+_COUNTS = ("calls", "sweeps", "cells", "intergrid")
 
 #: every distinct reason a kernel application ran through NumPy
 _fallback_reasons: list[str] = []
@@ -794,19 +793,15 @@ def call_counts() -> dict:
     cells those sweeps computed (interior plus the clipped ghost boxes,
     :meth:`BoundCall.window_cells`), and foreign calls into inter-grid
     kernels.  Zeros under NumPy."""
-    b = _backend
-    if b is None:
-        return {"calls": 0, "sweeps": 0, "cells": 0, "intergrid": 0}
-    return {
-        "calls": b.calls, "sweeps": b.sweeps, "cells": b.cells,
-        "intergrid": b.intergrid,
-    }
+    return {k: getattr(_backend, k, 0) for k in _COUNTS}
 
 
-def describe() -> str:
-    """One line saying which backend produced this process's numbers."""
+def describe(since: dict | None = None) -> str:
+    """One line saying which backend produced this process's numbers
+    (the calls, sweeps and cells after ``since``, a :func:`call_counts`
+    snapshot, if given)."""
     backend = resolve_backend()
-    line = f"kernels: {backend.describe()}"
+    line = f"kernels: {backend.describe(since)}"
     partial = [r for r in _fallback_reasons if r != backend.reason]
     if partial:
         line += f"; NumPy where: {'; '.join(partial)}"
@@ -965,14 +960,9 @@ def load_kernel(backend: Backend, compiled, dtype: np.dtype) -> NativeKernel | s
     for ``dtype`` fields (built or loaded on first need), or why not."""
     if dtype.char not in _C_TYPES:
         return f"no C type for field dtype {dtype}"
-    an = compiled.analysis
-    block = (compiled.brick_dim + 2 * an.radius) ** 3 * dtype.itemsize
-    if block * len(an.halo_grids) > STACK_BUDGET_BYTES:
-        return (
-            f"halo blocks of {compiled.stencil.name} exceed the "
-            f"{STACK_BUDGET_BYTES}-byte stack budget"
-        )
-    source = generate_c_source(compiled.stencil, an, compiled.brick_dim, dtype)
+    source = generate_c_source(
+        compiled.stencil, compiled.analysis, compiled.brick_dim, dtype
+    )
     return backend.kernel(compiled.stencil.name, source)
 
 

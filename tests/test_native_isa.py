@@ -3,13 +3,16 @@
 The backend builds every kernel with the widest vector ISA the CPU runs
 (``native.vector_flags``).  These tests build the hot ``B = 8`` kernels
 — the fused smoothers, the convergence check's ``applyOp>residual`` and
-the inter-grid operators, in fp64 and fp32 — at every level the host
-can execute, each in its own cache, and pin every output byte of every
-level to the NumPy kernels on inputs holding NaN, infinities and
-subnormals — a stencil's NaN as a NaN: which NaN's sign an add of two
-keeps follows operand order, which C does not fix (the native kernels
-differ from NumPy there at the baseline too).  A level the CPU lacks is
-skipped by name.  They also pin
+the inter-grid operators, in fp64 and fp32 — and the three stencils at
+``B = 2`` and ``B = 4`` at every level the host can execute, each in its
+own cache, and pin every output byte of every level to the NumPy
+kernels on inputs holding NaN, infinities and subnormals — a stencil's
+NaN as a NaN: which NaN's sign an add of two keeps follows operand
+order, which C does not fix (the native kernels differ from NumPy there
+at the baseline too).  A stencil kernel computes a brick row per vector
+of ``B`` lanes whatever the ISA: at the baseline a 4-double row is two
+SSE2 operations, under AVX-512 a whole 8-double row is one.  A level
+the CPU lacks is skipped by name.  They also pin
 the selection (feature table to flags, flags to cache name), the
 baseline retry when a compiler rejects the vector flags, and the rule
 that no flag set may contract, re-associate or carry excess precision.
@@ -43,6 +46,9 @@ pytestmark = pytest.mark.filterwarnings(
 
 B = 8
 
+#: the brick sizes whose row vectors are narrower than B's
+SMALL = (2, 4)
+
 #: the vector ISA levels, by name: the baseline, then native.VECTOR_ISAS
 LEVELS = {"baseline": (None, ())} | {
     feature.lower(): (feature, flags) for feature, flags in native.VECTOR_ISAS
@@ -63,10 +69,13 @@ def runnable(level: str) -> bool:
 
 
 def build_all(backend: native.Backend) -> None:
-    """Build (or load) every kernel of :data:`KERNELS` in both dtypes."""
+    """Build (or load) every kernel of :data:`KERNELS` in both dtypes,
+    and the stencils at the :data:`SMALL` brick sizes too."""
     for dtype in DTYPES.values():
         for stencil in STENCILS:
-            native.load_kernel(backend, compile_stencil(stencil, B), np.dtype(dtype))
+            for bdim in (B, *SMALL):
+                kernel = compile_stencil(stencil, bdim)
+                native.load_kernel(backend, kernel, np.dtype(dtype))
         for op in native.INTERGRID_OPS:
             backend.kernel(op, native.generate_intergrid_source(op, B, dtype))
 
@@ -148,6 +157,57 @@ def test_every_isa_gives_numpy_bytes(backends, monkeypatch, level, name, dtype):
     workspace: dict = {}
     kernel.apply(fields, consts_for(kernel), workspace, sweeps=3)
     assert isinstance(workspace.get(kernel), native.BoundCall), "NumPy ran"
+    assert_same_bytes(quieted(fields), quieted(oracle), kernel, sweeps=3)
+
+
+def zeros_and_faces(kernel, dtype, seed, brick_dim):
+    """Fields on a shelled ``brick_dim``-brick grid that are mostly
+    signed zeros, then subnormals, with an infinity on a few brick faces
+    — the cells a neighbour reads through its rows and through its
+    ``k``-shifted lanes.  Sums of zeros keep a sign only the exact
+    operands decide, and tiny values do not saturate to NaN over a
+    window, so a misplaced lane or row shows in the bytes."""
+    fields = random_fields(kernel, BrickGrid((2, 2, 2), brick_dim), dtype, seed)
+    rng = np.random.default_rng(seed + 1)
+    tiny = np.finfo(dtype).smallest_subnormal
+    edge = np.zeros(brick_dim, dtype=bool)
+    edge[[0, -1]] = True
+    face = edge[:, None, None] | edge[None, :, None] | edge[None, None, :]
+    for f in fields.values():
+        pick = rng.random(f.data.shape)
+        f.data[pick < 0.9] = 0.0
+        f.data[pick < 0.45] = -0.0
+        sub = (pick >= 0.9) & (pick < 0.95)
+        f.data[sub] = tiny * rng.integers(-40, 40, size=int(sub.sum()))
+        inf = face & (pick > 0.997)
+        f.data[inf] = rng.choice((np.inf, -np.inf), size=int(inf.sum()))
+    return fields
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("brick_dim", SMALL)
+@pytest.mark.parametrize("name", [s.name for s in STENCILS])
+@pytest.mark.parametrize("level", LEVELS)
+def test_small_bricks_give_numpy_bytes(
+    backends, monkeypatch, level, name, brick_dim, dtype
+):
+    """Rows narrower than the widest register, and the clipped ghost
+    loop of a one-brick shell over three sweeps: NumPy's bytes at every
+    level, on signed zeros, subnormals and infinities."""
+    if not runnable(level):
+        pytest.skip(f"this CPU does not run {level}")
+    with_backend(monkeypatch, backends[level])
+    kernel = compile_stencil(next(s for s in STENCILS if s.name == name), brick_dim)
+    fields = zeros_and_faces(kernel, DTYPES[dtype], 45, brick_dim)
+    oracle = clone(fields)
+    with numpy_path():
+        kernel.apply(oracle, consts_for(kernel), {}, sweeps=3)
+    workspace: dict = {}
+    kernel.apply(fields, consts_for(kernel), workspace, sweeps=3)
+    assert isinstance(workspace.get(kernel), native.BoundCall), "NumPy ran"
+    grid = next(iter(fields.values())).grid
+    interior = len(grid.interior_slots) * brick_dim**3 * 3
+    assert workspace[kernel].cells > interior, "the ghost loop computed nothing"
     assert_same_bytes(quieted(fields), quieted(oracle), kernel, sweeps=3)
 
 

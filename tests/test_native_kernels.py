@@ -176,6 +176,27 @@ def test_wide_and_diagonal_reads():
     assert_same_bytes(fields, oracle, kernel)
 
 
+@pytest.mark.parametrize("brick_dim", [1, 3, 6])
+def test_odd_brick_dims_pad_the_row_vector(brick_dim):
+    """A row of ``B`` cells is the first ``B`` lanes of a power-of-two
+    vector (what a coarse level of a 24-cell domain runs): the padding
+    lanes are never stored and the ``k``-shifted lanes skip them."""
+    i, j, k = indices()
+    x, y, z = Grid("x"), Grid("y"), Grid("z")
+    reach = min(brick_dim, 2)
+    expr = (x(i + reach, j - 1, k - reach) + x(i, j, k + 1)) * y(i, j + 1, k - 1)
+    stencils = [
+        library.FUSED_SMOOTH_RESIDUAL,
+        Stencil("odd", [z(i, j, k).assign(expr), x(i, j, k).assign(expr * 0.5)]),
+    ]
+    for stencil in stencils:
+        kernel = compile_stencil(stencil, brick_dim)
+        for layout in ("surface-major", "8-rank-batched"):
+            fields = random_fields(kernel, GRIDS[layout](brick_dim), np.float32)
+            oracle = apply_both(kernel, fields, consts_for(kernel))
+            assert_same_bytes(fields, oracle, kernel)
+
+
 # ----------------------------------------------------------------------
 # (c) whole solves
 # ----------------------------------------------------------------------
@@ -187,6 +208,10 @@ SOLVES = {
         global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2)
     ),
     "default_1rank_32": dict(global_cells=32, num_levels=3, brick_dim=4),
+    "odd-coarse-bricks": dict(
+        global_cells=24, num_levels=3, brick_dim=4, rank_dims=(2, 1, 1),
+        max_vcycles=4,
+    ),
     "fp32": dict(**SMALL, precision="fp32"),
     "red-black": dict(**SMALL, smoother="gsrb"),
     "chebyshev": dict(**SMALL, smoother="chebyshev"),
@@ -371,18 +396,22 @@ def test_refusal_is_remembered_until_the_arrays_change(monkeypatch):
     assert len(scans) == 2
 
 
-def test_fallback_stack_budget(reasons, caplog):
+def test_radius_of_a_whole_brick_runs_natively():
+    """Reads a whole brick away along every axis — ``k`` included, where
+    the shifted row is the neighbour's row itself — run in C, with the
+    NumPy bytes; a radius past the brick has no kernel, by name."""
     i, j, k = indices()
     x, y, z = Grid("x"), Grid("y"), Grid("z")
     stencil = Stencil(
-        "huge", [z(i, j, k).assign(x(i + 16, j, k) + y(i, j - 16, k))]
+        "huge",
+        [z(i, j, k).assign(x(i + 16, j, k - 16) + y(i, j - 16, k + 16))],
     )
     kernel = CompiledKernel(stencil, 16)
     fields = random_fields(kernel, BrickGrid((1, 1, 1), 16), np.float64)
-    oracle = clone(fields)
-    with numpy_path():
-        kernel.apply(oracle, {}, {})
-    assert_fell_back(kernel, fields, oracle, reasons, caplog, "stack budget")
+    oracle = apply_both(kernel, fields, {})
+    assert_same_bytes(fields, oracle, kernel)
+    with pytest.raises(ValueError, match="radius 16 exceeds brick dimension 8"):
+        native.generate_c_source(stencil, kernel.analysis, 8, np.float64)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.dsl import native
 from repro.faults import FaultPlan, FaultSpec
 from repro.gmg import GMGSolver, SolverConfig
 from repro.machines import MACHINES
@@ -216,6 +217,35 @@ class TestProfileReport:
                                machine_name="Perlmutter")
         assert report.machine_name is None
         assert all(r["model_s"] is None for r in report.rows)
+
+    def test_traced_solve_compiles_and_loads_nothing(self, monkeypatch, tmp_path):
+        """An untraced warm-up solve makes the process's first native
+        call — the compiler probe, every compile and load — so no span
+        of the traced solve times it; the kernel line counts the traced
+        solve's calls alone."""
+        backend = native.Backend.probe(cache_dir=str(tmp_path))
+        if backend.reason is not None:
+            pytest.skip(f"no native kernels: {backend.reason}")
+        monkeypatch.setattr(native, "_backend", backend)
+        monkeypatch.setattr(native, "resolve_backend", lambda: backend)
+        solves = []
+        solve = GMGSolver.solve
+
+        def counted(solver, *args, **kwargs):
+            before = (backend.compiled + backend.loaded, backend.calls)
+            result = solve(solver, *args, **kwargs)
+            after = (backend.compiled + backend.loaded, backend.calls)
+            solves.append((solver.tracer.enabled, before, after))
+            return result
+
+        monkeypatch.setattr(GMGSolver, "solve", counted)
+        report = profile_solve(_config(rank_dims=(2, 1, 1)), machine_name=None)
+        (warm, _, warmed), (traced, before, after) = solves
+        assert not warm and traced
+        assert before[0] == after[0] > 0  # all built before the traced solve
+        # the traced solver's calls, its construction's included
+        assert after[1] > before[1]
+        assert f", {backend.calls - warmed[1]} calls, " in report.kernels
 
 
 class TestFaultInstants:
