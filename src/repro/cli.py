@@ -385,16 +385,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _cmd_autotune(args: argparse.Namespace) -> int:
-    from repro.harness.autotune import autotune, render_tuning
-    from repro.machines import MACHINES
-
-    machines = list(MACHINES) if args.machine == "all" else [args.machine]
-    for name in machines:
-        print(render_tuning(autotune(MACHINES[name])))
-    return 0
-
-
 def _loadgen_config(args: argparse.Namespace):
     from repro.service.loadgen import smoke_config
 
@@ -641,17 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also export every experiment's data series as JSON into DIR",
     )
     experiment.set_defaults(func=_cmd_experiment)
-
-    tune = sub.add_parser(
-        "autotune", help="rank brick/ordering/CA/MPI configurations"
-    )
-    tune.add_argument(
-        "machine",
-        nargs="?",
-        default="all",
-        choices=["Perlmutter", "Frontier", "Sunspot", "all"],
-    )
-    tune.set_defaults(func=_cmd_autotune)
 
     faultsweep = sub.add_parser(
         "faultsweep",

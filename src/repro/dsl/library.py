@@ -103,7 +103,8 @@ class OperatorInfo:
     ops, coarse points for the inter-grid ops, matching how the paper
     derives Table IV).  ``paper_ai`` is the value printed in Table IV
     for cross-checking; small differences come down to flop-counting
-    conventions and are reported, not hidden, by the bench.
+    conventions and are reported, not hidden, by ``repro experiment
+    table4``.
     """
 
     name: str

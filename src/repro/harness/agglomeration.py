@@ -18,10 +18,10 @@ module prices it:
   exit: the retired ranks' share of the level's ``x`` and ``b`` moves
   through the network at the sustained rate.
 
-The bench asserts the paper's expectation: agglomeration leaves the
-8-node baseline untouched and meaningfully lifts strong-scaling
-efficiency at high concurrency, where the latency fraction of the
-V-cycle is largest.
+``tests/test_agglomeration.py`` asserts the paper's expectation:
+agglomeration leaves the 8-node baseline untouched and meaningfully
+lifts strong-scaling efficiency at high concurrency, where the latency
+fraction of the V-cycle is largest.
 """
 
 from __future__ import annotations

@@ -1,92 +1,6 @@
-"""ASCII rendering of the paper's figures.
-
-The benchmark harness prints tables; these helpers add character-grid
-plots so Figs. 5/6/8/9 can be eyeballed directly in the terminal and in
-``bench_output.txt`` — log-log throughput curves with one glyph per
-machine, matching the paper's presentation.
-"""
+"""ASCII rendering of a rank x rank matrix for ``repro commviz``."""
 
 from __future__ import annotations
-
-import math
-from collections.abc import Sequence
-
-#: Per-series glyphs, assigned in insertion order.
-GLYPHS = "*o+x#@%"
-
-
-def _transform(value: float, log: bool) -> float:
-    if log:
-        if value <= 0:
-            raise ValueError(f"log axis requires positive values: {value}")
-        return math.log10(value)
-    return value
-
-
-def ascii_plot(
-    series: dict[str, tuple[Sequence[float], Sequence[float]]],
-    width: int = 64,
-    height: int = 18,
-    logx: bool = True,
-    logy: bool = True,
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render named ``(xs, ys)`` series on one character grid.
-
-    Points from different series that land on the same cell show the
-    later series' glyph; the legend maps glyphs to names.
-    """
-    if not series:
-        raise ValueError("need at least one series")
-    if width < 8 or height < 4:
-        raise ValueError("plot must be at least 8x4 characters")
-    pts = []
-    for name, (xs, ys) in series.items():
-        if len(xs) != len(ys):
-            raise ValueError(f"series {name!r} has mismatched lengths")
-        pts.extend((x, y) for x, y in zip(xs, ys))
-    tx = [_transform(x, logx) for x, _ in pts]
-    ty = [_transform(y, logy) for _, y in pts]
-    x_lo, x_hi = min(tx), max(tx)
-    y_lo, y_hi = min(ty), max(ty)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for idx, (name, (xs, ys)) in enumerate(series.items()):
-        glyph = GLYPHS[idx % len(GLYPHS)]
-        for x, y in zip(xs, ys):
-            cx = round((_transform(x, logx) - x_lo) / x_span * (width - 1))
-            cy = round((_transform(y, logy) - y_lo) / y_span * (height - 1))
-            grid[height - 1 - cy][cx] = glyph
-
-    lines = []
-    top = f"{max(v for _, (_, ys) in series.items() for v in ys):.3g}"
-    bottom = f"{min(v for _, (_, ys) in series.items() for v in ys):.3g}"
-    margin = max(len(top), len(bottom)) + 1
-    for row_idx, row in enumerate(grid):
-        if row_idx == 0:
-            label = top.rjust(margin - 1)
-        elif row_idx == height - 1:
-            label = bottom.rjust(margin - 1)
-        else:
-            label = " " * (margin - 1)
-        lines.append(f"{label}|" + "".join(row))
-    lines.append(" " * margin + "-" * width)
-    x_min = min(v for _, (xs, _) in series.items() for v in xs)
-    x_max = max(v for _, (xs, _) in series.items() for v in xs)
-    footer = f"{x_min:.3g}".ljust(width // 2) + f"{x_max:.3g}".rjust(width // 2)
-    lines.append(" " * margin + footer)
-    axes = f"x: {x_label}{' (log)' if logx else ''}, " + (
-        f"y: {y_label}{' (log)' if logy else ''}"
-    )
-    legend = "  ".join(
-        f"{GLYPHS[i % len(GLYPHS)]} {name}" for i, name in enumerate(series)
-    )
-    lines.append(" " * margin + axes)
-    lines.append(" " * margin + legend)
-    return "\n".join(lines) + "\n"
 
 
 def _format_cell(value: float) -> str:
@@ -137,28 +51,3 @@ def ascii_matrix(
         )
     return "\n".join(lines) + "\n"
 
-
-def plot_kernel_throughput(fig5_series) -> str:
-    """Figure 5 as ASCII: GStencil/s vs points, log-log."""
-    series = {
-        name: (s.points, s.gstencil) for name, s in fig5_series.items()
-    }
-    first = next(iter(fig5_series.values()))
-    return ascii_plot(
-        series, x_label="subdomain points", y_label=f"{first.op} GStencil/s"
-    )
-
-
-def plot_exchange_bandwidth(fig6_series) -> str:
-    """Figure 6 as ASCII: GB/s vs total message bytes, log-log."""
-    series = {
-        name: (s.total_bytes, s.gbs) for name, s in fig6_series.items()
-    }
-    return ascii_plot(series, x_label="total message bytes", y_label="GB/s")
-
-
-def plot_scaling(results) -> str:
-    """Figures 8/9 as ASCII: GStencil/s vs nodes, log-log."""
-    series = {r.machine: (r.nodes, r.gstencil) for r in results}
-    mode = results[0].mode
-    return ascii_plot(series, x_label="nodes", y_label=f"{mode} GStencil/s")

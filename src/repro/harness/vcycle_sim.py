@@ -92,8 +92,8 @@ class WorkloadConfig:
     baseline: bool = False  # HPGMG-style array layout, no CA
     #: throughput haircut of the conventional layout's kernels relative
     #: to bricks (extra address streams / ghost copies); the memsim
-    #: package measures this ratio from first principles and the Fig. 4
-    #: bench feeds its measurement in here.
+    #: package's first-principles sweep moves under 0.9x the DRAM bytes
+    #: of the conventional layout (``tests/test_memsim.py``).
     baseline_layout_factor: float = 0.75
     #: extra DRAM bytes per point the HPGMG-FV baseline moves relative
     #: to the constant-coefficient brick kernels: HPGMG's second-order

@@ -4,12 +4,8 @@ The closed-form :func:`repro.machines.network.exchange_time` prices a
 rank's exchange as overheads plus serialized bytes.  This module checks
 and refines that picture with an event-driven model of the node:
 
-* every rank posts its messages at a configurable post time (the
-  ``MPI_Isend`` loop; default zero) and then waits (``MPI_Waitall``) —
-  either immediately, the synchronous schedule, or after an interior
-  compute pass, the overlap schedule (:meth:`ExchangeEventSim.overlap`
-  prices both through the same event machinery: the exposed cost is
-  whatever communication outlasts the compute);
+* every rank posts its messages at time zero (the ``MPI_Isend`` loop)
+  and then waits (``MPI_Waitall``);
 * each *NIC* is a FIFO server: a message occupies its source NIC for
   ``overhead + bytes/rate`` and arrives at the destination after the
   wire latency;
@@ -65,40 +61,6 @@ class ExchangeOutcome:
         return max((self.rank_time(r) for r in ranks), default=0.0)
 
 
-@dataclass(frozen=True)
-class OverlapOutcome:
-    """Cost split of one exchange overlapped with an interior compute.
-
-    ``comm_s`` is the full wire cost (barrier minus post), ``hidden_s``
-    the part absorbed by the concurrent compute, ``exposed_s`` the
-    remainder the shell pass still waits for.  ``compute_s = 0``
-    degenerates to the synchronous schedule (everything exposed), so
-    both schedules are priced by one model.
-    """
-
-    barrier_time: float
-    post_time: float
-    compute_s: float
-
-    @property
-    def comm_s(self) -> float:
-        return max(0.0, self.barrier_time - self.post_time)
-
-    @property
-    def exposed_s(self) -> float:
-        return max(0.0, self.comm_s - self.compute_s)
-
-    @property
-    def hidden_s(self) -> float:
-        return self.comm_s - self.exposed_s
-
-    @property
-    def efficiency(self) -> float:
-        """Fraction of the wire cost hidden behind compute (1.0 when
-        there was nothing to hide)."""
-        return self.hidden_s / self.comm_s if self.comm_s > 0.0 else 1.0
-
-
 class ExchangeEventSim:
     """Event-driven exchange on one machine's node organisation.
 
@@ -144,18 +106,8 @@ class ExchangeEventSim:
         local = rank % self.ranks_per_node
         return node, local % self.machine.node.nics_per_node
 
-    def run(
-        self, messages: list[SimMessage], post_time: float = 0.0
-    ) -> ExchangeOutcome:
-        """Simulate one exchange phase; all sends post at ``post_time``.
-
-        The synchronous and overlap schedules share this one code path:
-        the default ``post_time=0.0`` is the classic post-then-wait
-        model, while a modelled split-phase schedule shifts the whole
-        phase to the instant its sends post and prices the interior
-        compute separately (see :meth:`overlap` — a model only: the
-        solver itself always exchanges synchronously).
-        """
+    def run(self, messages: list[SimMessage]) -> ExchangeOutcome:
+        """Simulate one exchange phase; all sends post at time zero."""
         outcome = ExchangeOutcome()
         nic_free: dict[tuple[int, int], float] = {}
         fabric_free: dict[int, float] = {}
@@ -167,7 +119,7 @@ class ExchangeEventSim:
             intra = self.node_of(msg.src) == self.node_of(msg.dst)
             if intra:
                 server = self.node_of(msg.src)
-                start = fabric_free.get(server, post_time)
+                start = fabric_free.get(server, 0.0)
                 occupy = (
                     self.machine.node.intra_node_latency_s
                     + msg.nbytes / self._fabric_rate
@@ -177,7 +129,7 @@ class ExchangeEventSim:
                 arrive = done
             else:
                 server = self.nic_of(msg.src)
-                start = nic_free.get(server, post_time)
+                start = nic_free.get(server, 0.0)
                 occupy = (
                     message_overhead(self.machine, msg.nbytes, self.num_nodes)
                     + msg.nbytes / self._nic_rate
@@ -195,27 +147,6 @@ class ExchangeEventSim:
         for rank in outcome.send_complete:
             outcome.send_complete[rank] += staging
         return outcome
-
-    # ------------------------------------------------------------------
-    def overlap(
-        self,
-        messages: list[SimMessage],
-        compute_s: float = 0.0,
-        post_time: float = 0.0,
-    ) -> OverlapOutcome:
-        """Price one exchange overlapped with ``compute_s`` of interior
-        work posted at ``post_time``.
-
-        Runs the same event simulation as :meth:`run` and splits the
-        barrier cost into hidden and exposed components; the
-        synchronous schedule is the ``compute_s = 0`` special case.
-        """
-        outcome = self.run(messages, post_time=post_time)
-        return OverlapOutcome(
-            barrier_time=outcome.barrier_time,
-            post_time=post_time,
-            compute_s=compute_s,
-        )
 
     def exchange_barrier_time(
         self, message_sizes_remote: list[int], message_sizes_local: list[int] = ()

@@ -7,7 +7,7 @@ from repro.harness.agglomeration import (
     strong_scaling_with_agglomeration,
     render_agglomeration,
 )
-from repro.harness.vcycle_sim import TimedSolve, WorkloadConfig
+from repro.harness.vcycle_sim import WorkloadConfig
 from repro.machines import PERLMUTTER
 
 
@@ -93,3 +93,13 @@ class TestStrongScalingComparison:
     def test_render(self, comparison):
         text = render_agglomeration(comparison)
         assert "agglomeration" in text and "eff" in text
+
+    @pytest.mark.parametrize("machine", ["Frontier", "Sunspot"])
+    def test_never_meaningfully_slower_elsewhere(self, machine):
+        """Where little latency is left to reclaim, the greedy choice
+        declines to gather rather than slow the V-cycle down."""
+        result = strong_scaling_with_agglomeration(machine)
+        for base, aggl in zip(
+            result.baseline_seconds, result.agglomerated_seconds
+        ):
+            assert aggl <= base * 1.01

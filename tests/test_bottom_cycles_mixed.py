@@ -116,7 +116,7 @@ class TestPrecision:
                                         max_vcycles=15))
         result = solver.solve()
         assert not result.converged  # cannot reach 1e-10 in fp32
-        assert result.final_residual < 1e-3  # but gets to the fp32 floor
+        assert 1e-8 < result.final_residual < 1e-3  # the fp32 floor
 
     def test_fp32_message_bytes_halve(self):
         r64 = GMGSolver(SolverConfig(**BASE, rank_dims=(2, 1, 1),

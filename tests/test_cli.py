@@ -213,14 +213,6 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit):
             main([])
 
-
-class TestAutotuneCommand:
-    def test_single_machine(self, capsys):
-        assert main(["autotune", "Sunspot"]) == 0
-        out = capsys.readouterr().out
-        assert "auto-tuning on Sunspot" in out
-        assert "(worst)" in out
-
     def test_json_export(self, capsys, tmp_path):
         assert main(["experiment", "table4", "--json", str(tmp_path)]) == 0
         assert (tmp_path / "fig8.json").exists()
@@ -429,6 +421,7 @@ class TestArgumentErrors:
             ["chaossweep", "--ledger", "d"],
             ["loadgen", "--update"],
             ["autotune", "--from-ledger", "d"],
+            ["autotune"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -2,8 +2,52 @@
 
 import pytest
 
-from repro.dsl import OPERATOR_INFO, theoretical_ai_table
+from repro.dsl import APPLY_OP, OPERATOR_INFO, theoretical_ai_table
+from repro.dsl.ast import BinOp, ConstRef, GridRef
 from repro.dsl.library import VCYCLE_OPERATIONS
+
+#: The paper's Figure 1 program, ``output(i, j, k).assign(alpha *
+#: input(i, j, k) + beta * input(i +- 1, j, k) + ...)``, as offset ->
+#: coefficient.
+FIGURE_1 = {
+    (0, 0, 0): "alpha",
+    (1, 0, 0): "beta",
+    (-1, 0, 0): "beta",
+    (0, 1, 0): "beta",
+    (0, -1, 0): "beta",
+    (0, 0, 1): "beta",
+    (0, 0, -1): "beta",
+}
+
+
+def _coefficients(expr) -> dict[tuple[int, int, int], str]:
+    """Expand a sum of ``ConstRef * (sum of grid reads)`` terms into
+    offset -> coefficient name; anything else is not a Figure 1 form."""
+    if isinstance(expr, BinOp) and expr.op == "+":
+        lhs, rhs = _coefficients(expr.lhs), _coefficients(expr.rhs)
+        assert not set(lhs) & set(rhs), "offset read twice"
+        return {**lhs, **rhs}
+    assert isinstance(expr, BinOp) and expr.op == "*", expr
+    assert isinstance(expr.lhs, ConstRef), expr
+    reads = [expr.rhs]
+    offsets = []
+    while reads:
+        node = reads.pop()
+        if isinstance(node, BinOp) and node.op == "+":
+            reads += [node.lhs, node.rhs]
+        else:
+            assert isinstance(node, GridRef) and node.grid == "x", node
+            offsets.append(node.offsets)
+    assert len(set(offsets)) == len(offsets), "offset read twice"
+    return {off: expr.lhs.name for off in offsets}
+
+
+class TestFigure1:
+    def test_apply_op_is_the_figure_1_stencil(self):
+        (statement,) = APPLY_OP.assignments
+        assert statement.target.grid == "Ax"
+        assert statement.target.offsets == (0, 0, 0)
+        assert _coefficients(statement.expr) == FIGURE_1
 
 
 class TestOperatorInfo:

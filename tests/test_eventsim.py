@@ -87,45 +87,3 @@ class TestOutcome:
         t_staged = staged.run(msgs).barrier_time
         assert t_staged > t_aware
 
-
-# ----------------------------------------------------------------------
-# modelled overlap: one code path for both schedules
-# ----------------------------------------------------------------------
-class TestEventSimOverlap:
-    def _sim(self):
-        from repro.machines import MACHINES
-        from repro.machines.eventsim import ExchangeEventSim
-
-        return ExchangeEventSim(MACHINES["Perlmutter"], ranks_per_node=1)
-
-    def _messages(self):
-        from repro.machines.eventsim import SimMessage
-
-        return [SimMessage(0, 1, 1 << 16), SimMessage(1, 0, 1 << 16)]
-
-    def test_post_time_shifts_the_whole_phase(self):
-        sim = self._sim()
-        base = sim.run(self._messages())
-        shifted = sim.run(self._messages(), post_time=1.0)
-        assert shifted.barrier_time == pytest.approx(base.barrier_time + 1.0)
-
-    def test_sync_is_the_zero_compute_special_case(self):
-        sim = self._sim()
-        sync = sim.overlap(self._messages(), compute_s=0.0)
-        assert sync.hidden_s == 0.0
-        assert sync.exposed_s == pytest.approx(sync.comm_s)
-        assert sync.comm_s == pytest.approx(
-            sim.run(self._messages()).barrier_time
-        )
-
-    def test_compute_hides_communication(self):
-        sim = self._sim()
-        sync = sim.overlap(self._messages(), compute_s=0.0)
-        half = sim.overlap(self._messages(), compute_s=sync.comm_s / 2)
-        full = sim.overlap(self._messages(), compute_s=2 * sync.comm_s)
-        assert half.exposed_s == pytest.approx(sync.comm_s / 2)
-        assert half.efficiency == pytest.approx(0.5)
-        assert full.exposed_s == 0.0
-        assert full.efficiency == 1.0
-        # hiding never changes the wire cost itself
-        assert half.comm_s == full.comm_s == sync.comm_s

@@ -25,6 +25,12 @@ class TestFig3:
         for totals in result.level_totals.values():
             assert totals[5] > totals[4]
 
+    def test_fine_level_ratio_between_surface_and_volume_laws(self, result):
+        """Surfaces shrink 4x per level, volumes 8x: the finest level's
+        total sits between the two laws on every machine."""
+        for name, totals in result.level_totals.items():
+            assert 4.0 <= totals[0] / totals[1] <= 8.5, name
+
     def test_sunspot_slowest_at_coarse_levels(self, result):
         """Paper: P/F get faster at the coarsest levels than Sunspot
         (CXI settings + GPU-aware MPI)."""
@@ -133,6 +139,26 @@ class TestFig5:
         for s in apply_series.values():
             assert s.fit.r_squared > 0.999
 
+    @pytest.mark.parametrize("op", ["applyOp", "smooth+residual"])
+    def test_shape_holds_for_both_ops(self, op):
+        series = E.fig5_kernel_throughput(op)
+        for name, s in series.items():
+            assert 4e-6 <= s.fit.alpha <= 21e-6, name
+            assert s.fit.r_squared > 0.999, name
+            rates = [r for _, r in sorted(zip(s.points, s.gstencil))]
+            assert all(a < b for a, b in zip(rates, rates[1:])), name
+            assert max(s.gstencil) < s.ceiling_gstencil, name
+        p = series["Perlmutter"]
+        assert p.fit.alpha < series["Frontier"].fit.alpha
+        assert p.fit.alpha < series["Sunspot"].fit.alpha
+        assert p.fit.beta > series["Frontier"].fit.beta
+
+    def test_smooth_residual_reaches_the_paper_reference_line(self):
+        """The paper draws smooth+residual's reference line at 40
+        GStencil/s; Perlmutter's finest level reaches it."""
+        p = E.fig5_kernel_throughput("smooth+residual")["Perlmutter"]
+        assert max(p.gstencil) == pytest.approx(40.0, abs=8.0)
+
 
 class TestFig6:
     @pytest.fixture(scope="class")
@@ -186,6 +212,11 @@ class TestFig7:
                 assert sp >= 1.0
                 assert 0 < fa <= 1 and 0 < fr <= 1
 
+    def test_pvc_potential_is_moderate_everywhere(self):
+        """Paper: every PVC operation sits between ~1.5x and ~2.7x."""
+        for op, (_, _, sp) in E.fig7_potential_speedup()["Sunspot"].items():
+            assert 1.2 <= sp <= 2.8, op
+
 
 class TestScaling:
     def test_weak_scaling_efficiency_claim(self):
@@ -229,6 +260,38 @@ class TestScaling:
         assert r.nodes[-1] == 16
         assert r.ranks[-1] == 192  # 96 PVC GPUs = 192 tiles
 
+    @pytest.mark.parametrize("machine", ["Perlmutter", "Frontier", "Sunspot"])
+    def test_weak_scaling_shape_on_every_machine(self, machine):
+        r = E.fig8_weak_scaling(machine)
+        ideal = r.ranks[-1] / r.ranks[0]
+        assert r.gstencil[-1] / r.gstencil[0] >= 0.85 * ideal
+        if machine != "Sunspot":
+            assert r.ranks[-1] >= 512
+
+    def test_sunspot_trails_per_rank(self):
+        """At 16 nodes Sunspot runs 3x Perlmutter's ranks but delivers
+        less throughput per rank."""
+        p = E.fig8_weak_scaling("Perlmutter")
+        s = E.fig8_weak_scaling("Sunspot")
+        i_p, i_s = p.nodes.index(16), s.nodes.index(16)
+        assert s.gstencil[i_s] / s.ranks[i_s] < p.gstencil[i_p] / p.ranks[i_p]
+
+    @pytest.mark.parametrize("machine", ["Perlmutter", "Frontier", "Sunspot"])
+    def test_strong_scaling_shape_on_every_machine(self, machine):
+        """Throughput grows with ranks while efficiency decays
+        monotonically and ends badly (Sunspot's ladder stops at 16
+        nodes, so its decline is shallower)."""
+        r = E.fig9_strong_scaling(machine)
+        assert all(a < b for a, b in zip(r.gstencil, r.gstencil[1:]))
+        assert all(a >= b for a, b in zip(r.efficiency, r.efficiency[1:]))
+        assert r.efficiency[-1] < (0.75 if machine == "Sunspot" else 0.55)
+
+    def test_strong_loses_far_more_efficiency_than_weak(self):
+        """The paper's Fig 8 vs Fig 9 contrast at the same node count."""
+        weak = E.fig8_weak_scaling("Perlmutter")
+        strong = E.fig9_strong_scaling("Perlmutter")
+        assert strong.efficiency[-1] < weak.efficiency[-1] - 0.3
+
 
 class TestAblations:
     @pytest.fixture(scope="class")
@@ -250,3 +313,22 @@ class TestAblations:
     def test_gpu_aware_matters(self, result):
         base = result.vcycle_seconds["all-optimizations"]
         assert result.vcycle_seconds["no-gpu-aware-mpi"] / base > 1.1
+
+    def test_ca_is_the_biggest_comm_lever(self, result):
+        t = result.vcycle_seconds
+        base = t["all-optimizations"]
+        ca = t["no-communication-avoiding"] / base
+        aware = t["no-gpu-aware-mpi"] / base
+        ordering = t["lexicographic-ordering"] / base
+        assert ca > aware > 1.0
+        assert ca > ordering > 1.0
+
+    @pytest.mark.parametrize("machine", ["Perlmutter", "Frontier", "Sunspot"])
+    def test_every_optimization_pays_on_every_machine(self, machine):
+        t = E.ablation_optimizations(machine).vcycle_seconds
+        base = t["all-optimizations"]
+        assert t["no-communication-avoiding"] > 1.5 * base
+        assert t["lexicographic-ordering"] > base
+        assert t["hpgmg-baseline"] > 1.3 * base
+        if machine != "Sunspot":  # Sunspot already runs host-staged
+            assert t["no-gpu-aware-mpi"] > 1.05 * base

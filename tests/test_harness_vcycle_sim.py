@@ -236,6 +236,16 @@ class TestCostStructure:
         ts = TimedSolve(PERLMUTTER, WorkloadConfig())
         assert ts.total_solve_time() > 12 * ts.time_per_vcycle()
 
+    @pytest.mark.parametrize("machine", [PERLMUTTER, FRONTIER, SUNSPOT],
+                             ids=lambda m: m.name)
+    def test_fp32_vcycle_speedup_is_bandwidth_bound(self, machine):
+        """Half the bytes approach 2x, eroded by launch/comm latency."""
+        t64 = TimedSolve(machine, WorkloadConfig()).time_per_vcycle()
+        t32 = TimedSolve(
+            machine, WorkloadConfig(precision="fp32")
+        ).time_per_vcycle()
+        assert 1.5 <= t64 / t32 <= 2.0
+
 
 class TestTimeDecomposition:
     def test_buckets_sum_close_to_vcycle_time(self):
@@ -274,3 +284,28 @@ class TestTimeDecomposition:
         assert max(launches) == pytest.approx(min(launches), rel=1e-6)
         streams = [d["kernel_stream"] for d in bd.decompositions]
         assert all(a > b for a, b in zip(streams, streams[1:]))
+
+    @pytest.mark.parametrize("machine", ["Frontier", "Sunspot"])
+    def test_latency_fraction_grows_on_every_machine(self, machine):
+        """Sunspot's ladder stops at 16 nodes, so its top fraction is
+        lower."""
+        from repro.harness.experiments import strong_scaling_breakdown
+
+        f = strong_scaling_breakdown(machine).latency_fractions
+        assert all(a < b for a, b in zip(f, f[1:]))
+        assert f[0] < 0.10
+        assert f[-1] > (0.20 if machine == "Sunspot" else 0.30)
+
+    def test_exchange_overhead_is_about_ten_launches(self):
+        """Section IX: MPI per-message overhead is close to 10x the
+        kernel launch overhead (which motivates deep ghost zones); every
+        machine pays at least a full launch per 26-message exchange."""
+        from repro.machines import MACHINES
+        from repro.machines.network import message_overhead
+
+        ratio = {
+            name: 26 * message_overhead(m, 4096) / m.gpu.kernel_launch_latency_s
+            for name, m in MACHINES.items()
+        }
+        assert ratio["Perlmutter"] == pytest.approx(10.0, rel=0.3)
+        assert all(v >= 1.0 for v in ratio.values())

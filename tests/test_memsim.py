@@ -169,7 +169,8 @@ class TestMeasurements:
         than the same tile-ordered sweep over a conventional array."""
         brick = measure_sweep(BrickLayout(16, 4), 4, self.CACHE)
         tiled = measure_sweep(RowMajorLayout(16), 4, self.CACHE)
-        assert brick.dram_bytes < tiled.dram_bytes
+        # measurably less: Fig 4's baseline layout factor is 0.75
+        assert brick.dram_bytes < 0.9 * tiled.dram_bytes
         assert brick.ai_fraction > tiled.ai_fraction
 
     def test_big_cache_approaches_compulsory(self):

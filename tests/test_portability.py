@@ -80,16 +80,24 @@ class TestPaperTables:
         assert per_op["restriction"] == pytest.approx(0.76, abs=0.01)
         assert per_op["interpolation+increment"] == pytest.approx(0.55, abs=0.01)
 
+    def test_table3_phi_between_the_platform_extremes(self):
+        result = table3_portability_roofline()
+        for op, effs in result.efficiencies.items():
+            assert min(effs.values()) <= result.per_op_phi[op], op
+            assert result.per_op_phi[op] <= max(effs.values()), op
+
     def test_table5_overall_meets_claim(self):
         """Paper: ~92% of the infinite-cache bound."""
         result = table5_portability_ai()
-        assert result.overall_phi >= 0.90
+        assert result.overall_phi == pytest.approx(0.92, abs=0.02)
 
     def test_table5_per_op_values(self):
         per_op = table5_portability_ai().per_op_phi
         assert per_op["applyOp"] == pytest.approx(0.90, abs=0.01)
         assert per_op["smooth"] == pytest.approx(0.97, abs=0.01)
         assert per_op["restriction"] == pytest.approx(0.94, abs=0.01)
+        assert per_op["smooth+residual"] == pytest.approx(0.88, abs=0.01)
+        assert per_op["interpolation+increment"] == pytest.approx(0.90, abs=0.01)
 
     def test_interp_is_the_weakest_op(self):
         """The paper singles out interpolation+increment on MI250X."""

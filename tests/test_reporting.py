@@ -65,54 +65,3 @@ class TestRenderers:
         assert "no-communication-avoiding" in text
         assert "1.00x" in text
 
-
-class TestAsciiPlots:
-    def test_kernel_plot(self):
-        from repro.harness.ascii_plot import plot_kernel_throughput
-
-        text = plot_kernel_throughput(E.fig5_kernel_throughput("applyOp"))
-        assert "GStencil/s" in text
-        assert "* Perlmutter" in text
-        assert "(log)" in text
-
-    def test_exchange_plot(self):
-        from repro.harness.ascii_plot import plot_exchange_bandwidth
-
-        text = plot_exchange_bandwidth(E.fig6_exchange_bandwidth())
-        assert "GB/s" in text
-
-    def test_scaling_plot(self):
-        from repro.harness.ascii_plot import plot_scaling
-
-        text = plot_scaling([E.fig8_weak_scaling("Sunspot")])
-        assert "weak GStencil/s" in text
-
-    def test_plot_validation(self):
-        import pytest as _pytest
-
-        from repro.harness.ascii_plot import ascii_plot
-
-        with _pytest.raises(ValueError, match="at least one series"):
-            ascii_plot({})
-        with _pytest.raises(ValueError, match="mismatched"):
-            ascii_plot({"a": ([1.0], [1.0, 2.0])})
-        with _pytest.raises(ValueError, match="positive"):
-            ascii_plot({"a": ([0.0, 1.0], [1.0, 2.0])})
-        with _pytest.raises(ValueError, match="8x4"):
-            ascii_plot({"a": ([1.0, 2.0], [1.0, 2.0])}, width=4)
-
-    def test_linear_axes(self):
-        from repro.harness.ascii_plot import ascii_plot
-
-        text = ascii_plot(
-            {"a": ([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])},
-            logx=False,
-            logy=False,
-        )
-        assert "(log)" not in text
-
-    def test_flat_series_does_not_crash(self):
-        from repro.harness.ascii_plot import ascii_plot
-
-        text = ascii_plot({"flat": ([1.0, 2.0], [5.0, 5.0])})
-        assert "flat" in text

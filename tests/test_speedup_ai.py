@@ -26,8 +26,9 @@ class TestPotentialSpeedup:
             potential_speedup(0.5, 1.5)
 
     def test_iso_curve_lies_on_the_curve(self):
-        x, y = iso_speedup_curve(2.0)
-        np.testing.assert_allclose(1.0 / (x * y), 2.0, rtol=1e-12)
+        for speedup in (1.2, 1.5, 2.0, 4.0):
+            x, y = iso_speedup_curve(speedup)
+            np.testing.assert_allclose(1.0 / (x * y), speedup, rtol=1e-12)
 
     def test_iso_curve_within_unit_square(self):
         x, y = iso_speedup_curve(3.0)
