@@ -2,9 +2,9 @@
 
 The environment this project targets is offline and has no ``wheel``
 package, so PEP-660 editable installs are unavailable; shipping a
-``setup.py`` (and omitting ``[build-system]`` from pyproject.toml)
-lets ``pip install -e .`` fall back to the legacy develop install.
-All metadata lives in pyproject.toml.
+``setup.py`` (and no pyproject.toml) lets ``pip install -e .`` fall
+back to the legacy develop install.
+All metadata lives in setup.cfg.
 """
 
 from setuptools import setup

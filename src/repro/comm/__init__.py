@@ -20,8 +20,8 @@ single-process SPMD simulator that preserves MPI's semantics:
 * :class:`~repro.comm.exchange.HaloExchange` — the V-cycle's
   ``exchange()``: ghost-brick exchange with all 26 neighbours, message
   aggregation across fields, and pack/unpack segment accounting driven
-  by the brick storage ordering — the plan executed as one index copy
-  over any number of stacked copies of the decomposition, followed by
+  by the brick storage ordering — the plan executed as one native brick
+  copy over any number of stacked copies of the decomposition, followed by
   per-message headers when something needs individual messages; the
   only exchanger, at any rank count;
 * :mod:`~repro.comm.protocols` — eager/rendezvous message protocol

@@ -7,9 +7,13 @@ a full brick deep, one exchange validates ``brick_dim`` cells of halo —
 the basis of communication-avoiding smoothing.
 
 The mapping is static, so :class:`HaloExchange` executes a precomputed
-:class:`~repro.comm.plan.ExchangePlan` as one index copy per field;
-only when an armed message fault, a dead rank or traffic in flight
-call for individual messages does it also run their headers through
+:class:`~repro.comm.plan.ExchangePlan` as one native brick copy over
+every field (:func:`repro.dsl.native.bind_exchange`, bound once per
+field arrays — or a NumPy take and indexed assign per field where no
+kernel can be had) and accounts it in O(1): one reference to the
+plan's cached message events and ledger rows.  Only when an armed
+message fault, a dead rank or traffic in flight call for individual
+messages does it also run their headers through
 :class:`ResilientChannel` (with each message's CRC32 when an injector
 is attached), whose receive replays each header's fault in place —
 never because someone is watching.  It is the only
@@ -45,8 +49,13 @@ from repro.bricks.bricked_array import BrickedArray
 from repro.comm.plan import exchange_plan_for
 from repro.comm.simmpi import RankDeadError, SimComm, UnmatchedReceiveError
 from repro.comm.topology import CartTopology
-from repro.instrument import MessageEvent, Recorder
+from repro.dsl import native
+from repro.instrument import Recorder
 from repro.obs.tracer import NULL_TRACER
+
+
+#: what :attr:`HaloExchange._bound` holds for a field count never bound
+_UNBOUND = (None, 0, None)
 
 
 class ExchangeFaultError(RuntimeError):
@@ -432,16 +441,23 @@ class HaloExchange(ResilientChannel):
     field it is given is a depth's stacked field, whose blocks are copy
     0's ranks, then copy 1's, … — so the members of a service cohort
     exchange through one member's exchanger.  Ghosts are written one
-    way only, by the :class:`~repro.comm.plan.ExchangePlan`'s index
-    copy: one take and one indexed assign per field over its storage,
-    leaving out every message with a dead endpoint.  The plan proves,
-    once, that every ghost slot has exactly one writer and every source
-    slot is interior, so the copy has nothing to check.
+    way only, by the :class:`~repro.comm.plan.ExchangePlan`'s brick
+    copy, leaving out every message with a dead endpoint: one native
+    call over every field's storage, bound once per ``(field arrays,
+    copies, dead ranks)`` — which is also when the fields are checked —
+    or, where the binding is refused (no compiler, a dtype without a C
+    type, fields sharing storage …), one NumPy take and indexed assign
+    per field, the reason noted with
+    :func:`~repro.dsl.native.note_fallback`.  The plan proves, once,
+    that every ghost slot has exactly one writer and every source slot
+    is interior, so the copy has nothing to check.
 
     Then the exchange is accounted, one of two ways:
 
-    * **planned** — message events and ledger rows derived from the
-      plan's table, nothing posted;
+    * **planned** — one reference to the plan's cached tuple of message
+      events appended to the recorder, and one multiplicity bumped on
+      the communicator's ledger (:meth:`~repro.comm.plan.ExchangePlan.accounting`),
+      nothing posted;
     * **envelope** — when :meth:`envelope_reason` names something only
       individual messages provide, the header protocol runs over the
       plan's messages, copy by copy: ranks in lockstep, every rank's
@@ -495,9 +511,11 @@ class HaloExchange(ResilientChannel):
         self.path_counts = {"planned": 0, "envelope": 0}
         #: envelope exchanges per :meth:`envelope_reason` answer
         self.envelope_reasons: Counter[str] = Counter()
-        #: what one planned exchange adds to the recorder and the root
-        #: communicator's ledger, per (level, itemsize, nfields, copies)
-        self._derived: dict[tuple[int, int, int, int], tuple[list, list]] = {}
+        #: global rank ids, by communicator-local rank
+        self._ranks = tuple(self._gr(r) for r in range(topology.size))
+        #: per field count, the copy bound last: ``(binding, copies,
+        #: dead)``, the binding a native ExchangeCall or a Refusal
+        self._bound: dict[int, tuple] = {}
 
     @property
     def recv_is_unpack_free(self) -> bool:
@@ -556,7 +574,14 @@ class HaloExchange(ResilientChannel):
         if fields and not isinstance(fields[0], BrickedArray):
             fields = _stacked_from_ranks(fields)
         with self.tracer.span("exchange", l=level, nfields=len(fields)) as span:
-            windows, copies = self._validate(level, fields)
+            windows = [field.data for field in fields]
+            backend = native.resolve_backend()
+            call, copies, bound_dead = self._bound.get(len(windows), _UNBOUND)
+            if call is None or not call.matches(backend, self.grid, windows):
+                # arrays new to this exchanger: check them (a binding
+                # holds its arrays, so while it matches they are checked)
+                call, copies = None, self._validate(fields)
+            self._last_level = level
             self.poll_crashes(level)
             reason = self.envelope_reason(level)
             itemsize, nfields = windows[0].dtype.itemsize, len(windows)
@@ -566,10 +591,10 @@ class HaloExchange(ResilientChannel):
                 bytes=copies * self.plan.nbytes(itemsize, nfields),
             )
             dead = self._dead_ranks()
-            src, dst = self.plan.tables(copies, dead)
-            for window in windows:
-                # every send region is read before any ghost is written
-                window[dst] = window.take(src, axis=0)
+            if call is None or bound_dead != dead:
+                call = self._bind(backend, windows, copies, dead)
+                self._bound[nfields] = (call, copies, dead)
+            self._copy(call, windows, copies, dead)
             if reason is None:
                 self.path_counts["planned"] += 1
                 self._account(level, itemsize, nfields, copies)
@@ -581,12 +606,9 @@ class HaloExchange(ResilientChannel):
             if self.recorder is not None:
                 self.recorder.exchange(level)
 
-    def _validate(
-        self, level: int, fields: Sequence[BrickedArray]
-    ) -> tuple[list[np.ndarray], int]:
-        """Reject what cannot be exchanged, by name; returns each
-        field's storage and how many copies of the decomposition it
-        holds."""
+    def _validate(self, fields: Sequence[BrickedArray]) -> int:
+        """Reject what cannot be exchanged, by name; returns how many
+        copies of the decomposition the fields hold."""
         if not fields:
             raise ValueError("nothing to exchange: the field list is empty")
         key = self.grid.geometry_key
@@ -612,35 +634,38 @@ class HaloExchange(ResilientChannel):
                 f"need fields of a positive multiple of topology.size="
                 f"{size} blocks (whole copies of the decomposition), got {n}"
             )
-        self._last_level = level
-        return [field.data for field in fields], copies
+        return copies
+
+    def _bind(self, backend, windows, copies: int, dead):
+        """The native brick copy bound to ``windows`` over the plan's
+        live rows, or a :class:`~repro.dsl.native.Refusal` saying why
+        they go through NumPy."""
+        if backend.reason is not None:
+            return native.Refusal(backend, self.grid, windows, backend.reason)
+        return native.bind_exchange(
+            backend, self.grid, windows, self.plan.copy_rows(copies, dead)
+        )
+
+    def _copy(self, call, windows, copies: int, dead) -> None:
+        """Land every live message's bricks in its ghost slots."""
+        if call.reason is None:
+            call.run()
+            return
+        native.note_fallback(call.reason)
+        src, dst = self.plan.tables(copies, dead)
+        for window in windows:
+            # every send region is read before any ghost is written
+            window[dst] = window.take(src, axis=0)
 
     def _account(self, level: int, itemsize: int, nfields: int, copies: int) -> None:
-        """Add what the header protocol's sends would have recorded."""
-        key = (level, itemsize, nfields, copies)
-        derived = self._derived.get(key)
-        if derived is None:
-            brick_bytes = self.plan.cells_per_brick * itemsize * nfields
-            events = [
-                MessageEvent(
-                    level, m.bricks * brick_bytes, m.kind,
-                    m.send_segments * nfields, m.dst_rank == m.src_rank,
-                )
-                for m in self.plan.messages
-            ] * copies
-            traffic = [
-                (
-                    (level, self._gr(p.src_rank), self._gr(p.dst_rank)),
-                    p.messages * copies,
-                    p.bricks * brick_bytes * copies,
-                )
-                for p in self.plan.pairs
-            ]
-            derived = self._derived[key] = (events, traffic)
-        events, traffic = derived
+        """Add what the header protocol's sends would have recorded:
+        the plan's cached events and ledger rows, by reference."""
+        events, traffic = self.plan.accounting(
+            level, itemsize, nfields, copies, self._ranks
+        )
         if self.recorder is not None:
-            self.recorder.messages.extend(events)
-        self._root_comm().account_sends(traffic)
+            self.recorder.message_run(events)
+        self._root_comm().account_planned(traffic)
 
     # ------------------------------------------------------------------
     # header protocol
@@ -757,7 +782,12 @@ def _stacked_from_ranks(fields_by_rank) -> list[BrickedArray]:
                     f"rank {r}'s is not block {r} of one stacked field"
                 )
         grid = BatchedGrid(fields_by_rank[0][f].grid, n)
-        stacked.append(BrickedArray(grid, whole[start : start + n * rows], first.dtype))
+        # the allocation itself when the blocks cover it: the same array
+        # every call, so the exchange's binding to it holds
+        data = whole if start == 0 and n * rows == len(whole) else (
+            whole[start : start + n * rows]
+        )
+        stacked.append(BrickedArray(grid, data, first.dtype))
     return stacked
 
 

@@ -13,15 +13,23 @@ walled rank is a plan with no messages at all.  An
 * the **per-message table** — one :class:`PlannedMessage` per send the
   26-neighbour protocol would post, in the protocol's ``(rank,
   direction)`` order — from which the header protocol reads its
-  neighbours, tags and sizes and the planned accounting derives
-  ``MessageEvent``s and communicator counters without posting anything;
+  neighbours, tags and sizes;
 * **flat ``src``/``dst`` slot tables** over the rank-stacked storage
   (rank ``r``'s slot ``s`` is ``r * num_slots + s``), so a whole
   exchange of one field is ``data[dst] = data[src]`` — and
   :meth:`ExchangePlan.tables` tiles them over any number of stacked
-  copies of the decomposition (a service cohort's members);
+  copies of the decomposition (a service cohort's members), and
+  :meth:`ExchangePlan.copy_rows` pairs them into the ``(src, dst)``
+  rows the native brick copy walks
+  (:func:`repro.dsl.native.generate_exchange_source`);
 * the **per-pair traffic** — bricks and messages per ``(src_rank,
-  dst_rank)`` — from which the planned accounting derives ledger rows.
+  dst_rank)``.
+
+From the last two and the message table, :meth:`ExchangePlan.accounting`
+derives, once per ``(level, itemsize, nfields, copies, rank map)``,
+what a planned exchange — which posts nothing — records: one tuple of
+``MessageEvent``s and one tuple of ledger rows, shared by every
+exchanger and every exchange of that key.
 
 Every ``dst`` slot is a ghost slot written exactly once and every
 ``src`` slot is an interior slot (refused by name otherwise, when the
@@ -44,6 +52,7 @@ from repro.bricks.brick_grid import (
 from repro.bricks.orderings import contiguous_segments
 from repro.bricks.plan_cache import PlanLRUCache
 from repro.comm.topology import CartTopology
+from repro.instrument import MessageEvent
 
 
 @dataclass(frozen=True)
@@ -137,8 +146,11 @@ class ExchangePlan:
         self.offsets = np.cumsum([0] + [m.bricks for m in self.receives])
         self._check_writers(grid)
         #: ``(src, dst)`` over ``k`` stacked copies without the dead
-        #: ranks' messages, per ``(k, dead)``
+        #: ranks' messages, per ``(k, dead)``, and the same paired
         self._tables = {(1, frozenset()): (self.src, self.dst)}
+        self._rows: dict[tuple[int, frozenset], np.ndarray] = {}
+        #: :meth:`accounting`'s answers, per its arguments
+        self._accounting: dict[tuple, tuple[tuple, tuple]] = {}
         by_pair: dict[tuple[int, int], list[PlannedMessage]] = {}
         for m in self.receives:
             by_pair.setdefault((m.src_rank, m.dst_rank), []).append(m)
@@ -221,6 +233,51 @@ class ExchangePlan:
                 (base + table).reshape(-1) for table in (src, dst)
             )
         return tables
+
+    def copy_rows(
+        self, copies: int, dead: frozenset[int] = frozenset()
+    ) -> np.ndarray:
+        """:meth:`tables` as one C-contiguous ``(n, 2)`` int64 table of
+        ``(src, dst)`` rows."""
+        rows = self._rows.get((copies, dead))
+        if rows is None:
+            rows = self._rows[copies, dead] = np.ascontiguousarray(
+                np.column_stack(self.tables(copies, dead)), dtype=np.int64
+            )
+        return rows
+
+    def accounting(
+        self, level: int, itemsize: int, nfields: int, copies: int,
+        ranks: tuple[int, ...],
+    ) -> tuple[tuple[MessageEvent, ...], tuple]:
+        """What one planned exchange of ``nfields`` fields of
+        ``itemsize`` bytes over ``copies`` stacked copies at ``level``
+        records, its ranks' global ids being ``ranks``: the message
+        events the header protocol's sends would record, in posting
+        order, and the ledger rows ``((level, src, dst), messages,
+        nbytes)`` per rank pair.  Built once per argument tuple; the
+        same two tuples are returned every time."""
+        key = (level, itemsize, nfields, copies, ranks)
+        found = self._accounting.get(key)
+        if found is None:
+            brick_bytes = self.cells_per_brick * itemsize * nfields
+            events = tuple(
+                MessageEvent(
+                    level, m.bricks * brick_bytes, m.kind,
+                    m.send_segments * nfields, m.dst_rank == m.src_rank,
+                )
+                for m in self.messages
+            ) * copies
+            traffic = tuple(
+                (
+                    (level, ranks[p.src_rank], ranks[p.dst_rank]),
+                    p.messages * copies,
+                    p.bricks * brick_bytes * copies,
+                )
+                for p in self.pairs
+            )
+            found = self._accounting[key] = (events, traffic)
+        return found
 
     def nbytes(self, itemsize: int, nfields: int = 1) -> int:
         """Payload bytes of one exchange of ``nfields`` fields."""

@@ -68,13 +68,12 @@ class SimComm:
         #: ``{(dst, src, tag): [nbytes, ...]}``: headers that outlived
         #: their receive, oldest first
         self._held: dict[tuple[int, int, int], list[int]] = {}
-        #: the traffic ledger: ``{(level, src, dst): [messages, bytes,
-        #: retransmissions]}`` of every transmission (resends included in
-        #: all three), whether its header was posted or it was derived
-        #: from an exchange plan; ``level`` is -1 where the caller gave
-        #: none.  ``sent_messages``, ``sent_bytes``, ``retransmissions``
-        #: and ``bytes_by_pair`` are its totals.
-        self.ledger: dict[tuple[int, int, int], list[int]] = {}
+        #: the ledger's rows in first-send order: what posted headers
+        #: sent, and a zero row per key a planned exchange first touched
+        self._rows: dict[tuple[int, int, int], list[int]] = {}
+        #: ``{id(traffic): [traffic, times]}``: each distinct traffic
+        #: tuple :meth:`account_planned` was given, and how often
+        self._planned: dict[int, list] = {}
         #: crashed endpoints; every operation touching one raises
         #: RankDeadError until repair() revives it
         self._dead: set[int] = set()
@@ -126,16 +125,41 @@ class SimComm:
         return purged
 
     @property
+    def ledger(self) -> dict[tuple[int, int, int], list[int]]:
+        """The traffic ledger: ``{(level, src, dst): [messages, bytes,
+        retransmissions]}`` of every transmission (resends included in
+        all three), whether its header was posted or it was derived
+        from an exchange plan, in first-send order; ``level`` is -1
+        where the caller gave none.  A fresh dict, expanded from the
+        rows and the planned multiplicities when read."""
+        out = {key: list(entry) for key, entry in self._rows.items()}
+        for traffic, times in self._planned.values():
+            for key, messages, nbytes in traffic:
+                entry = out[key]
+                entry[0] += messages * times
+                entry[1] += nbytes * times
+        return out
+
+    def _total(self, column: int) -> int:
+        """One ledger column summed over every row, unexpanded (a
+        planned exchange retransmits nothing: column 2 is rows only)."""
+        total = sum(entry[column] for entry in self._rows.values())
+        if column < 2:
+            for traffic, times in self._planned.values():
+                total += times * sum(row[1 + column] for row in traffic)
+        return total
+
+    @property
     def sent_messages(self) -> int:
-        return sum(entry[0] for entry in self.ledger.values())
+        return self._total(0)
 
     @property
     def sent_bytes(self) -> int:
-        return sum(entry[1] for entry in self.ledger.values())
+        return self._total(1)
 
     @property
     def retransmissions(self) -> int:
-        return sum(entry[2] for entry in self.ledger.values())
+        return self._total(2)
 
     @property
     def bytes_by_pair(self) -> dict[tuple[int, int], int]:
@@ -147,18 +171,31 @@ class SimComm:
 
     def account_sends(self, traffic, resends: bool = False) -> None:
         """Enter ``((level, src, dst), messages, nbytes)`` rows in the
-        ledger, in first-send order: a channel's posted headers, or what
-        a planned halo exchange — which posts nothing — derives from its
-        plan.  ``resends`` counts the messages as retransmissions too."""
-        ledger = self.ledger
+        ledger, in first-send order: a channel's posted headers.
+        ``resends`` counts the messages as retransmissions too."""
+        rows = self._rows
         for key, messages, nbytes in traffic:
-            entry = ledger.get(key)
+            entry = rows.get(key)
             if entry is None:
-                entry = ledger[key] = [0, 0, 0]
+                entry = rows[key] = [0, 0, 0]
             entry[0] += messages
             entry[1] += nbytes
             if resends:
                 entry[2] += messages
+
+    def account_planned(self, traffic: tuple) -> None:
+        """Enter what a planned halo exchange — which posts nothing —
+        sent: ``traffic`` is its plan's cached tuple of ``((level, src,
+        dst), messages, nbytes)`` rows.  Its keys take their place in
+        first-send order on first use; after that only the tuple's
+        multiplicity grows."""
+        run = self._planned.get(id(traffic))
+        if run is None:
+            for key, _, _ in traffic:
+                self._rows.setdefault(key, [0, 0, 0])
+            self._planned[id(traffic)] = [traffic, 1]
+        else:
+            run[1] += 1
 
     # ------------------------------------------------------------------
     # headers that outlive their receive

@@ -49,6 +49,13 @@ children through a per-level-pair table instead of the adjacency;
 calls are counted apart from the stencils' (``intergrid`` in
 :func:`call_counts`).
 
+A ghost exchange is one more generated function, per ``(brick_dim,
+dtype)`` (:func:`generate_exchange_source`): a ``memcpy`` of one whole
+brick per row of an exchange plan's ``(src, dst)`` slot table, for
+every field of the exchange — the paper's pack-free brick-to-brick
+copy.  :func:`bind_exchange` binds it to one exchange's field arrays
+and table once; its calls are counted as ``exchange``.
+
 Identity with the NumPy kernels, bit for bit: ``+ - * /`` are correctly
 rounded in both; the C is fully parenthesised and compiled without any
 fast-math option, so nothing is re-associated; ``-ffp-contract=off``
@@ -505,6 +512,40 @@ def generate_intergrid_source(op: str, brick_dim: int, dtype) -> str:
     return "\n".join(out)
 
 
+def generate_exchange_source(brick_dim: int, dtype) -> str:
+    """The C translation unit of the ghost-brick copy for ``brick_dim``
+    bricks of ``dtype`` fields.
+
+    Exports the stencil kernels' signature: ``nslots`` rows of the
+    ``(nslots, 2)`` table ``adjacency``, each the ``(src, dst)`` slots
+    of one brick copy; ``fields`` the storage of each field and
+    ``sweeps`` their number; the other arguments are unused.  Field by
+    field, row by row, the ``B³`` values of slot ``src`` are copied
+    whole into slot ``dst`` — what ``data[dst] = data[src]`` leaves,
+    since no row reads a slot another row writes (an
+    :class:`~repro.comm.plan.ExchangePlan` reads interior slots and
+    writes each ghost slot once).
+    """
+    B = int(brick_dim)
+    return "\n".join(_preamble("the ghost-brick exchange copy", B, dtype) + [
+        f"enum {{ B3 = {B ** 3} }};",
+        f"void {ENTRY_POINT}(int64_t nrows, const int64_t *restrict table,",
+        "                  void *const *fields, const double *consts,",
+        "                  int64_t nfields, const int64_t *slots,",
+        "                  int64_t ninner, int64_t nghost, int64_t depth)",
+        "{",
+        "    (void)consts; (void)slots; (void)ninner; (void)nghost; (void)depth;",
+        "    for (int64_t f = 0; f < nfields; ++f) {",
+        "        T *data = fields[f];",
+        "        for (int64_t n = 0; n < nrows; ++n)",
+        "            memcpy(data + table[2 * n + 1] * B3, data + table[2 * n] * B3,",
+        "                   sizeof(T) * B3);",
+        "    }",
+        "}",
+        "",
+    ])
+
+
 # ----------------------------------------------------------------------
 # the backend: compiler, cache directory, loaded kernels
 # ----------------------------------------------------------------------
@@ -606,8 +647,10 @@ class Backend:
         self.calls = 0
         self.sweeps = 0
         self.cells = 0
-        #: foreign calls made into inter-grid kernels
+        #: foreign calls made into inter-grid kernels, and into the
+        #: ghost-brick exchange copy
         self.intergrid = 0
+        self.exchange = 0
 
     @classmethod
     def probe(cls, cache_dir: str | None = None) -> "Backend":
@@ -727,7 +770,7 @@ class Backend:
         if self.reason is not None:
             return f"NumPy ({self.reason})"
         flags = " ".join(FP_FLAGS + self.vector_flags)
-        calls, sweeps, cells, intergrid = (
+        calls, sweeps, cells, intergrid, exchange = (
             getattr(self, k) - (since or {}).get(k, 0) for k in _COUNTS
         )
         return (
@@ -736,14 +779,15 @@ class Backend:
             + (f" ({self.baseline} without vector flags)" if self.baseline else "")
             + f", {self.loaded} loaded from "
             f"{self.cache_dir}, {calls} calls, {sweeps} sweeps, "
-            f"{cells} cells, {intergrid} inter-grid calls"
+            f"{cells} cells, {intergrid} inter-grid calls, "
+            f"{exchange} exchange copies"
         )
 
 
 _backend: Backend | None = None
 
 #: the call tallies :func:`call_counts` reports
-_COUNTS = ("calls", "sweeps", "cells", "intergrid")
+_COUNTS = ("calls", "sweeps", "cells", "intergrid", "exchange")
 
 #: every distinct reason a kernel application ran through NumPy
 _fallback_reasons: list[str] = []
@@ -787,12 +831,13 @@ def stats() -> dict:
 
 
 def call_counts() -> dict:
-    """``{"calls", "sweeps", "cells", "intergrid"}``: foreign calls into
-    native stencil kernels so far, the stencil sweeps they ran — equal
-    until a caller hands a kernel a whole exchange window — and the
-    cells those sweeps computed (interior plus the clipped ghost boxes,
-    :meth:`BoundCall.window_cells`), and foreign calls into inter-grid
-    kernels.  Zeros under NumPy."""
+    """``{"calls", "sweeps", "cells", "intergrid", "exchange"}``:
+    foreign calls into native stencil kernels so far, the stencil
+    sweeps they ran — equal until a caller hands a kernel a whole
+    exchange window — and the cells those sweeps computed (interior
+    plus the clipped ghost boxes, :meth:`BoundCall.window_cells`);
+    foreign calls into inter-grid kernels; and ghost exchanges copied
+    by the native brick copy.  Zeros under NumPy."""
     return {k: getattr(_backend, k, 0) for k in _COUNTS}
 
 
@@ -1042,30 +1087,44 @@ def _ineligible(compiled, grid, arrays) -> str | None:
 # ----------------------------------------------------------------------
 # binding an inter-grid kernel to one level pair
 # ----------------------------------------------------------------------
-class IntergridCall(_Binding):
-    """A native inter-grid kernel bound to one level pair's source and
-    destination arrays and its child table (see
-    :func:`generate_intergrid_source`); a call costs only the foreign
-    call.  Every array a pointer was taken from is referenced here."""
+class TableCall(_Binding):
+    """A native kernel that walks a table of slot rows — the first
+    argument its row count, the second the table, the fifth the number
+    of fields — bound to field arrays and the table once, so a call
+    costs only the foreign call.  Every array a pointer was taken from
+    is referenced here."""
 
-    __slots__ = ("_fn", "_nslots", "_table", "_ptrs", "_keep")
+    __slots__ = ("_fn", "_nrows", "_table", "_ptrs", "_keep")
 
     def __init__(self, backend, kernel, grid, arrays, table) -> None:
         super().__init__(backend, grid, arrays)
         ffi = backend._ffi
         self._fn = kernel.fn
-        self._nslots = len(table)
+        self._nrows = len(table)
         buffers = [ffi.from_buffer(a) for a in arrays]
         self._ptrs = ffi.new("void *[]", [ffi.cast("void *", b) for b in buffers])
         tab = ffi.from_buffer(table)
         self._table = ffi.cast("const int64_t *", tab)
         self._keep = (kernel, buffers, tab, table)
 
+    def _call(self) -> None:
+        null = self.backend._ffi.NULL
+        self._fn(
+            self._nrows, self._table, self._ptrs, null, len(self.arrays), null, 0, 0, 0
+        )
+
+
+class IntergridCall(TableCall):
+    """A native inter-grid kernel bound to one level pair's source and
+    destination arrays and its child table (see
+    :func:`generate_intergrid_source`)."""
+
+    __slots__ = ()
+
     def run(self) -> None:
         """Apply the operator to the bound arrays."""
         self.backend.intergrid += 1
-        null = self.backend._ffi.NULL
-        self._fn(self._nslots, self._table, self._ptrs, null, 1, null, 0, 0, 0)
+        self._call()
 
 
 def bind_intergrid(
@@ -1112,4 +1171,68 @@ def _intergrid_ineligible(op: str, B: int, arrays, table) -> str | None:
         and int(table[:, 1:].max()) < len(fine)
     ):
         return "child table is not an in-range C-contiguous int64 table"
+    return None
+
+
+# ----------------------------------------------------------------------
+# binding the exchange copy to one exchange's fields
+# ----------------------------------------------------------------------
+class ExchangeCall(TableCall):
+    """The native ghost-brick copy bound to one exchange's field arrays
+    and ``(src, dst)`` row table (see :func:`generate_exchange_source`)."""
+
+    __slots__ = ()
+
+    def run(self) -> None:
+        """Copy every row's brick, in every bound field."""
+        self.backend.exchange += 1
+        self._call()
+
+
+def bind_exchange(
+    backend: Backend, grid, arrays, rows: np.ndarray
+) -> ExchangeCall | Refusal:
+    """Bind the exchange copy for ``grid``'s brick dimension to
+    ``arrays`` (each field's stacked storage) and ``rows`` (an
+    :meth:`~repro.comm.plan.ExchangePlan.copy_rows` table), or refuse,
+    saying why the exchange must run through NumPy."""
+    B = grid.brick_dim
+    reason = _exchange_ineligible(B, arrays, rows)
+    if reason is None:
+        kernel = backend.kernel(
+            "exchange", generate_exchange_source(B, arrays[0].dtype)
+        )
+        if not isinstance(kernel, str):
+            return ExchangeCall(backend, kernel, grid, arrays, rows)
+        reason = kernel
+    return Refusal(backend, grid, arrays, reason)
+
+
+def _exchange_ineligible(B: int, arrays, rows) -> str | None:
+    """Why an exchange's fields cannot be handed to the native copy, if
+    they cannot: one C-typed dtype, packed C-contiguous ``(slots, B, B,
+    B)`` storage, fields sharing no byte, and a C-contiguous ``(n, 2)``
+    ``int64`` table in range of every field."""
+    dtype = arrays[0].dtype
+    if dtype.char not in _C_TYPES:
+        return f"no C type for field dtype {dtype}"
+    for a in arrays:
+        if a.dtype != dtype:
+            return "mixed field dtypes"
+        if a.shape[1:] != (B, B, B) or not a.flags.c_contiguous:
+            return "strided field storage"
+    for i, a in enumerate(arrays):
+        if any(_overlap(a, b) for b in arrays[i + 1 :]):
+            return "exchanged fields share storage"
+    if not (
+        rows.dtype == np.int64
+        and rows.ndim == 2
+        and rows.shape[1] == 2
+        and rows.flags.c_contiguous
+        and (
+            not rows.size
+            or 0 <= int(rows.min()) and int(rows.max()) < min(map(len, arrays))
+        )
+    ):
+        return "copy table is not an in-range C-contiguous (n, 2) int64 table"
     return None

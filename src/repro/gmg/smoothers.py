@@ -165,8 +165,7 @@ class JacobiSmoother(Smoother):
         with self.tracer.span(stencil.name, l=level.index, sweeps=sweeps):
             _run_kernel(level, stencil, self._constants(level), sweeps)
         if recorder is not None:
-            for _ in range(sweeps):
-                recorder.kernel(level.index, stencil.name, level.num_points)
+            recorder.kernel(level.index, stencil.name, level.num_points, times=sweeps)
 
     def sweep(
         self, level: Level, with_residual: bool, recorder: Recorder | None

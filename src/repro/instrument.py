@@ -9,6 +9,13 @@ on it:
   counts against what the functional solver actually executed;
 * the timed experiments price each recorded event with a machine model
   to produce the paper's figures.
+
+Recording costs O(1) per call whatever it stands for: a smoother call
+of ``n`` sweeps is one kernel record of multiplicity ``n``, and a
+planned exchange appends one reference to its plan's cached tuple of
+message events.  :attr:`Recorder.kernels` and :attr:`Recorder.messages`
+expand those runs, in order, when read; the aggregates read the
+multiplicities without expanding.
 """
 
 from __future__ import annotations
@@ -103,18 +110,28 @@ class Recorder:
     covers them all.
     """
 
-    kernels: list[KernelEvent] = field(default_factory=list)
-    messages: list[MessageEvent] = field(default_factory=list)
     exchanges: defaultdict = field(default_factory=lambda: defaultdict(int))
     reductions: int = 0
     faults: list[FaultEvent] = field(default_factory=list)
     tracer: object | None = field(default=None, repr=False, compare=False)
+    #: ``(level, op, points, times)`` per :meth:`kernel` call, in order
+    _kernel_runs: list = field(default_factory=list, init=False, repr=False)
+    #: tuples of message events in send order, each a run recorded by
+    #: reference (:meth:`message_run`) or one :meth:`message`
+    _message_runs: list = field(default_factory=list, init=False, repr=False)
+    #: ``{id(run): [run, times]}``: each distinct run once, with how
+    #: often it was recorded — what the aggregates read
+    _message_tally: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # event entry points
     # ------------------------------------------------------------------
-    def kernel(self, level: int, op: str, points: int) -> None:
-        self.kernels.append(KernelEvent(level, op, int(points)))
+    def kernel(self, level: int, op: str, points: int, times: int = 1) -> None:
+        """Record ``times`` invocations of ``op`` over ``points`` points
+        (one call of a kernel that ran ``times`` sweeps)."""
+        self._kernel_runs.append((level, op, int(points), times))
 
     def message(
         self,
@@ -124,9 +141,33 @@ class Recorder:
         segments: int = 1,
         self_message: bool = False,
     ) -> None:
-        self.messages.append(
-            MessageEvent(level, int(nbytes), direction_kind, segments, self_message)
+        self.message_run(
+            (MessageEvent(level, int(nbytes), direction_kind, segments, self_message),)
         )
+
+    def message_run(self, events: tuple[MessageEvent, ...]) -> None:
+        """Record ``events``, in order, keeping a reference to the
+        tuple: a caller that records the same tuple again adds only its
+        multiplicity."""
+        self._message_runs.append(events)
+        run = self._message_tally.get(id(events))
+        if run is None:
+            self._message_tally[id(events)] = [events, 1]
+        else:
+            run[1] += 1
+
+    @property
+    def kernels(self) -> list[KernelEvent]:
+        """Every kernel invocation in order, one event per sweep."""
+        out = []
+        for level, op, points, times in self._kernel_runs:
+            out += [KernelEvent(level, op, points)] * times
+        return out
+
+    @property
+    def messages(self) -> list[MessageEvent]:
+        """Every message in send order."""
+        return [ev for run in self._message_runs for ev in run]
 
     def exchange(self, level: int) -> None:
         self.exchanges[level] += 1
@@ -163,28 +204,30 @@ class Recorder:
     def kernel_counts(self) -> dict[tuple[int, str], int]:
         """``{(level, op): invocation count}``."""
         out: dict[tuple[int, str], int] = defaultdict(int)
-        for ev in self.kernels:
-            out[(ev.level, ev.op)] += 1
+        for level, op, _, times in self._kernel_runs:
+            out[(level, op)] += times
         return dict(out)
 
     def kernel_points(self) -> dict[tuple[int, str], int]:
         """``{(level, op): total points processed}``."""
         out: dict[tuple[int, str], int] = defaultdict(int)
-        for ev in self.kernels:
-            out[(ev.level, ev.op)] += ev.points
+        for level, op, points, times in self._kernel_runs:
+            out[(level, op)] += points * times
         return dict(out)
 
     def message_bytes_by_level(self) -> dict[int, int]:
         """Total message payload per level (self-messages included)."""
         out: dict[int, int] = defaultdict(int)
-        for ev in self.messages:
-            out[ev.level] += ev.nbytes
+        for run, times in self._message_tally.values():
+            for ev in run:
+                out[ev.level] += ev.nbytes * times
         return dict(out)
 
     def message_counts_by_level(self) -> dict[int, int]:
         out: dict[int, int] = defaultdict(int)
-        for ev in self.messages:
-            out[ev.level] += 1
+        for run, times in self._message_tally.values():
+            for ev in run:
+                out[ev.level] += times
         return dict(out)
 
     def exchange_counts(self) -> dict[int, int]:
@@ -194,7 +237,9 @@ class Recorder:
     def total_stencil_points(self, ops: tuple[str, ...] | None = None) -> int:
         """Total points across kernels (optionally restricted to ``ops``)."""
         return sum(
-            ev.points for ev in self.kernels if ops is None or ev.op in ops
+            points * times
+            for _, op, points, times in self._kernel_runs
+            if ops is None or op in ops
         )
 
     def fault_counts(self) -> dict[str, int]:
@@ -225,8 +270,9 @@ class Recorder:
         return sum(1 for ev in self.faults if ev.kind == "rollback")
 
     def clear(self) -> None:
-        self.kernels.clear()
-        self.messages.clear()
+        self._kernel_runs.clear()
+        self._message_runs.clear()
+        self._message_tally.clear()
         self.exchanges.clear()
         self.reductions = 0
         self.faults.clear()

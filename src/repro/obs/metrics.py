@@ -81,18 +81,20 @@ class MetricsRegistry:
         counters; per-level detail keeps the ``<name>.level<l>`` key
         shape so snapshots stay flat.
         """
-        for (lev, op), n in recorder.kernel_counts().items():
+        kernel_counts = recorder.kernel_counts()
+        for (lev, op), n in kernel_counts.items():
             self.counter(f"kernels.level{lev}.{op}", n)
         for (lev, op), pts in recorder.kernel_points().items():
             self.counter(f"kernel_points.level{lev}.{op}", pts)
-        self.counter("kernels.total", len(recorder.kernels))
-        self.counter("messages.total", len(recorder.messages))
-        self.counter(
-            "messages.bytes", sum(ev.nbytes for ev in recorder.messages)
-        )
-        for lev, n in recorder.message_counts_by_level().items():
+        # totals from the aggregates: the event lists are never expanded
+        message_counts = recorder.message_counts_by_level()
+        message_bytes = recorder.message_bytes_by_level()
+        self.counter("kernels.total", sum(kernel_counts.values()))
+        self.counter("messages.total", sum(message_counts.values()))
+        self.counter("messages.bytes", sum(message_bytes.values()))
+        for lev, n in message_counts.items():
             self.counter(f"messages.level{lev}.count", n)
-        for lev, nbytes in recorder.message_bytes_by_level().items():
+        for lev, nbytes in message_bytes.items():
             self.counter(f"messages.level{lev}.bytes", nbytes)
         for lev, n in recorder.exchange_counts().items():
             self.counter(f"exchanges.level{lev}", n)
@@ -147,7 +149,7 @@ class MetricsRegistry:
         """Snapshot which execution each ghost exchange took.
 
         ``exchangers`` is :meth:`GMGSolver.halo_exchangers`' ``(level,
-        exchanger)`` list.  Every exchange is an index copy off the
+        exchanger)`` list.  Every exchange is a brick copy off the
         exchange plan; ``exchanges.planned`` counts those accounted
         from the plan, ``exchanges.envelope`` those that posted
         per-message headers (with per-level detail; only these take

@@ -415,6 +415,7 @@ def test_metrics_count_calls_and_sweeps(native_backend):
     assert native.call_counts() == {
         "calls": native_backend.calls, "sweeps": native_backend.sweeps,
         "cells": native_backend.cells, "intergrid": native_backend.intergrid,
+        "exchange": native_backend.exchange,
     }
     assert gauges["kernels.native.cells"] == native_backend.cells > 0
     line = native.describe()
