@@ -103,9 +103,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"smoother={args.smoother}, bottom={args.bottom_solver}, "
         f"cycle={args.cycle}, boundary={args.boundary}"
     )
-    if solver.agglomerator is not None:
+    if solver.agglomeration is not None:
         print("agglomeration plan:")
-        for line in solver.agglomerator.plan.describe().splitlines():
+        for line in solver.agglomeration.describe().splitlines():
             print(f"  {line}")
     result = solver.solve()
     for cycle, res in enumerate(result.residual_history):

@@ -611,6 +611,10 @@ class HaloExchange(ResilientChannel):
         copies of the decomposition the fields hold."""
         if not fields:
             raise ValueError("nothing to exchange: the field list is empty")
+        dtypes = sorted({str(field.data.dtype) for field in fields})
+        if len(dtypes) > 1:
+            # the accounting sizes every field by the first one's itemsize
+            raise ValueError(f"fields of one exchange must share a dtype: {dtypes}")
         key = self.grid.geometry_key
         blocks = set()
         for field in fields:

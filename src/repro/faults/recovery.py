@@ -218,7 +218,7 @@ class ResilientDriver:
     def _snapshot(self, cycle: int, history: list[float]) -> _Checkpoint:
         ckpt = _Checkpoint(
             cycle=cycle,
-            x_by_rank=[lv.x.data.copy() for lv in self.vcycle.levels_at(0)],
+            x_by_rank=[lv.x.data.copy() for lv in self.vcycle.depths[0].level.blocks()],
             history=list(history),
         )
         self._fault("checkpoint", cycle, nbytes=ckpt.nbytes)
@@ -229,7 +229,7 @@ class ResilientDriver:
         return ckpt
 
     def _restore(self, ckpt: _Checkpoint, at_cycle: int, reason: str) -> list[float]:
-        for lv, saved in zip(self.vcycle.levels_at(0), ckpt.x_by_rank):
+        for lv, saved in zip(self.vcycle.depths[0].level.blocks(), ckpt.x_by_rank):
             lv.x.data[...] = saved
         purged = 0
         if self.comm is not None:
@@ -312,7 +312,7 @@ class ResilientDriver:
             if ckpt is not None and len(replicas) == len(dead):
                 # Buddy rung: adopt the dead ranks' replicas, roll the
                 # survivors back to the same coordinated checkpoint.
-                for rank, lv in enumerate(self.vcycle.levels_at(0)):
+                for rank, lv in enumerate(self.vcycle.depths[0].level.blocks()):
                     saved = replicas.get(rank)
                     if saved is None:
                         saved = ckpt.x_by_rank[rank]

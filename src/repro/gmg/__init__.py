@@ -10,11 +10,7 @@ Public entry points:
 * :mod:`~repro.gmg.problem` — the Section IV-C model problem.
 """
 
-from repro.gmg.agglomerate import (
-    AgglomerationPlan,
-    AgglomerationTransfer,
-    Agglomerator,
-)
+from repro.gmg.agglomerate import AgglomerationPlan, AgglomerationTransfer
 from repro.gmg.baseline import ArrayGMG
 from repro.gmg.boundary import BoundaryCondition, BoundaryFill
 from repro.gmg.bottom import (
@@ -25,7 +21,7 @@ from repro.gmg.bottom import (
     RelaxationBottomSolver,
     make_bottom_solver,
 )
-from repro.gmg.level import Level, level_brick_dim, make_level
+from repro.gmg.level import Level, level_brick_dim
 from repro.gmg.problem import (
     CONVERGENCE_TOL,
     LevelConstants,
@@ -46,7 +42,7 @@ from repro.gmg.smoothers import (
     make_smoother,
 )
 from repro.gmg.solver import GMGSolver, Hierarchy, SolveResult, SolverConfig
-from repro.gmg.vcycle import VCycle
+from repro.gmg.vcycle import Depth, VCycle
 
 __all__ = [
     "GMGSolver",
@@ -72,11 +68,10 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "VCycle",
+    "Depth",
     "Level",
     "level_brick_dim",
-    "make_level",
     "AgglomerationPlan",
-    "Agglomerator",
     "AgglomerationTransfer",
     "ArrayGMG",
     "LevelConstants",

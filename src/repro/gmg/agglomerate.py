@@ -35,14 +35,18 @@ pointwise over identical values, the residual history with agglomeration
 on is **bit-identical** to the history with it off — only the message
 schedule changes.  That identity is the acceptance test.
 
-Each merged depth is one :class:`~repro.gmg.level.Level` stacking every
-active rank's block, and each transition's staging is one level
-stacking every previous active rank's block, so restriction into the
-staging level and interpolation out of it are one call over all blocks.
-A hierarchy of ``copies`` stacked problems (a service cohort) has one
-agglomerator: its levels stack every copy's blocks, and its exchangers
-and transfers move each copy's blocks in turn — so no copy reads
-another's bytes.
+This module holds the geometry and the transfer; the
+:class:`~repro.gmg.solver.Hierarchy` builds each depth from them once,
+as one :class:`~repro.gmg.vcycle.Depth`: a merged depth is one
+:class:`~repro.gmg.level.Level` stacking every active rank's block with
+its sub-communicator exchanger (no full-grid level or exchanger is
+built for it), and a transition's depth adds its staging level,
+stacking every previous active rank's block, and its transfer — so
+restriction into the staging level and interpolation out of it are one
+call over all blocks.  A hierarchy of ``copies`` stacked problems (a
+service cohort) builds the same depths: their levels stack every
+copy's blocks, and their exchangers and transfers move each copy's
+blocks in turn — so no copy reads another's bytes.
 """
 
 from __future__ import annotations
@@ -51,11 +55,8 @@ import math
 
 import numpy as np
 
-from repro.comm.exchange import HaloExchange, ResilientChannel, payload_checksum
-from repro.comm.simmpi import SubComm
-from repro.comm.topology import CartTopology
-from repro.gmg.level import Level, make_level
-from repro.obs.tracer import NULL_TRACER
+from repro.comm.exchange import ResilientChannel, payload_checksum
+from repro.gmg.level import Level
 
 #: tag band for halo exchanges on agglomerated levels: the 26 direction
 #: tags (0..26) of level ``lev`` shift to ``BASE + lev * STRIDE`` so
@@ -196,13 +197,10 @@ class AgglomerationTransfer(ResilientChannel):
 
     def __init__(
         self,
+        plan: AgglomerationPlan,
         level_index: int,
         staging: Level,
         merged: Level,
-        source_ranks: list[int],
-        owner_ranks: list[int],
-        owner_of: list[int],
-        assignments: list[list[tuple[int, tuple[int, int, int]]]],
         comm,
         recorder=None,
         injector=None,
@@ -216,16 +214,19 @@ class AgglomerationTransfer(ResilientChannel):
         self.level_index = int(level_index)
         self.staging = staging
         self.merged = merged
-        self.source_ranks = source_ranks
-        self.owner_ranks = owner_ranks
-        #: owner (merged index) of each staging (source) index
-        self.owner_of = owner_of
-        #: per owner: [(source index, cell offset in the merged block)]
-        self.assignments = assignments
+        self.source_ranks = plan.active_ranks(level_index - 1)
+        self.owner_ranks = plan.active_ranks(level_index)
+        #: owner (merged index) of each staging (source) index, and per
+        #: owner: [(source index, cell offset in the merged block)]
+        self.owner_of, self.assignments = _assign(
+            plan.active_dims[level_index - 1],
+            plan.active_dims[level_index],
+            staging.shape_cells,
+        )
         self.gather_tag = TRANSFER_TAG_BASE + 2 * self.level_index
         self.scatter_tag = TRANSFER_TAG_BASE + 2 * self.level_index + 1
         #: cell offset in its owner's merged block, per staging index
-        self._offset_of = {s: off for owned in assignments for s, off in owned}
+        self._offset_of = {s: off for owned in self.assignments for s, off in owned}
         self._last_level = self.level_index
 
     def _copies(self):
@@ -357,6 +358,31 @@ class AgglomerationTransfer(ResilientChannel):
                         st.x.set_interior(payload)
 
 
+def _assign(
+    S: tuple[int, int, int],
+    D: tuple[int, int, int],
+    s_cells: tuple[int, int, int],
+) -> tuple[list[int], list[list[tuple[int, tuple[int, int, int]]]]]:
+    """Map each source block of active grid ``S`` to its owner on the
+    nested grid ``D`` and its offset in the owner's merged cells."""
+    t = tuple(si // di for si, di in zip(S, D))
+    owner_of: list[int] = []
+    assignments: list[list[tuple[int, tuple[int, int, int]]]] = [
+        [] for _ in range(D[0] * D[1] * D[2])
+    ]
+    for s in range(S[0] * S[1] * S[2]):
+        cs = _coords_of(s, S)
+        co = tuple(c // tt for c, tt in zip(cs, t))
+        o = _rank_of(co, D)
+        owner_of.append(o)
+        offset = tuple(
+            (c - oc * tt) * sc
+            for c, oc, tt, sc in zip(cs, co, t, s_cells)
+        )
+        assignments[o].append((s, offset))
+    return owner_of, assignments
+
+
 def _staged(st: Level) -> np.ndarray:
     """A staged level's gather payload: its ``x`` stacked on its ``b``."""
     return np.stack([st.x.to_ijk(), st.b.to_ijk()])
@@ -365,162 +391,3 @@ def _staged(st: Level) -> np.ndarray:
 def _block(offset, st: Level) -> tuple[slice, ...]:
     """Where staged level ``st`` sits in its owner's merged cells."""
     return tuple(slice(off, off + c) for off, c in zip(offset, st.shape_cells))
-
-
-class Agglomerator:
-    """Builds and owns everything agglomerated levels need.
-
-    Per agglomerated level: the merged :class:`Level`, one block per
-    active rank, and an exchanger scoped to the active ranks.  Per
-    *transition* level additionally: the staging level, one block per
-    previous-level active rank, and the :class:`AgglomerationTransfer`
-    that moves the blocks.  The V-cycle consults :meth:`level_at` /
-    :meth:`ranks_at` / :meth:`exchanger_at` and stays
-    decomposition-agnostic.
-    """
-
-    def __init__(
-        self,
-        config,
-        topology: CartTopology,
-        comm,
-        recorder=None,
-        boundary=None,
-        injector=None,
-        max_retries: int = 3,
-        tracer=None,
-        copies: int = 1,
-    ) -> None:
-        from repro.gmg.boundary import BoundaryCondition
-
-        if config.agglomerate_threshold is None:
-            raise ValueError("config has no agglomeration threshold set")
-        self.plan = AgglomerationPlan(
-            config.rank_dims,
-            config.global_cells,
-            config.num_levels,
-            config.agglomerate_threshold,
-        )
-        self.config = config
-        self.topology = topology
-        self.comm = comm
-        self.copies = int(copies)
-        self.tracer = tracer or NULL_TRACER
-        boundary = boundary or BoundaryCondition.PERIODIC
-        periodic = boundary is BoundaryCondition.PERIODIC
-        dtype = np.float32 if config.precision == "fp32" else np.float64
-        n = config.num_levels
-        #: per level: the merged Level (active-rank blocks) or None
-        self.merged_levels: list[Level | None] = [None] * n
-        #: per level: the staging Level on the previous decomposition
-        self.staging_levels: list[Level | None] = [None] * n
-        #: per level: exchanger over the active ranks, or None
-        self.exchangers: list[HaloExchange | None] = [None] * n
-        #: per level: the gather/scatter transfer at a transition
-        self.transfers: list[AgglomerationTransfer | None] = [None] * n
-
-        for lev in range(1, n):
-            if not self.plan.is_agglomerated(lev):
-                continue
-            D = self.plan.active_dims[lev]
-            cells = self.plan.level_cells(lev)
-            merged = make_level(
-                lev, cells, config.brick_dim, config.level_spacing(lev),
-                dtype=dtype,
-                blocks=self.copies * self.plan.active_count(lev),
-            )
-            self.merged_levels[lev] = merged
-            active = self.plan.active_ranks(lev)
-            sub_topology = CartTopology(
-                D,
-                min(config.ranks_per_node, len(active)),
-                periodic=periodic,
-            )
-            sub_comm = SubComm(
-                comm, active,
-                SUBCOMM_TAG_BASE + lev * SUBCOMM_TAG_STRIDE,
-            )
-            self.exchangers[lev] = HaloExchange(
-                merged.blocks()[0].grid, sub_topology, sub_comm, recorder,
-                boundary, injector=injector, max_retries=max_retries,
-                tracer=tracer,
-            )
-            if not self.plan.transition_at(lev):
-                continue
-            S = self.plan.active_dims[lev - 1]
-            s_cells = self.plan.level_cells(lev, S)
-            staging = make_level(
-                lev, s_cells, config.brick_dim, config.level_spacing(lev),
-                dtype=dtype,
-                blocks=self.copies * S[0] * S[1] * S[2],
-            )
-            self.staging_levels[lev] = staging
-            owner_of, assignments = self._assign(S, D, s_cells)
-            self.transfers[lev] = AgglomerationTransfer(
-                lev, staging, merged,
-                self.plan.active_ranks(lev - 1), active,
-                owner_of, assignments, comm,
-                recorder=recorder, injector=injector,
-                max_retries=max_retries, tracer=tracer,
-            )
-
-    @staticmethod
-    def _assign(
-        S: tuple[int, int, int],
-        D: tuple[int, int, int],
-        s_cells: tuple[int, int, int],
-    ) -> tuple[list[int], list[list[tuple[int, tuple[int, int, int]]]]]:
-        """Map each source block to its owner and merged-cell offset."""
-        t = tuple(si // di for si, di in zip(S, D))
-        owner_of: list[int] = []
-        assignments: list[list[tuple[int, tuple[int, int, int]]]] = [
-            [] for _ in range(D[0] * D[1] * D[2])
-        ]
-        for s in range(S[0] * S[1] * S[2]):
-            cs = _coords_of(s, S)
-            co = tuple(c // tt for c, tt in zip(cs, t))
-            o = _rank_of(co, D)
-            owner_of.append(o)
-            offset = tuple(
-                (c - oc * tt) * sc
-                for c, oc, tt, sc in zip(cs, co, t, s_cells)
-            )
-            assignments[o].append((s, offset))
-        return owner_of, assignments
-
-    # ------------------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """True when at least one level actually merges ranks."""
-        return self.plan.any_agglomerated
-
-    def level_at(self, lev: int) -> Level | None:
-        """The merged compute level at ``lev`` (None when not merged)."""
-        return self.merged_levels[lev]
-
-    def ranks_at(self, lev: int) -> list[int] | None:
-        """Global slot ids of the merged levels' owners — copy ``c``'s
-        active rank ``r`` is ``c * topology.size + r`` (None when not
-        merged)."""
-        if self.merged_levels[lev] is None:
-            return None
-        active = self.plan.active_ranks(lev)
-        size = self.topology.size
-        return [c * size + r for c in range(self.copies) for r in active]
-
-    def exchanger_at(self, lev: int):
-        """Active-rank exchanger at ``lev`` (None when not merged)."""
-        return self.exchangers[lev]
-
-    def transfer_at(self, lev: int) -> AgglomerationTransfer | None:
-        """The gather/scatter transfer entering ``lev`` (transitions)."""
-        return self.transfers[lev]
-
-    def channels(self) -> list[ResilientChannel]:
-        """Every resilient channel this agglomerator opened (for the
-        end-of-solve stale drain)."""
-        out: list[ResilientChannel] = [
-            ex for ex in self.exchangers if ex is not None
-        ]
-        out.extend(t for t in self.transfers if t is not None)
-        return out

@@ -113,13 +113,13 @@ class ConjugateGradientBottomSolver(BottomSolver):
         """Ax <- A x with a fresh ghost exchange (radius-1 stencil), one
         kernel call over the depth's level (the blocks are views of it;
         only the dot products need them one by one)."""
-        level = vcycle.level_at(lev)
+        level = vcycle.depths[lev].level
         vcycle.exchange(lev, [level.x])
         for target in vcycle.targets(level):
             vcycle.smoother.apply_op(target, vcycle.recorder)
 
     def solve(self, vcycle, lev: int) -> None:
-        level = vcycle.level_at(lev)
+        level = vcycle.depths[lev].level
         levels = level.blocks()
         interior = [lv.grid.interior_slots for lv in levels]
         if self.project_nullspace:
@@ -186,7 +186,7 @@ class FFTBottomSolver(BottomSolver):
             self._solve(vcycle, lev)
 
     def _solve(self, vcycle, lev: int) -> None:
-        levels = vcycle.levels_at(lev)
+        levels = vcycle.depths[lev].level.blocks()
         topo = vcycle.topology
         cells = levels[0].shape_cells
         if topo is None:

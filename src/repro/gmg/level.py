@@ -52,29 +52,6 @@ def ghost_shell_bricks(num_ranks: int, periodic: bool) -> int:
     return 0 if num_ranks == 1 and periodic else 1
 
 
-def make_level(
-    index: int,
-    shape_cells: tuple[int, int, int],
-    requested_brick_dim: int,
-    h: float,
-    dtype: np.dtype | type = np.float64,
-    blocks: int = 1,
-) -> "Level":
-    """A :class:`Level` using the largest brick the subdomain supports.
-
-    The solver's per-rank hierarchy and the agglomerator's merged
-    levels both size bricks the same way: the configured brick
-    dimension, shrunk via :func:`level_brick_dim` when the (possibly
-    merged) subdomain is smaller than the request.  A merged level is
-    8x larger per agglomeration step, so it typically supports a
-    *larger* brick than the tiny per-rank level it replaces — which is
-    exactly where the latency win comes from (bigger halo budget,
-    fewer exchanges per visit).
-    """
-    bdim = level_brick_dim(min(shape_cells), requested_brick_dim)
-    return Level(index, shape_cells, bdim, h, dtype=dtype, blocks=blocks)
-
-
 class Level:
     """State of one multigrid depth over ``blocks`` congruent subdomains.
 

@@ -71,7 +71,7 @@ class MixedPrecisionSolver:
 
     def _set_inner_rhs(self, residual: np.ndarray) -> None:
         per_rank = self.config.cells_per_rank
-        for rank, level in enumerate(self.inner.levels[0].blocks()):
+        for rank, level in enumerate(self.inner.depths[0].level.blocks()):
             o = self.inner.topology.subdomain_origin(rank, per_rank)
             sub = residual[
                 o[0] : o[0] + per_rank[0],

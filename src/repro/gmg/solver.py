@@ -1,9 +1,11 @@
 """Public solver API: configure, solve, inspect.
 
 A :class:`Hierarchy` assembles what a solve stands on — domain
-decomposition, one :class:`~repro.gmg.level.Level` per depth holding
-every rank's block, ghost exchangers, simulated MPI, the right-hand
-side — from a declarative :class:`SolverConfig`, for one
+decomposition, simulated MPI, one :class:`~repro.gmg.vcycle.Depth` per
+depth (its level holding every computing rank's block, its ghost
+exchanger, at an agglomeration transition its staging level and
+transfer), the right-hand side — from a declarative
+:class:`SolverConfig`, for one
 problem or ``copies`` independent ones (a service cohort);
 :class:`GMGSolver` is a one-copy hierarchy under a V-cycle driver: it
 runs Algorithm 1 and exposes the assembled global solution plus the
@@ -26,12 +28,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from dataclasses import replace
+
 from repro.comm.exchange import HaloExchange
-from repro.comm.simmpi import SimComm
+from repro.comm.simmpi import SimComm, SubComm
 from repro.comm.topology import CartTopology
+from repro.gmg.agglomerate import (
+    SUBCOMM_TAG_BASE,
+    SUBCOMM_TAG_STRIDE,
+    AgglomerationPlan,
+    AgglomerationTransfer,
+)
 from repro.gmg.level import Level, ghost_shell_bricks, level_brick_dim
 from repro.gmg.problem import CONVERGENCE_TOL, rhs_field
-from repro.gmg.vcycle import VCycle
+from repro.gmg.vcycle import Depth, VCycle
 from repro.instrument import Recorder
 
 
@@ -71,10 +81,11 @@ class SolverConfig:
     boundary: str = "periodic"
     #: coarse-level agglomeration (repro.gmg.agglomerate): when a
     #: level's per-rank subdomain falls below this many points, merge
-    #: subdomains onto a factor-of-8-smaller active rank grid.  None
-    #: (default) disables agglomeration.  The paper-scale sweet spot is
-    #: a few thousand points (the surface-to-volume knee); tiny
-    #: thresholds never trigger.
+    #: subdomains onto a factor-of-8-smaller active rank grid; the
+    #: hierarchy then builds that depth merged only (no full-grid level
+    #: or exchanger).  None (default) disables agglomeration.  The
+    #: paper-scale sweet spot is a few thousand points (the
+    #: surface-to-volume knee); tiny thresholds never trigger.
     agglomerate_threshold: int | None = None
 
     def __post_init__(self) -> None:
@@ -240,20 +251,27 @@ class Hierarchy:
     """One configuration's problem state, every rank stacked per depth.
 
     Builds, in this order, the decomposition, the simulated
-    communicator, one :class:`~repro.gmg.level.Level` per depth
-    (``levels``) whose storage holds every rank's block, the per-level
-    ghost exchangers (none for one periodic rank, whose levels have no
-    ghost shell), the agglomerator (when the threshold merges
-    anything), and then the problem data: the finest-level right-hand
-    side, written through the level's block views like every later
-    per-rank write.  :class:`GMGSolver` drives a hierarchy; so does a
-    service cohort, with ``copies=capacity``.
+    communicator, the :class:`~repro.gmg.agglomerate.AgglomerationPlan`
+    (``agglomeration``; ``None`` unless the threshold merges some
+    depth), one :class:`~repro.gmg.vcycle.Depth` per depth
+    (``depths``), and then the problem data: the finest-level
+    right-hand side, written through the level's block views like every
+    later per-rank write.  The plan is pure geometry, so each depth is
+    built once as what computes it: a full-grid depth is one
+    :class:`~repro.gmg.level.Level` whose storage holds every rank's
+    block, with its ghost exchanger (none for one periodic rank, whose
+    levels have no ghost shell); a merged depth is the level of the
+    active ranks' blocks, with an exchanger over their
+    sub-communicator, and where the rank grid shrinks entering it, its
+    staging level and transfer.  Nothing else is built.
+    :class:`GMGSolver` drives a hierarchy; so does a service cohort,
+    with ``copies=capacity``.
 
     ``copies`` problems share everything but field storage: each level
-    stacks ``copies * topology.size`` blocks (copy ``c``'s rank ``r`` is
-    block ``c * size + r``) over one communicator, one recorder, one
-    exchanger per level and one agglomerator.  No operation mixes
-    blocks, so each copy sees the floats it would alone.
+    stacks ``copies`` times its depth's ranks as blocks (copy ``c``'s
+    rank ``r`` is block ``c * size + r`` of a full-grid level) over one
+    communicator, one recorder and one exchanger per depth.  No
+    operation mixes blocks, so each copy sees the floats it would alone.
 
     Parameters
     ----------
@@ -338,27 +356,21 @@ class Hierarchy:
         )
         self.comm = SimComm(self.topology.size)
 
-        per_rank = config.cells_per_rank
-        ghost_bricks = ghost_shell_bricks(self.topology.size, self.topology.periodic)
-        #: per depth, the level holding every block (copy-major, then rank)
-        self.levels: list[Level] = []
-        for lev in range(config.num_levels):
-            cells = tuple(c >> lev for c in per_rank)
-            self.levels.append(
-                self.level_type(
-                    lev,
-                    cells,
-                    level_brick_dim(min(cells), config.brick_dim),
-                    config.level_spacing(lev),
-                    dtype=np.float32 if config.precision == "fp32" else np.float64,
-                    ghost_bricks=ghost_bricks,
-                    blocks=self.copies * self.topology.size,
-                )
+        self.agglomeration = None
+        if config.agglomerate_threshold is not None and self.topology.size > 1:
+            plan = AgglomerationPlan(
+                config.rank_dims,
+                config.global_cells,
+                config.num_levels,
+                config.agglomerate_threshold,
             )
-
-        #: per level, its ghost exchanger — ``None`` on a ghostless level
-        self.exchangers: list[HaloExchange | None] = [
-            self._build_exchanger(lev) for lev in range(config.num_levels)
+            # a threshold too small to merge anything leaves every
+            # depth on the full rank grid
+            if plan.any_agglomerated:
+                self.agglomeration = plan
+        #: per depth, what computes it (see :class:`~repro.gmg.vcycle.Depth`)
+        self.depths: list[Depth] = [
+            self._build_depth(lev) for lev in range(config.num_levels)
         ]
 
         self.buddy = None
@@ -377,26 +389,6 @@ class Hierarchy:
                 max_retries=self._max_retries,
                 tracer=self.tracer,
             )
-
-        self.agglomerator = None
-        if config.agglomerate_threshold is not None and self.topology.size > 1:
-            from repro.gmg.agglomerate import Agglomerator
-
-            agglomerator = Agglomerator(
-                config,
-                self.topology,
-                self.comm,
-                recorder=self.recorder,
-                boundary=self.boundary,
-                injector=self.injector,
-                max_retries=self._max_retries,
-                tracer=self.tracer,
-                copies=self.copies,
-            )
-            # a threshold too small to merge anything leaves the
-            # schedule untouched (and unpoliced levels un-built)
-            if agglomerator.active:
-                self.agglomerator = agglomerator
         self._setup_problem()
         if self.injector is not None:
             # A spec that names a rank/level outside this solve, an
@@ -404,23 +396,38 @@ class Hierarchy:
             # the plan silently forever — fail at construction instead.
             fault_plan.validate_for(
                 config.num_ranks, config.num_levels,
-                active_ranks=None if self.agglomerator is None else [
-                    self.agglomerator.plan.active_ranks(lev)
-                    for lev in range(config.num_levels)
-                ],
+                active_ranks=[depth.ranks for depth in self.depths],
                 message_rows=self._message_rows(),
             )
 
-    def _build_exchanger(self, lev: int) -> HaloExchange | None:
-        """A fresh full-grid exchanger for level ``lev`` (``None`` for a
-        ghostless level: no shell, nothing to exchange)."""
-        grid = self.levels[lev].blocks()[0].grid
+    def _merged(self, lev: int) -> bool:
+        """True when agglomeration leaves depth ``lev`` to fewer ranks."""
+        return self.agglomeration is not None and self.agglomeration.is_agglomerated(lev)
+
+    def _level(self, lev: int, cells, blocks: int, ghost_bricks: int = 1) -> Level:
+        """A level of ``blocks`` subdomains of ``cells`` at depth ``lev``,
+        with the largest brick those cells take."""
+        config = self.config
+        return self.level_type(
+            lev,
+            cells,
+            level_brick_dim(min(cells), config.brick_dim),
+            config.level_spacing(lev),
+            dtype=np.float32 if config.precision == "fp32" else np.float64,
+            ghost_bricks=ghost_bricks,
+            blocks=blocks,
+        )
+
+    def _exchanger(self, level: Level, topology: CartTopology, comm) -> HaloExchange | None:
+        """A fresh exchanger for ``level``'s blocks over ``comm``
+        (``None`` for a ghostless level: no shell, nothing to exchange)."""
+        grid = level.blocks()[0].grid
         if grid.ghost_bricks == 0:
             return None
         return HaloExchange(
             grid,
-            self.topology,
-            self.comm,
+            topology,
+            comm,
             self.recorder,
             self.boundary,
             injector=self.injector,
@@ -428,50 +435,94 @@ class Hierarchy:
             tracer=self.tracer,
         )
 
+    def _build_depth(self, lev: int) -> Depth:
+        """Depth ``lev`` as it computes: on the full rank grid, or merged
+        onto the plan's active ranks (with the staging level and transfer
+        where the rank grid shrinks entering it)."""
+        config, size = self.config, self.topology.size
+        if not self._merged(lev):
+            cells = tuple(c >> lev for c in config.cells_per_rank)
+            ghosts = ghost_shell_bricks(size, self.topology.periodic)
+            level = self._level(lev, cells, self.copies * size, ghosts)
+            return Depth(
+                level,
+                self._exchanger(level, self.topology, self.comm),
+                tuple(range(self.copies * size)),
+            )
+        plan = self.agglomeration
+        active = plan.active_ranks(lev)
+        level = self._level(lev, plan.level_cells(lev), self.copies * len(active))
+        topology = CartTopology(
+            plan.active_dims[lev],
+            min(config.ranks_per_node, len(active)),
+            periodic=self.topology.periodic,
+        )
+        comm = SubComm(self.comm, active, SUBCOMM_TAG_BASE + lev * SUBCOMM_TAG_STRIDE)
+        exchanger = self._exchanger(level, topology, comm)
+        ranks = tuple(c * size + r for c in range(self.copies) for r in active)
+        if not plan.transition_at(lev):
+            return Depth(level, exchanger, ranks)
+        source = plan.active_dims[lev - 1]
+        staging = self._level(
+            lev, plan.level_cells(lev, source), self.copies * math.prod(source)
+        )
+        transfer = AgglomerationTransfer(
+            plan, lev, staging, level, self.comm,
+            recorder=self.recorder, injector=self.injector,
+            max_retries=self._max_retries, tracer=self.tracer,
+        )
+        return Depth(level, exchanger, ranks, staging, transfer)
+
     def _message_rows(self) -> list[tuple]:
         """``(level, src, dst, direction)`` of every message this solve
         posts a header for, global ranks — what a message fault can
-        strike: the plan messages of the exchanger serving each level
-        (none on a communicator of one), the agglomeration transfer
-        blocks, the buddy replicas."""
+        strike: the plan messages of each depth's exchanger (none on a
+        communicator of one), the agglomeration transfer blocks, the
+        buddy replicas."""
         rows = []
-        for lev, ex in enumerate(self.exchangers):
-            if self.agglomerator is not None:
-                ex = self.agglomerator.exchanger_at(lev) or ex
+        for lev, depth in enumerate(self.depths):
+            ex = depth.exchanger
             if ex is not None and ex.comm.size > 1:
                 rows += [
                     (lev, ex._gr(m.src_rank), ex._gr(m.dst_rank), m.direction)
                     for m in ex.plan.messages
                 ]
-        if self.agglomerator is not None:
-            for t in self.agglomerator.transfers:
-                for s, o in enumerate([] if t is None else t.owner_of):
-                    src, dst = t.source_ranks[s], t.owner_ranks[o]
-                    rows += [(t.level_index, src, dst, None),
-                             (t.level_index, dst, src, None)]
+        for lev, depth in enumerate(self.depths):
+            t = depth.transfer
+            for s, o in enumerate([] if t is None else t.owner_of):
+                src, dst = t.source_ranks[s], t.owner_ranks[o]
+                rows += [(lev, src, dst, None), (lev, dst, src, None)]
         if self.buddy is not None:
             rows += [(-1, r, b, None) for r, b in enumerate(self.buddy.buddy_of)]
         return rows
 
     def halo_exchangers(self) -> list[tuple[int, HaloExchange]]:
-        """``(level, exchanger)`` of every ghost exchange: the
-        full-grid ones, then the agglomerator's active-rank ones (none
+        """``(level, exchanger)`` of every depth's ghost exchange (none
         for a ghostless level)."""
-        out = [(lev, ex) for lev, ex in enumerate(self.exchangers) if ex is not None]
-        if self.agglomerator is not None:
-            out.extend(
-                (lev, ex)
-                for lev, ex in enumerate(self.agglomerator.exchangers)
-                if ex is not None
-            )
-        return out
+        return [
+            (lev, d.exchanger)
+            for lev, d in enumerate(self.depths)
+            if d.exchanger is not None
+        ]
+
+    @property
+    def exchangers(self) -> list[HaloExchange | None]:
+        """Each depth's exchanger (read-only view of :attr:`depths`)."""
+        return [depth.exchanger for depth in self.depths]
 
     @property
     def rank_levels(self) -> list[list[Level]]:
         """Per block (copy-major, then rank), its view of every depth —
         the per-rank hierarchies as a reader outside the solve walks
-        them (the benchmark ladder's per-layer probes do)."""
-        views = [level.blocks() for level in self.levels]
+        them (the benchmark ladder's per-layer probes do).  Only a
+        hierarchy whose depths all stack the same blocks has them."""
+        blocks = [depth.level.num_blocks for depth in self.depths]
+        if len(set(blocks)) != 1:
+            raise ValueError(
+                "rank_levels needs every depth to stack the same blocks; "
+                f"agglomeration merged these depths to {blocks}"
+            )
+        views = [depth.level.blocks() for depth in self.depths]
         return [list(row) for row in zip(*views)]
 
     def _copy_blocks(self, copy: int) -> list[Level]:
@@ -479,7 +530,7 @@ class Hierarchy:
         if not 0 <= copy < self.copies:
             raise ValueError(f"copy {copy} out of range [0, {self.copies})")
         size = self.topology.size
-        return self.levels[0].blocks()[copy * size : (copy + 1) * size]
+        return self.depths[0].level.blocks()[copy * size : (copy + 1) * size]
 
     def _setup_problem(self) -> None:
         """Write the problem's data into the stacked levels: the model
@@ -522,8 +573,7 @@ class Hierarchy:
             # have the constant nullspace
             bottom_kwargs["project_nullspace"] = config.boundary != "dirichlet"
         return VCycle(
-            self.levels,
-            self.exchangers,
+            self.depths,
             max_smooths=config.max_smooths,
             bottom_smooths=config.bottom_smooths,
             recorder=self.recorder,
@@ -535,7 +585,6 @@ class Hierarchy:
             topology=self.topology,
             fault_injector=self.injector,
             tracer=self.tracer,
-            agglomerator=self.agglomerator,
             copies=self.copies,
         )
 
@@ -591,18 +640,22 @@ class GMGSolver(Hierarchy):
     def rebuild_channels(self) -> None:
         """Rebuild the exchange machinery after a communicator repair.
 
-        The full-grid exchangers are rebuilt from scratch (the
-        distributed analogue of re-deriving every ``MPI_Datatype`` on
-        the repaired communicator); agglomerated channels and the buddy
-        checkpointer hold no state a repair invalidates.  Every rebuilt
-        piece is a pure function of the unchanged decomposition, so the
-        replayed schedule stays bit-identical.
+        The exchanger of every depth that is not merged is rebuilt from
+        scratch (the distributed analogue of re-deriving every
+        ``MPI_Datatype`` on the repaired communicator); agglomerated
+        channels and the buddy checkpointer hold no state a repair
+        invalidates.  Every rebuilt piece is a pure function of the
+        unchanged decomposition, so the replayed schedule stays
+        bit-identical.
         """
-        self.exchangers = [
-            self._build_exchanger(lev)
-            for lev in range(self.config.num_levels)
+        self.depths = [
+            depth if self._merged(lev) else replace(
+                depth,
+                exchanger=self._exchanger(depth.level, self.topology, self.comm),
+            )
+            for lev, depth in enumerate(self.depths)
         ]
-        self.vcycle.exchangers = self.exchangers
+        self.vcycle.depths = self.depths
 
     def _restart_state(self) -> None:
         """Deterministically re-initialise the solve for a global restart.
@@ -612,7 +665,7 @@ class GMGSolver(Hierarchy):
         ``b`` exactly as the constructor did.  Coarse levels are
         scratch re-derived every cycle and need no reset.
         """
-        level = self.levels[0]
+        level = self.depths[0].level
         for field in (level.x, level.b, level.r, level.Ax):
             field.fill(0.0)
         self.set_rhs()
@@ -669,11 +722,10 @@ class GMGSolver(Hierarchy):
             # in-flight traffic instead of asserting a clean drain.
             self.comm.reset_in_flight()
         else:
-            for ex in self.exchangers:
-                if ex is not None:
-                    ex.drain_stale()
-            if self.agglomerator is not None:
-                for channel in self.agglomerator.channels():
+            channels = [d.exchanger for d in self.depths]
+            channels += [d.transfer for d in self.depths]
+            for channel in channels:
+                if channel is not None:
                     channel.drain_stale()
             if self.buddy is not None:
                 self.buddy.drain_stale()

@@ -174,7 +174,7 @@ class VariableCoefficientSolver(GMGSolver):
         zero."""
         per_rank = self.config.cells_per_rank
         h = self.config.level_spacing(0)
-        blocks = [level.blocks() for level in self.levels]
+        blocks = [depth.level.blocks() for depth in self.depths]
         for rank in range(self.topology.size):
             origin = self.topology.subdomain_origin(rank, per_rank)
             coords = [
@@ -188,12 +188,11 @@ class VariableCoefficientSolver(GMGSolver):
                     n0, n1, n2 = beta.shape
                     beta = beta.reshape(n0 // 2, 2, n1 // 2, 2, n2 // 2, 2).mean(axis=(1, 3, 5))
                 level.set_coefficient(beta)
-        for lev, exchanger in enumerate(self.exchangers):
-            if exchanger is None:
-                continue
-            exchanger.exchange(
-                lev, [getattr(self.levels[lev], name) for name in COEFFICIENTS]
-            )
+        for lev, depth in enumerate(self.depths):
+            if depth.exchanger is not None:
+                depth.exchanger.exchange(
+                    lev, [getattr(depth.level, name) for name in COEFFICIENTS]
+                )
 
     def make_smoother(self) -> VariableCoefficientJacobi:
         return VariableCoefficientJacobi(**dict(self.config.smoother_options))
@@ -209,7 +208,7 @@ class VariableCoefficientSolver(GMGSolver):
         """``A u`` on the global grid (used to manufacture b = A u);
         leaves ``x`` zero."""
         self._distribute("x", u_dense)
-        level = self.vcycle.level_at(0)
+        level = self.depths[0].level
         self.vcycle.exchange(0, [level.x])
         for target in self.vcycle.targets(level):
             self.vcycle.smoother.apply_op(target, None)

@@ -1,11 +1,16 @@
 """The multigrid cycle driver (Algorithms 1 and 2 of the paper).
 
-Runs any number of simulated ranks in lockstep: compute phases run once
-over each depth's :class:`~repro.gmg.level.Level`, whose storage holds
-every rank's block (and every stacked copy's), communication phases go
-through the level's
+Runs any number of simulated ranks in lockstep over one list of
+:class:`Depth` records, indexed by depth: compute phases run once over
+the depth's :class:`~repro.gmg.level.Level`, whose storage holds every
+block that computes it (every rank's, or every active rank's where
+agglomeration merged the depth, times every stacked copy), and
+communication phases go through the depth's
 :class:`~repro.comm.exchange.HaloExchange` — the same exchanger for
-one rank, many ranks and a service cohort's stacked copies.
+one rank, many ranks and a service cohort's stacked copies.  A depth
+the decomposition shrinks into also names its staging level and the
+:class:`~repro.gmg.agglomerate.AgglomerationTransfer` that gathers into
+it and scatters out of it; the cycle asks nothing else.
 
 Communication-avoiding smoothing (Section V): the ghost shell is one
 brick deep, so one exchange validates ``brick_dim`` halo cells; each
@@ -33,12 +38,14 @@ provided as the standard extensions.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.comm.exchange import HaloExchange
 from repro.gmg import operators as ops
+from repro.gmg.agglomerate import AgglomerationTransfer
 from repro.gmg.bottom import BottomSolver, RelaxationBottomSolver
 from repro.gmg.level import Level
 from repro.gmg.problem import CONVERGENCE_TOL
@@ -49,18 +56,50 @@ from repro.obs.tracer import NULL_TRACER
 CYCLE_TYPES = ("V", "W", "F")
 
 
+@dataclass(frozen=True)
+class Depth:
+    """What one multigrid depth runs on, decided once at setup.
+
+    ``level`` computes the depth, one block per entry of ``ranks`` —
+    the global slot ids owning them (copy ``c``'s rank ``r`` is
+    ``c * topology.size + r``): every rank, or only the active ones
+    where agglomeration merged the depth.  ``exchanger`` refreshes its
+    ghosts (``None`` on a ghostless level).  Where the decomposition
+    shrinks entering the depth, restriction lands in ``staging`` (the
+    previous depth's blocks) and ``transfer`` gathers it into ``level``
+    and scatters the correction back; both are ``None`` elsewhere.
+    """
+
+    level: Level
+    exchanger: HaloExchange | None
+    ranks: tuple[int, ...]
+    staging: Level | None = None
+    transfer: AgglomerationTransfer | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.ranks) != self.level.num_blocks:
+            raise ValueError(
+                f"depth {self.level.index}: {len(self.ranks)} owning ranks "
+                f"for {self.level.num_blocks} blocks"
+            )
+
+    @property
+    def inbound(self) -> Level:
+        """The level restriction from the depth above writes (and
+        interpolation reads): the staging level at a transition, else
+        the compute level."""
+        return self.level if self.staging is None else self.staging
+
+
 class VCycle:
     """Executes multigrid cycles over a hierarchy of stacked levels.
 
     Parameters
     ----------
-    levels:
-        ``levels[lev]`` is the :class:`Level` at depth ``lev`` (0 =
-        finest), one block per rank of every stacked copy (copy-major);
-        every depth stacks the same number of blocks.
-    exchangers:
-        One exchanger per level; ``None`` for a ghostless level, which
-        has nothing to exchange.
+    depths:
+        ``depths[lev]`` is the :class:`Depth` at depth ``lev`` (0 =
+        finest); restriction pairs each depth's blocks with the next
+        depth's inbound level, so the two stack the same number.
     max_smooths:
         Smoothing iterations per level visit (the paper uses 12).
     bottom_smooths:
@@ -82,14 +121,13 @@ class VCycle:
         Optional :class:`~repro.comm.topology.CartTopology` (needed by
         the FFT bottom solver to assemble the global coarse grid).
     copies:
-        How many independent problems ``levels`` stacks (copy-major);
+        How many independent problems ``depths`` stack (copy-major);
         :meth:`residual_norms` reduces each separately.
     """
 
     def __init__(
         self,
-        levels: Sequence[Level],
-        exchangers: Sequence[HaloExchange | None],
+        depths: Sequence[Depth],
         max_smooths: int = 12,
         bottom_smooths: int = 100,
         recorder: Recorder | None = None,
@@ -101,27 +139,23 @@ class VCycle:
         topology=None,
         fault_injector=None,
         tracer=None,
-        agglomerator=None,
         copies: int = 1,
     ) -> None:
-        if not levels:
-            raise ValueError("need at least one level")
-        if len({lv.num_blocks for lv in levels}) != 1:
-            raise ValueError(
-                "every depth must stack the same number of blocks: "
-                f"{[lv.num_blocks for lv in levels]}"
-            )
-        self.levels = list(levels)
-        self.num_levels = len(self.levels)
-        if len(exchangers) != self.num_levels:
-            raise ValueError(
-                f"need one exchanger per level: {len(exchangers)} != {self.num_levels}"
-            )
+        if not depths:
+            raise ValueError("need at least one depth")
+        for lev in range(1, len(depths)):
+            blocks = [depths[lev - 1].level.num_blocks, depths[lev].inbound.num_blocks]
+            if blocks[0] != blocks[1]:
+                raise ValueError(
+                    f"depths {lev - 1} and {lev} must restrict between the "
+                    f"same number of blocks: {blocks}"
+                )
+        self.depths = list(depths)
+        self.num_levels = len(self.depths)
         if max_smooths < 1 or bottom_smooths < 1:
             raise ValueError("smooth counts must be positive")
         if cycle not in CYCLE_TYPES:
             raise ValueError(f"cycle must be one of {CYCLE_TYPES}: {cycle!r}")
-        self.exchangers = list(exchangers)
         self.max_smooths = int(max_smooths)
         self.bottom_smooths = int(bottom_smooths)
         self.recorder = recorder
@@ -132,11 +166,6 @@ class VCycle:
         #: optional FaultInjector poisoning kernel outputs (SDC model)
         self.fault_injector = fault_injector
         self.copies = int(copies)
-        #: optional Agglomerator (repro.gmg.agglomerate): below its
-        #: threshold, coarse levels compute on merged subdomains owned
-        #: by a shrinking active rank grid — bit-identical numerics,
-        #: structurally fewer and larger messages
-        self.agglomerator = agglomerator
         #: span tracer (repro.obs); the shared null tracer when tracing
         #: is off, so the hot path never branches on "is tracing on?"
         self.tracer = tracer or NULL_TRACER
@@ -155,8 +184,8 @@ class VCycle:
         smoothing iteration of halo per exchange (a ghostless level has
         no exchange to budget)."""
         per_iter = self.smoother.ghost_cells_per_iteration
-        for lev in range(self.num_levels):
-            depth = self.level_at(lev).ghost_depth_cells
+        for lev, record in enumerate(self.depths):
+            depth = record.level.ghost_depth_cells
             if 0 < depth < per_iter:
                 raise ValueError(
                     f"smoother consumes {per_iter} halo cells per iteration "
@@ -164,21 +193,10 @@ class VCycle:
                 )
 
     # ------------------------------------------------------------------
-    def level_at(self, lev: int) -> Level:
-        """The :class:`Level` that computes depth ``lev``: the
-        agglomerator's merged level where it took the depth over, else
-        ``levels[lev]``."""
-        if self.agglomerator is not None:
-            merged = self.agglomerator.level_at(lev)
-            if merged is not None:
-                return merged
-        return self.levels[lev]
-
-    def levels_at(self, lev: int) -> list[Level]:
-        """The block views of depth ``lev``'s compute level — one per
-        rank normally, one per *active* rank when the agglomerator
-        merged the level."""
-        return self.level_at(lev).blocks()
+    @property
+    def exchangers(self) -> list[HaloExchange | None]:
+        """Each depth's exchanger (read-only view of :attr:`depths`)."""
+        return [depth.exchanger for depth in self.depths]
 
     def targets(self, level: Level) -> list[Level]:
         """What one compute phase over ``level`` runs its kernels on: the
@@ -186,34 +204,17 @@ class VCycle:
         schedule overrides (``level.blocks()``: a call per block)."""
         return [level]
 
-    def ranks_at(self, lev: int) -> list[int]:
-        """Global rank ids owning the compute levels of ``lev``."""
-        if self.agglomerator is not None:
-            active = self.agglomerator.ranks_at(lev)
-            if active is not None:
-                return active
-        return list(range(self.levels[0].num_blocks))
-
-    def exchanger_at(self, lev: int):
-        """The exchanger serving depth ``lev`` (active-rank scoped on
-        agglomerated levels; ``None`` on a ghostless level)."""
-        if self.agglomerator is not None:
-            ex = self.agglomerator.exchanger_at(lev)
-            if ex is not None:
-                return ex
-        return self.exchangers[lev]
-
     def exchange(self, lev: int, fields) -> None:
         """Refresh the ghosts of depth ``lev``'s listed (stacked) fields;
         nothing to do on a ghostless level."""
-        exchanger = self.exchanger_at(lev)
+        exchanger = self.depths[lev].exchanger
         if exchanger is not None:
             exchanger.exchange(lev, fields)
 
     def iterations_per_exchange(self, lev: int) -> int | None:
         """Smoothing iterations one exchange's halo budget supports;
         ``None`` on a ghostless level, whose windows nothing limits."""
-        depth = self.level_at(lev).ghost_depth_cells
+        depth = self.depths[lev].level.ghost_depth_cells
         if depth == 0:
             return None
         return max(1, depth // self.smoother.ghost_cells_per_iteration)
@@ -234,7 +235,8 @@ class VCycle:
         ``iterate(..., sweeps=window)``.  A ghostless level exchanges
         nothing and runs the whole visit as one window.
         """
-        level = self.level_at(lev)
+        depth = self.depths[lev]
+        level = depth.level
         targets = self.targets(level)
         per_window = self.iterations_per_exchange(lev) or iterations
         fields = [level.x, level.b]
@@ -257,19 +259,14 @@ class VCycle:
                 # value into its output field on whichever ranks the plan
                 # targets at this (vcycle, level).  Ranks are global ids:
                 # on agglomerated levels only the active ranks own state.
-                for rank, lv in zip(self.ranks_at(lev), level.blocks()):
+                for rank, lv in zip(depth.ranks, level.blocks()):
                     self.fault_injector.kernel_sdc(lev, rank, lv.x)
 
     # ------------------------------------------------------------------
-    def _transfer_at(self, lev: int):
-        if self.agglomerator is None:
-            return None
-        return self.agglomerator.transfer_at(lev)
-
     def _init_zero(self, lev: int) -> None:
         """``initZero`` of depth ``lev``: one fill of the level's ``x``
         (every block's storage), recorded once per block."""
-        level = self.level_at(lev)
+        level = self.depths[lev].level
         with self.tracer.span("initZero", l=lev):
             level.x.fill(0.0)
             if self.recorder is not None:
@@ -278,17 +275,14 @@ class VCycle:
 
     def _level_pairs(self, lev: int) -> list:
         """The ``(fine, coarse)`` pairs the inter-grid transfers between
-        depths ``lev`` and ``lev + 1`` run over.  The coarse side is the
-        agglomerator's staging level where it shrinks the rank grid
-        entering ``lev + 1`` (the same blocks as the fine level), else
-        the coarse depth's level.  Levels of one brick size pair as
-        :meth:`targets` says (one stacked call); otherwise the dense
-        path pairs their blocks."""
-        fine = self.level_at(lev)
-        if self._transfer_at(lev + 1) is not None:
-            coarse = self.agglomerator.staging_levels[lev + 1]
-        else:
-            coarse = self.level_at(lev + 1)
+        depths ``lev`` and ``lev + 1`` run over: the fine depth's level
+        and the coarse depth's inbound level (its staging level where
+        the rank grid shrinks entering it — the same blocks as the fine
+        level).  Levels of one brick size pair as :meth:`targets` says
+        (one stacked call); otherwise the dense path pairs their
+        blocks."""
+        fine = self.depths[lev].level
+        coarse = self.depths[lev + 1].inbound
         if fine.grid.brick_dim == coarse.grid.brick_dim:
             return list(zip(self.targets(fine), self.targets(coarse)))
         return list(zip(fine.blocks(), coarse.blocks()))
@@ -297,7 +291,7 @@ class VCycle:
         with self.tracer.span("restriction", l=lev):
             for fine, coarse in self._level_pairs(lev):
                 ops.restriction(fine, coarse, self.recorder)
-        transfer = self._transfer_at(lev + 1)
+        transfer = self.depths[lev + 1].transfer
         if transfer is not None:
             # Transition level: gather the staged blocks onto the
             # shrunken active rank grid.
@@ -305,7 +299,7 @@ class VCycle:
         self._init_zero(lev + 1)
 
     def _interpolate(self, lev: int) -> None:
-        transfer = self._transfer_at(lev + 1)
+        transfer = self.depths[lev + 1].transfer
         if transfer is not None:
             # Transition level: scatter the merged correction back to
             # the staged blocks, which interpolate per source rank
@@ -347,7 +341,7 @@ class VCycle:
     def residual_pass(self, lev: int = 0) -> Level:
         """Exchange ``x``, then ``Ax = A x`` and ``r = b - Ax`` on depth
         ``lev`` in one fused kernel call; returns the depth's level."""
-        level = self.level_at(lev)
+        level = self.depths[lev].level
         self.exchange(lev, [level.x])
         for target in self.targets(level):
             self.smoother.apply_op_residual(target, self.recorder)

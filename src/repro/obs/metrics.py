@@ -186,14 +186,13 @@ class MetricsRegistry:
         self.gauge("recovery.cycles_lost", result.cycles_lost)
         self.gauge("recovery.recovered_ranks", len(result.recovered_ranks))
 
-    def observe_agglomeration(self, agglomerator) -> None:
+    def observe_agglomeration(self, plan) -> None:
         """Record the active-rank shape of an agglomerated solve.
 
         One gauge per level: how many ranks computed it, plus the
         merged per-rank point count — the structural facts behind any
         drop in the per-level message counters.
         """
-        plan = agglomerator.plan
         for lev in range(plan.num_levels):
             self.gauge(
                 f"agglomeration.level{lev}.active_ranks",
@@ -234,7 +233,7 @@ class MetricsRegistry:
 
 
 def solve_metrics(
-    recorder: Recorder, tracer=None, agglomerator=None, result=None,
+    recorder: Recorder, tracer=None, agglomeration=None, result=None,
     exchangers=(),
 ) -> MetricsRegistry:
     """Registry for one finished solve.
@@ -255,8 +254,8 @@ def solve_metrics(
         registry.gauge("trace.spans", len(tracer.spans))
         registry.gauge("trace.instants", len(tracer.instants))
         registry.gauge("trace.wallclock_s", tracer.total_time())
-    if agglomerator is not None:
-        registry.observe_agglomeration(agglomerator)
+    if agglomeration is not None:
+        registry.observe_agglomeration(agglomeration)
     if result is not None:
         registry.observe_recovery(result)
     return registry

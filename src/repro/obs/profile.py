@@ -84,8 +84,8 @@ def ghost_work(solver) -> list[dict]:
     from repro.dsl.native import BoundCall
 
     rows = []
-    for lev in range(solver.vcycle.num_levels):
-        level = solver.vcycle.level_at(lev)
+    for lev, depth in enumerate(solver.depths):
+        level = depth.level
         calls = {
             id(call): call
             for lv in (level, *level.blocks())
@@ -255,7 +255,7 @@ def profile_solve(
         rows=rows,
         machine_name=machine_name,
         metrics=solve_metrics(
-            result.recorder, tracer, agglomerator=solver.agglomerator,
+            result.recorder, tracer, agglomeration=solver.agglomeration,
             exchangers=solver.halo_exchangers(),
         ).snapshot(),
         wait_s=wait_s,

@@ -121,15 +121,13 @@ class CohortSolver:
         """Every array holding slot ``slot``'s state: its contiguous
         block rows of every field of each depth's compute level and of
         each transition's staging level."""
-        agg = self.hierarchy.agglomerator
-        staging = [] if agg is None else agg.staging_levels
-        computed = [self.vcycle.level_at(lev) for lev in range(self.vcycle.num_levels)]
-        for level in computed + staging:
-            if level is None:
-                continue
-            rows = level.grid.num_slots // self.capacity
-            for f in level.fields().values():
-                yield f.data[slot * rows : (slot + 1) * rows]
+        for depth in self.hierarchy.depths:
+            for level in (depth.level, depth.staging):
+                if level is None:
+                    continue
+                rows = level.grid.num_slots // self.capacity
+                for f in level.fields().values():
+                    yield f.data[slot * rows : (slot + 1) * rows]
 
     def _reset_slot(self, slot: int) -> None:
         """Zero the slot's state — after this it is numerically

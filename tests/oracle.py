@@ -10,9 +10,9 @@ launch per stage and per sweep, every launch through
 runs over the stack, fused, windowed or native, so agreement with it
 byte for byte pins all of those at once.
 
-The oracle shares the hierarchy (levels and their block views,
-exchangers and their one ghost copy, agglomerator, right-hand side or
-coefficients) and the resilient driver with the solver under test;
+The oracle shares the hierarchy (its depths: levels and their block
+views, exchangers and their one ghost copy, agglomeration staging and
+transfers; the right-hand side or coefficients) and the resilient driver with the solver under test;
 what it replaces is how kernels execute.  Ghosts are judged on their
 own, against a dense reference (``tests/test_exchange.py``), and the
 valid-depth rule against NaN-poisoned ghosts
@@ -97,7 +97,7 @@ def stored_fields(solver) -> list[np.ndarray]:
     return [
         getattr(level, name).data[level.grid.interior_slots]
         for lev in range(vcycle.num_levels)
-        for level in vcycle.levels_at(lev)
+        for level in vcycle.depths[lev].level.blocks()
         for name in ("x", "Ax", "r")
     ]
 

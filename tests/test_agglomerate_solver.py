@@ -4,8 +4,9 @@ message reduction, engine interplay, and gather/scatter fault recovery."""
 import numpy as np
 import pytest
 
+from repro.comm.exchange import HaloExchange
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.gmg import AgglomerationPlan, GMGSolver, SolverConfig
+from repro.gmg import AgglomerationPlan, GMGSolver, Hierarchy, Level, SolverConfig
 from repro.obs.metrics import solve_metrics
 
 from tests.oracle import assert_matches_oracle, oracle_solve
@@ -81,12 +82,82 @@ class TestConfigValidation:
             global_cells=16, num_levels=2, brick_dim=4, max_smooths=6,
             bottom_smooths=20, agglomerate_threshold=64,
         ))
-        assert solver.agglomerator is None
+        assert solver.agglomeration is None
         assert solver.solve().converged
 
     def test_tiny_threshold_leaves_seed_schedule(self):
         solver = GMGSolver(config_8rank(agglomerate_threshold=1))
-        assert solver.agglomerator is None
+        assert solver.agglomeration is None
+
+
+def constructed(monkeypatch, *classes) -> dict[str, list]:
+    """Every instance of ``classes`` constructed from here on, by class
+    name."""
+    made = {cls.__name__: [] for cls in classes}
+    for cls in classes:
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made[_name].append(self)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+class TestOneDepthList:
+    """The hierarchy builds each depth once, as what computes it, and
+    the cycle runs through nothing but that list."""
+
+    #: 32^3 over 2x2x2 ranks: levels 1 and 2 merge onto rank 0
+    THRESHOLD_600 = dict(
+        global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2),
+        agglomerate_threshold=600,
+    )
+
+    def test_builds_only_what_runs(self, monkeypatch):
+        """Three compute levels and the staging level entering level 1,
+        one exchanger per depth: no full-grid twin of a merged depth."""
+        made = constructed(monkeypatch, Level, HaloExchange)
+        solver = GMGSolver(SolverConfig(**self.THRESHOLD_600))
+        assert {k: len(v) for k, v in made.items()} == {"Level": 4, "HaloExchange": 3}
+        held = [lv for d in solver.depths for lv in (d.level, d.staging) if lv is not None]
+        assert sorted(map(id, held)) == sorted(map(id, made["Level"]))
+        assert [d.exchanger for d in solver.depths] == made["HaloExchange"]
+
+    def test_without_a_threshold_builds_the_same_counts(self, monkeypatch):
+        made = constructed(monkeypatch, Level, HaloExchange)
+        GMGSolver(SolverConfig(**{**self.THRESHOLD_600, "agglomerate_threshold": None}))
+        assert {k: len(v) for k, v in made.items()} == {"Level": 3, "HaloExchange": 3}
+
+    @pytest.mark.parametrize("threshold", [64, 600])
+    def test_every_exchange_runs_through_a_depth(self, monkeypatch, threshold):
+        made = constructed(monkeypatch, HaloExchange)
+        solver = GMGSolver(config_8rank(agglomerate_threshold=threshold))
+        solver.solve()
+        moved = [ex for ex in made["HaloExchange"] if any(ex.path_counts.values())]
+        assert moved
+        for ex in moved:
+            assert any(ex is depth.exchanger for depth in solver.depths)
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_slot_ids_are_the_plans_active_ranks(self, copies):
+        hierarchy = Hierarchy(config_8rank(agglomerate_threshold=64), copies=copies)
+        plan = hierarchy.agglomeration
+        assert plan.active_dims == [(2, 2, 2)] * 3 + [(1, 1, 1)]
+        for lev, depth in enumerate(hierarchy.depths):
+            want = tuple(c * 8 + r for c in range(copies) for r in plan.active_ranks(lev))
+            assert depth.ranks == want, lev
+            assert depth.level.num_blocks == len(want)
+            if depth.transfer is not None:
+                assert depth.transfer.source_ranks == plan.active_ranks(lev - 1)
+                assert depth.transfer.owner_ranks == plan.active_ranks(lev)
+        assert [d.transfer is not None for d in hierarchy.depths] == [
+            plan.transition_at(lev) for lev in range(4)
+        ]
+
+    def test_rank_levels_refuses_merged_depths_by_name(self):
+        solver = GMGSolver(SolverConfig(**self.THRESHOLD_600))
+        with pytest.raises(ValueError, match=r"rank_levels .* \[8, 1, 1\]"):
+            solver.rank_levels  # noqa: B018
 
 
 class TestInSolverIdentity:
@@ -97,7 +168,7 @@ class TestInSolverIdentity:
         off = GMGSolver(config_8rank())
         r_off = off.solve()
         on = GMGSolver(config_8rank(agglomerate_threshold=64))
-        assert on.agglomerator is not None
+        assert on.agglomeration is not None
         r_on = on.solve()
         assert r_on.residual_history == r_off.residual_history
         assert np.array_equal(on.solution(), off.solution())
@@ -129,7 +200,7 @@ class TestInSolverIdentity:
         off = GMGSolver(SolverConfig(**base))
         r_off = off.solve()
         on = GMGSolver(SolverConfig(**base, agglomerate_threshold=64))
-        plan = on.agglomerator.plan
+        plan = on.agglomeration
         assert plan.active_dims == [(4, 4, 4), (2, 2, 2), (1, 1, 1)]
         assert plan.transition_at(1) and plan.transition_at(2)
         r_on = on.solve()
@@ -148,7 +219,7 @@ class TestCommunicationReduction:
         on.solve()
         c_off = solve_metrics(off.recorder).snapshot()["counters"]
         c_on = solve_metrics(
-            on.recorder, agglomerator=on.agglomerator
+            on.recorder, agglomeration=on.agglomeration
         ).snapshot()["counters"]
         # merged bricks are larger -> deeper halo budget -> half the
         # exchanges per visit; one active rank -> 26 local wraps plus
@@ -169,7 +240,7 @@ class TestCommunicationReduction:
         on = GMGSolver(config_8rank(agglomerate_threshold=64))
         on.solve()
         snap = solve_metrics(
-            on.recorder, agglomerator=on.agglomerator
+            on.recorder, agglomeration=on.agglomeration
         ).snapshot()
         assert snap["gauges"]["agglomeration.level3.active_ranks"] == 1
         assert snap["gauges"]["agglomeration.level0.active_ranks"] == 8

@@ -66,7 +66,7 @@ class TestBottomSolvers:
         from tests.conftest import reference_apply_op
 
         solver = GMGSolver(SolverConfig(**BASE, bottom_solver="fft"))
-        lev = solver.levels[-1]
+        lev = solver.depths[-1].level
         rng = np.random.default_rng(3)
         b = rng.random(lev.shape_cells)
         b -= b.mean()
@@ -109,7 +109,7 @@ class TestCycleTypes:
 class TestPrecision:
     def test_fp32_fields(self):
         solver = GMGSolver(SolverConfig(**BASE, precision="fp32"))
-        assert solver.levels[0].x.dtype == np.float32
+        assert solver.depths[0].level.x.dtype == np.float32
 
     def test_fp32_stalls_above_fp64_tolerance(self):
         solver = GMGSolver(SolverConfig(**BASE, precision="fp32",

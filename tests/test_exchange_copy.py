@@ -12,6 +12,8 @@ reused while its arrays are, refused by name where the C copy cannot
 take them, and counted as ``call_counts()["exchange"]``.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -192,10 +194,27 @@ def test_refuses_a_dtype_without_a_c_type(native_backend):
     assert call.reason == "no C type for field dtype int32"
 
 
-def test_refuses_mixed_field_dtypes(native_backend, monkeypatch):
+def test_refuses_mixed_field_dtypes(native_backend):
+    """The binding's own guard: one C copy moves one element type."""
     grid = BrickGrid((2, 2, 2), 2)
+    rows = HaloExchange(grid, CartTopology((1, 1, 1)), SimComm(1)).plan.copy_rows(1)
     fields = [random_field(grid, np.float64), random_field(grid, np.float32, 1)]
-    assert refused(grid, fields, monkeypatch) == "mixed field dtypes"
+    call = native.bind_exchange(native_backend, grid, [f.data for f in fields], rows)
+    assert call.reason == "mixed field dtypes"
+
+
+@pytest.mark.parametrize("path", ["native", "numpy"])
+def test_exchange_refuses_mixed_field_dtypes_by_name(path):
+    """Its accounting sizes every field by one itemsize, so an exchange
+    of fp64 and fp32 fields would misreport its bytes: it is refused,
+    naming both dtypes, whichever copy would have run."""
+    grid = BrickGrid((2, 2, 2), 2)
+    ex = HaloExchange(grid, CartTopology((2, 1, 1)), SimComm(2), Recorder())
+    fields = [stacked_fields(grid, 2, dtype=dt)[0] for dt in (np.float64, np.float32)]
+    with numpy_path() if path == "numpy" else nullcontext():
+        with pytest.raises(ValueError, match=r"share a dtype: \['float32', 'float64'\]"):
+            ex.exchange(0, fields)
+    assert ex.recorder.messages == [] and ex.comm.ledger == {}
 
 
 def test_refuses_fields_sharing_storage(native_backend, monkeypatch):

@@ -128,7 +128,7 @@ def test_window_cells_on_level_zero_of_2x2x2(native_backend):
     unclipped; the interior's 4 x 4,096 plus ghost boxes of depth 3, 2
     and 1 (and none at depth 0) in whole k rows make 33,088."""
     config = SolverConfig(**LADDER_8RANK)
-    level = Hierarchy(config).levels[0]
+    level = Hierarchy(config).depths[0].level
     block = level.blocks()[0]
     kernel = compile_stencil(library.FUSED_SMOOTH_RESIDUAL, 4)
     consts = {"alpha": -6.0, "beta": 1.0, "gamma": 0.1}
@@ -147,7 +147,7 @@ def test_window_cells_on_level_zero_of_2x2x2(native_backend):
 def test_ghostless_window_computes_every_slot(native_backend):
     """No shell, no clip: a one-rank level computes slots x B^3 per
     sweep, as before."""
-    level = Hierarchy(SolverConfig(global_cells=16, num_levels=2, brick_dim=4)).levels[0]
+    level = Hierarchy(SolverConfig(global_cells=16, num_levels=2, brick_dim=4)).depths[0].level
     assert level.grid.ghost_bricks == 0
     kernel = compile_stencil(library.FUSED_SMOOTH_RESIDUAL, 4)
     before = native.call_counts()["cells"]
@@ -178,7 +178,7 @@ def test_stored_fields_are_finite_after_a_2x2x2_solve():
     solver = GMGSolver(SolverConfig(**LADDER_8RANK))
     assert solver.solve().converged
     for lev in range(solver.vcycle.num_levels):
-        level = solver.vcycle.level_at(lev)
+        level = solver.vcycle.depths[lev].level
         for name in ("x", "b", "Ax", "r"):
             assert np.isfinite(getattr(level, name).data).all(), (lev, name)
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.dsl import native
 from repro.gmg import SolverConfig
 from repro.gmg import operators as ops
-from repro.gmg.level import Level, make_level
+from repro.gmg.level import Level, level_brick_dim
 from repro.instrument import Recorder
 from tests.conftest import numpy_path
 from tests.oracle import assert_matches_oracle
@@ -196,10 +196,17 @@ def test_merged_restriction_equals_per_rank(
     if "native" in (merged_on, ranks_on):
         request.getfixturevalue("native_backend")
     dt = DTYPES[dtype]
-    merged_fine = make_level(0, (2 * rank_cells,) * 3, B, 1.0, dtype=dt)
-    merged_coarse = make_level(1, (rank_cells,) * 3, B, 1.0, dtype=dt)
-    rank_fine = make_level(0, (rank_cells,) * 3, B, 1.0, dtype=dt)
-    rank_coarse = make_level(1, (rank_cells // 2,) * 3, B, 1.0, dtype=dt)
+
+    def make_level(index, cells):
+        """A level of ``cells``^3 with the largest brick up to ``B``
+        those cells take, as the hierarchy sizes its levels."""
+        brick = level_brick_dim(cells, B)
+        return Level(index, (cells,) * 3, brick, 1.0, dtype=dt)
+
+    merged_fine = make_level(0, 2 * rank_cells)
+    merged_coarse = make_level(1, rank_cells)
+    rank_fine = make_level(0, rank_cells)
+    rank_coarse = make_level(1, rank_cells // 2)
     fill(merged_fine, np.random.default_rng(rank_cells + B), specials=True)
     restrict_with(merged_on, merged_fine, merged_coarse)
 

@@ -178,9 +178,9 @@ def single_sweep_smooth_level(self, lev, iterations, with_residual):
     """``VCycle.smooth_level`` as it was before windows: one exchange
     check and one ``iterate`` per iteration, ranks innermost.  A
     ghostless level (one periodic rank) has nothing to exchange."""
-    level = self.level_at(lev)
+    depth = self.depths[lev]
+    level, exchanger = depth.level, depth.exchanger
     targets = self.targets(level)
-    exchanger = self.exchanger_at(lev)
     per_iter = self.smoother.ghost_cells_per_iteration
     ghost_valid = 0
     b_exchanged = False
@@ -194,7 +194,7 @@ def single_sweep_smooth_level(self, lev, iterations, with_residual):
             self.smoother.iterate(target, with_residual, self.recorder)
         ghost_valid -= per_iter
     if self.fault_injector is not None:
-        for rank, lv in zip(self.ranks_at(lev), level.blocks()):
+        for rank, lv in zip(depth.ranks, level.blocks()):
             self.fault_injector.kernel_sdc(lev, rank, lv.x)
 
 
@@ -246,7 +246,7 @@ def observables(solver):
     # interior cells: ghost cells beyond the valid depth differ by path
     stored = [
         getattr(lv, name).data[lv.grid.interior_slots].tobytes()
-        for levels in zip(*(level.blocks() for level in solver.levels))
+        for levels in zip(*(d.level.blocks() for d in solver.depths))
         for lv in levels
         for name in ("x", "Ax", "r")
     ]
@@ -375,7 +375,7 @@ def test_ghostless_visit_is_one_native_call(native_backend, max_smooths):
     solver = GMGSolver(config)
     vcycle = solver.vcycle
     for lev in range(config.num_levels):
-        assert vcycle.exchanger_at(lev) is None
+        assert vcycle.depths[lev].exchanger is None
         assert vcycle.iterations_per_exchange(lev) is None
         assert vcycle.exchanges_per_visit(lev) == 0
     vcycle.run()  # builds and binds every kernel

@@ -155,16 +155,18 @@ def test_stacked_hierarchy_rejects_what_would_couple_its_copies():
 @pytest.mark.parametrize("variant", ["walled-1rank", "multirank", "multirank-agg"])
 def test_cohort_is_one_hierarchy(variant, monkeypatch):
     """A capacity-k cohort is one hierarchy of k copies, not k
-    hierarchies: one communicator, one recorder, one exchanger per
-    level and at most one agglomerator are ever constructed, and every
-    exchange is one planned call serving all k copies."""
+    hierarchies: one communicator, one recorder, and per depth one
+    level and one exchanger (plus a staging level where agglomeration
+    shrinks the rank grid) are ever constructed, each level stacking k
+    copies of the ranks that compute it, and every exchange is one
+    planned call serving all k copies."""
     from repro.comm.exchange import HaloExchange
     from repro.comm.simmpi import SimComm
-    from repro.gmg.agglomerate import Agglomerator
+    from repro.gmg.level import Level
     from repro.instrument import Recorder
 
     built = Counter()
-    for cls in (SimComm, Recorder, HaloExchange, Agglomerator):
+    for cls in (SimComm, Recorder, HaloExchange, Level):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
             _init(self, *args, **kwargs)
@@ -173,16 +175,28 @@ def test_cohort_is_one_hierarchy(variant, monkeypatch):
     cfg = tiny_config(**VARIANTS[variant])
     cohort = CohortSolver(cfg, capacity=4)
     hierarchy = cohort.hierarchy
-    merged = hierarchy.agglomerator is not None
-    assert merged == (variant == "multirank-agg")
-    assert len(hierarchy.exchangers) == cfg.num_levels
+    plan = hierarchy.agglomeration
+    assert (plan is not None) == (variant == "multirank-agg")
+    depths = hierarchy.depths
+    staged = [d for d in depths if d.staging is not None]
+    assert len(depths) == cfg.num_levels
     assert built == {
         "SimComm": 1,
         "Recorder": 1,
         "HaloExchange": len(hierarchy.halo_exchangers()),
-        **({"Agglomerator": 1} if merged else {}),
+        "Level": len(depths) + len(staged),
     }
-    assert [lv.num_blocks for lv in hierarchy.levels] == [4 * cfg.num_ranks] * cfg.num_levels
+    assert len(hierarchy.halo_exchangers()) == cfg.num_levels
+    size = cfg.num_ranks
+    for lev, depth in enumerate(depths):
+        active = range(size) if plan is None else plan.active_ranks(lev)
+        assert depth.ranks == tuple(c * size + r for c in range(4) for r in active)
+        assert depth.level.num_blocks == 4 * len(active)
+    assert [d.staging.num_blocks for d in staged] == [
+        depths[lev - 1].level.num_blocks
+        for lev, d in enumerate(depths) if d.staging is not None
+    ]
+    assert bool(staged) == (plan is not None)
 
     requests = [SolveRequest(cfg, amplitude=1.0 + k) for k in range(4)]
     assert len(cohort.solve_stream(requests)) == 4
@@ -190,16 +204,15 @@ def test_cohort_is_one_hierarchy(variant, monkeypatch):
     # fits the cohort keeps every exchange it ran
     ran = hierarchy.recorder.exchange_counts()
     assert sum(ran.values()) > 0
-    serving = [cohort.vcycle.exchanger_at(lev) for lev in range(cfg.num_levels)]
+    assert cohort.vcycle.exchangers == hierarchy.exchangers
     for lev, ex in hierarchy.halo_exchangers():
-        runs = ran[lev] if ex is serving[lev] else 0
-        assert ex.path_counts == {"planned": runs, "envelope": 0}
+        assert ex.path_counts == {"planned": ran[lev], "envelope": 0}
     halo_messages = [
         ev for ev in hierarchy.recorder.messages
         if ev.direction_kind not in ("gather", "scatter")
     ]
     assert len(halo_messages) == 4 * sum(
-        ex.plan.num_messages * ran[lev] for lev, ex in enumerate(serving)
+        ex.plan.num_messages * ran[lev] for lev, ex in hierarchy.halo_exchangers()
     )
     assert hierarchy.comm.sent_messages == len(hierarchy.recorder.messages)
 
@@ -224,7 +237,7 @@ def test_ghostless_cohort_builds_no_exchanger(monkeypatch):
     assert hierarchy.exchangers == [None] * cfg.num_levels
     assert hierarchy.halo_exchangers() == []
     for lev in range(cfg.num_levels):
-        grid = cohort.vcycle.level_at(lev).grid
+        grid = cohort.vcycle.depths[lev].level.grid
         assert grid.ghost_bricks == 0
         assert grid.num_slots == grid.num_interior
     requests = [SolveRequest(cfg, amplitude=1.0 + k) for k in range(4)]

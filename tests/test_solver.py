@@ -48,7 +48,7 @@ class TestConfigValidation:
             SolverConfig(ordering="lexicographic")
         solver = GMGSolver(SolverConfig(global_cells=16, num_levels=2,
                                         rank_dims=(2, 1, 1)))
-        assert {lv.grid.ordering for lv in solver.levels} == {"surface-major"}
+        assert {d.level.grid.ordering for d in solver.depths} == {"surface-major"}
 
     def test_zero_tol_and_zero_cycles_are_legal(self):
         config = SolverConfig(global_cells=8, num_levels=2, brick_dim=2,
@@ -63,9 +63,9 @@ class TestConfigValidation:
         assert len(names) == 17
         assert "overlap" not in names and "communication_avoiding" not in names
         solver = GMGSolver(SolverConfig(global_cells=16, num_levels=2))
-        assert [lv.num_blocks for lv in solver.vcycle.levels] == [1, 1]
+        assert [d.level.num_blocks for d in solver.vcycle.depths] == [1, 1]
         eight = GMGSolver(SolverConfig(global_cells=16, num_levels=2, rank_dims=(2, 2, 2)))
-        assert [lv.grid.num_ranks for lv in eight.vcycle.levels] == [8, 8]
+        assert [d.level.grid.num_ranks for d in eight.vcycle.depths] == [8, 8]
 
     def test_levels_must_fit(self):
         with pytest.raises(ValueError):
@@ -189,10 +189,11 @@ class TestDistributedEquivalence:
         else:
             two = GMGSolver(SolverConfig(**base, rank_dims=(2, 1, 1)))
         assert all(
-            lv.grid.ghost_bricks == 0 and lv.grid.num_slots == lv.grid.num_interior
-            for lv in one.levels
+            d.level.grid.ghost_bricks == 0
+            and d.level.grid.num_slots == d.level.grid.num_interior
+            for d in one.depths
         )
-        assert all(lv.grid.ghost_bricks == 1 for lv in two.levels)
+        assert all(d.level.grid.ghost_bricks == 1 for d in two.depths)
         a, b = one.solve(), two.solve()
         assert a.recorder.exchange_counts() == {}
         assert sum(b.recorder.exchange_counts().values()) > 0
@@ -225,7 +226,7 @@ class TestOneLevelPerDepth:
             SolverConfig(global_cells=32, num_levels=3, brick_dim=4, rank_dims=(2, 2, 2))
         )
         assert len(built) == 3  # not one per rank and depth (24)
-        for level, grid in zip(solver.levels, built):
+        for level, grid in zip((d.level for d in solver.depths), built):
             assert level.grid.base is grid
             views = level.blocks()
             assert len(views) == 8 and level.blocks() is views
@@ -247,7 +248,7 @@ class TestOneLevelPerDepth:
                               max_smooths=2, bottom_smooths=8)
         cohort = CohortSolver(config, capacity=8)
         assert len(built) == config.num_levels
-        assert [lv.num_blocks for lv in cohort.hierarchy.levels] == [8, 8]
+        assert [d.level.num_blocks for d in cohort.hierarchy.depths] == [8, 8]
 
 
 class TestBrickSizeIndependence:
@@ -265,7 +266,7 @@ class TestBrickSizeIndependence:
 
     def test_brick_dim_shrinks_on_coarse_levels(self):
         s = GMGSolver(SolverConfig(global_cells=16, num_levels=3, brick_dim=8))
-        dims = [lv.grid.brick_dim for lv in s.levels]
+        dims = [d.level.grid.brick_dim for d in s.depths]
         assert dims == [8, 8, 4]
 
 

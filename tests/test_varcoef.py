@@ -120,7 +120,7 @@ class TestOperator:
         rng = np.random.default_rng(5)
         u = rng.random((16, 16, 16))
         Au = s.apply_operator(u)
-        c = s.levels[0].constants
+        c = s.depths[0].level.constants
         oracle = reference_apply_op(u, c.alpha, c.beta)
         np.testing.assert_allclose(Au, oracle, rtol=1e-12)
 
@@ -249,8 +249,8 @@ def test_engine_solve_matches_oracle_and_release(rank_dims):
     stored = [
         getattr(lv, name).data[lv.grid.interior_slots]
         for k in range(solver.topology.size)
-        for level in solver.levels
-        for lv in [level.blocks()[k]]
+        for depth in solver.depths
+        for lv in [depth.level.blocks()[k]]
         for name in ("x", "Ax", "r")
     ]
     assert sha256(stored) == RELEASED_STORED[rank_dims]

@@ -51,7 +51,7 @@ class TestConvergenceBehaviour:
         s = solve()
         # x = 0 -> r = b, so the first residual is max|b|
         expected = max(
-            lv.b.max_abs_interior() for lv in s.levels[0].blocks()
+            lv.b.max_abs_interior() for lv in s.depths[0].level.blocks()
         )
         assert s.vcycle.max_norm_residual() == pytest.approx(expected)
 
@@ -110,24 +110,24 @@ class TestCommunicationAvoiding:
 
 class TestScheduleValidation:
     def test_vcycle_constructor_validation(self):
-        from repro.gmg.vcycle import VCycle
+        from repro.gmg.vcycle import Depth, VCycle
 
         s = solve()
-        with pytest.raises(ValueError, match="exchanger"):
-            VCycle(s.levels, [], max_smooths=2, bottom_smooths=2)
+        with pytest.raises(ValueError, match="2 owning ranks for 1 blocks"):
+            Depth(s.depths[0].level, None, (0, 1))
         with pytest.raises(ValueError, match="positive"):
-            VCycle(s.levels, s.exchangers, max_smooths=0)
+            VCycle(s.depths, max_smooths=0)
         with pytest.raises(ValueError, match="at least one"):
-            VCycle([], [])
+            VCycle([])
 
     def test_mismatched_rank_hierarchies_rejected(self):
-        """Every depth stacks the same ranks: levels of different block
-        counts are no hierarchy."""
+        """Restriction pairs each depth's blocks with the next depth's:
+        levels of different block counts are no hierarchy."""
         from repro.gmg.vcycle import VCycle
 
         a, b = solve(), solve(rank_dims=(2, 1, 1))
         with pytest.raises(ValueError, match="same number of blocks: \\[1, 2\\]"):
-            VCycle([a.levels[0], b.levels[1]], a.exchangers)
+            VCycle([a.depths[0], b.depths[1]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,13 +183,13 @@ class TestResidualCheck:
         s = solve(rank_dims=dims)
         s.solve()
         got = s.vcycle.max_norm_residual()
-        level = s.vcycle.level_at(0)
+        level = s.vcycle.depths[0].level
         assert got == max(lv.r.max_abs_interior() for lv in level.blocks())
 
     @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2)], ids=["ghostless", "8ranks"])
     def test_nan_in_one_interior_cell_comes_out(self, dims):
         s = solve(rank_dims=dims)
-        block = s.levels[0].blocks()[-1]
+        block = s.depths[0].level.blocks()[-1]
         block.b.data[block.grid.interior_slots[3], 1, 2, 0] = np.nan
         history = s.solve().residual_history
         assert np.isnan(history[0])
@@ -197,7 +197,7 @@ class TestResidualCheck:
     def test_nan_in_a_ghost_slot_does_not_come_out(self):
         s = solve(rank_dims=(2, 2, 2))
         clean = s.vcycle.max_norm_residual()
-        level = s.levels[0]
+        level = s.depths[0].level
         ghosts = level.grid.ghost_slots
         level.b.data[ghosts] = np.nan
         level.r.data[ghosts] = np.nan
@@ -208,7 +208,7 @@ class TestResidualCheck:
         """``-0.0`` everywhere in ``r`` must read ``+0.0``: ``max(x.max(),
         -x.min())`` would return ``-0.0`` here."""
         s = solve(rank_dims=(2, 1, 1))
-        level = s.levels[0]
+        level = s.depths[0].level
         level.b.fill(-0.0)
         norm = s.vcycle.max_norm_residual()
         assert np.signbit(level.interior(level.r)).all()
@@ -222,7 +222,7 @@ class TestResidualCheck:
         config = SolverConfig(global_cells=16, num_levels=2, brick_dim=4,
                               rank_dims=(2, 1, 1))
         cohort = CohortSolver(config, capacity=3)
-        level = cohort.vcycle.level_at(0)
+        level = cohort.vcycle.depths[0].level
         level.b.data[...] = np.random.default_rng(5).random(level.b.data.shape)
         clean = cohort.vcycle.residual_norms()
         copy1_rank0 = level.blocks()[2]
